@@ -6,16 +6,13 @@ paper-vs-measured numbers.  Set ``REPRO_BENCH_FULL=1`` to run at the
 paper's full scale (n up to 800, more replications); the default scale
 completes the whole suite in a few minutes on a laptop.
 
-Two environment knobs select the performance configuration:
-
-* ``REPRO_NEIGHBOR_BACKEND`` — ``vectorized`` (default, numpy kernel) or
-  ``python`` (the reference path);
-* ``REPRO_BENCH_JOBS`` — process-pool workers for the parameter sweeps
-  (forwarded as ``jobs=`` to the experiment drivers).
+One environment knob selects the performance configuration:
+``REPRO_BENCH_JOBS`` — process-pool workers for the parameter sweeps
+(forwarded as ``jobs=`` to the experiment drivers).
 
 Every run also wall-clocks each bench and merges the timings into
-``BENCH_simnet.json`` at the repository root, keyed by backend and job
-count, so perf PRs can track the speedup trajectory over time.  Each run
+``BENCH_simnet.json`` at the repository root, keyed by job count, so
+perf PRs can track the speedup trajectory over time.  Each run
 entry carries a ``manifest`` block (git rev, toolchain versions, seed
 policy, host) so a recorded number can always be traced back to the code
 and configuration that produced it; with ``REPRO_PROFILE=1`` the
@@ -25,6 +22,7 @@ session's per-phase profiler table lands in
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -32,6 +30,8 @@ import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
+# The identity gates compare against the oracles in tests/reference.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
 BENCH_TIMINGS_PATH = REPO_ROOT / "BENCH_simnet.json"
 
 FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
@@ -46,10 +46,6 @@ N_LOOKUPS = 1000 if FULL_SCALE else 60
 
 #: Parallel sweep workers for the experiment drivers.
 JOBS = max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
-
-
-def neighbor_backend() -> str:
-    return os.environ.get("REPRO_NEIGHBOR_BACKEND", "vectorized")
 
 
 def record_result(name: str, text: str) -> None:
@@ -109,11 +105,9 @@ def pytest_sessionfinish(session, exitstatus):
             payload = json.loads(BENCH_TIMINGS_PATH.read_text())
         except (json.JSONDecodeError, OSError):
             payload = {}
-    run_key = f"{neighbor_backend()}-jobs{JOBS}" + (
-        "-full" if FULL_SCALE else "")
+    run_key = f"jobs{JOBS}" + ("-full" if FULL_SCALE else "")
     runs = payload.setdefault("runs", {})
     run = runs.setdefault(run_key, {
-        "backend": neighbor_backend(),
         "jobs": JOBS,
         "n_default": N_DEFAULT,
         "full_scale": FULL_SCALE,

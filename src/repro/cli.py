@@ -34,7 +34,6 @@ def _rep_kwargs(args) -> dict:
     """Replication options shared by every replication-aware figure."""
     return {
         "reps": getattr(args, "reps", 1),
-        "rep_backend": getattr(args, "rep_backend", None),
         "ci_target": getattr(args, "ci", None),
     }
 
@@ -251,8 +250,7 @@ def _quorum(args) -> str:
         systems=tuple(args.systems),
         read_fractions=tuple(args.read_fractions),
         n=args.n, m=args.quorum_nodes, optimize=args.optimize,
-        reps=args.reps, ops=args.lookups,
-        rep_backend=args.rep_backend)
+        reps=args.reps, ops=args.lookups)
     table = format_table(
         ["system", "fr", "pred load", "bound", "sim load", "gap", "CI ok",
          "E|Qr|", "E|Qw|", "hit"],
@@ -394,13 +392,6 @@ ENV_VARS = {
     "REPRO_PROFILE": "1 enables the phase profiler (table on stderr)",
     "REPRO_JOBS": "default parallel sweep workers",
     "REPRO_MANIFEST_DIR": "directory for per-sweep provenance manifests",
-    "REPRO_NEIGHBOR_BACKEND": "neighbor engine: vectorized or reference",
-    "REPRO_REP_BACKEND": "Monte-Carlo replication engine: batched or "
-                         "sequential (statistic-identical; batched is "
-                         "faster)",
-    "REPRO_ACCESS_BACKEND": "access engine: batched (numpy kernels) or "
-                            "sequential (statistic-identical; batched is "
-                            "faster)",
 }
 
 OBS_COMMANDS = {
@@ -539,11 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sequential stopping: add replicas (beyond "
                             "--reps, up to 8x) until the hit-ratio CI "
                             "half-width drops below DELTA")
-        p.add_argument("--rep-backend", choices=("batched", "sequential"),
-                       default=None,
-                       help="replication engine (default: REPRO_REP_BACKEND "
-                            "env var, else batched; both backends produce "
-                            "identical statistics)")
         p.add_argument("--trace", metavar="PATH", default=None,
                        help="stream simulation events as JSONL to PATH "
                             "(with --jobs > 1, pool workers append to the "
@@ -776,7 +762,7 @@ def _write_figure_manifest(args, wall_time_s: float) -> str:
     params = {
         key: getattr(args, key)
         for key in ("n", "keys", "lookups", "walks", "trials", "epsilon",
-                    "mobility", "reps", "ci", "rep_backend")
+                    "mobility", "reps", "ci")
         if getattr(args, key, None) is not None
     }
     manifest = collect_manifest(

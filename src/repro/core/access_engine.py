@@ -15,34 +15,30 @@ passes over a packed CSR snapshot (:mod:`repro.geometry.csr`):
    max-degree-biased) advance whole walker populations in lockstep for
    the large-n analysis path.
 
-The engine is **statistic-identical** to the sequential path.  The
-strategy RNG streams are stdlib ``random.Random`` generators, so the
-accesses that define reported statistics never move their draws into
-numpy: the engine vectorizes only the *deterministic* graph work
-(frontier expansion, BFS, membership tests) and replays side effects —
-counters, metrics, energy charges, trace events, clock advances — in
-exactly the sequential order, with the same float operations.  Whenever
-exactness cannot be proven cheaply (pending simulation events inside a
-window, random drops, mobility, tracing on a fast path that does not
-emit events), the kernel declines and the caller falls back to the
-sequential code.  The Philox walk kernel is the one exception: it is an
-analysis/benchmark surface with its own counter-based streams,
+The engine is **statistic-identical** to the per-event code it
+replaces.  The strategy RNG streams are stdlib ``random.Random``
+generators, so the accesses that define reported statistics never move
+their draws into numpy: the engine vectorizes only the *deterministic*
+graph work (frontier expansion, BFS, membership tests) and replays side
+effects — counters, metrics, energy charges, trace events, clock
+advances — in exactly the per-event order, with the same float
+operations.  Whenever exactness cannot be proven cheaply (pending
+simulation events inside a window, random drops, mobility, tracing on a
+fast path that does not emit events), the kernel declines and the
+caller runs the per-event code; nothing but those observed conditions
+selects the path.  The Philox walk kernel is the one exception: it is
+an analysis/benchmark surface with its own counter-based streams,
 deliberately outside the statistic-identical contract.
 
-Backend selection: ``NetworkConfig.access_backend`` (env
-``REPRO_ACCESS_BACKEND``, default ``batched``) with a per-strategy
-override via ``AccessStrategy`` construction.  Cross-replica sharing:
-:class:`SharedAccessState` lets the Monte-Carlo builder serve one CSR
-snapshot and one BFS memo to every replica of a deployment, under the
-same soundness rule as ``TopologyRouteOracle`` (sharing stops at the
-first geometry mutation past the attach point).
+Cross-replica sharing: :class:`SharedAccessState` lets the Monte-Carlo
+builder serve one CSR snapshot and one BFS memo to every replica of a
+deployment, under the same soundness rule as ``TopologyRouteOracle``
+(sharing stops at the first geometry mutation past the attach point).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -52,8 +48,6 @@ from repro.geometry.csr import CsrCache, CsrSnapshot
 from repro.obs.profile import PROFILER
 from repro.simnet.replication import BfsTree, bfs_tree
 
-ACCESS_BACKENDS = ("batched", "sequential")
-
 #: Below this population the numpy BFS's per-round call overhead beats
 #: the plain deque walk; both are exact, so the cutover is pure perf.
 _NUMPY_BFS_MIN_N = 128
@@ -61,12 +55,6 @@ _NUMPY_BFS_MIN_N = 128
 #: Per-network BFS-tree memo bound (LRU).  Replication-shared memos are
 #: unbounded like the route oracle's (one deployment, few versions).
 _MAX_PRIVATE_TREES = 512
-
-
-def default_access_backend() -> str:
-    """Backend from ``REPRO_ACCESS_BACKEND`` (default batched)."""
-    backend = os.environ.get("REPRO_ACCESS_BACKEND", "batched")
-    return backend if backend in ACCESS_BACKENDS else "batched"
 
 
 class SharedAccessState:
@@ -100,12 +88,7 @@ def _deployment_fingerprint(net) -> tuple:
 class AccessEngine:
     """Per-network batched kernels with staleness-guarded caches."""
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        backend = backend or default_access_backend()
-        if backend not in ACCESS_BACKENDS:
-            raise ValueError(f"unknown access backend {backend!r}")
-        self.backend = backend
-        self._forced: Optional[str] = None
+    def __init__(self) -> None:
         self._csr_cache = CsrCache()
         self._trees: "OrderedDict[int, BfsTree]" = OrderedDict()
         self._trees_version = -1
@@ -113,33 +96,6 @@ class AccessEngine:
         self._shared_version = -1
         self.tree_hits = 0
         self.tree_misses = 0
-
-    # -- backend selection ---------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether batched kernels may serve (current override applied)."""
-        return (self._forced or self.backend) == "batched"
-
-    @contextmanager
-    def forced(self, backend: Optional[str]):
-        """Temporarily force a backend (per-strategy override)."""
-        if backend is None:
-            yield self
-            return
-        if backend not in ACCESS_BACKENDS:
-            raise ValueError(f"unknown access backend {backend!r}")
-        previous = self._forced
-        self._forced = backend
-        try:
-            yield self
-        finally:
-            self._forced = previous
-
-    @staticmethod
-    def _static_vectorized(net) -> bool:
-        return (net.config.mobility == "static"
-                and net.config.neighbor_backend == "vectorized")
 
     # -- CSR snapshots -------------------------------------------------------
 
@@ -189,17 +145,14 @@ class AccessEngine:
         Returns ``(covered, parent, messages)`` matching
         ``SimNetwork.flood`` exactly — same dict insertion order, same
         parent assignment, same per-broadcast side effects — or None
-        when the sequential loop must run (backend off, mobility,
-        random drops, or python neighbor backend).  Rounds whose
-        broadcast window contains a pending simulation event run
-        through ``one_hop_broadcast`` so timers and churn interleave
-        exactly as they always did; the CSR snapshot re-keys on the
-        topology version every round, so mid-flood churn can never be
-        served a stale adjacency.
+        when the per-event loop must run (mobility or random drops).
+        Rounds whose broadcast window contains a pending simulation
+        event run through ``one_hop_broadcast`` so timers and churn
+        interleave exactly as they always did; the CSR snapshot re-keys
+        on the topology version every round, so mid-flood churn can
+        never be served a stale adjacency.
         """
-        if (not self.active
-                or not self._static_vectorized(net)
-                or net.config.drop_prob > 0):
+        if net.config.mobility != "static" or net.config.drop_prob > 0:
             return None
         covered: Dict[int, int] = {origin: 0}
         parent: Dict[int, int] = {origin: origin}
@@ -324,7 +277,7 @@ class AccessEngine:
 
     def routes_active(self, net) -> bool:
         """Whether route discovery may be served from engine trees."""
-        return self.active and self._static_vectorized(net)
+        return net.config.mobility == "static"
 
     def tree(self, net, src: int) -> Optional[BfsTree]:
         """Memoized BFS tree from ``src``, or None when not applicable.
@@ -368,11 +321,10 @@ class AccessEngine:
         Exact: the frontier expands in discovery order and each row
         scans sorted neighbors, so first-occurrence parents equal the
         sequential FIFO BFS parents (see ``BfsTree``).  Returns None
-        when ineligible (small n, dead source, python backend) — the
-        caller then walks the graph in Python.
+        when ineligible (small n, dead source, mobility) — the caller
+        then walks the graph in Python.
         """
-        if (not self.active
-                or not self._static_vectorized(net)
+        if (net.config.mobility != "static"
                 or net.n_alive < _NUMPY_BFS_MIN_N):
             return None
         csr = self.true_csr(net)
@@ -392,15 +344,13 @@ class AccessEngine:
         (bystanders from the table degree), clock advance by the same
         float addition — while skipping the per-call neighbor-list
         copies and distance recomputation.  Only issued when provably
-        identical: batched backend, static mobility, vectorized tables,
-        no random drops, tracing off (the fast path emits no ``hop``
-        events).  A ``None`` result from ``send`` means a simulation
-        event lands inside the hop window; the caller must fall back to
-        ``one_hop_unicast`` for that transmission so the event fires in
-        order.
+        identical: static mobility, no random drops, tracing off (the
+        fast path emits no ``hop`` events).  A ``None`` result from
+        ``send`` means a simulation event lands inside the hop window;
+        the caller must fall back to ``one_hop_unicast`` for that
+        transmission so the event fires in order.
         """
-        if (not self.active
-                or not self._static_vectorized(net)
+        if (net.config.mobility != "static"
                 or net.config.drop_prob > 0
                 or net.trace.enabled):
             return None
@@ -438,6 +388,14 @@ class AccessEngine:
             return ok
 
         return send
+
+
+def fast_unicast(net):
+    """``net``'s fast unicast resolver (see
+    :meth:`AccessEngine.unicast_resolver`), or None when it declines or
+    the network carries no engine (the packet-level stack adapter)."""
+    engine = getattr(net, "access_engine", None)
+    return engine.unicast_resolver(net) if engine is not None else None
 
 
 # -- numpy BFS ---------------------------------------------------------------

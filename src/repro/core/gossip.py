@@ -33,11 +33,9 @@ class GossipFloodStrategy(AccessStrategy):
     uniform_random = True
 
     def __init__(self, rng: Optional[random.Random] = None,
-                 max_ttl: int = 64,
-                 access_backend: Optional[str] = None) -> None:
+                 max_ttl: int = 64) -> None:
         self.rng = rng
         self.max_ttl = max_ttl
-        self.access_backend = access_backend
 
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("gossip-strategy")

@@ -62,9 +62,8 @@ class MaskingStrategy(AccessStrategy):
 
     Advertises delegate untouched; lookups collect every probe reply and
     only accept a value corroborated by ``threshold`` (default ``b+1``)
-    distinct replicas.  Runs under both the sequential and batched
-    access backends — the filter only observes the probe callback, which
-    both backends drive identically.
+    distinct replicas.  The filter only observes the probe callback,
+    which the batched kernels and the per-event code drive identically.
     """
 
     def __init__(self, inner: AccessStrategy, b: int,
@@ -79,7 +78,6 @@ class MaskingStrategy(AccessStrategy):
             raise ValueError("vote threshold must be >= 1")
         self.name = f"MASKING[b={b},{inner.name}]"
         self.uniform_random = inner.uniform_random
-        self.access_backend = inner.access_backend
 
     def _advertise(self, net: SimNetwork, origin: int,
                    store_fn: Callable[[int], Any],

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Set
 
 from repro.analysis.flooding import DEFAULT_KAPPA, ttl_for_coverage
+from repro.core.access_engine import fast_unicast
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TraceTruncated, record_event
 from repro.randomwalk.reply import reverse_path_of, send_reply
@@ -82,6 +83,9 @@ def _traced_probe(net: SimNetwork, trace, probe_fn: ProbeFn) -> ProbeFn:
             trace.record("probe", net.now, node=node, hit=True, key=key,
                          version=version)
         return value
+    # Masking reads its vote identity off the callback it is handed.
+    wrapped.access_version_of = version_of
+    wrapped.access_vote_key = getattr(probe_fn, "access_vote_key", None)
     return wrapped
 
 
@@ -228,18 +232,10 @@ class AccessStrategy(ABC):
     uniform_random: bool = False
     #: Optional deadline/retry envelope applied by ``_run_access``.
     policy: Optional[AccessPolicy] = None
-    #: Per-strategy access-engine override ("batched" | "sequential");
-    #: None inherits the network's configured backend.
-    access_backend: Optional[str] = None
 
     def set_policy(self, policy: Optional[AccessPolicy]) -> "AccessStrategy":
         """Attach (or clear) a retry/deadline policy; returns self."""
         self.policy = policy
-        return self
-
-    def set_access_backend(self, backend: Optional[str]) -> "AccessStrategy":
-        """Force an access-engine backend for this strategy; returns self."""
-        self.access_backend = backend
         return self
 
     def advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
@@ -337,13 +333,8 @@ class AccessStrategy(ABC):
                 callback = _traced_store(net, trace, callback)
             else:
                 callback = _traced_probe(net, trace, callback)
-        engine = getattr(net, "access_engine", None)
         with PROFILER.phase(f"access.{kind}"):
-            if engine is not None:
-                with engine.forced(self.access_backend):
-                    result = impl(net, origin, callback, target_size)
-            else:
-                result = impl(net, origin, callback, target_size)
+            result = impl(net, origin, callback, target_size)
         result.latency = net.now - started
         if trace is not None:
             extra = {} if access_key is None else {"key": access_key}
@@ -452,13 +443,12 @@ class RandomStrategy(AccessStrategy):
     uniform_random = True
 
     def __init__(self, membership: Any, rng: Optional[random.Random] = None,
-                 serial_lookup: bool = False, adaptation_retries: int = 2,
-                 access_backend: Optional[str] = None) -> None:
+                 serial_lookup: bool = False,
+                 adaptation_retries: int = 2) -> None:
         self.membership = membership
         self.rng = rng
         self.serial_lookup = serial_lookup
         self.adaptation_retries = adaptation_retries
-        self.access_backend = access_backend
 
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("random-strategy")
@@ -577,12 +567,10 @@ class RandomSamplingStrategy(AccessStrategy):
 
     def __init__(self, walk_length: Optional[int] = None,
                  rng: Optional[random.Random] = None,
-                 max_extra_walks: int = 8,
-                 access_backend: Optional[str] = None) -> None:
+                 max_extra_walks: int = 8) -> None:
         self.walk_length = walk_length
         self.rng = rng
         self.max_extra_walks = max_extra_walks
-        self.access_backend = access_backend
 
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("sampling-strategy")
@@ -680,10 +668,8 @@ class PathStrategy(AccessStrategy):
                  local_repair: bool = False, repair_ttl: int = 3,
                  allow_global_repair: bool = True,
                  overhearing: bool = False,
-                 rng: Optional[random.Random] = None,
-                 access_backend: Optional[str] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.unique = unique
-        self.access_backend = access_backend
         self.salvation = salvation
         self.early_halting = early_halting
         self.reply_reduction = reply_reduction
@@ -809,13 +795,11 @@ class FloodingStrategy(AccessStrategy):
 
     def __init__(self, ttl: Optional[int] = None, expanding_ring: bool = False,
                  kappa: float = DEFAULT_KAPPA,
-                 count_acks: bool = True,
-                 access_backend: Optional[str] = None) -> None:
+                 count_acks: bool = True) -> None:
         self.ttl = ttl
         self.expanding_ring = expanding_ring
         self.kappa = kappa
         self.count_acks = count_acks
-        self.access_backend = access_backend
 
     def _analytic_ttl(self, net: SimNetwork, target_size: int) -> int:
         target = min(target_size, net.n_alive)
@@ -925,12 +909,10 @@ class RandomOptStrategy(AccessStrategy):
     uniform_random = False
 
     def __init__(self, membership: Any, initiations: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
-                 access_backend: Optional[str] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.membership = membership
         self.initiations = initiations
         self.rng = rng
-        self.access_backend = access_backend
 
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("random-opt-strategy")
@@ -946,7 +928,7 @@ class RandomOptStrategy(AccessStrategy):
         rng = self._rng(net)
         stored: Set[int] = set()
         initiations = self.initiations or self.default_initiations(net)
-        fast = net.access_engine.unicast_resolver(net)
+        fast = fast_unicast(net)
         sent = 0
         # Keep initiating routed sends until both the initiation budget is
         # used AND the en-route quorum reached the target size.
@@ -1006,7 +988,7 @@ class RandomOptStrategy(AccessStrategy):
                          success=True, mechanism="local")
 
         delivered_any = bool(result.found)
-        fast = net.access_engine.unicast_resolver(net)
+        fast = fast_unicast(net)
         for _ in range(initiations):
             targets = self.membership.sample_for(origin, 1, rng)
             if not targets:

@@ -50,7 +50,6 @@ def _unique_path_point(factor, task_seed, *, n: int, mobility: str,
                        n_keys: int, n_lookups: int, miss_fraction: float,
                        early_halting: bool, reply_reduction: bool,
                        seed: int, reps: int = 1,
-                       rep_backend: Optional[str] = None,
                        ci_target: Optional[float] = None) -> UniquePathPoint:
     """One lookup-factor sweep point (process-pool worker)."""
     qa = max(1, int(round(advertise_factor * math.sqrt(n))))
@@ -71,7 +70,7 @@ def _unique_path_point(factor, task_seed, *, n: int, mobility: str,
 
     outcome = run_replicated(
         scenario_config(n, mobility=mobility, max_speed=max_speed, seed=seed),
-        run, base_seed=seed, reps=reps, backend=rep_backend,
+        run, base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     return UniquePathPoint(
         n=n, mobility=mobility, lookup_size=ql,
@@ -99,7 +98,6 @@ def unique_path_lookup(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[UniquePathPoint]:
     """Hit ratio / message cost of UNIQUE-PATH lookup vs target size."""
@@ -110,7 +108,7 @@ def unique_path_lookup(
                 n_keys=n_keys, n_lookups=n_lookups,
                 miss_fraction=miss_fraction, early_halting=early_halting,
                 reply_reduction=reply_reduction, seed=seed,
-                reps=reps, rep_backend=rep_backend, ci_target=ci_target),
+                reps=reps, ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])
 
 

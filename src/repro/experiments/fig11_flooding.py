@@ -40,7 +40,6 @@ class FloodingLookupPoint:
 def _flooding_point(ttl, task_seed, *, n: int, mobility: str,
                     max_speed: float, advertise_factor: float, n_keys: int,
                     n_lookups: int, seed: int, reps: int = 1,
-                    rep_backend: Optional[str] = None,
                     ci_target: Optional[float] = None) -> FloodingLookupPoint:
     """One TTL sweep point (process-pool worker)."""
     qa = max(1, int(round(advertise_factor * math.sqrt(n))))
@@ -57,7 +56,7 @@ def _flooding_point(ttl, task_seed, *, n: int, mobility: str,
 
     outcome = run_replicated(
         scenario_config(n, mobility=mobility, max_speed=max_speed, seed=seed),
-        run, base_seed=seed, reps=reps, backend=rep_backend,
+        run, base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     sizes = [size for s in outcome.stats for size in s.lookup_quorum_sizes]
     return FloodingLookupPoint(
@@ -79,7 +78,6 @@ def flooding_lookup(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[FloodingLookupPoint]:
     """Hit ratio / message cost of FLOODING lookup vs TTL."""
@@ -88,5 +86,5 @@ def flooding_lookup(
         partial(_flooding_point, n=n, mobility=mobility, max_speed=max_speed,
                 advertise_factor=advertise_factor, n_keys=n_keys,
                 n_lookups=n_lookups, seed=seed, reps=reps,
-                rep_backend=rep_backend, ci_target=ci_target),
+                ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])

@@ -36,7 +36,6 @@ class PathPathPoint:
 
 def _path_path_point(frac, task_seed, *, n: int, n_keys: int, n_lookups: int,
                      mobility: str, seed: int, reps: int = 1,
-                     rep_backend: Optional[str] = None,
                      ci_target: Optional[float] = None) -> PathPathPoint:
     """One size-fraction sweep point (process-pool worker)."""
     q = max(2, int(round(frac * n)))
@@ -52,7 +51,7 @@ def _path_path_point(frac, task_seed, *, n: int, n_keys: int, n_lookups: int,
 
     outcome = run_replicated(
         scenario_config(n, mobility=mobility, seed=seed), run,
-        base_seed=seed, reps=reps, backend=rep_backend,
+        base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     return PathPathPoint(
         n=n, quorum_size=q, combined_size=2 * q,
@@ -72,7 +71,6 @@ def path_x_path(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[PathPathPoint]:
     """Hit ratio vs per-quorum size (as a fraction of n) for UP x UP."""
@@ -80,5 +78,5 @@ def path_x_path(
         list(size_fractions),
         partial(_path_path_point, n=n, n_keys=n_keys, n_lookups=n_lookups,
                 mobility=mobility, seed=seed, reps=reps,
-                rep_backend=rep_backend, ci_target=ci_target),
+                ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])

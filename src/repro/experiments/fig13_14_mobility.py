@@ -53,7 +53,6 @@ def _mobility_point(speed, task_seed, *, n: int, local_repair: bool,
                     advertise_factor: float, lookup_factor: float,
                     n_keys: int, n_lookups: int, salvation: bool,
                     hop_latency: float, seed: int, reps: int = 1,
-                    rep_backend: Optional[str] = None,
                     ci_target: Optional[float] = None) -> MobilityPoint:
     """One max-speed sweep point (process-pool worker)."""
     qa = max(1, int(round(advertise_factor * math.sqrt(n))))
@@ -75,7 +74,7 @@ def _mobility_point(speed, task_seed, *, n: int, local_repair: bool,
     outcome = run_replicated(
         scenario_config(n, mobility="waypoint", max_speed=speed, seed=seed,
                         hop_latency=hop_latency),
-        run, base_seed=seed, reps=reps, backend=rep_backend,
+        run, base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     return MobilityPoint(
         n=n, max_speed=speed, local_repair=local_repair,
@@ -101,7 +100,6 @@ def mobility_sweep(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[MobilityPoint]:
     """Hit ratio / intersection / reply drops vs maximum node speed.
@@ -117,7 +115,7 @@ def mobility_sweep(
                 lookup_factor=lookup_factor, n_keys=n_keys,
                 n_lookups=n_lookups, salvation=salvation,
                 hop_latency=hop_latency, seed=seed, reps=reps,
-                rep_backend=rep_backend, ci_target=ci_target),
+                ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])
 
 
@@ -135,7 +133,6 @@ class ChurnPoint:
 
 def _churn_point(f, task_seed, *, n: int, avg_degree: float, epsilon: float,
                  n_keys: int, n_lookups: int, seed: int, reps: int = 1,
-                 rep_backend: Optional[str] = None,
                  ci_target: Optional[float] = None) -> ChurnPoint:
     """One churn-fraction sweep point (process-pool worker)."""
     from repro.core.biquorum import ProbabilisticBiquorum
@@ -175,7 +172,7 @@ def _churn_point(f, task_seed, *, n: int, avg_degree: float, epsilon: float,
 
     outcome = run_replicated(
         scenario_config(n, avg_degree=avg_degree, seed=seed), run,
-        base_seed=seed, reps=reps, backend=rep_backend,
+        base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     return ChurnPoint(
         n=n, churn_fraction=f, hit_ratio=outcome.mean("hit_ratio"),
@@ -193,7 +190,6 @@ def churn_sweep(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[ChurnPoint]:
     """Figure 14(f): advertise, churn (fail+join), then lookup with |Ql|
@@ -202,5 +198,5 @@ def churn_sweep(
         list(fractions),
         partial(_churn_point, n=n, avg_degree=avg_degree, epsilon=epsilon,
                 n_keys=n_keys, n_lookups=n_lookups, seed=seed, reps=reps,
-                rep_backend=rep_backend, ci_target=ci_target),
+                ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])

@@ -55,7 +55,7 @@ class RandomLookupPoint:
 
 
 def _advertise_point(point, task_seed, *, n_keys: int, seed: int,
-                     reps: int = 1, rep_backend: Optional[str] = None,
+                     reps: int = 1,
                      ci_target: Optional[float] = None
                      ) -> RandomAdvertisePoint:
     """One (n, quorum factor) sweep point (process-pool worker)."""
@@ -72,7 +72,7 @@ def _advertise_point(point, task_seed, *, n_keys: int, seed: int,
 
     outcome = run_replicated(
         scenario_config(n, seed=seed), run, base_seed=seed,
-        reps=reps, backend=rep_backend, target_halfwidth=ci_target)
+        reps=reps, target_halfwidth=ci_target)
     return RandomAdvertisePoint(
         n=n, quorum_size=qa,
         avg_messages=outcome.mean("avg_advertise_messages"),
@@ -88,21 +88,19 @@ def random_advertise_cost(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[RandomAdvertisePoint]:
     """Figure 8(a)/(b): messages per advertise vs |Q|, per network size."""
     grid = [(n, factor) for n in sizes for factor in quorum_factors]
     return run_sweep(
         grid, partial(_advertise_point, n_keys=n_keys, seed=seed,
-                      reps=reps, rep_backend=rep_backend,
+                      reps=reps,
                       ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])
 
 
 def _lookup_point(point, task_seed, *, advertise_factor: float, n_keys: int,
                   n_lookups: int, seed: int, reps: int = 1,
-                  rep_backend: Optional[str] = None,
                   ci_target: Optional[float] = None) -> RandomLookupPoint:
     """One (n, lookup factor) sweep point (process-pool worker)."""
     n, factor = point
@@ -119,7 +117,7 @@ def _lookup_point(point, task_seed, *, advertise_factor: float, n_keys: int,
 
     outcome = run_replicated(
         scenario_config(n, seed=seed), run, base_seed=seed,
-        reps=reps, backend=rep_backend, target_halfwidth=ci_target)
+        reps=reps, target_halfwidth=ci_target)
     return RandomLookupPoint(
         n=n, lookup_size=ql, lookup_size_factor=factor,
         hit_ratio=outcome.mean("hit_ratio"),
@@ -138,7 +136,6 @@ def random_lookup_hit_ratio(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[RandomLookupPoint]:
     """Figure 8(c): RANDOM lookup hit ratio vs |Ql| (advertise 2*sqrt(n))."""
@@ -147,5 +144,5 @@ def random_lookup_hit_ratio(
         grid,
         partial(_lookup_point, advertise_factor=advertise_factor,
                 n_keys=n_keys, n_lookups=n_lookups, seed=seed,
-                reps=reps, rep_backend=rep_backend, ci_target=ci_target),
+                reps=reps, ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])

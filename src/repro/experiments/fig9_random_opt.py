@@ -42,7 +42,6 @@ class RandomOptPoint:
 def _random_opt_point(x, task_seed, *, n: int, mobility: str,
                       max_speed: float, advertise_factor: float, n_keys: int,
                       n_lookups: int, seed: int, reps: int = 1,
-                      rep_backend: Optional[str] = None,
                       ci_target: Optional[float] = None) -> RandomOptPoint:
     """One initiation-count sweep point (process-pool worker)."""
     qa = max(1, int(round(advertise_factor * math.sqrt(n))))
@@ -59,7 +58,7 @@ def _random_opt_point(x, task_seed, *, n: int, mobility: str,
 
     outcome = run_replicated(
         scenario_config(n, mobility=mobility, max_speed=max_speed, seed=seed),
-        run, base_seed=seed, reps=reps, backend=rep_backend,
+        run, base_seed=seed, reps=reps,
         target_halfwidth=ci_target)
     sizes = [size for s in outcome.stats for size in s.lookup_quorum_sizes]
     return RandomOptPoint(
@@ -82,7 +81,6 @@ def random_opt_lookup(
     seed: int = 0,
     jobs: Optional[int] = None,
     reps: int = 1,
-    rep_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> List[RandomOptPoint]:
     """Hit ratio / cost of RANDOM-OPT lookup vs the number of initiations."""
@@ -91,5 +89,5 @@ def random_opt_lookup(
         partial(_random_opt_point, n=n, mobility=mobility,
                 max_speed=max_speed, advertise_factor=advertise_factor,
                 n_keys=n_keys, n_lookups=n_lookups, seed=seed,
-                reps=reps, rep_backend=rep_backend, ci_target=ci_target),
+                reps=reps, ci_target=ci_target),
         jobs=jobs, base_seed=seed, combine=lambda results: results[0])

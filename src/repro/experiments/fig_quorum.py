@@ -89,7 +89,6 @@ def quorum_load_point(
     reps: int = 8,
     ops: int = 80,
     seed: int = 0,
-    rep_backend: Optional[str] = None,
     faulty: Optional[Set[int]] = None,
     confidence: float = 0.95,
 ) -> QuorumLoadPoint:
@@ -133,7 +132,7 @@ def quorum_load_point(
         return stats
 
     outcome = run_replicated(config, run, base_seed=seed, reps=reps,
-                             backend=rep_backend, confidence=confidence)
+                             confidence=confidence)
     point.reps = outcome.reps
     if n_lookups and n_keys:
         point.hit_ratio = outcome.mean("hit_ratio")
@@ -194,7 +193,6 @@ def quorum_load_sweep(
     reps: int = 8,
     ops: int = 80,
     seed: int = 0,
-    rep_backend: Optional[str] = None,
     faulty: Optional[Set[int]] = None,
 ) -> List[QuorumLoadPoint]:
     """The ``repro quorum`` figure: read-fraction sweep per system."""
@@ -207,6 +205,6 @@ def quorum_load_sweep(
         for fr in read_fractions:
             points.append(quorum_load_point(
                 system_name, fr, n=n, m=size, optimize=optimize,
-                reps=reps, ops=ops, seed=seed, rep_backend=rep_backend,
+                reps=reps, ops=ops, seed=seed,
                 faulty=faulty))
     return points

@@ -36,8 +36,7 @@ workload.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -80,12 +79,6 @@ SCENARIO_METRICS: Tuple[str, ...] = (
 )
 
 _NAN = float("nan")
-
-
-def default_backend() -> str:
-    """Replication backend from ``REPRO_REP_BACKEND`` (default batched)."""
-    backend = os.environ.get("REPRO_REP_BACKEND", "batched")
-    return backend if backend in ("batched", "sequential") else "batched"
 
 
 # -- streaming statistics ---------------------------------------------------
@@ -167,8 +160,9 @@ class ReplicationPlan:
     """How to replicate one scenario point."""
 
     reps: int = 1
-    #: "batched" | "sequential" | None (None reads REPRO_REP_BACKEND).
-    backend: Optional[str] = None
+    #: "batched" shares per-deployment work across replicas;
+    #: "sequential" builds each replica alone (the tests' sharing oracle).
+    backend: str = "batched"
     confidence: float = 0.95
     #: Sequential stopping: add replicas until the pooled hit-ratio
     #: Wilson half-width drops below this (None disables the rule).
@@ -181,12 +175,6 @@ class ReplicationPlan:
     #: "raise" propagates replica exceptions; "skip" drops the replica
     #: (the outcome records it in ``faulted``).
     on_error: str = "raise"
-
-    def resolved_backend(self) -> str:
-        backend = self.backend or default_backend()
-        if backend not in ("batched", "sequential"):
-            raise ValueError(f"unknown replication backend {backend!r}")
-        return backend
 
     def replica_budget(self) -> int:
         if self.target_halfwidth is None:
@@ -348,16 +336,15 @@ class _ReplicaNetworkBuilder:
     """Constructs per-replica networks; the batched flavour shares the
     deterministic per-deployment work (neighbor tables, route oracle)."""
 
-    def __init__(self, config: NetworkConfig, plan: ReplicationPlan,
-                 batched: bool) -> None:
+    def __init__(self, config: NetworkConfig, plan: ReplicationPlan) -> None:
         self.config = config
         self.plan = plan
-        self.batched = batched
+        # Replicas share one graph only while it never moves.
+        self._share = (plan.backend == "batched"
+                       and config.mobility == "static")
         self._oracles: Dict[int, TopologyRouteOracle] = {}
         self._access_states: Dict[int, "SharedAccessState"] = {}
         self._tables: Dict[int, Dict[int, List[int]]] = {}
-        self._static = config.mobility == "static"
-        self._vectorized = config.neighbor_backend == "vectorized"
 
     def _config_for(self, replica: int) -> NetworkConfig:
         if not self.plan.vary_network:
@@ -368,7 +355,7 @@ class _ReplicaNetworkBuilder:
     def build_chunk(self, start: int, count: int) -> List[SimNetwork]:
         """Networks for replicas ``start .. start+count-1``."""
         configs = [self._config_for(start + i) for i in range(count)]
-        if not (self.batched and self._static and self._vectorized):
+        if not self._share:
             return [SimNetwork(cfg) for cfg in configs]
         with PROFILER.phase("replication.build"):
             nets = [SimNetwork(cfg, defer_neighbor_init=True)
@@ -439,7 +426,8 @@ def run_replicated(
         raise ValueError("reps must be non-negative")
     if plan.on_error not in ("raise", "skip"):
         raise ValueError(f"unknown on_error mode {plan.on_error!r}")
-    backend = plan.resolved_backend()
+    if plan.backend not in ("batched", "sequential"):
+        raise ValueError(f"unknown replication backend {plan.backend!r}")
     budget = plan.replica_budget()
     if seeds is not None:
         seed_list = [int(s) for s in seeds]
@@ -447,8 +435,7 @@ def run_replicated(
     else:
         seed_list = scenario_seed_list(base_seed, budget)
 
-    builder = _ReplicaNetworkBuilder(config, plan,
-                                     batched=(backend == "batched"))
+    builder = _ReplicaNetworkBuilder(config, plan)
     stats: List[ScenarioStats] = []
     used_seeds: List[int] = []
     faulted = 0
@@ -496,13 +483,5 @@ def run_replicated(
     estimates, wilson = summarize_replicas(stats, plan.confidence)
     return ReplicationOutcome(
         stats=stats, seeds=used_seeds, requested_reps=plan.reps,
-        backend=backend, confidence=plan.confidence, estimates=estimates,
+        backend=plan.backend, confidence=plan.confidence, estimates=estimates,
         wilson=wilson, stopped_early=stopped_early, faulted=faulted)
-
-
-def scenario_stats_equal(a: ScenarioStats, b: ScenarioStats) -> bool:
-    """Field-by-field equality of two stats bundles (exact, not approx)."""
-    for f in dataclass_fields(ScenarioStats):
-        if getattr(a, f.name) != getattr(b, f.name):
-            return False
-    return True

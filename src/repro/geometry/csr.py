@@ -126,13 +126,9 @@ def _pack(key, tables: Dict[int, List[int]],
 def build_true_csr(net) -> CsrSnapshot:
     """True-view snapshot at the network's current topology version.
 
-    Requires the vectorized neighbor backend (the packed tables are the
-    kernel's own adjacency); rows come out sorted because the tables
-    keep each neighbor list sorted.
+    The packed tables are the kernel's own adjacency; rows come out
+    sorted because the tables keep each neighbor list sorted.
     """
-    if net.config.neighbor_backend != "vectorized":
-        raise ValueError("true CSR snapshots require the vectorized "
-                         "neighbor backend")
     version = net.topology_version
     tables = net._neighbor_tables()
     snap = _pack(version, tables)

@@ -13,8 +13,9 @@ neighbor table in a single batched cell-binning pass:
    offset cell via ``argsort`` + ``searchsorted`` range arithmetic — no
    Python-level loop over nodes;
 3. filter candidate pairs by exact distance (``np.hypot``, bit-identical
-   to the ``math.hypot`` predicate of the reference path) and bucket the
-   survivors into per-node sorted id lists.
+   to the ``math.hypot`` predicate of the brute-force oracle in
+   ``tests/reference``) and bucket the survivors into per-node sorted id
+   lists.
 
 Both the plane and torus metrics are supported.  Membership updates
 (``insert``/``remove`` for churn, ``set_positions`` for a mobility tick)

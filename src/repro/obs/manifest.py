@@ -2,11 +2,10 @@
 
 A :class:`RunManifest` records *which* code, configuration, and seed
 produced a result — git revision (+ dirty flag), interpreter and numpy
-versions, host/platform, the experiment parameters, the neighbor
-backend, the job count, and the wall time — so a number in
-``BENCH_simnet.json`` or a trace on disk can always be tied back to the
-exact run that produced it.  The schema is documented in DESIGN.md
-(Observability layer).
+versions, host/platform, the experiment parameters, the job count,
+and the wall time — so a number in ``BENCH_simnet.json`` or a trace on
+disk can always be tied back to the exact run that produced it.  The
+schema is documented in DESIGN.md (Observability layer).
 
 Producers:
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import platform
 import socket
 import subprocess
@@ -36,8 +34,9 @@ from typing import Any, Dict, Optional
 from repro.obs.trace import TRACE_SCHEMA
 
 #: Bumped when the manifest layout changes incompatibly.
-#: History: 1 = PR 4 layout; 2 = adds ``trace_schema``.
-MANIFEST_SCHEMA = 2
+#: History: 1 = PR 4 layout; 2 = adds ``trace_schema``; 3 = drops the
+#: two backend fields (the knobs they recorded are gone).
+MANIFEST_SCHEMA = 3
 
 
 @functools.lru_cache(maxsize=1)
@@ -80,8 +79,6 @@ class RunManifest:
     params: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     jobs: Optional[int] = None
-    neighbor_backend: str = ""
-    access_backend: str = ""
     trace_path: Optional[str] = None
     git_rev: str = "unknown"
     git_dirty: Optional[bool] = None
@@ -130,9 +127,6 @@ def collect_manifest(
         params=dict(params or {}),
         seed=seed,
         jobs=jobs,
-        neighbor_backend=os.environ.get("REPRO_NEIGHBOR_BACKEND",
-                                        "vectorized"),
-        access_backend=os.environ.get("REPRO_ACCESS_BACKEND", "batched"),
         trace_path=trace_path,
         git_rev=git["rev"],
         git_dirty=git["dirty"],

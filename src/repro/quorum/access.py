@@ -63,14 +63,12 @@ class AlgebraicStrategy(AccessStrategy):
                  read_fraction: float = 0.5,
                  optimize: str = "load",
                  placement: Optional[Dict[Element, int]] = None,
-                 rng: Optional[random.Random] = None,
-                 access_backend: Optional[str] = None) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         self.system = system
         self.strategy = strategy or system.strategy(
             read_fraction=read_fraction, optimize=optimize)
         self.placement = dict(placement) if placement else None
         self.rng = rng
-        self.access_backend = access_backend
 
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("algebra-strategy")

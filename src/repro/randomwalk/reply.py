@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.access_engine import fast_unicast
 from repro.obs.profile import profiled
 from repro.obs.trace import record_event
 from repro.simnet.network import SimNetwork
@@ -101,8 +102,7 @@ def send_reply(
         _trace()
         return result
 
-    engine = getattr(net, "access_engine", None)
-    fast = engine.unicast_resolver(net) if engine is not None else None
+    fast = fast_unicast(net)
     while current != origin:
         # Choose the next target: reduction jumps to the latest path node
         # that is currently a direct neighbor.

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
+from repro.core.access_engine import fast_unicast
 from repro.obs.trace import record_event
 from repro.simnet.network import SimNetwork
 
@@ -83,8 +84,7 @@ def random_walk(
         max_steps = 20 * target_unique + 50
     # Batched access engine: an exact fast path for the per-hop forwards
     # (None when it cannot prove identity; each send may also decline).
-    engine = getattr(net, "access_engine", None)
-    fast = engine.unicast_resolver(net) if engine is not None else None
+    fast = fast_unicast(net)
 
     visited: List[int] = [start]
     visited_set: Set[int] = {start}
@@ -189,8 +189,7 @@ def max_degree_walk_sample(
     if not net.is_alive(start):
         return SampleResult(node=None, steps=0, messages=0)
 
-    engine = getattr(net, "access_engine", None)
-    fast = engine.unicast_resolver(net) if engine is not None else None
+    fast = fast_unicast(net)
     current = start
     steps = 0
     messages = 0

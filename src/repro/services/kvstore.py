@@ -204,15 +204,27 @@ class QuorumKVStore:
         return best[0], access
 
     def _propagate_phase(self, origin: int, key: Hashable, value: Any,
-                         ts: Timestamp, ttl: float) -> AccessResult:
+                         ts: Timestamp, ttl: float
+                         ) -> Tuple[AccessResult, bool]:
+        """Store to an advertise quorum; return ``(access, committed)``.
+
+        Committed means some replica executed the store.  The access is
+        only the *last* policy attempt — its quorum can be empty while an
+        earlier attempt's replicas hold the version — so stores are
+        counted here, beneath any Byzantine ack-and-discard wrapper.
+        """
+        stored = [0]
+
         def store_fn(node: int) -> None:
             self.table.store(node, LeasedEntry(
                 key=key, value=value, ts=ts, stored_at=self.net.now,
                 ttl=ttl))
+            stored[0] += 1
 
         store_fn.access_key = key
         store_fn.access_version = (ts.counter, ts.writer)
-        return self.biquorum.write(origin, store_fn)
+        access = self.biquorum.write(origin, store_fn)
+        return access, stored[0] > 0
 
     def _next_version(self, origin: int, key: Hashable,
                       seen: Optional[Tuple[int, int]]) -> Timestamp:
@@ -254,8 +266,7 @@ class QuorumKVStore:
         ts = self._next_version(origin, key,
                                 chosen[1] if chosen is not None else None)
         ttl = self.current_ttl()
-        prop = self._propagate_phase(origin, key, value, ts, ttl)
-        committed = bool(prop.quorum)
+        prop, committed = self._propagate_phase(origin, key, value, ts, ttl)
         if committed:
             self._record_commit(key, ts, value)
         if self.checker is not None:
@@ -319,13 +330,12 @@ class QuorumKVStore:
         if success:
             ts = self._next_version(origin, key,
                                     chosen[1] if chosen is not None else None)
-            prop = self._propagate_phase(origin, key, new_value, ts,
-                                         self.current_ttl())
+            prop, committed = self._propagate_phase(
+                origin, key, new_value, ts, self.current_ttl())
             accesses.append(prop)
             messages += prop.messages
             routing += prop.routing_messages
             latency += prop.latency
-            committed = bool(prop.quorum)
             if committed:
                 self._record_commit(key, ts, new_value)
         if self.checker is not None:

@@ -29,7 +29,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.geometry.grid import SpatialGrid
 from repro.geometry.kernel import NeighborKernel
 from repro.geometry.rgg import GeometricGraph
 from repro.geometry.space import Point, area_side_for_density
@@ -46,16 +45,6 @@ from repro.mobility.models import (
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.sim.rng import RngRegistry
 from repro.simnet.energy import EnergyLedger
-
-
-def _default_neighbor_backend() -> str:
-    """Backend choice, overridable per-process for CI/bench comparisons."""
-    return os.environ.get("REPRO_NEIGHBOR_BACKEND", "vectorized")
-
-
-def _default_access_backend() -> str:
-    """Access-engine backend (see :mod:`repro.core.access_engine`)."""
-    return os.environ.get("REPRO_ACCESS_BACKEND", "batched")
 
 
 @dataclass
@@ -75,12 +64,6 @@ class NetworkConfig:
     torus: bool = False
     require_connected: bool = True
     drop_prob: float = 0.0  # extra random per-hop loss (interference proxy)
-    grid_refresh: float = 1.0
-    #: "vectorized" (numpy batched kernel) or "python" (reference path).
-    neighbor_backend: str = field(default_factory=_default_neighbor_backend)
-    #: "batched" (numpy access kernels, statistic-identical) or
-    #: "sequential" (legacy per-event path).
-    access_backend: str = field(default_factory=_default_access_backend)
 
     @property
     def side(self) -> float:
@@ -192,24 +175,17 @@ class SimNetwork:
         else:
             raise ValueError(f"unknown mobility model {config.mobility!r}")
 
-        if config.neighbor_backend not in ("python", "vectorized"):
-            raise ValueError(
-                f"unknown neighbor backend {config.neighbor_backend!r}")
-
         # Batched access engine (local import: repro.core pulls in the
         # strategy modules, which import this one).
         from repro.core.access_engine import AccessEngine
-        self.access_engine = AccessEngine(config.access_backend)
+        self.access_engine = AccessEngine()
 
         self.mobility = MobilityManager(self._model)
         self._alive: Set[int] = set()
         self._next_id = 0
         self.counters: Counter = Counter()
-        # python backend: lazily (re)built spatial hash grid.
-        self._grid: Optional[SpatialGrid] = None
-        self._grid_time = -math.inf
-        # vectorized backend: contiguous-array kernel + full neighbor table,
-        # valid at `_tables_time` (forever for static networks).
+        # Contiguous-array kernel + full neighbor table, valid at
+        # `_tables_time` (forever for static networks).
         self._kernel: Optional[NeighborKernel] = None
         self._tables: Optional[Dict[int, List[int]]] = None
         self._tables_time = -math.inf
@@ -235,9 +211,6 @@ class SimNetwork:
         self._positions_given = positions is not None
         self._deferred_init = defer_neighbor_init
 
-        init_positions = positions
-        if init_positions is None and config.mobility == "static":
-            init_positions = None  # StaticPlacement draws them
         for i in range(config.n):
             pos = None
             if positions is not None and config.mobility != "waypoint":
@@ -306,9 +279,7 @@ class SimNetwork:
         """
         if not self._deferred_init:
             return
-        if (tables is not None
-                and self.config.neighbor_backend == "vectorized"
-                and self.config.mobility == "static"):
+        if tables is not None and self.config.mobility == "static":
             ids = sorted(self._alive)
             kernel = NeighborKernel(side=self.config.side,
                                     radius=self.config.radio_range,
@@ -328,8 +299,6 @@ class SimNetwork:
     def _invalidate_geometry(self) -> None:
         """Full invalidation: every position may have changed."""
         self._topo_version += 1
-        self._grid = None
-        self._grid_time = -math.inf
         self._kernel = None
         self._tables = None
         self._tables_time = -math.inf
@@ -337,44 +306,30 @@ class SimNetwork:
         self._pos_cache_time = self.sim.now
 
     def _admit_to_geometry(self, node_id: int) -> None:
-        """Incrementally add a node to whichever indexes are live."""
+        """Incrementally add a node to the kernel and tables, once built."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
-        if self._grid is None and self._kernel is None and self._tables is None:
+        if self._kernel is None:
             return
-        pos = self.position(node_id)
-        if self._grid is not None:
-            self._grid.insert(node_id, pos)
-        if self._kernel is not None:
-            self._kernel.insert(node_id, pos)
-        if self._tables is not None:
-            if self._kernel is not None:
-                neighbors = self._kernel.neighbors_of(node_id)
-            else:
-                neighbors = sorted(
-                    v for v in self._alive
-                    if v != node_id
-                    and self.distance(pos, self.position(v))
-                    <= self.config.radio_range)
-            self._tables[node_id] = neighbors
-            for other in neighbors:
-                table = self._tables.get(other)
-                if table is not None and node_id not in table:
-                    bisect.insort(table, node_id)
+        self._kernel.insert(node_id, self.position(node_id))
+        neighbors = self._kernel.neighbors_of(node_id)
+        self._tables[node_id] = neighbors
+        for other in neighbors:
+            table = self._tables.get(other)
+            if table is not None and node_id not in table:
+                bisect.insort(table, node_id)
 
     def _evict_from_geometry(self, node_id: int) -> None:
         """Incrementally drop a node — no full rebuild for one churn event."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
-        if self._grid is not None:
-            self._grid.remove(node_id)
-        if self._kernel is not None:
-            self._kernel.remove(node_id)
-        if self._tables is not None:
-            for other in self._tables.pop(node_id, ()):  # symmetric links
-                table = self._tables.get(other)
-                if table is not None and node_id in table:
-                    table.remove(node_id)
+        if self._kernel is None:
+            return
+        self._kernel.remove(node_id)
+        for other in self._tables.pop(node_id, ()):  # symmetric links
+            table = self._tables.get(other)
+            if table is not None and node_id in table:
+                table.remove(node_id)
 
     # -- batched replication hooks ------------------------------------------
 
@@ -414,9 +369,9 @@ class SimNetwork:
 
         The shared per-deployment oracle (batched replication) takes
         precedence; otherwise the access engine serves its own
-        version-keyed memo when the batched backend is eligible.  Both
-        produce trees identical to the sequential BFS, so route
-        discovery stays statistic-identical either way.
+        version-keyed memo while positions are static.  Both produce
+        trees identical to the per-event BFS, so route discovery stays
+        statistic-identical either way.
         """
         if (self._route_oracle is not None
                 and self.config.mobility == "static"
@@ -565,24 +520,8 @@ class SimNetwork:
         return (self.distance(self.position(a), self.position(b))
                 <= self.config.radio_range)
 
-    def _ensure_grid(self) -> SpatialGrid:
-        refresh = (self.config.grid_refresh
-                   if self.config.mobility == "waypoint" else math.inf)
-        if (self._grid is None
-                or self.sim.now - self._grid_time >= refresh
-                or self._grid_time < 0):
-            with PROFILER.phase("neighbor.rebuild"):
-                grid = SpatialGrid(side=self.config.side,
-                                   cell_size=self.config.radio_range,
-                                   torus=self.config.torus)
-                for node_id in self._alive:
-                    grid.insert(node_id, self.position(node_id))
-            self._grid = grid
-            self._grid_time = self.sim.now
-        return self._grid
-
     def _neighbor_tables(self) -> Dict[int, List[int]]:
-        """Full ground-truth adjacency at ``sim.now`` (vectorized backend).
+        """Full ground-truth adjacency at ``sim.now``.
 
         Static networks keep the table until churn touches it (then it is
         patched incrementally); mobile networks recompute it in one batched
@@ -608,26 +547,14 @@ class SimNetwork:
 
     def true_neighbors(self, node_id: int) -> List[int]:
         """Ground-truth current neighbors (alive, within range), sorted."""
-        if self.config.neighbor_backend == "vectorized":
-            neighbors = self._neighbor_tables().get(node_id)
-            if neighbors is None:
-                # Dead (or never-admitted) query node: its position is still
-                # tracked, so answer with a one-off kernel range query.
-                return self._kernel.within(self.position(node_id),
-                                           self.config.radio_range,
-                                           exclude=node_id)
-            return list(neighbors)
-        grid = self._ensure_grid()
-        pos = self.position(node_id)
-        margin = 0.0
-        if self.config.mobility == "waypoint":
-            margin = 2 * self.config.max_speed * self.config.grid_refresh
-        candidates = grid.within(pos, self.config.radio_range + margin)
-        return sorted(
-            other for other in candidates
-            if other != node_id and other in self._alive
-            and self.distance(pos, self.position(other)) <= self.config.radio_range
-        )
+        neighbors = self._neighbor_tables().get(node_id)
+        if neighbors is None:
+            # Dead (or never-admitted) query node: its position is still
+            # tracked, so answer with a one-off kernel range query.
+            return self._kernel.within(self.position(node_id),
+                                       self.config.radio_range,
+                                       exclude=node_id)
+        return list(neighbors)
 
     def known_neighbors(self, node_id: int) -> List[int]:
         """Last-heartbeat neighbor snapshot (stale under mobility)."""
@@ -651,15 +578,9 @@ class SimNetwork:
             return
         self._known_version += 1
         with PROFILER.phase("neighbor.heartbeat"):
-            if self.config.neighbor_backend == "vectorized":
-                tables = self._neighbor_tables()
-                self._known_neighbors = {
-                    node_id: list(tables.get(node_id, ()))
-                    for node_id in self._alive
-                }
-                return
+            tables = self._neighbor_tables()
             self._known_neighbors = {
-                node_id: self.true_neighbors(node_id)
+                node_id: list(tables.get(node_id, ()))
                 for node_id in self._alive
             }
 
@@ -686,16 +607,12 @@ class SimNetwork:
         alive = list(self._alive)
         if not alive:
             return True
-        if self.config.neighbor_backend == "vectorized":
-            tables = self._neighbor_tables()
-            neighbors = lambda u: tables.get(u, ())  # noqa: E731
-        else:
-            neighbors = self.true_neighbors
+        tables = self._neighbor_tables()
         seen = {alive[0]}
         queue = deque([alive[0]])
         while queue:
             u = queue.popleft()
-            for v in neighbors(u):
+            for v in tables.get(u, ()):
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -901,13 +818,12 @@ class SimNetwork:
         """Bulk-forward along ``path``; returns the hop count, or None.
 
         Only fires when the result is *provably identical* to the per-hop
-        ``one_hop_unicast`` loop: an attached route oracle (batched
-        replication mode) or an active batched access engine,
-        static positions, no random drops, tracing
-        off, every hop currently valid, and no simulation event pending
-        inside the forwarding window.  The target time is accumulated by
-        repeated addition — the same float operations the per-hop loop
-        performs — so clocks and latency statistics stay byte-identical.
+        ``one_hop_unicast`` loop: static positions, no random drops,
+        tracing off, every hop currently valid, and no simulation event
+        pending inside the forwarding window.  The target time is
+        accumulated by repeated addition — the same float operations the
+        per-hop loop performs — so clocks and latency statistics stay
+        byte-identical.
         """
         if (self.trace.enabled
                 or self.config.mobility != "static"

@@ -80,7 +80,7 @@ def bfs_tree(net, src: int) -> BfsTree:
     """Compute the full BFS tree from ``src`` on ``net``'s current graph.
 
     When the network's batched access engine is eligible (static
-    topology, vectorized tables, large enough n), the tree is built by
+    topology, large enough n), the tree is built by
     its level-synchronous numpy kernel — identical parents and
     distances, one pass per ring instead of one Python scan per node.
     """

@@ -1,10 +1,12 @@
-"""Backend-equivalence suite for the batched access engine.
+"""Equivalence suite for the batched access engine.
 
-The contract under test (DESIGN.md §11): ``access_backend="batched"``
-is **statistic-identical** to ``"sequential"`` — same
+The contract under test (DESIGN.md §11): the batched kernels are
+**statistic-identical** to the per-event code they decline to — same
 :class:`AccessResult` fields, same trace events, same counters, same
 energy, same simulated clock — across every strategy, under churn,
 fault campaigns, mobility, random drops, tracing, and strict audit.
+The per-event run comes from the declining engine in
+``tests/reference`` (every kernel answers "not applicable").
 Plus the CSR snapshot staleness guard (a stale topology version can
 never be served), the numpy BFS kernel's exactness, the Philox walk
 kernel, and the adaptation-exhaustion satellite.
@@ -14,11 +16,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from reference import DecliningEngine, per_event
 
 from repro.core.access_engine import (
     AccessEngine,
     SharedAccessState,
-    default_access_backend,
     walk_batch,
 )
 from repro.core.gossip import GossipFloodStrategy
@@ -37,11 +39,9 @@ from repro.simnet.replication import bfs_tree
 
 
 def _pair(n=80, seed=3, **kw):
-    """Two identically-seeded networks differing only in access backend."""
-    seq = SimNetwork(NetworkConfig(n=n, seed=seed,
-                                   access_backend="sequential", **kw))
-    bat = SimNetwork(NetworkConfig(n=n, seed=seed,
-                                   access_backend="batched", **kw))
+    """Two identically-seeded networks: per-event code vs the kernels."""
+    seq = per_event(SimNetwork(NetworkConfig(n=n, seed=seed, **kw)))
+    bat = SimNetwork(NetworkConfig(n=n, seed=seed, **kw))
     return seq, bat
 
 
@@ -170,8 +170,8 @@ def test_flooding_identical_traced():
 
 
 def test_identical_with_random_drops():
-    # drop_prob > 0 forces the sequential path in every kernel; the two
-    # backends must still agree draw for draw (same "drops" stream).
+    # drop_prob > 0 makes every kernel decline; the two runs must still
+    # agree draw for draw (same "drops" stream).
     _assert_identical(lambda net: PathStrategy(), BASIC_SCRIPT,
                       drop_prob=0.1)
     _assert_identical(lambda net: FloodingStrategy(), BASIC_SCRIPT,
@@ -189,7 +189,7 @@ def test_identical_under_waypoint_mobility():
 
 def test_identical_under_strict_audit(monkeypatch):
     # The auditor cross-checks every AccessResult against the traced
-    # event stream; the batched backend must keep that ledger balanced.
+    # event stream; the batched kernels must keep that ledger balanced.
     monkeypatch.setenv("REPRO_AUDIT", "strict")
     _assert_identical(lambda net: FloodingStrategy(), BASIC_SCRIPT)
     _assert_identical(lambda net: RandomStrategy(
@@ -213,49 +213,31 @@ def test_flood_outcome_identical_mid_heartbeat():
     assert seq.sim.now == bat.sim.now
 
 
-# -- backend selection -------------------------------------------------------
-
-
-def test_default_backend_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ACCESS_BACKEND", raising=False)
-    assert default_access_backend() == "batched"
-    monkeypatch.setenv("REPRO_ACCESS_BACKEND", "sequential")
-    assert default_access_backend() == "sequential"
-    assert NetworkConfig(n=5).access_backend == "sequential"
-    monkeypatch.setenv("REPRO_ACCESS_BACKEND", "bogus")
-    assert default_access_backend() == "batched"
+# -- no selection knob -------------------------------------------------------
 
 
 def test_engine_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        AccessEngine("bogus")
-    with pytest.raises(ValueError):
-        SimNetwork(NetworkConfig(n=5, access_backend="bogus",
-                                 require_connected=False))
+    # The path is chosen from what the kernels observe; there is no
+    # backend argument left to get wrong.
+    with pytest.raises(TypeError):
+        AccessEngine("sequential")
+    for knob in ("access_backend", "neighbor_backend", "grid_refresh"):
+        with pytest.raises(TypeError):
+            NetworkConfig(n=5, **{knob: "bogus"})
 
 
-def test_forced_override_restores():
-    engine = AccessEngine("batched")
-    assert engine.active
-    with engine.forced("sequential"):
-        assert not engine.active
-        with engine.forced(None):  # None inherits the current state
-            assert not engine.active
-    assert engine.active
-    with pytest.raises(ValueError):
-        with engine.forced("bogus"):
-            pass  # pragma: no cover
-
-
-def test_strategy_override_disables_kernels():
-    net = SimNetwork(NetworkConfig(n=60, seed=2, access_backend="batched"))
-    strategy = FloodingStrategy().set_access_backend("sequential")
+def test_declining_engine_disables_kernels():
+    # The reference run must not touch the kernels it is compared with.
+    net = SimNetwork(NetworkConfig(n=60, seed=2))
+    engine = net.access_engine
+    strategy = FloodingStrategy()
     stored = set()
+    net.access_engine = DecliningEngine()
     strategy.advertise(net, 0, stored.add, 10)
-    assert net.access_engine._csr_cache.misses == 0  # kernels never ran
-    strategy.set_access_backend(None)
+    assert engine._csr_cache.misses == 0  # kernels never ran
+    net.access_engine = engine
     strategy.advertise(net, 0, stored.add, 10)
-    assert net.access_engine._csr_cache.misses > 0
+    assert engine._csr_cache.misses > 0
 
 
 # -- CSR snapshots + staleness guard -----------------------------------------
@@ -329,9 +311,7 @@ def test_known_version_counts_known_view_mutations():
 
 
 def test_numpy_bfs_equals_python_bfs():
-    bat = SimNetwork(NetworkConfig(n=200, seed=5, access_backend="batched"))
-    seq = SimNetwork(NetworkConfig(n=200, seed=5,
-                                   access_backend="sequential"))
+    seq, bat = _pair(n=200, seed=5)
     for src in (0, 77, 199):
         numpy_tree = bat.access_engine.numpy_tree(bat, src)
         assert numpy_tree is not None
@@ -343,19 +323,19 @@ def test_numpy_bfs_equals_python_bfs():
 
 
 def test_numpy_bfs_declines_when_ineligible():
-    small = SimNetwork(NetworkConfig(n=50, seed=5, access_backend="batched"))
+    small = SimNetwork(NetworkConfig(n=50, seed=5))
     assert small.access_engine.numpy_tree(small, 0) is None  # tiny n
-    big = SimNetwork(NetworkConfig(n=200, seed=5,
-                                   access_backend="sequential"))
-    assert big.access_engine.numpy_tree(big, 0) is None  # backend off
-    bat = SimNetwork(NetworkConfig(n=200, seed=5, access_backend="batched"))
+    mobile = SimNetwork(NetworkConfig(n=200, seed=5, mobility="waypoint",
+                                      require_connected=False))
+    assert mobile.access_engine.numpy_tree(mobile, 0) is None  # mobility
+    bat = SimNetwork(NetworkConfig(n=200, seed=5))
     victim = bat.alive_nodes()[3]
     bat.fail_node(victim)
     assert bat.access_engine.numpy_tree(bat, victim) is None  # dead source
 
 
 def test_engine_tree_memo_keys_on_topology_version():
-    net = SimNetwork(NetworkConfig(n=200, seed=5, access_backend="batched"))
+    net = SimNetwork(NetworkConfig(n=200, seed=5))
     engine = net.access_engine
     t1 = engine.tree(net, 0)
     assert t1 is not None
@@ -372,8 +352,7 @@ def test_engine_tree_memo_keys_on_topology_version():
 
 def test_shared_state_serves_all_replicas():
     state = SharedAccessState()
-    nets = [SimNetwork(NetworkConfig(n=200, seed=5,
-                                     access_backend="batched"))
+    nets = [SimNetwork(NetworkConfig(n=200, seed=5))
             for _ in range(2)]
     for net in nets:
         net.access_engine.adopt_shared(net, state)
@@ -387,7 +366,7 @@ def test_shared_state_serves_all_replicas():
 
 def test_shared_state_detaches_on_churn():
     state = SharedAccessState()
-    net = SimNetwork(NetworkConfig(n=200, seed=5, access_backend="batched"))
+    net = SimNetwork(NetworkConfig(n=200, seed=5))
     net.access_engine.adopt_shared(net, state)
     net.access_engine.tree(net, 3)
     net.fail_node(net.alive_nodes()[0])  # workload-divergent mutation
@@ -397,8 +376,8 @@ def test_shared_state_detaches_on_churn():
 
 def test_shared_state_rejects_other_deployment():
     state = SharedAccessState()
-    a = SimNetwork(NetworkConfig(n=200, seed=5, access_backend="batched"))
-    b = SimNetwork(NetworkConfig(n=200, seed=6, access_backend="batched"))
+    a = SimNetwork(NetworkConfig(n=200, seed=5))
+    b = SimNetwork(NetworkConfig(n=200, seed=6))
     a.access_engine.adopt_shared(a, state)
     with pytest.raises(ValueError):
         b.access_engine.adopt_shared(b, state)
@@ -481,9 +460,7 @@ def test_adaptation_exhausted_signal():
 
 
 def test_adaptation_exhausted_counts_on_both_backends():
-    for backend in ("sequential", "batched"):
-        net = SimNetwork(NetworkConfig(n=30, seed=4,
-                                       access_backend=backend))
+    for net in _pair(n=30, seed=4):
         strategy = RandomStrategy(_StuckMembership(), adaptation_retries=1)
         stored = set()
         strategy.advertise(net, 0, stored.add, 3)

@@ -23,6 +23,7 @@ import math
 import random
 
 import pytest
+from reference import per_event
 
 from repro.analysis.intersection import (
     masking_intersection_probability,
@@ -239,10 +240,12 @@ class TestByzantineRegistry:
 
 
 def _adversarial_run(behavior, *, n=60, seed=5, b=None, n_byz=None,
-                     n_keys=4, n_lookups=200, backend=None):
+                     n_keys=4, n_lookups=200, per_event_access=False):
     """One seeded workload with ``behavior`` active from before the
     advertises; returns (hub, corrupt_reads, lookups, hits, masked)."""
     net = SimNetwork(NetworkConfig(n=n, avg_degree=10.0, seed=seed))
+    if per_event_access:
+        per_event(net)
     # Record-mode hub: identical behavior under REPRO_AUDIT=strict.
     hub = WatcherHub(builtin_watchers(n=net.n_alive), auditor=None)
     trace = net.trace
@@ -257,8 +260,6 @@ def _adversarial_run(behavior, *, n=60, seed=5, b=None, n_byz=None,
     view = max(size, int(round(2.0 * math.sqrt(n))))
     membership = RandomMembership(net, view_size=view)
     inner = RandomStrategy(membership)
-    if backend is not None:
-        inner.set_access_backend(backend)
     lookup = MaskingStrategy(inner, b) if b is not None else inner
     biquorum = ProbabilisticBiquorum(
         net, advertise=RandomStrategy(membership), lookup=lookup,
@@ -391,7 +392,8 @@ class TestMaskedAdversariesAreDefeated:
     @pytest.mark.parametrize("backend", ["sequential", "batched"])
     def test_masking_runs_under_both_access_backends(self, backend):
         hub, corrupt, lookups, hits, masked = _adversarial_run(
-            "lie", b=4, n_byz=3, n_lookups=60, backend=backend)
+            "lie", b=4, n_byz=3, n_lookups=60,
+            per_event_access=(backend == "sequential"))
         assert hub.violations == []
         assert corrupt == 0
         assert hits > 0

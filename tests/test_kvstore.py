@@ -12,10 +12,14 @@ import math
 import pytest
 
 from repro.core import (
+    AccessPolicy,
+    AccessResult,
+    AccessStrategy,
     MaskingStrategy,
     ProbabilisticBiquorum,
     RandomStrategy,
 )
+from repro.faults.byzantine import ensure_byzantine
 from repro.membership import FullMembership
 from repro.services import (
     KVHistoryChecker,
@@ -152,6 +156,17 @@ class TestMaskingComposition:
         got = store.get(1, "k")
         assert got.ok and got.value == "safe"
 
+    def test_put_get_under_masking_traced(self):
+        # Replicas stamp different lease expiries, so the tracing wrapper
+        # must hand masking the service's vote key: voting on whole
+        # replies would mask every honest read (as REPRO_AUDIT=strict,
+        # which traces, used to).
+        net, store = build(masking_b=1, epsilon=0.02)
+        net.trace.enable(memory=True)
+        store.put(0, "k", "safe")
+        got = store.get(1, "k")
+        assert got.ok and got.value == "safe"
+
     def test_expired_entries_not_voted(self):
         net, store = build(masking_b=1, epsilon=0.02, lease_ttl=5.0)
         store.put(0, "k", "v")
@@ -181,6 +196,77 @@ class TestCheckerIntegration:
         store.get(1, "k")
         report = store.checker.report()
         assert report.clean and report.missed_reads == 1
+
+
+class _FadingStrategy(AccessStrategy):
+    """Advertise attempt 1 stores at two replicas but falls short of its
+    target; every retry reaches nobody.  Lookups probe those replicas."""
+
+    name = "FADING"
+    uniform_random = True  # keeps the biquorum's sizing warning quiet
+    REPLICAS = (1, 2)
+
+    def __init__(self):
+        self.advertise_attempts = 0
+
+    def _advertise(self, net, origin, store_fn, target_size):
+        self.advertise_attempts += 1
+        result = AccessResult(strategy=self.name, kind="advertise",
+                              target_size=target_size)
+        if self.advertise_attempts == 1:
+            for node in self.REPLICAS:
+                store_fn(node)
+            result.quorum = list(self.REPLICAS)
+        return result  # success stays False: the policy retries
+
+    def _lookup(self, net, origin, probe_fn, target_size):
+        result = AccessResult(strategy=self.name, kind="lookup",
+                              target_size=target_size, success=True,
+                              quorum=list(self.REPLICAS))
+        for node in self.REPLICAS:
+            value = probe_fn(node)
+            if value is not None and not result.found:
+                result.found, result.hit_node = True, node
+                result.hit_value = value
+        return result
+
+
+def _fading_store():
+    net = SimNetwork(NetworkConfig(n=30, avg_degree=10, seed=0))
+    strategy = _FadingStrategy().set_policy(AccessPolicy(max_retries=1))
+    bq = ProbabilisticBiquorum(net, advertise=strategy, lookup=strategy,
+                               epsilon=0.05)
+    return net, strategy, QuorumKVStore(bq, lease_ttl=1e5,
+                                        checker=KVHistoryChecker())
+
+
+class TestRetriedWriteCommit:
+    """A write commits iff some replica executed the store — not iff the
+    *last* policy attempt happened to report a quorum."""
+
+    @pytest.mark.parametrize("op", ["put", "cas"])
+    def test_retry_reaching_nobody_keeps_attempt_one_commit(self, op):
+        net, strategy, store = _fading_store()
+        if op == "put":
+            wrote = store.put(0, "k", "v")
+        else:
+            wrote = store.cas(0, "k", None, "v")
+        last = wrote.accesses[-1]
+        assert last.attempts == 2 and last.quorum == []
+        assert wrote.ok  # attempt 1's replicas hold the version
+        assert store.holders_of("k") == list(strategy.REPLICAS)
+        assert store.latest_committed("k") == (wrote.version, "v")
+        got = store.get(5, "k")
+        assert got.ok and got.version == wrote.version and not got.stale
+        assert store.checker.report().clean  # no fabricated-read
+
+    def test_store_discarded_by_every_replica_does_not_commit(self):
+        net, strategy, store = _fading_store()
+        ensure_byzantine(net).attach(list(strategy.REPLICAS), "drop")
+        put = store.put(0, "k", "v")
+        assert not put.ok and store.holders_of("k") == []
+        assert not store.get(5, "k").ok
+        assert store.checker.report().clean
 
 
 class TestCheckerMutations:

@@ -1,15 +1,16 @@
 """Equivalence and regression suite for the performance subsystem.
 
-The vectorized numpy kernel must be an *exact* drop-in for the pure-Python
-reference path: identical neighbor tables (not just statistically similar)
-on random deployments — static and waypoint, torus on and off, with churn —
-and the parallel sweep runner must be bit-identical to sequential runs.
+The numpy neighbor kernel is held to the brute-force O(n²) oracle in
+``tests/reference``: identical neighbor tables (not just statistically
+similar) on random deployments — static and waypoint, torus on and off,
+with churn — and the parallel sweep runner must be bit-identical to
+sequential runs.
 """
 
 import copy
-import math
 
 import pytest
+from reference import BruteForceNetwork, brute_force_tables, pairwise_tables
 
 from repro.experiments import merge_scenario_stats, run_sweep
 from repro.experiments.common import (
@@ -23,11 +24,11 @@ from repro.simnet.network import FloodOutcome, NetworkConfig, SimNetwork
 
 
 def make_pair(**kw):
-    """The same deployment under both backends."""
+    """The same deployment on the brute-force oracle and on the kernel."""
     base = dict(n=60, avg_degree=10, seed=3, require_connected=False)
     base.update(kw)
-    py = SimNetwork(NetworkConfig(neighbor_backend="python", **base))
-    vec = SimNetwork(NetworkConfig(neighbor_backend="vectorized", **base))
+    py = BruteForceNetwork(NetworkConfig(**base))
+    vec = SimNetwork(NetworkConfig(**base))
     return py, vec
 
 
@@ -36,21 +37,6 @@ def tables_of(net):
 
 
 class TestKernelPrimitive:
-    def brute(self, positions, side, r, torus):
-        out = {}
-        for i, a in positions.items():
-            nbrs = []
-            for j, b in positions.items():
-                if i == j:
-                    continue
-                dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-                if torus:
-                    dx, dy = min(dx, side - dx), min(dy, side - dy)
-                if math.hypot(dx, dy) <= r:
-                    nbrs.append(j)
-            out[i] = sorted(nbrs)
-        return out
-
     @pytest.mark.parametrize("torus", [False, True])
     @pytest.mark.parametrize("n,side,r", [(0, 100.0, 30.0), (1, 100.0, 30.0),
                                           (50, 300.0, 75.0), (120, 500.0, 490.0)])
@@ -62,7 +48,8 @@ class TestKernelPrimitive:
         for i in range(n):
             positions[i] = (rng.uniform(0, side), rng.uniform(0, side))
             kernel.insert(i, positions[i])
-        assert kernel.neighbor_tables() == self.brute(positions, side, r, torus)
+        assert kernel.neighbor_tables() == pairwise_tables(
+            positions, side, r, torus)
 
     def test_incremental_remove_insert(self):
         import random
@@ -80,7 +67,7 @@ class TestKernelPrimitive:
             positions[i] = (rng.uniform(0, side), rng.uniform(0, side))
             kernel.insert(i, positions[i])
         assert len(kernel) == len(positions)
-        assert kernel.neighbor_tables() == self.brute(positions, side, r, False)
+        assert kernel.neighbor_tables() == pairwise_tables(positions, side, r)
 
     def test_radius_guard(self):
         kernel = NeighborKernel(1000.0, 100.0)
@@ -121,6 +108,7 @@ class TestBackendEquivalence:
             assert tables_of(py) == tables_of(vec)
         # Dead node as the query origin: both answer from its last position.
         assert py.true_neighbors(3) == vec.true_neighbors(3)
+        assert py._kernel is None  # the oracle never built the kernel
 
     def test_interleaved_fail_revive_join(self):
         # Revival must restore the exact same incremental state on both
@@ -140,10 +128,9 @@ class TestBackendEquivalence:
                     net.join_node()
             assert py.alive_nodes() == vec.alive_nodes()
             assert tables_of(py) == tables_of(vec)
-        # Final state equals a fresh python network replaying the script.
-        fresh = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=17,
-                                         require_connected=False,
-                                         neighbor_backend="python"))
+        # Final state equals a fresh oracle network replaying the script.
+        fresh = BruteForceNetwork(NetworkConfig(n=60, avg_degree=10, seed=17,
+                                                require_connected=False))
         for op, node in script:
             if op == "fail":
                 fresh.fail_node(node)
@@ -211,9 +198,8 @@ class TestBackendEquivalence:
         from repro.core.strategies import RandomStrategy
 
         results = []
-        for backend in ("python", "vectorized"):
-            net = SimNetwork(NetworkConfig(n=80, avg_degree=10, seed=1,
-                                           neighbor_backend=backend))
+        for network in (BruteForceNetwork, SimNetwork):
+            net = network(NetworkConfig(n=80, avg_degree=10, seed=1))
             membership = make_membership(net, "random")
             strategy = RandomStrategy(membership)
             results.append(run_scenario(
@@ -299,24 +285,8 @@ class TestReversePathGuard:
 
 
 class TestIncrementalChurn:
-    def test_static_python_backend_no_grid_rebuild(self):
-        net = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=6,
-                                       neighbor_backend="python"))
-        net.true_neighbors(0)
-        grid_before = net._grid
-        assert grid_before is not None
-        victim = net.alive_nodes()[-1]
-        net.fail_node(victim)
-        net.true_neighbors(0)
-        joined = net.join_node()
-        net.true_neighbors(joined)
-        assert net._grid is grid_before  # patched in place, never rebuilt
-        assert victim not in net._grid
-        assert joined in net._grid
-
     def test_static_vectorized_no_table_rebuild(self, monkeypatch):
-        net = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=6,
-                                       neighbor_backend="vectorized"))
+        net = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=6))
         net.true_neighbors(0)
         tables_before = net._tables
         kernel_before = net._kernel
@@ -339,16 +309,15 @@ class TestIncrementalChurn:
             assert joined in net._tables[other]
 
     def test_churned_tables_match_fresh_network(self):
-        net = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=8,
-                                       neighbor_backend="vectorized"))
+        net = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=8))
         net.true_neighbors(0)  # build tables, then churn incrementally
         for victim in (2, 11, 29):
             net.fail_node(victim)
-        fresh = SimNetwork(NetworkConfig(n=60, avg_degree=10, seed=8,
-                                         neighbor_backend="python"))
+        fresh = BruteForceNetwork(NetworkConfig(n=60, avg_degree=10, seed=8))
         for victim in (2, 11, 29):
             fresh.fail_node(victim)
         assert tables_of(net) == tables_of(fresh)
+        assert tables_of(net) == brute_force_tables(net)
 
 
 class TestBatchedReplicaTables:

@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     FloodingStrategy,
     ProbabilisticBiquorum,
+    RandomOptStrategy,
     RandomStrategy,
     UniquePathStrategy,
 )
@@ -111,6 +112,17 @@ class TestStrategiesOverPackets:
             packet_net, 12, lambda v: "x" if v in stored else None,
             target_size=10)
         assert result.found
+
+    def test_random_opt_reports_missing_hop_visibility(self, packet_net):
+        # The packet facade carries no access engine and cannot expose
+        # routes hop by hop: RANDOM-OPT advertise and lookup must reach
+        # the adapter's typed diagnosis, not die on a missing attribute.
+        strategy = RandomOptStrategy(_OracleMembership(packet_net),
+                                     rng=random.Random(8))
+        with pytest.raises(NotImplementedError, match="RANDOM-OPT"):
+            strategy.advertise(packet_net, 0, set().add, target_size=6)
+        with pytest.raises(NotImplementedError, match="RANDOM-OPT"):
+            strategy.lookup(packet_net, 12, lambda v: None, target_size=6)
 
     def test_full_location_service_pipeline(self):
         stack = AdhocStack(StackConfig(n=20, avg_degree=10, seed=13))

@@ -16,13 +16,13 @@ import math
 import random
 
 import pytest
+from reference import per_event
 
 from repro.experiments.common import run_scenario, scenario_config
 from repro.experiments.fig_quorum import quorum_load_point, quorum_load_sweep
 from repro.experiments.montecarlo import (
     WORKLOAD_STREAMS,
     run_replicated,
-    scenario_stats_equal,
 )
 from repro.obs import trace as trace_mod
 from repro.obs.audit import AuditError
@@ -59,9 +59,8 @@ class TestBackendEquality:
         qs = majority_system(range(5))
         sigma = solve_strategy(qs)
         observed = []
-        for backend in ("sequential", "batched"):
-            net = SimNetwork(NetworkConfig(n=50, seed=4,
-                                           access_backend=backend))
+        for prepare in (per_event, lambda net: net):
+            net = prepare(SimNetwork(NetworkConfig(n=50, seed=4)))
             results = _drive(net, AlgebraicStrategy(qs, strategy=sigma))
             observed.append([dataclasses.asdict(r) for r in results])
         assert observed[0] == observed[1]
@@ -70,15 +69,14 @@ class TestBackendEquality:
         qs = build_system("grid", range(9))
         sigma = solve_strategy(qs)
         stats = []
-        for backend in ("sequential", "batched"):
-            net = SimNetwork(NetworkConfig(n=50, seed=4,
-                                           access_backend=backend))
+        for prepare in (per_event, lambda net: net):
+            net = prepare(SimNetwork(NetworkConfig(n=50, seed=4)))
             strategy = AlgebraicStrategy(qs, strategy=sigma)
             stats.append(run_scenario(
                 net, advertise_strategy=strategy, lookup_strategy=strategy,
                 advertise_size=0, lookup_size=0, n_keys=5, n_lookups=15,
                 seed=9))
-        assert scenario_stats_equal(stats[0], stats[1])
+        assert stats[0] == stats[1]
 
 
 class TestStrictAudit:

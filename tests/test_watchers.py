@@ -595,8 +595,10 @@ class TestLiveAttachment:
         assert report.watch_clean, report.watch_violations
         assert report.watch["events"] > 0
 
-    def test_campaign_slo_breach_reported(self):
-        # An impossible SLO (zero latency) must be reported, not raised.
+    def test_campaign_slo_breach_reported(self, monkeypatch):
+        # An impossible SLO (zero latency) must be reported, not raised
+        # — outside strict audit, whose contract is to raise.
+        monkeypatch.delenv("REPRO_AUDIT", raising=False)
         report = run_fault_campaign(
             campaign="smoke", n=60, seed=7, n_lookups=10,
             slo_specs=[SloSpec(metric="lookup.latency", max=0.0, window=5)])
