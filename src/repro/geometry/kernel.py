@@ -17,9 +17,11 @@ neighbor table in a single batched cell-binning pass:
    ``tests/reference``) and bucket the survivors into per-node sorted id
    lists.
 
-Both the plane and torus metrics are supported.  Membership updates
-(``insert``/``remove`` for churn, ``set_positions`` for a mobility tick)
-are incremental — no full rebuild of the structure is required.
+Both the plane and torus metrics are supported.  Updates are incremental
+— ``insert``/``remove`` for churn, ``set_positions`` for a mobility tick
+— and a single node's neighbors come from one range query (``within``,
+the same predicate), so a caller that needs one row does not pay for the
+table.
 """
 
 from __future__ import annotations
@@ -42,6 +44,104 @@ def _cell_offsets(axis: int, torus: bool) -> Iterable[Tuple[int, int]]:
     return raw
 
 
+def _deltas(dx: np.ndarray, dy: np.ndarray, side: float,
+            torus: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis separations under the plane or torus metric."""
+    dx = np.abs(dx)
+    dy = np.abs(dy)
+    if torus:
+        dx = np.minimum(dx, side - dx)
+        dy = np.minimum(dy, side - dy)
+    return dx, dy
+
+
+def _binned_tables(
+    ids: np.ndarray,
+    pos: np.ndarray,
+    side: float,
+    radius: float,
+    torus: bool,
+    axis: int,
+) -> List[Dict[int, List[int]]]:
+    """The cell-binning pass behind both table builders.
+
+    ``pos`` is ``(R, N, 2)``; ``axis`` is the grid's cells per side, and
+    the caller has checked that ``radius`` fits in one cell.  Replicas
+    never mix: each node is binned into a *composite* cell index
+    ``replica * cells + cell``, so the 3x3 candidate-pair expansion can
+    only pair rows of the same replica.
+    """
+    reps, n, _ = pos.shape
+    if n == 0:
+        return [dict() for _ in range(reps)]
+    if n == 1:
+        return [{int(ids[0]): []} for _ in range(reps)]
+
+    cell_size = side / axis
+    cells = axis * axis
+    flat = pos.reshape(reps * n, 2)
+    total_rows = reps * n
+    cx = np.minimum((flat[:, 0] / cell_size).astype(np.int64), axis - 1)
+    cy = np.minimum((flat[:, 1] / cell_size).astype(np.int64), axis - 1)
+    np.clip(cx, 0, axis - 1, out=cx)
+    np.clip(cy, 0, axis - 1, out=cy)
+    rep_base = np.repeat(np.arange(reps, dtype=np.int64) * cells, n)
+    cell = rep_base + cx * axis + cy
+    order = np.argsort(cell, kind="stable")
+    sorted_cell = cell[order]
+
+    row_chunks: List[np.ndarray] = []
+    col_chunks: List[np.ndarray] = []
+    all_rows = np.arange(total_rows, dtype=np.intp)
+    for dx, dy in _cell_offsets(axis, torus):
+        if torus:
+            tx = (cx + dx) % axis
+            ty = (cy + dy) % axis
+            target = rep_base + tx * axis + ty
+        else:
+            tx = cx + dx
+            ty = cy + dy
+            target = rep_base + tx * axis + ty
+            invalid = (tx < 0) | (tx >= axis) | (ty < 0) | (ty >= axis)
+            target = np.where(invalid, np.int64(-1), target)
+        starts = np.searchsorted(sorted_cell, target, side="left")
+        ends = np.searchsorted(sorted_cell, target, side="right")
+        counts = ends - starts
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        rows = np.repeat(all_rows, counts)
+        # Flatten the per-row [start, end) ranges into one index array.
+        bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        flat_idx = (np.arange(total, dtype=np.intp)
+                    - np.repeat(bases, counts)
+                    + np.repeat(starts, counts))
+        row_chunks.append(rows)
+        col_chunks.append(order[flat_idx])
+
+    if not row_chunks:
+        return [{int(i): [] for i in ids} for _ in range(reps)]
+    rows = np.concatenate(row_chunks)
+    cols = np.concatenate(col_chunks)
+    ddx, ddy = _deltas(flat[rows, 0] - flat[cols, 0],
+                       flat[rows, 1] - flat[cols, 1], side, torus)
+    keep = (np.hypot(ddx, ddy) <= radius) & (rows != cols)
+    rows = rows[keep]
+    cols = cols[keep]
+
+    neighbor_ids = ids[cols % n]
+    neighbor_ids = neighbor_ids[np.lexsort((neighbor_ids, rows))]
+    ends = np.cumsum(np.bincount(rows, minlength=total_rows)).tolist()
+    starts = [0] + ends[:-1]
+    neighbor_list = neighbor_ids.tolist()
+    id_list = ids.tolist()
+    return [
+        {node: neighbor_list[starts[row]:ends[row]]
+         for row, node in enumerate(id_list, r * n)}
+        for r in range(reps)
+    ]
+
+
 @profiled("kernel.batch_pass_replicas")
 def batched_neighbor_tables(
     ids: Sequence[int],
@@ -56,102 +156,26 @@ def batched_neighbor_tables(
     replica); row ``i`` of every replica holds the position of node
     ``ids[i]``.  Returns one ``{node_id: sorted neighbor ids}`` dict per
     replica, each identical to what :meth:`NeighborKernel.neighbor_tables`
-    computes for that replica alone — the same binning, the same exact
-    ``np.hypot`` distance predicate — but amortizing the argsort /
-    searchsorted machinery over the whole replica batch.
-
-    Replicas never mix: each node is binned into a *composite* cell index
-    ``replica * cells + cell``, so the 3x3 candidate-pair expansion can
-    only pair rows of the same replica.
+    computes for that replica alone (both run :func:`_binned_tables`), but
+    amortizing the argsort / searchsorted machinery over the whole
+    replica batch.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim == 2:
         pos = pos[np.newaxis]
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError(f"positions must be (R, N, 2); got {pos.shape}")
-    reps, n, _ = pos.shape
-    if len(ids) != n:
-        raise ValueError(f"{len(ids)} ids for {n} position rows")
+    if len(ids) != pos.shape[1]:
+        raise ValueError(f"{len(ids)} ids for {pos.shape[1]} position rows")
     if side <= 0 or radius <= 0:
         raise ValueError("side and radius must be positive")
-    ids_arr = np.asarray(ids, dtype=np.int64)
     axis = max(1, int(math.floor(side / radius)))
     cell_size = side / axis
     if radius > cell_size * (1 + 1e-12):
         raise ValueError(
             f"query radius {radius} exceeds cell size {cell_size}")
-    if n == 0:
-        return [dict() for _ in range(reps)]
-    if n == 1:
-        return [{int(ids_arr[0]): []} for _ in range(reps)]
-
-    cells = axis * axis
-    flat = pos.reshape(reps * n, 2)
-    total_rows = reps * n
-    cx = np.minimum((flat[:, 0] / cell_size).astype(np.int64), axis - 1)
-    cy = np.minimum((flat[:, 1] / cell_size).astype(np.int64), axis - 1)
-    np.clip(cx, 0, axis - 1, out=cx)
-    np.clip(cy, 0, axis - 1, out=cy)
-    rep_of = np.repeat(np.arange(reps, dtype=np.int64), n)
-    cell = rep_of * cells + cx * axis + cy
-    order = np.argsort(cell, kind="stable")
-    sorted_cell = cell[order]
-
-    row_chunks: List[np.ndarray] = []
-    col_chunks: List[np.ndarray] = []
-    all_rows = np.arange(total_rows, dtype=np.intp)
-    for dx, dy in _cell_offsets(axis, torus):
-        if torus:
-            tx = (cx + dx) % axis
-            ty = (cy + dy) % axis
-            target = rep_of * cells + tx * axis + ty
-        else:
-            tx = cx + dx
-            ty = cy + dy
-            target = rep_of * cells + tx * axis + ty
-            invalid = (tx < 0) | (tx >= axis) | (ty < 0) | (ty >= axis)
-            target = np.where(invalid, np.int64(-1), target)
-        starts = np.searchsorted(sorted_cell, target, side="left")
-        ends = np.searchsorted(sorted_cell, target, side="right")
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        rows = np.repeat(all_rows, counts)
-        bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat_idx = (np.arange(total, dtype=np.intp)
-                    - np.repeat(bases, counts)
-                    + np.repeat(starts, counts))
-        row_chunks.append(rows)
-        col_chunks.append(order[flat_idx])
-
-    if not row_chunks:
-        return [{int(i): [] for i in ids_arr} for _ in range(reps)]
-    rows = np.concatenate(row_chunks)
-    cols = np.concatenate(col_chunks)
-    if torus:
-        ddx = np.abs(flat[rows, 0] - flat[cols, 0])
-        ddy = np.abs(flat[rows, 1] - flat[cols, 1])
-        ddx = np.minimum(ddx, side - ddx)
-        ddy = np.minimum(ddy, side - ddy)
-    else:
-        ddx = flat[rows, 0] - flat[cols, 0]
-        ddy = flat[rows, 1] - flat[cols, 1]
-    keep = (np.hypot(ddx, ddy) <= radius) & (rows != cols)
-    rows = rows[keep]
-    cols = cols[keep]
-
-    neighbor_ids = ids_arr[cols % n]
-    by_row = np.lexsort((neighbor_ids, rows))
-    rows = rows[by_row]
-    neighbor_ids = neighbor_ids[by_row]
-    per_row = np.bincount(rows, minlength=total_rows)
-    chunks = np.split(neighbor_ids, np.cumsum(per_row)[:-1])
-    return [
-        {int(ids_arr[i]): [int(v) for v in chunks[r * n + i]]
-         for i in range(n)}
-        for r in range(reps)
-    ]
+    return _binned_tables(np.asarray(ids, dtype=np.int64), pos, side, radius,
+                          torus, axis)
 
 
 class NeighborKernel:
@@ -227,17 +251,20 @@ class NeighborKernel:
             self._row[moved] = row
 
     def rebuild(self, ids: Sequence[int], positions: Sequence[Point]) -> None:
-        """Bulk-load the full membership (e.g. one mobility tick)."""
+        """Bulk-load the full membership."""
         n = len(ids)
         self._ids = np.asarray(ids, dtype=np.int64).copy()
         self._pos = np.asarray(positions, dtype=np.float64).reshape(n, 2).copy()
-        self._row = {int(node_id): i for i, node_id in enumerate(self._ids)}
+        self._row = dict(zip(self._ids.tolist(), range(n)))
 
-    def set_positions(self, ids: Sequence[int], positions) -> None:
-        """Update positions of already-present nodes in one shot."""
-        rows = np.fromiter((self._row[i] for i in ids), dtype=np.intp,
-                           count=len(ids))
-        self._pos[rows] = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    def set_positions(self, positions: np.ndarray) -> None:
+        """Move every node in one shot (one mobility tick).
+
+        ``positions`` is ``(len(self), 2)`` with row ``i`` belonging to
+        ``ids()[i]`` — the order of the last :meth:`rebuild` as long as no
+        node was removed since.
+        """
+        self._pos[:len(self._row)] = positions
 
     # -- geometry -----------------------------------------------------------
 
@@ -245,26 +272,19 @@ class NeighborKernel:
         n = len(self._row)
         return self._ids[:n], self._pos[:n]
 
-    def _deltas(self, dx: np.ndarray, dy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        dx = np.abs(dx)
-        dy = np.abs(dy)
-        if self.torus:
-            dx = np.minimum(dx, self.side - dx)
-            dy = np.minimum(dy, self.side - dy)
-        return dx, dy
-
     def within(self, center: Point, radius: float,
                exclude: Optional[int] = None) -> List[int]:
         """Sorted node ids within ``radius`` of ``center`` (inclusive)."""
         ids, pos = self._active()
         if len(ids) == 0 or radius <= 0:
             return []
-        dx, dy = self._deltas(pos[:, 0] - center[0], pos[:, 1] - center[1])
+        dx, dy = _deltas(pos[:, 0] - center[0], pos[:, 1] - center[1],
+                         self.side, self.torus)
         mask = np.hypot(dx, dy) <= radius
         found = ids[mask]
         if exclude is not None:
             found = found[found != exclude]
-        return sorted(int(i) for i in found)
+        return sorted(found.tolist())
 
     def neighbors_of(self, node_id: int, radius: Optional[float] = None) -> List[int]:
         """Sorted ids within ``radius`` of ``node_id``, excluding itself."""
@@ -272,9 +292,6 @@ class NeighborKernel:
         return self.within(self.position(node_id), r, exclude=node_id)
 
     # -- the batched all-pairs pass -----------------------------------------
-
-    def _cell_offsets(self) -> Iterable[Tuple[int, int]]:
-        return _cell_offsets(self.cells_per_axis, self.torus)
 
     @profiled("kernel.batch_pass")
     def neighbor_tables(self, radius: Optional[float] = None) -> Dict[int, List[int]]:
@@ -289,65 +306,5 @@ class NeighborKernel:
             raise ValueError(
                 f"query radius {r} exceeds cell size {self.cell_size}")
         ids, pos = self._active()
-        n = len(ids)
-        if n == 0:
-            return {}
-        if n == 1:
-            return {int(ids[0]): []}
-
-        axis = self.cells_per_axis
-        cx = np.minimum((pos[:, 0] / self.cell_size).astype(np.int64), axis - 1)
-        cy = np.minimum((pos[:, 1] / self.cell_size).astype(np.int64), axis - 1)
-        np.clip(cx, 0, axis - 1, out=cx)
-        np.clip(cy, 0, axis - 1, out=cy)
-        cell = cx * axis + cy
-        order = np.argsort(cell, kind="stable")
-        sorted_cell = cell[order]
-
-        row_chunks: List[np.ndarray] = []
-        col_chunks: List[np.ndarray] = []
-        all_rows = np.arange(n, dtype=np.intp)
-        for dx, dy in self._cell_offsets():
-            if self.torus:
-                tx = (cx + dx) % axis
-                ty = (cy + dy) % axis
-                target = tx * axis + ty
-            else:
-                tx = cx + dx
-                ty = cy + dy
-                target = tx * axis + ty
-                invalid = (tx < 0) | (tx >= axis) | (ty < 0) | (ty >= axis)
-                target = np.where(invalid, np.int64(-1), target)
-            starts = np.searchsorted(sorted_cell, target, side="left")
-            ends = np.searchsorted(sorted_cell, target, side="right")
-            counts = ends - starts
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            rows = np.repeat(all_rows, counts)
-            # Flatten the per-row [start, end) ranges into one index array.
-            bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = (np.arange(total, dtype=np.intp)
-                    - np.repeat(bases, counts)
-                    + np.repeat(starts, counts))
-            row_chunks.append(rows)
-            col_chunks.append(order[flat])
-
-        if not row_chunks:
-            return {int(i): [] for i in ids}
-        rows = np.concatenate(row_chunks)
-        cols = np.concatenate(col_chunks)
-        dx, dy = self._deltas(pos[rows, 0] - pos[cols, 0],
-                              pos[rows, 1] - pos[cols, 1])
-        keep = (np.hypot(dx, dy) <= r) & (rows != cols)
-        rows = rows[keep]
-        cols = cols[keep]
-
-        neighbor_ids = ids[cols]
-        by_row = np.lexsort((neighbor_ids, rows))
-        rows = rows[by_row]
-        neighbor_ids = neighbor_ids[by_row]
-        per_row = np.bincount(rows, minlength=n)
-        chunks = np.split(neighbor_ids, np.cumsum(per_row)[:-1])
-        return {int(ids[i]): [int(v) for v in chunk]
-                for i, chunk in enumerate(chunks)}
+        return _binned_tables(ids, pos[np.newaxis], self.side, r, self.torus,
+                              self.cells_per_axis)[0]

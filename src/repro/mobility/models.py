@@ -16,6 +16,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.geometry.space import Point
 
 
@@ -134,16 +136,41 @@ class MobilityManager:
 
     Nodes may be added (joins) and removed (failures/leaves) at runtime,
     supporting the churn experiments.
+
+    Each current leg is also mirrored into struct-of-arrays form
+    (``t0, t1, p0, p1``, indexed by node id), so :meth:`positions_at`
+    evaluates a whole deployment in one vectorised pass.  Node ids index
+    those arrays directly and must therefore be small non-negative
+    integers; every caller allocates them densely from 0.
     """
 
     def __init__(self, model: MobilityModel) -> None:
         self.model = model
         self._legs: Dict[int, Leg] = {}
+        self._t0 = np.empty(0)
+        self._t1 = np.empty(0)
+        self._p0 = np.empty((0, 2))
+        self._p1 = np.empty((0, 2))
+
+    def _set_leg(self, node_id: int, leg: Leg) -> None:
+        if node_id >= len(self._t0):
+            grow = max(node_id + 1, 2 * len(self._t0), 16) - len(self._t0)
+            self._t0 = np.concatenate((self._t0, np.zeros(grow)))
+            self._t1 = np.concatenate((self._t1, np.full(grow, math.inf)))
+            self._p0 = np.concatenate((self._p0, np.zeros((grow, 2))))
+            self._p1 = np.concatenate((self._p1, np.zeros((grow, 2))))
+        self._legs[node_id] = leg
+        self._t0[node_id] = leg.t0
+        self._t1[node_id] = leg.t1
+        self._p0[node_id] = leg.p0
+        self._p1[node_id] = leg.p1
 
     def add_node(self, node_id: int, t: float = 0.0,
                  position: Optional[Point] = None) -> Point:
+        if node_id < 0:
+            raise ValueError(f"node id must be non-negative; got {node_id}")
         pos = position if position is not None else self.model.initial_position(node_id)
-        self._legs[node_id] = self.model.next_leg(node_id, t, pos)
+        self._set_leg(node_id, self.model.next_leg(node_id, t, pos))
         return pos
 
     def remove_node(self, node_id: int) -> None:
@@ -160,8 +187,34 @@ class MobilityManager:
         leg = self._legs[node_id]
         while t > leg.t1 and math.isfinite(leg.t1):
             leg = self.model.next_leg(node_id, leg.t1, leg.p1)
-            self._legs[node_id] = leg
+            self._set_leg(node_id, leg)
         return leg.position_at(t)
+
+    def positions_at(self, ids: np.ndarray, t: float) -> np.ndarray:
+        """``(len(ids), 2)`` positions at time ``t``, one row per id.
+
+        Equal bit for bit to ``[position_at(i, t) for i in ids]``, model
+        draws included: one vectorised test finds the expired legs, which
+        are advanced through :meth:`position_at` in ``ids`` order; the
+        rest is :meth:`Leg.position_at` spelled over arrays.
+        """
+        t1 = self._t1.take(ids)
+        expired = t > t1
+        if expired.any():
+            for node_id in ids[expired].tolist():
+                self.position_at(node_id, t)
+            t1 = self._t1.take(ids)
+        t0 = self._t0.take(ids)
+        p0, p1 = self._p0.take(ids, axis=0), self._p1.take(ids, axis=0)
+        span = t1 - t0
+        # Zero-length legs divide by zero; those rows are overwritten below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = (t - t0) / span
+            pos = p0 + frac[:, np.newaxis] * (p1 - p0)
+        at_end = (t >= t1) | (span <= 0)
+        np.copyto(pos, p1, where=at_end[:, np.newaxis])
+        np.copyto(pos, p0, where=(~at_end & (t <= t0))[:, np.newaxis])
+        return pos
 
     def snapshot(self, t: float) -> Dict[int, Point]:
         """All node positions at time ``t``."""

@@ -29,6 +29,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.geometry.kernel import NeighborKernel
 from repro.geometry.rgg import GeometricGraph
 from repro.geometry.space import Point, area_side_for_density
@@ -184,11 +186,16 @@ class SimNetwork:
         self._alive: Set[int] = set()
         self._next_id = 0
         self.counters: Counter = Counter()
-        # Contiguous-array kernel + full neighbor table, valid at
-        # `_tables_time` (forever for static networks).
+        # Contiguous-array kernel + full neighbor table.  Static networks
+        # keep both until churn patches them.  Mobile networks refresh the
+        # kernel's positions once per timestamp (`_snapshot`), answer
+        # single-node queries from it into `_nbr_memo`, and build the
+        # table only when a whole-graph consumer asks at that timestamp.
         self._kernel: Optional[NeighborKernel] = None
         self._tables: Optional[Dict[int, List[int]]] = None
-        self._tables_time = -math.inf
+        self._snapshot_ids = np.empty(0, dtype=np.intp)
+        self._snapshot_time = -math.inf
+        self._nbr_memo: Dict[int, List[int]] = {}
         # per-timestamp position cache: MobilityManager.position_at runs at
         # most once per node per tick (static positions are cached forever).
         self._pos_cache: Dict[int, Point] = {}
@@ -281,13 +288,9 @@ class SimNetwork:
             return
         if tables is not None and self.config.mobility == "static":
             ids = sorted(self._alive)
-            kernel = NeighborKernel(side=self.config.side,
-                                    radius=self.config.radio_range,
-                                    torus=self.config.torus)
-            kernel.rebuild(ids, [self.position(i) for i in ids])
-            self._kernel = kernel
+            self._kernel = self._build_kernel(
+                ids, [self.position(i) for i in ids])
             self._tables = {node: list(nbrs) for node, nbrs in tables.items()}
-            self._tables_time = self.sim.now
         if self.config.require_connected and not self._positions_given:
             if not self.is_connected():
                 self._ensure_connected(self.rngs.stream("placement"))
@@ -296,19 +299,33 @@ class SimNetwork:
 
     # -- geometry caches -----------------------------------------------------
 
+    def _build_kernel(self, ids, positions) -> NeighborKernel:
+        kernel = NeighborKernel(side=self.config.side,
+                                radius=self.config.radio_range,
+                                torus=self.config.torus)
+        kernel.rebuild(ids, positions)
+        return kernel
+
     def _invalidate_geometry(self) -> None:
         """Full invalidation: every position may have changed."""
         self._topo_version += 1
-        self._kernel = None
-        self._tables = None
-        self._tables_time = -math.inf
+        self._drop_kernel()
         self._pos_cache.clear()
         self._pos_cache_time = self.sim.now
 
+    def _drop_kernel(self) -> None:
+        self._kernel = None
+        self._tables = None
+        self._nbr_memo = {}
+
     def _admit_to_geometry(self, node_id: int) -> None:
-        """Incrementally add a node to the kernel and tables, once built."""
+        """Add a node: static tables are patched in place, once built; a
+        mobile snapshot is dropped and rebuilt by the next query."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
+        if self.config.mobility != "static":
+            self._drop_kernel()
+            return
         if self._kernel is None:
             return
         self._kernel.insert(node_id, self.position(node_id))
@@ -320,9 +337,13 @@ class SimNetwork:
                 bisect.insort(table, node_id)
 
     def _evict_from_geometry(self, node_id: int) -> None:
-        """Incrementally drop a node — no full rebuild for one churn event."""
+        """Drop a node — static tables need no full rebuild for one churn
+        event; a mobile snapshot is dropped as in `_admit_to_geometry`."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
+        if self.config.mobility != "static":
+            self._drop_kernel()
+            return
         if self._kernel is None:
             return
         self._kernel.remove(node_id)
@@ -360,9 +381,6 @@ class SimNetwork:
         """
         self._route_oracle = oracle
         self._oracle_version = self._topo_version
-
-    def detach_route_oracle(self) -> None:
-        self._route_oracle = None
 
     def _oracle_tree(self, src: int):
         """A memoized BFS tree from ``src``, or None when not applicable.
@@ -520,34 +538,66 @@ class SimNetwork:
         return (self.distance(self.position(a), self.position(b))
                 <= self.config.radio_range)
 
+    def _snapshot(self) -> NeighborKernel:
+        """Mobile networks: the kernel holding every alive node's position
+        at ``sim.now``.
+
+        Refreshed by the first neighbor query at a new timestamp.  That
+        is also when expired waypoint legs are advanced, in sorted-id
+        order: all nodes draw from one mobility stream, so *when* the
+        refresh happens is part of what fixes the trajectories.
+        """
+        now = self.sim.now
+        if self._kernel is None or self._snapshot_time != now:
+            with PROFILER.phase("neighbor.rebuild"):
+                if self._kernel is None:
+                    self._snapshot_ids = np.array(sorted(self._alive),
+                                                  dtype=np.intp)
+                with PROFILER.phase("mobility.positions"):
+                    positions = self.mobility.positions_at(
+                        self._snapshot_ids, now)
+                if self._kernel is None:
+                    self._kernel = self._build_kernel(self._snapshot_ids,
+                                                      positions)
+                else:
+                    self._kernel.set_positions(positions)
+            self._tables = None
+            self._nbr_memo = {}
+            self._snapshot_time = now
+        return self._kernel
+
     def _neighbor_tables(self) -> Dict[int, List[int]]:
         """Full ground-truth adjacency at ``sim.now``.
 
         Static networks keep the table until churn touches it (then it is
-        patched incrementally); mobile networks recompute it in one batched
-        kernel pass the first time any node is queried at a new timestamp.
+        patched incrementally); mobile networks compute it in one batched
+        kernel pass over the current snapshot, the first time a
+        whole-graph consumer asks at a timestamp.
         """
-        static = self.config.mobility == "static"
-        if self._tables is not None and (static
-                                         or self._tables_time == self.sim.now):
-            return self._tables
-        with PROFILER.phase("neighbor.rebuild"):
-            ids = sorted(self._alive)
-            if self._kernel is None or not static:
-                kernel = NeighborKernel(side=self.config.side,
-                                        radius=self.config.radio_range,
-                                        torus=self.config.torus)
-                with PROFILER.phase("mobility.positions"):
-                    positions = [self.position(i) for i in ids]
-                kernel.rebuild(ids, positions)
-                self._kernel = kernel
-            self._tables = self._kernel.neighbor_tables()
-        self._tables_time = self.sim.now
+        if self.config.mobility != "static":
+            kernel = self._snapshot()
+            if self._tables is None:
+                self._tables = self._nbr_memo = kernel.neighbor_tables()
+        elif self._tables is None:
+            with PROFILER.phase("neighbor.rebuild"):
+                if self._kernel is None:
+                    ids = sorted(self._alive)
+                    with PROFILER.phase("mobility.positions"):
+                        positions = [self.position(i) for i in ids]
+                    self._kernel = self._build_kernel(ids, positions)
+                self._tables = self._kernel.neighbor_tables()
         return self._tables
 
     def true_neighbors(self, node_id: int) -> List[int]:
         """Ground-truth current neighbors (alive, within range), sorted."""
-        neighbors = self._neighbor_tables().get(node_id)
+        if self.config.mobility == "static":
+            neighbors = self._neighbor_tables().get(node_id)
+        else:
+            kernel = self._snapshot()
+            neighbors = self._nbr_memo.get(node_id)
+            if neighbors is None and node_id in kernel:
+                neighbors = kernel.neighbors_of(node_id)
+                self._nbr_memo[node_id] = neighbors
         if neighbors is None:
             # Dead (or never-admitted) query node: its position is still
             # tracked, so answer with a one-off kernel range query.
@@ -714,11 +764,12 @@ class SimNetwork:
     def _bfs_path(self, src: int, dst: int) -> Optional[List[int]]:
         if src == dst:
             return [src]
+        tables = self._neighbor_tables()
         parent: Dict[int, int] = {src: src}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v in self.true_neighbors(u):
+            for v in tables.get(u, ()):
                 if v in parent:
                     continue
                 parent[v] = u
@@ -731,13 +782,14 @@ class SimNetwork:
         return None
 
     def _hop_distances_capped(self, src: int, cap: int) -> Dict[int, int]:
+        tables = self._neighbor_tables()
         dist = {src: 0}
         queue = deque([src])
         while queue:
             u = queue.popleft()
             if dist[u] >= cap:
                 continue
-            for v in self.true_neighbors(u):
+            for v in tables.get(u, ()):
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.mobility import (
@@ -156,3 +157,74 @@ class TestMobilityManager:
         mgr.add_node(3)
         mgr.add_node(7)
         assert sorted(mgr.node_ids()) == [3, 7]
+
+
+class _ScriptedLegs(RandomWaypoint):
+    """Waypoint model whose first leg per node is handed in."""
+
+    def __init__(self, first_legs, **kw):
+        super().__init__(**kw)
+        self._first = dict(first_legs)
+
+    def next_leg(self, node_id, t, pos):
+        leg = self._first.pop(node_id, None)
+        return leg if leg is not None else super().next_leg(node_id, t, pos)
+
+
+class TestVectorisedPositions:
+    """``positions_at`` is ``position_at`` spelled over arrays: equal
+    bit for bit, model draws included."""
+
+    def test_every_leg_shape_matches_leg_position_at(self):
+        legs = {
+            0: Leg(t0=2.0, p0=(1.0, 7.0), t1=12.0, p1=(9.5, 0.25)),   # moving
+            1: Leg(t0=2.0, p0=(3.3, 4.4), t1=32.0, p1=(3.3, 4.4)),    # pause
+            2: Leg(t0=2.0, p0=(6.0, 6.0), t1=math.inf, p1=(6.0, 6.0)),
+            3: Leg(t0=5.0, p0=(8.0, 1.0), t1=5.0, p1=(2.0, 2.0)),     # empty
+            4: Leg(t0=6.0, p0=(0.1, 0.2), t1=7.0, p1=(0.3, 0.9)),
+        }
+        mgr = MobilityManager(_ScriptedLegs(legs, side=10.0,
+                                            rng=random.Random(0)))
+        for i, leg in legs.items():
+            mgr.add_node(i, t=0.0, position=leg.p0)
+        # Before t0, at t0, inside, at t1: no query is past a finite t1,
+        # so no leg is advanced and the handed-in Leg is the reference.
+        for ids, times in (([0, 1, 2, 3, 4], (0.0, 2.0, 4.999, 5.0)),
+                           ([0, 1, 2, 4], (6.0, 6.5, 7.0)),
+                           ([0, 1, 2], (11.9, 12.0)),
+                           ([1, 2], (31.0, 32.0)),
+                           ([2], (1e9,))):
+            for t in times:
+                got = mgr.positions_at(np.array(ids), t)
+                assert [tuple(row) for row in got.tolist()] == \
+                       [legs[i].position_at(t) for i in ids]
+        assert mgr._legs == legs
+
+    def test_same_trajectories_and_draws_as_the_scalar_loop(self):
+        def manager():
+            mgr = MobilityManager(RandomWaypoint(
+                side=300.0, min_speed=2.0, max_speed=40.0, pause_time=0.7,
+                rng=random.Random(12)))
+            for i in range(30):
+                mgr.add_node(i, t=0.0)
+            return mgr
+
+        vec, ref = manager(), manager()
+        ids = np.array([i for i in range(30) if i % 7 != 3])
+        clock = random.Random(4)
+        t = 0.0
+        advanced = 0
+        for _ in range(400):
+            t += clock.choice((0.0, 0.05, 0.6, 9.0))
+            before = dict(ref._legs)
+            want = [ref.position_at(int(i), t) for i in ids]
+            advanced += before != ref._legs
+            got = vec.positions_at(ids, t)
+            assert [tuple(row) for row in got.tolist()] == want
+            assert vec._legs == ref._legs
+        assert advanced > 50  # the run did cross leg boundaries
+
+    def test_negative_id_rejected(self):
+        mgr = MobilityManager(StaticPlacement(10.0, rng=random.Random(0)))
+        with pytest.raises(ValueError):
+            mgr.add_node(-1)

@@ -8,6 +8,7 @@ sequential runs.
 """
 
 import copy
+import random
 
 import pytest
 from reference import BruteForceNetwork, brute_force_tables, pairwise_tables
@@ -17,8 +18,10 @@ from repro.experiments.common import (
     make_membership,
     make_network,
     run_scenario,
+    scenario_config,
 )
 from repro.geometry.kernel import NeighborKernel
+from repro.obs.profile import PROFILER
 from repro.simnet.churn import apply_churn
 from repro.simnet.network import FloodOutcome, NetworkConfig, SimNetwork
 
@@ -68,6 +71,24 @@ class TestKernelPrimitive:
             kernel.insert(i, positions[i])
         assert len(kernel) == len(positions)
         assert kernel.neighbor_tables() == pairwise_tables(positions, side, r)
+
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_set_positions_then_row_query_equals_table_row(self, torus):
+        rng = random.Random(31 + int(torus))
+        side, r, ids = 400.0, 95.0, [4, 9, 10, 27, 33, 41, 58, 60, 61, 77]
+
+        def draw():
+            return [(rng.uniform(0, side), rng.uniform(0, side)) for _ in ids]
+
+        kernel = NeighborKernel(side, r, torus=torus)
+        kernel.rebuild(ids, draw())
+        for _ in range(5):                       # five mobility ticks
+            moved = draw()
+            kernel.set_positions(moved)
+            tables = kernel.neighbor_tables()
+            assert tables == pairwise_tables(dict(zip(ids, moved)), side, r,
+                                             torus)
+            assert {i: kernel.neighbors_of(i) for i in ids} == tables
 
     def test_radius_guard(self):
         kernel = NeighborKernel(1000.0, 100.0)
@@ -207,6 +228,133 @@ class TestBackendEquivalence:
                 advertise_size=12, lookup_size=10, n_keys=5, n_lookups=25,
                 seed=2))
         assert results[0] == results[1]
+
+
+MOBILE = dict(n=50, avg_degree=10, seed=21, mobility="waypoint",
+              min_speed=2.0, max_speed=30.0, pause_time=1.5,
+              heartbeat_interval=4.0, require_connected=False)
+
+
+def mobile_script(seed, steps=220):
+    """Seeded clock moves (hop-sized and heartbeat-crossing), unicasts and
+    churn, interleaved; ~90 simulated seconds, several legs per node."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.55:
+            yield "advance", rng.choice((0.05, 0.05, 0.4, 2.5))
+        elif roll < 0.70:
+            yield "hop", rng.randrange(MOBILE["n"])
+        elif roll < 0.80:
+            yield "fail", rng.randrange(MOBILE["n"])
+        elif roll < 0.90:
+            yield "revive", rng.randrange(MOBILE["n"])
+        else:
+            yield "join", None
+
+
+def apply_step(net, op, arg):
+    if op == "advance":
+        net.advance(arg)
+    elif op == "hop":
+        # in_range() evaluates two positions before the neighbor query.
+        stale = net.known_neighbors(arg) if net.is_alive(arg) else []
+        if stale:
+            net.one_hop_unicast(arg, stale[0])
+    elif op == "fail":
+        net.fail_node(arg)
+    elif op == "revive":
+        net.revive_node(arg)
+    else:
+        net.join_node()
+
+
+class TestMobileSnapshot:
+    """Under waypoint mobility a neighbor query is answered from the
+    per-timestamp position snapshot; the full table is built only for
+    whole-graph consumers.  Same answers, same trajectories."""
+
+    def test_every_query_shape_matches_the_oracle(self):
+        net = SimNetwork(NetworkConfig(**MOBILE))
+        pick = random.Random(1)
+        visited = set()
+        for op, arg in mobile_script(seed=2):
+            apply_step(net, op, arg)
+            visited.add(net.now)
+            alive = net.alive_nodes()
+            one = pick.choice(alive)
+            single = net.true_neighbors(one)      # first query at this state
+            truth = brute_force_tables(net)
+            assert single == truth[one]
+            assert {v: net.true_neighbors(v) for v in alive} == truth
+            assert net._neighbor_tables() == truth
+            assert net.true_neighbors(one) == truth[one]
+        assert len(visited) > 80
+
+    def test_trajectories_match_the_oracle_twin(self):
+        # All nodes draw from one mobility stream, so the lazy network
+        # must advance expired legs at exactly the queries where the
+        # oracle (which rebuilds everything on every query) does.
+        lazy = SimNetwork(NetworkConfig(**MOBILE))
+        twin = BruteForceNetwork(NetworkConfig(**MOBILE))
+        start = dict(lazy.mobility._legs)
+        pick = random.Random(3)
+        for op, arg in mobile_script(seed=4):
+            for net in (lazy, twin):
+                apply_step(net, op, arg)
+            assert lazy.now == twin.now
+            one = pick.randrange(lazy._next_id)   # alive or dead
+            assert lazy.true_neighbors(one) == twin.true_neighbors(one)
+            assert lazy.mobility._legs == twin.mobility._legs
+        assert {v: lazy.known_neighbors(v) for v in lazy.alive_nodes()} == \
+               {v: twin.known_neighbors(v) for v in twin.alive_nodes()}
+        moved = [v for v, leg in start.items() if lazy.mobility._legs[v] != leg]
+        assert len(moved) > 40  # the run did cross leg boundaries
+
+    def test_full_passes_bounded_by_whole_graph_consumers(self, monkeypatch):
+        from repro.core.strategies import RandomStrategy, UniquePathStrategy
+
+        net = SimNetwork(scenario_config(120, mobility="waypoint",
+                                         max_speed=10.0, hop_latency=0.05,
+                                         seed=5))
+        membership = make_membership(net, "random")
+        monkeypatch.setattr(PROFILER, "enabled", True)
+        monkeypatch.setattr(PROFILER, "_stats", {})
+        monkeypatch.setattr(PROFILER, "_stack", [])
+        run_scenario(net, RandomStrategy(membership),
+                     UniquePathStrategy(salvation=True), advertise_size=22,
+                     lookup_size=13, n_keys=2, n_lookups=15, seed=2)
+        phases = PROFILER.snapshot()
+
+        def calls(name):
+            return phases[name]["calls"] if name in phases else 0
+
+        whole_graph = calls("routing.discover") + calls("neighbor.heartbeat")
+        assert calls("kernel.batch_pass") <= whole_graph
+        # One snapshot per visited timestamp, and most of them never
+        # needed the table: a full pass per hop would fail here.
+        assert calls("neighbor.rebuild") > 4 * whole_graph
+
+    def test_fig13_point_identical_on_the_oracle(self, monkeypatch):
+        import repro.experiments.fig13_14_mobility as fig
+        import repro.experiments.montecarlo as montecarlo
+
+        seen = []
+        run_scenario_real = fig.run_scenario
+
+        def recording(*args, **kw):
+            seen.append(run_scenario_real(*args, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(fig, "run_scenario", recording)
+        kw = dict(n=80, local_repair=True, advertise_factor=2.0,
+                  lookup_factor=1.15, n_keys=3, n_lookups=12, salvation=True,
+                  hop_latency=0.05, seed=3)
+        point = fig._mobility_point(10.0, 0, **kw)
+        monkeypatch.setattr(montecarlo, "SimNetwork", BruteForceNetwork)
+        oracle_point = fig._mobility_point(10.0, 0, **kw)
+        assert len(seen) == 2 and seen[0] == seen[1]
+        assert point == oracle_point
 
 
 def _scenario_point(n, seed):
