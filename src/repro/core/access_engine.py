@@ -1,32 +1,33 @@
-"""Batched access engine: one numpy pass for floods, walks, and probes.
+"""Batched access engine: one numpy pass per flood ring, route tree, path.
 
-PR 1 vectorized neighbor tables and the Monte-Carlo engine batched the
-replica axis; this module batches the *access hot path itself*.  Three
-kernels advance all concurrent work items of an access in single numpy
-passes over a packed CSR snapshot (:mod:`repro.geometry.csr`):
+The transmission primitives live in :mod:`repro.simnet.network` — one
+body each for a unicast hop, a broadcast, the flood ring loop, route
+discovery and path forwarding.  This module holds the *kernels* those
+bodies call, each advancing a whole batch of frames in one pass over a
+packed CSR snapshot (:mod:`repro.geometry.csr`) or the neighbor table:
 
-1. **flood rounds** — the whole ring-``h`` frontier expands in one
-   gather/first-occurrence pass (per-round TTL and duplicate
-   accounting), instead of one Python broadcast loop per node;
-2. **BFS route trees** — RANDOM's probe fan-out resolves every route
-   against a level-synchronous numpy BFS tree, memoized per
-   ``(topology_version, source)``;
-3. **walker batches** — Philox-stream next-hop draws (uniform and
+1. **flood ring** — the whole ring-``h`` frontier expands in one
+   gather/first-occurrence pass, instead of one broadcast per node;
+2. **BFS route trees** — every route discovery reads a tree, built by a
+   level-synchronous numpy BFS at large n and memoized per
+   ``(topology_version, source)`` while positions are static;
+3. **bulk forwarding** — a path whose hops are all valid is charged and
+   timed in one step instead of one unicast per hop;
+4. **walker batches** — Philox-stream next-hop draws (uniform and
    max-degree-biased) advance whole walker populations in lockstep for
    the large-n analysis path.
 
-The engine is **statistic-identical** to the per-event code it
-replaces.  The strategy RNG streams are stdlib ``random.Random``
-generators, so the accesses that define reported statistics never move
-their draws into numpy: the engine vectorizes only the *deterministic*
-graph work (frontier expansion, BFS, membership tests) and replays side
-effects — counters, metrics, energy charges, trace events, clock
-advances — in exactly the per-event order, with the same float
-operations.  Whenever exactness cannot be proven cheaply (pending
-simulation events inside a window, random drops, mobility, tracing on a
-fast path that does not emit events), the kernel declines and the
-caller runs the per-event code; nothing but those observed conditions
-selects the path.  The Philox walk kernel is the one exception: it is
+Kernels 1–3 are **statistic-identical** to the per-frame code.  The
+strategy RNG streams are stdlib ``random.Random`` generators, so the
+accesses that define reported statistics never move their draws into
+numpy: the engine vectorizes only the *deterministic* graph work
+(frontier expansion, BFS, membership tests) and replays side effects —
+counters, metrics, energy charges, trace events, clock advances — in
+exactly the per-frame order, with the same float operations.  A batch
+declines, before touching anything, only on what a batch cannot
+reproduce: mobility, random drops, a simulation event inside its
+window, and (bulk forwarding, which emits no ``hop`` events) tracing;
+the caller then sends the frames one by one.  The Philox walk kernel is
 an analysis/benchmark surface with its own counter-based streams,
 deliberately outside the statistic-identical contract.
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,72 +137,27 @@ class AccessEngine:
         """Known-view (heartbeat) snapshot — always per-network."""
         return self._csr_cache.known_snapshot(net)
 
-    # -- kernel 1: batched flood rounds --------------------------------------
+    # -- kernel 1: batched flood ring ----------------------------------------
 
-    def flood(self, net, origin: int, ttl: int
-              ) -> Optional[Tuple[Dict[int, int], Dict[int, int], int]]:
-        """Run a TTL-scoped flood in batched rounds.
+    def flood_ring(self, net, frontier: List[int], previous: List[int]
+                   ) -> Optional[Iterable[Tuple[int, int]]]:
+        """Broadcast one flood ring as a single CSR gather.
 
-        Returns ``(covered, parent, messages)`` matching
-        ``SimNetwork.flood`` exactly — same dict insertion order, same
-        parent assignment, same per-broadcast side effects — or None
-        when the per-event loop must run (mobility or random drops).
-        Rounds whose broadcast window contains a pending simulation
-        event run through ``one_hop_broadcast`` so timers and churn
-        interleave exactly as they always did; the CSR snapshot re-keys
-        on the topology version every round, so mid-flood churn can
-        never be served a stale adjacency.
+        Returns ``(receiver, broadcaster)`` pairs — each node that hears
+        the ring with the first broadcaster it hears, in the order the
+        per-broadcast loop would meet them — after replaying every
+        broadcast's side effects (counters, metrics, energy, trace
+        events, clock) in broadcast order.  Receivers in ``frontier`` or
+        in ``previous`` (the ring before it) are left out; any other
+        already-covered receiver, which only mid-flood churn can
+        produce, is the caller's to drop.  Returns None, before touching
+        anything, when only ``one_hop_broadcast`` is exact: mobility,
+        random drops, or a simulation event inside the ring's broadcast
+        window.  The CSR snapshot re-keys on the topology version every
+        ring, so mid-flood churn can never be served a stale adjacency.
         """
         if net.config.mobility != "static" or net.config.drop_prob > 0:
             return None
-        covered: Dict[int, int] = {origin: 0}
-        parent: Dict[int, int] = {origin: origin}
-        mask = np.zeros(max(net._next_id, origin + 1), dtype=bool)
-        mask[origin] = True
-        messages = 0
-        frontier: List[int] = [origin]
-        hop = 0
-        while frontier and hop < ttl:
-            messages += len(frontier)
-            nxt = self._flood_round_batched(net, frontier, hop,
-                                            covered, parent, mask)
-            if nxt is None:
-                nxt = self._flood_round_sequential(net, frontier, hop,
-                                                   covered, parent, mask)
-            frontier = nxt
-            hop += 1
-        return covered, parent, messages
-
-    @staticmethod
-    def _mark_covered(mask: np.ndarray, node: int) -> np.ndarray:
-        if node >= mask.size:
-            grown = np.zeros(node + 1, dtype=bool)
-            grown[:mask.size] = mask
-            mask = grown
-        mask[node] = True
-        return mask
-
-    def _flood_round_sequential(self, net, frontier: List[int], hop: int,
-                                covered: Dict[int, int],
-                                parent: Dict[int, int],
-                                mask: np.ndarray) -> List[int]:
-        """One ring through ``one_hop_broadcast`` (events may interleave)."""
-        nxt: List[int] = []
-        for node in frontier:
-            receivers = net.one_hop_broadcast(node)
-            for rx in receivers:
-                if rx not in covered:
-                    covered[rx] = hop + 1
-                    parent[rx] = node
-                    nxt.append(rx)
-                    mask = self._mark_covered(mask, rx)
-        return nxt
-
-    def _flood_round_batched(self, net, frontier: List[int], hop: int,
-                             covered: Dict[int, int],
-                             parent: Dict[int, int],
-                             mask: np.ndarray) -> Optional[List[int]]:
-        """One ring as a single CSR gather; None if an event interferes."""
         sim = net.sim
         latency = net.config.hop_latency
         # Accumulate by repeated addition: the same float operations the
@@ -215,8 +171,7 @@ class AccessEngine:
         alive = net._alive
         alive_frontier = [n for n in frontier if n in alive]
         degree_of: Dict[int, int] = {}
-        new_ids: List[int] = []
-        new_parents: List[int] = []
+        heard: Iterable[Tuple[int, int]] = ()
         if alive_frontier:
             with PROFILER.phase("access.batch_pass"):
                 csr = self.true_csr(net)
@@ -232,18 +187,20 @@ class AccessEngine:
                     gather = (np.arange(total, dtype=np.int64)
                               + np.repeat(starts - bounds, counts))
                     cand = csr.indices[gather]
-                    owner = np.repeat(np.arange(len(f)), counts)
-                    fresh = ~mask[cand]
+                    owner = np.repeat(f, counts)
+                    # Drop what the last two rings already cover before
+                    # sorting: on an unchanged graph that is every
+                    # duplicate, and it shrinks the sort about 3x.
+                    seen = np.zeros(net._next_id, dtype=bool)
+                    seen[f] = True
+                    seen[np.asarray(previous, dtype=np.int64)] = True
+                    fresh = ~seen[cand]
                     cand = cand[fresh]
                     owner = owner[fresh]
-                    if cand.size:
-                        uniq, first = np.unique(cand, return_index=True)
-                        order = np.argsort(first, kind="stable")
-                        discovered = uniq[order]
-                        parents = f[owner[first[order]]]
-                        mask[discovered] = True
-                        new_ids = discovered.tolist()
-                        new_parents = parents.tolist()
+                    uniq, first = np.unique(cand, return_index=True)
+                    order = np.argsort(first, kind="stable")
+                    heard = zip(uniq[order].tolist(),
+                                owner[first[order]].tolist())
 
         # Replay the per-broadcast side effects in broadcast order.
         trace = net.trace if net.trace.enabled else None
@@ -254,7 +211,7 @@ class AccessEngine:
         for node in frontier:
             t += latency
             deg = degree_of.get(node)
-            if deg is None:  # broadcaster died between rounds
+            if deg is None:  # broadcaster died between rings
                 if trace is not None:
                     trace.record("broadcast", t, src=node,
                                  receivers=0, ok=False)
@@ -265,30 +222,23 @@ class AccessEngine:
                              receivers=deg, ok=True)
         if t > sim.now:
             sim.run(until=t)
-
-        nxt: List[int] = []
-        for rx, par in zip(new_ids, new_parents):
-            covered[rx] = hop + 1
-            parent[rx] = par
-            nxt.append(rx)
-        return nxt
+        return heard
 
     # -- kernel 2: batched BFS route trees -----------------------------------
 
-    def routes_active(self, net) -> bool:
-        """Whether route discovery may be served from engine trees."""
-        return net.config.mobility == "static"
+    def tree(self, net, src: int) -> BfsTree:
+        """The BFS tree from ``src`` over ``net``'s current topology.
 
-    def tree(self, net, src: int) -> Optional[BfsTree]:
-        """Memoized BFS tree from ``src``, or None when not applicable.
-
-        The memo key is ``(topology_version, src)`` — the route-oracle
-        staleness guard — so churn invalidates by construction.  When a
-        :class:`SharedAccessState` is adopted and still sound, the memo
-        is the deployment-wide one; otherwise a bounded per-network LRU.
+        Static networks memoise it under ``(topology_version, src)`` —
+        the route-oracle staleness guard — so churn invalidates by
+        construction: the deployment-wide memo while an adopted
+        :class:`SharedAccessState` is still sound, otherwise a bounded
+        per-network LRU.  Under mobility the topology is a function of
+        the clock, so the tree is built for this one discovery and
+        counts as neither a hit nor a miss.
         """
-        if not self.routes_active(net):
-            return None
+        if net.config.mobility != "static":
+            return bfs_tree(net, src)
         state = self._usable_shared(net)
         if state is not None:
             cached = state.trees.get(src)
@@ -335,67 +285,44 @@ class AccessEngine:
             parent, dist = _numpy_bfs(csr, src_row)
         return BfsTree(source=src, parent=parent, dist=dist)
 
-    # -- fast unicast (walker / reply hot path) ------------------------------
+    # -- kernel 3: bulk path forwarding --------------------------------------
 
-    def unicast_resolver(self, net):
-        """A ``send(src, dst) -> bool | None`` fast path, or None.
+    def forward(self, net, path: List[int]) -> Optional[int]:
+        """Forward along ``path`` in one step; the hop count, or None.
 
-        Replicates ``one_hop_unicast`` — counters, metrics, energy
-        (bystanders from the table degree), clock advance by the same
-        float addition — while skipping the per-call neighbor-list
-        copies and distance recomputation.  Only issued when provably
-        identical: static mobility, no random drops, tracing off (the
-        fast path emits no ``hop`` events).  A ``None`` result from
-        ``send`` means a simulation event lands inside the hop window;
-        the caller must fall back to ``one_hop_unicast`` for that
-        transmission so the event fires in order.
+        Only fires when the result is *provably identical* to a
+        ``one_hop_unicast`` per hop: static positions, no random drops,
+        tracing off (no ``hop`` events are emitted here), every hop
+        currently valid, and no simulation event pending inside the
+        forwarding window.  The target time is accumulated by repeated
+        addition — the same float operations the per-hop loop performs
+        — so clocks and latency statistics stay byte-identical.
         """
-        if (net.config.mobility != "static"
-                or net.config.drop_prob > 0
-                or net.trace.enabled):
+        if (net.trace.enabled
+                or net.config.mobility != "static"
+                or net.config.drop_prob > 0):
             return None
-        sim = net.sim
+        hops = len(path) - 1
         latency = net.config.hop_latency
-        alive = net._alive
-        counters = net.counters
+        t = net.sim.now
+        for _ in range(hops):
+            t += latency
+        # An event at or before t (heartbeat, churn) would run *during*
+        # the per-hop loop.
+        if net.sim.next_event_time() <= t:
+            return None
+        tables = net._neighbor_tables()
+        for a, b in zip(path, path[1:]):
+            if b not in tables.get(a, ()):
+                return None
+        net.counters["network"] += hops
+        net._metric_unicasts.inc(hops)
         energy = net.energy
-        unicasts = net._metric_unicasts
-        failures = net._metric_unicast_failures
-
-        def send(src: int, dst: int) -> Optional[bool]:
-            if src == dst:  # self-send: table lookups don't model it
-                return None
-            t = sim.now + latency
-            if sim.next_event_time() <= t:
-                return None
-            tables = net._neighbor_tables()
-            counters["network"] += 1
-            unicasts.inc()
-            if latency > 0:
-                sim.run(until=t)
-            nbrs = tables.get(src)
-            if nbrs is None:  # sender is dead: frame never airs
-                ok = False
-            elif dst not in alive or dst not in nbrs:
-                energy.charge_failed_unicast(src)
-                ok = False
-            else:
-                energy.charge_unicast(src, dst,
-                                      bystanders=max(0, len(nbrs) - 1))
-                ok = True
-            if not ok:
-                failures.inc()
-            return ok
-
-        return send
-
-
-def fast_unicast(net):
-    """``net``'s fast unicast resolver (see
-    :meth:`AccessEngine.unicast_resolver`), or None when it declines or
-    the network carries no engine (the packet-level stack adapter)."""
-    engine = getattr(net, "access_engine", None)
-    return engine.unicast_resolver(net) if engine is not None else None
+        for a, b in zip(path, path[1:]):
+            energy.charge_unicast(a, b, bystanders=max(0, len(tables[a]) - 1))
+        if t > net.sim.now:
+            net.sim.run(until=t)
+        return hops
 
 
 # -- numpy BFS ---------------------------------------------------------------
@@ -448,7 +375,7 @@ def _numpy_bfs(csr: CsrSnapshot, src_row: int
     return parent, dist
 
 
-# -- kernel 3: Philox walker batches -----------------------------------------
+# -- kernel 4: Philox walker batches -----------------------------------------
 
 
 @dataclass

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Set
 
 from repro.analysis.flooding import DEFAULT_KAPPA, ttl_for_coverage
-from repro.core.access_engine import fast_unicast
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TraceTruncated, record_event
 from repro.randomwalk.reply import reverse_path_of, send_reply
@@ -928,7 +927,6 @@ class RandomOptStrategy(AccessStrategy):
         rng = self._rng(net)
         stored: Set[int] = set()
         initiations = self.initiations or self.default_initiations(net)
-        fast = fast_unicast(net)
         sent = 0
         # Keep initiating routed sends until both the initiation budget is
         # used AND the en-route quorum reached the target size.
@@ -944,10 +942,7 @@ class RandomOptStrategy(AccessStrategy):
                 continue
             for a, b in zip(path, path[1:]):
                 result.messages += 1
-                ok = fast(a, b) if fast is not None else None
-                if ok is None:
-                    ok = net.one_hop_unicast(a, b)
-                if not ok:
+                if not net.one_hop_unicast(a, b):
                     break
                 if b not in stored:
                     stored.add(b)
@@ -988,7 +983,6 @@ class RandomOptStrategy(AccessStrategy):
                          success=True, mechanism="local")
 
         delivered_any = bool(result.found)
-        fast = fast_unicast(net)
         for _ in range(initiations):
             targets = self.membership.sample_for(origin, 1, rng)
             if not targets:
@@ -1000,10 +994,7 @@ class RandomOptStrategy(AccessStrategy):
                 continue
             for a, b in zip(path, path[1:]):
                 result.messages += 1
-                ok = fast(a, b) if fast is not None else None
-                if ok is None:
-                    ok = net.one_hop_unicast(a, b)
-                if not ok:
+                if not net.one_hop_unicast(a, b):
                     break
                 value = probe(b)
                 if value is not None:

@@ -78,8 +78,13 @@ from repro.experiments.fig_kv import (
 from repro.experiments.workload import (
     KVPointConfig,
     KVRunStats,
+    OperationMix,
     Operations,
+    SizingRecommendation,
+    TauEstimator,
     WorkloadSpec,
+    ZipfKeySampler,
+    generate_operation_mix,
     generate_operations,
     run_workload_batched,
     run_workload_sequential,
@@ -91,13 +96,6 @@ from repro.experiments.runner import (
     derive_task_seed,
     merge_scenario_stats,
     run_sweep,
-)
-from repro.experiments.workloads import (
-    OperationMix,
-    SizingRecommendation,
-    TauEstimator,
-    ZipfKeySampler,
-    generate_operation_mix,
 )
 from repro.experiments.fig15_16_summary import (
     SummaryRow,

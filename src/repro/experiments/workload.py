@@ -20,6 +20,15 @@ sequence is bit-identical across ``--jobs`` settings and backends:
   completes in seconds, with per-read marginals exactly matching
   :func:`repro.analysis.leases.stale_read_probability_exact`.
 
+The paper's own workload pieces sit at the end of the module: the
+sliding-window **tau estimator** of Section 5.4 (the lookup:advertise
+ratio that drives the cost-optimal asymmetric sizing of Lemma 5.6 — a
+wrong or drifting estimate never affects correctness, only the message
+bill) and a P2P-style advertise/lookup schedule over **Zipf-popular
+keys** (Sections 5.4, 7.1: the regime in which bystander caching makes
+"lookup requests for popular data items terminate much faster").  They
+share :func:`zipf_pmf` with the kv generator.
+
 Both backends return :class:`KVRunStats` — tail latency (p50/p99/p999),
 stale-read fraction, availability, the analytic stale prediction, and a
 :class:`~repro.services.consistency.KVConsistencyReport` — so every
@@ -28,12 +37,17 @@ workload run doubles as a correctness oracle.
 
 from __future__ import annotations
 
+import bisect
 import math
+import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Deque, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.costs import optimal_size_ratio
+from repro.analysis.intersection import asymmetric_quorum_sizes
 from repro.services.consistency import (
     KVConsistencyReport,
     KVHistoryChecker,
@@ -541,3 +555,129 @@ def run_workload_batched(spec: WorkloadSpec,
         stale_or_missed=not_newest + missed,
         p50=float(p50), p99=float(p99), p999=float(p999),
         predicted_stale=predicted, report=report)
+
+
+# -- usage-pattern estimation and P2P-style schedules (Section 5.4) ----------
+
+
+class ZipfKeySampler:
+    """Keys with Zipf(s) popularity (rank-r probability ∝ 1/r^s)."""
+
+    def __init__(self, keys: Sequence[Hashable], exponent: float = 1.0,
+                 rng: Optional[random.Random] = None) -> None:
+        if not keys:
+            raise ValueError("need at least one key")
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative")
+        self.keys = list(keys)
+        self.exponent = exponent
+        self.rng = rng or random.Random()
+        self._pmf = zipf_pmf(len(self.keys), exponent)
+        self._cumulative: List[float] = np.cumsum(self._pmf).tolist()
+
+    def sample(self) -> Hashable:
+        """Draw one key by popularity."""
+        rank = bisect.bisect_left(self._cumulative, self.rng.random())
+        return self.keys[min(rank, len(self.keys) - 1)]
+
+    def probability_of(self, key: Hashable) -> float:
+        return float(self._pmf[self.keys.index(key)])
+
+
+@dataclass
+class SizingRecommendation:
+    """Output of the tau-driven sizing."""
+
+    tau: float
+    advertise_size: int
+    lookup_size: int
+
+
+class TauEstimator:
+    """Sliding-window estimator of the lookup:advertise ratio.
+
+    Record each operation with :meth:`record_lookup` /
+    :meth:`record_advertise`; :meth:`tau` returns the windowed ratio and
+    :meth:`recommend_sizes` turns it into Lemma 5.6 quorum sizes for
+    given per-node costs.  A wrong tau only costs messages, never the
+    intersection guarantee (the recommendation always satisfies
+    Corollary 5.3).
+    """
+
+    def __init__(self, window: int = 256, prior_tau: float = 1.0) -> None:
+        if window < 2:
+            raise ValueError("window must be >= 2")
+        if prior_tau <= 0:
+            raise ValueError("prior_tau must be positive")
+        self.window = window
+        self.prior_tau = prior_tau
+        self._events: Deque[str] = deque(maxlen=window)
+
+    def record_lookup(self) -> None:
+        self._events.append("l")
+
+    def record_advertise(self) -> None:
+        self._events.append("a")
+
+    @property
+    def observed_lookups(self) -> int:
+        return sum(1 for e in self._events if e == "l")
+
+    @property
+    def observed_advertises(self) -> int:
+        return sum(1 for e in self._events if e == "a")
+
+    def tau(self) -> float:
+        """Windowed lookup:advertise ratio, smoothed by a one-event prior."""
+        lookups = self.observed_lookups
+        advertises = self.observed_advertises
+        return (lookups + self.prior_tau) / (advertises + 1.0)
+
+    def recommend_sizes(self, n: int, epsilon: float,
+                        cost_a: float, cost_l: float) -> SizingRecommendation:
+        """Lemma 5.6 sizes for the current tau estimate."""
+        tau = self.tau()
+        ratio = optimal_size_ratio(tau, cost_a, cost_l)
+        qa, ql = asymmetric_quorum_sizes(n, epsilon, ratio)
+        return SizingRecommendation(tau=tau,
+                                    advertise_size=min(qa, n),
+                                    lookup_size=min(ql, n))
+
+
+@dataclass
+class OperationMix:
+    """A generated operation schedule."""
+
+    operations: List[Tuple[str, Hashable]]  # ("lookup"|"advertise", key)
+
+    @property
+    def tau(self) -> float:
+        lookups = sum(1 for op, _ in self.operations if op == "lookup")
+        advertises = sum(1 for op, _ in self.operations if op == "advertise")
+        return lookups / advertises if advertises else math.inf
+
+
+def generate_operation_mix(
+    keys: Sequence[Hashable],
+    n_operations: int,
+    tau: float = 10.0,
+    zipf_exponent: float = 1.0,
+    rng: Optional[random.Random] = None,
+) -> OperationMix:
+    """A P2P-style schedule: each key advertised once up front, then
+    lookups/re-advertises interleaved at rate ``tau`` with Zipf-popular
+    lookup keys."""
+    if n_operations < len(keys):
+        raise ValueError("need at least one operation per key")
+    rng = rng or random.Random()
+    sampler = ZipfKeySampler(keys, exponent=zipf_exponent, rng=rng)
+    operations: List[Tuple[str, Hashable]] = [
+        ("advertise", key) for key in keys
+    ]
+    p_lookup = tau / (tau + 1.0)
+    while len(operations) < n_operations:
+        if rng.random() < p_lookup:
+            operations.append(("lookup", sampler.sample()))
+        else:
+            operations.append(("advertise", rng.choice(list(keys))))
+    return OperationMix(operations=operations)

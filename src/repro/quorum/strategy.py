@@ -15,9 +15,8 @@ the distributions minimizing it:
 where ``Ar[x, q] = 1`` iff read quorum ``q`` contains node ``x``.  Two
 solvers are built in: :mod:`scipy.optimize.linprog` when scipy is
 importable (exact), and a pure-numpy multiplicative-weights solver for
-the same minimax program (no dependencies beyond numpy); ``pulp`` is
-honoured as an optional third backend when installed, but is never
-required.  ``optimize="network"`` / ``"latency"`` minimize expected
+the same minimax program (no dependencies beyond numpy).
+``optimize="network"`` / ``"latency"`` minimize expected
 quorum size / expected quorum latency instead — both linear, so the
 optimum concentrates on the cheapest quorums.
 
@@ -206,8 +205,8 @@ def solve_strategy(
     ``faulty`` removes every quorum containing a faulted element before
     solving; a side left without quorums yields an all-NaN strategy
     (never raises — the degenerate-input convention).  ``solver`` is
-    ``auto`` (scipy if importable, else pure numpy), ``scipy``,
-    ``numpy``, or ``pulp`` (optional dependency, honoured if installed).
+    ``auto`` (scipy if importable, else pure numpy), ``scipy`` or
+    ``numpy``.
     """
     _check_fraction(read_fraction)
     if optimize not in OBJECTIVES:
@@ -273,10 +272,8 @@ def _solve_load(system: QuorumSystem,
     elements = sorted(system.elements(), key=repr)
     ar = read_fraction * _membership_matrix(elements, read_quorums)
     aw = (1.0 - read_fraction) * _membership_matrix(elements, write_quorums)
-    if solver not in ("auto", "scipy", "numpy", "pulp"):
+    if solver not in ("auto", "scipy", "numpy"):
         raise ValueError(f"unknown solver {solver!r}")
-    if solver == "pulp":
-        return (*_linprog_pulp(ar, aw), "pulp")
     if solver in ("auto", "scipy"):
         try:
             return (*_linprog_scipy(ar, aw), "scipy")
@@ -310,29 +307,6 @@ def _linprog_scipy(ar: np.ndarray, aw: np.ndarray
     pr = np.clip(res.x[:nr], 0.0, None)
     pw = np.clip(res.x[nr:nr + nw], 0.0, None)
     return pr / pr.sum(), pw / pw.sum()
-
-
-def _linprog_pulp(ar: np.ndarray, aw: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Same LP through pulp (optional dependency)."""
-    import pulp
-
-    nr, nw = ar.shape[1], aw.shape[1]
-    prob = pulp.LpProblem("quorum_load", pulp.LpMinimize)
-    pr = [pulp.LpVariable(f"pr{i}", lowBound=0) for i in range(nr)]
-    pw = [pulp.LpVariable(f"pw{i}", lowBound=0) for i in range(nw)]
-    load = pulp.LpVariable("L", lowBound=0)
-    prob += load
-    prob += pulp.lpSum(pr) == 1
-    prob += pulp.lpSum(pw) == 1
-    for row_r, row_w in zip(ar, aw):
-        prob += (pulp.lpSum(c * v for c, v in zip(row_r, pr))
-                 + pulp.lpSum(c * v for c, v in zip(row_w, pw))
-                 <= load)
-    prob.solve(pulp.PULP_CBC_CMD(msg=False))
-    vr = np.clip([v.value() or 0.0 for v in pr], 0.0, None)
-    vw = np.clip([v.value() or 0.0 for v in pw], 0.0, None)
-    return vr / vr.sum(), vw / vw.sum()
 
 
 def _minimax_mw(ar: np.ndarray, aw: np.ndarray,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.access_engine import fast_unicast
 from repro.obs.profile import profiled
 from repro.obs.trace import record_event
 from repro.simnet.network import SimNetwork
@@ -102,7 +101,6 @@ def send_reply(
         _trace()
         return result
 
-    fast = fast_unicast(net)
     while current != origin:
         # Choose the next target: reduction jumps to the latest path node
         # that is currently a direct neighbor.
@@ -115,10 +113,7 @@ def send_reply(
                     break
         target = rpath[next_index]
         result.messages += 1
-        sent = fast(current, target) if fast is not None else None
-        if sent is None:
-            sent = net.one_hop_unicast(current, target)
-        if sent:
+        if net.one_hop_unicast(current, target):
             current = target
             pos = next_index
             result.hops_taken += 1

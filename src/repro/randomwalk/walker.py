@@ -25,7 +25,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
-from repro.core.access_engine import fast_unicast
 from repro.obs.trace import record_event
 from repro.simnet.network import SimNetwork
 
@@ -82,9 +81,6 @@ def random_walk(
     rng = rng or net.rngs.stream("walk")
     if max_steps is None:
         max_steps = 20 * target_unique + 50
-    # Batched access engine: an exact fast path for the per-hop forwards
-    # (None when it cannot prove identity; each send may also decline).
-    fast = fast_unicast(net)
 
     visited: List[int] = [start]
     visited_set: Set[int] = {start}
@@ -117,10 +113,7 @@ def random_walk(
         attempts = candidates if salvation else candidates[:1]
         for candidate in attempts:
             messages += 1
-            sent = fast(current, candidate) if fast is not None else None
-            if sent is None:
-                sent = net.one_hop_unicast(current, candidate)
-            if sent:
+            if net.one_hop_unicast(current, candidate):
                 forwarded_to = candidate
                 break
             if not salvation:
@@ -189,7 +182,6 @@ def max_degree_walk_sample(
     if not net.is_alive(start):
         return SampleResult(node=None, steps=0, messages=0)
 
-    fast = fast_unicast(net)
     current = start
     steps = 0
     messages = 0
@@ -207,10 +199,7 @@ def max_degree_walk_sample(
         forwarded: Optional[int] = None
         for candidate in candidates:  # salvation built in
             messages += 1
-            sent = fast(current, candidate) if fast is not None else None
-            if sent is None:
-                sent = net.one_hop_unicast(current, candidate)
-            if sent:
+            if net.one_hop_unicast(current, candidate):
                 forwarded = candidate
                 break
         if forwarded is None:

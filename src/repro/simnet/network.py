@@ -383,13 +383,14 @@ class SimNetwork:
         self._oracle_version = self._topo_version
 
     def _oracle_tree(self, src: int):
-        """A memoized BFS tree from ``src``, or None when not applicable.
+        """The BFS tree from ``src`` that route discovery reads.
 
         The shared per-deployment oracle (batched replication) takes
-        precedence; otherwise the access engine serves its own
-        version-keyed memo while positions are static.  Both produce
-        trees identical to the per-event BFS, so route discovery stays
-        statistic-identical either way.
+        precedence; otherwise the access engine serves its
+        version-keyed memo while positions are static and builds the
+        tree from the current table under mobility.  Every source
+        yields the same tree, so discovery is statistic-identical
+        whichever serves it.
         """
         if (self._route_oracle is not None
                 and self.config.mobility == "static"
@@ -677,24 +678,35 @@ class SimNetwork:
         retries — when the destination is dead, out of range, or the frame
         is lost to the configured random drop.  Counts one network message
         either way (the frame was transmitted).
+
+        Static networks answer "in range" from the neighbor table, which
+        churn keeps patched; mobile networks test the two positions, so a
+        hop evaluates (and advances the waypoint legs of) its endpoints
+        only.
         """
         self.counters["network"] += 1
         self._metric_unicasts.inc()
         self.advance(self.config.hop_latency)
-        ok = True
-        if not self.is_alive(src):
-            ok = False
-        elif not self.is_alive(dst) or not self.in_range(src, dst):
-            self.energy.charge_failed_unicast(src)
-            ok = False
-        elif (self.config.drop_prob > 0
-              and self._drop_rng.random() < self.config.drop_prob):
-            self.energy.charge_failed_unicast(src)
-            ok = False
+        static = self.config.mobility == "static"
+        sender_up = src in self._alive
+        if not sender_up:
+            ok = False  # the frame never airs: nothing to charge
+        elif static:
+            neighbors = self._neighbor_tables()[src]
+            ok = dst == src or dst in neighbors
         else:
-            bystanders = max(0, len(self.true_neighbors(src)) - 1)
-            self.energy.charge_unicast(src, dst, bystanders=bystanders)
-        if not ok:
+            ok = dst in self._alive and self.in_range(src, dst)
+        if (ok and self.config.drop_prob > 0
+                and self._drop_rng.random() < self.config.drop_prob):
+            ok = False
+        if ok:
+            if not static:
+                neighbors = self.true_neighbors(src)
+            self.energy.charge_unicast(
+                src, dst, bystanders=max(0, len(neighbors) - 1))
+        else:
+            if sender_up:
+                self.energy.charge_failed_unicast(src)
             self._metric_unicast_failures.inc()
         if self.trace.enabled:
             self.trace.record("hop", self.sim.now, src=src, dst=dst, ok=ok)
@@ -733,67 +745,31 @@ class SimNetwork:
         """
         if ttl < 1:
             raise ValueError("flood TTL must be >= 1")
-        batched = self.access_engine.flood(self, origin, ttl)
-        if batched is not None:
-            covered, parent, messages = batched
-        else:
-            covered = {origin: 0}
-            parent = {origin: origin}
-            messages = 0
-            frontier = [origin]
-            hop = 0
-            while frontier and hop < ttl:
-                next_frontier: List[int] = []
-                for node in frontier:
-                    receivers = self.one_hop_broadcast(node)
-                    messages += 1
-                    for rx in receivers:
-                        if rx not in covered:
-                            covered[rx] = hop + 1
-                            parent[rx] = node
-                            next_frontier.append(rx)
-                frontier = next_frontier
-                hop += 1
+        covered = {origin: 0}
+        parent = {origin: origin}
+        messages = 0
+        frontier: List[int] = [origin]
+        previous: List[int] = []
+        hop = 0
+        while frontier and hop < ttl:
+            messages += len(frontier)
+            ring = self.access_engine.flood_ring(self, frontier, previous)
+            if ring is None:
+                ring = ((rx, node) for node in frontier
+                        for rx in self.one_hop_broadcast(node))
+            previous, frontier = frontier, []
+            hop += 1
+            for rx, node in ring:
+                if rx not in covered:
+                    covered[rx] = hop
+                    parent[rx] = node
+                    frontier.append(rx)
         self.record_event("flood", origin=origin, ttl=ttl,
                           coverage=len(covered), messages=messages)
         return FloodOutcome(origin=origin, ttl=ttl, covered=covered,
                             parent=parent, messages=messages)
 
     # -- multi-hop routing (AODV-style with caching) ------------------------------
-
-    def _bfs_path(self, src: int, dst: int) -> Optional[List[int]]:
-        if src == dst:
-            return [src]
-        tables = self._neighbor_tables()
-        parent: Dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in tables.get(u, ()):
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v == dst:
-                    path = [v]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return list(reversed(path))
-                queue.append(v)
-        return None
-
-    def _hop_distances_capped(self, src: int, cap: int) -> Dict[int, int]:
-        tables = self._neighbor_tables()
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= cap:
-                continue
-            for v in tables.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
 
     def _route_valid(self, path: List[int]) -> bool:
         for a, b in zip(path, path[1:]):
@@ -810,29 +786,18 @@ class SimNetwork:
         """
         with PROFILER.phase("routing.discover"):
             tree = self._oracle_tree(src)
-            if tree is not None:
-                path = tree.path_to(dst)
-                if path is None:
-                    cost = tree.count_within(self.config.n)
-                    self._account_routing(src, dst, cost, found=False)
-                    return None, cost
-                needed_ttl = len(path) - 1
-                cost = tree.count_within(needed_ttl) + needed_ttl
-                self._account_routing(src, dst, cost, found=True)
-                return path, cost
-            path = self._bfs_path(src, dst)
+            path = tree.path_to(dst)
             if path is None:
                 # Full-network flood that failed: everybody reachable
                 # rebroadcast.
-                reached = self._hop_distances_capped(src, cap=self.config.n)
-                self._account_routing(src, dst, len(reached), found=False)
-                return None, len(reached)
-            needed_ttl = len(path) - 1
-            reached = self._hop_distances_capped(src, cap=needed_ttl)
-            rreq_cost = len(reached)  # each reached node broadcasts once
-            rrep_cost = needed_ttl
-            self._account_routing(src, dst, rreq_cost + rrep_cost, found=True)
-            return path, rreq_cost + rrep_cost
+                cost = tree.count_within(self.config.n)
+            else:
+                # Each node inside the ring broadcasts the RREQ once;
+                # the RREP retraces the path.
+                needed_ttl = len(path) - 1
+                cost = tree.count_within(needed_ttl) + needed_ttl
+            self._account_routing(src, dst, cost, found=path is not None)
+            return path, cost
 
     def _account_routing(self, src: int, dst: int, cost: int,
                          found: bool) -> None:
@@ -866,50 +831,22 @@ class SimNetwork:
             self._route_cache[(src, dst)] = path
         return path, cost
 
-    def _forward_fast(self, path: List[int]) -> Optional[int]:
-        """Bulk-forward along ``path``; returns the hop count, or None.
+    def _forward(self, path: List[int]) -> Tuple[bool, int]:
+        """Send a data message along ``path``: (delivered, frames sent).
 
-        Only fires when the result is *provably identical* to the per-hop
-        ``one_hop_unicast`` loop: static positions, no random drops,
-        tracing off, every hop currently valid, and no simulation event
-        pending inside the forwarding window.  The target time is
-        accumulated by repeated addition — the same float operations the
-        per-hop loop performs — so clocks and latency statistics stay
-        byte-identical.
+        The engine forwards the whole path in one step when that is
+        exact; otherwise it goes hop by hop, and mobility or churn may
+        break the path mid-flight.
         """
-        if (self.trace.enabled
-                or self.config.mobility != "static"
-                or self.config.drop_prob > 0
-                or self._tables is None):
-            return None
-        if (self._route_oracle is None
-                and not self.access_engine.routes_active(self)):
-            return None
-        hops = len(path) - 1
-        if hops <= 0:
-            return None
-        latency = self.config.hop_latency
-        t = self.sim.now
-        for _ in range(hops):
-            t += latency
-        # An event at or before t (heartbeat, churn) would run *during*
-        # the per-hop loop; fall back to the exact path in that case.
-        if self.sim.next_event_time() <= t:
-            return None
-        tables = self._tables
-        alive = self._alive
+        hops = self.access_engine.forward(self, path)
+        if hops is not None:
+            return True, hops
+        sent = 0
         for a, b in zip(path, path[1:]):
-            nbrs = tables.get(a)
-            if nbrs is None or b not in alive or b not in nbrs:
-                return None
-        self.counters["network"] += hops
-        self._metric_unicasts.inc(hops)
-        energy = self.energy
-        for a, b in zip(path, path[1:]):
-            energy.charge_unicast(a, b, bystanders=max(0, len(tables[a]) - 1))
-        if t > self.sim.now:
-            self.sim.run(until=t)
-        return hops
+            sent += 1
+            if not self.one_hop_unicast(a, b):
+                return False, sent
+        return True, sent
 
     def route(self, src: int, dst: int) -> RouteResult:
         """Send an application message via (cached) multi-hop routing."""
@@ -935,31 +872,16 @@ class SimNetwork:
                                        data_messages=data_messages)
                 self._route_cache[(src, dst)] = path
                 cached = path
-            # Forward hop by hop; mobility may break the path mid-flight.
-            fast_hops = self._forward_fast(cached)
-            if fast_hops is not None:
-                data_messages += fast_hops
+            delivered, sent = self._forward(cached)
+            data_messages += sent
+            if delivered:
                 self.counters["routing"] += routing_messages
                 self.record_event("route", src=src, dst=dst, ok=True,
                                   hops=len(cached) - 1)
                 return RouteResult(success=True, path=cached,
                                    data_messages=data_messages,
                                    routing_messages=routing_messages)
-            ok = True
-            for a, b in zip(cached, cached[1:]):
-                sent = self.one_hop_unicast(a, b)
-                data_messages += 1
-                if not sent:
-                    ok = False
-                    self._route_cache.pop((src, dst), None)
-                    break
-            if ok:
-                self.counters["routing"] += routing_messages
-                self.record_event("route", src=src, dst=dst, ok=True,
-                                  hops=len(cached) - 1)
-                return RouteResult(success=True, path=cached,
-                                   data_messages=data_messages,
-                                   routing_messages=routing_messages)
+            self._route_cache.pop((src, dst), None)
         self.counters["routing"] += routing_messages
         self.record_event("route", src=src, dst=dst, ok=False)
         return RouteResult(success=False, data_messages=data_messages,
@@ -977,40 +899,17 @@ class SimNetwork:
         if src == dst:
             return RouteResult(success=True, path=[src])
         tree = self._oracle_tree(src)
-        if tree is not None:
-            routing_messages = tree.count_within(max_hops)
-            found = tree.dist.get(dst, math.inf) <= max_hops
-            self.counters["routing"] += routing_messages
-            self._account_routing(src, dst, routing_messages, found=found)
-            if not found:
-                return RouteResult(success=False,
-                                   routing_messages=routing_messages)
-            path = tree.path_to(dst)
-        else:
-            reached = self._hop_distances_capped(src, cap=max_hops)
-            routing_messages = len(reached)
-            self.counters["routing"] += routing_messages
-            self._account_routing(src, dst, routing_messages,
-                                  found=dst in reached)
-            if dst not in reached:
-                return RouteResult(success=False,
-                                   routing_messages=routing_messages)
-            path = self._bfs_path(src, dst)
-        if path is None or len(path) - 1 > max_hops:
-            return RouteResult(success=False, routing_messages=routing_messages)
-        fast_hops = self._forward_fast(path)
-        if fast_hops is not None:
-            return RouteResult(success=True, path=path,
-                               data_messages=fast_hops,
+        routing_messages = tree.count_within(max_hops)
+        found = tree.dist.get(dst, math.inf) <= max_hops
+        self.counters["routing"] += routing_messages
+        self._account_routing(src, dst, routing_messages, found=found)
+        if not found:
+            return RouteResult(success=False,
                                routing_messages=routing_messages)
-        data_messages = 0
-        for a, b in zip(path, path[1:]):
-            data_messages += 1
-            if not self.one_hop_unicast(a, b):
-                return RouteResult(success=False, data_messages=data_messages,
-                                   routing_messages=routing_messages)
-        return RouteResult(success=True, path=path,
-                           data_messages=data_messages,
+        path = tree.path_to(dst)
+        delivered, sent = self._forward(path)
+        return RouteResult(success=delivered, path=path if delivered else [],
+                           data_messages=sent,
                            routing_messages=routing_messages)
 
     def invalidate_routes(self) -> None:

@@ -28,11 +28,11 @@ from typing import Dict, List, Optional
 class BfsTree:
     """Full BFS tree from one source over one frozen topology.
 
-    ``parent``/``dist`` replicate exactly what
-    ``SimNetwork._bfs_path`` / ``_hop_distances_capped`` would compute:
-    the BFS expands nodes in FIFO order and scans neighbors in sorted
+    The BFS expands nodes in FIFO order and scans neighbors in sorted
     order, so the first-discovery parent of every node — and therefore
-    the extracted path — is identical to the early-exit BFS.
+    the extracted path — is the one an early-exit BFS towards that node
+    finds, and ``count_within(h)`` is the size of its ``h``-capped ring
+    (``tests/reference/access.py`` keeps that BFS as the oracle).
     """
 
     __slots__ = ("source", "parent", "dist", "_cum")
@@ -84,17 +84,16 @@ def bfs_tree(net, src: int) -> BfsTree:
     its level-synchronous numpy kernel — identical parents and
     distances, one pass per ring instead of one Python scan per node.
     """
-    engine = getattr(net, "access_engine", None)
-    if engine is not None:
-        tree = engine.numpy_tree(net, src)
-        if tree is not None:
-            return tree
+    tree = net.access_engine.numpy_tree(net, src)
+    if tree is not None:
+        return tree
+    tables = net._neighbor_tables()
     parent: Dict[int, int] = {src: src}
     dist: Dict[int, int] = {src: 0}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in net.true_neighbors(u):
+        for v in tables.get(u, ()):
             if v in parent:
                 continue
             parent[v] = u

@@ -1,19 +1,23 @@
 """Test-side oracles for the runtime's single path per layer.
 
-The runtime ships one neighbor path (the numpy kernel) and one access
-path whose batched kernels decline to the per-event code on conditions
-they observe.  The independent implementations the fast paths are held
-to live here, outside ``src/``:
+The runtime ships one neighbor path (the numpy kernel) and one body per
+transmission primitive, with batched kernels in front of the flood ring
+and path forwarding that decline on conditions they observe.  The
+independent implementations those are held to live here, outside
+``src/``:
 
 * :mod:`reference.neighbors` — a brute-force O(n²) neighbor oracle over
   ``net.position()``, and a :class:`SimNetwork` whose every neighbor
   query is answered by it;
-* :mod:`reference.access` — an ``AccessEngine`` stand-in whose every
-  kernel declines, so a network carrying it runs the exact per-event
-  code for floods, route discovery, forwarding and walks.
+* :mod:`reference.access` — an ``AccessEngine`` stand-in whose batched
+  kernels (flood ring, numpy BFS, bulk forwarding) all decline and
+  whose BFS trees are rebuilt in Python on every call, so a network
+  carrying it sends every frame through the per-event primitives; and
+  an early-exit BFS + capped ring count, the independent reference for
+  tree-based route discovery.
 """
 
-from reference.access import DecliningEngine, per_event
+from reference.access import DecliningEngine, bfs_path, per_event, ring_size
 from reference.neighbors import (
     BruteForceNetwork,
     brute_force_tables,
@@ -23,7 +27,9 @@ from reference.neighbors import (
 __all__ = [
     "BruteForceNetwork",
     "DecliningEngine",
+    "bfs_path",
     "brute_force_tables",
     "pairwise_tables",
     "per_event",
+    "ring_size",
 ]

@@ -1,35 +1,77 @@
-"""A declining ``AccessEngine``: the exact per-event run, on demand.
+"""Access-layer oracles: a declining ``AccessEngine`` and an early-exit BFS.
 
-Every kernel entry point of :class:`repro.core.access_engine.AccessEngine`
-may answer "not applicable" (``None`` / ``False``), upon which the
-caller runs its per-event code — the same code the kernels decline to
-under mobility, random drops, tracing, or a simulation event inside the
-window.  This stand-in always declines, so assigning it to
-``net.access_engine`` produces the reference run the batched kernels
-must match field for field.
+:class:`DecliningEngine` answers "not applicable" from every *batched*
+kernel of :class:`repro.core.access_engine.AccessEngine` — the flood
+ring, the numpy BFS, bulk path forwarding — so a network carrying it
+sends every frame through ``one_hop_broadcast`` / ``one_hop_unicast``,
+the code those kernels decline to under mobility, random drops, or a
+simulation event inside the window.  Route discovery still needs a BFS
+tree; the stand-in builds one in plain Python on every call, with no
+memo to go stale.
+
+:func:`bfs_path` and :func:`ring_size` share nothing with ``BfsTree``:
+the textbook BFS that stops at the destination and a hop-capped ring
+count over a plain adjacency dict — what tree-based route discovery is
+held to.
 """
+
+from collections import deque
+
+from repro.simnet.replication import bfs_tree
 
 
 class DecliningEngine:
-    """Stand-in for ``net.access_engine`` whose every kernel declines."""
+    """Stand-in for ``net.access_engine`` whose batched kernels decline."""
 
-    def flood(self, net, origin, ttl):
-        return None
-
-    def tree(self, net, src):
+    def flood_ring(self, net, frontier, previous):
         return None
 
     def numpy_tree(self, net, src):
         return None
 
-    def unicast_resolver(self, net):
+    def forward(self, net, path):
         return None
 
-    def routes_active(self, net):
-        return False
+    def tree(self, net, src):
+        return bfs_tree(net, src)
 
 
 def per_event(net):
     """Make ``net`` run the per-event code everywhere; returns ``net``."""
     net.access_engine = DecliningEngine()
     return net
+
+
+def bfs_path(tables, src, dst):
+    """Early-exit BFS: the first shortest path found, or None."""
+    if src == dst:
+        return [src]
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in tables.get(u, ()):
+            if v in parent:
+                continue
+            parent[v] = u
+            if v == dst:
+                path = [v]
+                while path[-1] != src:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(v)
+    return None
+
+
+def ring_size(tables, src, cap):
+    """How many nodes lie within ``cap`` hops of ``src`` (itself included)."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if dist[u] < cap:
+            for v in tables.get(u, ()):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    return len(dist)

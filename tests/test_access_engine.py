@@ -6,7 +6,7 @@ The contract under test (DESIGN.md §11): the batched kernels are
 energy, same simulated clock — across every strategy, under churn,
 fault campaigns, mobility, random drops, tracing, and strict audit.
 The per-event run comes from the declining engine in
-``tests/reference`` (every kernel answers "not applicable").
+``tests/reference`` (every batched kernel answers "not applicable").
 Plus the CSR snapshot staleness guard (a stale topology version can
 never be served), the numpy BFS kernel's exactness, the Philox walk
 kernel, and the adaptation-exhaustion satellite.
@@ -32,7 +32,11 @@ from repro.core.strategies import (
     RandomStrategy,
     UniquePathStrategy,
 )
-from repro.experiments.common import make_membership
+from repro.experiments.common import (
+    make_membership,
+    make_network,
+    run_scenario,
+)
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
 from repro.simnet.network import NetworkConfig, SimNetwork
 from repro.simnet.replication import bfs_tree
@@ -211,6 +215,54 @@ def test_flood_outcome_identical_mid_heartbeat():
     assert fa.parent == fb.parent
     assert fa.messages == fb.messages
     assert seq.sim.now == bat.sim.now
+
+
+@pytest.mark.parametrize("lookup", ["unique-path", "sampling", "random-opt"])
+def test_tracing_does_not_change_the_run(lookup):
+    # Every hop goes through one_hop_unicast, traced or not: recording
+    # events must leave statistics, counters and the clock untouched.
+    def run(trace):
+        net = make_network(90, seed=11)
+        if trace:
+            net.trace.enable(memory=True)
+        membership = make_membership(net, "random")
+        strategy = {
+            "unique-path": lambda: UniquePathStrategy(local_repair=True),
+            "sampling": lambda: RandomSamplingStrategy(walk_length=25),
+            "random-opt": lambda: RandomOptStrategy(membership),
+        }[lookup]()
+        stats = run_scenario(net, RandomStrategy(membership), strategy,
+                             advertise_size=19, lookup_size=12, n_keys=3,
+                             n_lookups=12, seed=5)
+        return stats, dict(net.counters), net.now, net.energy.per_node
+
+    traced, untraced = run(True), run(False)
+    assert traced == untraced
+    assert traced[1]["network"] > 0
+
+
+def test_flood_identical_when_churn_reconnects_old_rings():
+    # A horseshoe whose tips are out of range.  A node joining between
+    # the tips mid-flood is covered from the far tip (ring 6) and then
+    # rebroadcasts to the origin (ring 0): a covered receiver outside
+    # the two rings the kernel masks, which the ring loop must drop.
+    shoe = [(0.0, 0.0), (0.0, 190.0), (0.0, 380.0), (190.0, 380.0),
+            (380.0, 380.0), (380.0, 190.0), (380.0, 0.0)]
+    outcomes = []
+    for prepare in (per_event, lambda net: net):
+        net = prepare(SimNetwork(
+            NetworkConfig(n=7, seed=1, require_connected=False),
+            positions=shoe))
+        net.sim.schedule(3.5 * net.config.hop_latency,
+                         net.join_node, (190.0, 0.0))
+        out = net.flood(0, 10)
+        outcomes.append((list(out.covered.items()), out.parent,
+                         out.messages, net.now, dict(net.counters),
+                         net.energy.per_node))
+    assert outcomes[0] == outcomes[1]
+    covered = dict(outcomes[0][0])
+    assert covered[6] == 6 and covered[7] == 7  # joiner reached via the tip
+    assert outcomes[0][1][7] == 6 and outcomes[0][2] == 8
 
 
 # -- no selection knob -------------------------------------------------------

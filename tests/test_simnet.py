@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from reference import BruteForceNetwork, bfs_path, ring_size
 
 from repro.simnet import NetworkConfig, SimNetwork, apply_churn
 
@@ -134,6 +135,51 @@ class TestOneHopMessaging:
         assert not net.one_hop_unicast(0, v)
         assert net.one_hop_broadcast(0) == []
 
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.3])
+    def test_static_unicast_matches_brute_force_twin(self, drop_prob):
+        # A static hop is answered from the churn-patched neighbor table;
+        # the twin answers the same hop from an all-pairs distance test.
+        cfg = NetworkConfig(n=60, avg_degree=10, seed=6, drop_prob=drop_prob)
+        net, twin = SimNetwork(cfg), BruteForceNetwork(cfg)
+        near, far = net.true_neighbors(5)[:2], [
+            v for v in net.alive_nodes()
+            if v != 5 and v not in net.true_neighbors(5)][:2]
+        script = [("hop", 5, near[0]), ("hop", 5, far[0]), ("hop", 5, 5),
+                  ("fail", near[0]), ("hop", 5, near[0]), ("hop", near[0], 5),
+                  ("fail-tentative", near[1]), ("hop", 5, near[1]),
+                  ("revive", near[1]), ("hop", 5, near[1]),
+                  ("join",), ("hop", 60, 5), ("hop", far[1], 60)]
+        rng = random.Random(8)
+        for _ in range(150):
+            roll = rng.random()
+            if roll < 0.8:
+                script.append(("hop", rng.randrange(61), rng.randrange(61)))
+            elif roll < 0.9:
+                script.append(("fail", rng.randrange(61)))
+            else:
+                script.append(("revive", rng.randrange(61)))
+
+        def apply(side, op, *args):
+            if op == "hop":
+                return side.one_hop_unicast(*args)
+            if op == "join":
+                return side.join_node()
+            if op == "revive":
+                return side.revive_node(*args)
+            return side.fail_node(*args, commit=op == "fail")
+
+        outcomes = set()
+        for step in script:
+            result = apply(net, *step)
+            assert apply(twin, *step) == result, step
+            outcomes.add(result)
+            assert net.now == twin.now
+            assert net.counters == twin.counters
+            assert net.energy.per_node == twin.energy.per_node
+            assert net.metrics.snapshot() == twin.metrics.snapshot()
+        assert outcomes >= {True, False}
+        assert net.metrics.counter_value("net.unicast_failures") > 20
+
 
 class TestRouting:
     def test_route_between_any_pair(self):
@@ -205,6 +251,60 @@ class TestRouting:
         far = [v for v, d in dist.items() if d > 3]
         if far:
             assert not net.scoped_route(0, far[0], max_hops=3).success
+
+    def test_mobile_discovery_matches_early_exit_bfs(self):
+        # Under mobility every discovery builds a BFS tree from the table
+        # at that instant; path, control cost and the routing event must
+        # be what the early-exit BFS and its capped ring count give.
+        net = SimNetwork(NetworkConfig(
+            n=70, avg_degree=6, seed=4, mobility="waypoint", max_speed=10.0,
+            hop_latency=0.05, require_connected=False))
+        net.trace.enable(memory=True)
+        rng = random.Random(12)
+
+        def last_routing_event():
+            event = [e for e in net.trace.events() if e.kind == "routing"][-1]
+            return event.t, event.fields
+
+        found_some = missed_some = 0
+        for _ in range(120):
+            roll = rng.random()
+            if roll < 0.5:
+                net.advance(rng.choice((0.05, 0.4, 2.5, 11.0)))
+            elif roll < 0.7:
+                net.fail_node(rng.randrange(net._next_id))
+            elif roll < 0.9:
+                net.revive_node(rng.randrange(net._next_id))
+            else:
+                net.join_node()
+            src, dst = rng.sample(net.alive_nodes(), 2)
+            tables = {u: list(vs) for u, vs in net._neighbor_tables().items()}
+            now = net.now
+
+            path = bfs_path(tables, src, dst)
+            if path is None:
+                cost = ring_size(tables, src, net.config.n)
+                missed_some += 1
+            else:
+                hops = len(path) - 1
+                cost = ring_size(tables, src, hops) + hops
+                found_some += 1
+            net.invalidate_routes()
+            assert net.discover_path(src, dst) == (path, cost)
+            assert last_routing_event() == (now, dict(
+                src=src, dst=dst, count=cost, found=path is not None))
+
+            ring = ring_size(tables, src, 3)
+            in_scope = path is not None and len(path) - 1 <= 3
+            result = net.scoped_route(src, dst, max_hops=3)
+            assert result.routing_messages == ring
+            assert last_routing_event() == (now, dict(
+                src=src, dst=dst, count=ring, found=in_scope))
+            if result.success:
+                assert in_scope and result.path == path
+            elif in_scope:  # found, then broken mid-flight by movement
+                assert 1 <= result.data_messages <= len(path) - 1
+        assert found_some > 30 and missed_some > 5
 
 
 class TestFlood:

@@ -21,7 +21,8 @@ import random
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+binom = pytest.importorskip("scipy.stats").binom
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.analysis import (  # noqa: E402
@@ -104,25 +105,35 @@ class TestLemma56:
 
 
 class TestLemma52MixAndMatch:
+    TRIALS = 4000
+    #: Two-sided false-alarm probability of one shape check.  A run makes
+    #: 75 of them, so an honest simulator fails about once in 10^4 runs.
+    ALPHA = 1e-6
+
     @staticmethod
-    def _empirical_miss(n, qa, lookup_set, rng, trials=4000):
+    def _empirical_misses(n, qa, lookup_set, rng, trials):
         population = list(range(n))
         misses = 0
         for _ in range(trials):
             advertise = rng.sample(population, qa)
             if not lookup_set.intersection(advertise):
                 misses += 1
-        return misses / trials
+        return misses
 
     @pytest.mark.slow
     @given(n=st.integers(30, 120), qa_frac=st.floats(0.15, 0.5),
            ql_frac=st.floats(0.1, 0.4), seed=st.integers(0, 2**16))
+    # Expected miss 2.2e-4 (0.9 misses in 4000 trials); the comb draws 5.
+    # A normal-approximation band rejects that; the binomial tail is 2e-3.
+    @example(n=93, qa_frac=0.2421875, ql_frac=0.28125, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_structured_lookup_sets_match_hypergeometric(self, n, qa_frac,
                                                          ql_frac, seed):
         # Any fixed lookup set — contiguous block, evenly spaced comb, or
         # uniformly drawn — has the same miss probability against a
-        # RANDOM advertise quorum: only |Ql| matters (Lemma 5.2).
+        # RANDOM advertise quorum: only |Ql| matters (Lemma 5.2).  The
+        # miss count is Binomial(trials, expected) exactly, so test it
+        # against that distribution's own tails.
         qa = max(1, int(qa_frac * n))
         ql = max(1, int(ql_frac * n))
         rng = random.Random(seed)
@@ -133,14 +144,16 @@ class TestLemma52MixAndMatch:
             "comb": set((i * spacing) % n for i in range(ql)),
             "uniform": set(rng.sample(range(n), ql)),
         }
-        tolerance = 4 * math.sqrt(max(expected * (1 - expected), 1e-4)
-                                  / 4000)
         for name, lookup_set in shapes.items():
             if len(lookup_set) != ql:  # comb may alias on tiny n
                 continue
-            measured = self._empirical_miss(n, qa, lookup_set, rng)
-            assert abs(measured - expected) <= tolerance, (
-                f"{name} lookup set deviates: {measured} vs {expected}")
+            misses = self._empirical_misses(n, qa, lookup_set, rng,
+                                            self.TRIALS)
+            lower = binom.cdf(misses, self.TRIALS, expected)
+            upper = binom.sf(misses - 1, self.TRIALS, expected)
+            assert min(lower, upper) >= self.ALPHA / 2, (
+                f"{name} lookup set deviates: {misses}/{self.TRIALS} "
+                f"misses vs p={expected}")
 
     def test_exact_model_is_structure_free_by_symmetry(self):
         # The exact formula depends only on sizes — spelled out here so

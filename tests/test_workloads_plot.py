@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis import required_quorum_product
 from repro.experiments.ascii_plot import render_series
-from repro.experiments.workloads import (
+from repro.experiments.workload import (
     OperationMix,
     TauEstimator,
     ZipfKeySampler,
