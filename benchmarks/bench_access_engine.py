@@ -111,36 +111,47 @@ def _big_network():
 
 
 def test_access_engine_flood_10k():
-    """One n=10k flood: batched rounds vs the python broadcast loop."""
+    """One n=10k flood: batched rounds vs the python broadcast loop.
+
+    The two sides are ~15% apart and a flood takes ~25 ms, so a single
+    shot loses to one GC pause or a cold first run: the gate compares
+    the best of three rounds, alternating which side goes first.
+    """
     ttl = 64
-    seq_net = per_event(_big_network())
-    start = time.perf_counter()
-    seq_out = seq_net.flood(0, ttl)
-    seq_s = time.perf_counter() - start
+    seq_s = bat_s = math.inf
+    for round_no in range(3):
+        sides = [("seq", per_event), ("bat", lambda net: net)]
+        if round_no % 2:
+            sides.reverse()
+        ran = {}
+        for side, prepare in sides:
+            net = prepare(_big_network())
+            start = time.perf_counter()
+            out = net.flood(0, ttl)
+            ran[side] = (time.perf_counter() - start, net, out)
+        (seq_round, seq_net, seq_out), (bat_round, bat_net, bat_out) = (
+            ran["seq"], ran["bat"])
+        seq_s, bat_s = min(seq_s, seq_round), min(bat_s, bat_round)
 
-    bat_net = _big_network()
-    start = time.perf_counter()
-    bat_out = bat_net.flood(0, ttl)
-    bat_s = time.perf_counter() - start
-
-    assert list(seq_out.covered.items()) == list(bat_out.covered.items())
-    assert seq_out.parent == bat_out.parent
-    assert seq_out.messages == bat_out.messages
-    assert seq_net.sim.now == bat_net.sim.now
+        assert list(seq_out.covered.items()) == list(bat_out.covered.items())
+        assert seq_out.parent == bat_out.parent
+        assert seq_out.messages == bat_out.messages
+        assert seq_net.sim.now == bat_net.sim.now
 
     entry = {
         "n": BIG_N,
         "ttl": ttl,
         "covered": len(bat_out.covered),
         "messages": bat_out.messages,
+        "timing": "min of 3 alternating rounds",
         "sequential_seconds": round(seq_s, 3),
         "batched_seconds": round(bat_s, 3),
         "speedup": round(seq_s / bat_s, 2),
         "statistic_identical": True,
     }
     _merge_block("flood_10k", entry)
-    print(f"\n[access-engine] n={BIG_N} flood: sequential {seq_s:.2f}s, "
-          f"batched {bat_s:.2f}s ({seq_s / bat_s:.1f}x), "
+    print(f"\n[access-engine] n={BIG_N} flood: sequential {seq_s:.3f}s, "
+          f"batched {bat_s:.3f}s ({seq_s / bat_s:.2f}x), "
           f"{len(bat_out.covered)} covered")
     assert bat_s < seq_s
 

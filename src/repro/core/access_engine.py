@@ -1,4 +1,4 @@
-"""Batched access engine: one numpy pass per flood ring, route tree, path.
+"""Batched access engine: one pass per flood ring, route tree, path.
 
 The transmission primitives live in :mod:`repro.simnet.network` — one
 body each for a unicast hop, a broadcast, the flood ring loop, route
@@ -8,11 +8,12 @@ packed CSR snapshot (:mod:`repro.geometry.csr`) or the neighbor table:
 
 1. **flood ring** — the whole ring-``h`` frontier expands in one
    gather/first-occurrence pass, instead of one broadcast per node;
-2. **BFS route trees** — every route discovery reads a tree, built by a
-   level-synchronous numpy BFS at large n and memoized per
-   ``(topology_version, source)`` while positions are static;
-3. **bulk forwarding** — a path whose hops are all valid is charged and
-   timed in one step instead of one unicast per hop;
+2. **BFS route trees** — every route discovery reads a tree, built by
+   :func:`repro.simnet.replication.bfs_tree` (the only BFS) and memoized
+   per ``(topology_version, source)`` while positions are static;
+3. **bulk forwarding** — a whole path is charged and timed in one step
+   instead of one unicast per hop, and not walked at all while the
+   topology version it was validated at stands;
 4. **walker batches** — Philox-stream next-hop draws (uniform and
    max-degree-biased) advance whole walker populations in lockstep for
    the large-n analysis path.
@@ -20,16 +21,16 @@ packed CSR snapshot (:mod:`repro.geometry.csr`) or the neighbor table:
 Kernels 1–3 are **statistic-identical** to the per-frame code.  The
 strategy RNG streams are stdlib ``random.Random`` generators, so the
 accesses that define reported statistics never move their draws into
-numpy: the engine vectorizes only the *deterministic* graph work
-(frontier expansion, BFS, membership tests) and replays side effects —
-counters, metrics, energy charges, trace events, clock advances — in
-exactly the per-frame order, with the same float operations.  A batch
-declines, before touching anything, only on what a batch cannot
-reproduce: mobility, random drops, a simulation event inside its
-window, and (bulk forwarding, which emits no ``hop`` events) tracing;
-the caller then sends the frames one by one.  The Philox walk kernel is
-an analysis/benchmark surface with its own counter-based streams,
-deliberately outside the statistic-identical contract.
+numpy: the engine batches only the *deterministic* graph work.  Of the
+side effects, counters, metrics and energy are integer counts (one bulk
+update equals the per-frame updates in any order), trace events are
+recorded in per-frame order with per-frame timestamps, and the clock is
+advanced by the same repeated float additions.  A batch declines, before
+touching anything, only on what a batch cannot reproduce — mobility,
+random drops, a simulation event inside its window — and the caller
+then sends the frames one by one; tracing selects no path.  The Philox
+walk kernel is an analysis/benchmark surface with its own counter-based
+streams, deliberately outside the statistic-identical contract.
 
 Cross-replica sharing: :class:`SharedAccessState` lets the Monte-Carlo
 builder serve one CSR snapshot and one BFS memo to every replica of a
@@ -48,10 +49,6 @@ import numpy as np
 from repro.geometry.csr import CsrCache, CsrSnapshot
 from repro.obs.profile import PROFILER
 from repro.simnet.replication import BfsTree, bfs_tree
-
-#: Below this population the numpy BFS's per-round call overhead beats
-#: the plain deque walk; both are exact, so the cutover is pure perf.
-_NUMPY_BFS_MIN_N = 128
 
 #: Per-network BFS-tree memo bound (LRU).  Replication-shared memos are
 #: unbounded like the route oracle's (one deployment, few versions).
@@ -265,114 +262,51 @@ class AccessEngine:
             self._trees.popitem(last=False)
         return tree
 
-    def numpy_tree(self, net, src: int) -> Optional[BfsTree]:
-        """Level-synchronous numpy BFS from ``src`` (unmemoized).
-
-        Exact: the frontier expands in discovery order and each row
-        scans sorted neighbors, so first-occurrence parents equal the
-        sequential FIFO BFS parents (see ``BfsTree``).  Returns None
-        when ineligible (small n, dead source, mobility) — the caller
-        then walks the graph in Python.
-        """
-        if (net.config.mobility != "static"
-                or net.n_alive < _NUMPY_BFS_MIN_N):
-            return None
-        csr = self.true_csr(net)
-        src_row = csr.row_of(src)
-        if src_row is None:
-            return None
-        with PROFILER.phase("access.batch_pass"):
-            parent, dist = _numpy_bfs(csr, src_row)
-        return BfsTree(source=src, parent=parent, dist=dist)
-
     # -- kernel 3: bulk path forwarding --------------------------------------
 
-    def forward(self, net, path: List[int]) -> Optional[int]:
+    def forward(self, net, path: List[int], stamp: int) -> Optional[int]:
         """Forward along ``path`` in one step; the hop count, or None.
 
         Only fires when the result is *provably identical* to a
         ``one_hop_unicast`` per hop: static positions, no random drops,
-        tracing off (no ``hop`` events are emitted here), every hop
-        currently valid, and no simulation event pending inside the
-        forwarding window.  The target time is accumulated by repeated
+        every hop valid, and no simulation event pending inside the
+        forwarding window.  ``stamp`` is the topology version ``path``
+        was last known valid at; its hops are walked only if the version
+        has moved since.  The target time is accumulated by repeated
         addition — the same float operations the per-hop loop performs
         — so clocks and latency statistics stay byte-identical.
         """
-        if (net.trace.enabled
-                or net.config.mobility != "static"
-                or net.config.drop_prob > 0):
+        if net.config.mobility != "static" or net.config.drop_prob > 0:
             return None
+        sim = net.sim
         hops = len(path) - 1
         latency = net.config.hop_latency
-        t = net.sim.now
+        t = sim.now
         for _ in range(hops):
             t += latency
         # An event at or before t (heartbeat, churn) would run *during*
         # the per-hop loop.
-        if net.sim.next_event_time() <= t:
+        if sim.next_event_time() <= t:
             return None
         tables = net._neighbor_tables()
-        for a, b in zip(path, path[1:]):
-            if b not in tables.get(a, ()):
-                return None
+        if stamp != net.topology_version:
+            for a, b in zip(path, path[1:]):
+                if b not in tables.get(a, ()):
+                    return None
         net.counters["network"] += hops
         net._metric_unicasts.inc(hops)
-        energy = net.energy
-        for a, b in zip(path, path[1:]):
-            energy.charge_unicast(a, b, bystanders=max(0, len(tables[a]) - 1))
-        if t > net.sim.now:
-            net.sim.run(until=t)
+        # Each sender's neighbors, bar the next hop, decode the header.
+        degrees = sum(map(len, map(tables.__getitem__, path)))
+        net.energy.charge_path(
+            path, degrees - len(tables[path[-1]]) - hops)
+        if net.trace.enabled:
+            t_hop = sim.now
+            for a, b in zip(path, path[1:]):
+                t_hop += latency
+                net.trace.record("hop", t_hop, src=a, dst=b, ok=True)
+        if t > sim.now:
+            sim.run(until=t)
         return hops
-
-
-# -- numpy BFS ---------------------------------------------------------------
-
-
-def _numpy_bfs(csr: CsrSnapshot, src_row: int
-               ) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Level-synchronous BFS over a CSR snapshot → (parent, dist) dicts."""
-    node_ids = csr.node_ids
-    indptr = csr.indptr
-    nbr_rows = csr.neighbor_rows
-    n = len(node_ids)
-    parent_row = np.full(n, -1, dtype=np.int64)
-    dist_row = np.full(n, -1, dtype=np.int64)
-    parent_row[src_row] = src_row
-    dist_row[src_row] = 0
-    order: List[np.ndarray] = [np.array([src_row], dtype=np.int64)]
-    frontier = order[0]
-    depth = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            break
-        bounds = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        gather = (np.arange(total, dtype=np.int64)
-                  + np.repeat(starts - bounds, counts))
-        cand = nbr_rows[gather]
-        owner = np.repeat(frontier, counts)
-        fresh = dist_row[cand] < 0
-        cand = cand[fresh]
-        owner = owner[fresh]
-        if not cand.size:
-            break
-        uniq, first = np.unique(cand, return_index=True)
-        idx = np.argsort(first, kind="stable")
-        discovered = uniq[idx]
-        parent_row[discovered] = owner[first[idx]]
-        depth += 1
-        dist_row[discovered] = depth
-        frontier = discovered
-        order.append(discovered)
-    rows = np.concatenate(order)
-    ids = node_ids[rows].tolist()
-    parents = node_ids[parent_row[rows]].tolist()
-    dists = dist_row[rows].tolist()
-    parent = dict(zip(ids, parents))
-    dist = dict(zip(ids, dists))
-    return parent, dist
 
 
 # -- kernel 4: Philox walker batches -----------------------------------------

@@ -117,10 +117,10 @@ class RandomMembership(MembershipFreezeMixin):
         alive = self.net.alive_nodes()
         size = self.view_size
         self._views = {}
-        for node in alive:
-            pool = [v for v in alive if v != node]
-            k = min(size, len(pool))
-            self._views[node] = self.rng.sample(pool, k)
+        k = min(size, len(alive) - 1)
+        for i, node in enumerate(alive):
+            # Everyone but the node itself, in id order.
+            self._views[node] = self.rng.sample(alive[:i] + alive[i + 1:], k)
 
     def view(self, node_id: int) -> List[int]:
         """The stale random view held by ``node_id``."""
@@ -134,9 +134,11 @@ class RandomMembership(MembershipFreezeMixin):
     def sample(self, k: int, rng: random.Random, node_id: int,
                exclude: Optional[int] = None) -> List[int]:
         """``k`` distinct ids drawn from the node's random view."""
-        pool = [v for v in self.view(node_id) if v != exclude]
+        # The stored list is only read here; `view` bootstraps a joiner.
+        held = self._views.get(node_id) or self.view(node_id)
+        pool = [v for v in held if v != exclude]
         if k >= len(pool):
-            return list(pool)
+            return pool
         return rng.sample(pool, k)
 
     def sample_for(self, node_id: int, k: int, rng: random.Random) -> List[int]:

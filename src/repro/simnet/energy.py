@@ -15,13 +15,24 @@ well as message count:
 
 Costs default to airtime-proportional values derived from the paper's
 PHY rates (11 Mbps unicast vs 2 Mbps broadcast for 512-byte payloads).
+
+The ledger stores **integer frame counts** and multiplies by the
+:class:`EnergyModel` only when read.  Integers commute, so no read
+depends on the order of the charges: a path charged in one step and its
+hops charged one unicast at a time give bit-equal energy.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+#: Path charges are folded at the next read, or once this many wait.
+MAX_PENDING_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,11 +49,85 @@ class EnergyModel:
 
 
 class EnergyLedger:
-    """Per-node and aggregate energy spent."""
+    """Per-node and aggregate energy spent, kept as frame counts."""
 
     def __init__(self, model: Optional[EnergyModel] = None) -> None:
         self.model = model or EnergyModel()
-        self.per_node: Counter = Counter()
+        self._unicast_tx: Counter = Counter()
+        self._unicast_rx: Counter = Counter()
+        self._broadcast_tx: Counter = Counter()
+        # Aggregated: we do not know the bystanders' ids cheaply; totals
+        # read back as a shared bucket keyed -1 keep the sum honest
+        # without n^2 bookkeeping.
+        self._overheard = 0
+        self._broadcast_rx = 0
+        self._pending: List[Sequence[int]] = []
+
+    # -- charging ------------------------------------------------------------
+
+    def charge_unicast(self, sender: int, receiver: int,
+                       bystanders: int = 0) -> None:
+        self._unicast_tx[sender] += 1
+        self._unicast_rx[receiver] += 1
+        if bystanders > 0:  # header decodes by in-range non-addressees
+            self._overheard += bystanders
+
+    def charge_failed_unicast(self, sender: int) -> None:
+        """A frame whose receiver is gone still costs the sender airtime."""
+        self._unicast_tx[sender] += 1
+
+    def charge_broadcast(self, sender: int, receivers: int) -> None:
+        self._broadcast_tx[sender] += 1
+        self._broadcast_rx += receivers
+
+    def charge_path(self, path: Sequence[int], bystanders: int) -> None:
+        """One delivered unicast per hop of ``path``, in O(1).
+
+        ``bystanders`` sums the header decodes over the hops: the one
+        part of the charge that depends on the topology, so the caller
+        takes it from the table now.  The path is kept by reference
+        (never mutate it afterwards) and counted at the next read.
+        """
+        self._overheard += bystanders
+        self._pending.append(path)
+        if len(self._pending) >= MAX_PENDING_PATHS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Count the pending paths' senders and receivers."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        visits = np.bincount(np.fromiter(chain.from_iterable(pending),
+                                         dtype=np.intp))
+        # A path's last node sends no frame, its first receives none.
+        for tally, idle in (
+                (self._unicast_tx, [path[-1] for path in pending]),
+                (self._unicast_rx, [path[0] for path in pending])):
+            frames = visits - np.bincount(idle, minlength=len(visits))
+            charged = np.flatnonzero(frames)
+            tally.update(dict(zip(charged.tolist(),
+                                  frames[charged].tolist())))
+
+    # -- reading -------------------------------------------------------------
+    # Functions of the counts alone; keys are sorted, so not even a float
+    # sum over the values can see the order of the charges.
+
+    @property
+    def per_node(self) -> Counter:
+        """Energy spent per node id; ``-1`` holds the bystanders' share."""
+        self._fold()
+        model = self.model
+        tx, rx, btx = self._unicast_tx, self._unicast_rx, self._broadcast_tx
+        spent = Counter({
+            node: (tx[node] * model.tx_unicast + rx[node] * model.rx_unicast
+                   + btx[node] * model.tx_broadcast)
+            for node in sorted(tx.keys() | rx.keys() | btx.keys())})
+        if self._overheard or self._broadcast_rx:
+            spent[-1] = (self._overheard * model.overhear_header
+                         + self._broadcast_rx * model.rx_broadcast)
+        return spent
 
     @property
     def total(self) -> float:
@@ -51,33 +136,11 @@ class EnergyLedger:
     def spent_by(self, node_id: int) -> float:
         return self.per_node.get(node_id, 0.0)
 
-    def charge_unicast(self, sender: int, receiver: int,
-                       bystanders: int = 0) -> None:
-        self.per_node[sender] += self.model.tx_unicast
-        self.per_node[receiver] += self.model.rx_unicast
-        if bystanders > 0:
-            # Header-decode cost spread over the in-range non-addressees.
-            self.per_node[sender] += 0.0  # no extra sender cost
-            self._charge_bystanders(sender, bystanders)
-
-    def _charge_bystanders(self, around: int, count: int) -> None:
-        # Aggregated: we do not know the individual ids cheaply; a shared
-        # bucket keyed by -1 keeps totals honest without n^2 bookkeeping.
-        self.per_node[-1] += count * self.model.overhear_header
-
-    def charge_failed_unicast(self, sender: int) -> None:
-        """A frame whose receiver is gone still costs the sender airtime."""
-        self.per_node[sender] += self.model.tx_unicast
-
-    def charge_broadcast(self, sender: int, receivers: int) -> None:
-        self.per_node[sender] += self.model.tx_broadcast
-        self.per_node[-1] += receivers * self.model.rx_broadcast
-
     def max_node_share(self) -> float:
         """Largest single-node share of the total (hot-spot indicator)."""
-        if not self.per_node:
+        spent = self.per_node
+        total = sum(spent.values())
+        named = [v for k, v in spent.items() if k >= 0]
+        if not named or total <= 0:
             return 0.0
-        named = [v for k, v in self.per_node.items() if k >= 0]
-        if not named or self.total <= 0:
-            return 0.0
-        return max(named) / self.total
+        return max(named) / total

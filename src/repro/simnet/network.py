@@ -205,7 +205,8 @@ class SimNetwork:
         # touch geometry, so known-view caches key on
         # (topology_version, known_version).
         self._known_version = 0
-        self._route_cache: Dict[Tuple[int, int], List[int]] = {}
+        # (src, dst) -> (path, topology version it was last valid at).
+        self._route_cache: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
         self._drop_rng = self.rngs.stream("drops")
         self.energy = EnergyLedger()
         # Batched-replication hooks: a shared per-deployment BFS memo and
@@ -809,6 +810,30 @@ class SimNetwork:
             self.trace.record("routing", self.sim.now, src=src, dst=dst,
                               count=cost, found=found)
 
+    def _obtain_route(self, src: int, dst: int
+                      ) -> Tuple[Optional[List[int]], int]:
+        """A valid path from the cache or a discovery: (path, control cost).
+
+        Cache entries carry the topology version they were last valid
+        at.  Every alive-set or geometry mutation bumps it, so on a
+        static network a path read from a BFS tree at version v, or one
+        that passed `_route_valid` at v, is not walked again until the
+        version moves.  Under mobility every use re-validates.
+        """
+        key = (src, dst)
+        path, stamp = self._route_cache.get(key, (None, -1))
+        if (path is not None and stamp == self._topo_version
+                and self.config.mobility == "static"):
+            return path, 0
+        cost = 0
+        if path is None or not self._route_valid(path):
+            path, cost = self._discover_route(src, dst)
+        if path is None:
+            self._route_cache.pop(key, None)
+        else:
+            self._route_cache[key] = (path, self._topo_version)
+        return path, cost
+
     def discover_path(self, src: int, dst: int) -> Tuple[Optional[List[int]], int]:
         """Obtain a route (cache hit or discovery) WITHOUT sending data.
 
@@ -820,25 +845,20 @@ class SimNetwork:
             return None, 0
         if src == dst:
             return [src], 0
-        cached = self._route_cache.get((src, dst))
-        if cached is not None and self._route_valid(cached):
-            return cached, 0
-        path, cost = self._discover_route(src, dst)
-        self.counters["routing"] += cost
-        if path is None:
-            self._route_cache.pop((src, dst), None)
-        else:
-            self._route_cache[(src, dst)] = path
+        path, cost = self._obtain_route(src, dst)
+        if cost:
+            self.counters["routing"] += cost
         return path, cost
 
     def _forward(self, path: List[int]) -> Tuple[bool, int]:
         """Send a data message along ``path``: (delivered, frames sent).
 
-        The engine forwards the whole path in one step when that is
-        exact; otherwise it goes hop by hop, and mobility or churn may
-        break the path mid-flight.
+        ``path`` comes from `_obtain_route` or a BFS tree, just now.
+        The engine forwards it in one step when that is exact;
+        otherwise it goes hop by hop, and mobility or churn may break
+        the path mid-flight.
         """
-        hops = self.access_engine.forward(self, path)
+        hops = self.access_engine.forward(self, path, self._topo_version)
         if hops is not None:
             return True, hops
         sent = 0
@@ -854,31 +874,19 @@ class SimNetwork:
             return RouteResult(success=False)
         if src == dst:
             return RouteResult(success=True, path=[src])
-        routing_messages = 0
-        data_messages = 0
-        attempts = 0
-        while attempts < 2:
-            attempts += 1
-            cached = self._route_cache.get((src, dst))
-            if cached is None or not self._route_valid(cached):
-                path, cost = self._discover_route(src, dst)
-                routing_messages += cost
-                if path is None:
-                    self._route_cache.pop((src, dst), None)
-                    self.counters["routing"] += routing_messages
-                    self.record_event("route", src=src, dst=dst, ok=False)
-                    return RouteResult(success=False,
-                                       routing_messages=routing_messages,
-                                       data_messages=data_messages)
-                self._route_cache[(src, dst)] = path
-                cached = path
-            delivered, sent = self._forward(cached)
+        routing_messages = data_messages = 0
+        for _ in range(2):
+            path, cost = self._obtain_route(src, dst)
+            routing_messages += cost
+            if path is None:
+                break
+            delivered, sent = self._forward(path)
             data_messages += sent
             if delivered:
                 self.counters["routing"] += routing_messages
                 self.record_event("route", src=src, dst=dst, ok=True,
-                                  hops=len(cached) - 1)
-                return RouteResult(success=True, path=cached,
+                                  hops=len(path) - 1)
+                return RouteResult(success=True, path=path,
                                    data_messages=data_messages,
                                    routing_messages=routing_messages)
             self._route_cache.pop((src, dst), None)

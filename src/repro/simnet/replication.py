@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional
 
+import numpy as np
+
 
 class BfsTree:
     """Full BFS tree from one source over one frozen topology.
@@ -43,15 +45,9 @@ class BfsTree:
         self.parent = parent
         self.dist = dist
         # _cum[h] = number of nodes at distance <= h (the RREQ ring size).
-        max_d = max(dist.values()) if dist else 0
-        counts = [0] * (max_d + 1)
-        for d in dist.values():
-            counts[d] += 1
-        total = 0
-        self._cum = []
-        for c in counts:
-            total += c
-            self._cum.append(total)
+        rings = np.bincount(np.fromiter(dist.values(), dtype=np.intp,
+                                        count=len(dist)), minlength=1)
+        self._cum = np.cumsum(rings).tolist()
 
     @property
     def reachable(self) -> int:
@@ -68,25 +64,19 @@ class BfsTree:
 
     def path_to(self, dst: int) -> Optional[List[int]]:
         """Shortest path source -> dst (a fresh list), or None."""
-        if dst not in self.parent:
+        parent, source = self.parent, self.source
+        if dst not in parent:
             return None
         path = [dst]
-        while path[-1] != self.source:
-            path.append(self.parent[path[-1]])
-        return list(reversed(path))
+        while dst != source:
+            dst = parent[dst]
+            path.append(dst)
+        path.reverse()
+        return path
 
 
 def bfs_tree(net, src: int) -> BfsTree:
-    """Compute the full BFS tree from ``src`` on ``net``'s current graph.
-
-    When the network's batched access engine is eligible (static
-    topology, large enough n), the tree is built by
-    its level-synchronous numpy kernel — identical parents and
-    distances, one pass per ring instead of one Python scan per node.
-    """
-    tree = net.access_engine.numpy_tree(net, src)
-    if tree is not None:
-        return tree
+    """Compute the full BFS tree from ``src`` on ``net``'s current graph."""
     tables = net._neighbor_tables()
     parent: Dict[int, int] = {src: src}
     dist: Dict[int, int] = {src: 0}

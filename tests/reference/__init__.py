@@ -10,7 +10,7 @@ independent implementations those are held to live here, outside
   ``net.position()``, and a :class:`SimNetwork` whose every neighbor
   query is answered by it;
 * :mod:`reference.access` — an ``AccessEngine`` stand-in whose batched
-  kernels (flood ring, numpy BFS, bulk forwarding) all decline and
+  kernels (flood ring, bulk forwarding) all decline and
   whose BFS trees are rebuilt in Python on every call, so a network
   carrying it sends every frame through the per-event primitives; and
   an early-exit BFS + capped ring count, the independent reference for

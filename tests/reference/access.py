@@ -2,8 +2,8 @@
 
 :class:`DecliningEngine` answers "not applicable" from every *batched*
 kernel of :class:`repro.core.access_engine.AccessEngine` — the flood
-ring, the numpy BFS, bulk path forwarding — so a network carrying it
-sends every frame through ``one_hop_broadcast`` / ``one_hop_unicast``,
+ring and bulk path forwarding — so a network carrying it sends every
+frame through ``one_hop_broadcast`` / ``one_hop_unicast``,
 the code those kernels decline to under mobility, random drops, or a
 simulation event inside the window.  Route discovery still needs a BFS
 tree; the stand-in builds one in plain Python on every call, with no
@@ -26,10 +26,7 @@ class DecliningEngine:
     def flood_ring(self, net, frontier, previous):
         return None
 
-    def numpy_tree(self, net, src):
-        return None
-
-    def forward(self, net, path):
+    def forward(self, net, path, stamp):
         return None
 
     def tree(self, net, src):

@@ -8,15 +8,16 @@ fault campaigns, mobility, random drops, tracing, and strict audit.
 The per-event run comes from the declining engine in
 ``tests/reference`` (every batched kernel answers "not applicable").
 Plus the CSR snapshot staleness guard (a stale topology version can
-never be served), the numpy BFS kernel's exactness, the Philox walk
+never be served), the BFS tree builder's exactness, the Philox walk
 kernel, and the adaptation-exhaustion satellite.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
-from reference import DecliningEngine, per_event
+from reference import DecliningEngine, bfs_path, per_event, ring_size
 
 from repro.core.access_engine import (
     AccessEngine,
@@ -38,6 +39,7 @@ from repro.experiments.common import (
     run_scenario,
 )
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
+from repro.simnet.energy import EnergyLedger
 from repro.simnet.network import NetworkConfig, SimNetwork
 from repro.simnet.replication import bfs_tree
 
@@ -219,8 +221,9 @@ def test_flood_outcome_identical_mid_heartbeat():
 
 @pytest.mark.parametrize("lookup", ["unique-path", "sampling", "random-opt"])
 def test_tracing_does_not_change_the_run(lookup):
-    # Every hop goes through one_hop_unicast, traced or not: recording
-    # events must leave statistics, counters and the clock untouched.
+    # Tracing selects no code path (the bulk forwarder records its own
+    # hop events): recording events must leave statistics, counters,
+    # energy and the clock untouched.
     def run(trace):
         net = make_network(90, seed=11)
         if trace:
@@ -263,6 +266,76 @@ def test_flood_identical_when_churn_reconnects_old_rings():
     covered = dict(outcomes[0][0])
     assert covered[6] == 6 and covered[7] == 7  # joiner reached via the tip
     assert outcomes[0][1][7] == 6 and outcomes[0][2] == 8
+
+
+# -- O(1) routed messages on a static network --------------------------------
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_static_routed_access_does_no_per_hop_work(monkeypatch):
+    # Count gate.  While the topology version stands, a routed message
+    # costs no per-hop range test (routes carry a version stamp) and no
+    # per-hop energy charge (one path charge); after one churn event
+    # each cached route is validated hop by hop exactly once.
+    calls = collections.Counter()
+    _count_calls(monkeypatch, SimNetwork, "in_range", calls)
+    _count_calls(monkeypatch, SimNetwork, "_route_valid", calls)
+    _count_calls(monkeypatch, SimNetwork, "route", calls)
+    _count_calls(monkeypatch, EnergyLedger, "charge_unicast", calls)
+    _count_calls(monkeypatch, EnergyLedger, "charge_path", calls)
+
+    net = SimNetwork(NetworkConfig(n=120, seed=3))
+    strategy = RandomStrategy(make_membership(net, "random"))
+    stored = set()
+    for origin in (0, 7, 19, 0, 7):
+        strategy.advertise(net, origin, stored.add, 14)
+    for origin in (3, 0, 7, 3, 19, 0):
+        strategy.lookup(net, origin,
+                        lambda v: v if v in stored else None, 11)
+    assert calls["route"] > len(net._route_cache) > 20  # some were hits
+    assert net.counters["network"] > 4 * calls["route"]  # multi-hop
+    assert calls["in_range"] == calls["_route_valid"] == 0
+    assert calls["charge_unicast"] == 0
+    assert calls["charge_path"] == calls["route"]
+
+    relays = {v for path, _ in net._route_cache.values() for v in path[1:-1]}
+    relays -= {v for key in net._route_cache for v in key}
+    for victim in sorted(relays):  # a relay only, and no cut vertex
+        net.fail_node(victim, commit=False)
+        if net.is_connected():
+            break
+        net.revive_node(victim)
+    assert not net.is_alive(victim)
+    broken = 0
+    for (src, dst), (path, _) in list(net._route_cache.items()):
+        broken += victim in path
+        for expected in (1, 0):  # first use validates, the next does not
+            calls["_route_valid"] = 0
+            assert net.route(src, dst).success
+            assert calls["_route_valid"] == expected
+    assert broken > 0
+    assert calls["charge_unicast"] == 0
+
+
+def test_forward_checks_the_hops_of_a_stale_stamp():
+    net = SimNetwork(NetworkConfig(n=120, seed=3))
+    path = net.route(0, 77).path
+    engine, version = net.access_engine, net.topology_version
+    frames = net.counters["network"]
+    assert engine.forward(net, path, version) == len(path) - 1
+    net.fail_node(path[2])
+    assert engine.forward(net, path, version) is None  # walked, declined
+    assert net.counters["network"] == frames + len(path) - 1
+    detour = net.route(0, 77).path
+    assert engine.forward(net, detour, version) == len(detour) - 1  # walked, ok
 
 
 # -- no selection knob -------------------------------------------------------
@@ -359,31 +432,32 @@ def test_known_version_counts_known_view_mutations():
     assert net.known_version > v2
 
 
-# -- numpy BFS kernel --------------------------------------------------------
+# -- the one BFS -------------------------------------------------------------
 
 
 def test_numpy_bfs_equals_python_bfs():
-    seq, bat = _pair(n=200, seed=5)
-    for src in (0, 77, 199):
-        numpy_tree = bat.access_engine.numpy_tree(bat, src)
-        assert numpy_tree is not None
-        python_tree = bfs_tree(seq, src)
-        assert numpy_tree.parent == python_tree.parent
-        assert list(numpy_tree.parent) == list(python_tree.parent)
-        assert numpy_tree.dist == python_tree.dist
-        assert numpy_tree._cum == python_tree._cum
-
-
-def test_numpy_bfs_declines_when_ineligible():
-    small = SimNetwork(NetworkConfig(n=50, seed=5))
-    assert small.access_engine.numpy_tree(small, 0) is None  # tiny n
-    mobile = SimNetwork(NetworkConfig(n=200, seed=5, mobility="waypoint",
-                                      require_connected=False))
-    assert mobile.access_engine.numpy_tree(mobile, 0) is None  # mobility
-    bat = SimNetwork(NetworkConfig(n=200, seed=5))
-    victim = bat.alive_nodes()[3]
-    bat.fail_node(victim)
-    assert bat.access_engine.numpy_tree(bat, victim) is None  # dead source
+    # The name is history: the level-synchronous numpy BFS it compared
+    # against is gone (slower than the deque walk at every size this
+    # repo runs).  `bfs_tree` is the only tree builder, held here to the
+    # early-exit BFS and the capped ring count for every destination.
+    for n, sources in ((60, (0, 31, 59)), (400, (0, 133, 399)),
+                       (2000, (1000,))):
+        net = SimNetwork(NetworkConfig(n=n, seed=5))
+        tables = net._neighbor_tables()
+        for src in sources:
+            tree = bfs_tree(net, src)
+            assert tree.reachable == n  # deployments are connected
+            for dst in net.alive_nodes():
+                path = bfs_path(tables, src, dst)
+                assert tree.path_to(dst) == path
+                assert tree.dist[dst] == len(path) - 1
+                assert tree.parent[dst] == (path[-2] if dst != src else src)
+            # Insertion order is discovery order: ring by ring.
+            assert list(tree.parent) == list(tree.dist)
+            rings = list(tree.dist.values())
+            assert rings == sorted(rings)
+            assert tree._cum == [ring_size(tables, src, h)
+                                 for h in range(rings[-1] + 1)]
 
 
 def test_engine_tree_memo_keys_on_topology_version():

@@ -11,8 +11,11 @@ from repro.core import (
     RandomStrategy,
     UniquePathStrategy,
 )
+from reference import per_event
+
 from repro.membership import FullMembership
 from repro.simnet import EnergyLedger, EnergyModel, NetworkConfig, SimNetwork
+from repro.simnet.energy import MAX_PENDING_PATHS
 
 
 def make_net(n=80, seed=0, **kw):
@@ -58,7 +61,140 @@ class TestEnergyLedger:
         assert ledger.max_node_share() == 0.0
 
 
+def _charge_hop_by_hop(ledger, path, degrees):
+    """What ``one_hop_unicast`` charges for each hop of a delivered path."""
+    for a, b in zip(path, path[1:]):
+        ledger.charge_unicast(a, b, bystanders=max(0, degrees[a] - 1))
+
+
+def _charge_as_path(ledger, path, degrees):
+    ledger.charge_path(path, sum(max(0, degrees[a] - 1) for a in path[:-1]))
+
+
+class TestOrderFreeLedger:
+    """Integer frame counts: no read depends on the order of charges."""
+
+    def _charges(self, seed=4, nodes=30, count=400):
+        rng = random.Random(seed)
+        degrees = {v: rng.randrange(0, 14) for v in range(nodes)}
+        charges = []
+        for _ in range(count):
+            roll = rng.random()
+            if roll < 0.3:
+                a, b = rng.sample(range(nodes), 2)
+                charges.append(("charge_unicast", a, b, rng.randrange(0, 12)))
+            elif roll < 0.4:
+                charges.append(("charge_failed_unicast", rng.randrange(nodes)))
+            elif roll < 0.6:
+                charges.append(("charge_broadcast", rng.randrange(nodes),
+                                rng.randrange(0, 12)))
+            else:
+                path = rng.sample(range(nodes), rng.randrange(2, 11))
+                charges.append(("charge_path", path, sum(
+                    max(0, degrees[a] - 1) for a in path[:-1])))
+        return charges
+
+    def _apply(self, charges):
+        ledger = EnergyLedger()
+        for name, *args in charges:
+            getattr(ledger, name)(*args)
+        return ledger
+
+    def test_shuffled_charges_read_exactly_equal(self):
+        charges = self._charges()
+        first = self._apply(charges)
+        assert first.total > 0 and first.per_node[-1] > 0
+        for seed in range(5):
+            shuffled = list(charges)
+            random.Random(seed).shuffle(shuffled)
+            ledger = self._apply(shuffled)
+            assert ledger.per_node == first.per_node  # ==, not approx
+            assert ledger.total == first.total
+            assert ledger.max_node_share() == first.max_node_share()
+
+    def test_path_charge_equals_its_hop_charges(self):
+        rng = random.Random(9)
+        degrees = {v: rng.randrange(0, 14) for v in range(40)}
+        degrees[3] = 0  # an (impossible) isolated sender clamps at zero
+        paths = [rng.sample(range(40), rng.randrange(2, 12))
+                 for _ in range(60)] + [[3, 5], [7]]
+        bulk, hops = EnergyLedger(), EnergyLedger()
+        for path in paths:
+            _charge_as_path(bulk, path, degrees)
+            _charge_hop_by_hop(hops, path, degrees)
+        assert bulk.per_node == hops.per_node
+        assert bulk.total == hops.total
+        overheard = sum(max(0, degrees[a] - 1)
+                        for path in paths for a in path[:-1])
+        assert bulk.per_node[-1] == overheard * bulk.model.overhear_header
+        frames = sum(len(path) - 1 for path in paths)
+        assert bulk.total == pytest.approx(
+            frames * (bulk.model.tx_unicast + bulk.model.rx_unicast)
+            + overheard * bulk.model.overhear_header)
+
+    def test_read_between_charges_changes_no_later_read(self):
+        charges = self._charges(seed=6)
+        undisturbed = self._apply(charges)
+        peeked = EnergyLedger()
+        for index, (name, *args) in enumerate(charges):
+            getattr(peeked, name)(*args)
+            if index % 7 == 0:  # folds whatever paths are pending
+                assert peeked.total >= peeked.spent_by(index % 30)
+                assert peeked.per_node == peeked.per_node
+        assert peeked.per_node == undisturbed.per_node
+        assert peeked.total == undisturbed.total
+
+    def test_pending_paths_are_bounded(self):
+        ledger = EnergyLedger()
+        path = [4, 9, 2, 7]
+        charged = 2 * MAX_PENDING_PATHS + 5
+        for _ in range(charged):
+            ledger.charge_path(path, 3)
+            assert len(ledger._pending) < MAX_PENDING_PATHS
+        model = ledger.model
+        assert ledger.per_node == {
+            4: charged * model.tx_unicast,
+            9: charged * (model.tx_unicast + model.rx_unicast),
+            2: charged * (model.tx_unicast + model.rx_unicast),
+            7: charged * model.rx_unicast,
+            -1: 3 * charged * model.overhear_header,
+        }
+        assert ledger._pending == []  # a read retains nothing
+
+    def test_reads_multiply_counts_by_the_model(self):
+        model = EnergyModel(tx_unicast=2.0, rx_unicast=0.5, tx_broadcast=7.0,
+                            rx_broadcast=3.0, overhear_header=0.25)
+        ledger = EnergyLedger(model)
+        ledger.charge_path([1, 2, 3], 4)
+        ledger.charge_unicast(3, 1, bystanders=2)
+        ledger.charge_failed_unicast(2)
+        ledger.charge_broadcast(1, receivers=5)
+        assert ledger.per_node == {1: 2.0 + 0.5 + 7.0, 2: 0.5 + 2.0 + 2.0,
+                                   3: 0.5 + 2.0, -1: 6 * 0.25 + 5 * 3.0}
+        assert ledger.spent_by(2) == 4.5 and ledger.spent_by(99) == 0.0
+        assert ledger.total == 4 * 2.0 + 3 * 0.5 + 7.0 + 6 * 0.25 + 5 * 3.0
+
+
 class TestNetworkEnergyAccounting:
+    def test_bystanders_are_counted_at_charge_time(self):
+        # A bulk-forwarded path is counted when the ledger is next read,
+        # but its overheard headers are taken from the table at charge
+        # time: failing a bystander afterwards must not shrink them.
+        nets = make_net(n=120, seed=8), per_event(make_net(n=120, seed=8))
+        reads = []
+        for net in nets:
+            path = net.route(0, 77).path
+            assert len(path) > 3
+            degrees = {a: len(net.true_neighbors(a)) for a in path}
+            bystander = next(v for v in net.true_neighbors(path[1])
+                             if v not in path)
+            net.fail_node(bystander)
+            overheard = sum(degrees[a] - 1 for a in path[:-1])
+            assert net.energy.per_node[-1] == (
+                overheard * net.energy.model.overhear_header)
+            reads.append((net.energy.per_node, net.energy.total))
+        assert reads[0] == reads[1]
+
     def test_unicast_accumulates_energy(self):
         net = make_net()
         before = net.energy.total

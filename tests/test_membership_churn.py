@@ -120,6 +120,47 @@ class TestRandomMembership:
         # Overwhelmingly likely to change for a 20-of-99 draw.
         assert m.view(0) != before or len(before) == 99
 
+    @pytest.mark.parametrize("n, view_size", [(60, None), (7, 30), (1, None)])
+    def test_refresh_equals_the_filtering_recipe(self, n, view_size):
+        # A node's pool is "every alive id but its own, in id order";
+        # refresh builds it from two slices, the recipe by filtering.
+        # Same pools, so the same draws from the same stream — across
+        # churn (gaps in the id range) and a second refresh.
+        net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=2,
+                                       require_connected=False))
+        m = RandomMembership(net, view_size=view_size,
+                             rng=random.Random(17))
+        recipe_rng = random.Random(17)
+
+        def recipe():
+            alive = net.alive_nodes()
+            views = {}
+            for node in alive:
+                pool = [v for v in alive if v != node]
+                views[node] = recipe_rng.sample(
+                    pool, min(m.view_size, len(pool)))
+            return views
+
+        assert m._views == recipe()
+        if n > 10:
+            net.fail_node(3)
+            net.fail_node(n - 1)
+            net.join_node()
+        m.refresh()
+        assert m._views == recipe()
+        assert m.rng.random() == recipe_rng.random()  # streams in step
+
+    def test_sample_draws_from_the_stored_view(self):
+        net = make_net()
+        m = RandomMembership(net)
+        held = list(m.view(4))
+        everything = m.sample(len(held) + 3, random.Random(1), 4, exclude=4)
+        assert everything == held
+        everything.append(-7)  # the caller's list, not the stored view
+        assert m.view(4) == held
+        assert m.sample(5, random.Random(3), 4) == random.Random(3).sample(
+            held, 5)
+
 
 class TestUniformSample:
     def test_distinct_and_subset(self):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from reference import BruteForceNetwork, bfs_path, ring_size
+from reference import BruteForceNetwork, bfs_path, per_event, ring_size
 
 from repro.simnet import NetworkConfig, SimNetwork, apply_churn
 
@@ -251,6 +251,154 @@ class TestRouting:
         far = [v for v, d in dist.items() if d > 3]
         if far:
             assert not net.scoped_route(0, far[0], max_hops=3).success
+
+    def _far_route(self):
+        net = net_static(seed=2)
+        far = max(net.alive_nodes(), key=lambda u: net.distance(
+            net.position(0), net.position(u)))
+        first = net.route(0, far)
+        assert first.success and first.hops >= 4
+        return net, far, first
+
+    def test_cached_route_rediscovered_when_mid_path_node_fails(self):
+        net, far, first = self._far_route()
+        for victim in first.path[1:-1]:  # the first that is no cut vertex
+            net.fail_node(victim, commit=False)
+            if net.is_connected():
+                net.commit_failure(victim)
+                break
+            net.revive_node(victim)
+        assert not net.is_alive(victim)
+        again = net.route(0, far)
+        assert again.success and again.routing_messages > 0
+        assert victim not in again.path
+        assert net.route(0, far).routing_messages == 0  # re-cached
+
+    def test_cached_route_reused_when_off_path_node_fails(self):
+        net, far, first = self._far_route()
+        bystander = next(v for v in net.alive_nodes() if v not in first.path)
+        net.fail_node(bystander)
+        again = net.route(0, far)
+        assert again.success and again.routing_messages == 0
+        assert again.path == first.path
+        assert net.discover_path(0, far) == (first.path, 0)
+
+    def test_invalidate_routes_drops_stamps_with_paths(self):
+        net = net_static(seed=2)
+        net.route(0, 60)
+        net.discover_path(5, 40)
+        assert set(net._route_cache) == {(0, 60), (5, 40)}
+        assert all(stamp == net.topology_version
+                   for _, stamp in net._route_cache.values())
+        net.invalidate_routes()
+        assert net._route_cache == {}
+        assert net.discover_path(5, 40)[1] > 0
+
+    def test_mobile_routes_are_revalidated_on_every_use(self, monkeypatch):
+        # Links move with the clock, not with the topology version: a
+        # stamp is only ever trusted on a static network.
+        validated = []
+        original = SimNetwork._route_valid
+        monkeypatch.setattr(
+            SimNetwork, "_route_valid",
+            lambda self, path: validated.append(path) or original(self, path))
+        net = net_mobile(seed=3)
+        version = net.topology_version
+        assert net.route(0, 40).success and not validated
+        for uses in (1, 2, 3):
+            net.discover_path(0, 40)
+            assert len(validated) == uses
+        assert net.topology_version == version
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_static_routing_matches_per_event_twin(self, traced):
+        # Version-stamped routes + one bulk forward per message against
+        # the twin that sends every hop through `one_hop_unicast`, over
+        # a seeded script that keeps moving the topology version under
+        # cached routes.  Everything observable is compared every step.
+        cfg = NetworkConfig(n=140, avg_degree=10, seed=9)
+        net, twin = SimNetwork(cfg), per_event(SimNetwork(cfg))
+        if traced:
+            for side in (net, twin):
+                side.trace.enable(memory=True)
+        rng = random.Random(31)
+        ends = rng.sample(range(140), 12)  # few endpoints: routes recur
+        seen = {"hit": 0, "rediscovered": 0, "declined": 0, "failed": 0}
+
+        def pair():
+            return tuple(rng.sample(ends, 2))
+
+        def cached_path():
+            paths = [path for path, _ in net._route_cache.values()
+                     if len(path) > 2 and net.is_alive(path[0])]
+            return rng.choice(paths) if paths else None
+
+        def both(op, *args):
+            mine, theirs = (getattr(side, op)(*args) for side in (net, twin))
+            assert mine == theirs, (op, args)
+            return mine
+
+        def check(step):
+            assert net.now == twin.now, step
+            assert net.counters == twin.counters, step
+            assert net.metrics.snapshot() == twin.metrics.snapshot(), step
+            assert net.energy.per_node == twin.energy.per_node, step
+            assert net.energy.total == twin.energy.total, step
+            if traced:
+                assert net.trace.events() == twin.trace.events(), step
+
+        for step in range(260):
+            roll = rng.random()
+            if roll < 0.40:
+                src, dst = pair()
+                was_cached = (src, dst) in net._route_cache
+                result = both("route", src, dst)
+                if not result.success:
+                    seen["failed"] += 1
+                elif was_cached:
+                    seen["rediscovered" if result.routing_messages
+                         else "hit"] += 1
+            elif roll < 0.50:
+                both("scoped_route", *pair(), rng.choice((2, 4, 30)))
+            elif roll < 0.62:
+                both("discover_path", *pair())
+            elif roll < 0.70:  # break a cached route mid-path
+                path = cached_path()
+                if path is not None:
+                    both("fail_node", rng.choice(path[1:-1]))
+            elif roll < 0.76:  # fail a node no cached route crosses
+                used = {v for path, _ in net._route_cache.values()
+                        for v in path}
+                both("fail_node", rng.choice(
+                    [v for v in net.alive_nodes()
+                     if v not in used and v not in ends]))
+            elif roll < 0.84:  # tentative failure, used, then rolled back
+                path = cached_path()
+                if path is not None:
+                    victim = rng.choice(path[1:-1])
+                    both("fail_node", victim, False)
+                    both("route", path[0], path[-1])
+                    both("revive_node", victim)
+            elif roll < 0.88:
+                both("join_node")
+            elif roll < 0.92:
+                dead = sorted(set(range(net._next_id)) - set(net.alive_nodes()))
+                if dead:
+                    both("revive_node", rng.choice(dead))
+            elif roll < 0.96:  # a heartbeat lands inside the next route
+                gap = net.sim.next_event_time() - net.now
+                both("advance", max(0.0, gap - 2.5 * cfg.hop_latency))
+                before = net.counters["network"]
+                src, dst = pair()
+                result = both("route", src, dst)
+                if result.hops > 3:
+                    seen["declined"] += 1
+                assert net.counters["network"] - before >= result.hops
+            else:
+                both("advance", rng.choice((0.3, 10.0, 25.0)))
+            check(step)
+        assert min(seen.values()) >= 3, seen
+        assert net.n_alive != 140 and net.topology_version > 170
 
     def test_mobile_discovery_matches_early_exit_bfs(self):
         # Under mobility every discovery builds a BFS tree from the table
