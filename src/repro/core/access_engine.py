@@ -32,10 +32,11 @@ then sends the frames one by one; tracing selects no path.  The Philox
 walk kernel is an analysis/benchmark surface with its own counter-based
 streams, deliberately outside the statistic-identical contract.
 
-Cross-replica sharing: :class:`SharedAccessState` lets the Monte-Carlo
-builder serve one CSR snapshot and one BFS memo to every replica of a
-deployment, under the same soundness rule as ``TopologyRouteOracle``
-(sharing stops at the first geometry mutation past the attach point).
+Cross-replica sharing: :meth:`AccessEngine.adopt_shared` is the one
+hook through which the Monte-Carlo builder serves one
+:class:`~repro.simnet.replication.TopologyRouteOracle` — one CSR
+snapshot and one BFS memo — to every replica of a deployment; a replica
+stops reading it at its first geometry mutation past the adopted version.
 """
 
 from __future__ import annotations
@@ -50,37 +51,9 @@ from repro.geometry.csr import CsrCache, CsrSnapshot
 from repro.obs.profile import PROFILER
 from repro.simnet.replication import BfsTree, bfs_tree
 
-#: Per-network BFS-tree memo bound (LRU).  Replication-shared memos are
-#: unbounded like the route oracle's (one deployment, few versions).
+#: Per-network BFS-tree memo bound (LRU).  The shared oracle is
+#: unbounded (one deployment, one version, at most n sources).
 _MAX_PRIVATE_TREES = 512
-
-
-class SharedAccessState:
-    """Cross-replica CSR + BFS memo for one deployment.
-
-    Mirrors the ``TopologyRouteOracle`` contract: replicas of one
-    deployment adopt the state at the same topology version; any later
-    geometry mutation silently detaches the sharer (workload-driven
-    churn diverges between replicas, so version equality would no
-    longer imply graph equality).
-    """
-
-    __slots__ = ("fingerprint", "version", "csr", "trees",
-                 "hits", "misses")
-
-    def __init__(self) -> None:
-        self.fingerprint: Optional[tuple] = None
-        self.version: Optional[int] = None
-        self.csr: Optional[CsrSnapshot] = None
-        self.trees: Dict[int, BfsTree] = {}
-        self.hits = 0
-        self.misses = 0
-
-
-def _deployment_fingerprint(net) -> tuple:
-    cfg = net.config
-    return (cfg.seed, cfg.n, cfg.avg_degree, cfg.radio_range,
-            cfg.mobility, cfg.torus)
 
 
 class AccessEngine:
@@ -90,49 +63,54 @@ class AccessEngine:
         self._csr_cache = CsrCache()
         self._trees: "OrderedDict[int, BfsTree]" = OrderedDict()
         self._trees_version = -1
-        self._shared: Optional[SharedAccessState] = None
-        self._shared_version = -1
+        self._shared = None  # the adopted TopologyRouteOracle, if any
         self.tree_hits = 0
         self.tree_misses = 0
 
-    # -- CSR snapshots -------------------------------------------------------
+    # -- cross-replica sharing -----------------------------------------------
 
-    def _usable_shared(self, net) -> Optional[SharedAccessState]:
-        state = self._shared
-        if (state is None
-                or state.version != net.topology_version):
+    def adopt_shared(self, net, oracle) -> None:
+        """Share CSR/BFS memos with the other replicas of a deployment.
+
+        ``oracle`` is a ``TopologyRouteOracle``.  The first adopter
+        stamps it with its deployment and topology version; every later
+        one must match both.  The adoption covers the topology as it
+        stands *now*: any later geometry mutation moves
+        ``net.topology_version`` past the oracle's and this engine
+        silently stops reading it.
+        """
+        cfg = net.config
+        fingerprint = (cfg.seed, cfg.n, cfg.avg_degree, cfg.radio_range,
+                       cfg.mobility, cfg.torus)
+        if oracle.fingerprint is None:
+            oracle.fingerprint = fingerprint
+            oracle.version = net.topology_version
+        elif oracle.fingerprint != fingerprint:
+            raise ValueError(
+                "TopologyRouteOracle shared across different deployments: "
+                f"{fingerprint} vs {oracle.fingerprint}")
+        elif oracle.version != net.topology_version:
+            raise ValueError(
+                "TopologyRouteOracle adopted at mismatched topology "
+                f"versions: {net.topology_version} vs {oracle.version}")
+        self._shared = oracle
+
+    def _usable_shared(self, net):
+        oracle = self._shared
+        if oracle is None or oracle.version != net.topology_version:
             return None
-        return state
+        return oracle
 
-    def adopt_shared(self, net, state: SharedAccessState) -> None:
-        """Share CSR/BFS memos with the other replicas of a deployment."""
-        fingerprint = _deployment_fingerprint(net)
-        if state.fingerprint is None:
-            state.fingerprint = fingerprint
-            state.version = net.topology_version
-        elif state.fingerprint != fingerprint:
-            raise ValueError(
-                "SharedAccessState shared across different deployments: "
-                f"{fingerprint} vs {state.fingerprint}")
-        elif state.version != net.topology_version:
-            raise ValueError(
-                "SharedAccessState adopted at mismatched topology "
-                f"versions: {net.topology_version} vs {state.version}")
-        self._shared = state
-        self._shared_version = net.topology_version
+    # -- CSR snapshots -------------------------------------------------------
 
     def true_csr(self, net) -> CsrSnapshot:
         """True-view snapshot (shared across replicas when sound)."""
-        state = self._usable_shared(net)
-        if state is not None:
-            if state.csr is None:
-                state.csr = self._csr_cache.true_snapshot(net)
-            return state.csr
+        oracle = self._usable_shared(net)
+        if oracle is not None:
+            if oracle.csr is None:
+                oracle.csr = self._csr_cache.true_snapshot(net)
+            return oracle.csr
         return self._csr_cache.true_snapshot(net)
-
-    def known_csr(self, net) -> CsrSnapshot:
-        """Known-view (heartbeat) snapshot — always per-network."""
-        return self._csr_cache.known_snapshot(net)
 
     # -- kernel 1: batched flood ring ----------------------------------------
 
@@ -226,26 +204,18 @@ class AccessEngine:
     def tree(self, net, src: int) -> BfsTree:
         """The BFS tree from ``src`` over ``net``'s current topology.
 
-        Static networks memoise it under ``(topology_version, src)`` —
-        the route-oracle staleness guard — so churn invalidates by
-        construction: the deployment-wide memo while an adopted
-        :class:`SharedAccessState` is still sound, otherwise a bounded
-        per-network LRU.  Under mobility the topology is a function of
-        the clock, so the tree is built for this one discovery and
-        counts as neither a hit nor a miss.
+        Static networks memoise it under ``(topology_version, src)``, so
+        churn invalidates by construction: the deployment-wide
+        ``TopologyRouteOracle`` while the adopted version stands,
+        otherwise a bounded per-network LRU.  Under mobility the
+        topology is a function of the clock, so the tree is built for
+        this one discovery and counts as neither a hit nor a miss.
         """
         if net.config.mobility != "static":
             return bfs_tree(net, src)
-        state = self._usable_shared(net)
-        if state is not None:
-            cached = state.trees.get(src)
-            if cached is not None:
-                state.hits += 1
-                return cached
-            state.misses += 1
-            tree = bfs_tree(net, src)
-            state.trees[src] = tree
-            return tree
+        oracle = self._usable_shared(net)
+        if oracle is not None:
+            return oracle.tree(net, src)
         version = net.topology_version
         if version != self._trees_version:
             self._trees.clear()

@@ -169,9 +169,6 @@ class ReplicationPlan:
     target_halfwidth: Optional[float] = None
     #: Replica budget for the stopping rule (defaults to 8x ``reps``).
     max_reps: Optional[int] = None
-    #: Give each replica its own deployment (distinct network seed)
-    #: instead of replicating the workload over one shared deployment.
-    vary_network: bool = False
     #: "raise" propagates replica exceptions; "skip" drops the replica
     #: (the outcome records it in ``faulted``).
     on_error: str = "raise"
@@ -334,64 +331,38 @@ def _seed_workload_streams(net: SimNetwork, replica_index: int,
 
 class _ReplicaNetworkBuilder:
     """Constructs per-replica networks; the batched flavour shares the
-    deterministic per-deployment work (neighbor tables, route oracle)."""
+    deterministic per-deployment work (neighbor tables, BFS/CSR memo)."""
 
     def __init__(self, config: NetworkConfig, plan: ReplicationPlan) -> None:
         self.config = config
-        self.plan = plan
         # Replicas share one graph only while it never moves.
         self._share = (plan.backend == "batched"
                        and config.mobility == "static")
-        self._oracles: Dict[int, TopologyRouteOracle] = {}
-        self._access_states: Dict[int, "SharedAccessState"] = {}
-        self._tables: Dict[int, Dict[int, List[int]]] = {}
+        self._oracle = TopologyRouteOracle()
+        self._tables: Optional[Dict[int, List[int]]] = None
 
-    def _config_for(self, replica: int) -> NetworkConfig:
-        if not self.plan.vary_network:
-            return self.config
-        return replace(self.config, seed=derive_stream_seed(
-            self.config.seed, f"replica-net:{replica}"))
-
-    def build_chunk(self, start: int, count: int) -> List[SimNetwork]:
-        """Networks for replicas ``start .. start+count-1``."""
-        configs = [self._config_for(start + i) for i in range(count)]
+    def build_chunk(self, count: int) -> List[SimNetwork]:
+        """Networks for the next ``count`` replicas."""
         if not self._share:
-            return [SimNetwork(cfg) for cfg in configs]
+            return [SimNetwork(self.config) for _ in range(count)]
         with PROFILER.phase("replication.build"):
-            nets = [SimNetwork(cfg, defer_neighbor_init=True)
-                    for cfg in configs]
-            # One replica-axis kernel pass covers every deployment not
-            # yet seen (with a shared network seed that is one pass for
-            # the whole replication run).
-            fresh = []
-            for cfg, net in zip(configs, nets):
-                if cfg.seed not in self._tables and \
-                        all(c.seed != cfg.seed for c, _ in fresh):
-                    fresh.append((cfg, net))
-            if fresh:
-                ids = fresh[0][1].alive_nodes()
-                stack = np.array(
-                    [[net.position(i) for i in ids] for _, net in fresh],
-                    dtype=np.float64)
-                tables_list = batched_neighbor_tables(
+            nets = [SimNetwork(self.config, defer_neighbor_init=True)
+                    for _ in range(count)]
+            if self._tables is None:
+                # Every replica has the same placement: one kernel pass
+                # serves the whole replication run.
+                ids = nets[0].alive_nodes()
+                stack = np.array([[nets[0].position(i) for i in ids]],
+                                 dtype=np.float64)
+                self._tables = batched_neighbor_tables(
                     ids, stack, side=self.config.side,
                     radius=self.config.radio_range,
-                    torus=self.config.torus)
-                for (cfg, _), tables in zip(fresh, tables_list):
-                    self._tables[cfg.seed] = tables
-            for cfg, net in zip(configs, nets):
-                net.finish_deferred_init(self._tables.get(cfg.seed))
-                oracle = self._oracles.setdefault(
-                    cfg.seed, TopologyRouteOracle())
-                net.attach_route_oracle(oracle)
-                # Replica axis and within-access batch axis share one
-                # kernel state: the same CSR snapshot + BFS memo serves
-                # every replica of the deployment (sound while the
-                # topology stays at the attach version).
-                from repro.core.access_engine import SharedAccessState
-                state = self._access_states.setdefault(
-                    cfg.seed, SharedAccessState())
-                net.access_engine.adopt_shared(net, state)
+                    torus=self.config.torus)[0]
+            for net in nets:
+                net.finish_deferred_init(self._tables)
+                # The same CSR snapshot + BFS memo serves every replica
+                # (sound while its topology stays at the adopted version).
+                net.access_engine.adopt_shared(net, self._oracle)
         return nets
 
 
@@ -454,7 +425,7 @@ def run_replicated(
             chunk = min(max(1, plan.reps), budget - done)
         else:
             break
-        nets = builder.build_chunk(done, chunk)
+        nets = builder.build_chunk(chunk)
         for offset, net in enumerate(nets):
             index = done + offset
             seed = seed_list[index]

@@ -154,8 +154,7 @@ def build_known_csr(net, prune_missing: bool = True) -> CsrSnapshot:
 class CsrCache:
     """Staleness-guarded snapshot cache, one per view per network.
 
-    The guard mirrors :class:`~repro.simnet.replication.TopologyRouteOracle`:
-    a snapshot is only served while its key still equals the network's
+    A snapshot is only served while its key still equals the network's
     *current* version counters — any topology or heartbeat mutation
     changes the key, forcing a rebuild.  ``hits``/``misses`` expose the
     guard's behaviour to tests.

@@ -236,7 +236,15 @@ class EventTrace:
             raise TraceTruncated(
                 f"trace retention dropped events: oldest retained seq is "
                 f"{self._events[0].seq}, requested mark {mark}")
-        return [e for e in self._events if e.seq >= mark]
+        # Sequence numbers only grow, so the answer is a tail: walk it
+        # from the right instead of the whole retention window.
+        tail: List[TraceEvent] = []
+        for event in reversed(self._events):
+            if event.seq < mark:
+                break
+            tail.append(event)
+        tail.reverse()
+        return tail
 
     def events(self) -> List[TraceEvent]:
         return list(self._events)

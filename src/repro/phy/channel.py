@@ -13,6 +13,15 @@ Two receivers are implemented, mirroring Section 2.3 of the paper:
 
 Both are half-duplex: a node transmitting during any part of a frame's
 airtime cannot receive that frame.
+
+Both stand on one **on-air ledger** (``_Channel._on_air``): every
+transmission that a frame still waiting to resolve, or a frame yet to be
+sent, can overlap, in transmit order.  Carrier sense reads the entries
+still on the air; a resolving frame filters the ledger once for what
+overlapped it and hands that to the model's ``_receive``.  Transmit
+order is part of the contract: the SINR interference sum is a float sum
+over the ledger's order, so the ledger is only ever filtered, never
+sorted.
 """
 
 from __future__ import annotations
@@ -63,29 +72,16 @@ FrameCallback = Callable[[int, Any, float], None]
 # (receiver_id, frame, rx_power_mw) -> None
 
 
-class SINRChannel:
-    """Cumulative-noise SINR channel with capture effect.
+class _Channel:
+    """Receivers, frame counters and the on-air ledger of both models."""
 
-    Reception is evaluated at the end of each frame's airtime: the frame is
-    delivered to every alive node within hearing distance whose SINR
-    (signal / (thermal noise + sum of overlapping interferers)) is at least
-    ``params.sinr_thresh`` and whose received power is at least RXThresh.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        env: NodeEnvironment,
-        params: Optional[PhyParams] = None,
-        pathloss: Optional[PathLossModel] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, env: NodeEnvironment,
+                 params: Optional[PhyParams]) -> None:
         self.sim = sim
         self.env = env
         self.params = params or PhyParams()
-        self.pathloss = pathloss or default_pathloss(self.params)
         self._receivers: Dict[int, FrameCallback] = {}
-        self._active: List[Transmission] = []
-        self._history: List[Transmission] = []
+        self._on_air: List[Transmission] = []
         self._next_tx_id = 0
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -99,30 +95,10 @@ class SINRChannel:
     def detach(self, node_id: int) -> None:
         self._receivers.pop(node_id, None)
 
-    # -- carrier sensing -------------------------------------------------
-
-    def carrier_busy(self, node_id: int) -> bool:
-        """True if cumulative on-air power at the node clears CSThresh."""
-        now = self.sim.now
-        self._prune(now)
-        if not self._active:
-            return False
-        pos = self.env.position_of(node_id)
-        total = 0.0
-        for tx in self._active:
-            if tx.end <= now or tx.sender == node_id:
-                continue
-            dist = self.env.distance(tx.sender_pos, pos)
-            total += self.pathloss.received_power_mw(tx.power_mw, dist)
-            if total >= self.params.cs_thresh_mw:
-                return True
-        return False
-
     def is_transmitting(self, node_id: int) -> bool:
         now = self.sim.now
-        return any(tx.sender == node_id and tx.end > now for tx in self._active)
-
-    # -- transmission ----------------------------------------------------
+        return any(tx.sender == node_id and tx.end > now
+                   for tx in self._on_air)
 
     def transmit(self, sender: int, frame: Any, duration: float) -> Transmission:
         """Put a frame on the air; reception resolves after ``duration``."""
@@ -138,31 +114,82 @@ class SINRChannel:
             frame=frame,
         )
         self._next_tx_id += 1
-        self._active.append(tx)
-        self._history.append(tx)
+        self._on_air.append(tx)
         self.frames_sent += 1
         self.sim.schedule(duration, self._resolve, tx)
         return tx
 
     def _prune(self, now: float) -> None:
-        if len(self._history) > 4096:
-            horizon = now - 10.0
-            self._history = [t for t in self._history if t.end >= horizon]
-        self._active = [t for t in self._active if t.end > now]
+        """Forget what no pending or future frame can overlap.
 
-    def _overlapping(self, tx: Transmission) -> List[Transmission]:
-        return [
+        A frame resolves at its own ``end`` against whatever overlapped
+        it, so the ledger must keep exactly what ends after the earliest
+        start still waiting to resolve.  A frame ending right ``now``
+        may not have resolved yet and counts as waiting, so the kept set
+        is always a superset of what the overlap predicate can select.
+        """
+        horizon = min((t.start for t in self._on_air if t.end >= now),
+                      default=now)
+        self._on_air = [t for t in self._on_air if t.end > horizon]
+
+    def _resolve(self, tx: Transmission) -> None:
+        """Hand the frame and what overlapped it to the reception model."""
+        self._prune(self.sim.now)
+        self._receive(tx, [
             other
-            for other in self._history
+            for other in self._on_air
             if other.tx_id != tx.tx_id
             and other.start < tx.end
             and other.end > tx.start
-        ]
+        ])
 
-    def _resolve(self, tx: Transmission) -> None:
+    def _receive(self, tx: Transmission,
+                 interferers: List[Transmission]) -> None:
+        raise NotImplementedError
+
+
+class SINRChannel(_Channel):
+    """Cumulative-noise SINR channel with capture effect.
+
+    Reception is evaluated at the end of each frame's airtime: the frame is
+    delivered to every alive node within hearing distance whose SINR
+    (signal / (thermal noise + sum of overlapping interferers)) is at least
+    ``params.sinr_thresh`` and whose received power is at least RXThresh.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        env: NodeEnvironment,
+        params: Optional[PhyParams] = None,
+        pathloss: Optional[PathLossModel] = None,
+    ) -> None:
+        super().__init__(sim, env, params)
+        self.pathloss = pathloss or default_pathloss(self.params)
+
+    def carrier_busy(self, node_id: int) -> bool:
+        """True if cumulative on-air power at the node clears CSThresh."""
+        now = self.sim.now
+        self._prune(now)
+        # Asking for a position advances waypoint legs (one shared RNG
+        # stream), so it is asked only while something is on the air.
+        if not any(tx.end > now for tx in self._on_air):
+            return False
+        pos = self.env.position_of(node_id)
+        total = 0.0
+        for tx in self._on_air:
+            if tx.end <= now or tx.sender == node_id:
+                continue
+            dist = self.env.distance(tx.sender_pos, pos)
+            total += self.pathloss.received_power_mw(tx.power_mw, dist)
+            if total >= self.params.cs_thresh_mw:
+                return True
+        return False
+
+    def _receive(self, tx: Transmission,
+                 interferers: List[Transmission]) -> None:
         """Deliver the frame to every receiver whose SINR clears beta."""
         hearing_range = self.params.carrier_sense_range_m * 1.5
-        interferers = self._overlapping(tx)
         busy_senders = {o.sender for o in interferers} | {tx.sender}
         candidates = self.env.nodes_near(tx.sender_pos, hearing_range)
         for rx in candidates:
@@ -193,7 +220,7 @@ class SINRChannel:
             self._receivers[rx](rx, tx.frame, signal)
 
 
-class ProtocolChannel:
+class ProtocolChannel(_Channel):
     """Unit-disk protocol-model channel (Section 2.3).
 
     A frame reaches every alive node within ``range_m``, unless another
@@ -214,72 +241,24 @@ class ProtocolChannel:
             raise ValueError("range must be positive")
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        self.sim = sim
-        self.env = env
+        super().__init__(sim, env, params)
         self.range_m = range_m
         self.delta = delta
-        self.params = params or PhyParams()
-        self._receivers: Dict[int, FrameCallback] = {}
-        self._active: List[Transmission] = []
-        self._history: List[Transmission] = []
-        self._next_tx_id = 0
-        self.frames_sent = 0
-        self.frames_delivered = 0
-        self.frames_lost_collision = 0
-        self.frames_lost_weak = 0
-
-    def attach(self, node_id: int, on_frame: FrameCallback) -> None:
-        self._receivers[node_id] = on_frame
-
-    def detach(self, node_id: int) -> None:
-        self._receivers.pop(node_id, None)
 
     def carrier_busy(self, node_id: int) -> bool:
         now = self.sim.now
         self._prune(now)
         pos = self.env.position_of(node_id)
         sense_range = self.range_m * (1.0 + self.delta)
-        for tx in self._active:
+        for tx in self._on_air:
             if tx.sender == node_id or tx.end <= now:
                 continue
             if self.env.distance(tx.sender_pos, pos) <= sense_range:
                 return True
         return False
 
-    def is_transmitting(self, node_id: int) -> bool:
-        now = self.sim.now
-        return any(tx.sender == node_id and tx.end > now for tx in self._active)
-
-    def transmit(self, sender: int, frame: Any, duration: float) -> Transmission:
-        now = self.sim.now
-        self._prune(now)
-        tx = Transmission(
-            tx_id=self._next_tx_id,
-            sender=sender,
-            sender_pos=self.env.position_of(sender),
-            start=now,
-            end=now + duration,
-            power_mw=self.params.tx_power_mw,
-            frame=frame,
-        )
-        self._next_tx_id += 1
-        self._active.append(tx)
-        self._history.append(tx)
-        self.frames_sent += 1
-        self.sim.schedule(duration, self._resolve, tx)
-        return tx
-
-    def _prune(self, now: float) -> None:
-        if len(self._history) > 4096:
-            horizon = now - 10.0
-            self._history = [t for t in self._history if t.end >= horizon]
-        self._active = [t for t in self._active if t.end > now]
-
-    def _resolve(self, tx: Transmission) -> None:
-        interferers = [
-            o for o in self._history
-            if o.tx_id != tx.tx_id and o.start < tx.end and o.end > tx.start
-        ]
+    def _receive(self, tx: Transmission,
+                 interferers: List[Transmission]) -> None:
         busy_senders = {o.sender for o in interferers} | {tx.sender}
         guard = self.range_m * (1.0 + self.delta)
         for rx in self.env.nodes_near(tx.sender_pos, self.range_m):

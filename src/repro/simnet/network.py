@@ -201,6 +201,8 @@ class SimNetwork:
         self._pos_cache: Dict[int, Point] = {}
         self._pos_cache_time = -math.inf
         self._known_neighbors: Dict[int, List[int]] = {}
+        # Topology version the heartbeat copy was taken at.
+        self._known_stamp = -1
         # Counts known-view (heartbeat snapshot) mutations; these do not
         # touch geometry, so known-view caches key on
         # (topology_version, known_version).
@@ -209,12 +211,8 @@ class SimNetwork:
         self._route_cache: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
         self._drop_rng = self.rngs.stream("drops")
         self.energy = EnergyLedger()
-        # Batched-replication hooks: a shared per-deployment BFS memo and
-        # a counter identifying the current topology (bumped on every
-        # geometry mutation, so replicas that applied the same mutation
-        # sequence agree on the key).
-        self._route_oracle = None
-        self._oracle_version = 0
+        # Identifies the current topology: bumped on every geometry
+        # mutation, so every cache derived from the graph keys on it.
         self._topo_version = 0
         self._positions_given = positions is not None
         self._deferred_init = defer_neighbor_init
@@ -353,51 +351,17 @@ class SimNetwork:
             if table is not None and node_id in table:
                 table.remove(node_id)
 
-    # -- batched replication hooks ------------------------------------------
+    # -- cache keys ----------------------------------------------------------
 
     @property
     def topology_version(self) -> int:
-        """Counts geometry mutations; replicas that applied the same
-        deterministic mutation sequence to the same placement agree."""
+        """Counts geometry mutations (the key of every graph-derived cache)."""
         return self._topo_version
 
     @property
     def known_version(self) -> int:
         """Counts known-view (heartbeat snapshot) mutations."""
         return self._known_version
-
-    def attach_route_oracle(self, oracle) -> None:
-        """Serve route discovery from a shared per-deployment BFS memo.
-
-        Only meaningful for static-mobility networks (the oracle is
-        ignored under waypoint mobility, where topology is a function of
-        each replica's private clock).  The oracle must be shared only
-        among replicas of the *same* deployment; it verifies this.
-
-        The attachment covers the topology as it stands *now*: any later
-        geometry mutation (churn fail/join) silently disables the oracle
-        for this network, because workload-driven churn differs between
-        replicas — two replicas at the same version count would no longer
-        share a graph, so serving memoized trees across them is unsound.
-        """
-        self._route_oracle = oracle
-        self._oracle_version = self._topo_version
-
-    def _oracle_tree(self, src: int):
-        """The BFS tree from ``src`` that route discovery reads.
-
-        The shared per-deployment oracle (batched replication) takes
-        precedence; otherwise the access engine serves its
-        version-keyed memo while positions are static and builds the
-        tree from the current table under mobility.  Every source
-        yields the same tree, so discovery is statistic-identical
-        whichever serves it.
-        """
-        if (self._route_oracle is not None
-                and self.config.mobility == "static"
-                and self._topo_version == self._oracle_version):
-            return self._route_oracle.tree(self, src)
-        return self.access_engine.tree(self, src)
 
     # -- observability -------------------------------------------------------
 
@@ -630,11 +594,18 @@ class SimNetwork:
             return
         self._known_version += 1
         with PROFILER.phase("neighbor.heartbeat"):
+            # A static graph moves only with the topology version, and
+            # every edit of the copy in between (fail_node, join_node)
+            # bumps it.
+            if (self.config.mobility == "static"
+                    and self._known_stamp == self._topo_version):
+                return
             tables = self._neighbor_tables()
             self._known_neighbors = {
                 node_id: list(tables.get(node_id, ()))
                 for node_id in self._alive
             }
+            self._known_stamp = self._topo_version
 
     def snapshot_graph(self) -> GeometricGraph:
         """Current ground-truth connectivity graph (ids compacted are NOT
@@ -786,7 +757,7 @@ class SimNetwork:
         back along the path.
         """
         with PROFILER.phase("routing.discover"):
-            tree = self._oracle_tree(src)
+            tree = self.access_engine.tree(self, src)
             path = tree.path_to(dst)
             if path is None:
                 # Full-network flood that failed: everybody reachable
@@ -906,7 +877,7 @@ class SimNetwork:
             return RouteResult(success=False)
         if src == dst:
             return RouteResult(success=True, path=[src])
-        tree = self._oracle_tree(src)
+        tree = self.access_engine.tree(self, src)
         routing_messages = tree.count_within(max_hops)
         found = tree.dist.get(dst, math.inf) <= max_hops
         self.counters["routing"] += routing_messages

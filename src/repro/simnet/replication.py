@@ -1,18 +1,20 @@
 """Cross-replica shared state for batched Monte-Carlo replication.
 
 Replicas of one scenario share the network seed, hence the deployment:
-the *topology* (static positions + the deterministic, network-seed-driven
-churn sequence) evolves identically in every replica even though each
+every replica starts from the same static placement even though each
 replica's workload randomness differs.  Route discovery — BFS path + ring
 coverage counts — is a pure function of that topology, so its results can
 be memoized ONCE and served to every replica.
 
-:class:`TopologyRouteOracle` is that memo.  A network keys into it with
-its ``topology_version`` (a counter bumped on every geometry mutation):
-two replicas at the same version have applied the same mutation sequence
-to the same initial placement, so their graphs are identical and the
-cached BFS trees are exact.  The oracle is only ever attached to
-*static*-mobility networks (time-varying topologies are never shared).
+:class:`TopologyRouteOracle` is that memo, and the only one: the BFS
+trees and the CSR snapshot of **one** topology version of one
+deployment.  Replicas join it through
+:meth:`repro.core.access_engine.AccessEngine.adopt_shared`, which checks
+deployment and version once; a replica reads it while its own
+``topology_version`` still equals the adopted one and falls back to its
+private memo at its first geometry mutation (workload-driven churn
+differs between replicas, so equal version *counts* would no longer mean
+equal graphs).  Time-varying topologies are never shared.
 
 Accounting stays strictly per-replica: the oracle returns topology facts
 (paths, distances, coverage counts); each network still meters its own
@@ -21,7 +23,7 @@ routing messages, energy, and trace events from them.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -93,50 +95,30 @@ def bfs_tree(net, src: int) -> BfsTree:
 
 
 class TopologyRouteOracle:
-    """Memoized BFS trees shared by replicas of one deployment.
+    """BFS trees + CSR snapshot of one topology version of one deployment.
 
-    Keyed by ``(topology_version, source)``.  Old versions are evicted
-    LRU-style once ``max_versions`` distinct topologies have been seen
-    (churn bumps the version; replicas all walk the same version
-    sequence, so only a handful are ever live at once).
+    ``fingerprint`` and ``version`` are set by the first
+    ``AccessEngine.adopt_shared`` and checked by every later one, so
+    :meth:`tree` itself trusts its caller: it is only reached from an
+    engine whose network still stands at the adopted version.
     """
 
-    def __init__(self, max_versions: int = 8) -> None:
-        self._versions: "OrderedDict[int, Dict[int, BfsTree]]" = OrderedDict()
-        self._max_versions = max_versions
-        self._fingerprint: Optional[tuple] = None
+    __slots__ = ("fingerprint", "version", "csr", "trees", "hits", "misses")
+
+    def __init__(self) -> None:
+        self.fingerprint: Optional[tuple] = None
+        self.version: Optional[int] = None
+        self.csr = None
+        self.trees: Dict[int, BfsTree] = {}
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _config_fingerprint(net) -> tuple:
-        cfg = net.config
-        return (cfg.seed, cfg.n, cfg.avg_degree, cfg.radio_range,
-                cfg.mobility, cfg.torus)
-
     def tree(self, net, src: int) -> BfsTree:
-        """The BFS tree from ``src`` at ``net``'s current topology."""
-        fingerprint = self._config_fingerprint(net)
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint
-        elif fingerprint != self._fingerprint:
-            raise ValueError(
-                "TopologyRouteOracle shared across different deployments: "
-                f"{fingerprint} vs {self._fingerprint}")
-        version = net.topology_version
-        trees = self._versions.get(version)
-        if trees is None:
-            trees = {}
-            self._versions[version] = trees
-            if len(self._versions) > self._max_versions:
-                self._versions.popitem(last=False)
-        else:
-            self._versions.move_to_end(version)
-        cached = trees.get(src)
+        """The BFS tree from ``src`` at the adopted topology version."""
+        cached = self.trees.get(src)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        tree = bfs_tree(net, src)
-        trees[src] = tree
+        tree = self.trees[src] = bfs_tree(net, src)
         return tree

@@ -14,7 +14,11 @@ independent implementations those are held to live here, outside
   whose BFS trees are rebuilt in Python on every call, so a network
   carrying it sends every frame through the per-event primitives; and
   an early-exit BFS + capped ring count, the independent reference for
-  tree-based route discovery.
+  tree-based route discovery;
+* :mod:`reference.phy` — the two radio channels with an on-air ledger
+  that never forgets (every frame scans every transmission ever made),
+  what the pruned ledger of ``repro.phy.channel`` is held to.  Imported
+  as ``reference.phy`` by the packet-level tests only.
 """
 
 from reference.access import DecliningEngine, bfs_path, per_event, ring_size

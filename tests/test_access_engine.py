@@ -21,7 +21,6 @@ from reference import DecliningEngine, bfs_path, per_event, ring_size
 
 from repro.core.access_engine import (
     AccessEngine,
-    SharedAccessState,
     walk_batch,
 )
 from repro.core.gossip import GossipFloodStrategy
@@ -41,7 +40,7 @@ from repro.experiments.common import (
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
 from repro.simnet.energy import EnergyLedger
 from repro.simnet.network import NetworkConfig, SimNetwork
-from repro.simnet.replication import bfs_tree
+from repro.simnet.replication import TopologyRouteOracle, bfs_tree
 
 
 def _pair(n=80, seed=3, **kw):
@@ -477,7 +476,7 @@ def test_engine_tree_memo_keys_on_topology_version():
 
 
 def test_shared_state_serves_all_replicas():
-    state = SharedAccessState()
+    state = TopologyRouteOracle()
     nets = [SimNetwork(NetworkConfig(n=200, seed=5))
             for _ in range(2)]
     for net in nets:
@@ -491,7 +490,7 @@ def test_shared_state_serves_all_replicas():
 
 
 def test_shared_state_detaches_on_churn():
-    state = SharedAccessState()
+    state = TopologyRouteOracle()
     net = SimNetwork(NetworkConfig(n=200, seed=5))
     net.access_engine.adopt_shared(net, state)
     net.access_engine.tree(net, 3)
@@ -501,12 +500,24 @@ def test_shared_state_detaches_on_churn():
 
 
 def test_shared_state_rejects_other_deployment():
-    state = SharedAccessState()
+    state = TopologyRouteOracle()
     a = SimNetwork(NetworkConfig(n=200, seed=5))
     b = SimNetwork(NetworkConfig(n=200, seed=6))
     a.access_engine.adopt_shared(a, state)
     with pytest.raises(ValueError):
         b.access_engine.adopt_shared(b, state)
+
+
+def test_shared_state_rejects_mismatched_version():
+    state = TopologyRouteOracle()
+    a = SimNetwork(NetworkConfig(n=200, seed=5))
+    b = SimNetwork(NetworkConfig(n=200, seed=5))
+    a.access_engine.adopt_shared(a, state)
+    b.fail_node(b.alive_nodes()[0])  # same deployment, another graph
+    with pytest.raises(ValueError, match="mismatched topology"):
+        b.access_engine.adopt_shared(b, state)
+    assert b.access_engine.tree(b, 3) is not a.access_engine.tree(a, 3)
+    assert state.misses == 1 and b.access_engine.tree_misses == 1
 
 
 # -- Philox walker batches ---------------------------------------------------

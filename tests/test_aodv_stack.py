@@ -1,6 +1,10 @@
 """Tests for AODV routing and the full packet-level stack."""
 
+import itertools
+import random
+
 import pytest
+from reference.phy import never_forgets
 
 from repro.net import FloodPacket
 from repro.stack import AdhocStack, StackConfig
@@ -145,3 +149,75 @@ class TestMobileStack:
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError):
             AdhocStack(StackConfig(n=5, channel="magic"))
+
+
+class TestOnAirLedgerTwin:
+    """The pruned on-air ledger against a channel that never forgets
+    (``reference.phy``): same frames, same losses, same clock."""
+
+    def drive(self, monkeypatch, mobility, channel, stand_in=False):
+        """A 120-step seeded script: routed sends, TTL floods, one crash
+        and idle gaps from 2 ms to 2 s; everything observable about it."""
+        # Packet ids are process-wide; restart them so twins see the same.
+        monkeypatch.setattr("repro.net.packet._packet_ids", itertools.count())
+        kw = dict(n=20, avg_degree=12, seed=3, mobility=mobility,
+                  channel=channel)
+        if mobility == "waypoint":
+            kw.update(min_speed=20.0, max_speed=20.0, pause_time=0.0)
+        stack = AdhocStack(StackConfig(**kw))
+        if stand_in:
+            never_forgets(stack)
+        channel = stack.channel
+        heard, sensed, ledger_sizes = [], [], []
+        for node, deliver in list(channel._receivers.items()):
+            def tap(rx, frame, power, deliver=deliver):
+                heard.append((rx, repr(frame), power))
+                deliver(rx, frame, power)
+            channel.attach(node, tap)
+        transmit = channel.transmit
+
+        def watched_transmit(sender, frame, duration):
+            tx = transmit(sender, frame, duration)
+            ledger_sizes.append(len(channel._on_air))
+            return tx
+
+        channel.transmit = watched_transmit
+        rng = random.Random(4)
+        for step in range(120):
+            alive = stack.env.alive_nodes()
+            roll = rng.random()
+            if step == 60:
+                stack.crash(alive[3])
+            elif roll < 0.55:
+                src, dst = rng.sample(alive, 2)
+                stack.send(src, dst, ("msg", step))
+            elif roll < 0.85:
+                stack.flood(rng.choice(alive), ("flood", step), ttl=3)
+            stack.run(rng.choice((0.002, 0.01, 0.05, 0.3, 2.0)))
+            sensed.append([(channel.carrier_busy(node),
+                            channel.is_transmitting(node))
+                           for node in range(stack.config.n)])
+        counters = {name: getattr(channel, name) for name in (
+            "frames_sent", "frames_delivered", "frames_lost_collision",
+            "frames_lost_weak")}
+        end = (stack.sim.events_executed, stack.sim.now, stack.received,
+               stack.env.mobility._legs)
+        return heard, sensed, counters, end, ledger_sizes
+
+    @pytest.mark.parametrize("channel", ["sinr", "protocol"])
+    @pytest.mark.parametrize("mobility", ["static", "waypoint"])
+    def test_pruned_ledger_matches_never_forgetting_twin(
+            self, monkeypatch, mobility, channel):
+        heard, sensed, counters, end, sizes = self.drive(
+            monkeypatch, mobility, channel)
+        ref_heard, ref_sensed, ref_counters, ref_end, ref_sizes = self.drive(
+            monkeypatch, mobility, channel, stand_in=True)
+        assert heard == ref_heard
+        assert sensed == ref_sensed
+        assert counters == ref_counters
+        assert end == ref_end
+        assert counters["frames_lost_collision"] > 1000
+        # The ledger's size follows what is on the air, not how long the
+        # run has been going: the twin ends up holding every frame sent.
+        assert ref_sizes[-1] == counters["frames_sent"] > 1000
+        assert max(sizes) <= 12

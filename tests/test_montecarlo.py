@@ -16,6 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.core import access_engine
 from repro.core.biquorum import ProbabilisticBiquorum
 from repro.core.strategies import RandomStrategy, UniquePathStrategy
 from repro.experiments.common import (
@@ -35,7 +36,9 @@ from repro.experiments.montecarlo import (
 )
 from repro.services.location import LocationService
 from repro.sim.rng import replica_seeds
+from repro.simnet import replication
 from repro.simnet.churn import apply_churn
+from repro.simnet.network import SimNetwork
 
 
 def _random_run(qa=10, ql=8, n_keys=5, n_lookups=30):
@@ -178,6 +181,61 @@ class TestBackendEquivalence:
         bat = run_replicated(cfg, run, reps=4, backend="batched",
                              base_seed=7)
         _assert_replicas_identical(seq, bat)
+
+    def test_every_tree_is_built_once_in_the_one_adopted_oracle(
+            self, monkeypatch):
+        # Count gate for the single shared BFS memo: while a replica
+        # stands at the adopted topology version its engine builds
+        # nothing; replica 2 churns mid-run and from then on builds in
+        # its own LRU, while replica 3 keeps reading the oracle.
+        builds = []
+        real_bfs_tree = replication.bfs_tree
+
+        def counting_bfs_tree(net, src):
+            builds.append(src)
+            return real_bfs_tree(net, src)
+
+        for module in (replication, access_engine):
+            monkeypatch.setattr(module, "bfs_tree", counting_bfs_tree)
+        seen, oracle_reads = {}, []
+
+        def run(net, rep_seed):
+            replica = net.trace.context["replica"]
+            oracle = net.access_engine._shared  # None when sequential
+            rng = random.Random(rep_seed)
+            delivered = messages = 0
+            for i in range(40):
+                if replica == 2 and i in (20, 39) and oracle is not None:
+                    oracle_reads.append(oracle.hits + oracle.misses)
+                if replica == 2 and i == 20:
+                    net.fail_node(net.random_alive_node(rng))
+                result = net.route(net.random_alive_node(rng),
+                                   net.random_alive_node(rng))
+                delivered += result.success
+                messages += result.routing_messages
+            seen[replica] = net
+            return ScenarioStats(n=net.n_alive, lookups=40, hits=delivered,
+                                 lookup_routing_total=messages)
+
+        cfg = scenario_config(60, seed=3)
+        bat = run_replicated(cfg, run, reps=4, backend="batched",
+                             base_seed=3)
+        engines = {r: net.access_engine for r, net in seen.items()}
+        oracle = engines[0]._shared
+        assert all(e._shared is oracle for e in engines.values())
+        assert oracle.misses == len(oracle.trees) and oracle.hits > 0
+        for replica in (0, 1, 3):
+            assert engines[replica].tree_misses == 0
+            assert engines[replica].tree_hits == 0
+        before_churn, near_the_end = oracle_reads
+        assert before_churn == near_the_end and engines[2].tree_misses > 0
+        assert len(builds) == oracle.misses + engines[2].tree_misses
+        assert not hasattr(SimNetwork, "attach_route_oracle")
+
+        seq = run_replicated(cfg, run, reps=4, backend="sequential",
+                             base_seed=3)
+        _assert_replicas_identical(seq, bat)
+        assert all(net.access_engine._shared is None for net in seen.values())
 
     @pytest.mark.slow
     def test_identical_under_waypoint_mobility(self):
@@ -353,6 +411,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="backend"):
             run_replicated(scenario_config(40, seed=1), _random_run(),
                            reps=1, backend="gpu", base_seed=1)
+
+    def test_vary_network_is_gone(self):
+        # Replicas always share one deployment; nothing ever set this.
+        with pytest.raises(TypeError):
+            ReplicationPlan(vary_network=True)
+        with pytest.raises(TypeError):
+            run_replicated(scenario_config(40, seed=1), _random_run(),
+                           reps=1, vary_network=True, base_seed=1)
 
     def test_negative_reps_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -89,6 +89,22 @@ class TestEventTrace:
         with pytest.raises(TraceTruncated):
             trace.events_since(mark)
 
+    def test_slice_of_a_wrapped_trace_is_the_matching_tail(self):
+        # Marks before, on the edge of, inside and after the retained
+        # window, once retention has wrapped.
+        trace = EventTrace().enable(memory=True, retention=16)
+        for i in range(50):
+            trace.record("hop", float(i))
+        retained = trace.events()
+        assert [e.seq for e in retained] == list(range(34, 50))
+        for mark in (0, 33):
+            with pytest.raises(TraceTruncated):
+                trace.events_since(mark)
+        for mark in (34, 35, 41, 49, 50, 60):
+            assert trace.events_since(mark) == [
+                e for e in retained if e.seq >= mark]
+        assert trace.events_since(trace.mark()) == []
+
     def test_jsonl_output(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         trace = EventTrace().enable(memory=False, jsonl_path=str(path))

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from reference.phy import UnprunedProtocolChannel, UnprunedSINRChannel
 
 from repro.phy import (
     DEFAULT_PHY,
@@ -272,3 +273,75 @@ class TestProtocolChannel:
             ProtocolChannel(Simulator(), _Env({}), range_m=0.0)
         with pytest.raises(ValueError):
             ProtocolChannel(Simulator(), _Env({}), range_m=1.0, delta=-0.1)
+
+
+class TestOnAirLedger:
+    """One ledger under both models (``_Channel._on_air``): it keeps what
+    a pending frame can still overlap and forgets everything else."""
+
+    CHANNELS = {
+        "sinr": (SINRChannel, UnprunedSINRChannel, {}),
+        "protocol": (ProtocolChannel, UnprunedProtocolChannel,
+                     {"range_m": 200.0}),
+    }
+
+    def run_script(self, cls, kwargs, script):
+        sim = Simulator()
+        positions = {i: (60.0 * i, 0.0) for i in range(6)}
+        ch = cls(sim, _Env(positions), **kwargs)
+        got = []
+        for node in positions:
+            ch.attach(node, lambda rx, frame, power: got.append(
+                (sim.now, rx, frame, power)))
+        for at, sender, duration in script:
+            sim.schedule_at(at, ch.transmit, sender, (sender, at), duration)
+        sim.run()
+        return ch, got
+
+    @pytest.mark.parametrize("model", ["sinr", "protocol"])
+    def test_long_frame_still_meets_short_ones_that_ended(self, model):
+        # Node 0's long frame resolves last; the short frames that
+        # overlapped it ended, and resolved, long before — a ledger that
+        # dropped frames as they ended would deliver the long one clean.
+        real, unpruned, kwargs = self.CHANNELS[model]
+        script = [(0.0, 0, 0.010), (0.001, 5, 0.001), (0.003, 4, 0.001),
+                  (0.005, 5, 0.001), (0.012, 3, 0.001)]
+        ch, got = self.run_script(real, kwargs, script)
+        ref, expected = self.run_script(unpruned, kwargs, script)
+        assert got == expected
+        assert not any(frame == (0, 0.0) for _, _, frame, _ in got)
+        for counter in ("frames_sent", "frames_delivered",
+                        "frames_lost_collision", "frames_lost_weak"):
+            assert getattr(ch, counter) == getattr(ref, counter)
+        assert len(ref._on_air) == len(script)
+
+    @pytest.mark.parametrize("model", ["sinr", "protocol"])
+    def test_ledger_stays_in_transmit_order_and_drains(self, model):
+        real, _, kwargs = self.CHANNELS[model]
+        sim = Simulator()
+        ch = real(sim, _Env({i: (60.0 * i, 0.0) for i in range(6)}),
+                  **kwargs)
+        ledgers = []
+
+        def send(k):
+            ch.transmit(k % 6, k, 0.001)
+            ledgers.append([t.tx_id for t in ch._on_air])
+
+        for k in range(200):
+            sim.schedule_at(0.0004 * k, send, k)
+        sim.run()
+        # Filtered, never sorted: the SINR interference sum is a float
+        # sum over this order.
+        assert all(ids == sorted(ids) for ids in ledgers)
+        # 1 ms frames every 0.4 ms: three on the air, plus what the
+        # oldest of those overlapped.
+        assert max(map(len, ledgers)) <= 6
+        # Silence, then one more frame sent and resolved: the old frames
+        # are gone, and the next look at the air forgets that one too.
+        sim.schedule_at(1.0, ch.transmit, 0, "last", 0.001)
+        sim.run()
+        assert [t.frame for t in ch._on_air] == ["last"]
+        sim.schedule_at(2.0, ch.carrier_busy, 1)
+        sim.run()
+        assert ch._on_air == []
+        assert ch.frames_sent == 201

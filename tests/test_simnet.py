@@ -91,6 +91,81 @@ class TestNeighborTables:
                 net.true_neighbors(v))
 
 
+class _CopiesEveryHeartbeat(SimNetwork):
+    """A network whose heartbeat forgets the version it last copied at."""
+
+    def _refresh_neighbor_tables(self):
+        self._known_stamp = -1
+        super()._refresh_neighbor_tables()
+
+
+class TestHeartbeatCopiesOnlyWhatChanged:
+    """A static heartbeat re-copies the neighbor table only when the
+    topology version moved since the last copy."""
+
+    def test_known_view_equals_the_always_copying_twin(self):
+        config = NetworkConfig(n=60, avg_degree=10, seed=2)
+        net, twin = SimNetwork(config), _CopiesEveryHeartbeat(config)
+        rngs = random.Random(9), random.Random(9)
+
+        def step(net, rng):
+            roll = rng.random()
+            if roll < 0.40:
+                net.advance(rng.choice((3.0, 10.0, 25.0)))  # heartbeats
+            elif roll < 0.55:
+                net.fail_node(net.random_alive_node(rng))
+            elif roll < 0.70:
+                node = net.random_alive_node(rng)
+                net.fail_node(node, commit=False)  # tentative, rolled back
+                net.advance(rng.choice((0.0, 12.0)))
+                net.revive_node(node)
+            elif roll < 0.80:
+                dead = sorted(set(range(net._next_id)) - net._alive)
+                if dead:
+                    net.revive_node(rng.choice(dead))
+            elif roll < 0.90:
+                net.join_node()
+            elif roll < 0.95:
+                net.suspend_neighbor_refresh()
+            else:
+                net.resume_neighbor_refresh()
+
+        for _ in range(200):
+            step(net, rngs[0])
+            step(twin, rngs[1])
+            assert net.now == twin.now
+            assert net.known_version == twin.known_version
+            for v in range(net._next_id):
+                assert net.known_neighbors(v) == twin.known_neighbors(v)
+        assert net._next_id > 60 and net.n_alive < net._next_id
+
+    def test_churn_free_heartbeats_share_one_copy(self):
+        net = net_static()
+        copies = [net._known_neighbors]
+
+        def heartbeats(k):
+            for _ in range(k):
+                net.advance(net.config.heartbeat_interval)
+                if net._known_neighbors is not copies[-1]:
+                    copies.append(net._known_neighbors)
+
+        version = net.known_version
+        heartbeats(12)
+        assert len(copies) == 1  # the construction-time copy still serves
+        assert net.known_version == version + 12  # known-view key still moves
+        net.fail_node(5)
+        heartbeats(12)
+        assert len(copies) == 2  # one copy for the whole stretch after churn
+        assert 5 not in copies[-1]
+        assert all(5 not in nbrs for nbrs in copies[-1].values())
+
+    def test_mobile_heartbeat_always_copies(self):
+        net = net_mobile()
+        before = net._known_neighbors
+        net.advance(net.config.heartbeat_interval)
+        assert net._known_neighbors is not before
+
+
 class TestOneHopMessaging:
     def test_unicast_to_neighbor_succeeds(self):
         net = net_static()
