@@ -1,22 +1,23 @@
-"""Live invariant watchers — overhead gate on the Figure-8 workload.
+"""Live invariant watchers — delivery-cost gate on the Figure-8 workload.
 
 Methodology: wall-clocking a watched run against an unwatched run is
-hopelessly noisy at the <5% scale this gate cares about (container
+hopelessly noisy at the scale this gate cares about (container
 scheduling drifts run times by 10-15%).  What the watchers *add* to a
 traced run is exactly hub delivery — ``hub.on_event`` per recorded
 event plus ``finish()`` — so the gate times that addition directly:
 
 1. capture the bench_fig8 event stream once (one traced run),
-2. time the traced run itself (min over repetitions, CPU time),
-3. time delivering the captured stream through every builtin watcher
+2. time delivering the captured stream through every builtin watcher
    (min over repetitions — a tight, repeatable loop),
-4. gate: delivery time < 5% of the traced-run time.
+3. gate: delivery cost per event < ``MAX_NS_PER_EVENT``.
 
-The trace-off run time is also recorded: event *delivery* rides on
-event *recording*, and enabling tracing at all costs far more than the
-watchers do.  That number keeps the full ``--watch`` price visible in
-``BENCH_simnet.json`` (block ``"watchers"``); the gate covers the part
-this subsystem adds.
+The gate is per event, not a share of the traced run: a faster
+simulator shrinks the run without the watchers getting any slower, and
+a ratio gate would then fail on a speedup.  The trace-off and traced
+run times are still recorded — event *delivery* rides on event
+*recording*, and enabling tracing at all costs more than the watchers
+do — so the full ``--watch`` price stays visible in
+``BENCH_simnet.json`` (block ``"watchers"``).
 """
 
 import json
@@ -32,7 +33,13 @@ from repro.obs.watch import WatcherHub, builtin_watchers
 BENCH_N = 1500 if FULL_SCALE else 800
 ROUNDS = 5           # min-of-R: robust to scheduler noise
 DELIVERY_ROUNDS = 7
-MAX_OVERHEAD_PCT = 5.0
+#: Ceiling on hub delivery per event through all four builtin watchers
+#: (≈250 ns on a 2-vCPU AMD EPYC container).  It protects the watched hot
+#: path — ``faults_stress`` delivers every hop of the run — from a
+#: per-event regression such as a kind-test chain or per-event
+#: bookkeeping creeping back into dispatch; ≈4x headroom absorbs
+#: machine-to-machine spread.
+MAX_NS_PER_EVENT = 1000
 
 
 def _workload(net, seed: int) -> None:
@@ -83,6 +90,7 @@ def test_watcher_overhead_gate(record):
         assert hub.events_seen == len(events)
         assert hub.clean, hub.violations[:5]
 
+    ns_per_event = delivery / len(events) * 1e9
     overhead_pct = 100.0 * delivery / base_trace
     delivery_pct = 100.0 * (base_trace / base_off - 1.0)
 
@@ -95,10 +103,10 @@ def test_watcher_overhead_gate(record):
         "baseline_seconds": round(base_off, 4),
         "trace_seconds": round(base_trace, 4),
         "watch_delivery_seconds": round(delivery, 4),
-        "ns_per_event": round(delivery / len(events) * 1e9),
+        "ns_per_event": round(ns_per_event),
         "watcher_overhead_pct": round(overhead_pct, 2),
         "trace_delivery_pct": round(delivery_pct, 2),
-        "gate_pct": MAX_OVERHEAD_PCT,
+        "gate_ns_per_event": MAX_NS_PER_EVENT,
     }
     payload = {}
     if BENCH_TIMINGS_PATH.exists():
@@ -116,6 +124,6 @@ def test_watcher_overhead_gate(record):
           f"{overhead_pct:.2f}% of the traced run "
           f"(tracing itself: +{delivery_pct:.1f}%)")
 
-    assert overhead_pct < MAX_OVERHEAD_PCT, (
-        f"all-watchers-on delivery is {overhead_pct:.2f}% of the traced "
-        f"bench_fig8 run (gate {MAX_OVERHEAD_PCT}%)")
+    assert ns_per_event < MAX_NS_PER_EVENT, (
+        f"all-watchers-on delivery costs {ns_per_event:.0f} ns/event "
+        f"(gate {MAX_NS_PER_EVENT} ns)")

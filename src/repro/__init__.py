@@ -62,7 +62,6 @@ from repro.obs import (
     EventTrace,
     MetricsRegistry,
     TraceEvent,
-    audit_access,
 )
 from repro.services import (
     CheckedRegister,
@@ -122,7 +121,6 @@ __all__ = [
     "EventTrace",
     "MetricsRegistry",
     "TraceEvent",
-    "audit_access",
     # services
     "CheckedRegister",
     "LocationService",

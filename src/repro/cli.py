@@ -387,8 +387,6 @@ ENV_VARS = {
     "REPRO_WATCH": "1 attaches every live invariant watcher; a comma "
                    "list (e.g. conservation,slo) selects a subset",
     "REPRO_SLO": "JSON SLO spec file evaluated live by the watchers",
-    "REPRO_HIST_CAPACITY": "bound every metrics histogram to a reservoir "
-                           "of this size (default: exact, unbounded)",
     "REPRO_PROFILE": "1 enables the phase profiler (table on stderr)",
     "REPRO_JOBS": "default parallel sweep workers",
     "REPRO_MANIFEST_DIR": "directory for per-sweep provenance manifests",

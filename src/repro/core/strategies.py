@@ -27,7 +27,7 @@ from typing import Any, Callable, List, Optional, Set
 
 from repro.analysis.flooding import DEFAULT_KAPPA, ttl_for_coverage
 from repro.obs.profile import PROFILER
-from repro.obs.trace import TraceTruncated, record_event
+from repro.obs.trace import record_event
 from repro.randomwalk.reply import reverse_path_of, send_reply
 from repro.randomwalk.walker import max_degree_walk_sample, random_walk
 from repro.simnet.network import SimNetwork
@@ -218,9 +218,10 @@ class AccessStrategy(ABC):
     ``AccessResult.latency`` from the network clock at entry/exit (so
     direct-strategy callers get real latencies, not just those routed
     through :class:`~repro.core.biquorum.ProbabilisticBiquorum`), trace
-    the access boundaries plus store/probe events, publish the uniform
-    per-access metrics, and — when the network carries an accounting
-    auditor — cross-check the result against the traced event stream.
+    the access boundaries plus store/probe events, and publish the
+    uniform per-access metrics.  The ``access-end`` event carries the
+    result's accounting, which the conservation watcher (the accounting
+    audit, :mod:`repro.obs.watch`) checks against the traced span.
     Subclasses implement ``_advertise``/``_lookup``.
     """
 
@@ -310,7 +311,6 @@ class AccessStrategy(ABC):
                      origin: int, callback: Callable,
                      target_size: int) -> AccessResult:
         trace = _live_trace(net)
-        mark = trace.mark() if trace is not None else None
         started = net.now
         access_key = getattr(callback, "access_key", None)
         version_of = getattr(callback, "access_version_of", None)
@@ -355,18 +355,6 @@ class AccessStrategy(ABC):
                          reply=result.reply_delivered,
                          quorum=result.quorum_size, **extra)
         _publish_access_metrics(net, result)
-        auditor = getattr(net, "auditor", None)
-        if auditor is not None and mark is not None:
-            try:
-                events = trace.events_since(mark)
-            except TraceTruncated as exc:
-                # Retention dropped events this audit needs.  Surface it
-                # as a violation: strict mode raises (via flag), record
-                # mode keeps the run alive and notes the gap.
-                auditor.flag("trace-truncated", str(exc),
-                             strategy=self.name, kind=kind)
-            else:
-                auditor.check(result, events)
         return result
 
     @abstractmethod

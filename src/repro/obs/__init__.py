@@ -10,9 +10,7 @@ from repro.obs.audit import (
     AccountingAuditor,
     AuditError,
     AuditViolation,
-    audit_access,
     auditor_from_env,
-    own_events,
 )
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -50,7 +48,6 @@ from repro.obs.trace import (
     TRACE_SCHEMA,
     EventTrace,
     TraceEvent,
-    TraceTruncated,
     record_event,
 )
 from repro.obs.watch import (
@@ -92,12 +89,10 @@ __all__ = [
     "TRACE_SCHEMA",
     "TraceEvent",
     "TraceSummary",
-    "TraceTruncated",
     "Watcher",
     "WatcherHub",
     "access_timeline",
     "attach_watchers",
-    "audit_access",
     "auditor_from_env",
     "builtin_watchers",
     "check_trace_schema",
@@ -105,7 +100,6 @@ __all__ = [
     "diff_summaries",
     "iter_trace",
     "load_slo_specs",
-    "own_events",
     "profile_enabled_from_env",
     "profiled",
     "record_event",

@@ -1,24 +1,13 @@
-"""Accounting auditor: cross-checks ``AccessResult`` against the trace.
+"""Accounting auditor: the violation ledger behind ``REPRO_AUDIT``.
 
 The paper's evaluation (Sections 3, 8) stands on per-access accounting —
-messages, routing overhead, latency, replies.  The auditor turns that
-accounting into a standing invariant: for every access it replays the
-access's slice of the event trace and verifies
-
-* **messages**: ``AccessResult.messages`` equals the traced network
-  transmissions (hop + broadcast + modeled virtual messages);
-* **routing**: ``AccessResult.routing_messages`` equals the traced
-  routing control cost;
-* **replies**: ``reply_delivered`` is True iff some traced reply event
-  succeeded, False only when every traced reply failed, and None only
-  when no reply was attempted;
-* **probes**: a ``found`` lookup is backed by a traced probe hit;
-* **latency**: ``AccessResult.latency`` equals the simulated time
-  between the access-start and access-end events.
-
-Events belonging to *nested* accesses (e.g. a maintenance daemon's
-refresh firing on a timer while an outer access advances simulated time)
-are excluded — each nested access is audited at its own level.
+messages, routing overhead, replies.  The check itself streams: the
+:class:`~repro.obs.watch.ConservationWatcher` balances what every
+``access-end`` event claims against the events traced inside that
+access's own span (messages, routing cost, replies, probe hits).  A
+network built under ``REPRO_AUDIT`` always runs that watcher and routes
+its violations here, as it does every other watcher's and the biquorum
+and quorum-load cross-checks'.
 
 Set ``REPRO_AUDIT=strict`` to make every violation raise
 :class:`AuditError` (the CI mode); ``REPRO_AUDIT=record`` collects
@@ -29,11 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-from repro.obs.trace import MESSAGE_KINDS, ROUTING_KINDS, TraceEvent
-
-LATENCY_TOLERANCE = 1e-9
+from typing import List, Optional
 
 
 class AuditError(RuntimeError):
@@ -44,7 +29,7 @@ class AuditError(RuntimeError):
 class AuditViolation:
     """One failed accounting invariant."""
 
-    code: str        # e.g. "message-mismatch"
+    code: str        # e.g. "conservation-messages"
     message: str     # human-readable description
     strategy: str = "?"
     kind: str = "?"
@@ -53,120 +38,16 @@ class AuditViolation:
         return f"[{self.code}] {self.strategy}/{self.kind}: {self.message}"
 
 
-def own_events(events: Sequence[TraceEvent]) -> List[TraceEvent]:
-    """Drop events belonging to accesses nested inside this one.
-
-    The slice starts at the access's own ``access-start``; any further
-    ``access-start`` opens a nested span that is excluded up to its
-    matching ``access-end``.
-    """
-    kept: List[TraceEvent] = []
-    depth = 0
-    started = False
-    for event in events:
-        if event.kind == "access-start":
-            if started:
-                depth += 1
-            else:
-                started = True
-                kept.append(event)
-        elif event.kind == "access-end":
-            if depth > 0:
-                depth -= 1
-            else:
-                kept.append(event)
-        elif depth == 0:
-            kept.append(event)
-    return kept
-
-
-def audit_access(result, events: Sequence[TraceEvent]) -> List[AuditViolation]:
-    """Check one ``AccessResult`` against its traced event slice."""
-    violations: List[AuditViolation] = []
-
-    def flag(code: str, message: str) -> None:
-        violations.append(AuditViolation(
-            code=code, message=message,
-            strategy=result.strategy, kind=result.kind))
-
-    mine = own_events(events)
-
-    traced_messages = sum(e.count for e in mine if e.kind in MESSAGE_KINDS)
-    if traced_messages != result.messages:
-        flag("message-mismatch",
-             f"claimed {result.messages} network messages, "
-             f"traced {traced_messages}")
-
-    traced_routing = sum(e.count for e in mine if e.kind in ROUTING_KINDS)
-    if traced_routing != result.routing_messages:
-        flag("routing-mismatch",
-             f"claimed {result.routing_messages} routing messages, "
-             f"traced {traced_routing}")
-
-    replies = [e for e in mine if e.kind == "reply"]
-    delivered_traced = any(e.fields.get("success") for e in replies)
-    if result.reply_delivered is None:
-        if replies:
-            flag("reply-unclaimed",
-                 f"{len(replies)} reply events traced but the access "
-                 f"claims no reply was needed")
-    elif result.reply_delivered:
-        if not delivered_traced:
-            flag("reply-mismatch",
-                 "reply_delivered=True but no successful reply was traced")
-    else:
-        if not replies:
-            flag("reply-mismatch",
-                 "reply_delivered=False but no reply attempt was traced")
-        elif delivered_traced:
-            flag("reply-mismatch",
-                 "reply_delivered=False but a traced reply succeeded")
-
-    if result.kind == "lookup":
-        probe_hit = any(e.kind == "probe" and e.fields.get("hit")
-                        for e in mine)
-        if result.found and not probe_hit:
-            flag("found-without-probe", "found=True but no probe hit traced")
-        if probe_hit and not result.found and not getattr(
-                result, "masked", False):
-            # Masked lookups legitimately discard traced probe hits:
-            # the masking vote filter rejected every reply that failed
-            # to gather b+1 matching votes.
-            flag("probe-without-found", "probe hit traced but found=False")
-
-    starts = [e for e in mine if e.kind == "access-start"]
-    ends = [e for e in mine if e.kind == "access-end"]
-    if starts and ends:
-        traced_latency = ends[-1].t - starts[0].t
-        if abs(traced_latency - result.latency) > LATENCY_TOLERANCE:
-            flag("latency-mismatch",
-                 f"claimed latency {result.latency!r}, "
-                 f"traced {traced_latency!r}")
-    return violations
-
-
 class AccountingAuditor:
     """Collects (and in strict mode raises on) accounting violations."""
 
     def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        self.checked = 0
         self.violations: List[AuditViolation] = []
-
-    def check(self, result, events: Sequence[TraceEvent]
-              ) -> List[AuditViolation]:
-        """Audit one access; returns (and retains) its violations."""
-        found = audit_access(result, events)
-        self.checked += 1
-        self.violations.extend(found)
-        if found and self.strict:
-            raise AuditError("; ".join(str(v) for v in found))
-        return found
 
     def flag(self, code: str, message: str, strategy: str = "?",
              kind: str = "?") -> None:
-        """Report a violation detected outside :func:`audit_access`
-        (e.g. the biquorum latency cross-check)."""
+        """Report one violation; raises :class:`AuditError` when strict."""
         violation = AuditViolation(code=code, message=message,
                                    strategy=strategy, kind=kind)
         self.violations.append(violation)
@@ -179,9 +60,8 @@ class AccountingAuditor:
 
     def report(self) -> str:
         if self.clean:
-            return f"audit clean: {self.checked} accesses checked"
-        lines = [f"audit: {len(self.violations)} violations over "
-                 f"{self.checked} accesses"]
+            return "audit clean"
+        lines = [f"audit: {len(self.violations)} violations"]
         lines.extend(str(v) for v in self.violations)
         return "\n".join(lines)
 

@@ -16,9 +16,6 @@ numbers instead of re-deriving them ad hoc:
 from __future__ import annotations
 
 import math
-import os
-import random
-import zlib
 from typing import Dict, List, Optional, Union
 
 
@@ -29,8 +26,7 @@ class P2Quantile:
     quantile, its neighbours, and the extremes, adjusted with a
     piecewise-parabolic fit.  Exact for the first five observations
     (they are simply sorted); the estimate converges for larger streams.
-    Shared by the SLO monitor's sliding windows and the bounded
-    histogram mode.
+    The SLO monitor's percentile windows use it.
     """
 
     __slots__ = ("q", "_n", "_heights", "_positions", "_desired", "_rates")
@@ -126,72 +122,33 @@ class Counter:
 class Histogram:
     """A value distribution with summary statistics.
 
-    By default raw observations are retained (simulation scale makes
-    this cheap) and quantiles are exact — nearest-rank over a sorted
-    order that is **cached** between observations, so repeated
-    ``percentile()`` calls do not re-sort.  An **empty** histogram
-    reports ``nan`` for mean/min/max/percentiles (never raises), so
-    summaries of runs with zero observations — e.g. a trace with no
-    lookups — render cleanly instead of inventing a 0.0 latency.
-
-    Million-op service runs can opt into a **bounded** mode
-    (``bounded=True``): count/sum/min/max stay exact and O(1), while
-    quantiles come from a fixed-size uniform reservoir (Vitter's
-    Algorithm R, seeded deterministically from the metric name), so
-    memory no longer grows with the stream.  The exact mode stays the
-    default for figure parity.
+    Raw observations are retained (simulation scale makes this cheap)
+    and quantiles are exact — nearest-rank over a sorted order that is
+    **cached** between observations, so repeated ``percentile()`` calls
+    do not re-sort.  An **empty** histogram reports ``nan`` for
+    mean/min/max/percentiles (never raises), so summaries of runs with
+    zero observations — e.g. a trace with no lookups — render cleanly
+    instead of inventing a 0.0 latency.
     """
 
-    __slots__ = ("name", "values", "_sorted", "_bounded", "_capacity",
-                 "_count", "_sum", "_min", "_max", "_rng")
+    __slots__ = ("name", "values", "_sorted")
 
-    def __init__(self, name: str, bounded: bool = False,
-                 capacity: int = 4096) -> None:
-        if bounded and capacity < 1:
-            raise ValueError("bounded histogram capacity must be >= 1")
+    def __init__(self, name: str) -> None:
         self.name = name
         self.values: List[float] = []
         self._sorted: Optional[List[float]] = None
-        self._bounded = bounded
-        self._capacity = capacity
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        # Deterministic per-name reservoir stream: seeded runs stay
-        # reproducible (hash() is process-salted; crc32 is not).
-        self._rng = (random.Random(zlib.crc32(name.encode("utf-8")))
-                     if bounded else None)
-
-    @property
-    def bounded(self) -> bool:
-        return self._bounded
 
     def observe(self, value: float) -> None:
         self._sorted = None
-        if not self._bounded:
-            self.values.append(value)
-            return
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if len(self.values) < self._capacity:
-            self.values.append(value)
-        else:
-            slot = self._rng.randrange(self._count)
-            if slot < self._capacity:
-                self.values[slot] = value
+        self.values.append(value)
 
     @property
     def count(self) -> int:
-        return self._count if self._bounded else len(self.values)
+        return len(self.values)
 
     @property
     def sum(self) -> float:
-        return self._sum if self._bounded else sum(self.values)
+        return sum(self.values)
 
     @property
     def mean(self) -> float:
@@ -200,22 +157,16 @@ class Histogram:
 
     @property
     def min(self) -> float:
-        if self._bounded:
-            return self._min if self._count else math.nan
         return min(self.values) if self.values else math.nan
 
     @property
     def max(self) -> float:
-        if self._bounded:
-            return self._max if self._count else math.nan
         return max(self.values) if self.values else math.nan
 
     def percentile(self, q: float) -> float:
         """q-th percentile (nearest-rank), q in [0, 100].
 
-        Exact in the default mode; reservoir-approximate in bounded
-        mode once the stream exceeds the capacity.  ``nan`` on an empty
-        histogram (range checking still applies).
+        ``nan`` on an empty histogram (range checking still applies).
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
@@ -234,22 +185,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters and histograms with a stable snapshot format.
+    """Named counters and histograms with a stable snapshot format."""
 
-    ``bounded_capacity`` opts every histogram into the bounded
-    (reservoir) mode with that capacity; the default (None, or the
-    ``REPRO_HIST_CAPACITY`` env var) keeps the exact mode so figure
-    numbers are bit-identical to the historical ones.
-    """
-
-    def __init__(self, bounded_capacity: Optional[int] = None) -> None:
-        if bounded_capacity is None:
-            env = os.environ.get("REPRO_HIST_CAPACITY", "").strip()
-            if env:
-                bounded_capacity = int(env)
-        if bounded_capacity is not None and bounded_capacity < 1:
-            raise ValueError("bounded_capacity must be >= 1")
-        self.bounded_capacity = bounded_capacity
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
 
@@ -272,12 +210,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            if self.bounded_capacity is not None:
-                histogram = Histogram(name, bounded=True,
-                                      capacity=self.bounded_capacity)
-            else:
-                histogram = Histogram(name)
-            self._histograms[name] = histogram
+            histogram = self._histograms[name] = Histogram(name)
         return histogram
 
     def reset(self) -> None:

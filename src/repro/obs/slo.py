@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import P2Quantile
 from repro.obs.trace import TraceEvent
@@ -270,22 +270,30 @@ class SloMonitor(Watcher):
 
     # -- event consumption --------------------------------------------------
 
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
+    def handler_for(self, kind: str) -> Callable[[TraceEvent], None]:
+        if kind == "kv-op":
+            return self._on_kv_op
+        if kind == "access-start":
+            return self._on_start
+        return self._on_end  # access-end by self.kinds construction
+
+    def _on_kv_op(self, event: TraceEvent) -> None:
         f = event.fields
-        if event.kind == "kv-op":
-            op = str(f.get("op", "?"))
-            if "latency" in f:
-                self._feed(f"kv.{op}.latency", float(f["latency"]))
-            if op == "get":
-                self._feed("kv.availability", 1.0 if f.get("ok") else 0.0)
-                self._feed("kv.stale_rate", 1.0 if f.get("stale") else 0.0)
-            return
+        op = str(f.get("op", "?"))
+        if "latency" in f:
+            self._feed(f"kv.{op}.latency", float(f["latency"]))
+        if op == "get":
+            self._feed("kv.availability", 1.0 if f.get("ok") else 0.0)
+            self._feed("kv.stale_rate", 1.0 if f.get("stale") else 0.0)
+
+    def _on_start(self, event: TraceEvent) -> None:
+        f = event.fields
         key = (f.get("strategy"), f.get("access"), f.get("origin"))
-        if event.kind == "access-start":
-            self._open.setdefault(key, []).append(event.t)
-            return
-        # access-end
+        self._open.setdefault(key, []).append(event.t)
+
+    def _on_end(self, event: TraceEvent) -> None:
+        f = event.fields
+        key = (f.get("strategy"), f.get("access"), f.get("origin"))
         kind = str(f.get("access", "?"))
         stack = self._open.get(key)
         if stack:

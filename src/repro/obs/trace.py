@@ -3,11 +3,11 @@
 The trace is the observability ground truth: every network-level action
 (hop, broadcast, routing discovery, walk step, reply, store, probe,
 churn, access boundaries) is recorded as one typed :class:`TraceEvent`
-with its simulated timestamp.  The accounting auditor
-(:mod:`repro.obs.audit`) replays these events to cross-check the
-``AccessResult`` cost fields every strategy reports, and the ``--trace``
-CLI flag streams them to a JSONL file for offline analysis — the
-structured-event-log practice of ns-3 trace sources and JiST/SWANS stats.
+with its simulated timestamp.  Live subscribers — the invariant watchers
+of :mod:`repro.obs.watch`, among them the accounting audit — consume the
+events as they are recorded, and the ``--trace`` CLI flag streams them
+to a JSONL file for offline analysis — the structured-event-log practice
+of ns-3 trace sources and JiST/SWANS stats.
 
 Tracing is **off by default** and costs one attribute check per call
 site when disabled.  Event kinds and their payload fields are documented
@@ -83,12 +83,8 @@ class TraceEvent:
 
 
 class EventTrace:
-    """An event sink with optional in-memory retention and JSONL output.
-
-    ``mark()`` returns a monotonically increasing sequence number;
-    ``events_since(mark)`` slices the retained events at or after it —
-    the mechanism the auditor uses to isolate one access's events.
-    """
+    """An event sink with optional in-memory retention, JSONL output and
+    live subscribers."""
 
     def __init__(self) -> None:
         self.enabled = False
@@ -222,39 +218,12 @@ class EventTrace:
 
     # -- querying ----------------------------------------------------------
 
-    def mark(self) -> int:
-        """Current position; pass to :meth:`events_since` later."""
-        return self._seq
-
-    def events_since(self, mark: int) -> List[TraceEvent]:
-        """All retained events with ``seq >= mark`` (oldest first).
-
-        Raises :class:`TraceTruncated` when retention already dropped
-        events at or after the mark — the caller cannot audit reliably.
-        """
-        if self._events and self._events[0].seq > mark:
-            raise TraceTruncated(
-                f"trace retention dropped events: oldest retained seq is "
-                f"{self._events[0].seq}, requested mark {mark}")
-        # Sequence numbers only grow, so the answer is a tail: walk it
-        # from the right instead of the whole retention window.
-        tail: List[TraceEvent] = []
-        for event in reversed(self._events):
-            if event.seq < mark:
-                break
-            tail.append(event)
-        tail.reverse()
-        return tail
-
     def events(self) -> List[TraceEvent]:
+        """The retained events, oldest first."""
         return list(self._events)
 
     def __len__(self) -> int:
         return len(self._events)
-
-
-class TraceTruncated(RuntimeError):
-    """In-memory retention dropped events needed by the caller."""
 
 
 def record_event(net: Any, kind: str, /, **fields: Any) -> None:

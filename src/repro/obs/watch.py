@@ -1,8 +1,6 @@
 """Live invariant watchers on the trace stream.
 
-Where the accounting auditor (:mod:`repro.obs.audit`) replays one
-access's retained events *after* the access returns, watchers are
-**streaming**: a :class:`WatcherHub` subscribes to
+Watchers are **streaming**: a :class:`WatcherHub` subscribes to
 :meth:`EventTrace.emit <repro.obs.trace.EventTrace.record>` and delivers
 every :class:`~repro.obs.trace.TraceEvent` to its registered
 :class:`Watcher` objects the moment it is recorded — so a safety
@@ -13,9 +11,10 @@ Builtin invariant catalogue (see DESIGN.md §13):
 
 * :class:`MonotonicityWatcher` — sim clock, event sequence numbers, and
   (when stamped) ``topology_version`` never regress;
-* :class:`ConservationWatcher` — a streaming message/routing ledger per
-  access span, mirroring the auditor's conservation check but windowed
-  at every ``access-end`` so accounting drift is caught mid-run;
+* :class:`ConservationWatcher` — the per-access accounting audit: a
+  streaming ledger per access span (messages, routing cost, replies,
+  probe hits) balanced against what every ``access-end`` claims.  A
+  network with an accounting auditor (``REPRO_AUDIT``) always runs it;
 * :class:`NoFabricationWatcher` — no probe ever hits a key that no
   prior advertise stored (the Byzantine-campaign safety gate: a faulty
   replica cannot invent values);
@@ -36,8 +35,8 @@ signal) propagates out of the hub.
 
 The same watchers replay recorded JSONL traces through
 :func:`replay_trace` (the ``repro obs watch`` CLI), so a committed
-golden trace or a CI artifact can be re-judged offline with byte-level
-fidelity to the live run.
+golden trace or a CI artifact — accounting audit included — can be
+re-judged offline with the live run's verdict.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _noop(event: TraceEvent) -> None:
 class Watcher:
     """One streaming invariant over the trace event stream.
 
-    Subclasses implement :meth:`on_event` (and optionally
+    Subclasses implement :meth:`handler_for` (and optionally
     :meth:`finish` for end-of-stream checks) and report violations via
     ``self.violation(code, message)``.  ``kinds`` restricts delivery to
     the listed event kinds (``None`` = every event) so hop-heavy traces
@@ -114,16 +113,14 @@ class Watcher:
         self._sink: Optional[Callable[..., None]] = None
 
     def handler_for(self, kind: str) -> Callable[[TraceEvent], None]:
-        """The per-kind delivery target the hub should dispatch to.
+        """The delivery target for events of ``kind`` (one of ``kinds``).
 
-        The default is :meth:`on_event`.  Hot watchers return a
-        kind-specialized bound method instead — the hub builds one
-        dispatch entry per kind anyway, so the specialization removes
-        the kind-test chain (and the per-event ``events_seen``
-        bookkeeping, which the hub then maintains in bulk) from the
-        per-event path.
+        The only per-kind dispatch: the hub asks once per kind and
+        fuses the answers into its table; :meth:`on_event` asks per
+        event.  The default ignores the event (a watcher that only
+        judges at :meth:`finish`).
         """
-        return self.on_event
+        return _noop
 
     def bind(self, sink: Callable[..., None]) -> "Watcher":
         """Attach the hub's violation sink (auditor-routed)."""
@@ -143,7 +140,11 @@ class Watcher:
             self._sink(code, message, strategy=self.name, kind="watch")
 
     def on_event(self, event: TraceEvent) -> None:
-        """Consume one trace event."""
+        """Deliver one event outside a hub (which counts in bulk)."""
+        kinds = self.kinds
+        if kinds is None or event.kind in kinds:
+            self.events_seen += 1
+            self.handler_for(event.kind)(event)
 
     def finish(self) -> None:
         """End-of-stream hook (replay and explicit hub.finish only)."""
@@ -182,10 +183,6 @@ class MonotonicityWatcher(Watcher):
             return self._on_bulk
         return self._on_fast
 
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        self._on_fast(event)
-
     def _on_bulk(self, event: TraceEvent) -> None:
         seq = event.seq
         next_seq = self._next_seq
@@ -221,23 +218,32 @@ class MonotonicityWatcher(Watcher):
 
 
 class ConservationWatcher(Watcher):
-    """Streaming message/routing ledger per access span.
+    """The per-access accounting audit, as a streaming ledger.
 
-    Mirrors the auditor's conservation invariant — the ``messages`` /
-    ``routing`` an ``access-end`` claims must equal the network
-    transmissions traced inside that access's own span (nested accesses
-    excluded) — but evaluates it at *every* access end, so drifted
-    accounting surfaces mid-run even when no auditor is attached.
+    Every open access span keeps one frame of traced evidence; at its
+    ``access-end`` the event's claims must match it:
+
+    * ``messages`` == traced hop + broadcast + virtual-msg counts, and
+      ``routing`` == traced routing cost;
+    * ``reply`` True ⇔ some traced reply succeeded; False only when
+      every traced reply failed; None only when no reply was traced;
+    * a lookup reporting ``found`` is backed by a traced probe hit, and
+      a probe hit implies ``found`` — except when the verdict is
+      ``masked`` (the masking vote filter legitimately discards hits).
+
+    Events accrue to the innermost open frame, so a nested access (a
+    maintenance refresh firing on a timer inside an outer access) is
+    audited at its own level and excluded from its parent's.
     """
 
     name = "conservation"
-    kinds = frozenset({"access-start", "access-end"}
+    kinds = frozenset({"access-start", "access-end", "reply", "probe"}
                       | MESSAGE_KINDS | ROUTING_KINDS)
 
     def __init__(self) -> None:
         super().__init__()
-        # One [messages, routing] frame per open access; message events
-        # accrue to the innermost frame (auditor nesting semantics).
+        # One [messages, routing, replies, replies delivered, probe
+        # hits] frame per open access, innermost last.
         self._frames: List[List[int]] = []
         self.accesses_checked = 0
 
@@ -246,6 +252,10 @@ class ConservationWatcher(Watcher):
             return self._on_start
         if kind == "access-end":
             return self._on_end
+        if kind == "reply":
+            return self._on_reply
+        if kind == "probe":
+            return self._on_probe
         if kind in MESSAGE_KINDS:
             # hop/broadcast are one transmission per event; only
             # virtual-msg batches (``count``).  Update this table if a
@@ -255,20 +265,21 @@ class ConservationWatcher(Watcher):
             return self._on_message_unit
         return self._on_routing  # ROUTING_KINDS by self.kinds construction
 
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        kind = event.kind
-        if kind == "access-start":
-            self._on_start(event)
-        elif kind == "access-end":
-            self._on_end(event)
-        elif kind in MESSAGE_KINDS:
-            self._on_message(event)
-        elif kind in ROUTING_KINDS:
-            self._on_routing(event)
-
     def _on_start(self, event: TraceEvent) -> None:
-        self._frames.append([0, 0])
+        self._frames.append([0, 0, 0, 0, 0])
+
+    def _on_reply(self, event: TraceEvent) -> None:
+        frames = self._frames
+        if frames:
+            frame = frames[-1]
+            frame[2] += 1
+            if event.fields.get("success"):
+                frame[3] += 1
+
+    def _on_probe(self, event: TraceEvent) -> None:
+        frames = self._frames
+        if frames and event.fields.get("hit"):
+            frames[-1][4] += 1
 
     def _on_message(self, event: TraceEvent) -> None:
         frames = self._frames
@@ -295,24 +306,48 @@ class ConservationWatcher(Watcher):
                 f"access-end at seq {event.seq} with no open "
                 f"access-start")
             return
-        frame = frames.pop()
+        messages, routing, replies, delivered, hits = frames.pop()
         self.accesses_checked += 1
-        claimed_m = int(event.fields.get("messages", 0))
-        claimed_r = int(event.fields.get("routing", 0))
-        if claimed_m != frame[0] or claimed_r != frame[1]:
-            label = (f"{event.fields.get('strategy', '?')}/"
-                     f"{event.fields.get('access', '?')} at seq "
-                     f"{event.seq}")
-            if claimed_m != frame[0]:
-                self.violation(
-                    "conservation-messages",
-                    f"{label} claimed {claimed_m} network messages, "
-                    f"traced {frame[0]}")
-            if claimed_r != frame[1]:
-                self.violation(
-                    "conservation-routing",
-                    f"{label} claimed {claimed_r} routing messages, "
-                    f"traced {frame[1]}")
+        f = event.fields
+        claimed = int(f.get("messages", 0))
+        if claimed != messages:
+            self._flag(event, "conservation-messages",
+                       f"claimed {claimed} network messages, "
+                       f"traced {messages}")
+        claimed = int(f.get("routing", 0))
+        if claimed != routing:
+            self._flag(event, "conservation-routing",
+                       f"claimed {claimed} routing messages, "
+                       f"traced {routing}")
+        reply = f.get("reply")
+        if reply is None:
+            if replies:
+                self._flag(event, "reply-unclaimed",
+                           f"{replies} reply events traced but the access "
+                           f"claims no reply was needed")
+        elif reply:
+            if not delivered:
+                self._flag(event, "reply-mismatch",
+                           "reply=True but no successful reply was traced")
+        elif not replies:
+            self._flag(event, "reply-mismatch",
+                       "reply=False but no reply attempt was traced")
+        elif delivered:
+            self._flag(event, "reply-mismatch",
+                       "reply=False but a traced reply succeeded")
+        if f.get("access") == "lookup":
+            found = f.get("found")
+            if found and not hits:
+                self._flag(event, "found-without-probe",
+                           "found=True but no probe hit was traced")
+            elif hits and not found and f.get("verdict") != "masked":
+                self._flag(event, "probe-without-found",
+                           f"{hits} probe hits traced but found=False")
+
+    def _flag(self, event: TraceEvent, code: str, detail: str) -> None:
+        self.violation(code, f"{event.fields.get('strategy', '?')}/"
+                             f"{event.fields.get('access', '?')} at seq "
+                             f"{event.seq} {detail}")
 
     def finish(self) -> None:
         if self._frames:
@@ -359,16 +394,6 @@ class NoFabricationWatcher(Watcher):
         if kind == "probe":
             return self._on_probe
         return self._on_end  # access-end by self.kinds construction
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        kind = event.kind
-        if kind == "store":
-            self._on_store(event)
-        elif kind == "probe":
-            self._on_probe(event)
-        elif kind == "access-end":
-            self._on_end(event)
 
     def _on_store(self, event: TraceEvent) -> None:
         key = event.fields.get("key")
@@ -481,18 +506,6 @@ class QuorumIntersectionWatcher(Watcher):
         return {"store": self._on_store, "churn": self._on_churn,
                 "access-start": self._on_access_start,
                 "access-end": self._on_access_end}[kind]
-
-    def on_event(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        kind = event.kind
-        if kind == "store":
-            self._on_store(event)
-        elif kind == "churn":
-            self._on_churn(event)
-        elif kind == "access-start":
-            self._on_access_start(event)
-        elif kind == "access-end":
-            self._on_access_end(event)
 
     def _on_store(self, event: TraceEvent) -> None:
         f = event.fields
@@ -616,14 +629,14 @@ class WatcherHub:
         self._trace: Optional[Any] = None
         for watcher in self.watchers:
             watcher.bind(self._sink)
-        # Per-kind dispatch entries ``[count, fused, flushees]``: one
-        # fused closure calling every interested watcher's specialized
-        # handler, plus a bulk delivery counter — this path runs for
-        # every traced hop, so per-event bookkeeping is kept to a
-        # single list increment and counts are distributed to the
-        # watchers in :meth:`_flush`.  ``on_event`` is built as a
-        # closure over the entry table: delivery pays no bound-method
-        # or ``self`` attribute lookups.
+        # Per-kind dispatch entries ``[count, fused, watchers]``: one
+        # fused closure calling every interested watcher's handler,
+        # plus a bulk delivery counter — this path runs for every
+        # traced hop, so per-event bookkeeping is kept to a single list
+        # increment and counts are distributed to the watchers in
+        # :meth:`_flush`.  ``on_event`` is built as a closure over the
+        # entry table: delivery pays no bound-method or ``self``
+        # attribute lookups.
         self._entries: Dict[str, list] = {}
         self.on_event = self._make_on_event()
 
@@ -645,11 +658,7 @@ class WatcherHub:
     def _build_entry(self, kind: str) -> list:
         pairs = [(w.handler_for(kind), w) for w in self.watchers
                  if w.kinds is None or kind in w.kinds]
-        # Watchers whose handler is the generic on_event count their
-        # own deliveries; specialized handlers skip that bookkeeping,
-        # so the hub's bulk counter covers them at flush time.
-        flushees = tuple(w for fn, w in pairs if fn is not w.on_event)
-        entry = [0, self._fuse(pairs), flushees]
+        entry = [0, self._fuse(pairs), tuple(w for _, w in pairs)]
         self._entries[kind] = entry
         return entry
 
@@ -834,7 +843,9 @@ def attach_watchers(net: Any,
     Enables the trace in subscriber-only mode when it is off (no memory
     retention, no JSONL — the watchers are the only consumer), wires
     violations through the network's auditor, and stores the hub as
-    ``net.watch_hub``.
+    ``net.watch_hub``, replacing any hub attached before.  A network
+    with an auditor always runs a :class:`ConservationWatcher` — it is
+    the accounting audit — so one is added when ``watchers`` has none.
     """
     if watchers is None:
         watchers = builtin_watchers(n=getattr(net, "n_alive", None),
@@ -842,7 +853,14 @@ def attach_watchers(net: Any,
     elif slo_specs:
         from repro.obs.slo import SloMonitor
         watchers = list(watchers) + [SloMonitor(slo_specs)]
-    hub = WatcherHub(watchers, auditor=getattr(net, "auditor", None),
+    auditor = getattr(net, "auditor", None)
+    if auditor is not None and not any(
+            isinstance(w, ConservationWatcher) for w in watchers):
+        watchers = list(watchers) + [ConservationWatcher()]
+    previous = getattr(net, "watch_hub", None)
+    if previous is not None:
+        previous.detach()
+    hub = WatcherHub(watchers, auditor=auditor,
                      session_ledger=session_ledger)
     trace = net.trace
     if not trace.enabled:
@@ -853,19 +871,23 @@ def attach_watchers(net: Any,
 
 
 def attach_env_watchers(net: Any) -> Optional[WatcherHub]:
-    """The ``REPRO_WATCH`` hook called from ``SimNetwork.__init__``.
+    """The ``REPRO_AUDIT`` / ``REPRO_WATCH`` hook of ``SimNetwork.__init__``.
 
-    ``REPRO_WATCH=1`` attaches every builtin watcher; a comma list
+    A network with an auditor (``REPRO_AUDIT``) gets the conservation
+    watcher, its violations on the auditor.  ``REPRO_WATCH=1`` attaches
+    every builtin watcher; a comma list
     (``REPRO_WATCH=conservation,monotonicity``) selects a subset.
     ``REPRO_SLO=<path>`` additionally loads SLO specs into a live
-    monitor.  Violations land on the module-level
+    monitor.  Watched violations also land on the module-level
     :data:`SESSION_VIOLATIONS` ledger so the CLI can report them after
     the run (same-process workers only; the post-run trace replay is
     the cross-process collector).
     """
     spec = os.environ.get("REPRO_WATCH", "").strip()
     if not spec:
-        return None
+        if getattr(net, "auditor", None) is None:
+            return None
+        return attach_watchers(net, watchers=[])
     names = None
     if spec not in ("1", "true", "all", "builtin"):
         names = [x.strip() for x in spec.split(",") if x.strip()]
@@ -925,6 +947,11 @@ class ReplayResult:
 def _event_from_dict(raw: Dict[str, Any]) -> TraceEvent:
     payload = {k: v for k, v in raw.items()
                if k not in ("seq", "t", "kind")}
+    version = payload.get("version")
+    if isinstance(version, list):
+        # Versions are tuples live (hashable watcher state) and come
+        # back as JSON lists: restore the live payload.
+        payload["version"] = tuple(version)
     return TraceEvent(seq=int(raw.get("seq", 0)),
                       t=float(raw.get("t", 0.0)),
                       kind=str(raw["kind"]), fields=payload)

@@ -138,16 +138,14 @@ class SimNetwork:
 
         # Observability: typed event trace, metrics registry, accounting
         # auditor.  Tracing is off unless enabled explicitly, via the
-        # REPRO_TRACE env var (JSONL path), or implied by REPRO_AUDIT.
+        # REPRO_TRACE env var (JSONL path), or by the watcher hub that
+        # REPRO_AUDIT / REPRO_WATCH attach below.
         self.trace = EventTrace()
         self.metrics = MetricsRegistry()
         self.auditor = auditor_from_env()
-        if self.auditor is not None:
-            self.trace.enable(memory=True)
         trace_path = os.environ.get("REPRO_TRACE")
         if trace_path:
-            self.trace.enable(memory=self.auditor is not None,
-                              jsonl_path=trace_path)
+            self.trace.enable(memory=False, jsonl_path=trace_path)
         self._metric_unicasts = self.metrics.counter("net.unicasts")
         self._metric_unicast_failures = self.metrics.counter(
             "net.unicast_failures")
@@ -235,12 +233,13 @@ class SimNetwork:
         # honest networks so the access path pays one attribute check.
         self.byzantine = None
 
-        # Live invariant watchers (REPRO_WATCH env hook).  Attached last
-        # so the hub sees the finished topology (n_alive for the
-        # intersection bound).  Lazy import: the common path pays one
-        # env lookup only.
+        # Live invariant watchers: the accounting audit (REPRO_AUDIT)
+        # and REPRO_WATCH share one hub.  Attached last so the hub sees
+        # the finished topology (n_alive for the intersection bound).
+        # Lazy import: the common path pays one env lookup only.
         self.watch_hub = None
-        if os.environ.get("REPRO_WATCH", "").strip():
+        if self.auditor is not None or os.environ.get(
+                "REPRO_WATCH", "").strip():
             from repro.obs.watch import attach_env_watchers
             attach_env_watchers(self)
 

@@ -1,5 +1,9 @@
 """Observability layer: event trace, metrics, accounting audit.
 
+The audit is the conservation watcher run on every ``REPRO_AUDIT``
+network; its rules are checked here on hand-built access spans and, end
+to end, by strategies that lie about their accounting.
+
 Also hosts the regression tests for the accounting bugs this layer was
 built to catch: lookup first-hit clobbering, non-sticky reply delivery,
 zero latency on direct strategy calls, and adaptation retries burned on
@@ -12,6 +16,7 @@ import pytest
 
 from repro.core import (
     FloodingStrategy,
+    MaskingStrategy,
     PathStrategy,
     RandomOptStrategy,
     RandomSamplingStrategy,
@@ -23,12 +28,11 @@ from repro.membership import FullMembership
 from repro.obs import (
     AccountingAuditor,
     AuditError,
+    ConservationWatcher,
     EventTrace,
     MetricsRegistry,
     TraceEvent,
-    TraceTruncated,
-    audit_access,
-    own_events,
+    WatcherHub,
 )
 from repro.randomwalk.reply import ReplyResult
 from repro.randomwalk.walker import SampleResult
@@ -65,13 +69,13 @@ class TestEventTrace:
 
     def test_record_and_slice(self):
         trace = EventTrace().enable(memory=True)
-        trace.record("hop", 0.1, src=1, dst=2)
-        mark = trace.mark()
+        assert trace.record("hop", 0.1, src=1, dst=2) == 0
         trace.record("hop", 0.2, src=2, dst=3)
         trace.record("reply", 0.3, src=3, dst=1, success=True)
-        events = trace.events_since(mark)
-        assert [e.kind for e in events] == ["hop", "reply"]
-        assert events[0].fields["src"] == 2
+        events = trace.events()
+        assert [e.kind for e in events] == ["hop", "hop", "reply"]
+        assert [e.seq for e in events] == [0, 1, 2]
+        assert events[1].fields["src"] == 2
         assert len(trace) == 3
 
     def test_count_defaults_to_one(self):
@@ -81,29 +85,13 @@ class TestEventTrace:
         assert batched.count == 7
         assert single.count == 1
 
-    def test_retention_truncation_detected(self):
-        trace = EventTrace().enable(memory=True, retention=4)
-        mark = trace.mark()
-        for i in range(10):
-            trace.record("hop", float(i))
-        with pytest.raises(TraceTruncated):
-            trace.events_since(mark)
-
     def test_slice_of_a_wrapped_trace_is_the_matching_tail(self):
-        # Marks before, on the edge of, inside and after the retained
-        # window, once retention has wrapped.
+        # Retention keeps the newest events: the retained slice is the
+        # tail of the stream, in order.
         trace = EventTrace().enable(memory=True, retention=16)
         for i in range(50):
             trace.record("hop", float(i))
-        retained = trace.events()
-        assert [e.seq for e in retained] == list(range(34, 50))
-        for mark in (0, 33):
-            with pytest.raises(TraceTruncated):
-                trace.events_since(mark)
-        for mark in (34, 35, 41, 49, 50, 60):
-            assert trace.events_since(mark) == [
-                e for e in retained if e.seq >= mark]
-        assert trace.events_since(trace.mark()) == []
+        assert [e.seq for e in trace.events()] == list(range(34, 50))
 
     def test_jsonl_output(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -188,7 +176,7 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Audit primitives
+# Audit rules on hand-built access spans
 # ---------------------------------------------------------------------------
 
 
@@ -196,93 +184,113 @@ def _ev(seq, kind, /, t=0.0, **fields):
     return TraceEvent(seq=seq, t=t, kind=kind, fields=fields)
 
 
-def _result(**kw):
-    from repro.core.strategies import AccessResult
+def _span(events, access="lookup", **claims):
+    """``events`` framed by an access-start and an access-end whose
+    payload makes ``claims`` (messages/routing/reply/found/verdict)."""
+    end = dict(strategy="T", access=access, messages=0, routing=0,
+               reply=None, found=False)
+    end.update(claims)
+    return ([_ev(0, "access-start", strategy="T", access=access)]
+            + list(events) + [_ev(len(events) + 1, "access-end", **end)])
 
-    defaults = dict(strategy="T", kind="lookup")
-    defaults.update(kw)
-    return AccessResult(**defaults)
+
+def _audit(events, **claims):
+    """Codes the conservation watcher flags on one access span."""
+    watcher = ConservationWatcher()
+    for event in _span(events, **claims):
+        watcher.on_event(event)
+    assert watcher.accesses_checked == 1
+    return [v.code for v in watcher.violations]
 
 
 class TestAuditAccess:
     def test_clean_access(self):
         events = [
-            _ev(0, "access-start", t=1.0, access="lookup"),
-            _ev(1, "hop", t=1.002, src=0, dst=1),
-            _ev(2, "probe", t=1.002, node=1, hit=True),
-            _ev(3, "reply", t=1.004, src=1, dst=0, success=True),
-            _ev(4, "hop", t=1.004, src=1, dst=0),
-            _ev(5, "access-end", t=1.004, access="lookup"),
+            _ev(1, "hop", src=0, dst=1),
+            _ev(2, "probe", node=1, hit=True),
+            _ev(3, "reply", src=1, dst=0, success=True),
+            _ev(4, "hop", src=1, dst=0),
         ]
-        result = _result(messages=2, found=True, reply_delivered=True,
-                         latency=1.004 - 1.0)
-        assert audit_access(result, events) == []
+        assert _audit(events, messages=2, found=True, reply=True) == []
 
     def test_message_mismatch(self):
-        events = [_ev(0, "hop", src=0, dst=1)]
-        violations = audit_access(_result(messages=3), events)
-        assert any(v.code == "message-mismatch" for v in violations)
+        assert _audit([_ev(1, "hop", src=0, dst=1)], messages=3) == [
+            "conservation-messages"]
 
     def test_virtual_msg_count_batches(self):
-        events = [_ev(0, "virtual-msg", reason="flood-ack", count=5)]
-        assert not any(
-            v.code == "message-mismatch"
-            for v in audit_access(_result(messages=5), events))
+        events = [_ev(1, "virtual-msg", reason="flood-ack", count=5)]
+        assert _audit(events, messages=5) == []
 
     def test_routing_mismatch(self):
-        events = [_ev(0, "routing", count=10)]
-        violations = audit_access(_result(routing_messages=4), events)
-        assert any(v.code == "routing-mismatch" for v in violations)
+        assert _audit([_ev(1, "routing", count=10)], routing=4) == [
+            "conservation-routing"]
 
     def test_reply_claimed_without_trace(self):
-        violations = audit_access(_result(reply_delivered=True, found=True),
-                                  [_ev(0, "probe", node=1, hit=True)])
-        assert any(v.code == "reply-mismatch" for v in violations)
+        assert _audit([_ev(1, "probe", node=1, hit=True)],
+                      reply=True, found=True) == ["reply-mismatch"]
 
     def test_reply_denied_but_traced_success(self):
-        events = [_ev(0, "probe", node=1, hit=True),
-                  _ev(1, "reply", src=1, dst=0, success=True)]
-        violations = audit_access(_result(reply_delivered=False, found=True),
-                                  events)
-        assert any(v.code == "reply-mismatch" for v in violations)
+        events = [_ev(1, "probe", node=1, hit=True),
+                  _ev(2, "reply", src=1, dst=0, success=True)]
+        assert _audit(events, reply=False, found=True) == [
+            "reply-mismatch"]
+
+    def test_reply_denied_without_attempt(self):
+        assert _audit([_ev(1, "probe", node=1, hit=True)],
+                      reply=False, found=True) == ["reply-mismatch"]
+
+    def test_reply_unclaimed(self):
+        events = [_ev(1, "reply", src=1, dst=0, success=False)]
+        assert _audit(events, reply=None) == ["reply-unclaimed"]
 
     def test_found_without_probe_hit(self):
-        violations = audit_access(
-            _result(found=True, reply_delivered=True),
-            [_ev(0, "reply", src=1, dst=0, success=True)])
-        assert any(v.code == "found-without-probe" for v in violations)
+        events = [_ev(1, "reply", src=1, dst=0, success=True)]
+        assert _audit(events, found=True, reply=True) == [
+            "found-without-probe"]
 
-    def test_latency_mismatch(self):
-        events = [_ev(0, "access-start", t=0.0, access="lookup"),
-                  _ev(1, "access-end", t=0.5, access="lookup")]
-        violations = audit_access(_result(latency=0.1), events)
-        assert any(v.code == "latency-mismatch" for v in violations)
+    def test_probe_without_found(self):
+        events = [_ev(1, "probe", node=1, hit=True)]
+        assert _audit(events, found=False) == ["probe-without-found"]
+        # The masking vote filter legitimately discards traced hits.
+        assert _audit(events, found=False, verdict="masked") == []
+        # Probe rules are lookup rules.
+        assert _audit(events, access="advertise") == []
 
-    def test_own_events_excludes_nested_access(self):
+    def test_nested_access_is_audited_at_its_own_level(self):
+        # A maintenance refresh firing inside an outer access: each
+        # span balances on its own events only.
         events = [
             _ev(0, "access-start", access="advertise"),
             _ev(1, "hop", src=0, dst=1),
-            _ev(2, "access-start", access="advertise"),  # nested (daemon)
+            _ev(2, "access-start", access="advertise"),
             _ev(3, "hop", src=5, dst=6),
-            _ev(4, "access-end", access="advertise"),
+            _ev(4, "access-end", access="advertise", messages=1),
             _ev(5, "hop", src=1, dst=2),
-            _ev(6, "access-end", access="advertise"),
+            _ev(6, "access-end", access="advertise", messages=2),
         ]
-        mine = own_events(events)
-        assert [e.seq for e in mine] == [0, 1, 5, 6]
+        watcher = ConservationWatcher()
+        for event in events:
+            watcher.on_event(event)
+        assert watcher.violations == []
+        assert watcher.accesses_checked == 2
 
     def test_strict_auditor_raises(self):
         auditor = AccountingAuditor(strict=True)
-        with pytest.raises(AuditError):
-            auditor.check(_result(messages=1), [])
-        assert auditor.checked == 1
+        watcher = ConservationWatcher()
+        hub = WatcherHub([watcher], auditor=auditor)
+        with pytest.raises(AuditError, match="conservation-messages"):
+            for event in _span([], messages=1):
+                hub.on_event(event)
+        assert watcher.accesses_checked == 1
         assert not auditor.clean
 
     def test_record_auditor_collects(self):
         auditor = AccountingAuditor(strict=False)
-        auditor.check(_result(messages=1), [])
+        hub = WatcherHub([ConservationWatcher()], auditor=auditor)
+        for event in _span([], messages=1):
+            hub.on_event(event)
         assert not auditor.clean
-        assert "message-mismatch" in auditor.report()
+        assert "conservation-messages" in auditor.report()
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,8 @@ def _scripted_sampling(monkeypatch, net, members, reply_outcomes):
     detached — these tests check result semantics, not accounting.
     """
     net.auditor = None
+    if net.watch_hub is not None:
+        net.watch_hub.detach()
     samples = [SampleResult(node=m, steps=3, messages=3, path=[0, 50 + i, m])
                for i, m in enumerate(members)]
     sample_iter = iter(samples)
@@ -460,6 +470,12 @@ def strict_net(monkeypatch):
     return build
 
 
+def _audited(net):
+    """How many accesses the network's conservation watcher checked."""
+    return next(w for w in net.watch_hub.watchers
+                if isinstance(w, ConservationWatcher)).accesses_checked
+
+
 class TestStrictAudit:
     def test_every_strategy_passes_strict_audit(self, strict_net):
         net = strict_net(n=80)
@@ -477,8 +493,10 @@ class TestStrictAudit:
         for strategy in strategies:
             strategy.advertise(net, 0, stored.append, target_size=8)
             strategy.lookup(net, 1, probe_for(stored), target_size=8)
-        assert net.auditor.checked == 2 * len(strategies)
+        assert _audited(net) == 2 * len(strategies)
         assert net.auditor.clean, net.auditor.report()
+        # The audit streams: nothing is retained in memory for it.
+        assert len(net.trace) == 0
 
     def test_fig8_style_workload_passes_strict_audit(self, strict_net):
         net = strict_net(n=60, seed=3)
@@ -491,7 +509,7 @@ class TestStrictAudit:
         assert stats.lookups == 15
         # Local-cache lookups skip the quorum access, so the audited
         # count can be below advertises + lookups.
-        assert net.auditor.checked >= 15
+        assert _audited(net) >= 15
         assert net.auditor.clean, net.auditor.report()
         assert stats.avg_lookup_latency > 0.0
         assert stats.avg_advertise_latency > 0.0
@@ -518,5 +536,43 @@ class TestStrictAudit:
                 return result
 
         strategy = LyingStrategy(FullMembership(net))
-        with pytest.raises(AuditError, match="message-mismatch"):
+        with pytest.raises(AuditError, match="conservation-messages"):
             strategy.advertise(net, 0, lambda node: None, target_size=5)
+
+    @pytest.mark.parametrize("lie,hits,code", [
+        # Claims a delivered reply though no probe hit, so none was sent.
+        ("reply", (), "reply-mismatch"),
+        # Claims a hit no probe returned.
+        ("found", (), "found-without-probe"),
+        # Drops the hit every probe returned.
+        ("drop", range(60), "probe-without-found"),
+    ])
+    def test_lying_lookup_is_caught(self, strict_net, lie, hits, code):
+        net = strict_net(n=60)
+
+        class LyingLookup(RandomStrategy):
+            def _lookup(self, net, origin, probe_fn, target_size):
+                result = super()._lookup(net, origin, probe_fn,
+                                         target_size)
+                if lie == "reply":
+                    result.reply_delivered = True
+                elif lie == "found":
+                    result.found = True
+                else:
+                    result.found = False
+                return result
+
+        strategy = LyingLookup(FullMembership(net))
+        with pytest.raises(AuditError, match=code):
+            strategy.lookup(net, 1, probe_for(hits), target_size=8)
+
+    def test_masked_lookup_discarding_hits_is_clean(self, strict_net):
+        net = strict_net(n=60)
+        # Every node answers with its own value: no value gathers the
+        # b+1 votes, so the traced probe hits are masked away.
+        strategy = MaskingStrategy(RandomStrategy(FullMembership(net)), b=2)
+        result = strategy.lookup(net, 1, lambda node: f"value-{node}",
+                                 target_size=8)
+        assert result.masked and not result.found
+        assert _audited(net) == 1
+        assert net.auditor.clean, net.auditor.report()

@@ -3,7 +3,7 @@
 Covers the provenance manifest schema, the nested phase profiler
 (including pool-worker merging), the streaming ``repro obs`` queries
 (summarize / timeline / diff), the flock-serialized multi-process JSONL
-sink, and the TraceTruncated audit semantics.
+sink.
 """
 
 import json
@@ -18,8 +18,6 @@ from repro.core import RandomStrategy
 from repro.membership import FullMembership
 from repro.obs import (
     MANIFEST_SCHEMA,
-    AccountingAuditor,
-    AuditError,
     EventTrace,
     Histogram,
     PhaseProfiler,
@@ -469,55 +467,6 @@ class TestConcurrentTraceAppends:
         trace.record("hop", 0.0, src=1, dst=2)
         trace.close()
         assert summarize_trace(path).events == 1
-
-
-# ---------------------------------------------------------------------------
-# TraceTruncated retention semantics under audit (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestTruncationAudit:
-    def _truncating_net(self, strict):
-        net = make_net(n=60, seed=2)
-        # Retention far smaller than one access's event volume, so the
-        # auditor's events_since(mark) is guaranteed to hit truncation.
-        net.trace.enable(memory=True, retention=4)
-        net.auditor = AccountingAuditor(strict=strict)
-        return net
-
-    def test_strict_mode_raises_on_truncation(self):
-        net = self._truncating_net(strict=True)
-        strategy = RandomStrategy(FullMembership(net))
-        with pytest.raises(AuditError, match="trace-truncated"):
-            strategy.advertise(net, 0, lambda node: None, target_size=8)
-
-    def test_record_mode_survives_and_flags(self):
-        net = self._truncating_net(strict=False)
-        strategy = RandomStrategy(FullMembership(net))
-        result = strategy.advertise(net, 0, lambda node: None,
-                                    target_size=8)
-        assert result.quorum_size > 0  # the access itself completed
-        codes = {v.code for v in net.auditor.violations}
-        assert codes == {"trace-truncated"}
-        assert not net.auditor.clean
-
-    def test_audit_env_record_survives_truncation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT", "record")
-        net = make_net(n=60, seed=2)
-        assert net.auditor is not None and not net.auditor.strict
-        net.trace.enable(memory=True, retention=4)
-        strategy = RandomStrategy(FullMembership(net))
-        strategy.lookup(net, 0, probe_for(()), target_size=8)
-        assert any(v.code == "trace-truncated"
-                   for v in net.auditor.violations)
-
-    def test_ample_retention_audits_cleanly(self):
-        net = make_net(n=60, seed=2)
-        net.trace.enable(memory=True)
-        net.auditor = AccountingAuditor(strict=True)
-        strategy = RandomStrategy(FullMembership(net))
-        strategy.advertise(net, 0, lambda node: None, target_size=5)
-        assert net.auditor.clean and net.auditor.checked == 1
 
 
 # ---------------------------------------------------------------------------

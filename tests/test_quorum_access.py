@@ -26,6 +26,7 @@ from repro.experiments.montecarlo import (
 )
 from repro.obs import trace as trace_mod
 from repro.obs.audit import AuditError
+from repro.obs.watch import ConservationWatcher
 from repro.quorum import (
     AlgebraicStrategy,
     Node,
@@ -86,7 +87,9 @@ class TestStrictAudit:
         qs = majority_system(range(5))
         results = _drive(net, AlgebraicStrategy(qs, strategy=qs.strategy()))
         assert net.auditor is not None
-        assert net.auditor.checked == len(results)
+        audit = next(w for w in net.watch_hub.watchers
+                     if isinstance(w, ConservationWatcher))
+        assert audit.accesses_checked == len(results)
         assert net.auditor.violations == []
         assert any(r.success for r in results)
 
@@ -205,6 +208,7 @@ class TestReplicaFaultRouting:
 
         def flaky(net, rep_seed):
             seen.append(net)
+            net.trace.enable(memory=True)
             raise RuntimeError("replica fault")
 
         outcome = run_replicated(scenario_config(30, seed=1), flaky,
@@ -215,7 +219,7 @@ class TestReplicaFaultRouting:
         assert net.metrics.counter_value("replication.faulted") == 1
         assert [v.code for v in net.auditor.violations] == ["replica-fault"]
         assert any(e.kind == "replica-fault"
-                   for e in net.trace.events_since(0))
+                   for e in net.trace.events())
 
 
 class TestTraceCloseSafetyNet:

@@ -4,7 +4,7 @@ Three layers of coverage:
 
 * unit — the subscriber API, each builtin watcher on hand-built event
   streams (including *mutated* streams proving every watcher can fire),
-  the P² estimator, and the bounded histogram mode;
+  the P² estimator, and histogram retention;
 * integration — full fault campaigns run clean under every watcher,
   strict audit turns a tampered stream into a raise, and the golden
   fig8 trace replays with zero violations;
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.faults import run_fault_campaign
+from repro.faults import run_fault_campaign, run_kv_fault_campaign
 from repro.obs import (
     MANIFEST_SCHEMA,
     TRACE_SCHEMA,
@@ -26,7 +26,6 @@ from repro.obs import (
     ConservationWatcher,
     EventTrace,
     Histogram,
-    MetricsRegistry,
     MonotonicityWatcher,
     NoFabricationWatcher,
     P2Quantile,
@@ -46,6 +45,7 @@ from repro.obs.audit import AccountingAuditor
 from repro.simnet import NetworkConfig, SimNetwork
 
 GOLDEN_TRACE = "tests/golden/fig8_trace.jsonl"
+GOLDEN_KV_TRACE = "tests/golden/kv_trace.jsonl"
 
 
 def _ev(seq, kind, /, t=0.0, **fields):
@@ -113,7 +113,10 @@ class TestSubscriberApi:
 class _Crasher(Watcher):
     name = "crasher"
 
-    def on_event(self, event):
+    def handler_for(self, kind):
+        return self._boom
+
+    def _boom(self, event):
         raise RuntimeError("boom")
 
 
@@ -126,7 +129,10 @@ class _AuditRaiser(Watcher):
         super().__init__()
         self.at_finish = at_finish
 
-    def on_event(self, event):
+    def handler_for(self, kind):
+        return self._raise
+
+    def _raise(self, event):
         if not self.at_finish:
             raise AuditError("deliberate strict raise")
 
@@ -138,7 +144,10 @@ class _AuditRaiser(Watcher):
 class _Interrupter(Watcher):
     name = "interrupter"
 
-    def on_event(self, event):
+    def handler_for(self, kind):
+        return self._interrupt
+
+    def _interrupt(self, event):
         raise KeyboardInterrupt
 
 
@@ -251,10 +260,33 @@ class TestMonotonicityWatcher:
         assert [v.code for v in w.violations] == ["monotonicity-seq"]
 
     def test_topology_regression_fires(self):
+        # Stamped on a non-message kind: live hop/broadcast/routing
+        # events never carry topology_version, so the watcher skips the
+        # field test on them.
         w = MonotonicityWatcher()
-        w.on_event(_ev(0, "hop", topology_version=3))
-        w.on_event(_ev(1, "hop", t=1.0, topology_version=2))
+        w.on_event(_ev(0, "churn", topology_version=3))
+        w.on_event(_ev(1, "churn", t=1.0, topology_version=2))
         assert [v.code for v in w.violations] == ["monotonicity-topology"]
+
+    def test_direct_and_hub_delivery_agree(self):
+        # One dispatch body: on_event and the hub both go through
+        # handler_for, so they judge (and count) a stream identically —
+        # including the hop body that skips the topology test.
+        stream = _stream([("hop", {"topology_version": 3}),
+                          ("hop", {"topology_version": 2}),
+                          ("churn", {"topology_version": 5}),
+                          ("churn", {"topology_version": 4})])
+        direct = MonotonicityWatcher()
+        for e in stream:
+            direct.on_event(e)
+        hubbed = MonotonicityWatcher()
+        hub = WatcherHub([hubbed])
+        for e in stream:
+            hub.on_event(e)
+        hub.finish()
+        assert [v.code for v in direct.violations] == [
+            v.code for v in hubbed.violations] == ["monotonicity-topology"]
+        assert direct.events_seen == hubbed.events_seen == 4
 
 
 class TestConservationWatcher:
@@ -415,42 +447,15 @@ class TestP2Quantile:
 
 
 # ---------------------------------------------------------------------------
-# Bounded histograms (satellite: metrics memory)
+# Histograms
 # ---------------------------------------------------------------------------
 
 
 class TestBoundedHistogram:
-    def test_summary_stats_stay_exact(self):
-        h = Histogram("x", bounded=True, capacity=8)
-        for v in range(100):
-            h.observe(float(v))
-        assert h.count == 100
-        assert h.sum == sum(range(100))
-        assert h.min == 0.0 and h.max == 99.0
-        assert len(h.values) == 8  # reservoir bound holds
-
-    def test_deterministic_reservoir(self):
-        def fill(name):
-            h = Histogram(name, bounded=True, capacity=16)
-            for v in range(1000):
-                h.observe(float(v))
-            return list(h.values)
-        assert fill("same") == fill("same")
-
-    def test_percentile_approximates(self):
-        h = Histogram("x", bounded=True, capacity=512)
-        rng = random.Random(7)
-        values = [rng.random() for _ in range(5000)]
-        for v in values:
-            h.observe(v)
-        exact = sorted(values)[int(0.5 * len(values)) - 1]
-        assert abs(h.percentile(50) - exact) < 0.1
-
     def test_default_mode_unchanged(self):
         h = Histogram("x")
         for v in (3.0, 1.0, 2.0):
             h.observe(v)
-        assert not h.bounded
         assert h.values == [3.0, 1.0, 2.0]  # raw retention
         assert h.percentile(50) == 2.0
         assert h.count == 3 and h.sum == 6.0
@@ -461,17 +466,6 @@ class TestBoundedHistogram:
         assert h.percentile(100) == 2.0  # populates cache
         h.observe(9.0)
         assert h.percentile(100) == 9.0  # cache was invalidated
-
-    def test_registry_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HIST_CAPACITY", "32")
-        reg = MetricsRegistry()
-        assert reg.histogram("h").bounded
-        monkeypatch.delenv("REPRO_HIST_CAPACITY")
-        assert not MetricsRegistry().histogram("h").bounded
-
-    def test_registry_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry(bounded_capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +636,70 @@ class TestReplay:
         result = replay_trace(lines)
         assert result.corrupt_lines == 1 and result.events == 1
 
+    def test_golden_kv_trace_is_clean(self):
+        # kv versions are tuples live and JSON lists on disk: replay must
+        # hand the watchers the live (hashable) payload.
+        result = replay_trace(GOLDEN_KV_TRACE)
+        assert result.clean, result.violations[:3]
+        assert result.events > 0
+
+    def test_kv_campaign_replays_to_the_live_verdict(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "kv.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        report = run_kv_fault_campaign("smoke", n=40, n_keys=4, n_ops=60,
+                                       seed=7, watch=True)
+        monkeypatch.delenv("REPRO_TRACE")
+        assert '"version":[' in path.read_text()
+        result = replay_trace(str(path))
+        assert report.watch_clean is True
+        assert result.clean, result.violations[:3]
+        assert result.events == report.watch["events"]
+
+    def test_replayed_fabricated_version_is_caught(self):
+        lines = _golden_lines(GOLDEN_KV_TRACE)
+        at = next(i for i, raw in enumerate(lines)
+                  if raw["kind"] == "access-end" and raw.get("version"))
+        lines[at]["version"] = [999, 999]  # a version no store wrote
+        result = replay_trace([json.dumps(raw) for raw in lines])
+        assert [v.code for v in result.violations] == ["fabricated-value"]
+
+    def test_flipped_reply_is_caught(self):
+        lines = _golden_lines(GOLDEN_TRACE)
+        at = _sole_hit(lines, "reply", "success", claim="reply")
+        lines[at]["success"] = False
+        result = replay_trace([json.dumps(raw) for raw in lines])
+        assert [v.code for v in result.violations] == ["reply-mismatch"]
+
+    def test_removed_probe_hit_is_caught(self):
+        lines = _golden_lines(GOLDEN_TRACE)
+        at = _sole_hit(lines, "probe", "hit", claim="found")
+        lines[at]["hit"] = False
+        result = replay_trace([json.dumps(raw) for raw in lines])
+        assert [v.code for v in result.violations] == [
+            "found-without-probe"]
+
+
+def _golden_lines(path):
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+def _sole_hit(lines, kind, flag, claim):
+    """Index of the only ``kind`` event with ``flag`` set inside an
+    access span whose ``access-end`` claims ``claim``."""
+    open_spans = []
+    for i, raw in enumerate(lines):
+        if raw["kind"] == "access-start":
+            open_spans.append([])
+        elif raw["kind"] == "access-end":
+            hits = open_spans.pop() if open_spans else []
+            if raw.get(claim) and len(hits) == 1:
+                return hits[0]
+        elif raw["kind"] == kind and raw.get(flag) and open_spans:
+            open_spans[-1].append(i)
+    raise AssertionError(f"no access with a single {kind} {flag}")
+
 
 # ---------------------------------------------------------------------------
 # CLI + schema stamping
@@ -731,9 +789,9 @@ class TestWatchCli:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for token in ("watch", "REPRO_WATCH", "REPRO_SLO",
-                      "REPRO_HIST_CAPACITY"):
+        for token in ("watch", "REPRO_WATCH", "REPRO_SLO"):
             assert token in out
+        assert "REPRO_HIST_CAPACITY" not in out
 
 
 class TestSchemaStamp:
