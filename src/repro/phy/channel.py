@@ -22,16 +22,30 @@ overlapped it and hands that to the model's ``_receive``.  Transmit
 order is part of the contract: the SINR interference sum is a float sum
 over the ledger's order, so the ledger is only ever filtered, never
 sorted.
+
+A frame resolves from **link rows**.  A row is one transmitter's link
+(position and transmit power) to every alive node of the environment's
+position snapshot: the distances in one array pass and, from them, what
+the model reads — for SINR the received power at every node and which
+nodes in hearing range clear RXThresh and which do not, for the protocol
+model the nodes within range and within the guard zone.  Rows are cached per snapshot version, so on a static network each
+sender's row is built once; a new snapshot (a join, a crash, or under
+mobility a new ``sim.now``) drops them all.  ``_receive`` visits the
+frame's candidates in ascending id and reads interferers' rows in ledger
+order; it makes no per-candidate position, distance or path-loss call.
+Carrier sense stays scalar, with the same arithmetic as the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
+
+import numpy as np
 
 from repro.geometry.space import Point
 from repro.phy.params import PhyParams
-from repro.phy.pathloss import PathLossModel, default_pathloss
+from repro.phy.pathloss import default_pathloss
 from repro.sim.kernel import Simulator
 
 
@@ -42,16 +56,17 @@ class NodeEnvironment(Protocol):
         """Current position of a node."""
         ...
 
-    def nodes_near(self, pos: Point, radius: float) -> List[int]:
-        """Ids of alive nodes within ``radius`` of ``pos``."""
-        ...
-
-    def is_alive(self, node_id: int) -> bool:
-        """Whether the node is powered on."""
-        ...
-
     def distance(self, a: Point, b: Point) -> float:
         """Distance respecting the deployment metric (plane or torus)."""
+        ...
+
+    def snapshot(self) -> Any:
+        """The alive nodes now: ascending ``ids``, their ``points``, and
+        a ``version`` that moves whenever those may have changed."""
+        ...
+
+    def distances(self, pos: Point, points: np.ndarray) -> np.ndarray:
+        """:meth:`distance` from ``pos`` to every row, equal with ``==``."""
         ...
 
 
@@ -87,6 +102,8 @@ class _Channel:
         self.frames_delivered = 0
         self.frames_lost_collision = 0
         self.frames_lost_weak = 0
+        self._rows: Dict[Tuple[Point, float], Any] = {}
+        self._rows_version: Optional[int] = None
 
     def attach(self, node_id: int, on_frame: FrameCallback) -> None:
         """Register a node's receive callback."""
@@ -143,9 +160,48 @@ class _Channel:
             and other.end > tx.start
         ])
 
+    def _row(self, sender_pos: Point, power_mw: float) -> Any:
+        """The link row of a transmitter at ``sender_pos``, built at most
+        once per position snapshot."""
+        snap = self.env.snapshot()
+        if snap.version != self._rows_version:
+            self._rows = {}
+            self._rows_version = snap.version
+        key = (sender_pos, power_mw)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._link_row(
+                snap.ids, self.env.distances(sender_pos, snap.points),
+                power_mw)
+        return row
+
+    def _link_row(self, ids: np.ndarray, distances: np.ndarray,
+                  power_mw: float) -> Any:
+        raise NotImplementedError
+
     def _receive(self, tx: Transmission,
                  interferers: List[Transmission]) -> None:
         raise NotImplementedError
+
+
+@dataclass
+class _GainRow:
+    """SINR link row: received power at each snapshot index; the
+    ``(index, node)`` pairs within hearing range that clear RXThresh,
+    ascending id; and the nodes within hearing range that do not."""
+
+    power_mw: List[float]
+    strong: List[Tuple[int, int]]
+    weak: Set[int]
+
+
+@dataclass
+class _DiskRow:
+    """Protocol-model link row: nodes within range (ascending id) and the
+    set within the interference guard zone."""
+
+    in_range: List[int]
+    guard: Set[int]
 
 
 class SINRChannel(_Channel):
@@ -162,10 +218,9 @@ class SINRChannel(_Channel):
         sim: Simulator,
         env: NodeEnvironment,
         params: Optional[PhyParams] = None,
-        pathloss: Optional[PathLossModel] = None,
     ) -> None:
         super().__init__(sim, env, params)
-        self.pathloss = pathloss or default_pathloss(self.params)
+        self.pathloss = default_pathloss(self.params)
 
     def carrier_busy(self, node_id: int) -> bool:
         """True if cumulative on-air power at the node clears CSThresh."""
@@ -186,38 +241,45 @@ class SINRChannel(_Channel):
                 return True
         return False
 
+    def _link_row(self, ids: np.ndarray, distances: np.ndarray,
+                  power_mw: float) -> _GainRow:
+        power = self.pathloss.received_power_row(power_mw, distances)
+        heard = distances <= self.params.carrier_sense_range_m * 1.5
+        clears = power >= self.params.rx_thresh_mw
+        strong = np.flatnonzero(heard & clears)
+        return _GainRow(
+            power_mw=power.tolist(),
+            strong=list(zip(strong.tolist(), ids[strong].tolist())),
+            weak=set(ids[heard & ~clears].tolist()))
+
     def _receive(self, tx: Transmission,
                  interferers: List[Transmission]) -> None:
         """Deliver the frame to every receiver whose SINR clears beta."""
-        hearing_range = self.params.carrier_sense_range_m * 1.5
+        row = self._row(tx.sender_pos, tx.power_mw)
+        # Interferers' powers, in ledger order: the sum below is a float
+        # sum, so its order is part of the result.
+        noise_rows = [self._row(o.sender_pos, o.power_mw).power_mw
+                      for o in interferers]
+        # Half duplex: a node transmitting during the frame misses it.
         busy_senders = {o.sender for o in interferers} | {tx.sender}
-        candidates = self.env.nodes_near(tx.sender_pos, hearing_range)
-        for rx in candidates:
-            if rx == tx.sender or rx not in self._receivers:
+        receivers = self._receivers
+        self.frames_lost_weak += len(
+            row.weak.difference(busy_senders).intersection(receivers))
+        noise = self.params.noise_mw
+        sinr_thresh = self.params.sinr_thresh
+        power = row.power_mw
+        for i, rx in row.strong:
+            if rx in busy_senders or rx not in receivers:
                 continue
-            if not self.env.is_alive(rx):
-                continue
-            if rx in busy_senders:
-                # Half duplex: a node transmitting during the frame misses it.
-                continue
-            rx_pos = self.env.position_of(rx)
-            signal = self.pathloss.received_power_mw(
-                tx.power_mw, self.env.distance(tx.sender_pos, rx_pos)
-            )
-            if signal < self.params.rx_thresh_mw:
-                self.frames_lost_weak += 1
-                continue
+            signal = power[i]
             interference = 0.0
-            for other in interferers:
-                interference += self.pathloss.received_power_mw(
-                    other.power_mw, self.env.distance(other.sender_pos, rx_pos)
-                )
-            sinr = signal / (self.params.noise_mw + interference)
-            if sinr < self.params.sinr_thresh:
+            for other in noise_rows:
+                interference += other[i]
+            if signal / (noise + interference) < sinr_thresh:
                 self.frames_lost_collision += 1
                 continue
             self.frames_delivered += 1
-            self._receivers[rx](rx, tx.frame, signal)
+            receivers[rx](rx, tx.frame, signal)
 
 
 class ProtocolChannel(_Channel):
@@ -257,22 +319,24 @@ class ProtocolChannel(_Channel):
                 return True
         return False
 
+    def _link_row(self, ids: np.ndarray, distances: np.ndarray,
+                  power_mw: float) -> _DiskRow:
+        guard = self.range_m * (1.0 + self.delta)
+        return _DiskRow(in_range=ids[distances <= self.range_m].tolist(),
+                        guard=set(ids[distances <= guard].tolist()))
+
     def _receive(self, tx: Transmission,
                  interferers: List[Transmission]) -> None:
+        row = self._row(tx.sender_pos, tx.power_mw)
+        guards = [self._row(o.sender_pos, o.power_mw).guard
+                  for o in interferers]
         busy_senders = {o.sender for o in interferers} | {tx.sender}
-        guard = self.range_m * (1.0 + self.delta)
-        for rx in self.env.nodes_near(tx.sender_pos, self.range_m):
-            if rx == tx.sender or rx not in self._receivers:
+        receivers = self._receivers
+        for rx in row.in_range:
+            if rx in busy_senders or rx not in receivers:
                 continue
-            if not self.env.is_alive(rx) or rx in busy_senders:
-                continue
-            rx_pos = self.env.position_of(rx)
-            collided = any(
-                self.env.distance(o.sender_pos, rx_pos) <= guard
-                for o in interferers
-            )
-            if collided:
+            if any(rx in guard for guard in guards):
                 self.frames_lost_collision += 1
                 continue
             self.frames_delivered += 1
-            self._receivers[rx](rx, tx.frame, self.params.rx_thresh_mw)
+            receivers[rx](rx, tx.frame, self.params.rx_thresh_mw)

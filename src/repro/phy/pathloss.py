@@ -8,6 +8,12 @@ this model puts the free-space/two-ray crossover at ~226 m, so:
 * received power at 299 m  = -77.0 dBm  (exactly CSThresh -> 299 m CS range)
 
 i.e. the paper's derived ranges fall out of this model with no fudging.
+
+:class:`TwoRayGround` also has an array form,
+:meth:`TwoRayGround.received_power_row`, which the radio channels use to
+price one transmitter's link to every node at once.  Both forms are built
+from correctly rounded ``+ - * /`` only (no ``**``), in the same order, so
+they are equal element for element with ``==`` on any SIMD build.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.phy.params import PhyParams, dbm_to_mw
 
@@ -79,7 +87,26 @@ class TwoRayGround(PathLossModel):
             factor = self.wavelength_m / (4.0 * math.pi * distance_m)
             return tx_power_mw * self.gain * factor * factor
         h2 = self.antenna_height_m * self.antenna_height_m
-        return tx_power_mw * self.gain * (h2 * h2) / (distance_m ** 4)
+        d2 = distance_m * distance_m
+        return tx_power_mw * self.gain * (h2 * h2) / (d2 * d2)
+
+    def received_power_row(self, tx_power_mw: float,
+                           distances: np.ndarray) -> np.ndarray:
+        """:meth:`received_power_mw` at every distance, in one array pass.
+
+        Equal with ``==`` to the scalar form at each element.  A distance
+        ``<= 0`` (a co-located node) gets the transmit power; it is priced
+        as infinitely far first, so no step divides by zero.
+        """
+        positive = distances > 0
+        d = np.where(positive, distances, math.inf)
+        factor = self.wavelength_m / (4.0 * math.pi * d)
+        near = tx_power_mw * self.gain * factor * factor
+        h2 = self.antenna_height_m * self.antenna_height_m
+        d2 = d * d
+        far = tx_power_mw * self.gain * (h2 * h2) / (d2 * d2)
+        return np.where(positive, np.where(d <= self.crossover_m, near, far),
+                        tx_power_mw)
 
 
 @dataclass(frozen=True)

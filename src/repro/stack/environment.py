@@ -1,19 +1,44 @@
 """Node environment for the packet-level stack.
 
 Implements the :class:`~repro.phy.channel.NodeEnvironment` protocol over a
-mobility manager plus a lazily refreshed spatial grid: the PHY channel asks
-it for node positions, proximity sets, and liveness.
+mobility manager: the PHY channel asks it for node positions and position
+snapshots, the packet adapter for proximity sets and liveness.
+
+Geometry is served from one **position snapshot**: the alive nodes in
+ascending id order and their positions, taken in one
+:meth:`MobilityManager.positions_at` pass.  The snapshot carries a
+``version``.  On a static deployment (``max_speed == 0``) it is rebuilt
+only after :meth:`add_node` / :meth:`remove_node`; under mobility it is
+also rebuilt at every new ``sim.now`` that asks for it, and the rebuild
+advances expired waypoint legs in id order (the graph floor's rule).
+Radio channels key their per-transmitter link rows on that version.
+
+Distances are ``sqrt(dx*dx + dy*dy)`` in both the array form
+(:meth:`distances`) and the scalar form (:meth:`distance`): correctly
+rounded ``+ - * sqrt`` only, so the two agree bit for bit on any SIMD
+build (``np.hypot`` and ``math.hypot`` do not).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.geometry.grid import SpatialGrid
+import numpy as np
+
 from repro.geometry.space import Point
 from repro.mobility.models import MobilityManager
 from repro.sim.kernel import Simulator
+
+
+@dataclass(frozen=True)
+class PositionSnapshot:
+    """Alive nodes in ascending id order and their positions at one time."""
+
+    version: int
+    ids: np.ndarray     # (k,) node ids, ascending
+    points: np.ndarray  # (k, 2) positions, one row per id
 
 
 class StackEnvironment:
@@ -21,30 +46,28 @@ class StackEnvironment:
 
     def __init__(self, sim: Simulator, mobility: MobilityManager,
                  side: float, torus: bool = False,
-                 grid_refresh: float = 0.5,
                  max_speed: float = 0.0) -> None:
         self.sim = sim
         self.mobility = mobility
         self.side = side
         self.torus = torus
-        self.grid_refresh = grid_refresh
         self.max_speed = max_speed
         self._alive: Set[int] = set()
-        self._grid: Optional[SpatialGrid] = None
-        self._grid_time = -math.inf
-        self._grid_cell: float = 0.0
+        self._snapshot: Optional[PositionSnapshot] = None
+        self._snapshot_time = -math.inf
+        self._version = 0
 
     # -- liveness ----------------------------------------------------------
 
     def add_node(self, node_id: int, position: Optional[Point] = None) -> Point:
         pos = self.mobility.add_node(node_id, t=self.sim.now, position=position)
         self._alive.add(node_id)
-        self._grid_time = -math.inf
+        self._snapshot = None
         return pos
 
     def remove_node(self, node_id: int) -> None:
         self._alive.discard(node_id)
-        self._grid_time = -math.inf
+        self._snapshot = None
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._alive
@@ -52,7 +75,29 @@ class StackEnvironment:
     def alive_nodes(self) -> List[int]:
         return sorted(self._alive)
 
-    # -- NodeEnvironment protocol ----------------------------------------------
+    # -- geometry ------------------------------------------------------------
+
+    def snapshot(self) -> PositionSnapshot:
+        """The alive nodes' positions now; rebuilt only when they can differ."""
+        now = self.sim.now
+        snap = self._snapshot
+        if snap is None or (self.max_speed > 0 and self._snapshot_time != now):
+            ids = np.array(sorted(self._alive), dtype=np.intp)
+            self._version += 1
+            snap = self._snapshot = PositionSnapshot(
+                self._version, ids, self.mobility.positions_at(ids, now))
+            self._snapshot_time = now
+        return snap
+
+    def distances(self, pos: Point, points: np.ndarray) -> np.ndarray:
+        """Distance from ``pos`` to every row of ``points``; equal with
+        ``==`` to :meth:`distance` applied row by row."""
+        dx = np.abs(points[:, 0] - pos[0])
+        dy = np.abs(points[:, 1] - pos[1])
+        if self.torus:
+            dx = np.minimum(dx, self.side - dx)
+            dy = np.minimum(dy, self.side - dy)
+        return np.sqrt(dx * dx + dy * dy)
 
     def position_of(self, node_id: int) -> Point:
         return self.mobility.position_at(node_id, self.sim.now)
@@ -63,27 +108,9 @@ class StackEnvironment:
         if self.torus:
             dx = min(dx, self.side - dx)
             dy = min(dy, self.side - dy)
-        return math.hypot(dx, dy)
-
-    def _ensure_grid(self, cell: float) -> SpatialGrid:
-        stale = (self._grid is None
-                 or self._grid_cell != cell
-                 or self.sim.now - self._grid_time >= self.grid_refresh)
-        if stale:
-            grid = SpatialGrid(side=self.side, cell_size=cell, torus=self.torus)
-            for node_id in self._alive:
-                grid.insert(node_id, self.position_of(node_id))
-            self._grid = grid
-            self._grid_time = self.sim.now
-            self._grid_cell = cell
-        return self._grid
+        return math.sqrt(dx * dx + dy * dy)
 
     def nodes_near(self, pos: Point, radius: float) -> List[int]:
-        grid = self._ensure_grid(cell=max(radius, 1.0))
-        margin = 2 * self.max_speed * self.grid_refresh
-        candidates = grid.within(pos, radius + margin)
-        return [
-            nid for nid in candidates
-            if nid in self._alive
-            and self.distance(pos, self.position_of(nid)) <= radius
-        ]
+        """Alive nodes within ``radius`` of ``pos``, in ascending id order."""
+        snap = self.snapshot()
+        return snap.ids[self.distances(pos, snap.points) <= radius].tolist()

@@ -17,8 +17,13 @@ independent implementations those are held to live here, outside
   tree-based route discovery;
 * :mod:`reference.phy` — the two radio channels with an on-air ledger
   that never forgets (every frame scans every transmission ever made),
-  what the pruned ledger of ``repro.phy.channel`` is held to.  Imported
-  as ``reference.phy`` by the packet-level tests only.
+  what the pruned ledger of ``repro.phy.channel`` is held to; the same
+  channels resolving each frame per candidate with scalar
+  ``position_of`` / ``distance`` / path-loss calls, what the cached link
+  rows are held to bit for bit; and ``fixed_env``, a real
+  ``StackEnvironment`` over hand-placed nodes for the PHY, MAC and net
+  unit tests.  Imported as ``reference.phy`` by the packet-level tests
+  only.
 """
 
 from reference.access import DecliningEngine, bfs_path, per_event, ring_size

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from reference.phy import never_forgets
+from reference.phy import never_forgets, scalar_receive
 
 from repro.net import FloodPacket
 from repro.stack import AdhocStack, StackConfig
@@ -152,10 +152,12 @@ class TestMobileStack:
 
 
 class TestOnAirLedgerTwin:
-    """The pruned on-air ledger against a channel that never forgets
-    (``reference.phy``): same frames, same losses, same clock."""
+    """The pruned on-air ledger against a channel that never forgets, and
+    the link-row receive path against the per-candidate scalar one
+    (``reference.phy``): same frames, same powers, same losses, same
+    clock, same waypoint legs."""
 
-    def drive(self, monkeypatch, mobility, channel, stand_in=False):
+    def drive(self, monkeypatch, mobility, channel, stand_in=None):
         """A 120-step seeded script: routed sends, TTL floods, one crash
         and idle gaps from 2 ms to 2 s; everything observable about it."""
         # Packet ids are process-wide; restart them so twins see the same.
@@ -165,8 +167,8 @@ class TestOnAirLedgerTwin:
         if mobility == "waypoint":
             kw.update(min_speed=20.0, max_speed=20.0, pause_time=0.0)
         stack = AdhocStack(StackConfig(**kw))
-        if stand_in:
-            never_forgets(stack)
+        if stand_in is not None:
+            stand_in(stack)
         channel = stack.channel
         heard, sensed, ledger_sizes = [], [], []
         for node, deliver in list(channel._receivers.items()):
@@ -211,7 +213,7 @@ class TestOnAirLedgerTwin:
         heard, sensed, counters, end, sizes = self.drive(
             monkeypatch, mobility, channel)
         ref_heard, ref_sensed, ref_counters, ref_end, ref_sizes = self.drive(
-            monkeypatch, mobility, channel, stand_in=True)
+            monkeypatch, mobility, channel, stand_in=never_forgets)
         assert heard == ref_heard
         assert sensed == ref_sensed
         assert counters == ref_counters
@@ -221,3 +223,19 @@ class TestOnAirLedgerTwin:
         # run has been going: the twin ends up holding every frame sent.
         assert ref_sizes[-1] == counters["frames_sent"] > 1000
         assert max(sizes) <= 12
+
+    @pytest.mark.parametrize("channel", ["sinr", "protocol"])
+    @pytest.mark.parametrize("mobility", ["static", "waypoint"])
+    def test_link_rows_match_scalar_oracle(self, monkeypatch, mobility,
+                                           channel):
+        heard, sensed, counters, end, _ = self.drive(
+            monkeypatch, mobility, channel)
+        ref_heard, ref_sensed, ref_counters, ref_end, _ = self.drive(
+            monkeypatch, mobility, channel, stand_in=scalar_receive)
+        assert heard == ref_heard
+        assert sensed == ref_sensed
+        assert counters == ref_counters
+        assert end == ref_end
+        assert counters["frames_delivered"] > 1000
+        if channel == "sinr":
+            assert counters["frames_lost_weak"] > 100

@@ -1,38 +1,18 @@
 """Tests for the CSMA/CA MAC layer over the SINR channel."""
 
-import math
 import random
 
 import pytest
+from reference.phy import fixed_env
 
 from repro.mac import BROADCAST, MacLayer, MacParams
 from repro.phy import PhyParams, SINRChannel
 from repro.sim import Simulator
 
 
-class _Env:
-    def __init__(self, positions):
-        self.positions = dict(positions)
-        self.dead = set()
-
-    def position_of(self, node_id):
-        return self.positions[node_id]
-
-    def nodes_near(self, pos, radius):
-        return [nid for nid, p in self.positions.items()
-                if nid not in self.dead
-                and math.hypot(p[0] - pos[0], p[1] - pos[1]) <= radius]
-
-    def is_alive(self, node_id):
-        return node_id not in self.dead
-
-    def distance(self, a, b):
-        return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def build(positions, retry_limit=7):
     sim = Simulator()
-    env = _Env(positions)
+    env = fixed_env(sim, positions)
     channel = SINRChannel(sim, env)
     inboxes = {nid: [] for nid in positions}
     macs = {}
@@ -58,7 +38,7 @@ class TestUnicast:
     def test_failure_notification_when_peer_gone(self):
         sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)},
                                             retry_limit=2)
-        env.dead.add(1)
+        env.remove_node(1)
         outcome = []
         macs[0].send_unicast(1, "ping", on_failure=lambda: outcome.append("fail"))
         sim.run(until=2.0)
@@ -69,7 +49,7 @@ class TestUnicast:
     def test_retry_count_grows_on_failure(self):
         sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)},
                                             retry_limit=3)
-        env.dead.add(1)
+        env.remove_node(1)
         macs[0].send_unicast(1, "ping")
         sim.run(until=2.0)
         assert macs[0].retries == 3

@@ -2,10 +2,10 @@
 flooding agent dedup/TTL mechanics, packet id allocation, stack node
 dispatch including the raw-payload hook."""
 
-import math
 import random
 
 import pytest
+from reference.phy import fixed_env
 
 from repro.mac import MacLayer, MacParams
 from repro.net import FloodPacket, next_packet_id
@@ -15,29 +15,9 @@ from repro.sim import Simulator
 from repro.stack import AdhocStack, StackConfig
 
 
-class _Env:
-    def __init__(self, positions):
-        self.positions = dict(positions)
-        self.dead = set()
-
-    def position_of(self, node_id):
-        return self.positions[node_id]
-
-    def nodes_near(self, pos, radius):
-        return [nid for nid, p in self.positions.items()
-                if nid not in self.dead
-                and math.hypot(p[0] - pos[0], p[1] - pos[1]) <= radius]
-
-    def is_alive(self, node_id):
-        return node_id not in self.dead
-
-    def distance(self, a, b):
-        return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def build_flooders(positions):
     sim = Simulator()
-    env = _Env(positions)
+    env = fixed_env(sim, positions)
     channel = SINRChannel(sim, env)
     delivered = {nid: [] for nid in positions}
     agents = {}

@@ -11,6 +11,7 @@ from repro.core import (
     RandomStrategy,
     UniquePathStrategy,
 )
+from repro.phy import TwoRayGround
 from repro.services import LocationService
 from repro.stack import AdhocStack, PacketQuorumNetwork, StackConfig
 
@@ -140,3 +141,75 @@ class TestStrategiesOverPackets:
                    for _ in range(6))
         # Tiny 20-node net: quorums of ~8 intersect essentially always.
         assert hits >= 4
+
+
+class TestPacketPassWork:
+    """Noise-free work counts of one packet-level pass on a static
+    50-node stack, shaped like ``bench/``'s ``packet_stack``: 4 RANDOM
+    advertises of 14 and 40 UNIQUE-PATH lookups of 8."""
+
+    def test_static_pass_resolves_frames_from_cached_rows(self, monkeypatch):
+        stack = AdhocStack(StackConfig(n=50, avg_degree=10, seed=0))
+        env, channel = stack.env, stack.channel
+        rows_built = []
+        link_row = channel._link_row
+
+        def counted_link_row(ids, distances, power_mw):
+            rows_built.append(len(ids))
+            return link_row(ids, distances, power_mw)
+
+        channel._link_row = counted_link_row
+        net = PacketQuorumNetwork(stack)
+        net.advance(11.0)  # the HELLO round: every node has sent a frame
+        assert len(rows_built) == 50
+        version = env.snapshot().version
+        events, frames = stack.sim.events_executed, channel.frames_sent
+
+        in_receive, geometry_in_receive = [False], []
+        receive = channel._receive
+
+        def watched_receive(tx, interferers):
+            in_receive[0] = True
+            try:
+                receive(tx, interferers)
+            finally:
+                in_receive[0] = False
+
+        def watched(name, fn):
+            def call(*args):
+                if in_receive[0]:
+                    geometry_in_receive.append(name)
+                return fn(*args)
+            return call
+
+        channel._receive = watched_receive
+        env.position_of = watched("position_of", env.position_of)
+        env.distance = watched("distance", env.distance)
+        monkeypatch.setattr(
+            TwoRayGround, "received_power_mw",
+            watched("received_power_mw", TwoRayGround.received_power_mw))
+
+        rng = random.Random(2)
+        advertise = RandomStrategy(_OracleMembership(net),
+                                   rng=random.Random(0))
+        lookup = UniquePathStrategy(rng=random.Random(1))
+        stores = []
+        for _ in range(4):
+            holders = set()
+            stores.append(holders)
+            advertise.advertise(net, net.random_alive_node(rng), holders.add,
+                                target_size=14)
+        hits = 0
+        for _ in range(40):
+            holders = stores[rng.randrange(4)]
+            hits += lookup.lookup(
+                net, net.random_alive_node(rng),
+                lambda v, holders=holders: "x" if v in holders else None,
+                target_size=8).found
+
+        assert len(rows_built) == 50       # no new row after warm-up
+        assert env.snapshot().version == version  # no new snapshot
+        assert geometry_in_receive == []
+        assert stack.sim.events_executed - events == 6317
+        assert channel.frames_sent - frames == 2489
+        assert hits == 38

@@ -1,9 +1,16 @@
 """Tests for PHY parameters, path loss calibration, and channel models."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
-from reference.phy import UnprunedProtocolChannel, UnprunedSINRChannel
+from reference.phy import (
+    UnprunedProtocolChannel,
+    UnprunedSINRChannel,
+    fixed_env,
+)
+from repro.mobility.models import FixedPlacement, MobilityManager
 
 from repro.phy import (
     DEFAULT_PHY,
@@ -18,6 +25,7 @@ from repro.phy import (
     mw_to_dbm,
 )
 from repro.sim import Simulator
+from repro.stack import StackEnvironment
 
 
 class TestUnits:
@@ -118,36 +126,10 @@ class TestFreeSpaceAndPowerLaw:
                 < shallow.received_power_mw(1.0, 400.0))
 
 
-class _Env:
-    """Minimal static NodeEnvironment for channel tests."""
-
-    def __init__(self, positions):
-        self.positions = dict(positions)
-        self.dead = set()
-
-    def position_of(self, node_id):
-        return self.positions[node_id]
-
-    def nodes_near(self, pos, radius):
-        out = []
-        for nid, p in self.positions.items():
-            if nid in self.dead:
-                continue
-            if math.hypot(p[0] - pos[0], p[1] - pos[1]) <= radius:
-                out.append(nid)
-        return out
-
-    def is_alive(self, node_id):
-        return node_id not in self.dead
-
-    def distance(self, a, b):
-        return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 class TestSINRChannel:
     def make(self, positions):
         sim = Simulator()
-        env = _Env(positions)
+        env = fixed_env(sim, positions)
         ch = SINRChannel(sim, env)
         return sim, env, ch
 
@@ -171,7 +153,7 @@ class TestSINRChannel:
         sim, env, ch = self.make({0: (0, 0), 1: (100, 0)})
         got = []
         ch.attach(1, lambda rx, frame, power: got.append(frame))
-        env.dead.add(1)
+        env.remove_node(1)
         ch.transmit(0, "hello", 0.001)
         sim.run()
         assert got == []
@@ -198,6 +180,27 @@ class TestSINRChannel:
         sim.run()
         assert "strong" in got
         assert "weak" not in got
+
+    def test_interference_sums_in_ledger_order(self):
+        # At receiver 1 the three interferers' powers sum to different
+        # floats in transmit order and in reverse, and the frame from 0
+        # clears beta only with the transmit-order sum (found by search).
+        d0 = 58.50862827673421
+        far = (443.2, 504.9, 192.2)
+        sim, env, ch = self.make({0: (-d0, 0.0), 1: (0.0, 0.0),
+                                  2: (far[0], 0.0), 3: (0.0, far[1]),
+                                  4: (0.0, -far[2])})
+        p, model = ch.params, ch.pathloss
+        a, b, c = (model.received_power_mw(p.tx_power_mw, d) for d in far)
+        signal = model.received_power_mw(p.tx_power_mw, d0)
+        assert (signal / (p.noise_mw + (a + b + c)) >= p.sinr_thresh
+                > signal / (p.noise_mw + (c + b + a)))
+        got = []
+        ch.attach(1, lambda rx, frame, power: got.append(frame))
+        for sender in (0, 2, 3, 4):
+            ch.transmit(sender, sender, 0.001)
+        sim.run()
+        assert got == [0]
 
     def test_half_duplex_sender_misses(self):
         sim, env, ch = self.make({0: (0, 0), 1: (100, 0)})
@@ -237,7 +240,7 @@ class TestSINRChannel:
 class TestProtocolChannel:
     def make(self, positions, delta=0.0):
         sim = Simulator()
-        env = _Env(positions)
+        env = fixed_env(sim, positions)
         ch = ProtocolChannel(sim, env, range_m=200.0, delta=delta)
         return sim, env, ch
 
@@ -268,11 +271,27 @@ class TestProtocolChannel:
         sim.run()
         assert got == []
 
+    def test_range_and_guard_are_inclusive(self):
+        # 1 sits exactly at range from 0 and exactly at the guard
+        # distance from 2: in range, and interfered with.
+        sim, env, ch = self.make({0: (0, 0), 1: (200, 0), 3: (0, 400)})
+        got = []
+        ch.attach(1, lambda rx, frame, power: got.append(frame))
+        ch.transmit(0, "edge", 0.001)
+        sim.run()
+        assert got == ["edge"]
+        env.add_node(2, position=(400, 0))
+        ch.transmit(0, "a", 0.001)
+        ch.transmit(2, "b", 0.001)
+        sim.run()
+        assert got == ["edge"]
+        assert ch.frames_lost_collision == 2
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            ProtocolChannel(Simulator(), _Env({}), range_m=0.0)
+            ProtocolChannel(Simulator(), fixed_env(Simulator(), {}), range_m=0.0)
         with pytest.raises(ValueError):
-            ProtocolChannel(Simulator(), _Env({}), range_m=1.0, delta=-0.1)
+            ProtocolChannel(Simulator(), fixed_env(Simulator(), {}), range_m=1.0, delta=-0.1)
 
 
 class TestOnAirLedger:
@@ -288,7 +307,7 @@ class TestOnAirLedger:
     def run_script(self, cls, kwargs, script):
         sim = Simulator()
         positions = {i: (60.0 * i, 0.0) for i in range(6)}
-        ch = cls(sim, _Env(positions), **kwargs)
+        ch = cls(sim, fixed_env(sim, positions), **kwargs)
         got = []
         for node in positions:
             ch.attach(node, lambda rx, frame, power: got.append(
@@ -319,7 +338,7 @@ class TestOnAirLedger:
     def test_ledger_stays_in_transmit_order_and_drains(self, model):
         real, _, kwargs = self.CHANNELS[model]
         sim = Simulator()
-        ch = real(sim, _Env({i: (60.0 * i, 0.0) for i in range(6)}),
+        ch = real(sim, fixed_env(sim, {i: (60.0 * i, 0.0) for i in range(6)}),
                   **kwargs)
         ledgers = []
 
@@ -345,3 +364,73 @@ class TestOnAirLedger:
         sim.run()
         assert ch._on_air == []
         assert ch.frames_sent == 201
+
+
+class TestArrayScalarAgreement:
+    """The link rows' array forms equal the scalar forms carrier sense
+    and the scalar oracle use, with ``==``, element for element."""
+
+    SIDE = 1000.0
+
+    def env(self, torus):
+        return StackEnvironment(Simulator(), MobilityManager(FixedPlacement([])),
+                                side=self.SIDE, torus=torus)
+
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_distances_equal_scalar_distance(self, torus):
+        env = self.env(torus)
+        rng = np.random.default_rng(11)
+        points = rng.uniform(0.0, self.SIDE, size=(1000, 2))
+        # Pairs across the wrap seam, and exactly half a side apart.
+        points[:4] = [(0.0, 0.0), (self.SIDE, 0.0), (0.5 * self.SIDE, 0.0),
+                      (1e-9, self.SIDE - 1e-9)]
+        senders = rng.uniform(0.0, self.SIDE, size=(100, 2)).tolist()
+        senders[:2] = [(0.0, 0.0), (self.SIDE - 1e-9, 1e-9)]
+        rows = points.tolist()
+        for pos in senders:  # 10^5 pairs
+            pos = tuple(pos)
+            got = env.distances(pos, points)
+            assert got.tolist() == [env.distance(pos, p) for p in rows]
+
+    def test_received_power_row_equals_scalar(self):
+        model = default_pathloss(PhyParams())
+        tx = PhyParams().tx_power_mw
+        c = model.crossover_m
+        rng = np.random.default_rng(12)
+        d = np.concatenate((
+            [0.0, -1.0, 1e-9, c, np.nextafter(c, 0.0), np.nextafter(c, 2 * c),
+             200.0, 299.0],
+            rng.uniform(0.0, 2000.0, size=99_000),
+            rng.uniform(c - 1e-6, c + 1e-6, size=992),
+        ))
+        got = model.received_power_row(tx, d)
+        assert got.tolist() == [model.received_power_mw(tx, x)
+                                for x in d.tolist()]
+        assert got[0] == got[1] == tx
+
+    def test_co_located_transmitter(self):
+        # Receiver 1 shares the sender's position; interferer 3 shares
+        # receiver 2's.  Nothing divides by zero and nothing is NaN.
+        sim = Simulator()
+        env = fixed_env(sim, {0: (50.0, 50.0), 1: (50.0, 50.0),
+                              2: (150.0, 50.0), 3: (150.0, 50.0)})
+        ch = SINRChannel(sim, env)
+        got = []
+        for node in (1, 2):
+            ch.attach(node, lambda rx, frame, power: got.append(
+                (rx, frame, power)))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            ch.transmit(0, "a", 0.001)
+            ch.transmit(3, "b", 0.001)
+            sim.run()
+            rows = [ch._row(env.position_of(s), ch.params.tx_power_mw)
+                    for s in (0, 3)]
+        for row in rows:
+            assert np.isfinite(row.power_mw).all()
+        assert rows[0].power_mw[1] == ch.params.tx_power_mw
+        # Each receiver captures the frame of the sender it sits on, over
+        # the other sender 100 m away, at the full transmit power.
+        tx = ch.params.tx_power_mw
+        assert got == [(1, "a", tx), (2, "b", tx)]
+        assert ch.frames_lost_collision == 2
