@@ -1,6 +1,7 @@
-"""Geometry substrate: deployment areas, spatial index, random geometric graphs."""
+"""Geometry substrate: deployment areas, the one distance contract
+(``space.distance`` / ``space.distances``), the neighbor kernel, and random
+geometric graphs."""
 
-from repro.geometry.grid import SpatialGrid
 from repro.geometry.rgg import (
     GeometricGraph,
     bfs_distances,
@@ -14,16 +15,15 @@ from repro.geometry.rgg import (
     theoretical_diameter_hops,
 )
 from repro.geometry.space import (
-    PlaneMetric,
     Point,
-    TorusMetric,
     area_side_for_density,
     critical_range_for_connectivity,
+    distance,
+    distances,
     expected_degree,
 )
 
 __all__ = [
-    "SpatialGrid",
     "GeometricGraph",
     "bfs_distances",
     "build_adjacency",
@@ -34,10 +34,10 @@ __all__ = [
     "rgg_for_density",
     "shortest_path",
     "theoretical_diameter_hops",
-    "PlaneMetric",
     "Point",
-    "TorusMetric",
     "area_side_for_density",
     "critical_range_for_connectivity",
+    "distance",
+    "distances",
     "expected_degree",
 ]

@@ -2,26 +2,20 @@
 
 The graph-level simulator answers the same query millions of times per
 sweep: *which alive nodes are within radio range of node v right now?*
-The pure-Python :class:`~repro.geometry.grid.SpatialGrid` answers it one
-node at a time; this module instead keeps every alive node's position in
-one contiguous ``(n, 2)`` float64 array and computes the **entire**
-neighbor table in a single batched cell-binning pass:
+This module keeps every alive node's position in one contiguous
+``(n, 2)`` float64 array and computes the **entire** neighbor table in a
+single batched cell-binning pass:
 
-1. bin every node into a uniform grid cell (cell size = query radius, the
-   same scheme as ``SpatialGrid``);
+1. bin every node into a uniform grid cell (cell size >= query radius);
 2. for each of the 3x3 cell offsets, pair every node with the nodes in the
    offset cell via ``argsort`` + ``searchsorted`` range arithmetic — no
    Python-level loop over nodes;
-3. filter candidate pairs by exact distance (``np.hypot(dx, dy) <= r``)
-   and bucket the survivors into per-node sorted id lists.
+3. filter candidate pairs by :func:`repro.geometry.space.distances`
+   ``<= r`` and bucket the survivors into per-node sorted id lists.
 
-``np.hypot`` is *not* bit-identical to the ``math.hypot`` predicate of
-the brute-force oracle in ``tests/reference``: with numpy 2.4 on an
-AVX-512 build the two differ in the last bit for about 0.6% of random
-pairs.  The neighbor decisions agree unless a pair sits within an ULP of
-the radius, which the oracle tests' random placements have not hit.
-(The packet floor's ``StackEnvironment`` uses ``sqrt(dx*dx + dy*dy)`` in
-both forms instead, which is exact to compare.)
+The distance is the package's one contract, so these lists,
+``SimNetwork.in_range`` and the packet floor decide every pair alike,
+including a pair within an ULP of the radius.
 
 Both the plane and torus metrics are supported.  Updates are incremental
 — ``insert``/``remove`` for churn, ``set_positions`` for a mobility tick
@@ -37,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.space import Point
+from repro.geometry.space import Point, distances
 from repro.obs.profile import profiled
 
 
@@ -48,17 +42,6 @@ def _cell_offsets(axis: int, torus: bool) -> Iterable[Tuple[int, int]]:
         # a pair of nodes is considered exactly once.
         return sorted({(dx % axis, dy % axis) for dx, dy in raw})
     return raw
-
-
-def _deltas(dx: np.ndarray, dy: np.ndarray, side: float,
-            torus: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-axis separations under the plane or torus metric."""
-    dx = np.abs(dx)
-    dy = np.abs(dy)
-    if torus:
-        dx = np.minimum(dx, side - dx)
-        dy = np.minimum(dy, side - dy)
-    return dx, dy
 
 
 def _binned_tables(
@@ -72,10 +55,10 @@ def _binned_tables(
     """The cell-binning pass behind both table builders.
 
     ``pos`` is ``(R, N, 2)``; ``axis`` is the grid's cells per side, and
-    the caller has checked that ``radius`` fits in one cell.  Replicas
-    never mix: each node is binned into a *composite* cell index
-    ``replica * cells + cell``, so the 3x3 candidate-pair expansion can
-    only pair rows of the same replica.
+    either ``radius`` fits in one cell or the grid is a single cell (then
+    every pair is a candidate).  Replicas never mix: each node is binned
+    into a *composite* cell index ``replica * cells + cell``, so the 3x3
+    candidate-pair expansion can only pair rows of the same replica.
     """
     reps, n, _ = pos.shape
     if n == 0:
@@ -129,9 +112,8 @@ def _binned_tables(
         return [{int(i): [] for i in ids} for _ in range(reps)]
     rows = np.concatenate(row_chunks)
     cols = np.concatenate(col_chunks)
-    ddx, ddy = _deltas(flat[rows, 0] - flat[cols, 0],
-                       flat[rows, 1] - flat[cols, 1], side, torus)
-    keep = (np.hypot(ddx, ddy) <= radius) & (rows != cols)
+    keep = ((distances(flat[rows], flat[cols], side, torus) <= radius)
+            & (rows != cols))
     rows = rows[keep]
     cols = cols[keep]
 
@@ -164,7 +146,8 @@ def batched_neighbor_tables(
     replica, each identical to what :meth:`NeighborKernel.neighbor_tables`
     computes for that replica alone (both run :func:`_binned_tables`), but
     amortizing the argsort / searchsorted machinery over the whole
-    replica batch.
+    replica batch.  Any positive radius is accepted: the cells are at
+    least ``radius`` wide, or one cell spans the whole side.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim == 2:
@@ -176,10 +159,6 @@ def batched_neighbor_tables(
     if side <= 0 or radius <= 0:
         raise ValueError("side and radius must be positive")
     axis = max(1, int(math.floor(side / radius)))
-    cell_size = side / axis
-    if radius > cell_size * (1 + 1e-12):
-        raise ValueError(
-            f"query radius {radius} exceeds cell size {cell_size}")
     return _binned_tables(np.asarray(ids, dtype=np.int64), pos, side, radius,
                           torus, axis)
 
@@ -284,10 +263,7 @@ class NeighborKernel:
         ids, pos = self._active()
         if len(ids) == 0 or radius <= 0:
             return []
-        dx, dy = _deltas(pos[:, 0] - center[0], pos[:, 1] - center[1],
-                         self.side, self.torus)
-        mask = np.hypot(dx, dy) <= radius
-        found = ids[mask]
+        found = ids[distances(pos, center, self.side, self.torus) <= radius]
         if exclude is not None:
             found = found[found != exclude]
         return sorted(found.tolist())
@@ -305,10 +281,12 @@ class NeighborKernel:
 
         Returns ``{node_id: sorted neighbor ids}`` for every node currently
         in the kernel.  ``radius`` defaults to the kernel's bin radius and
-        must not exceed the cell size (one ring of cells is searched).
+        must not exceed the cell size (one ring of cells is searched)
+        unless the grid is a single cell.
         """
         r = self.radius if radius is None else radius
-        if r > self.cell_size * (1 + 1e-12) and len(self._row) > 1:
+        if (self.cells_per_axis > 1 and len(self._row) > 1
+                and r > self.cell_size * (1 + 1e-12)):
             raise ValueError(
                 f"query radius {r} exceeds cell size {self.cell_size}")
         ids, pos = self._active()

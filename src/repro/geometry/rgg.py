@@ -15,13 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.geometry.grid import SpatialGrid
-from repro.geometry.space import (
-    PlaneMetric,
-    Point,
-    TorusMetric,
-    area_side_for_density,
-)
+from repro.geometry.kernel import batched_neighbor_tables
+from repro.geometry.space import Point, area_side_for_density
 
 
 @dataclass
@@ -37,10 +32,6 @@ class GeometricGraph:
     @property
     def n(self) -> int:
         return len(self.positions)
-
-    @property
-    def metric(self):
-        return TorusMetric(self.side) if self.torus else PlaneMetric(self.side)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -89,11 +80,10 @@ class GeometricGraph:
 def build_adjacency(
     positions: Sequence[Point], radius: float, side: float, torus: bool
 ) -> List[List[int]]:
-    """Compute unit-disk adjacency with a spatial grid (O(n * d_avg))."""
-    grid = SpatialGrid(side=side, cell_size=max(radius, side / 1024), torus=torus)
-    for idx, p in enumerate(positions):
-        grid.insert(idx, p)
-    return [sorted(grid.neighbors_of(idx, radius)) for idx in range(len(positions))]
+    """Unit-disk adjacency from one neighbor-kernel pass (O(n * d_avg))."""
+    table = batched_neighbor_tables(range(len(positions)), positions, side,
+                                    radius, torus)[0]
+    return list(table.values())
 
 
 def random_geometric_graph(
@@ -106,6 +96,8 @@ def random_geometric_graph(
     """Sample G^2(n, r): uniform positions, unit-disk edges."""
     if n <= 0:
         raise ValueError("n must be positive")
+    if radius <= 0 or side <= 0:
+        raise ValueError("radius and side must be positive")
     rng = rng or random.Random()
     positions = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
     adjacency = build_adjacency(positions, radius, side, torus)

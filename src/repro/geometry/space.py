@@ -1,75 +1,54 @@
-"""2-D deployment areas and distance metrics.
+"""2-D deployment areas and the one distance contract.
 
 The paper's theory lives on the unit torus (to avoid boundary effects in the
 random-geometric-graph analysis) while its simulations live on a flat square
-plane scaled so that ``area = pi * r^2 * n / d_avg`` (Section 2.4).  Both
-metrics are provided here behind one interface.
+plane scaled so that ``area = pi * r^2 * n / d_avg`` (Section 2.4).
+
+Every range decision in the package measures separation here:
+:func:`distance` for one pair, :func:`distances` for many.  The graph
+floor's neighbor kernel and ``SimNetwork.in_range``, the packet floor's
+``StackEnvironment`` (and through it both radio channels and
+``PacketQuorumNetwork.in_range``) and :mod:`repro.geometry.rgg` all call
+them.  Both forms spell the same steps: per-axis ``abs``, the torus wrap
+``min(d, side - d)``, then ``sqrt(dx*dx + dy*dy)``.  Each step is a
+correctly rounded IEEE 754 ``+ - * sqrt``, so the two forms agree bit for
+bit on any SIMD build, and no two callers can disagree about whether a
+pair is in range.  (The library norm functions of ``math`` and ``numpy``
+give no such guarantee: on some builds they differ from each other in the
+last bit.)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 Point = Tuple[float, float]
 
 
-@dataclass(frozen=True)
-class PlaneMetric:
-    """Euclidean distance on a bounded square ``[0, side] x [0, side]``."""
-
-    side: float
-
-    def distance(self, a: Point, b: Point) -> float:
-        dx = a[0] - b[0]
-        dy = a[1] - b[1]
-        return math.hypot(dx, dy)
-
-    def distance_sq(self, a: Point, b: Point) -> float:
-        dx = a[0] - b[0]
-        dy = a[1] - b[1]
-        return dx * dx + dy * dy
-
-    def wrap(self, p: Point) -> Point:
-        """Clamp a point into the area (plane: clip to bounds)."""
-        return (min(max(p[0], 0.0), self.side), min(max(p[1], 0.0), self.side))
-
-    @property
-    def is_torus(self) -> bool:
-        return False
-
-    @property
-    def area(self) -> float:
-        return self.side * self.side
+def distance(a: Point, b: Point, side: float, torus: bool) -> float:
+    """Separation of two points in the square of the given side."""
+    dx = abs(a[0] - b[0])
+    dy = abs(a[1] - b[1])
+    if torus:
+        dx = min(dx, side - dx)
+        dy = min(dy, side - dy)
+    return math.sqrt(dx * dx + dy * dy)
 
 
-@dataclass(frozen=True)
-class TorusMetric:
-    """Wrap-around distance on a square torus of given side length."""
-
-    side: float
-
-    def distance(self, a: Point, b: Point) -> float:
-        return math.sqrt(self.distance_sq(a, b))
-
-    def distance_sq(self, a: Point, b: Point) -> float:
-        dx = abs(a[0] - b[0])
-        dy = abs(a[1] - b[1])
-        dx = min(dx, self.side - dx)
-        dy = min(dy, self.side - dy)
-        return dx * dx + dy * dy
-
-    def wrap(self, p: Point) -> Point:
-        return (p[0] % self.side, p[1] % self.side)
-
-    @property
-    def is_torus(self) -> bool:
-        return True
-
-    @property
-    def area(self) -> float:
-        return self.side * self.side
+def distances(points: np.ndarray, origin, side: float,
+              torus: bool) -> np.ndarray:
+    """Row-wise :func:`distance` from ``points`` (``(k, 2)``) to ``origin``
+    (one point, or ``(k, 2)`` paired row by row); equal with ``==`` to the
+    scalar form."""
+    d = np.abs(points - origin)
+    if torus:
+        d = np.minimum(d, side - d)
+    dx = d[:, 0]
+    dy = d[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def area_side_for_density(n: int, radio_range: float, avg_degree: float) -> float:

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.geometry import space
 from repro.geometry.kernel import NeighborKernel
 from repro.geometry.rgg import GeometricGraph
 from repro.geometry.space import Point, area_side_for_density
@@ -134,7 +135,7 @@ class SimNetwork:
         self.config = config
         self.sim = sim or Simulator()
         self.rngs = RngRegistry(config.seed)
-        side = config.side
+        side = self._side = config.side
 
         # Observability: typed event trace, metrics registry, accounting
         # auditor.  Tracing is off unless enabled explicitly, via the
@@ -492,12 +493,7 @@ class SimNetwork:
         return pos
 
     def distance(self, a: Point, b: Point) -> float:
-        dx = abs(a[0] - b[0])
-        dy = abs(a[1] - b[1])
-        if self.config.torus:
-            dx = min(dx, self.config.side - dx)
-            dy = min(dy, self.config.side - dy)
-        return math.hypot(dx, dy)
+        return space.distance(a, b, self._side, self.config.torus)
 
     def in_range(self, a: int, b: int) -> bool:
         return (self.distance(self.position(a), self.position(b))

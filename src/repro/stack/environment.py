@@ -13,10 +13,9 @@ also rebuilt at every new ``sim.now`` that asks for it, and the rebuild
 advances expired waypoint legs in id order (the graph floor's rule).
 Radio channels key their per-transmitter link rows on that version.
 
-Distances are ``sqrt(dx*dx + dy*dy)`` in both the array form
-(:meth:`distances`) and the scalar form (:meth:`distance`): correctly
-rounded ``+ - * sqrt`` only, so the two agree bit for bit on any SIMD
-build (``np.hypot`` and ``math.hypot`` do not).
+Distances come from :mod:`repro.geometry.space`, the array form
+(:meth:`distances`) and the scalar form (:meth:`distance`) alike, so the
+two agree bit for bit with each other and with the graph floor.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import List, Optional, Set
 
 import numpy as np
 
+from repro.geometry import space
 from repro.geometry.space import Point
 from repro.mobility.models import MobilityManager
 from repro.sim.kernel import Simulator
@@ -92,23 +92,13 @@ class StackEnvironment:
     def distances(self, pos: Point, points: np.ndarray) -> np.ndarray:
         """Distance from ``pos`` to every row of ``points``; equal with
         ``==`` to :meth:`distance` applied row by row."""
-        dx = np.abs(points[:, 0] - pos[0])
-        dy = np.abs(points[:, 1] - pos[1])
-        if self.torus:
-            dx = np.minimum(dx, self.side - dx)
-            dy = np.minimum(dy, self.side - dy)
-        return np.sqrt(dx * dx + dy * dy)
+        return space.distances(points, pos, self.side, self.torus)
 
     def position_of(self, node_id: int) -> Point:
         return self.mobility.position_at(node_id, self.sim.now)
 
     def distance(self, a: Point, b: Point) -> float:
-        dx = abs(a[0] - b[0])
-        dy = abs(a[1] - b[1])
-        if self.torus:
-            dx = min(dx, self.side - dx)
-            dy = min(dy, self.side - dy)
-        return math.sqrt(dx * dx + dy * dy)
+        return space.distance(a, b, self.side, self.torus)
 
     def nodes_near(self, pos: Point, radius: float) -> List[int]:
         """Alive nodes within ``radius`` of ``pos``, in ascending id order."""

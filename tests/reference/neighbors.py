@@ -1,10 +1,11 @@
-"""Brute-force neighbor oracle: every pair, one ``hypot`` each.
+"""Brute-force neighbor oracle: every pair, one distance each.
 
 Shares nothing with :mod:`repro.geometry.kernel` (cell binning, numpy
 distance passes, incremental insert/remove) or with
-:mod:`repro.geometry.grid`: positions come from ``net.position()`` and
-the metric is spelled out here, so a bug in either index cannot cancel
-out in a comparison.
+:mod:`repro.geometry.space`: positions come from ``net.position()`` and
+the metric is spelled out here, in the same correctly rounded steps the
+package's distance contract uses, so a bug in either cannot cancel out in
+a comparison.
 """
 
 import math
@@ -20,7 +21,7 @@ def _in_range(a: Point, b: Point, side: float, radius: float,
     dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
     if torus:
         dx, dy = min(dx, side - dx), min(dy, side - dy)
-    return math.hypot(dx, dy) <= radius
+    return math.sqrt(dx * dx + dy * dy) <= radius
 
 
 def pairwise_tables(positions: Dict[Hashable, Point], side: float,

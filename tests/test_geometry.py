@@ -1,65 +1,76 @@
-"""Tests for deployment areas, metrics and the spatial grid."""
+"""Tests for deployment areas, the distance contract and the neighbor
+kernel as a spatial index."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    PlaneMetric,
-    SpatialGrid,
-    TorusMetric,
     area_side_for_density,
     critical_range_for_connectivity,
+    distance,
+    distances,
     expected_degree,
 )
+from repro.geometry.kernel import NeighborKernel
 
 
 class TestPlaneMetric:
     def test_euclidean_distance(self):
-        m = PlaneMetric(side=10.0)
-        assert m.distance((0, 0), (3, 4)) == pytest.approx(5.0)
+        assert distance((0, 0), (3, 4), 10.0, torus=False) == 5.0
 
-    def test_distance_sq(self):
-        m = PlaneMetric(side=10.0)
-        assert m.distance_sq((0, 0), (3, 4)) == pytest.approx(25.0)
-
-    def test_wrap_clamps(self):
-        m = PlaneMetric(side=10.0)
-        assert m.wrap((-1.0, 11.0)) == (0.0, 10.0)
-
-    def test_properties(self):
-        m = PlaneMetric(side=4.0)
-        assert not m.is_torus
-        assert m.area == 16.0
+    def test_no_wrap(self):
+        assert distance((0.5, 0), (9.5, 0), 10.0, torus=False) == 9.0
 
 
 class TestTorusMetric:
     def test_short_way_around(self):
-        m = TorusMetric(side=10.0)
-        assert m.distance((0.5, 0), (9.5, 0)) == pytest.approx(1.0)
+        assert distance((0.5, 0), (9.5, 0), 10.0, torus=True) == 1.0
 
     def test_interior_matches_plane(self):
-        t = TorusMetric(side=10.0)
-        p = PlaneMetric(side=10.0)
-        assert t.distance((2, 2), (3, 5)) == pytest.approx(p.distance((2, 2), (3, 5)))
-
-    def test_wrap_modulo(self):
-        m = TorusMetric(side=10.0)
-        assert m.wrap((11.0, -1.0)) == (1.0, 9.0)
+        a, b = (2, 2), (3, 5)
+        assert distance(a, b, 10.0, True) == distance(a, b, 10.0, False)
 
     def test_max_distance_is_half_diagonal(self):
-        m = TorusMetric(side=10.0)
-        assert m.distance((0, 0), (5, 5)) == pytest.approx(math.sqrt(50))
+        assert distance((0, 0), (5, 5), 10.0, torus=True) == math.sqrt(50)
 
     @given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
     @settings(max_examples=50)
     def test_torus_never_longer_than_plane(self, ax, ay, bx, by):
-        t = TorusMetric(side=10.0)
-        p = PlaneMetric(side=10.0)
-        assert t.distance((ax, ay), (bx, by)) <= p.distance((ax, ay), (bx, by)) + 1e-9
+        a, b = (ax, ay), (bx, by)
+        torus = distance(a, b, 10.0, True)
+        assert torus <= distance(a, b, 10.0, False)
+        assert torus <= math.sqrt(50)
+
+
+class TestDistanceForms:
+    """:func:`distances` equals :func:`distance` with ``==``, row by row."""
+
+    SIDE = 1000.0
+
+    @pytest.mark.parametrize("torus", [False, True])
+    def test_array_equals_scalar(self, torus):
+        side = self.SIDE
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0.0, side, size=(100_000, 2))
+        b = rng.uniform(0.0, side, size=(100_000, 2))
+        # Zero separation, exactly the wrap point, exactly one side.
+        a[:3] = 0.0
+        b[:3] = [(0.0, 0.0), (0.5 * side, 0.5 * side), (side, side)]
+        got = distances(a, b, side, torus)
+        assert got.tolist() == [distance(p, q, side, torus)
+                                for p, q in zip(a.tolist(), b.tolist())]
+        assert got[:3].tolist() == [0.0, math.sqrt(0.5 * side * side),
+                                    0.0 if torus else math.sqrt(2 * side * side)]
+        # One origin against every row: the form range queries use.
+        origin = tuple(a[7].tolist())
+        rows = b[:1000]
+        assert distances(rows, origin, side, torus).tolist() == [
+            distance(origin, q, side, torus) for q in rows.tolist()]
 
 
 class TestDensityScaling:
@@ -93,89 +104,80 @@ class TestDensityScaling:
 
 
 class TestSpatialGrid:
-    def _brute_force(self, positions, center, radius, side, torus):
-        out = []
-        for nid, p in positions.items():
-            dx = abs(p[0] - center[0])
-            dy = abs(p[1] - center[1])
-            if torus:
-                dx = min(dx, side - dx)
-                dy = min(dy, side - dy)
-            if dx * dx + dy * dy <= radius * radius:
-                out.append(nid)
-        return sorted(out)
+    """:class:`NeighborKernel` as a spatial index: insert, move, remove and
+    inclusive range queries under the distance contract."""
 
     def test_insert_and_query(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (50, 50))
-        grid.insert(2, (55, 50))
-        grid.insert(3, (90, 90))
-        assert sorted(grid.within((50, 50), 10.0)) == [1, 2]
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (50, 50))
+        kernel.insert(2, (55, 50))
+        kernel.insert(3, (90, 90))
+        assert kernel.within((50, 50), 10.0) == [1, 2]
 
     def test_neighbors_excludes_self(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (50, 50))
-        grid.insert(2, (52, 50))
-        assert grid.neighbors_of(1, 10.0) == [2]
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (50, 50))
+        kernel.insert(2, (52, 50))
+        assert kernel.neighbors_of(1) == [2]
 
     def test_remove(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (50, 50))
-        grid.remove(1)
-        assert grid.within((50, 50), 10.0) == []
-        assert 1 not in grid
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (50, 50))
+        kernel.remove(1)
+        assert kernel.within((50, 50), 10.0) == []
+        assert 1 not in kernel
 
     def test_remove_missing_is_noop(self):
-        SpatialGrid(side=10.0, cell_size=1.0).remove(42)
+        NeighborKernel(side=10.0, radius=1.0).remove(42)
 
     def test_reinsert_moves_node(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (10, 10))
-        grid.insert(1, (90, 90))
-        assert grid.within((10, 10), 5.0) == []
-        assert grid.within((90, 90), 5.0) == [1]
-        assert len(grid) == 1
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (10, 10))
+        kernel.insert(1, (90, 90))
+        assert kernel.within((10, 10), 5.0) == []
+        assert kernel.within((90, 90), 5.0) == [1]
+        assert len(kernel) == 1
 
     def test_boundary_point_included(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (100.0, 100.0))
-        assert grid.within((99.0, 99.0), 2.0) == [1]
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (100.0, 100.0))
+        assert kernel.within((99.0, 99.0), 2.0) == [1]
 
     def test_radius_inclusive(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0)
-        grid.insert(1, (50, 50))
-        grid.insert(2, (60, 50))
-        assert 2 in grid.within((50, 50), 10.0)
+        kernel = NeighborKernel(side=100.0, radius=10.0)
+        kernel.insert(1, (50, 50))
+        kernel.insert(2, (60, 50))
+        assert 2 in kernel.within((50, 50), 10.0)
 
     def test_torus_wraps(self):
-        grid = SpatialGrid(side=100.0, cell_size=10.0, torus=True)
-        grid.insert(1, (1, 50))
-        grid.insert(2, (99, 50))
-        assert sorted(grid.within((0, 50), 5.0)) == [1, 2]
+        kernel = NeighborKernel(side=100.0, radius=10.0, torus=True)
+        kernel.insert(1, (1, 50))
+        kernel.insert(2, (99, 50))
+        assert kernel.within((0, 50), 5.0) == [1, 2]
 
     def test_zero_radius_empty(self):
-        grid = SpatialGrid(side=10.0, cell_size=1.0)
-        grid.insert(1, (5, 5))
-        assert grid.within((5, 5), 0.0) == []
+        kernel = NeighborKernel(side=10.0, radius=1.0)
+        kernel.insert(1, (5, 5))
+        assert kernel.within((5, 5), 0.0) == []
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            SpatialGrid(side=0.0, cell_size=1.0)
+            NeighborKernel(side=0.0, radius=1.0)
         with pytest.raises(ValueError):
-            SpatialGrid(side=1.0, cell_size=0.0)
+            NeighborKernel(side=1.0, radius=0.0)
 
     @given(st.integers(0, 1000), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_matches_brute_force(self, seed, torus):
         rng = random.Random(seed)
         side = 100.0
-        grid = SpatialGrid(side=side, cell_size=13.0, torus=torus)
+        kernel = NeighborKernel(side=side, radius=13.0, torus=torus)
         positions = {}
         for nid in range(40):
-            p = (rng.uniform(0, side), rng.uniform(0, side))
-            positions[nid] = p
-            grid.insert(nid, p)
+            positions[nid] = (rng.uniform(0, side), rng.uniform(0, side))
+            kernel.insert(nid, positions[nid])
         center = (rng.uniform(0, side), rng.uniform(0, side))
-        radius = rng.uniform(1.0, 40.0)
-        assert sorted(grid.within(center, radius)) == self._brute_force(
-            positions, center, radius, side, torus)
+        radius = rng.uniform(1.0, kernel.cell_size)
+        assert kernel.within(center, radius) == sorted(
+            nid for nid, p in positions.items()
+            if distance(p, center, side, torus) <= radius)

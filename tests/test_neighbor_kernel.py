@@ -8,8 +8,10 @@ sequential runs.
 """
 
 import copy
+import math
 import random
 
+import numpy as np
 import pytest
 from reference import BruteForceNetwork, brute_force_tables, pairwise_tables
 
@@ -22,8 +24,10 @@ from repro.experiments.common import (
 )
 from repro.geometry.kernel import NeighborKernel
 from repro.obs.profile import PROFILER
+from repro.phy import PhyParams
 from repro.simnet.churn import apply_churn
 from repro.simnet.network import FloodOutcome, NetworkConfig, SimNetwork
+from repro.stack import AdhocStack, PacketQuorumNetwork, StackConfig
 
 
 def make_pair(**kw):
@@ -544,9 +548,67 @@ class TestBatchedReplicaTables:
                                        side=100.0, radius=10.0) == [
             {7: []}, {7: []}]
 
-    def test_radius_beyond_cell_size_rejected(self):
+    def test_radius_beyond_side_gives_complete_graph(self):
+        # One cell per side: every pair is a candidate, so a radius wider
+        # than the cell is accepted (here wider than the diagonal).
         from repro.geometry.kernel import batched_neighbor_tables
 
-        with pytest.raises(ValueError):
-            batched_neighbor_tables([0], [[(1.0, 1.0)]], side=100.0,
-                                    radius=200.0)
+        rng = random.Random(4)
+        side, ids = 100.0, list(range(12))
+        positions = self._random_positions(rng, len(ids), side)
+        complete = {i: [j for j in ids if j != i] for i in ids}
+        for torus in (False, True):
+            assert batched_neighbor_tables(ids, positions, side, 1.5 * side,
+                                           torus) == [complete]
+            kernel = NeighborKernel(side, 1.5 * side, torus=torus)
+            kernel.rebuild(ids, positions)
+            assert kernel.neighbor_tables(radius=3 * side) == complete
+
+
+def straddling_pair(radius):
+    """Two points whose separation the ``hypot`` spellings put on opposite
+    sides of ``radius``: ``np.hypot`` against ``math.hypot`` where this
+    build has such a pair, else ``math.hypot`` against
+    ``sqrt(dx*dx + dy*dy)``."""
+    rng = np.random.default_rng(0)
+    a = np.array([300.0, 300.0])
+    theta = rng.uniform(0.0, 0.5 * np.pi, 20_000)
+    b = a + radius * np.column_stack((np.cos(theta), np.sin(theta)))
+    d = np.abs(b - a)
+    numpy_in = np.hypot(d[:, 0], d[:, 1]) <= radius
+    math_in = np.array([math.hypot(x, y) <= radius for x, y in d.tolist()])
+    sqrt_in = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= radius
+    for split in (numpy_in != math_in, math_in != sqrt_in):
+        if split.any():
+            return tuple(a.tolist()), tuple(b[np.argmax(split)].tolist())
+    raise AssertionError("no straddling pair on the circle")
+
+
+class TestOneRangePredicate:
+    """``in_range`` and the neighbor lists answer "is b in range of a"
+    from one distance contract, on both floors, even for a pair that sits
+    within an ULP of the radius."""
+
+    def test_boundary_pair_gets_one_answer(self):
+        radius = PhyParams().ideal_range_m
+        a, b = straddling_pair(radius)
+        cfg = dict(n=2, avg_degree=1.0, radio_range=radius,
+                   require_connected=False)
+        static = SimNetwork(NetworkConfig(**cfg), positions=[a, b])
+        mobile = SimNetwork(NetworkConfig(mobility="waypoint", **cfg))
+        pairs = [(static, 0, 1),
+                 (mobile, mobile.join_node(a), mobile.join_node(b))]
+
+        stack = AdhocStack(StackConfig(n=2, avg_degree=1.0,
+                                       channel="protocol"))
+        for node, p in enumerate((a, b)):
+            stack.env.add_node(node, position=p)
+        pairs.append((PacketQuorumNetwork(stack), 0, 1))
+
+        answers = set()
+        for net, u, v in pairs:
+            assert (net.position(u), net.position(v)) == (a, b)
+            assert net.in_range(u, v) == (v in net.true_neighbors(u))
+            assert net.in_range(v, u) == (u in net.true_neighbors(v))
+            answers.add(net.in_range(u, v))
+        assert len(answers) == 1

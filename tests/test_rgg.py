@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pairwise_tables
 
 from repro.geometry import (
     bfs_distances,
     connected_components,
     diameter,
+    distance,
     is_connected,
     random_geometric_graph,
     rgg_for_density,
@@ -46,19 +48,29 @@ class TestGeneration:
 
     def test_edges_respect_radius(self):
         g = small_rgg()
-        metric = g.metric
         for u, v in g.edges():
-            assert metric.distance(g.positions[u], g.positions[v]) <= g.radius
+            assert distance(g.positions[u], g.positions[v], g.side,
+                            g.torus) <= g.radius
 
     def test_non_edges_exceed_radius(self):
         g = small_rgg(n=30)
-        metric = g.metric
         for u in range(g.n):
             nbrs = set(g.adjacency[u])
             for v in range(g.n):
                 if v != u and v not in nbrs:
-                    assert metric.distance(g.positions[u],
-                                           g.positions[v]) > g.radius
+                    assert distance(g.positions[u], g.positions[v], g.side,
+                                    g.torus) > g.radius
+
+    @pytest.mark.parametrize("torus,radius", [(True, 0.4), (True, 0.5),
+                                              (True, 1.0), (False, 1.5)])
+    def test_rows_equal_all_pairs_scan(self, torus, radius):
+        # Under three cells per side the torus grid aliases cells; a row
+        # must still list each neighbor once.  r >= side is one cell.
+        g = random_geometric_graph(60, radius=radius, torus=torus,
+                                   rng=random.Random(0))
+        scan = pairwise_tables(dict(enumerate(g.positions)), g.side, radius,
+                               torus)
+        assert g.adjacency == [scan[u] for u in range(g.n)]
 
     def test_deterministic_given_rng(self):
         a = small_rgg(seed=5)
@@ -69,6 +81,12 @@ class TestGeneration:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             random_geometric_graph(0, radius=0.1)
+
+    @pytest.mark.parametrize("radius,side", [(0.0, 1.0), (-0.1, 1.0),
+                                             (0.1, 0.0), (0.1, -1.0)])
+    def test_invalid_radius_or_side(self, radius, side):
+        with pytest.raises(ValueError):
+            random_geometric_graph(5, radius=radius, side=side)
 
     def test_degree_stats(self):
         g = small_rgg()
