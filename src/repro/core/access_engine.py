@@ -4,13 +4,15 @@ The transmission primitives live in :mod:`repro.simnet.network` — one
 body each for a unicast hop, a broadcast, the flood ring loop, route
 discovery and path forwarding.  This module holds the *kernels* those
 bodies call, each advancing a whole batch of frames in one pass over a
-packed CSR snapshot (:mod:`repro.geometry.csr`) or the neighbor table:
+packed CSR snapshot (:mod:`repro.geometry.csr`), the neighbor table or
+its row form (:class:`repro.simnet.replication.NeighborRows`):
 
 1. **flood ring** — the whole ring-``h`` frontier expands in one
    gather/first-occurrence pass, instead of one broadcast per node;
 2. **BFS route trees** — every route discovery reads a tree, built by
-   :func:`repro.simnet.replication.bfs_tree` (the only BFS) and memoized
-   per ``(topology_version, source)`` while positions are static;
+   :func:`repro.simnet.replication.bfs_tree` (the only BFS) as flat
+   row-indexed lists over the network's neighbor rows, and memoized per
+   ``(topology_version, source)`` while positions are static;
 3. **bulk forwarding** — a whole path is charged and timed in one step
    instead of one unicast per hop, and not walked at all while the
    topology version it was validated at stands;

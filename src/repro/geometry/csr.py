@@ -1,9 +1,10 @@
 """Packed CSR topology snapshots for the batched access engine.
 
-The access engine (:mod:`repro.core.access_engine`) advances floods,
-BFS trees, and walker batches with numpy passes over the adjacency.  A
-:class:`CsrSnapshot` is the packed ``indptr``/``indices`` form of one
-frozen view of the network graph:
+The access engine (:mod:`repro.core.access_engine`) advances flood
+rings and walker batches with numpy passes over the adjacency (BFS route
+trees walk the neighbor table's row form instead, in plain Python: see
+:mod:`repro.simnet.replication`).  A :class:`CsrSnapshot` is the packed
+``indptr``/``indices`` form of one frozen view of the network graph:
 
 * the **true** view — ground-truth neighbor tables (alive nodes within
   radio range, rows sorted by id), built from

@@ -7,9 +7,9 @@ This module keeps every alive node's position in one contiguous
 single batched cell-binning pass:
 
 1. bin every node into a uniform grid cell (cell size >= query radius);
-2. for each of the 3x3 cell offsets, pair every node with the nodes in the
-   offset cell via ``argsort`` + ``searchsorted`` range arithmetic — no
-   Python-level loop over nodes;
+2. for all nine 3x3 cell offsets at once, pair every node with the nodes
+   in the offset cell via ``argsort`` + one stacked ``searchsorted`` pair
+   of range arithmetic — no Python-level loop over nodes or offsets;
 3. filter candidate pairs by :func:`repro.geometry.space.distances`
    ``<= r`` and bucket the survivors into per-node sorted id lists.
 
@@ -27,7 +27,7 @@ table.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.geometry.space import Point, distances
 from repro.obs.profile import profiled
 
 
-def _cell_offsets(axis: int, torus: bool) -> Iterable[Tuple[int, int]]:
+def _cell_offsets(axis: int, torus: bool) -> List[Tuple[int, int]]:
     raw = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
     if torus and axis < 3:
         # Wrapped offsets alias each other on tiny grids; deduplicate so
@@ -79,39 +79,28 @@ def _binned_tables(
     order = np.argsort(cell, kind="stable")
     sorted_cell = cell[order]
 
-    row_chunks: List[np.ndarray] = []
-    col_chunks: List[np.ndarray] = []
-    all_rows = np.arange(total_rows, dtype=np.intp)
-    for dx, dy in _cell_offsets(axis, torus):
-        if torus:
-            tx = (cx + dx) % axis
-            ty = (cy + dy) % axis
-            target = rep_base + tx * axis + ty
-        else:
-            tx = cx + dx
-            ty = cy + dy
-            target = rep_base + tx * axis + ty
-            invalid = (tx < 0) | (tx >= axis) | (ty < 0) | (ty >= axis)
-            target = np.where(invalid, np.int64(-1), target)
-        starts = np.searchsorted(sorted_cell, target, side="left")
-        ends = np.searchsorted(sorted_cell, target, side="right")
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        rows = np.repeat(all_rows, counts)
-        # Flatten the per-row [start, end) ranges into one index array.
-        bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat_idx = (np.arange(total, dtype=np.intp)
-                    - np.repeat(bases, counts)
-                    + np.repeat(starts, counts))
-        row_chunks.append(rows)
-        col_chunks.append(order[flat_idx])
-
-    if not row_chunks:
+    # The target cell of every (3x3 offset, row), searched in one go.
+    offsets = np.array(_cell_offsets(axis, torus), dtype=np.int64)
+    tx = cx + offsets[:, :1]
+    ty = cy + offsets[:, 1:]
+    if torus:
+        target = rep_base + (tx % axis) * axis + ty % axis
+    else:
+        target = rep_base + tx * axis + ty
+        target[(tx < 0) | (tx >= axis) | (ty < 0) | (ty >= axis)] = -1
+    target = target.ravel()
+    starts = np.searchsorted(sorted_cell, target, side="left")
+    counts = np.searchsorted(sorted_cell, target, side="right") - starts
+    total = int(counts.sum())
+    if total == 0:
         return [{int(i): [] for i in ids} for _ in range(reps)]
-    rows = np.concatenate(row_chunks)
-    cols = np.concatenate(col_chunks)
+    rows = np.repeat(np.tile(np.arange(total_rows, dtype=np.intp),
+                             len(offsets)), counts)
+    # Flatten the per-row [start, end) ranges into one index array.
+    bases = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    cols = order[np.arange(total, dtype=np.intp)
+                 + np.repeat(starts - bases, counts)]
+
     keep = ((distances(flat[rows], flat[cols], side, torus) <= radius)
             & (rows != cols))
     rows = rows[keep]

@@ -48,6 +48,7 @@ from repro.mobility.models import (
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.sim.rng import RngRegistry
 from repro.simnet.energy import EnergyLedger
+from repro.simnet.replication import NeighborRows
 
 
 @dataclass
@@ -190,8 +191,11 @@ class SimNetwork:
         # kernel's positions once per timestamp (`_snapshot`), answer
         # single-node queries from it into `_nbr_memo`, and build the
         # table only when a whole-graph consumer asks at that timestamp.
+        # `_rows` is the table in row space, for the BFS route trees.
         self._kernel: Optional[NeighborKernel] = None
         self._tables: Optional[Dict[int, List[int]]] = None
+        self._rows: Optional[NeighborRows] = None
+        self._rows_key: Optional[tuple] = None
         self._snapshot_ids = np.empty(0, dtype=np.intp)
         self._snapshot_time = -math.inf
         self._nbr_memo: Dict[int, List[int]] = {}
@@ -549,6 +553,20 @@ class SimNetwork:
                 self._tables = self._kernel.neighbor_tables()
         return self._tables
 
+    def _neighbor_rows(self) -> NeighborRows:
+        """The neighbor table in row space, for the BFS route trees.
+
+        Built from the table once per topology version, and under
+        mobility once per timestamp: from the table that timestamp's
+        kernel pass built, so it costs no second pass.
+        """
+        key = (self._topo_version,
+               None if self.config.mobility == "static" else self.sim.now)
+        if self._rows_key != key:
+            self._rows = NeighborRows(self._neighbor_tables())
+            self._rows_key = key
+        return self._rows
+
     def true_neighbors(self, node_id: int) -> List[int]:
         """Ground-truth current neighbors (alive, within range), sorted."""
         if self.config.mobility == "static":
@@ -757,7 +775,7 @@ class SimNetwork:
             if path is None:
                 # Full-network flood that failed: everybody reachable
                 # rebroadcast.
-                cost = tree.count_within(self.config.n)
+                cost = tree.reachable
             else:
                 # Each node inside the ring broadcasts the RREQ once;
                 # the RREP retraces the path.
@@ -874,7 +892,8 @@ class SimNetwork:
             return RouteResult(success=True, path=[src])
         tree = self.access_engine.tree(self, src)
         routing_messages = tree.count_within(max_hops)
-        found = tree.dist.get(dst, math.inf) <= max_hops
+        hops = tree.hops(dst)
+        found = hops is not None and hops <= max_hops
         self.counters["routing"] += routing_messages
         self._account_routing(src, dst, routing_messages, found=found)
         if not found:

@@ -6,6 +6,13 @@ replica's workload randomness differs.  Route discovery — BFS path + ring
 coverage counts — is a pure function of that topology, so its results can
 be memoized ONCE and served to every replica.
 
+This module also holds that BFS, the only one: :class:`NeighborRows` is
+the neighbor table in row space (``SimNetwork._neighbor_rows`` builds it
+once per topology version, or per timestamp under mobility), and a
+:class:`BfsTree` is a FIFO BFS over it kept as flat lists by row —
+predecessor, depth and cumulative ring counts, ≈7 KiB at n = 400 — so a
+memo of hundreds of trees stays small.
+
 :class:`TopologyRouteOracle` is that memo, and the only one: the BFS
 trees and the CSR snapshot of **one** topology version of one
 deployment.  Replicas join it through
@@ -23,75 +30,112 @@ routing messages, energy, and trace events from them.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional
 
-import numpy as np
+
+class NeighborRows:
+    """One neighbor table in row space: the graph a BFS route tree walks.
+
+    ``ids[r]`` is row ``r``'s node id (ascending), ``index`` maps an id
+    back to its row, and ``adj[r]`` lists row ``r``'s neighbor rows in
+    the table's order, so a FIFO BFS over rows discovers the nodes in
+    the same order as one over the table.
+    """
+
+    __slots__ = ("ids", "index", "adj")
+
+    def __init__(self, tables: Dict[int, List[int]]) -> None:
+        self.ids = sorted(tables)
+        self.index = index = dict(zip(self.ids, range(len(self.ids))))
+        row_of = index.__getitem__
+        self.adj = [list(map(row_of, tables[u])) for u in self.ids]
 
 
 class BfsTree:
     """Full BFS tree from one source over one frozen topology.
 
-    The BFS expands nodes in FIFO order and scans neighbors in sorted
-    order, so the first-discovery parent of every node — and therefore
-    the extracted path — is the one an early-exit BFS towards that node
-    finds, and ``count_within(h)`` is the size of its ``h``-capped ring
-    (``tests/reference/access.py`` keeps that BFS as the oracle).
+    The tree lives in the row space of the :class:`NeighborRows` it was
+    built over (the id/row maps are that object's, shared by every tree
+    of the topology): ``pred`` and ``depth`` are flat lists by row, ``-1``
+    where the source does not reach, and ``cum[h]`` counts the nodes at
+    hop distance <= ``h``.  The BFS expands rows in FIFO order and scans
+    each row's neighbors in ascending id order, so the first-discovery
+    parent of every node — and therefore the extracted path — is the one
+    an early-exit BFS towards that node finds, and ``count_within(h)`` is
+    the size of its ``h``-capped ring (``tests/reference/access.py``
+    keeps that BFS as the oracle).  A source that is not in the table
+    (a dead node) reaches only itself.
     """
 
-    __slots__ = ("source", "parent", "dist", "_cum")
+    __slots__ = ("source", "_ids", "_index", "_pred", "_depth", "_cum")
 
-    def __init__(self, source: int, parent: Dict[int, int],
-                 dist: Dict[int, int]) -> None:
+    def __init__(self, rows: NeighborRows, source: int) -> None:
         self.source = source
-        self.parent = parent
-        self.dist = dist
-        # _cum[h] = number of nodes at distance <= h (the RREQ ring size).
-        rings = np.bincount(np.fromiter(dist.values(), dtype=np.intp,
-                                        count=len(dist)), minlength=1)
-        self._cum = np.cumsum(rings).tolist()
+        self._ids = rows.ids
+        self._index = index = rows.index
+        n = len(rows.ids)
+        self._pred = pred = [-1] * n
+        self._depth = depth = [-1] * n
+        self._cum = cum = [1]
+        root = index.get(source)
+        if root is None:
+            return
+        adj = rows.adj
+        pred[root] = root
+        depth[root] = 0
+        frontier = [root]
+        hop = 0
+        while frontier:
+            hop += 1
+            ring = []
+            for u in frontier:
+                for v in adj[u]:
+                    if depth[v] < 0:
+                        depth[v] = hop
+                        pred[v] = u
+                        ring.append(v)
+            if ring:
+                cum.append(cum[-1] + len(ring))
+            frontier = ring
 
     @property
     def reachable(self) -> int:
         """Nodes reachable from the source (including itself)."""
-        return len(self.dist)
+        return self._cum[-1]
 
     def count_within(self, hops: int) -> int:
         """Nodes at hop distance <= ``hops`` (the TTL-ring coverage)."""
         if hops < 0:
             return 0
-        if hops >= len(self._cum):
-            return self._cum[-1] if self._cum else 0
-        return self._cum[hops]
+        cum = self._cum
+        return cum[hops] if hops < len(cum) else cum[-1]
+
+    def hops(self, dst: int) -> Optional[int]:
+        """Hop distance source -> dst, or None if unreachable."""
+        row = self._index.get(dst)
+        hops = -1 if row is None else self._depth[row]
+        if hops < 0:
+            return 0 if dst == self.source else None
+        return hops
 
     def path_to(self, dst: int) -> Optional[List[int]]:
         """Shortest path source -> dst (a fresh list), or None."""
-        parent, source = self.parent, self.source
-        if dst not in parent:
+        hops = self.hops(dst)
+        if hops is None:
             return None
+        ids, pred = self._ids, self._pred
+        row = self._index.get(dst)
         path = [dst]
-        while dst != source:
-            dst = parent[dst]
-            path.append(dst)
+        for _ in range(hops):
+            row = pred[row]
+            path.append(ids[row])
         path.reverse()
         return path
 
 
 def bfs_tree(net, src: int) -> BfsTree:
     """Compute the full BFS tree from ``src`` on ``net``'s current graph."""
-    tables = net._neighbor_tables()
-    parent: Dict[int, int] = {src: src}
-    dist: Dict[int, int] = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in tables.get(u, ()):
-            if v in parent:
-                continue
-            parent[v] = u
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    return BfsTree(source=src, parent=parent, dist=dist)
+    return BfsTree(net._neighbor_rows(), src)
 
 
 class TopologyRouteOracle:

@@ -14,7 +14,8 @@ independent implementations those are held to live here, outside
   whose BFS trees are rebuilt in Python on every call, so a network
   carrying it sends every frame through the per-event primitives; and
   an early-exit BFS + capped ring count, the independent reference for
-  tree-based route discovery;
+  tree-based route discovery, and ``check_tree`` holding one tree to
+  both;
 * :mod:`reference.phy` — the two radio channels with an on-air ledger
   that never forgets (every frame scans every transmission ever made),
   what the pruned ledger of ``repro.phy.channel`` is held to; the same
@@ -26,7 +27,13 @@ independent implementations those are held to live here, outside
   only.
 """
 
-from reference.access import DecliningEngine, bfs_path, per_event, ring_size
+from reference.access import (
+    DecliningEngine,
+    bfs_path,
+    check_tree,
+    per_event,
+    ring_size,
+)
 from reference.neighbors import (
     BruteForceNetwork,
     brute_force_tables,
@@ -38,6 +45,7 @@ __all__ = [
     "DecliningEngine",
     "bfs_path",
     "brute_force_tables",
+    "check_tree",
     "pairwise_tables",
     "per_event",
     "ring_size",

@@ -7,12 +7,12 @@ frame through ``one_hop_broadcast`` / ``one_hop_unicast``,
 the code those kernels decline to under mobility, random drops, or a
 simulation event inside the window.  Route discovery still needs a BFS
 tree; the stand-in builds one in plain Python on every call, with no
-memo to go stale.
+tree memo to go stale.
 
 :func:`bfs_path` and :func:`ring_size` share nothing with ``BfsTree``:
 the textbook BFS that stops at the destination and a hop-capped ring
 count over a plain adjacency dict — what tree-based route discovery is
-held to.
+held to, every query of one tree at a time by :func:`check_tree`.
 """
 
 from collections import deque
@@ -72,3 +72,26 @@ def ring_size(tables, src, cap):
                     dist[v] = dist[u] + 1
                     queue.append(v)
     return len(dist)
+
+
+def check_tree(tree, tables, src, dsts):
+    """Assert a route tree from ``src`` answers like the two oracles.
+
+    ``dsts`` must include every node of ``tables``; ids outside it (dead
+    or never-joined nodes) are unreachable destinations.
+    """
+    depth = reached = 0
+    for dst in dsts:
+        path = bfs_path(tables, src, dst)
+        assert tree.path_to(dst) == path
+        assert tree.hops(dst) == (None if path is None else len(path) - 1)
+        if path is not None:
+            depth = max(depth, len(path) - 1)
+            reached += dst in tables
+    # Past the deepest ring every cap counts the whole component.
+    caps = range(depth + 2)
+    assert [tree.count_within(h) for h in caps] == [
+        ring_size(tables, src, h) for h in caps]
+    assert tree.count_within(-1) == 0
+    assert tree.reachable == tree.count_within(depth + 1)
+    assert tree.reachable == (reached if src in tables else 1)

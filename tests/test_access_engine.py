@@ -14,10 +14,12 @@ kernel, and the adaptation-exhaustion satellite.
 
 import collections
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
-from reference import DecliningEngine, bfs_path, per_event, ring_size
+from reference import DecliningEngine, bfs_path, check_tree, per_event
 
 from repro.core.access_engine import (
     AccessEngine,
@@ -37,10 +39,16 @@ from repro.experiments.common import (
     make_network,
     run_scenario,
 )
+import repro.geometry.kernel as kernel_module
+import repro.simnet.network as network_module
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
 from repro.simnet.energy import EnergyLedger
 from repro.simnet.network import NetworkConfig, SimNetwork
-from repro.simnet.replication import TopologyRouteOracle, bfs_tree
+from repro.simnet.replication import (
+    NeighborRows,
+    TopologyRouteOracle,
+    bfs_tree,
+)
 
 
 def _pair(n=80, seed=3, **kw):
@@ -434,11 +442,9 @@ def test_known_version_counts_known_view_mutations():
 # -- the one BFS -------------------------------------------------------------
 
 
-def test_numpy_bfs_equals_python_bfs():
-    # The name is history: the level-synchronous numpy BFS it compared
-    # against is gone (slower than the deque walk at every size this
-    # repo runs).  `bfs_tree` is the only tree builder, held here to the
-    # early-exit BFS and the capped ring count for every destination.
+def test_bfs_tree_matches_early_exit_oracle():
+    # `bfs_tree` is the only tree builder, held to the early-exit BFS and
+    # the capped ring count for every destination.
     for n, sources in ((60, (0, 31, 59)), (400, (0, 133, 399)),
                        (2000, (1000,))):
         net = SimNetwork(NetworkConfig(n=n, seed=5))
@@ -446,17 +452,46 @@ def test_numpy_bfs_equals_python_bfs():
         for src in sources:
             tree = bfs_tree(net, src)
             assert tree.reachable == n  # deployments are connected
-            for dst in net.alive_nodes():
-                path = bfs_path(tables, src, dst)
-                assert tree.path_to(dst) == path
-                assert tree.dist[dst] == len(path) - 1
-                assert tree.parent[dst] == (path[-2] if dst != src else src)
-            # Insertion order is discovery order: ring by ring.
-            assert list(tree.parent) == list(tree.dist)
-            rings = list(tree.dist.values())
-            assert rings == sorted(rings)
-            assert tree._cum == [ring_size(tables, src, h)
-                                 for h in range(rings[-1] + 1)]
+            check_tree(tree, tables, src, net.alive_nodes())
+
+
+def test_bfs_tree_oracle_after_churn_with_a_dead_source():
+    net = SimNetwork(NetworkConfig(n=120, seed=5))
+    failed = [7, 40, 41]
+    for node in failed:
+        net.fail_node(node)
+    joined = [net.join_node(), net.join_node()]
+    tables = net._neighbor_tables()
+    assert sorted(tables) == net.alive_nodes()  # ids are not contiguous
+    everyone = list(range(net._next_id))
+    for src in (0, 42, 119) + tuple(joined):
+        tree = bfs_tree(net, src)
+        check_tree(tree, tables, src, everyone)
+    for dead in failed:
+        tree = bfs_tree(net, dead)
+        assert tree.path_to(dead) == [dead]
+        check_tree(tree, tables, dead, everyone)
+
+
+def test_bfs_tree_oracle_on_a_partitioned_graph():
+    net = SimNetwork(NetworkConfig(n=150, avg_degree=2.5, seed=5,
+                                   require_connected=False))
+    tables = net._neighbor_tables()
+    unreached = 0
+    for src in (0, 75, 149):
+        tree = bfs_tree(net, src)
+        check_tree(tree, tables, src, net.alive_nodes())
+        unreached += sum(tree.path_to(d) is None for d in tables)
+    assert unreached  # the deployment really is partitioned
+
+
+def test_bfs_tree_oracle_at_one_mobile_timestamp():
+    net = SimNetwork(NetworkConfig(n=100, seed=5, mobility="waypoint"))
+    net.advance(37.5)
+    tables = net._neighbor_tables()
+    for src in (0, 50, 99):
+        tree = net.access_engine.tree(net, src)
+        check_tree(tree, tables, src, net.alive_nodes())
 
 
 def test_engine_tree_memo_keys_on_topology_version():
@@ -470,6 +505,63 @@ def test_engine_tree_memo_keys_on_topology_version():
     t2 = engine.tree(net, 0)
     assert t2 is not t1  # stale version evicted wholesale
     assert engine.tree_misses == 2
+
+
+class TestRouteTreeWork:
+    """Noise-free footprint and build counts of the route-tree memo at
+    ``bench/``'s ``kv_live`` size (n = 400, seed 7)."""
+
+    def test_400_memoised_trees_fit_in_4_mib(self):
+        net = SimNetwork(NetworkConfig(n=400, seed=7))
+        engine = net.access_engine
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for src in net.alive_nodes():
+                engine.tree(net, src)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.tree_misses == 400 and len(engine._trees) == 400
+        assert size <= 4 * 2 ** 20
+
+    def test_rows_are_built_once_per_topology_version(self, monkeypatch):
+        builds = []
+
+        def counting_rows(tables):
+            builds.append(len(tables))
+            return NeighborRows(tables)
+
+        monkeypatch.setattr(network_module, "NeighborRows", counting_rows)
+        net = SimNetwork(NetworkConfig(n=400, seed=7))
+        engine = net.access_engine
+        for src in net.alive_nodes():
+            engine.tree(net, src)
+        assert builds == [400]
+        net.fail_node(net.alive_nodes()[0])
+        for src in net.alive_nodes():
+            engine.tree(net, src)
+        assert builds == [400, 399]
+        assert engine.tree_misses == 799 and engine.tree_hits == 0
+
+    def test_mobile_discovery_runs_one_kernel_pass(self, monkeypatch):
+        passes = []
+        real_pass = kernel_module._binned_tables
+
+        def counting_pass(*args):
+            passes.append(1)
+            return real_pass(*args)
+
+        monkeypatch.setattr(kernel_module, "_binned_tables", counting_pass)
+        net = SimNetwork(NetworkConfig(n=100, seed=7, mobility="waypoint"))
+        net.advance(12.5)  # past the first heartbeat's table
+        before = len(passes)
+        src, dst = 3, 90
+        path, cost = net.discover_path(src, dst)
+        assert len(passes) == before + 1
+        tables = net._neighbor_tables()  # the same timestamp's table
+        assert len(passes) == before + 1
+        assert path == bfs_path(tables, src, dst) and cost > 0
 
 
 # -- shared cross-replica state ----------------------------------------------

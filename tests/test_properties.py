@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import check_tree
 
 from repro.analysis import (
     intersection_after_churn,
@@ -142,6 +143,35 @@ class TestNetworkStructuralProperties:
             # unless it ever got trapped and fell back to a random hop.
             assert walk.steps >= walk.unique_count - 1
             assert walk.messages == walk.steps  # no salvation needed
+
+
+class TestRouteTreeProperty:
+    """Every BFS route tree equals the early-exit BFS and the capped ring
+    count, for every (source, destination) pair, on small plane and torus
+    deployments that sparse radii partition and fail/join churn
+    renumbers."""
+
+    @given(st.integers(2, 150), st.booleans(), st.floats(0.3, 12.0),
+           st.integers(0, 2 ** 16),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                    max_size=8))
+    @settings(max_examples=20, deadline=None)
+    def test_tree_equals_oracle(self, n, torus, degree, seed, churn):
+        net = SimNetwork(NetworkConfig(n=n, avg_degree=degree, seed=seed,
+                                       torus=torus, require_connected=False))
+        engine = net.access_engine
+        # A tree between churn events leaves rows and a memo to go stale.
+        for join, pick in churn:
+            alive = net.alive_nodes()
+            if join or len(alive) < 2:
+                net.join_node()
+            else:
+                net.fail_node(alive[pick % len(alive)])
+            engine.tree(net, net.alive_nodes()[pick % net.n_alive])
+        tables = net._neighbor_tables()
+        everyone = range(net._next_id)
+        for src in everyone:
+            check_tree(engine.tree(net, src), tables, src, everyone)
 
 
 class TestBiquorumEndToEndProperty:
