@@ -187,8 +187,8 @@ def test_access_engine_fig8_lookup_10k():
     """Figure-8-style RANDOM point at n=10k on the batched backend.
 
     The acceptance bar is completion inside CI smoke time; the full
-    membership view sidesteps the O(n^2) RandomMembership build, which
-    is the documented large-n knob (EXPERIMENTS.md).
+    membership view keeps one shared O(n) view (EXPERIMENTS.md's
+    large-n knobs).
     """
     net = _big_network()
     strategy = RandomStrategy(make_membership(net, "full"))

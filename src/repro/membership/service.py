@@ -10,9 +10,10 @@ Two membership flavours back the RANDOM access strategy:
   advertise accesses", Section 8.1).
 * :class:`RandomMembership` — a RaWMS-style random membership service: each
   node holds ``2*sqrt(n)`` uniformly chosen node ids, periodically
-  refreshed.  The underlying uniform sampling is provided either by an
-  oracle (cheap, used when the membership cost is amortised away) or by
-  honest max-degree random walks (:mod:`repro.randomwalk`).
+  refreshed.  The uniform sample comes from an oracle sampler over the
+  alive set at the refresh (RaWMS builds it from max-degree random walks,
+  whose cost the paper amortises away); the walk kernel itself lives in
+  :mod:`repro.randomwalk`.
 
 Both refresh on a timer, so after churn the view is stale until the next
 refresh — which is what makes accessing a failed member possible, the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from typing import List, Optional, Sequence
 
 from repro.sim.kernel import PeriodicTimer
@@ -88,6 +90,12 @@ class RandomMembership(MembershipFreezeMixin):
     (default ``2*sqrt(n)``, the paper's setting).  Advertise/lookup RANDOM
     quorums are drawn from this list, which is why the paper's advertise
     message count flattens at ``|Q| >= 2*sqrt(n)`` (Figure 8).
+
+    A refresh starts a *view epoch*: it snapshots the alive set, fixes the
+    view size and takes one draw from ``rng`` as the epoch key.  A node's
+    view is drawn on its first read in the epoch, from a stream keyed on
+    (epoch key, node id), over the snapshot minus the node — so it is the
+    same whichever views are read, and in whatever order.
     """
 
     def __init__(
@@ -101,6 +109,7 @@ class RandomMembership(MembershipFreezeMixin):
         self.rng = rng or net.rngs.stream("membership")
         self._view_size = view_size
         self._views: dict[int, List[int]] = {}
+        self._stream = random.Random(0)
         self._timer = PeriodicTimer(net.sim, refresh_interval, self.refresh)
         self.refresh()
 
@@ -111,31 +120,44 @@ class RandomMembership(MembershipFreezeMixin):
         return max(1, int(round(2.0 * math.sqrt(self.net.n_alive))))
 
     def refresh(self) -> None:
-        """Draw a fresh uniform view for every alive node."""
+        """Start a view epoch over the current alive set (draws no view)."""
         if self.frozen:
             return
-        alive = self.net.alive_nodes()
-        size = self.view_size
+        self._snapshot = self.net.alive_nodes()
+        self._size = self.view_size
+        self._epoch = self.rng.getrandbits(64)
         self._views = {}
-        k = min(size, len(alive) - 1)
-        for i, node in enumerate(alive):
-            # Everyone but the node itself, in id order.
-            self._views[node] = self.rng.sample(alive[:i] + alive[i + 1:], k)
+
+    def _draw(self, node_id: int) -> List[int]:
+        """The node's view for this epoch, from its own (epoch, node) stream."""
+        if not 0 <= node_id < self.net.ids_assigned:
+            raise ValueError(f"node id {node_id} was never assigned by the "
+                             f"network (ids 0..{self.net.ids_assigned - 1})")
+        alive, size = self._snapshot, self._size
+        i = bisect_left(alive, node_id)
+        if i < len(alive) and alive[i] == node_id:
+            # Everyone in the snapshot but the node itself, in id order.
+            pool = alive[:i] + alive[i + 1:]
+        else:
+            # Late joiner: bootstrap from the alive set of its first read.
+            pool = [v for v in self.net.alive_nodes() if v != node_id]
+            size = self.view_size
+        self._stream.seed((int(node_id) << 64) | self._epoch)
+        view = self._stream.sample(pool, min(size, len(pool)))
+        self._views[node_id] = view
+        return view
 
     def view(self, node_id: int) -> List[int]:
         """The stale random view held by ``node_id``."""
-        if node_id not in self._views:
-            # Late joiner: bootstrap a view on first use.
-            alive = [v for v in self.net.alive_nodes() if v != node_id]
-            k = min(self.view_size, len(alive))
-            self._views[node_id] = self.rng.sample(alive, k)
-        return list(self._views[node_id])
+        held = self._views.get(node_id)
+        return list(self._draw(node_id) if held is None else held)
 
     def sample(self, k: int, rng: random.Random, node_id: int,
                exclude: Optional[int] = None) -> List[int]:
         """``k`` distinct ids drawn from the node's random view."""
-        # The stored list is only read here; `view` bootstraps a joiner.
-        held = self._views.get(node_id) or self.view(node_id)
+        held = self._views.get(node_id)
+        if held is None:
+            held = self._draw(node_id)
         pool = [v for v in held if v != exclude]
         if k >= len(pool):
             return pool

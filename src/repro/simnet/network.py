@@ -398,6 +398,11 @@ class SimNetwork:
     def n_alive(self) -> int:
         return len(self._alive)
 
+    @property
+    def ids_assigned(self) -> int:
+        """How many ids the network has handed out: they are ``0 .. this-1``."""
+        return self._next_id
+
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._alive
 

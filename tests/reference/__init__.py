@@ -25,6 +25,10 @@ independent implementations those are held to live here, outside
   ``StackEnvironment`` over hand-placed nodes for the PHY, MAC and net
   unit tests.  Imported as ``reference.phy`` by the packet-level tests
   only.
+* :mod:`reference.membership` — the eager epoch recipe of
+  ``RandomMembership``: every alive node's view drawn at the refresh,
+  from its own (epoch key, node) stream over a filtered pool, what the
+  lazily drawn views are held to.
 """
 
 from reference.access import (
@@ -34,6 +38,7 @@ from reference.access import (
     per_event,
     ring_size,
 )
+from reference.membership import EagerViews
 from reference.neighbors import (
     BruteForceNetwork,
     brute_force_tables,
@@ -43,6 +48,7 @@ from reference.neighbors import (
 __all__ = [
     "BruteForceNetwork",
     "DecliningEngine",
+    "EagerViews",
     "bfs_path",
     "brute_force_tables",
     "check_tree",

@@ -3,8 +3,12 @@
 import random
 
 import pytest
+from reference import EagerViews
 
+from repro.core import ProbabilisticBiquorum, RandomStrategy
+from repro.experiments import WorkloadSpec, run_workload_sequential
 from repro.membership import FullMembership, RandomMembership, uniform_sample
+from repro.services.kvstore import QuorumKVStore
 from repro.simnet import ChurnProcess, NetworkConfig, SimNetwork
 
 
@@ -101,6 +105,17 @@ class TestRandomMembership:
         new = net.join_node()
         assert len(m.view(new)) > 0
 
+    def test_late_joiner_takes_the_current_view_size(self):
+        net = make_net(n=50)
+        m = RandomMembership(net)
+        assert m.view_size == 14
+        for node in range(20):
+            net.fail_node(node)
+        new = net.join_node()
+        assert len(m.view(49)) == 14  # the epoch's size, fails included
+        assert len(m.view(new)) == m.view_size == 11
+        assert set(m.view(new)) <= set(net.alive_nodes())
+
     def test_explicit_view_size(self):
         net = make_net()
         m = RandomMembership(net, view_size=5)
@@ -121,34 +136,62 @@ class TestRandomMembership:
         assert m.view(0) != before or len(before) == 99
 
     @pytest.mark.parametrize("n, view_size", [(60, None), (7, 30), (1, None)])
-    def test_refresh_equals_the_filtering_recipe(self, n, view_size):
-        # A node's pool is "every alive id but its own, in id order";
-        # refresh builds it from two slices, the recipe by filtering.
-        # Same pools, so the same draws from the same stream — across
-        # churn (gaps in the id range) and a second refresh.
-        net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=2,
-                                       require_connected=False))
-        m = RandomMembership(net, view_size=view_size,
-                             rng=random.Random(17))
-        recipe_rng = random.Random(17)
+    def test_lazy_views_equal_the_eager_epoch_recipe(self, n, view_size):
+        # A view is drawn on first read, from its own (epoch, node)
+        # stream, so no read order and no subset of reads can move it:
+        # each one equals what the eager recipe drew at the refresh —
+        # read in id order, in reverse, as a random subset, or with
+        # fails and joins after the refresh; across churn between
+        # refreshes (gaps in the id range) and a second refresh.
+        for order in ("id", "reverse", "subset", "churn"):
+            net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=2,
+                                           require_connected=False))
+            m = RandomMembership(net, view_size=view_size,
+                                 rng=random.Random(17))
+            oracle = EagerViews(net, random.Random(17), view_size)
+            picker = random.Random(5)
+            for _ in range(2):
+                ids = net.alive_nodes()
+                if order == "reverse":
+                    ids.reverse()
+                elif order == "subset":
+                    ids = picker.sample(ids, (len(ids) + 1) // 2)
+                elif order == "churn":
+                    half = ids[:len(ids) // 2]
+                    for node in half:
+                        assert m.view(node) == oracle.view(node)
+                    net.fail_node(ids[0])
+                    net.fail_node(ids[-1])
+                    ids = ids[len(half):] + [ids[0], net.join_node()]
+                for node in ids:
+                    assert m.view(node) == oracle.view(node), (order, node)
+                if n > 10:
+                    net.fail_node(3)
+                    net.fail_node(n - 1)
+                    net.join_node()
+                m.refresh()
+                oracle.refresh()
+            assert m.rng.getstate() == oracle.rng.getstate()  # in step
 
-        def recipe():
-            alive = net.alive_nodes()
-            views = {}
-            for node in alive:
-                pool = [v for v in alive if v != node]
-                views[node] = recipe_rng.sample(
-                    pool, min(m.view_size, len(pool)))
-            return views
-
-        assert m._views == recipe()
-        if n > 10:
-            net.fail_node(3)
-            net.fail_node(n - 1)
-            net.join_node()
+        # A refresh is one draw from the membership stream.
+        twin = random.Random()
+        twin.setstate(m.rng.getstate())
         m.refresh()
-        assert m._views == recipe()
-        assert m.rng.random() == recipe_rng.random()  # streams in step
+        twin.getrandbits(64)
+        assert m.rng.getstate() == twin.getstate()
+
+    def test_views_of_ids_never_assigned_are_refused(self):
+        net = make_net(n=20)
+        m = RandomMembership(net)
+        for bad in (-5, -1, 20, 10**6):
+            with pytest.raises(ValueError, match=str(bad)):
+                m.view(bad)
+            with pytest.raises(ValueError, match=str(bad)):
+                m.sample_for(bad, 3, random.Random(0))
+        net.fail_node(19)
+        assert 19 not in m.view(19)  # assigned, failed: still a view
+        joiner = net.join_node()
+        assert joiner == 20 and len(m.view(joiner)) == m.view_size
 
     def test_sample_draws_from_the_stored_view(self):
         net = make_net()
@@ -160,6 +203,61 @@ class TestRandomMembership:
         assert m.view(4) == held
         assert m.sample(5, random.Random(3), 4) == random.Random(3).sample(
             held, 5)
+
+
+class TestMembershipEpochWork:
+    """Noise-free work counts of the lazy view epochs: a refresh draws
+    no view, and a run draws exactly the views it reads."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"drawn": [], "read": set(), "epochs": 0}
+        draw, sample = RandomMembership._draw, RandomMembership.sample
+        refresh = RandomMembership.refresh
+
+        def counted_draw(m, node_id):
+            counts["drawn"].append((m._epoch, node_id))
+            return draw(m, node_id)
+
+        def counted_sample(m, k, rng, node_id, exclude=None):
+            counts["read"].add((m._epoch, node_id))
+            return sample(m, k, rng, node_id, exclude)
+
+        def counted_refresh(m):
+            counts["epochs"] += 1
+            refresh(m)
+
+        monkeypatch.setattr(RandomMembership, "_draw", counted_draw)
+        monkeypatch.setattr(RandomMembership, "sample", counted_sample)
+        monkeypatch.setattr(RandomMembership, "refresh", counted_refresh)
+        return counts
+
+    def test_refresh_draws_no_view_and_one_stream_draw(self, counts):
+        net = SimNetwork(NetworkConfig(n=400, avg_degree=10, seed=0))
+        m = RandomMembership(net)
+        twin = random.Random()
+        twin.setstate(m.rng.getstate())
+        m.refresh()
+        twin.getrandbits(64)
+        assert counts["epochs"] == 2 and counts["drawn"] == []
+        assert m.rng.getstate() == twin.getstate()
+
+    def test_a_kv_run_draws_only_the_views_it_reads(self, counts):
+        n = 100
+        net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=4))
+        m = RandomMembership(net)
+        biquorum = ProbabilisticBiquorum(
+            net, advertise=RandomStrategy(m), lookup=RandomStrategy(m),
+            advertise_size=12, lookup_size=12,
+            adjust_to_network_size=False)
+        run_workload_sequential(
+            QuorumKVStore(biquorum, lease_ttl=300.0),
+            WorkloadSpec(ops=120, n_keys=16, arrival_rate=0.2, seed=3))
+        drawn, read = counts["drawn"], counts["read"]
+        assert counts["epochs"] == 6
+        assert len(drawn) == len(set(drawn)) == len(read) == 109
+        assert set(drawn) == read
+        assert len(read) < counts["epochs"] * n / 5
 
 
 class TestUniformSample:
