@@ -7,7 +7,6 @@ Produces the ``access_engine`` block of ``BENCH_simnet.json``:
   of ``tests/reference``;
 * an n=10,000 flood micro-bench (one TTL-scoped flood, per-event vs
   batched, exact-equality checked);
-* an n=10,000 Philox walker-batch throughput number;
 * an n=10,000 Figure-8-style RANDOM lookup smoke run, proving the
   large-n sweep point completes in CI smoke time on the batched
   backend.
@@ -24,11 +23,9 @@ from conftest import (
 )
 from reference import per_event
 
-from repro.core.access_engine import walk_batch
 from repro.core.strategies import FloodingStrategy, RandomStrategy
 from repro.experiments import format_table, run_replicated, scenario_config
 from repro.experiments.common import make_membership, run_scenario
-from repro.geometry.csr import build_true_csr
 from repro.simnet.network import SimNetwork
 
 GATE_REPS = 32
@@ -154,33 +151,6 @@ def test_access_engine_flood_10k():
           f"batched {bat_s:.3f}s ({seq_s / bat_s:.2f}x), "
           f"{len(bat_out.covered)} covered")
     assert bat_s < seq_s
-
-
-def test_access_engine_walk_10k():
-    """Philox walker batches: whole-population steps at n=10k."""
-    net = _big_network()
-    csr = build_true_csr(net)
-    walkers, steps = 1000, 100
-    starts = net.alive_nodes()[:walkers]
-    timings = {}
-    for variant in ("uniform", "max-degree"):
-        start = time.perf_counter()
-        out = walk_batch(csr, starts, steps, seed=5, variant=variant)
-        timings[variant] = time.perf_counter() - start
-        assert out.walkers == walkers and out.steps == steps
-    entry = {
-        "n": BIG_N,
-        "walkers": walkers,
-        "steps": steps,
-        "uniform_seconds": round(timings["uniform"], 3),
-        "max_degree_seconds": round(timings["max-degree"], 3),
-        "steps_per_second": round(
-            walkers * steps / max(timings["uniform"], 1e-9)),
-    }
-    _merge_block("walk_10k", entry)
-    print(f"\n[access-engine] n={BIG_N} walks: {walkers}x{steps} steps, "
-          f"uniform {timings['uniform']:.3f}s, "
-          f"max-degree {timings['max-degree']:.3f}s")
 
 
 def test_access_engine_fig8_lookup_10k():

@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
-"""Higher-level services on probabilistic quorums (Section 10):
-
-* a probabilistically linearizable read/write register (ABD-style, two
-  quorum phases per operation);
-* a publish/subscribe service where subscriptions live on advertise
-  quorums and events are matched on lookup quorums.
+"""A shared object on probabilistic quorums (Section 10): a
+probabilistically linearizable read/write register (ABD-style, two quorum
+phases per operation).
 
 Run:  python examples/shared_objects.py
 """
@@ -14,7 +11,6 @@ from repro import (
     NetworkConfig,
     ProbabilisticBiquorum,
     ProbabilisticRegister,
-    PubSubService,
     RandomStrategy,
     SimNetwork,
     UniquePathStrategy,
@@ -24,8 +20,8 @@ from repro import (
 def build_biquorum(seed: int) -> ProbabilisticBiquorum:
     net = SimNetwork(NetworkConfig(n=150, avg_degree=10, seed=seed))
     membership = FullMembership(net)
-    # Registers and pub/sub need collecting reads: disable early halting so
-    # the query phase sees the whole lookup quorum.
+    # Registers need collecting reads: disable early halting so the query
+    # phase sees the whole lookup quorum.
     return ProbabilisticBiquorum(
         net,
         advertise=RandomStrategy(membership),
@@ -48,25 +44,5 @@ def register_demo() -> None:
           f"(last write wins, ts={r2.timestamp})")
 
 
-def pubsub_demo() -> None:
-    print("\n== quorum-based publish/subscribe ==")
-    pubsub = PubSubService(build_biquorum(seed=32))
-    for subscriber in (5, 42, 99):
-        pubsub.subscribe(subscriber, topic="alerts")
-    print("nodes 5, 42, 99 subscribed to 'alerts'")
-
-    result = pubsub.publish(publisher=130, topic="alerts",
-                            event={"severity": "high"})
-    print(f"publish matched {result.matched_subscribers}, "
-          f"notified {result.notified_subscribers} "
-          f"({result.messages} msgs)")
-
-    pubsub.unsubscribe(42, topic="alerts")
-    result2 = pubsub.publish(publisher=7, topic="alerts", event="second")
-    print(f"after node 42 unsubscribed (tombstone): "
-          f"notified {result2.notified_subscribers}")
-
-
 if __name__ == "__main__":
     register_demo()
-    pubsub_demo()

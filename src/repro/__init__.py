@@ -4,7 +4,7 @@ A full reproduction of Friedman, Kliot & Avin (DSN'08 / ACM TOCS 2010):
 probabilistic biquorum systems with mixed access strategies (RANDOM,
 RANDOM-OPT, PATH, UNIQUE-PATH, FLOODING) over a discrete-event simulated
 mobile ad hoc network, plus the full closed-form theory and the services
-built on top (location service, register, pub/sub).
+built on top (location service, register, key-value store).
 
 Quickstart::
 
@@ -67,7 +67,6 @@ from repro.services import (
     CheckedRegister,
     LocationService,
     ProbabilisticRegister,
-    PubSubService,
     RefreshDaemon,
 )
 from repro.sim import PeriodicTimer, Simulator
@@ -125,7 +124,6 @@ __all__ = [
     "CheckedRegister",
     "LocationService",
     "ProbabilisticRegister",
-    "PubSubService",
     "RefreshDaemon",
     "__version__",
 ]

@@ -15,12 +15,9 @@ its row form (:class:`repro.simnet.replication.NeighborRows`):
    ``(topology_version, source)`` while positions are static;
 3. **bulk forwarding** — a whole path is charged and timed in one step
    instead of one unicast per hop, and not walked at all while the
-   topology version it was validated at stands;
-4. **walker batches** — Philox-stream next-hop draws (uniform and
-   max-degree-biased) advance whole walker populations in lockstep for
-   the large-n analysis path.
+   topology version it was validated at stands.
 
-Kernels 1–3 are **statistic-identical** to the per-frame code.  The
+All three kernels are **statistic-identical** to the per-frame code.  The
 strategy RNG streams are stdlib ``random.Random`` generators, so the
 accesses that define reported statistics never move their draws into
 numpy: the engine batches only the *deterministic* graph work.  Of the
@@ -30,9 +27,7 @@ recorded in per-frame order with per-frame timestamps, and the clock is
 advanced by the same repeated float additions.  A batch declines, before
 touching anything, only on what a batch cannot reproduce — mobility,
 random drops, a simulation event inside its window — and the caller
-then sends the frames one by one; tracing selects no path.  The Philox
-walk kernel is an analysis/benchmark surface with its own counter-based
-streams, deliberately outside the statistic-identical contract.
+then sends the frames one by one; tracing selects no path.
 
 Cross-replica sharing: :meth:`AccessEngine.adopt_shared` is the one
 hook through which the Monte-Carlo builder serves one
@@ -44,7 +39,6 @@ stops reading it at its first geometry mutation past the adopted version.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -279,99 +273,3 @@ class AccessEngine:
         if t > sim.now:
             sim.run(until=t)
         return hops
-
-
-# -- kernel 4: Philox walker batches -----------------------------------------
-
-
-@dataclass
-class WalkBatchOutcome:
-    """All walkers of one batched pass, advanced in lockstep.
-
-    ``paths`` holds row indexes into ``node_ids`` with shape
-    ``(steps + 1, walkers)``; ``messages`` counts actual transmissions
-    per walker (self-loops and stuck walkers transmit nothing).
-    """
-
-    node_ids: np.ndarray
-    paths: np.ndarray
-    messages: np.ndarray
-    self_loops: np.ndarray
-
-    @property
-    def walkers(self) -> int:
-        return self.paths.shape[1]
-
-    @property
-    def steps(self) -> int:
-        return self.paths.shape[0] - 1
-
-    @property
-    def end_nodes(self) -> np.ndarray:
-        """Node id each walker ends on."""
-        return self.node_ids[self.paths[-1]]
-
-    def unique_counts(self) -> np.ndarray:
-        """Distinct nodes visited per walker (coverage statistic)."""
-        ordered = np.sort(self.paths, axis=0)
-        return 1 + (ordered[1:] != ordered[:-1]).sum(axis=0)
-
-
-def walk_batch(csr: CsrSnapshot, starts, n_steps: int, seed: int,
-               variant: str = "uniform") -> WalkBatchOutcome:
-    """Advance a walker population ``n_steps`` steps in one numpy pass.
-
-    ``variant="uniform"`` steps every walker to a uniform neighbor each
-    round; ``"max-degree"`` self-loops with probability
-    ``1 - d(u)/d_max`` first (RaWMS), making the stationary
-    distribution uniform.  Next-hop draws come from a counter-based
-    Philox stream keyed on ``seed`` — reproducible for a given
-    ``(seed, starts, n_steps, variant)`` and independent of the stdlib
-    streams (this kernel is the large-n analysis/bench surface, not the
-    statistic-identical access path).  Walkers on isolated rows stay
-    put and transmit nothing.
-    """
-    if variant not in ("uniform", "max-degree"):
-        raise ValueError(f"unknown walk variant {variant!r}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    start_ids = np.asarray(list(starts), dtype=np.int64)
-    rows = np.searchsorted(csr.node_ids, start_ids)
-    if len(rows) and ((rows >= len(csr.node_ids)).any()
-                      or (csr.node_ids[np.minimum(
-                          rows, len(csr.node_ids) - 1)] != start_ids).any()):
-        raise ValueError("walk_batch start node not in snapshot")
-    walkers = len(rows)
-    rng = np.random.Generator(np.random.Philox(key=abs(int(seed))))
-    degrees = csr.degrees().astype(np.int64)
-    nbr_rows = csr.neighbor_rows
-    indptr = csr.indptr
-    d_max = int(degrees.max()) if len(degrees) else 1
-    d_max = max(d_max, 1)
-
-    paths = np.empty((n_steps + 1, walkers), dtype=np.int64)
-    paths[0] = rows
-    messages = np.zeros(walkers, dtype=np.int64)
-    self_loops = np.zeros(walkers, dtype=np.int64)
-    cur = rows.copy()
-    with PROFILER.phase("access.batch_pass"):
-        for step in range(n_steps):
-            d = degrees[cur]
-            can_move = d > 0
-            if variant == "max-degree":
-                move = (rng.random(walkers) < d / d_max) & can_move
-                pick_u = rng.random(walkers)
-            else:
-                move = can_move
-                pick_u = rng.random(walkers)
-            pick = np.minimum((pick_u * d).astype(np.int64),
-                              np.maximum(d - 1, 0))
-            nxt = np.where(move, nbr_rows[np.minimum(
-                indptr[cur] + pick, len(nbr_rows) - 1 if len(nbr_rows)
-                else 0)], cur)
-            messages += move
-            self_loops += can_move & ~move
-            cur = nxt
-            paths[step + 1] = cur
-    return WalkBatchOutcome(node_ids=csr.node_ids, paths=paths,
-                            messages=messages, self_loops=self_loops)

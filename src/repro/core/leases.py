@@ -94,11 +94,3 @@ class LeaseTable:
         """Alive nodes currently able to answer for ``key`` (tests/metrics)."""
         return sorted(node for node in list(self._tables)
                       if self.visible(node, key) is not None)
-
-    def raw_entry(self, node: int, key: Hashable) -> Optional[LeasedEntry]:
-        """The stored entry ignoring expiry/aliveness (tests/injection)."""
-        return self._tables.get(node, {}).get(key)
-
-    def entry_count(self) -> int:
-        """Total stored (not necessarily visible) entries across replicas."""
-        return sum(len(table) for table in self._tables.values())

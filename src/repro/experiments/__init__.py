@@ -78,13 +78,11 @@ from repro.experiments.fig_kv import (
 from repro.experiments.workload import (
     KVPointConfig,
     KVRunStats,
-    OperationMix,
     Operations,
     SizingRecommendation,
     TauEstimator,
     WorkloadSpec,
     ZipfKeySampler,
-    generate_operation_mix,
     generate_operations,
     run_workload_batched,
     run_workload_sequential,
@@ -132,6 +130,5 @@ __all__ = [
     "render_summary", "summary_table",
     "render_series",
     "SweepResult", "derive_task_seed", "merge_scenario_stats", "run_sweep",
-    "OperationMix", "SizingRecommendation", "TauEstimator",
-    "ZipfKeySampler", "generate_operation_mix",
+    "SizingRecommendation", "TauEstimator", "ZipfKeySampler",
 ]

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.biquorum import ProbabilisticBiquorum
 from repro.core.strategies import AccessStrategy
@@ -238,23 +237,6 @@ def run_scenario(
     if hub is not None:
         hub.finish()
     return stats
-
-
-def _seedless(fn, value, seed):  # module-level for pool picklability
-    return fn(value)
-
-
-def sweep(values, fn, jobs: int = 1) -> List[Tuple[object, ScenarioStats]]:
-    """Run ``fn(value) -> ScenarioStats`` over a parameter sweep.
-
-    Dispatches through :func:`repro.experiments.runner.run_sweep`; with
-    ``jobs > 1`` the points run on a process pool (``fn`` must then be
-    picklable, i.e. defined at module level).
-    """
-    from repro.experiments.runner import run_sweep
-
-    results = run_sweep(values, partial(_seedless, fn), jobs=jobs)
-    return [(res.point, res.value) for res in results]
 
 
 def format_table(headers: List[str], rows: List[tuple]) -> str:

@@ -39,11 +39,11 @@ _manifest_counter = 0
 
 
 def default_jobs() -> int:
-    """Job count from ``REPRO_JOBS`` (defaults to 1: sequential)."""
+    """Job count from ``REPRO_JOBS`` (default 1); a non-integer raises."""
     try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+        return max(1, int(raw := os.environ.get("REPRO_JOBS", "1")))
     except ValueError:
-        return 1
+        raise ValueError(f"REPRO_JOBS={raw!r} is not an integer") from None
 
 
 def derive_task_seed(base_seed: int, index: int, replication: int) -> int:

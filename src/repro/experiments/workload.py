@@ -42,7 +42,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -642,42 +642,3 @@ class TauEstimator:
         return SizingRecommendation(tau=tau,
                                     advertise_size=min(qa, n),
                                     lookup_size=min(ql, n))
-
-
-@dataclass
-class OperationMix:
-    """A generated operation schedule."""
-
-    operations: List[Tuple[str, Hashable]]  # ("lookup"|"advertise", key)
-
-    @property
-    def tau(self) -> float:
-        lookups = sum(1 for op, _ in self.operations if op == "lookup")
-        advertises = sum(1 for op, _ in self.operations if op == "advertise")
-        return lookups / advertises if advertises else math.inf
-
-
-def generate_operation_mix(
-    keys: Sequence[Hashable],
-    n_operations: int,
-    tau: float = 10.0,
-    zipf_exponent: float = 1.0,
-    rng: Optional[random.Random] = None,
-) -> OperationMix:
-    """A P2P-style schedule: each key advertised once up front, then
-    lookups/re-advertises interleaved at rate ``tau`` with Zipf-popular
-    lookup keys."""
-    if n_operations < len(keys):
-        raise ValueError("need at least one operation per key")
-    rng = rng or random.Random()
-    sampler = ZipfKeySampler(keys, exponent=zipf_exponent, rng=rng)
-    operations: List[Tuple[str, Hashable]] = [
-        ("advertise", key) for key in keys
-    ]
-    p_lookup = tau / (tau + 1.0)
-    while len(operations) < n_operations:
-        if rng.random() < p_lookup:
-            operations.append(("lookup", sampler.sample()))
-        else:
-            operations.append(("advertise", rng.choice(list(keys))))
-    return OperationMix(operations=operations)

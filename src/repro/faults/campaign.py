@@ -340,8 +340,3 @@ class CampaignRunner:
         while self._active:
             index = self._active.pop()
             self.campaign.injections[index].end(self)
-
-    def run_to_completion(self) -> None:
-        """Advance the clock until the campaign's last action has run."""
-        self.start()
-        self.net.run_until(self.campaign.duration)

@@ -1,8 +1,8 @@
 """Packed CSR topology snapshots for the batched access engine.
 
 The access engine (:mod:`repro.core.access_engine`) advances flood
-rings and walker batches with numpy passes over the adjacency (BFS route
-trees walk the neighbor table's row form instead, in plain Python: see
+rings with numpy passes over the adjacency (BFS route trees walk the
+neighbor table's row form instead, in plain Python: see
 :mod:`repro.simnet.replication`).  A :class:`CsrSnapshot` is the packed
 ``indptr``/``indices`` form of one frozen view of the network graph:
 
@@ -36,13 +36,9 @@ class CsrSnapshot:
     ``node_ids`` is the sorted id array defining the row space;
     ``indices`` stores neighbor *ids* (not row indexes) concatenated
     row by row, with ``indptr[r]:indptr[r+1]`` delimiting row ``r``.
-    ``neighbor_rows`` lazily translates ``indices`` into row indexes
-    for gather kernels; it requires every stored neighbor to be a row
-    (guaranteed for the true view, and for known views built with
-    ``prune_missing=True``).
     """
 
-    __slots__ = ("key", "node_ids", "indptr", "indices", "_rows")
+    __slots__ = ("key", "node_ids", "indptr", "indices")
 
     def __init__(self, key, node_ids: np.ndarray, indptr: np.ndarray,
                  indices: np.ndarray) -> None:
@@ -50,30 +46,10 @@ class CsrSnapshot:
         self.node_ids = node_ids
         self.indptr = indptr
         self.indices = indices
-        self._rows: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
-
-    @property
-    def n_edges(self) -> int:
-        """Directed edge slots (each undirected link counts twice)."""
-        return len(self.indices)
-
-    @property
-    def neighbor_rows(self) -> np.ndarray:
-        """``indices`` as row indexes into ``node_ids`` (lazy, cached)."""
-        if self._rows is None:
-            rows = np.searchsorted(self.node_ids, self.indices)
-            if len(rows) and (rows >= len(self.node_ids)).any():
-                raise ValueError("snapshot stores neighbors outside its "
-                                 "row space; build with prune_missing=True")
-            if len(rows) and (self.node_ids[rows] != self.indices).any():
-                raise ValueError("snapshot stores neighbors outside its "
-                                 "row space; build with prune_missing=True")
-            self._rows = rows
-        return self._rows
 
     def row_of(self, node_id: int) -> Optional[int]:
         """Row index of ``node_id``, or None if absent."""
@@ -91,9 +67,6 @@ class CsrSnapshot:
         if r is None:
             return 0
         return int(self.indptr[r + 1] - self.indptr[r])
-
-    def degrees(self) -> np.ndarray:
-        return self.indptr[1:] - self.indptr[:-1]
 
     def neighbors(self, node_id: int) -> List[int]:
         """Neighbor ids of one node in stored row order (a fresh list)."""
@@ -142,9 +115,8 @@ def build_known_csr(net, prune_missing: bool = True) -> CsrSnapshot:
     """Known-view (heartbeat) snapshot, preserving stored row order.
 
     Known tables may reference departed nodes until the next heartbeat;
-    ``prune_missing`` drops entries that are not themselves rows so
-    gather kernels can index the row space (the walk kernels model the
-    *reachable* stale view).  ``prune_missing=False`` keeps the raw
+    ``prune_missing`` drops entries that are not themselves rows, leaving
+    the *reachable* stale view.  ``prune_missing=False`` keeps the raw
     stored lists, ids and all.
     """
     key = (net.topology_version, net.known_version)

@@ -1,6 +1,6 @@
 """Applications built on probabilistic biquorums: location service,
-read/write register, key-value store with timed-quorum leases, pub/sub,
-and the refresh daemon."""
+read/write register, key-value store with timed-quorum leases, and the
+refresh daemon."""
 
 from repro.services.consistency import (
     CheckedRegister,
@@ -19,7 +19,6 @@ from repro.services.location import (
     StoredEntry,
 )
 from repro.services.maintenance import RefreshDaemon, RefreshStats
-from repro.services.pubsub import PublishResult, PubSubService, Subscription
 from repro.services.register import (
     ProbabilisticRegister,
     RegisterOpResult,
@@ -43,9 +42,6 @@ __all__ = [
     "StoredEntry",
     "RefreshDaemon",
     "RefreshStats",
-    "PublishResult",
-    "PubSubService",
-    "Subscription",
     "ProbabilisticRegister",
     "RegisterOpResult",
     "Timestamp",

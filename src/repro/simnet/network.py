@@ -918,6 +918,3 @@ class SimNetwork:
 
     def random_alive_node(self, rng: random.Random) -> int:
         return rng.choice(self.alive_nodes())
-
-    def reset_counters(self) -> None:
-        self.counters.clear()

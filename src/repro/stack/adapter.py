@@ -203,14 +203,6 @@ class PacketQuorumNetwork:
             return sorted(table)
         return self.true_neighbors(node_id)
 
-    def refresh_neighbor_tables(self) -> None:
-        """Snapshot tables (called by tests to model a beacon round)."""
-        self._neighbor_tables = {
-            nid: set(self.true_neighbors(nid))
-            for nid in self.stack.nodes
-            if self.stack.env.is_alive(nid)
-        }
-
     # -- primitives --------------------------------------------------------------
 
     def one_hop_unicast(self, src: int, dst: int) -> bool:

@@ -8,8 +8,8 @@ fault campaigns, mobility, random drops, tracing, and strict audit.
 The per-event run comes from the declining engine in
 ``tests/reference`` (every batched kernel answers "not applicable").
 Plus the CSR snapshot staleness guard (a stale topology version can
-never be served), the BFS tree builder's exactness, the Philox walk
-kernel, and the adaptation-exhaustion satellite.
+never be served), the BFS tree builder's exactness, and the
+adaptation-exhaustion satellite.
 """
 
 import collections
@@ -17,14 +17,10 @@ import dataclasses
 import gc
 import tracemalloc
 
-import numpy as np
 import pytest
 from reference import DecliningEngine, bfs_path, check_tree, per_event
 
-from repro.core.access_engine import (
-    AccessEngine,
-    walk_batch,
-)
+from repro.core.access_engine import AccessEngine
 from repro.core.gossip import GossipFloodStrategy
 from repro.core.strategies import (
     FloodingStrategy,
@@ -610,54 +606,6 @@ def test_shared_state_rejects_mismatched_version():
         b.access_engine.adopt_shared(b, state)
     assert b.access_engine.tree(b, 3) is not a.access_engine.tree(a, 3)
     assert state.misses == 1 and b.access_engine.tree_misses == 1
-
-
-# -- Philox walker batches ---------------------------------------------------
-
-
-def test_walk_batch_deterministic_and_valid():
-    net = SimNetwork(NetworkConfig(n=150, seed=7))
-    csr = build_true_csr(net)
-    starts = net.alive_nodes()[:40]
-    out = walk_batch(csr, starts, 25, seed=11)
-    again = walk_batch(csr, starts, 25, seed=11)
-    assert (out.paths == again.paths).all()
-    assert out.walkers == 40 and out.steps == 25
-    assert (out.paths[0] == csr.rows_of(np.asarray(starts))).all()
-    # Every transition is along a CSR edge (or a stay-put).
-    for w in range(0, 40, 5):
-        for s in range(25):
-            u, v = int(out.paths[s, w]), int(out.paths[s + 1, w])
-            row = csr.neighbor_rows[csr.indptr[u]:csr.indptr[u + 1]]
-            assert v == u or v in row.tolist()
-    other = walk_batch(csr, starts, 25, seed=12)
-    assert (out.paths != other.paths).any()  # seed actually matters
-
-
-def test_walk_batch_max_degree_self_loops():
-    net = SimNetwork(NetworkConfig(n=150, seed=7))
-    csr = build_true_csr(net)
-    starts = net.alive_nodes()[:64]
-    out = walk_batch(csr, starts, 50, seed=3, variant="max-degree")
-    assert ((out.messages + out.self_loops) == 50).all()
-    assert out.self_loops.sum() > 0  # 1 - d/dmax loops must occur
-    uniform = walk_batch(csr, starts, 50, seed=3, variant="uniform")
-    assert (uniform.messages == 50).all()  # uniform walks always move
-    assert (out.unique_counts() <= 51).all()
-    assert (out.unique_counts() >= 1).all()
-
-
-def test_walk_batch_input_validation():
-    net = SimNetwork(NetworkConfig(n=50, seed=7, require_connected=False))
-    csr = build_true_csr(net)
-    with pytest.raises(ValueError):
-        walk_batch(csr, [0], 5, seed=1, variant="levy")
-    with pytest.raises(ValueError):
-        walk_batch(csr, [10 ** 9], 5, seed=1)
-    with pytest.raises(ValueError):
-        walk_batch(csr, [0], -1, seed=1)
-    empty = walk_batch(csr, [], 5, seed=1)
-    assert empty.walkers == 0
 
 
 # -- adaptation-exhaustion satellite -----------------------------------------

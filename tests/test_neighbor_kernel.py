@@ -405,6 +405,22 @@ class TestSweepRunner:
         stats = _scenario_point(50, 3)
         assert merge_scenario_stats([copy.deepcopy(stats)]) == stats
 
+    @pytest.mark.parametrize("raw,jobs", [("3", 3), ("0", 1), (" 2 ", 2)])
+    def test_repro_jobs_sets_the_default(self, monkeypatch, raw, jobs):
+        from repro.experiments.runner import default_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert default_jobs() == jobs
+
+    @pytest.mark.parametrize("raw", ["two", "2.5", ""])
+    def test_malformed_repro_jobs_raises(self, monkeypatch, raw):
+        from repro.experiments.runner import default_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(ValueError, match="REPRO_JOBS") as info:
+            default_jobs()
+        assert repr(raw) in str(info.value)
+
 
 class TestReversePathGuard:
     def test_valid_tree(self):

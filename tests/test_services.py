@@ -1,5 +1,5 @@
-"""Tests for the services layer: location service, register, pub/sub,
-refresh daemon."""
+"""Tests for the services layer: location service, register, refresh
+daemon."""
 
 import math
 import random
@@ -11,7 +11,6 @@ from repro.membership import FullMembership
 from repro.services import (
     LocationService,
     ProbabilisticRegister,
-    PubSubService,
     RefreshDaemon,
     Timestamp,
     ZERO_TS,
@@ -208,59 +207,6 @@ class TestRegister:
         reg.biquorum.advertise_strategy.membership.refresh()
         reg.biquorum.resize()
         assert reg.read(50).value == "durable"
-
-
-class TestPubSub:
-    def make_pubsub(self, seed=0):
-        net, bq = build(seed=seed,
-                        lookup=UniquePathStrategy(early_halting=False))
-        return net, PubSubService(bq)
-
-    def test_subscribe_then_publish_notifies(self):
-        net, ps = self.make_pubsub()
-        ps.subscribe(5, "news")
-        result = ps.publish(80, "news", {"headline": "hi"})
-        assert 5 in result.matched_subscribers
-        assert 5 in result.notified_subscribers
-        assert (5, "news", {"headline": "hi"}) in ps.delivered
-
-    def test_publish_without_subscribers(self):
-        net, ps = self.make_pubsub()
-        result = ps.publish(0, "empty-topic", "x")
-        assert result.matched_subscribers == []
-        assert result.notified_subscribers == []
-
-    def test_topic_isolation(self):
-        net, ps = self.make_pubsub()
-        ps.subscribe(5, "sports")
-        result = ps.publish(80, "politics", "x")
-        assert 5 not in result.matched_subscribers
-
-    def test_unsubscribe_tombstone_shadows(self):
-        net, ps = self.make_pubsub(seed=2)
-        ps.subscribe(5, "news")
-        ps.unsubscribe(5, "news")
-        result = ps.publish(80, "news", "x")
-        assert 5 not in result.notified_subscribers
-
-    def test_multiple_subscribers(self):
-        net, ps = self.make_pubsub(seed=3)
-        for sub in (5, 6, 7):
-            ps.subscribe(sub, "t")
-        result = ps.publish(80, "t", "x")
-        assert len(set(result.notified_subscribers) & {5, 6, 7}) >= 2
-
-    def test_publisher_not_notified_of_own_event(self):
-        net, ps = self.make_pubsub()
-        ps.subscribe(5, "t")
-        result = ps.publish(5, "t", "x")
-        assert 5 not in result.notified_subscribers
-
-    def test_message_accounting(self):
-        net, ps = self.make_pubsub()
-        ps.subscribe(5, "t")
-        result = ps.publish(80, "t", "x")
-        assert result.messages > 0
 
 
 class TestRefreshDaemon:

@@ -9,10 +9,8 @@ import pytest
 from repro.analysis import required_quorum_product
 from repro.experiments.ascii_plot import render_series
 from repro.experiments.workload import (
-    OperationMix,
     TauEstimator,
     ZipfKeySampler,
-    generate_operation_mix,
 )
 
 
@@ -95,25 +93,6 @@ class TestTauEstimator:
             TauEstimator(window=1)
         with pytest.raises(ValueError):
             TauEstimator(prior_tau=0.0)
-
-
-class TestOperationMix:
-    def test_every_key_advertised_first(self):
-        mix = generate_operation_mix([f"k{i}" for i in range(5)],
-                                     n_operations=60, tau=10.0,
-                                     rng=random.Random(3))
-        first_ops = mix.operations[:5]
-        assert all(op == "advertise" for op, _ in first_ops)
-
-    def test_realised_tau_near_requested(self):
-        mix = generate_operation_mix([f"k{i}" for i in range(5)],
-                                     n_operations=600, tau=10.0,
-                                     rng=random.Random(4))
-        assert 5.0 <= mix.tau <= 20.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            generate_operation_mix(["a", "b"], n_operations=1)
 
 
 class TestZipfCachingInteraction:
