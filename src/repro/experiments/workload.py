@@ -564,14 +564,14 @@ class ZipfKeySampler:
     """Keys with Zipf(s) popularity (rank-r probability ∝ 1/r^s)."""
 
     def __init__(self, keys: Sequence[Hashable], exponent: float = 1.0,
-                 rng: Optional[random.Random] = None) -> None:
+                 *, rng: random.Random) -> None:
         if not keys:
             raise ValueError("need at least one key")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
         self.keys = list(keys)
         self.exponent = exponent
-        self.rng = rng or random.Random()
+        self.rng = rng
         self._pmf = zipf_pmf(len(self.keys), exponent)
         self._cumulative: List[float] = np.cumsum(self._pmf).tolist()
 

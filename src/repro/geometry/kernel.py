@@ -2,36 +2,46 @@
 
 The graph-level simulator answers the same query millions of times per
 sweep: *which alive nodes are within radio range of node v right now?*
-This module keeps every alive node's position in one contiguous
-``(n, 2)`` float64 array and computes the **entire** neighbor table in a
-single batched cell-binning pass:
+Every answer comes from one cell-binning pass, :func:`_pairs_within`:
 
 1. bin every node into a uniform grid cell (cell size >= query radius);
 2. for all nine 3x3 cell offsets at once, pair every node with the nodes
    in the offset cell via ``argsort`` + one stacked ``searchsorted`` pair
    of range arithmetic — no Python-level loop over nodes or offsets;
 3. filter candidate pairs by :func:`repro.geometry.space.distances`
-   ``<= r`` and bucket the survivors into per-node sorted id lists.
+   ``<= r``.
 
 The distance is the package's one contract, so these lists,
 ``SimNetwork.in_range`` and the packet floor decide every pair alike,
-including a pair within an ULP of the radius.
+including a pair within an ULP of the radius.  Both the plane and torus
+metrics are supported.
 
-Both the plane and torus metrics are supported.  Updates are incremental
-— ``insert``/``remove`` for churn, ``set_positions`` for a mobility tick
-— and a single node's neighbors come from one range query (``within``,
-the same predicate), so a caller that needs one row does not pay for the
-table.
+Two indexes sit on that pass:
+
+* :class:`NeighborKernel` — static positions.  It keeps every alive
+  node's position in one contiguous ``(n, 2)`` array and buckets the
+  radius-``r`` pairs into per-node sorted id lists
+  (:meth:`NeighborKernel.neighbor_tables`); churn updates it
+  incrementally (``insert`` / ``remove``), and one node's row is one
+  range query (``within``).  :func:`batched_neighbor_tables` runs the
+  same pass over a batch of Monte-Carlo replica deployments.
+* :class:`SlackIndex` — moving positions of bounded speed.  The pass
+  runs once per validity window, at the slack radius
+  ``R = r + 2·v_max·Δ`` plus a stated float margin
+  (:func:`slack_window`), on the positions at the window's start.  Until
+  the window ends, every pair within ``r`` is among those candidates, so
+  a query evaluates positions only for the candidates it reads and keeps
+  the ones within ``r`` — the same contract, the same answer with ``==``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.space import Point, distances
+from repro.geometry.space import Point, distance, distances
 from repro.obs.profile import profiled
 
 
@@ -44,28 +54,24 @@ def _cell_offsets(axis: int, torus: bool) -> List[Tuple[int, int]]:
     return raw
 
 
-def _binned_tables(
-    ids: np.ndarray,
+def _pairs_within(
     pos: np.ndarray,
     side: float,
     radius: float,
     torus: bool,
     axis: int,
-) -> List[Dict[int, List[int]]]:
-    """The cell-binning pass behind both table builders.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair of distinct rows within ``radius``: the binning pass.
 
     ``pos`` is ``(R, N, 2)``; ``axis`` is the grid's cells per side, and
     either ``radius`` fits in one cell or the grid is a single cell (then
-    every pair is a candidate).  Replicas never mix: each node is binned
-    into a *composite* cell index ``replica * cells + cell``, so the 3x3
-    candidate-pair expansion can only pair rows of the same replica.
+    every pair is a candidate).  Returns ``(rows, cols)``, flat row
+    indexes into ``pos.reshape(-1, 2)`` in no particular order.  Replicas
+    never mix: each node is binned into a *composite* cell index
+    ``replica * cells + cell``, so the 3x3 candidate-pair expansion can
+    only pair rows of the same replica.
     """
     reps, n, _ = pos.shape
-    if n == 0:
-        return [dict() for _ in range(reps)]
-    if n == 1:
-        return [{int(ids[0]): []} for _ in range(reps)]
-
     cell_size = side / axis
     cells = axis * axis
     flat = pos.reshape(reps * n, 2)
@@ -92,8 +98,6 @@ def _binned_tables(
     starts = np.searchsorted(sorted_cell, target, side="left")
     counts = np.searchsorted(sorted_cell, target, side="right") - starts
     total = int(counts.sum())
-    if total == 0:
-        return [{int(i): [] for i in ids} for _ in range(reps)]
     rows = np.repeat(np.tile(np.arange(total_rows, dtype=np.intp),
                              len(offsets)), counts)
     # Flatten the per-row [start, end) ranges into one index array.
@@ -103,12 +107,29 @@ def _binned_tables(
 
     keep = ((distances(flat[rows], flat[cols], side, torus) <= radius)
             & (rows != cols))
-    rows = rows[keep]
-    cols = cols[keep]
+    return rows[keep], cols[keep]
 
+
+def _binned_tables(
+    ids: np.ndarray,
+    pos: np.ndarray,
+    side: float,
+    radius: float,
+    torus: bool,
+    axis: int,
+) -> List[Dict[int, List[int]]]:
+    """The radius-``radius`` table of every replica of ``pos`` (``(R, N,
+    2)``): one :func:`_pairs_within` pass, bucketed into per-node sorted
+    id lists."""
+    reps, n, _ = pos.shape
+    if n == 0:
+        return [dict() for _ in range(reps)]
+    if n == 1:
+        return [{int(ids[0]): []} for _ in range(reps)]
+    rows, cols = _pairs_within(pos, side, radius, torus, axis)
     neighbor_ids = ids[cols % n]
     neighbor_ids = neighbor_ids[np.lexsort((neighbor_ids, rows))]
-    ends = np.cumsum(np.bincount(rows, minlength=total_rows)).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=reps * n)).tolist()
     starts = [0] + ends[:-1]
     neighbor_list = neighbor_ids.tolist()
     id_list = ids.tolist()
@@ -231,15 +252,6 @@ class NeighborKernel:
         self._pos = np.asarray(positions, dtype=np.float64).reshape(n, 2).copy()
         self._row = dict(zip(self._ids.tolist(), range(n)))
 
-    def set_positions(self, positions: np.ndarray) -> None:
-        """Move every node in one shot (one mobility tick).
-
-        ``positions`` is ``(len(self), 2)`` with row ``i`` belonging to
-        ``ids()[i]`` — the order of the last :meth:`rebuild` as long as no
-        node was removed since.
-        """
-        self._pos[:len(self._row)] = positions
-
     # -- geometry -----------------------------------------------------------
 
     def _active(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -281,3 +293,103 @@ class NeighborKernel:
         ids, pos = self._active()
         return _binned_tables(ids, pos[np.newaxis], self.side, r, self.torus,
                               self.cells_per_axis)[0]
+
+
+#: Relative slack for the rounding of a computed distance itself: each
+#: is within a few ULPs (≈2⁻⁵¹ relative) of the exact distance between
+#: the two computed points, far inside this.
+_DISTANCE_ROUNDING = 2.0 ** -40
+
+
+def slack_window(radius: float, max_speed: float,
+                 drift: float) -> Tuple[float, float]:
+    """``(Δ, R)``: how long a :class:`SlackIndex` serves, and its radius.
+
+    Every node obeys ``|p(t) - p(t0)| <= max_speed·(t - t0) + drift``
+    (``drift`` metres of float rounding; see
+    :data:`repro.mobility.models.SPEED_SLACK`).  By the triangle
+    inequality, which the torus metric keeps, two nodes within
+    ``radius`` at some ``t`` in ``[t0, t0 + Δ]`` were within
+    ``radius + 2·(max_speed·Δ + drift)`` at ``t0``; a further
+    ``2⁻⁴⁰·radius`` covers the rounding of the two computed distances.
+    ``Δ = radius / (8·max_speed)`` puts ``R`` at ``1.25·radius`` plus
+    that margin: about 1.56× the true degree in candidates per row, for
+    one binning pass per window.  A model that never moves
+    (``max_speed == 0``) gives a window that never ends.
+    """
+    margin = 2.0 * drift + radius * _DISTANCE_ROUNDING
+    if max_speed <= 0:
+        return math.inf, radius + margin
+    window = radius / (8.0 * max_speed)
+    return window, radius + 2.0 * max_speed * window + margin
+
+
+class SlackIndex:
+    """Candidate neighbor table of nodes of bounded speed (one window).
+
+    Built from the positions at ``t0``: row ``i`` is node ``ids[i]``
+    (ascending ids), and ``rows`` / ``cols`` list, row by row and
+    ascending within a row, every other row within ``reach`` of it at
+    ``t0`` (``candidate_ids[i]`` holds row ``i``'s as ids).  With
+    ``(window, reach)`` from :func:`slack_window`, that is every pair
+    that can come within ``radius`` up to ``expires = t0 + window``.  A
+    query at ``t`` in ``[t0, expires]`` evaluates positions at ``t`` for
+    the candidates it reads and keeps those within ``radius`` under the
+    one distance contract (:mod:`repro.geometry.space`): the same rows,
+    in the same order, as a fresh radius-``radius`` table.
+    """
+
+    __slots__ = ("ids", "id_list", "row_of", "rows", "cols",
+                 "candidate_ids", "expires", "side", "radius", "torus")
+
+    def __init__(self, ids: np.ndarray, positions: np.ndarray, t0: float,
+                 side: float, radius: float, torus: bool, window: float,
+                 reach: float) -> None:
+        n = len(ids)
+        self.ids = ids
+        self.id_list: List[int] = ids.tolist()
+        self.row_of: Dict[int, int] = dict(zip(self.id_list, range(n)))
+        self.side, self.radius, self.torus = side, radius, torus
+        self.expires = t0 + window
+        if n > 1:
+            axis = max(1, int(math.floor(side / reach)))
+            rows, cols = _pairs_within(positions[np.newaxis], side, reach,
+                                       torus, axis)
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+        else:
+            rows = cols = np.empty(0, dtype=np.intp)
+        self.rows, self.cols = rows, cols
+        self.candidate_ids = _split(ids[cols].tolist(), rows, n)
+
+    def neighbors(self, row: int, here: Point,
+                  position_at: Callable[[int, float], Point],
+                  t: float) -> List[int]:
+        """``row``'s candidates within ``radius`` of ``here`` at ``t``,
+        ascending; ``position_at(id, t)`` evaluates one candidate.
+
+        One row is a dozen or two candidates, which scalar evaluation
+        and :func:`~repro.geometry.space.distance` filter faster than
+        numpy calls on arrays that short; the scalar forms equal the
+        array forms with ``==``.
+        """
+        side, torus, radius = self.side, self.torus, self.radius
+        return [v for v in self.candidate_ids[row]
+                if distance(here, position_at(v, t), side, torus) <= radius]
+
+    def adjacency(self, positions: np.ndarray,
+                  as_ids: bool = False) -> List[List[int]]:
+        """The exact table at ``positions`` (one row per index row): each
+        row's neighbor rows, or ids with ``as_ids``, ascending."""
+        keep = distances(positions[self.rows], positions[self.cols],
+                         self.side, self.torus) <= self.radius
+        cols = self.cols[keep]
+        flat = (self.ids[cols] if as_ids else cols).tolist()
+        return _split(flat, self.rows[keep], len(self.id_list))
+
+
+def _split(flat: List[int], rows: np.ndarray, n: int) -> List[List[int]]:
+    """Cut ``flat`` (entries grouped by ascending ``rows``) into ``n``
+    per-row lists."""
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]

@@ -91,14 +91,14 @@ def random_geometric_graph(
     radius: float,
     side: float = 1.0,
     torus: bool = False,
-    rng: Optional[random.Random] = None,
+    *,
+    rng: random.Random,
 ) -> GeometricGraph:
     """Sample G^2(n, r): uniform positions, unit-disk edges."""
     if n <= 0:
         raise ValueError("n must be positive")
     if radius <= 0 or side <= 0:
         raise ValueError("radius and side must be positive")
-    rng = rng or random.Random()
     positions = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
     adjacency = build_adjacency(positions, radius, side, torus)
     return GeometricGraph(
@@ -112,7 +112,8 @@ def rgg_for_density(
     avg_degree: float,
     radio_range: float = 200.0,
     torus: bool = False,
-    rng: Optional[random.Random] = None,
+    *,
+    rng: random.Random,
     require_connected: bool = False,
     max_attempts: int = 50,
 ) -> GeometricGraph:
@@ -123,7 +124,6 @@ def rgg_for_density(
     range).  With ``require_connected=True``, re-samples until the graph is
     connected (the paper notes d_avg >= 7 kept all its networks connected).
     """
-    rng = rng or random.Random()
     side = area_side_for_density(n, radio_range, avg_degree)
     for _ in range(max_attempts):
         graph = random_geometric_graph(

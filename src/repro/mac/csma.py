@@ -83,14 +83,15 @@ class MacLayer:
         node_id: int,
         deliver: Callable[[Any, int], None],
         params: Optional[MacParams] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         self.sim = sim
         self.channel = channel
         self.node_id = node_id
         self.deliver = deliver
         self.params = params or MacParams()
-        self.rng = rng or random.Random()
+        self.rng = rng
         self.promiscuous = False
         self.on_overhear: Optional[Callable[[Any, int, int], None]] = None
 

@@ -20,6 +20,15 @@ import numpy as np
 
 from repro.geometry.space import Point
 
+#: Float slack on the speed bound, in metres.  Evaluated positions are
+#: rounded, so two of them can lie farther apart than ``max_speed·dt``
+#: allows: by a few ULPs of the coordinates per evaluation, and by
+#: ``max_speed`` times an ULP of the clock per leg boundary (a leg's end
+#: time is a rounded sum).  At sides up to 10⁵ m, clocks up to 10⁷ s and
+#: 20 m/s those are below 10⁻¹⁰ m and 4·10⁻⁸ m; this covers 25 leg
+#: boundaries of the worst case.
+SPEED_SLACK = 1e-6
+
 
 @dataclass
 class Leg:
@@ -46,7 +55,15 @@ class Leg:
 
 
 class MobilityModel(ABC):
-    """Produces an initial position and subsequent legs for each node."""
+    """Produces an initial position and subsequent legs for each node.
+
+    ``max_speed`` bounds every trajectory the model produces: for any
+    ``t1 <= t2``, ``|p(t2) - p(t1)| <= max_speed·(t2 - t1)`` up to
+    :data:`SPEED_SLACK`, across leg boundaries and pauses.  Models that
+    never move declare 0.
+    """
+
+    max_speed: float = 0.0
 
     @abstractmethod
     def initial_position(self, node_id: int) -> Point:
@@ -60,11 +77,11 @@ class MobilityModel(ABC):
 class StaticPlacement(MobilityModel):
     """Uniform random placement; nodes never move."""
 
-    def __init__(self, side: float, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, side: float, rng: random.Random) -> None:
         if side <= 0:
             raise ValueError("side must be positive")
         self.side = side
-        self._rng = rng or random.Random()
+        self._rng = rng
 
     def initial_position(self, node_id: int) -> Point:
         return (self._rng.uniform(0, self.side), self._rng.uniform(0, self.side))
@@ -100,7 +117,8 @@ class RandomWaypoint(MobilityModel):
         min_speed: float = 0.5,
         max_speed: float = 2.0,
         pause_time: float = 30.0,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         if side <= 0:
             raise ValueError("side must be positive")
@@ -112,7 +130,7 @@ class RandomWaypoint(MobilityModel):
         self.min_speed = min_speed
         self.max_speed = max_speed
         self.pause_time = pause_time
-        self._rng = rng or random.Random()
+        self._rng = rng
         # Alternate pause / move legs per node.
         self._pausing: Dict[int, bool] = {}
 
@@ -190,6 +208,21 @@ class MobilityManager:
             self._set_leg(node_id, leg)
         return leg.position_at(t)
 
+    def advance(self, ids: np.ndarray, t: float) -> np.ndarray:
+        """Advance every leg among ``ids`` that ends before ``t``, in
+        ``ids`` order, through :meth:`position_at` — exactly the draws
+        :meth:`positions_at` makes — and evaluate nothing.  Returns the
+        end times of the legs ``ids`` are on now: until the earliest no
+        leg of theirs expires (a later draw only pushes an end out).
+        """
+        t1 = self._t1.take(ids)
+        expired = t > t1
+        if expired.any():
+            for node_id in ids[expired].tolist():
+                self.position_at(node_id, t)
+            t1 = self._t1.take(ids)
+        return t1
+
     def positions_at(self, ids: np.ndarray, t: float) -> np.ndarray:
         """``(len(ids), 2)`` positions at time ``t``, one row per id.
 
@@ -198,12 +231,7 @@ class MobilityManager:
         are advanced through :meth:`position_at` in ``ids`` order; the
         rest is :meth:`Leg.position_at` spelled over arrays.
         """
-        t1 = self._t1.take(ids)
-        expired = t > t1
-        if expired.any():
-            for node_id in ids[expired].tolist():
-                self.position_at(node_id, t)
-            t1 = self._t1.take(ids)
+        t1 = self.advance(ids, t)
         t0 = self._t0.take(ids)
         p0, p1 = self._p0.take(ids, axis=0), self._p1.take(ids, axis=0)
         span = t1 - t0

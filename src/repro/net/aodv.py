@@ -66,14 +66,15 @@ class AodvAgent:
         node_id: int,
         deliver: Callable[[Any, DataPacket], None],
         params: Optional[AodvParams] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         self.sim = sim
         self.mac = mac
         self.node_id = node_id
         self.deliver = deliver
         self.params = params or AodvParams()
-        self.rng = rng or random.Random()
+        self.rng = rng
 
         self.seq = 0
         self._rreq_id = itertools.count(1)

@@ -10,7 +10,7 @@ interface.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.mac.csma import MacLayer
 from repro.net.packet import FloodPacket, next_packet_id
@@ -26,13 +26,14 @@ class FloodingAgent:
         mac: MacLayer,
         node_id: int,
         deliver: Callable[[Any, FloodPacket], None],
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         self.sim = sim
         self.mac = mac
         self.node_id = node_id
         self.deliver = deliver
-        self.rng = rng or random.Random()
+        self.rng = rng
         self._seen: Dict[int, float] = {}
         self.floods_originated = 0
         self.rebroadcasts = 0

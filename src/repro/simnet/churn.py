@@ -42,13 +42,15 @@ def apply_churn(
     call time.  With ``keep_connected`` (the paper requires the network to
     remain connected), a failure that would disconnect the survivors is
     skipped and another victim is tried.  ``protected`` nodes are never
-    failed (e.g. the measurement origin).
+    failed (e.g. the measurement origin).  Without ``rng`` the draws come
+    from the network's ``"churn.apply"`` stream.
     """
     if not 0.0 <= fail_fraction <= 1.0:
         raise ValueError("fail_fraction must be in [0, 1]")
     if join_fraction < 0.0:
         raise ValueError("join_fraction must be >= 0")
-    rng = rng or random.Random()
+    if rng is None:
+        rng = net.rngs.stream("churn.apply")
     protected = protected or set()
     outcome = ChurnOutcome()
 
@@ -86,7 +88,8 @@ class ChurnProcess:
 
     ``failure_rate`` and ``join_rate`` are events per second over the whole
     network.  Each event picks a uniform victim (never ``protected``) or
-    joins a fresh node at a uniform position.
+    joins a fresh node at a uniform position.  Without ``rng`` the
+    process draws from the network's ``"churn.process"`` stream.
     """
 
     def __init__(
@@ -103,7 +106,8 @@ class ChurnProcess:
         self.net = net
         self.failure_rate = failure_rate
         self.join_rate = join_rate
-        self.rng = rng or random.Random()
+        self.rng = rng if rng is not None else net.rngs.stream(
+            "churn.process")
         self.keep_connected = keep_connected
         self.protected = protected or set()
         self.failures = 0

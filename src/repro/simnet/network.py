@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.geometry import space
-from repro.geometry.kernel import NeighborKernel
+from repro.geometry.kernel import NeighborKernel, SlackIndex, slack_window
 from repro.geometry.rgg import GeometricGraph
 from repro.geometry.space import Point, area_side_for_density
 from repro.obs.audit import auditor_from_env
@@ -40,6 +40,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILER
 from repro.obs.trace import EventTrace
 from repro.mobility.models import (
+    SPEED_SLACK,
     FixedPlacement,
     MobilityManager,
     RandomWaypoint,
@@ -186,19 +187,21 @@ class SimNetwork:
         self._alive: Set[int] = set()
         self._next_id = 0
         self.counters: Counter = Counter()
-        # Contiguous-array kernel + full neighbor table.  Static networks
-        # keep both until churn patches them.  Mobile networks refresh the
-        # kernel's positions once per timestamp (`_snapshot`), answer
-        # single-node queries from it into `_nbr_memo`, and build the
-        # table only when a whole-graph consumer asks at that timestamp.
-        # `_rows` is the table in row space, for the BFS route trees.
+        # Static networks: contiguous-array kernel + full neighbor table,
+        # kept until churn patches them.  Mobile networks: one candidate
+        # index per validity window (`_snapshot`), filtered exactly at
+        # every query; `_legs_until` is the earliest end of the alive
+        # nodes' current legs, as of the last draw step.  `_rows` is the
+        # table in row space, for the BFS route trees.
         self._kernel: Optional[NeighborKernel] = None
         self._tables: Optional[Dict[int, List[int]]] = None
+        self._slack: Optional[SlackIndex] = None
+        self._window, self._reach = slack_window(
+            config.radio_range, self._model.max_speed, SPEED_SLACK)
+        self._snapshot_time = -math.inf
+        self._legs_until = -math.inf
         self._rows: Optional[NeighborRows] = None
         self._rows_key: Optional[tuple] = None
-        self._snapshot_ids = np.empty(0, dtype=np.intp)
-        self._snapshot_time = -math.inf
-        self._nbr_memo: Dict[int, List[int]] = {}
         # per-timestamp position cache: MobilityManager.position_at runs at
         # most once per node per tick (static positions are cached forever).
         self._pos_cache: Dict[int, Point] = {}
@@ -319,11 +322,11 @@ class SimNetwork:
     def _drop_kernel(self) -> None:
         self._kernel = None
         self._tables = None
-        self._nbr_memo = {}
+        self._slack = None
 
     def _admit_to_geometry(self, node_id: int) -> None:
         """Add a node: static tables are patched in place, once built; a
-        mobile snapshot is dropped and rebuilt by the next query."""
+        mobile candidate index is dropped and rebuilt by the next query."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
         if self.config.mobility != "static":
@@ -341,7 +344,7 @@ class SimNetwork:
 
     def _evict_from_geometry(self, node_id: int) -> None:
         """Drop a node — static tables need no full rebuild for one churn
-        event; a mobile snapshot is dropped as in `_admit_to_geometry`."""
+        event; a mobile index is dropped as in `_admit_to_geometry`."""
         self._topo_version += 1
         self._pos_cache.pop(node_id, None)
         if self.config.mobility != "static":
@@ -508,47 +511,69 @@ class SimNetwork:
         return (self.distance(self.position(a), self.position(b))
                 <= self.config.radio_range)
 
-    def _snapshot(self) -> NeighborKernel:
-        """Mobile networks: the kernel holding every alive node's position
-        at ``sim.now``.
+    def _snapshot(self) -> SlackIndex:
+        """Mobile networks: the candidate index serving ``sim.now``, after
+        this timestamp's draws.
 
-        Refreshed by the first neighbor query at a new timestamp.  That
-        is also when expired waypoint legs are advanced, in sorted-id
-        order: all nodes draw from one mobility stream, so *when* the
-        refresh happens is part of what fixes the trajectories.
+        Two steps, kept apart:
+
+        * **Draws.**  The first neighbor query at a new timestamp (or
+          after churn) advances every expired waypoint leg of the alive
+          nodes in sorted-id order (:meth:`MobilityManager.advance`).
+          All nodes draw from one mobility stream, so *when* legs
+          advance is part of what fixes the trajectories: this runs at
+          exactly the queries where a full position snapshot always
+          ran, and costs one comparison while no leg has expired.
+        * **Evaluation.**  Positions are computed only for the rows a
+          query reads: a node's candidates for :meth:`true_neighbors`
+          (a hop), every row for the route trees and the whole-graph
+          consumers.
+
+        The index (:class:`SlackIndex`) lists every pair within
+        ``R = r + 2·v_max·Δ`` plus a float margin at the instant ``t0``
+        it was built, ``Δ = r / (8·v_max)`` from the model's speed bound
+        (:func:`slack_window`).  It serves ``[t0, t0 + Δ]`` at one
+        topology version; churn drops it.
         """
         now = self.sim.now
-        if self._kernel is None or self._snapshot_time != now:
+        index = self._slack
+        if index is None or self._snapshot_time != now:
             with PROFILER.phase("neighbor.rebuild"):
-                if self._kernel is None:
-                    self._snapshot_ids = np.array(sorted(self._alive),
-                                                  dtype=np.intp)
-                with PROFILER.phase("mobility.positions"):
-                    positions = self.mobility.positions_at(
-                        self._snapshot_ids, now)
-                if self._kernel is None:
-                    self._kernel = self._build_kernel(self._snapshot_ids,
-                                                      positions)
+                if index is None:
+                    ids = np.array(sorted(self._alive), dtype=np.intp)
+                    self._legs_until = -math.inf
                 else:
-                    self._kernel.set_positions(positions)
-            self._tables = None
-            self._nbr_memo = {}
+                    ids = index.ids
+                if now > self._legs_until:
+                    ends = self.mobility.advance(ids, now)
+                    self._legs_until = (float(ends.min()) if len(ends)
+                                        else math.inf)
+                if index is None or now > index.expires:
+                    index = self._slack = SlackIndex(
+                        ids, self._positions_now(ids), now, self._side,
+                        self.config.radio_range, self.config.torus,
+                        self._window, self._reach)
             self._snapshot_time = now
-        return self._kernel
+        return index
+
+    def _positions_now(self, ids: np.ndarray) -> np.ndarray:
+        """Evaluate the positions of ``ids`` at ``sim.now`` (mobile: after
+        the draw step, so this draws nothing)."""
+        with PROFILER.phase("mobility.positions"):
+            return self.mobility.positions_at(ids, self.sim.now)
 
     def _neighbor_tables(self) -> Dict[int, List[int]]:
         """Full ground-truth adjacency at ``sim.now``.
 
         Static networks keep the table until churn touches it (then it is
-        patched incrementally); mobile networks compute it in one batched
-        kernel pass over the current snapshot, the first time a
-        whole-graph consumer asks at a timestamp.
+        patched incrementally).  Mobile networks filter every candidate
+        row of the current index at ``sim.now``.
         """
         if self.config.mobility != "static":
-            kernel = self._snapshot()
-            if self._tables is None:
-                self._tables = self._nbr_memo = kernel.neighbor_tables()
-        elif self._tables is None:
+            index = self._snapshot()
+            return dict(zip(index.id_list, index.adjacency(
+                self._positions_now(index.ids), as_ids=True)))
+        if self._tables is None:
             with PROFILER.phase("neighbor.rebuild"):
                 if self._kernel is None:
                     ids = sorted(self._alive)
@@ -561,34 +586,50 @@ class SimNetwork:
     def _neighbor_rows(self) -> NeighborRows:
         """The neighbor table in row space, for the BFS route trees.
 
-        Built from the table once per topology version, and under
-        mobility once per timestamp: from the table that timestamp's
-        kernel pass built, so it costs no second pass.
+        Built once per topology version from the static table, and under
+        mobility once per timestamp, straight from the filtered
+        candidate rows of the current index.
         """
-        key = (self._topo_version,
-               None if self.config.mobility == "static" else self.sim.now)
+        mobile = self.config.mobility != "static"
+        key = (self._topo_version, self.sim.now if mobile else None)
         if self._rows_key != key:
-            self._rows = NeighborRows(self._neighbor_tables())
+            if mobile:
+                index = self._snapshot()
+                self._rows = NeighborRows(
+                    index.id_list, index.row_of,
+                    index.adjacency(self._positions_now(index.ids)))
+            else:
+                tables = self._neighbor_tables()
+                ids = sorted(tables)
+                row_of = dict(zip(ids, range(len(ids))))
+                self._rows = NeighborRows(ids, row_of, [
+                    list(map(row_of.__getitem__, tables[u])) for u in ids])
             self._rows_key = key
         return self._rows
 
     def true_neighbors(self, node_id: int) -> List[int]:
-        """Ground-truth current neighbors (alive, within range), sorted."""
+        """Ground-truth current neighbors (alive, within range), sorted.
+
+        Under mobility this evaluates the positions of ``node_id``'s
+        candidates only; a dead (or never-admitted) query node, whose
+        position is still tracked, is held against every alive node.
+        """
         if self.config.mobility == "static":
             neighbors = self._neighbor_tables().get(node_id)
-        else:
-            kernel = self._snapshot()
-            neighbors = self._nbr_memo.get(node_id)
-            if neighbors is None and node_id in kernel:
-                neighbors = kernel.neighbors_of(node_id)
-                self._nbr_memo[node_id] = neighbors
-        if neighbors is None:
-            # Dead (or never-admitted) query node: its position is still
-            # tracked, so answer with a one-off kernel range query.
-            return self._kernel.within(self.position(node_id),
-                                       self.config.radio_range,
-                                       exclude=node_id)
-        return list(neighbors)
+            if neighbors is None:
+                return self._kernel.within(self.position(node_id),
+                                           self.config.radio_range,
+                                           exclude=node_id)
+            return list(neighbors)
+        index = self._snapshot()
+        row = index.row_of.get(node_id)
+        here = self.position(node_id)
+        if row is None:
+            near = space.distances(self._positions_now(index.ids), here,
+                                   self._side, self.config.torus)
+            return index.ids[near <= self.config.radio_range].tolist()
+        return index.neighbors(row, here, self.mobility.position_at,
+                               self.sim.now)
 
     def known_neighbors(self, node_id: int) -> List[int]:
         """Last-heartbeat neighbor snapshot (stale under mobility)."""

@@ -44,11 +44,9 @@ class NeighborRows:
 
     __slots__ = ("ids", "index", "adj")
 
-    def __init__(self, tables: Dict[int, List[int]]) -> None:
-        self.ids = sorted(tables)
-        self.index = index = dict(zip(self.ids, range(len(self.ids))))
-        row_of = index.__getitem__
-        self.adj = [list(map(row_of, tables[u])) for u in self.ids]
+    def __init__(self, ids: List[int], index: Dict[int, int],
+                 adj: List[List[int]]) -> None:
+        self.ids, self.index, self.adj = ids, index, adj
 
 
 class BfsTree:

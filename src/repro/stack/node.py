@@ -35,13 +35,13 @@ class StackNode:
         node_id: int,
         mac_params: Optional[MacParams] = None,
         aodv_params: Optional[AodvParams] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         app_handler: Optional[AppHandler] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.app_handler = app_handler
-        rng = rng or random.Random()
         self.mac = MacLayer(sim, channel, node_id, deliver=self._dispatch,
                             params=mac_params, rng=rng)
         self.aodv = AodvAgent(sim, self.mac, node_id,

@@ -524,9 +524,9 @@ class TestRouteTreeWork:
     def test_rows_are_built_once_per_topology_version(self, monkeypatch):
         builds = []
 
-        def counting_rows(tables):
-            builds.append(len(tables))
-            return NeighborRows(tables)
+        def counting_rows(ids, index, adj):
+            builds.append(len(ids))
+            return NeighborRows(ids, index, adj)
 
         monkeypatch.setattr(network_module, "NeighborRows", counting_rows)
         net = SimNetwork(NetworkConfig(n=400, seed=7))
@@ -540,23 +540,26 @@ class TestRouteTreeWork:
         assert builds == [400, 399]
         assert engine.tree_misses == 799 and engine.tree_hits == 0
 
-    def test_mobile_discovery_runs_one_kernel_pass(self, monkeypatch):
+    def test_mobile_discovery_runs_no_radius_r_pass(self, monkeypatch):
+        # A mobile discovery filters the window's candidate index; no
+        # radius-r table pass runs, and within one window no binning
+        # pass at all.
         passes = []
-        real_pass = kernel_module._binned_tables
+        real_pass = kernel_module._pairs_within
 
         def counting_pass(*args):
-            passes.append(1)
+            passes.append(args[2])  # the pass radius
             return real_pass(*args)
 
-        monkeypatch.setattr(kernel_module, "_binned_tables", counting_pass)
+        monkeypatch.setattr(kernel_module, "_pairs_within", counting_pass)
         net = SimNetwork(NetworkConfig(n=100, seed=7, mobility="waypoint"))
-        net.advance(12.5)  # past the first heartbeat's table
+        net.advance(12.5)  # past the first heartbeat
         before = len(passes)
         src, dst = 3, 90
         path, cost = net.discover_path(src, dst)
-        assert len(passes) == before + 1
         tables = net._neighbor_tables()  # the same timestamp's table
-        assert len(passes) == before + 1
+        assert len(passes) <= before + 1  # at most one window rebuild
+        assert set(passes) == {net._reach}  # never at radius r
         assert path == bfs_path(tables, src, dst) and cost > 0
 
 

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry.space import distance
 from repro.mobility import (
     FixedPlacement,
     Leg,
@@ -14,6 +17,7 @@ from repro.mobility import (
     StaticPlacement,
     average_nodal_speed,
 )
+from repro.mobility.models import SPEED_SLACK
 
 
 class TestLeg:
@@ -53,7 +57,7 @@ class TestStaticPlacement:
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            StaticPlacement(side=0.0)
+            StaticPlacement(side=0.0, rng=random.Random(0))
 
 
 class TestFixedPlacement:
@@ -228,3 +232,43 @@ class TestVectorisedPositions:
         mgr = MobilityManager(StaticPlacement(10.0, rng=random.Random(0)))
         with pytest.raises(ValueError):
             mgr.add_node(-1)
+
+
+class TestSpeedBound:
+    """``MobilityModel.max_speed`` is a displacement bound: what the
+    mobile floor's slack index relies on (``geometry.kernel.slack_window``)."""
+
+    def test_static_models_declare_zero(self):
+        assert StaticPlacement(10.0, rng=random.Random(0)).max_speed == 0.0
+        assert FixedPlacement([(1.0, 2.0)]).max_speed == 0.0
+        model = RandomWaypoint(side=10.0, min_speed=1.0, max_speed=7.5,
+                               rng=random.Random(0))
+        assert model.max_speed == 7.5
+
+    @given(v_max=st.floats(0.5, 20.0), low=st.floats(0.0, 1.0),
+           pause=st.sampled_from([0.0, 0.3, 5.0, 30.0]),
+           side=st.floats(10.0, 5000.0), seed=st.integers(0, 2 ** 32),
+           steps=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_displacement_within_speed_times_time(self, v_max, low, pause,
+                                                  side, seed, steps):
+        # Queries at nondecreasing times, across leg boundaries and
+        # pauses; every pair of them, not only neighbours, obeys the
+        # bound up to the stated float slack.
+        min_speed = max(0.5, low * v_max)
+        mgr = MobilityManager(RandomWaypoint(
+            side=side, min_speed=min(min_speed, v_max), max_speed=v_max,
+            pause_time=pause, rng=random.Random(seed)))
+        mgr.add_node(0, t=0.0)
+        mgr.add_node(1, t=0.0)
+        t, seen = 0.0, []
+        for dt in steps:
+            t += dt
+            pos = mgr.positions_at(np.array([0, 1]), t)
+            seen.append((t, mgr.position_at(0, t), tuple(pos[1])))
+            assert seen[-1][1] == tuple(pos[0])
+        for i, (t1, a1, b1) in enumerate(seen):
+            for t2, a2, b2 in seen[i:]:
+                bound = v_max * (t2 - t1) + SPEED_SLACK
+                assert distance(a1, a2, side, False) <= bound
+                assert distance(b1, b2, side, False) <= bound

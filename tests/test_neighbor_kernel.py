@@ -77,7 +77,7 @@ class TestKernelPrimitive:
         assert kernel.neighbor_tables() == pairwise_tables(positions, side, r)
 
     @pytest.mark.parametrize("torus", [False, True])
-    def test_set_positions_then_row_query_equals_table_row(self, torus):
+    def test_rebuild_then_row_query_equals_table_row(self, torus):
         rng = random.Random(31 + int(torus))
         side, r, ids = 400.0, 95.0, [4, 9, 10, 27, 33, 41, 58, 60, 61, 77]
 
@@ -88,7 +88,7 @@ class TestKernelPrimitive:
         kernel.rebuild(ids, draw())
         for _ in range(5):                       # five mobility ticks
             moved = draw()
-            kernel.set_positions(moved)
+            kernel.rebuild(ids, moved)
             tables = kernel.neighbor_tables()
             assert tables == pairwise_tables(dict(zip(ids, moved)), side, r,
                                              torus)
@@ -275,8 +275,8 @@ def apply_step(net, op, arg):
 
 class TestMobileSnapshot:
     """Under waypoint mobility a neighbor query is answered from the
-    per-timestamp position snapshot; the full table is built only for
-    whole-graph consumers.  Same answers, same trajectories."""
+    window's slack index, evaluating only the rows it reads.  Same
+    answers, same trajectories."""
 
     def test_every_query_shape_matches_the_oracle(self):
         net = SimNetwork(NetworkConfig(**MOBILE))

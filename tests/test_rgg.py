@@ -80,13 +80,14 @@ class TestGeneration:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            random_geometric_graph(0, radius=0.1)
+            random_geometric_graph(0, radius=0.1, rng=random.Random(0))
 
     @pytest.mark.parametrize("radius,side", [(0.0, 1.0), (-0.1, 1.0),
                                              (0.1, 0.0), (0.1, -1.0)])
     def test_invalid_radius_or_side(self, radius, side):
         with pytest.raises(ValueError):
-            random_geometric_graph(5, radius=radius, side=side)
+            random_geometric_graph(5, radius=radius, side=side,
+                                   rng=random.Random(0))
 
     def test_degree_stats(self):
         g = small_rgg()

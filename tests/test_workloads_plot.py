@@ -34,7 +34,8 @@ class TestZipfSampler:
         assert max(counts.values()) < 1.35 * min(counts.values())
 
     def test_probability_of_sums_to_one(self):
-        sampler = ZipfKeySampler(["a", "b", "c"], exponent=1.0)
+        sampler = ZipfKeySampler(["a", "b", "c"], exponent=1.0,
+                                 rng=random.Random(0))
         total = sum(sampler.probability_of(k) for k in ("a", "b", "c"))
         assert total == pytest.approx(1.0)
 
@@ -46,9 +47,9 @@ class TestZipfSampler:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ZipfKeySampler([])
+            ZipfKeySampler([], rng=random.Random(0))
         with pytest.raises(ValueError):
-            ZipfKeySampler(["a"], exponent=-1.0)
+            ZipfKeySampler(["a"], exponent=-1.0, rng=random.Random(0))
 
 
 class TestTauEstimator:
