@@ -10,15 +10,15 @@ import math
 from conftest import FULL_SCALE, JOBS, N_DEFAULT, N_KEYS, N_LOOKUPS, record_result
 
 from repro.analysis import symmetric_quorum_size
-from repro.experiments import format_table, path_x_path
+from repro.experiments import format_table, run_figure
 
 FRACTIONS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3) if FULL_SCALE else \
     (0.05, 0.1, 0.2, 0.3)
 
 
 def run():
-    return path_x_path(n=N_DEFAULT, size_fractions=FRACTIONS,
-                       n_keys=N_KEYS, n_lookups=N_LOOKUPS, jobs=JOBS)
+    return run_figure("fig12", N_DEFAULT, FRACTIONS, n_keys=N_KEYS,
+                      n_lookups=N_LOOKUPS, jobs=JOBS)
 
 
 def test_fig12_path_x_path(benchmark, record):
@@ -26,14 +26,15 @@ def test_fig12_path_x_path(benchmark, record):
     text = format_table(
         ["n", "|Q| per side", "combined/n", "hit ratio", "adv msgs",
          "lookup msgs"],
-        [(p.n, p.quorum_size, p.combined_fraction, p.hit_ratio,
-          p.avg_advertise_messages, p.avg_lookup_messages) for p in points])
+        [(p.point.n, p.qa, (p.qa + p.ql) / p.point.n, p["hit_ratio"],
+          p["avg_advertise_messages"], p["avg_lookup_messages"])
+         for p in points])
     record("fig12_path_x_path", f"Figure 12\n{text}")
-    series = sorted(points, key=lambda p: p.quorum_size)
-    assert series[-1].hit_ratio >= series[0].hit_ratio
+    series = sorted(points, key=lambda p: p.qa)
+    assert series[-1]["hit_ratio"] >= series[0]["hit_ratio"]
     # Crossing 0.9 requires combined length a constant fraction of n —
     # much more than the sqrt-sized quorums of the asymmetric mixes.
     sqrt_size = symmetric_quorum_size(N_DEFAULT, 0.1)
-    crossing = [p for p in series if p.hit_ratio >= 0.85]
+    crossing = [p for p in series if p["hit_ratio"] >= 0.85]
     if crossing:
-        assert crossing[0].combined_size > 2 * sqrt_size
+        assert crossing[0].qa + crossing[0].ql > 2 * sqrt_size

@@ -6,20 +6,23 @@ intersection targets; FLOODING can win only at low targets; RANDOM-OPT is
 inferior even before counting its routing overhead.
 """
 
-from conftest import N_DEFAULT, N_KEYS, N_LOOKUPS, record_result
+from conftest import JOBS, N_DEFAULT, N_KEYS, N_LOOKUPS, record_result
 
-from repro.experiments import format_table, lookup_tradeoff_curves
+from repro.experiments import format_table, run_figure
 
 
 def run():
-    return lookup_tradeoff_curves(n=N_DEFAULT, n_keys=N_KEYS,
-                                  n_lookups=N_LOOKUPS)
+    curves = {}
+    for p in run_figure("fig15", N_DEFAULT, n_keys=N_KEYS,
+                        n_lookups=N_LOOKUPS, jobs=JOBS):
+        curves.setdefault(p.point.x[0], []).append(p)
+    return curves
 
 
 def _cheapest_at(curve, target):
     """Fewest messages achieving at least the target hit ratio."""
-    ok = [p for p in curve if p.hit_ratio >= target]
-    return min((p.avg_messages for p in ok), default=None)
+    ok = [p for p in curve if p["hit_ratio"] >= target]
+    return min((p["avg_lookup_messages"] for p in ok), default=None)
 
 
 def test_fig15_lookup_strategy_comparison(benchmark, record):
@@ -27,8 +30,8 @@ def test_fig15_lookup_strategy_comparison(benchmark, record):
     rows = []
     for name, points in curves.items():
         for p in points:
-            rows.append((name, p.knob, p.hit_ratio, p.avg_messages,
-                         p.avg_routing))
+            rows.append((name, p.point.x[1], p["hit_ratio"],
+                         p["avg_lookup_messages"], p["avg_lookup_routing"]))
     text = format_table(
         ["strategy", "knob", "hit ratio", "msgs/lookup", "routing"], rows)
     record("fig15_comparison", f"Figure 15\n{text}")

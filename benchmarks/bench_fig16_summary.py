@@ -6,32 +6,35 @@ messages (x3 in mobile networks); UNIQUE-PATH lookup hits cost less than
 UP x UP combination has cheap per-message costs but huge quorums.
 """
 
-from conftest import N_DEFAULT, N_KEYS, N_LOOKUPS, record_result
+from conftest import JOBS, N_DEFAULT, N_KEYS, N_LOOKUPS, record_result
 
-from repro.experiments import render_summary, summary_table
+from repro.experiments import figure_table, run_figure
 
 
 def run():
-    return summary_table(n=N_DEFAULT, n_keys=N_KEYS, n_lookups=N_LOOKUPS,
-                         mobilities=("static", "waypoint"))
+    return run_figure("fig16", N_DEFAULT, n_keys=N_KEYS,
+                      n_lookups=N_LOOKUPS, jobs=JOBS)
 
 
 def test_fig16_summary_table(benchmark, record):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     record("fig16_summary", f"Figure 16 @ n={N_DEFAULT}\n"
-           + render_summary(rows))
+           + figure_table("fig16", rows))
 
     def get(advertise, lookup, mobility):
-        return next(r for r in rows if r.advertise == advertise
-                    and r.lookup == lookup and r.mobility == mobility)
+        return next(r for r in rows
+                    if r.point.x == (advertise, lookup, mobility))
 
     rr = get("RANDOM", "RANDOM", "static")
     rup = get("RANDOM", "UNIQUE-PATH", "static")
     # UNIQUE-PATH lookups are far cheaper than RANDOM lookups.
-    assert rup.lookup_hit_cost < rr.lookup_hit_cost / 2
+    assert (rup["avg_lookup_messages_on_hit"]
+            < rr["avg_lookup_messages_on_hit"] / 2)
     # Both reach a solid hit ratio at the paper's sizes.
-    assert rup.hit_ratio >= 0.8
+    assert rup["hit_ratio"] >= 0.8
     # Mobile advertising over routing costs more than static.
     rr_mobile = get("RANDOM", "RANDOM", "waypoint")
-    assert (rr_mobile.advertise_cost + rr_mobile.advertise_routing
-            >= 0.8 * (rr.advertise_cost + rr.advertise_routing))
+    assert (rr_mobile["avg_advertise_messages"]
+            + rr_mobile["avg_advertise_routing"]
+            >= 0.8 * (rr["avg_advertise_messages"]
+                      + rr["avg_advertise_routing"]))

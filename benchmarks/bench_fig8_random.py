@@ -23,8 +23,7 @@ from reference import per_event
 from repro.core.strategies import RandomStrategy
 from repro.experiments import (
     format_table,
-    random_advertise_cost,
-    random_lookup_hit_ratio,
+    run_figure,
     run_replicated,
     scenario_config,
 )
@@ -36,49 +35,48 @@ L_FACTORS = (0.25, 0.5, 0.75, 1.0, 1.15, 1.5, 2.0) if FULL_SCALE else \
 
 
 def run_advertise():
-    return random_advertise_cost(sizes=SIZES, quorum_factors=Q_FACTORS,
-                                 n_keys=N_KEYS, jobs=JOBS)
+    return run_figure("fig8", SIZES, Q_FACTORS, n_keys=N_KEYS, jobs=JOBS)
 
 
 def run_lookup():
-    return random_lookup_hit_ratio(sizes=SIZES[-2:], lookup_factors=L_FACTORS,
-                                   n_keys=N_KEYS, n_lookups=N_LOOKUPS,
-                                   jobs=JOBS)
+    return run_figure("fig8c", SIZES[-2:], L_FACTORS, n_keys=N_KEYS,
+                      n_lookups=N_LOOKUPS, jobs=JOBS)
 
 
 def test_fig8_random_advertise_cost(benchmark, record):
     points = benchmark.pedantic(run_advertise, rounds=1, iterations=1)
     text = format_table(
         ["n", "|Qa|", "msgs/advertise", "routing/advertise"],
-        [(p.n, p.quorum_size, p.avg_messages, p.avg_routing)
-         for p in points])
+        [(p.point.n, p.qa, p["avg_advertise_messages"],
+          p["avg_advertise_routing"]) for p in points])
     record("fig8_random_advertise", f"Figure 8(a,b)\n{text}")
     for n in SIZES:
-        series = sorted((p for p in points if p.n == n),
-                        key=lambda p: p.quorum_size)
+        series = sorted((p for p in points if p.point.n == n),
+                        key=lambda p: p.qa)
         # Cost grows with quorum size.
-        assert series[-1].avg_messages > series[0].avg_messages
+        assert (series[-1]["avg_advertise_messages"]
+                > series[0]["avg_advertise_messages"])
         # Flattening: the view holds 2 sqrt(n) ids, so the jump from
         # 2.0 -> 2.5 sqrt(n) is much smaller than from 0.5 -> 1.0.
         # Routing overhead is substantial (the paper's 'dramatic increase').
-        assert series[0].avg_routing > series[0].avg_messages / 4
+        assert (series[0]["avg_advertise_routing"]
+                > series[0]["avg_advertise_messages"] / 4)
 
 
 def test_fig8_random_lookup_hit_ratio(benchmark, record):
     points = benchmark.pedantic(run_lookup, rounds=1, iterations=1)
     text = format_table(
         ["n", "|Ql|", "|Ql|/sqrt(n)", "hit ratio", "msgs", "routing"],
-        [(p.n, p.lookup_size, p.lookup_size_factor, p.hit_ratio,
-          p.avg_messages, p.avg_routing) for p in points])
+        [(p.point.n, p.ql, p.point.x, p["hit_ratio"],
+          p["avg_lookup_messages"], p["avg_lookup_routing"]) for p in points])
     record("fig8_random_lookup", f"Figure 8(c)\n{text}")
-    for n in {p.n for p in points}:
-        series = sorted((p for p in points if p.n == n),
-                        key=lambda p: p.lookup_size_factor)
-        assert series[-1].hit_ratio >= series[0].hit_ratio
-        at_115 = next(p for p in series
-                      if abs(p.lookup_size_factor - 1.15) < 0.01)
+    for n in {p.point.n for p in points}:
+        series = sorted((p for p in points if p.point.n == n),
+                        key=lambda p: p.point.x)
+        assert series[-1]["hit_ratio"] >= series[0]["hit_ratio"]
+        at_115 = next(p for p in series if abs(p.point.x - 1.15) < 0.01)
         # Lemma 5.1 validation: ~0.9 intersection at 1.15 sqrt(n).
-        assert at_115.hit_ratio >= 0.8
+        assert at_115["hit_ratio"] >= 0.8
 
 
 # -- Monte-Carlo replication engine: sharing vs the per-event oracle ---------

@@ -22,345 +22,105 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-import repro.experiments as ex
-from repro.analysis import figure3_table, figure6_table
-from repro.experiments import format_pm, format_table
+from repro.experiments.figures import FIGURES, render_figure
 from repro.quorum import BUILTIN_SYSTEMS, OBJECTIVES
 
 
-def _rep_kwargs(args) -> dict:
-    """Replication options shared by every replication-aware figure."""
-    return {
-        "reps": getattr(args, "reps", 1),
-        "ci_target": getattr(args, "ci", None),
-    }
-
-
-def _pm(point, mean_value: float, metric: str) -> str:
-    """``mean ± half-width`` cell for a replicated sweep point."""
-    return format_pm(mean_value, point.ci.get(metric))
-
-
-def _fig3(args) -> str:
-    rows = figure3_table(args.n)
-    return "Figure 3 (asymptotic strategy comparison)\n" + format_table(
-        ["strategy", "accessed", "cost", "routing?", "membership?",
-         "replies", "early halt?"],
-        [(r["strategy"], r["accessed_nodes"], r["cost_rgg"],
-          r["needs_routing"], r["needs_membership"], r["lookup_replies"],
-          r["early_halting"]) for r in rows])
-
-
-def _fig4(args) -> str:
-    points = ex.pct_by_network_size(sizes=(args.n // 2, args.n),
-                                    walks=args.walks)
-    points += ex.pct_by_density(densities=(7, 10, 20), n=args.n,
-                                walks=args.walks)
-    return "Figure 4 (partial cover time)\n" + format_table(
-        ["n", "d_avg", "target", "self-avoiding", "steps/unique"],
-        [(p.n, p.avg_degree, p.unique_target, p.unique, p.steps_per_unique)
-         for p in points])
-
-
-def _fig5(args) -> str:
-    points = ex.flooding_coverage(n=args.n, ttls=tuple(range(1, 6)))
-    return "Figure 5 (flooding coverage)\n" + format_table(
-        ["n", "ttl", "coverage", "messages", "CG"],
-        [(p.n, p.ttl, p.coverage, p.messages, p.granularity)
-         for p in points])
-
-
-def _fig6(args) -> str:
-    combos = figure6_table(args.n)
-    return "Figure 6 (combination costs)\n" + format_table(
-        ["advertise", "lookup", "adv cost", "lookup cost", "combined"],
-        [(c.advertise, c.lookup, c.advertise_cost, c.lookup_cost, c.combined)
-         for c in combos])
-
-
-def _fig7(args) -> str:
-    points = ex.degradation_curves(epsilon=args.epsilon, n=args.n,
-                                   trials=args.trials)
-    return "Figure 7 (degradation under churn)\n" + format_table(
-        ["mode", "f", "analytic", "simulated"],
-        [(p.mode, p.f, p.analytic_intersection, p.simulated_intersection)
-         for p in points])
-
-
-def _fig8(args) -> str:
-    rep = _rep_kwargs(args)
-    adv = ex.random_advertise_cost(sizes=(args.n,), n_keys=args.keys,
-                                   jobs=args.jobs, **rep)
-    look = ex.random_lookup_hit_ratio(sizes=(args.n,), n_keys=args.keys,
-                                      n_lookups=args.lookups, jobs=args.jobs,
-                                      **rep)
-    out = "Figure 8(a,b) (RANDOM advertise cost)\n" + format_table(
-        ["n", "|Qa|", "msgs", "routing", "latency"],
-        [(p.n, p.quorum_size,
-          _pm(p, p.avg_messages, "avg_advertise_messages"),
-          _pm(p, p.avg_routing, "avg_advertise_routing"),
-          _pm(p, p.avg_latency, "avg_advertise_latency"))
-         for p in adv])
-    out += "\n\nFigure 8(c) (RANDOM lookup hit ratio)\n" + format_table(
-        ["n", "|Ql|", "factor", "hit", "msgs", "latency"],
-        [(p.n, p.lookup_size, p.lookup_size_factor,
-          _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages"),
-          _pm(p, p.avg_latency, "avg_lookup_latency")) for p in look])
-    return out
-
-
-def _fig9(args) -> str:
-    points = ex.random_opt_lookup(n=args.n, mobility=args.mobility,
-                                  n_keys=args.keys, n_lookups=args.lookups,
-                                  jobs=args.jobs, **_rep_kwargs(args))
-    return "Figure 9 (RANDOM-OPT lookup)\n" + format_table(
-        ["n", "X", "hit", "msgs", "routing", "probed"],
-        [(p.n, p.initiations, _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages"),
-          _pm(p, p.avg_routing, "avg_lookup_routing"),
-          p.avg_quorum_size) for p in points])
-
-
-def _fig10(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    points = ex.unique_path_lookup(n=args.n, mobility=args.mobility,
-                                   n_keys=args.keys, n_lookups=args.lookups,
-                                   jobs=args.jobs, **_rep_kwargs(args))
-    table = format_table(
-        ["n", "|Ql|", "factor", "hit", "msgs", "msgs(hit)", "msgs(miss)",
-         "latency"],
-        [(p.n, p.lookup_size, p.lookup_size_factor,
-          _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages"),
-          _pm(p, p.avg_messages_on_hit, "avg_lookup_messages_on_hit"),
-          _pm(p, p.avg_messages_on_miss, "avg_lookup_messages_on_miss"),
-          _pm(p, p.avg_latency, "avg_lookup_latency")) for p in points])
-    chart = render_series(
-        {"hit ratio": [(p.lookup_size_factor, p.hit_ratio) for p in points]},
-        x_label="|Ql| / sqrt(n)", y_label="hit ratio")
-    return f"Figure 10 (UNIQUE-PATH lookup)\n{table}\n\n{chart}"
-
-
-def _fig11(args) -> str:
-    points = ex.flooding_lookup(n=args.n, mobility=args.mobility,
-                                n_keys=args.keys, n_lookups=args.lookups,
-                                jobs=args.jobs, **_rep_kwargs(args))
-    return "Figure 11 (FLOODING lookup)\n" + format_table(
-        ["n", "ttl", "hit", "msgs", "coverage"],
-        [(p.n, p.ttl, _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages"), p.avg_coverage)
-         for p in points])
-
-
-def _fig12(args) -> str:
-    points = ex.path_x_path(n=args.n, n_keys=args.keys,
-                            n_lookups=args.lookups, jobs=args.jobs,
-                            **_rep_kwargs(args))
-    return "Figure 12 (UNIQUE-PATH x UNIQUE-PATH)\n" + format_table(
-        ["n", "|Q|/side", "combined/n", "hit", "adv msgs", "lookup msgs"],
-        [(p.n, p.quorum_size, p.combined_fraction,
-          _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.avg_advertise_messages, "avg_advertise_messages"),
-          _pm(p, p.avg_lookup_messages, "avg_lookup_messages"))
-         for p in points])
-
-
-def _fig13(args) -> str:
-    points = ex.mobility_sweep(n=args.n, local_repair=False,
-                               n_keys=args.keys, n_lookups=args.lookups,
-                               jobs=args.jobs, **_rep_kwargs(args))
-    return "Figure 13 (fast mobility, no repair)\n" + format_table(
-        ["speed", "hit", "intersection", "drops", "msgs"],
-        [(p.max_speed, _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.intersection_ratio, "intersection_ratio"),
-          _pm(p, p.reply_drop_ratio, "reply_drop_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages")) for p in points])
-
-
-def _fig14(args) -> str:
-    rep = _rep_kwargs(args)
-    points = ex.mobility_sweep(n=args.n, local_repair=True,
-                               n_keys=args.keys, n_lookups=args.lookups,
-                               jobs=args.jobs, **rep)
-    churn = ex.churn_sweep(n=args.n, n_keys=args.keys,
-                           n_lookups=args.lookups, jobs=args.jobs, **rep)
-    out = "Figure 14(a-d) (reply-path repair)\n" + format_table(
-        ["speed", "hit", "drops", "msgs", "routing"],
-        [(p.max_speed, _pm(p, p.hit_ratio, "hit_ratio"),
-          _pm(p, p.reply_drop_ratio, "reply_drop_ratio"),
-          _pm(p, p.avg_messages, "avg_lookup_messages"),
-          _pm(p, p.avg_routing, "avg_lookup_routing")) for p in points])
-    out += "\n\nFigure 14(f) (churn)\n" + format_table(
-        ["f", "hit", "analytic floor"],
-        [(p.churn_fraction, _pm(p, p.hit_ratio, "hit_ratio"),
-          p.analytic_floor) for p in churn])
-    return out
-
-
-def _fig15(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    curves = ex.lookup_tradeoff_curves(n=args.n, n_keys=args.keys,
-                                       n_lookups=args.lookups)
-    rows = []
-    for name, points in curves.items():
-        rows.extend((name, p.knob, p.hit_ratio, p.avg_messages,
-                     p.avg_routing) for p in points)
-    table = format_table(
-        ["strategy", "knob", "hit", "msgs", "routing"], rows)
-    chart = render_series(
-        {name: [(p.avg_messages, p.hit_ratio) for p in points]
-         for name, points in curves.items()},
-        x_label="messages/lookup", y_label="hit ratio")
-    return f"Figure 15 (lookup strategy comparison)\n{table}\n\n{chart}"
-
-
-def _fig16(args) -> str:
-    rows = ex.summary_table(n=args.n, n_keys=args.keys,
-                            n_lookups=args.lookups)
-    return "Figure 16 (summary)\n" + ex.render_summary(rows)
-
-
-def _maint(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    points = ex.maintenance_curves(n=args.n, epsilon=args.epsilon,
-                                   n_keys=args.keys)
-    table = format_table(
-        ["refresh", "t", "n", "intersection", "rounds"],
-        [(p.refresh, p.t, p.n_alive, p.intersection, p.refresh_rounds)
-         for p in points])
-    chart = render_series(
-        {f"refresh {mode}": [(p.t, p.intersection) for p in points
-                             if p.refresh == mode]
-         for mode in ("off", "on")},
-        x_label="sim time (s)", y_label="intersection")
-    return (f"Maintenance degradation under churn (Section 6.1)\n"
-            f"{table}\n\n{chart}")
-
-
-def _quorum(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    points = ex.quorum_load_sweep(
-        systems=tuple(args.systems),
-        read_fractions=tuple(args.read_fractions),
-        n=args.n, m=args.quorum_nodes, optimize=args.optimize,
-        reps=args.reps, ops=args.lookups)
-    table = format_table(
-        ["system", "fr", "pred load", "bound", "sim load", "gap", "CI ok",
-         "E|Qr|", "E|Qw|", "hit"],
-        [(p.system, p.read_fraction, p.predicted_load, p.load_lower_bound,
-          format_pm(p.simulated_load, p.simulated_load_hw), p.max_gap,
-          ("yes" if p.within_ci else "NO") if p.feasible else "-",
-          p.expected_read_size, p.expected_write_size, p.hit_ratio)
-         for p in points])
-    series = {}
-    for system in dict.fromkeys(p.system for p in points):
-        mine = [p for p in points if p.system == system and p.feasible]
-        series[f"{system} predicted"] = [
-            (p.read_fraction, p.predicted_load) for p in mine]
-        series[f"{system} simulated"] = [
-            (p.read_fraction, p.simulated_load) for p in mine]
-    chart = render_series(series, x_label="read fraction",
-                          y_label="system load")
-    return (f"Quorum algebra ({args.optimize}-optimized strategy vs "
-            f"simulation)\n{table}\n\n{chart}")
-
-
-def _byz(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    points = ex.byzantine_sweep(
-        n=args.n, fractions=tuple(args.byz_fractions), b=args.byz_b,
-        epsilon=args.epsilon, n_keys=args.keys, n_lookups=args.lookups)
-    table = format_table(
-        ["mode", "f", "liars", "b", "q", "hit", "masked", "corrupt",
-         "pred", "caught", "load", "pred load"],
-        [(p.mode, p.byz_fraction, p.liars,
-          "-" if p.b is None else p.b, p.quorum_size,
-          p.hit_ratio, p.masked_lookups, p.corrupt_fraction,
-          p.predicted_corrupt, p.caught, p.per_node_load,
-          p.predicted_load) for p in points])
-    chart = render_series(
-        {mode: [(p.byz_fraction, p.corrupt_fraction) for p in points
-                if p.mode == mode]
-         for mode in ("undefended", "masked")},
-        x_label="byzantine fraction", y_label="corrupt reads")
-    return ("Byzantine sweep (masking quorums vs undefended RANDOM)\n"
-            f"{table}\n\n{chart}")
-
-
-def _kv(args) -> str:
-    from repro.experiments.ascii_plot import render_series
-
-    cells = ex.kv_sweep(
-        backend=args.kv_backend, strategies=tuple(args.strategies),
-        ttls=tuple(args.ttl), rates=tuple(args.rate), ops=args.ops,
-        n=args.n, n_keys=args.keys, read_fraction=args.read_fraction,
-        cas_fraction=args.cas_fraction, zipf_s=args.zipf,
-        churn_rate=args.churn_rate, epsilon=args.epsilon,
-        reps=args.reps, jobs=args.jobs, seed=args.seed)
-    table = format_table(
-        ["strategy", "ttl", "rate", "p50", "p99", "p999", "stale",
-         "pred", "avail", "cas ok", "viol", "ok"],
-        [(c.point.strategy, round(c.point.effective_ttl, 2), c.point.rate,
-          c.p50, c.p99, c.p999,
-          format_pm(c.stale, c.stale_hw), c.predicted, c.availability,
-          c.cas_ok, c.violations,
-          {True: "yes", False: "NO", None: "-"}[c.tracks_prediction])
-         for c in cells])
-    series = {}
-    for rate in dict.fromkeys(c.point.rate for c in cells):
-        mine = [c for c in cells if c.point.rate == rate]
-        series[f"stale rate={rate:g}"] = [
-            (c.point.effective_ttl, c.stale) for c in mine]
-        if any(c.predicted == c.predicted for c in mine):
-            series[f"analytic rate={rate:g}"] = [
-                (c.point.effective_ttl, c.predicted) for c in mine
-                if c.predicted == c.predicted]
-    chart = render_series(series, x_label="lease TTL (s)",
-                          y_label="stale-read fraction")
-    dirty = sum(c.violations for c in cells)
-    verdict = ("consistency checker: clean" if dirty == 0
-               else f"consistency checker: {dirty} VIOLATIONS")
-    return (f"KV serving benchmark ({args.kv_backend} backend, "
-            f"{args.ops} ops/point, churn {args.churn_rate}/node-s)\n"
-            f"{table}\n\n{chart}\n\n{verdict}")
-
-
-FIGURES: Dict[str, Callable] = {
-    "fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6,
-    "fig7": _fig7, "fig8": _fig8, "fig9": _fig9, "fig10": _fig10,
-    "fig11": _fig11, "fig12": _fig12, "fig13": _fig13, "fig14": _fig14,
-    "fig15": _fig15, "fig16": _fig16, "maint": _maint,
-    "quorum": _quorum, "byz": _byz, "kv": _kv,
+#: argparse options of every flag a figure can read (``FigureSpec.flags``,
+#: plus :data:`COMMON_FLAGS`); the option string of ``name`` is
+#: ``--name`` with dashes for underscores.
+FLAGS: Dict[str, dict] = {
+    "n": dict(type=int, default=200,
+              help="network size (default 200; paper uses 800)"),
+    "keys": dict(type=int, default=10, help="number of advertisements"),
+    "lookups": dict(type=int, default=60, help="number of lookups"),
+    "jobs": dict(type=int, default=None,
+                 help="parallel sweep workers (default: REPRO_JOBS env var, "
+                      "else 1)"),
+    "walks": dict(type=int, default=8, help="walks per PCT point"),
+    "trials": dict(type=int, default=400, help="Monte-Carlo trials"),
+    "epsilon": dict(type=float, default=0.05,
+                    help="initial epsilon (target non-intersection "
+                         "probability)"),
+    "mobility": dict(choices=("static", "waypoint"), default="static"),
+    "reps": dict(type=int, default=1,
+                 help="Monte-Carlo replicas per sweep point; with reps > 1 "
+                      "tables report mean±CI (default 1, which reproduces "
+                      "the historical single-run numbers exactly)"),
+    "ci": dict(type=float, default=None, metavar="DELTA",
+               help="sequential stopping: add replicas (beyond --reps, up "
+                    "to 8x) until the hit-ratio CI half-width drops below "
+                    "DELTA"),
+    "trace": dict(metavar="PATH", default=None,
+                  help="stream simulation events as JSONL to PATH (with "
+                       "--jobs > 1, pool workers append to the same file; "
+                       "writes are flock-serialized)"),
+    "manifest": dict(metavar="PATH", default=None,
+                     help="write a provenance manifest to PATH (default: "
+                          "<trace>.manifest.json when --trace is given)"),
+    "watch": dict(action="store_true",
+                  help="attach the live invariant watchers to every network "
+                       "the figure builds (REPRO_WATCH=1)"),
+    "slo": dict(metavar="FILE", default=None,
+                help="JSON SLO spec file evaluated live by the watchers "
+                     "(REPRO_SLO)"),
+    "fail_on_violation": dict(action="store_true",
+                              help="exit 1 when a watcher reports a "
+                                   "violation"),
+    "byz_fractions": dict(type=float, nargs="+", metavar="F",
+                          default=[0.0, 0.02, 0.05, 0.1],
+                          help="byzantine (lying replica) fractions to "
+                               "sweep (0..1)"),
+    "byz_b": dict(type=int, default=None, metavar="B",
+                  help="masking budget b for the defended legs (default: "
+                       "ceil(max fraction * n))"),
+    "kv_backend": dict(choices=("batched", "sequential"), default="batched",
+                       help="workload engine: batched numpy kernel (~1M ops "
+                            "in seconds) or the live QuorumKVStore service"),
+    "strategies": dict(nargs="+", metavar="NAME", default=["random"],
+                       help="sequential-backend access strategies (random, "
+                            "masking:<b>); the batched backend always "
+                            "models uniform quorums"),
+    "ttl": dict(type=float, nargs="+", metavar="SEC",
+                default=[5.0, 20.0, 80.0],
+                help="lease TTLs to sweep; 0 derives the TTL from the churn "
+                     "rate via the lease analysis"),
+    "rate": dict(type=float, nargs="+", metavar="OPS", default=[2000.0],
+                 help="open-loop arrival rates (ops per simulated second)"),
+    "ops": dict(type=int, default=200_000,
+                help="operations per sweep point"),
+    "read_fraction": dict(type=float, default=0.92,
+                          help="fraction of ops that are reads"),
+    "cas_fraction": dict(type=float, default=0.05,
+                         help="fraction of the write share issued as "
+                              "compare-and-swap"),
+    "zipf": dict(type=float, default=0.99,
+                 help="Zipf key-popularity exponent"),
+    "churn_rate": dict(type=float, default=0.01,
+                       help="node churn events per node-second"),
+    "seed": dict(type=int, default=7, help="master seed"),
+    "systems": dict(nargs="+", metavar="NAME", choices=sorted(BUILTIN_SYSTEMS),
+                    default=["majority", "grid"],
+                    help="algebraic systems to sweep "
+                         f"({', '.join(sorted(BUILTIN_SYSTEMS))})"),
+    "optimize": dict(choices=OBJECTIVES, default="load",
+                     help="strategy objective (default load)"),
+    "read_fractions": dict(type=float, nargs="+", metavar="FR",
+                           default=[0.0, 0.25, 0.5, 0.75, 1.0],
+                           help="read fractions to sweep (0..1)"),
+    "quorum_nodes": dict(type=int, default=9, metavar="M",
+                         help="replicas in the algebraic system (rounded to "
+                              "the system's natural shape)"),
 }
 
-DESCRIPTIONS = {
-    "fig3": "asymptotic strategy comparison table",
-    "fig4": "random-walk partial cover time",
-    "fig5": "flooding coverage vs TTL",
-    "fig6": "strategy combination costs",
-    "fig7": "intersection degradation under churn",
-    "fig8": "RANDOM advertise cost / lookup hit ratio",
-    "fig9": "RANDOM-OPT lookup",
-    "fig10": "UNIQUE-PATH lookup (headline result)",
-    "fig11": "FLOODING lookup",
-    "fig12": "UNIQUE-PATH x UNIQUE-PATH",
-    "fig13": "fast mobility without reply repair",
-    "fig14": "reply-path repair + churn",
-    "fig15": "lookup strategy trade-off curves",
-    "fig16": "summary cost table",
-    "maint": "maintenance degradation, refresh off vs adaptive",
-    "quorum": "algebraic quorum systems: optimized strategy vs simulation",
-    "byz": "byzantine sweep: masking quorums vs undefended RANDOM",
-    "kv": "replicated kv serving benchmark: leases, latency, staleness",
-}
+#: Flags every figure command accepts.
+COMMON_FLAGS = ("n", "trace", "manifest", "watch", "slo", "fail_on_violation")
+
+#: The figure commands: every spec in the table with a description.
+COMMANDS = {name: spec.description for name, spec in FIGURES.items()
+            if spec.description}
 
 
 def collect_report(results_dir: str) -> str:
@@ -500,106 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--results-dir", default="benchmarks/results")
     report.add_argument("--output", default=None,
                         help="write to a file instead of stdout")
-    for name in FIGURES:
-        p = sub.add_parser(name, help=DESCRIPTIONS[name])
-        p.add_argument("--n", type=int, default=200,
-                       help="network size (default 200; paper uses 800)")
-        p.add_argument("--keys", type=int, default=10,
-                       help="number of advertisements")
-        p.add_argument("--lookups", type=int, default=60,
-                       help="number of lookups")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default: REPRO_JOBS "
-                            "env var, else 1)")
-        p.add_argument("--walks", type=int, default=8,
-                       help="walks per PCT point (fig4)")
-        p.add_argument("--trials", type=int, default=400,
-                       help="Monte-Carlo trials (fig7)")
-        p.add_argument("--epsilon", type=float, default=0.05,
-                       help="initial epsilon (fig7)")
-        p.add_argument("--mobility", choices=("static", "waypoint"),
-                       default="static")
-        p.add_argument("--reps", type=int, default=1,
-                       help="Monte-Carlo replicas per sweep point; with "
-                            "reps > 1 tables report mean±CI (default 1, "
-                            "which reproduces the historical single-run "
-                            "numbers exactly)")
-        p.add_argument("--ci", type=float, default=None, metavar="DELTA",
-                       help="sequential stopping: add replicas (beyond "
-                            "--reps, up to 8x) until the hit-ratio CI "
-                            "half-width drops below DELTA")
-        p.add_argument("--trace", metavar="PATH", default=None,
-                       help="stream simulation events as JSONL to PATH "
-                            "(with --jobs > 1, pool workers append to the "
-                            "same file; writes are flock-serialized)")
-        p.add_argument("--manifest", metavar="PATH", default=None,
-                       help="write a provenance manifest to PATH (default: "
-                            "<trace>.manifest.json when --trace is given)")
-        p.add_argument("--watch", action="store_true",
-                       help="attach the live invariant watchers to every "
-                            "network the figure builds (REPRO_WATCH=1)")
-        p.add_argument("--slo", metavar="FILE", default=None,
-                       help="JSON SLO spec file evaluated live by the "
-                            "watchers (REPRO_SLO)")
-        p.add_argument("--fail-on-violation", action="store_true",
-                       help="exit 1 when a watcher reports a violation")
-        if name == "byz":
-            p.add_argument("--byz-fractions", type=float, nargs="+",
-                           metavar="F", default=[0.0, 0.02, 0.05, 0.1],
-                           help="byzantine (lying replica) fractions to "
-                                "sweep (0..1)")
-            p.add_argument("--byz-b", type=int, default=None, metavar="B",
-                           help="masking budget b for the defended legs "
-                                "(default: ceil(max fraction * n))")
-        if name == "kv":
-            p.add_argument("--kv-backend", choices=("batched", "sequential"),
-                           default="batched",
-                           help="workload engine: batched numpy kernel "
-                                "(~1M ops in seconds) or the live "
-                                "QuorumKVStore service")
-            p.add_argument("--strategies", nargs="+", metavar="NAME",
-                           default=["random"],
-                           help="sequential-backend access strategies "
-                                "(random, masking:<b>); the batched "
-                                "backend always models uniform quorums")
-            p.add_argument("--ttl", type=float, nargs="+", metavar="SEC",
-                           default=[5.0, 20.0, 80.0],
-                           help="lease TTLs to sweep; 0 derives the TTL "
-                                "from the churn rate via the lease "
-                                "analysis")
-            p.add_argument("--rate", type=float, nargs="+", metavar="OPS",
-                           default=[2000.0],
-                           help="open-loop arrival rates (ops per "
-                                "simulated second)")
-            p.add_argument("--ops", type=int, default=200_000,
-                           help="operations per sweep point")
-            p.add_argument("--read-fraction", type=float, default=0.92,
-                           help="fraction of ops that are reads")
-            p.add_argument("--cas-fraction", type=float, default=0.05,
-                           help="fraction of the write share issued as "
-                                "compare-and-swap")
-            p.add_argument("--zipf", type=float, default=0.99,
-                           help="Zipf key-popularity exponent")
-            p.add_argument("--churn-rate", type=float, default=0.01,
-                           help="node churn events per node-second")
-            p.add_argument("--seed", type=int, default=7,
-                           help="master seed")
-        if name == "quorum":
-            p.add_argument("--systems", nargs="+", metavar="NAME",
-                           choices=sorted(BUILTIN_SYSTEMS),
-                           default=["majority", "grid"],
-                           help="algebraic systems to sweep "
-                                f"({', '.join(sorted(BUILTIN_SYSTEMS))})")
-            p.add_argument("--optimize", choices=OBJECTIVES, default="load",
-                           help="strategy objective (default load)")
-            p.add_argument("--read-fractions", type=float, nargs="+",
-                           metavar="FR",
-                           default=[0.0, 0.25, 0.5, 0.75, 1.0],
-                           help="read fractions to sweep (0..1)")
-            p.add_argument("--quorum-nodes", type=int, default=9,
-                           metavar="M",
-                           help="replicas in the algebraic system "
-                                "(rounded to the system's natural shape)")
+    for name, description in COMMANDS.items():
+        p = sub.add_parser(name, help=description)
+        for flag in COMMON_FLAGS + FIGURES[name].flags:
+            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
     return parser
 
 
@@ -767,7 +431,7 @@ def _write_figure_manifest(args, wall_time_s: float) -> str:
         command=args.command,
         params=params,
         seed=None,
-        jobs=args.jobs,
+        jobs=getattr(args, "jobs", None),
         trace_path=getattr(args, "trace", None),
     )
     manifest.wall_time_s = round(wall_time_s, 6)
@@ -780,7 +444,7 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
     if args.command in (None, "list"):
         print("available figures:")
-        for name, desc in DESCRIPTIONS.items():
+        for name, desc in COMMANDS.items():
             print(f"  {name:7} {desc}")
         print("\ntrace analysis (python -m repro obs <cmd>):")
         for name, desc in OBS_COMMANDS.items():
@@ -819,7 +483,7 @@ def main(argv: List[str] = None) -> int:
         if getattr(args, "slo", None):
             os.environ["REPRO_SLO"] = args.slo
     started = time.perf_counter()
-    print(FIGURES[args.command](args))
+    print(render_figure(args.command, args))
     wall = time.perf_counter() - started
     if getattr(args, "trace", None):
         print(f"\n[trace] events written to {args.trace}", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""Per-figure experiment drivers (the paper's Section 8 study)."""
+"""Experiment drivers (the paper's Section 8 study); the figures are the
+spec table in :mod:`repro.experiments.figures`."""
 
 from repro.experiments.common import (
     ScenarioStats,
@@ -33,26 +34,6 @@ from repro.experiments.fig7_degradation import (
     CHURN_MODES,
     DegradationPoint,
     degradation_curves,
-)
-from repro.experiments.fig8_random import (
-    RandomAdvertisePoint,
-    RandomLookupPoint,
-    random_advertise_cost,
-    random_lookup_hit_ratio,
-)
-from repro.experiments.fig9_random_opt import RandomOptPoint, random_opt_lookup
-from repro.experiments.fig10_unique_path import (
-    UniquePathPoint,
-    ablation_early_halting,
-    unique_path_lookup,
-)
-from repro.experiments.fig11_flooding import FloodingLookupPoint, flooding_lookup
-from repro.experiments.fig12_path_path import PathPathPoint, path_x_path
-from repro.experiments.fig13_14_mobility import (
-    ChurnPoint,
-    MobilityPoint,
-    churn_sweep,
-    mobility_sweep,
 )
 from repro.experiments.fig_quorum import (
     QuorumLoadPoint,
@@ -95,12 +76,12 @@ from repro.experiments.runner import (
     merge_scenario_stats,
     run_sweep,
 )
-from repro.experiments.fig15_16_summary import (
-    SummaryRow,
-    TradeoffPoint,
-    lookup_tradeoff_curves,
-    render_summary,
-    summary_table,
+from repro.experiments.figures import (
+    FIGURES,
+    FigureRow,
+    FigureSpec,
+    figure_table,
+    run_figure,
 )
 
 __all__ = [
@@ -112,13 +93,6 @@ __all__ = [
     "FloodPoint", "flooding_by_density", "flooding_by_size",
     "flooding_coverage",
     "CHURN_MODES", "DegradationPoint", "degradation_curves",
-    "RandomAdvertisePoint", "RandomLookupPoint", "random_advertise_cost",
-    "random_lookup_hit_ratio",
-    "RandomOptPoint", "random_opt_lookup",
-    "UniquePathPoint", "ablation_early_halting", "unique_path_lookup",
-    "FloodingLookupPoint", "flooding_lookup",
-    "PathPathPoint", "path_x_path",
-    "ChurnPoint", "MobilityPoint", "churn_sweep", "mobility_sweep",
     "MaintenancePoint", "expected_intersection", "maintenance_curves",
     "ByzPoint", "byzantine_sweep", "undefended_corrupt_bound",
     "KVCell", "KVSweepPoint", "evaluate_kv_point", "kv_sweep",
@@ -126,8 +100,7 @@ __all__ = [
     "generate_operations", "run_workload_batched",
     "run_workload_sequential", "zipf_pmf",
     "QuorumLoadPoint", "quorum_load_point", "quorum_load_sweep",
-    "SummaryRow", "TradeoffPoint", "lookup_tradeoff_curves",
-    "render_summary", "summary_table",
+    "FIGURES", "FigureRow", "FigureSpec", "figure_table", "run_figure",
     "render_series",
     "SweepResult", "derive_task_seed", "merge_scenario_stats", "run_sweep",
     "SizingRecommendation", "TauEstimator", "ZipfKeySampler",

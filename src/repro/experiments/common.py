@@ -109,6 +109,12 @@ class ScenarioStats:
         vals = self.lookup_messages_miss
         return sum(vals) / len(vals) if vals else 0.0
 
+    @property
+    def avg_lookup_quorum_size(self) -> float:
+        """Nodes a lookup actually probed (flood coverage, en-route probes)."""
+        vals = self.lookup_quorum_sizes
+        return sum(vals) / len(vals) if vals else 0.0
+
 
 def make_network(
     n: int,

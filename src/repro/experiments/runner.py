@@ -13,10 +13,9 @@ so they parallelize perfectly across a process pool.
   order.  ``jobs=N`` is therefore bit-identical to ``jobs=1``.
 * **Picklability** — with ``jobs > 1`` the worker function must be
   defined at module level (a ``functools.partial`` over one is fine);
-  the figure modules follow this shape.
-* **Aggregation** — per-point replication results can be reduced with a
-  ``combine`` callable; :func:`merge_scenario_stats` combines
-  :class:`~repro.experiments.common.ScenarioStats` bundles.
+  :func:`~repro.experiments.figures.run_point` follows this shape.
+* **Aggregation** — :func:`merge_scenario_stats` pools a point's
+  replicated :class:`~repro.experiments.common.ScenarioStats` bundles.
 """
 
 from __future__ import annotations
@@ -127,12 +126,10 @@ def run_sweep(
     replications: int = 1,
     jobs: Optional[int] = None,
     base_seed: int = 0,
-    combine: Optional[Callable[[List[Any]], Any]] = None,
-) -> List[Any]:
+) -> List[SweepResult]:
     """Evaluate ``fn(point, seed)`` for every point x replication.
 
-    Returns one entry per point, in point order: a :class:`SweepResult`
-    (or ``combine(results)`` when ``combine`` is given).  ``jobs`` > 1
+    Returns one :class:`SweepResult` per point, in point order.  ``jobs`` > 1
     fans tasks out over a process pool; ``jobs=None`` reads the
     ``REPRO_JOBS`` environment variable.
     """
@@ -168,14 +165,11 @@ def run_sweep(
                 outputs[key] = value
     _sweep_manifest(len(points), replications, jobs, base_seed, fn,
                     time.perf_counter() - started)
-    results = [
+    return [
         SweepResult(point=point,
                     results=[outputs[(i, r)] for r in range(replications)])
         for i, point in enumerate(points)
     ]
-    if combine is not None:
-        return [combine(res.results) for res in results]
-    return results
 
 
 def merge_scenario_stats(stats_list: Sequence[Any]) -> Any:

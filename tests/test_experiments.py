@@ -100,84 +100,84 @@ class TestFigureDrivers:
                    for p in points)
 
     def test_fig8_advertise_cost_grows_with_quorum(self):
-        points = ex.random_advertise_cost(sizes=(80,),
-                                          quorum_factors=(0.5, 1.5),
-                                          n_keys=4)
-        assert points[1].avg_messages > points[0].avg_messages
+        points = ex.run_figure("fig8", 80, (0.5, 1.5), n_keys=4)
+        assert (points[1]["avg_advertise_messages"]
+                > points[0]["avg_advertise_messages"])
 
     def test_fig8_lookup_hit_grows_with_quorum(self):
-        points = ex.random_lookup_hit_ratio(sizes=(80,),
-                                            lookup_factors=(0.25, 1.5),
-                                            n_keys=5, n_lookups=25)
-        assert points[1].hit_ratio >= points[0].hit_ratio
+        points = ex.run_figure("fig8c", 80, (0.25, 1.5), n_keys=5,
+                               n_lookups=25)
+        assert points[1]["hit_ratio"] >= points[0]["hit_ratio"]
 
     def test_fig9_random_opt_hit_grows_with_initiations(self):
-        points = ex.random_opt_lookup(n=80, initiations=(1, 6),
-                                      n_keys=5, n_lookups=25)
-        assert points[1].hit_ratio >= points[0].hit_ratio
-        assert points[1].avg_quorum_size > points[1].initiations
+        points = ex.run_figure("fig9", 80, (1, 6), n_keys=5, n_lookups=25)
+        assert points[1]["hit_ratio"] >= points[0]["hit_ratio"]
+        assert points[1]["avg_lookup_quorum_size"] > points[1].point.x
 
     def test_fig10_unique_path_09_at_115_sqrt_n(self):
-        points = ex.unique_path_lookup(
-            n=100, lookup_factors=(1.15,), mobility="static",
+        points = ex.run_figure(
+            "fig10", 100, (1.15,), mobility="static",
             n_keys=8, n_lookups=40, miss_fraction=0.0)
-        assert points[0].hit_ratio >= 0.75
+        assert points[0]["hit_ratio"] >= 0.75
 
     def test_fig10_messages_below_quorum_size(self):
-        points = ex.unique_path_lookup(
-            n=100, lookup_factors=(1.15,), mobility="static",
+        points = ex.run_figure(
+            "fig10", 100, (1.15,), mobility="static",
             n_keys=8, n_lookups=40, miss_fraction=0.0)
         # The paper's surprise: fewer messages than |Ql| incl. the reply.
-        assert points[0].avg_messages_on_hit <= points[0].lookup_size
+        assert points[0]["avg_lookup_messages_on_hit"] <= points[0].ql
 
     def test_fig11_flooding_hit_grows_with_ttl(self):
-        points = ex.flooding_lookup(n=100, ttls=(1, 3), n_keys=5,
-                                    n_lookups=20)
-        assert points[1].hit_ratio >= points[0].hit_ratio
+        points = ex.run_figure("fig11", 100, (1, 3), n_keys=5, n_lookups=20)
+        assert points[1]["hit_ratio"] >= points[0]["hit_ratio"]
 
     def test_fig12_path_path_needs_linear_sizes(self):
-        points = ex.path_x_path(n=100, size_fractions=(0.05, 0.3),
-                                n_keys=5, n_lookups=20)
-        assert points[1].hit_ratio > points[0].hit_ratio
+        points = ex.run_figure("fig12", 100, (0.05, 0.3), n_keys=5,
+                               n_lookups=20)
+        assert points[1]["hit_ratio"] > points[0]["hit_ratio"]
 
     @pytest.mark.slow
     def test_fig13_mobility_drops_replies_not_intersections(self):
-        points = ex.mobility_sweep(n=100, speeds=(2.0, 20.0),
-                                   local_repair=False,
-                                   n_keys=6, n_lookups=30)
+        points = ex.run_figure("fig13", 100, (2.0, 20.0),
+                               n_keys=6, n_lookups=30)
         slow, fast = points
-        assert fast.reply_drop_ratio >= slow.reply_drop_ratio
-        assert fast.intersection_ratio >= 0.6  # salvation keeps walks alive
+        assert fast["reply_drop_ratio"] >= slow["reply_drop_ratio"]
+        # Salvation keeps walks alive.
+        assert fast["intersection_ratio"] >= 0.6
 
     @pytest.mark.slow
     def test_fig14_repair_recovers_hit_ratio(self):
-        base = ex.mobility_sweep(n=100, speeds=(20.0,), local_repair=False,
-                                 n_keys=6, n_lookups=30)[0]
-        fixed = ex.mobility_sweep(n=100, speeds=(20.0,), local_repair=True,
-                                  n_keys=6, n_lookups=30)[0]
-        assert fixed.hit_ratio >= base.hit_ratio
+        base = ex.run_figure("fig13", 100, (20.0,), n_keys=6,
+                             n_lookups=30)[0]
+        fixed = ex.run_figure("fig14", 100, (20.0,), n_keys=6,
+                              n_lookups=30)[0]
+        assert fixed["hit_ratio"] >= base["hit_ratio"]
 
     def test_fig14f_churn_degrades_slowly(self):
-        points = ex.churn_sweep(n=100, fractions=(0.0, 0.4),
-                                n_keys=6, n_lookups=30)
-        assert points[0].hit_ratio >= 0.85
-        assert points[1].hit_ratio >= 0.5
+        points = ex.run_figure("fig14f", 100, (0.0, 0.4), n_keys=6,
+                               n_lookups=30)
+        assert points[0]["hit_ratio"] >= 0.85
+        assert points[1]["hit_ratio"] >= 0.5
 
     def test_fig15_curves_have_all_strategies(self):
-        curves = ex.lookup_tradeoff_curves(n=80, n_keys=4, n_lookups=15)
+        rows = ex.run_figure("fig15", 80, n_keys=4, n_lookups=15)
+        curves = {}
+        for row in rows:
+            curves.setdefault(row.point.x[0], []).append(row)
         assert set(curves) == {"UNIQUE-PATH", "RANDOM-OPT", "FLOODING"}
         assert all(curves.values())
 
     def test_fig16_summary_rows(self):
-        rows = ex.summary_table(n=80, n_keys=4, n_lookups=15,
-                                mobilities=("static",))
+        static = [x for x in ex.FIGURES["fig16"].axis if x[2] == "static"]
+        rows = ex.run_figure("fig16", 80, static, n_keys=4, n_lookups=15)
         assert len(rows) == 5
-        rendered = ex.render_summary(rows)
+        rendered = ex.figure_table("fig16", rows)
         assert "UNIQUE-PATH" in rendered
 
     def test_ablation_early_halting_reduces_hit_cost(self):
-        rows = ex.ablation_early_halting(n=80, n_keys=6, n_lookups=25)
-        with_halt = next(r for r in rows if r.early_halting and r.reply_reduction)
-        without = next(r for r in rows
-                       if not r.early_halting and r.reply_reduction)
-        assert with_halt.avg_messages_on_hit <= without.avg_messages_on_hit
+        with_halt, without = (
+            ex.run_figure("fig10", 80, (1.15,), n_keys=6, n_lookups=25,
+                          miss_fraction=0.0, early_halting=early)[0]
+            for early in (True, False))
+        assert (with_halt["avg_lookup_messages_on_hit"]
+                <= without["avg_lookup_messages_on_hit"])

@@ -435,28 +435,25 @@ class TestSweepDeterminism:
     def test_jobs_do_not_change_results(self):
         # The process pool must be a pure throughput knob: per-point
         # results (including replicated ones) are identical at any jobs.
-        from repro.experiments.fig8_random import random_lookup_hit_ratio
+        from repro.experiments.figures import run_figure
 
-        serial = random_lookup_hit_ratio(
-            sizes=(40,), lookup_factors=(0.5, 1.0), n_keys=3, n_lookups=10,
-            jobs=1, reps=2)
-        pooled = random_lookup_hit_ratio(
-            sizes=(40,), lookup_factors=(0.5, 1.0), n_keys=3, n_lookups=10,
-            jobs=4, reps=2)
+        serial = run_figure("fig8c", 40, (0.5, 1.0), n_keys=3, n_lookups=10,
+                            jobs=1, reps=2)
+        pooled = run_figure("fig8c", 40, (0.5, 1.0), n_keys=3, n_lookups=10,
+                            jobs=4, reps=2)
         assert serial == pooled
 
     def test_backend_does_not_change_figure_points(self, monkeypatch):
         # Figure drivers always share per-deployment work; the oracle is
         # the same driver with sharing switched off underneath it.
-        from repro.experiments import fig8_random
+        from repro.experiments import figures
 
         def figure():
-            return fig8_random.random_lookup_hit_ratio(
-                sizes=(40,), lookup_factors=(1.0,), n_keys=3, n_lookups=10,
-                jobs=1, reps=3)
+            return figures.run_figure("fig8c", 40, (1.0,), n_keys=3,
+                                      n_lookups=10, jobs=1, reps=3)
 
         batched = figure()
         monkeypatch.setattr(
-            fig8_random, "run_replicated",
+            figures, "run_replicated",
             partial(run_replicated, backend="sequential"))
         assert batched == figure()

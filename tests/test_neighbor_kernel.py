@@ -340,7 +340,7 @@ class TestMobileSnapshot:
         assert calls("neighbor.rebuild") > 4 * whole_graph
 
     def test_fig13_point_identical_on_the_oracle(self, monkeypatch):
-        import repro.experiments.fig13_14_mobility as fig
+        import repro.experiments.figures as fig
         import repro.experiments.montecarlo as montecarlo
 
         seen = []
@@ -351,12 +351,10 @@ class TestMobileSnapshot:
             return seen[-1]
 
         monkeypatch.setattr(fig, "run_scenario", recording)
-        kw = dict(n=80, local_repair=True, advertise_factor=2.0,
-                  lookup_factor=1.15, n_keys=3, n_lookups=12, salvation=True,
-                  hop_latency=0.05, seed=3)
-        point = fig._mobility_point(10.0, 0, **kw)
+        kw = dict(n_keys=3, n_lookups=12, seed=3, jobs=1)
+        point = fig.run_figure("fig14", 80, (10.0,), **kw)
         monkeypatch.setattr(montecarlo, "SimNetwork", BruteForceNetwork)
-        oracle_point = fig._mobility_point(10.0, 0, **kw)
+        oracle_point = fig.run_figure("fig14", 80, (10.0,), **kw)
         assert len(seen) == 2 and seen[0] == seen[1]
         assert point == oracle_point
 
