@@ -15,15 +15,16 @@ its row form (:class:`repro.simnet.replication.NeighborRows`):
    ``(topology_version, source)`` while positions are static;
 3. **bulk forwarding** — a whole path is charged and timed in one step
    instead of one unicast per hop, and not walked at all while the
-   topology version it was validated at stands.
+   topology version it was validated at stands; the network records its
+   hops as one trace run.
 
 All three kernels are **statistic-identical** to the per-frame code.  The
 strategy RNG streams are stdlib ``random.Random`` generators, so the
 accesses that define reported statistics never move their draws into
 numpy: the engine batches only the *deterministic* graph work.  Of the
 side effects, counters, metrics and energy are integer counts (one bulk
-update equals the per-frame updates in any order), trace events are
-recorded in per-frame order with per-frame timestamps, and the clock is
+update equals the per-frame updates in any order), trace events keep
+per-frame order and per-frame timestamps, and the clock is
 advanced by the same repeated float additions.  A batch declines, before
 touching anything, only on what a batch cannot reproduce — mobility,
 random drops, a simulation event inside its window — and the caller
@@ -240,7 +241,8 @@ class AccessEngine:
         was last known valid at; its hops are walked only if the version
         has moved since.  The target time is accumulated by repeated
         addition — the same float operations the per-hop loop performs
-        — so clocks and latency statistics stay byte-identical.
+        — so clocks and latency statistics stay byte-identical.  The
+        caller records the path's hop events, as one trace run.
         """
         if net.config.mobility != "static" or net.config.drop_prob > 0:
             return None
@@ -265,11 +267,6 @@ class AccessEngine:
         degrees = sum(map(len, map(tables.__getitem__, path)))
         net.energy.charge_path(
             path, degrees - len(tables[path[-1]]) - hops)
-        if net.trace.enabled:
-            t_hop = sim.now
-            for a, b in zip(path, path[1:]):
-                t_hop += latency
-                net.trace.record("hop", t_hop, src=a, dst=b, ok=True)
         if t > sim.now:
             sim.run(until=t)
         return hops

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.intersection import (
     masking_quorum_size,
@@ -33,6 +33,7 @@ from repro.core.masking import MaskingStrategy
 from repro.core.strategies import RandomStrategy
 from repro.faults.byzantine import ensure_byzantine
 from repro.membership.service import RandomMembership
+from repro.obs.watch import Watcher, WatcherHub, builtin_watchers
 from repro.services.location import LocationService
 from repro.simnet.network import NetworkConfig, SimNetwork
 
@@ -87,28 +88,32 @@ def undefended_corrupt_bound(n: int, liars: int, lookup_size: int) -> float:
     return 1.0 - clean
 
 
+class _ContactCounter(Watcher):
+    """Counts quorum *contacts*: the store and probe events it is sent.
+
+    Malkhi-Reiter load is the chance a node serves an access, so
+    contacts / (n * accesses) is the empirical counterpart of q/n (the
+    transport-message counters would count routing hops instead).  The
+    hub's delivery count is the tally; no handler is needed.
+    """
+
+    name = "contacts"
+    kinds = frozenset({"store", "probe"})
+
+
 def _run_leg(mode: str, n: int, seed: int, fraction: float, b: Optional[int],
              epsilon: float, n_keys: int, n_lookups: int) -> ByzPoint:
     net = SimNetwork(NetworkConfig(n=n, avg_degree=10.0, seed=seed))
     # A private record-mode hub: violations are counted, never raised,
     # even when the surrounding process runs REPRO_AUDIT=strict — the
     # undefended leg *should* be violated, that is the figure's point.
-    from repro.obs.watch import WatcherHub, builtin_watchers
-    hub = WatcherHub(builtin_watchers(n=net.n_alive), auditor=None)
+    contacts = _ContactCounter()
+    hub = WatcherHub(builtin_watchers(n=net.n_alive) + [contacts],
+                     auditor=None)
     trace = net.trace
     if not trace.enabled:
         trace.enable(memory=False)
     hub.attach(trace)
-    # Count quorum *contacts* (store/probe events) straight off the
-    # trace: Malkhi-Reiter load is the chance a node serves an access,
-    # so contacts / (n * accesses) is the empirical counterpart of q/n
-    # (the transport-message counters would count routing hops instead).
-    contacts = [0]
-
-    def _count(event: Any) -> None:
-        if event.kind in ("store", "probe"):
-            contacts[0] += 1
-    trace.subscribe(_count)
 
     if mode == "masked":
         assert b is not None
@@ -154,13 +159,12 @@ def _run_leg(mode: str, n: int, seed: int, fraction: float, b: Optional[int],
             masked += 1
     hub.finish()
     hub.detach()
-    trace.unsubscribe(_count)
     membership.stop()
 
     metrics = net.metrics
     accesses = (metrics.counter_value("access.advertise.count")
                 + metrics.counter_value("access.lookup.count"))
-    load = contacts[0] / (n * accesses) if accesses else math.nan
+    load = contacts.events_seen / (n * accesses) if accesses else math.nan
     if mode == "masked":
         # Fabrications are per-node salted, so with <= b liars no wrong
         # value can muster the b+1 corroborating votes: the residual

@@ -47,6 +47,7 @@ from repro.obs.trace import (
     ROUTING_KINDS,
     TRACE_SCHEMA,
     EventTrace,
+    HopRun,
     TraceEvent,
     record_event,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "Counter",
     "EventTrace",
     "Histogram",
+    "HopRun",
     "MANIFEST_SCHEMA",
     "MESSAGE_KINDS",
     "MetricsRegistry",

@@ -5,9 +5,11 @@ The trace is the observability ground truth: every network-level action
 churn, access boundaries) is recorded as one typed :class:`TraceEvent`
 with its simulated timestamp.  Live subscribers — the invariant watchers
 of :mod:`repro.obs.watch`, among them the accounting audit — consume the
-events as they are recorded, and the ``--trace`` CLI flag streams them
-to a JSONL file for offline analysis — the structured-event-log practice
-of ns-3 trace sources and JiST/SWANS stats.
+events as they are recorded (a bulk-forwarded path as one
+:class:`HopRun`, for those that take runs), and the ``--trace`` CLI flag
+streams them to a JSONL file for offline analysis — the
+structured-event-log practice of ns-3 trace sources and JiST/SWANS
+stats.
 
 Tracing is **off by default** and costs one attribute check per call
 site when disabled.  Event kinds and their payload fields are documented
@@ -82,6 +84,61 @@ class TraceEvent:
         return json.dumps(record, default=str, separators=(",", ":"))
 
 
+class HopRun:
+    """A bulk-forwarded path as one trace record.
+
+    It stands for the ``len(path) - 1`` ``hop`` events that a per-hop
+    loop from time ``t`` would record, one ``latency`` apart (each time
+    by repeated addition), and, when ``route`` holds its payload, the
+    ``route`` event that followed them at the last hop's time.  The
+    events carry the seqs from ``seq`` on.  :meth:`events` materialises
+    exactly the :class:`TraceEvent` objects that
+    :meth:`EventTrace.record` would have built.  A run is only valid
+    while it is being delivered: it reads the trace's live ``context``.
+    """
+
+    __slots__ = ("seq", "t", "latency", "path", "route", "context",
+                 "_events")
+
+    def __init__(self, seq: int, t: float, latency: float, path: List[int],
+                 route: Optional[Dict[str, Any]],
+                 context: Dict[str, Any]) -> None:
+        self.seq = seq
+        self.t = t
+        self.latency = latency
+        self.path = path
+        self.route = route
+        self.context = context
+        self._events: Optional[List[TraceEvent]] = None
+
+    def __len__(self) -> int:
+        """Events in the run: the hops, plus the route event if folded."""
+        return len(self.path) - (self.route is None)
+
+    def events(self) -> List[TraceEvent]:
+        """The per-event form of the run, oldest first."""
+        events = self._events
+        if events is None:
+            context = self.context
+            seq, t, latency = self.seq, self.t, self.latency
+            events = []
+            path = self.path
+            for a, b in zip(path, path[1:]):
+                t += latency
+                fields = {"src": a, "dst": b, "ok": True}
+                if context:
+                    fields = {**context, **fields}
+                events.append(TraceEvent(seq, t, "hop", fields))
+                seq += 1
+            if self.route is not None:
+                fields = self.route
+                if context:
+                    fields = {**context, **fields}
+                events.append(TraceEvent(seq, t, "route", fields))
+            self._events = events
+        return events
+
+
 class EventTrace:
     """An event sink with optional in-memory retention, JSONL output and
     live subscribers."""
@@ -101,6 +158,11 @@ class EventTrace:
         #: *subscriber's* job — a raise from here propagates into the
         #: simulation (which is exactly what strict-mode watchers want).
         self._subscribers: List[Any] = []
+        #: Run handlers by subscriber: a subscriber registered with one
+        #: receives each :class:`HopRun` whole instead of its events.
+        self._run_handlers: Dict[Any, Any] = {}
+        #: The subscribers without a run handler, in subscription order.
+        self._per_event: List[Any] = []
         #: Ambient fields stamped onto every recorded event (payload
         #: fields win on collision).  The replication engine sets
         #: ``{"replica": r}`` here so multi-replica traces stay
@@ -158,16 +220,22 @@ class EventTrace:
 
     # -- subscribers -------------------------------------------------------
 
-    def subscribe(self, callback: Any) -> Any:
+    def subscribe(self, callback: Any, runs: Any = None) -> Any:
         """Register a live event subscriber; returns the callback.
 
         The callback is invoked synchronously with every recorded
         :class:`TraceEvent` (retention and JSONL output have already
-        happened).  Subscribing does not enable the trace — call
-        :meth:`enable` (``memory=False`` suffices) so events flow.
+        happened).  ``runs``, when given, receives each
+        :class:`HopRun` of :meth:`record_hops` in one call instead, so
+        a bulk-forwarded path costs that subscriber no per-hop events.
+        Subscribing does not enable the trace — call :meth:`enable`
+        (``memory=False`` suffices) so events flow.
         """
         if callback not in self._subscribers:
             self._subscribers.append(callback)
+            if runs is not None:
+                self._run_handlers[callback] = runs
+            self._sync_per_event()
         return callback
 
     def unsubscribe(self, callback: Any) -> None:
@@ -175,7 +243,13 @@ class EventTrace:
         try:
             self._subscribers.remove(callback)
         except ValueError:
-            pass
+            return
+        self._run_handlers.pop(callback, None)
+        self._sync_per_event()
+
+    def _sync_per_event(self) -> None:
+        self._per_event = [s for s in self._subscribers
+                           if s not in self._run_handlers]
 
     # -- recording ---------------------------------------------------------
 
@@ -189,7 +263,7 @@ class EventTrace:
         self._seq += 1
         if self.context:
             fields = {**self.context, **fields}
-        event = TraceEvent(seq=seq, t=t, kind=kind, fields=fields)
+        event = TraceEvent(seq, t, kind, fields)
         if self._memory:
             self._events.append(event)
         if self._writer is not None:
@@ -201,6 +275,33 @@ class EventTrace:
 
     #: Alias: ``emit`` is the subscriber-facing name for :meth:`record`.
     emit = record
+
+    def record_hops(self, t: float, latency: float, path: List[int],
+                    route: Optional[Dict[str, Any]] = None) -> int:
+        """Record a forwarded path as one :class:`HopRun`; its first seq.
+
+        Equivalent to one ``record("hop", ...)`` per hop of ``path``
+        from time ``t`` (``src``/``dst``/``ok=True``, ``latency`` apart)
+        followed, when ``route`` is given, by ``record("route", ...)``
+        with that payload at the last hop's time.  Retention, the JSONL
+        writer and subscribers without a run handler get exactly those
+        events; run handlers get the run once, after them.
+        """
+        seq = self._seq
+        run = HopRun(seq, t, latency, path, route, self.context)
+        self._seq = seq + len(path) - (route is None)
+        if self._memory or self._writer is not None or self._per_event:
+            for event in run.events():
+                if self._memory:
+                    self._events.append(event)
+                if self._writer is not None:
+                    self._write_line(event.to_json() + "\n")
+                for subscriber in self._per_event:
+                    subscriber(event)
+        if self._run_handlers:
+            for handler in self._run_handlers.values():
+                handler(run)
+        return seq
 
     def _write_line(self, line: str) -> None:
         """One whole JSONL record, written atomically w.r.t. co-writers."""

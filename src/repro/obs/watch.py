@@ -5,7 +5,9 @@ Watchers are **streaming**: a :class:`WatcherHub` subscribes to
 every :class:`~repro.obs.trace.TraceEvent` to its registered
 :class:`Watcher` objects the moment it is recorded — so a safety
 invariant broken halfway through a fault campaign stops the run *there*,
-not at the post-mortem.
+not at the post-mortem.  A bulk-forwarded path arrives as one
+:class:`~repro.obs.trace.HopRun` (:meth:`Watcher.on_hops`), which the
+hub counts as the events it stands for.
 
 Builtin invariant catalogue (see DESIGN.md §13):
 
@@ -54,7 +56,7 @@ from repro.analysis.intersection import (
 )
 from repro.obs.audit import AuditError, AuditViolation
 from repro.obs.query import iter_trace
-from repro.obs.trace import MESSAGE_KINDS, ROUTING_KINDS, TraceEvent
+from repro.obs.trace import MESSAGE_KINDS, ROUTING_KINDS, HopRun, TraceEvent
 
 #: Advertise strategies whose quorums are uniform-without-replacement
 #: samples — the precondition for the Lemma 5.2 structure-free bound.
@@ -97,7 +99,8 @@ class Watcher:
     """One streaming invariant over the trace event stream.
 
     Subclasses implement :meth:`handler_for` (and optionally
-    :meth:`finish` for end-of-stream checks) and report violations via
+    :meth:`finish` for end-of-stream checks, and :meth:`on_hops` to
+    judge a hop run without its events) and report violations via
     ``self.violation(code, message)``.  ``kinds`` restricts delivery to
     the listed event kinds (``None`` = every event) so hop-heavy traces
     do not pay for watchers that only care about access boundaries.
@@ -145,6 +148,24 @@ class Watcher:
         if kinds is None or event.kind in kinds:
             self.events_seen += 1
             self.handler_for(event.kind)(event)
+
+    def on_hops(self, run: HopRun) -> None:
+        """Deliver a bulk-forwarded run (from a hub, which counts it).
+
+        The default materialises the run's events and hands each one
+        this watcher wants to its :meth:`handler_for` target, exactly
+        as per-event delivery would.  Builtin watchers that read hops
+        override it to judge the run without building events.
+        """
+        kinds = self.kinds
+        handlers: Dict[str, Callable[[TraceEvent], None]] = {}
+        for event in run.events():
+            kind = event.kind
+            if kinds is None or kind in kinds:
+                handler = handlers.get(kind)
+                if handler is None:
+                    handler = handlers[kind] = self.handler_for(kind)
+                handler(event)
 
     def finish(self) -> None:
         """End-of-stream hook (replay and explicit hub.finish only)."""
@@ -204,6 +225,44 @@ class MonotonicityWatcher(Watcher):
         self._on_bulk(event)
         if "topology_version" in event.fields:
             self._check_topology(event)
+
+    def on_hops(self, run: HopRun) -> None:
+        # The checks _on_bulk/_on_fast make per event, over the run's
+        # arithmetic: its seqs are contiguous by construction, so only
+        # the first can jump, and the folded route event shares the last
+        # hop's time.
+        hops = len(run.path) - 1
+        route = run.route
+        if not hops and route is None:
+            return
+        seq, t, prev = run.seq, run.t, self._prev_t
+        next_seq = self._next_seq
+        if seq != next_seq and next_seq >= 0:
+            self.violation(
+                "monotonicity-seq",
+                f"seq went {next_seq - 1} -> {seq} "
+                f"(kind {'hop' if hops else 'route'}); "
+                f"sequence numbers must be contiguous")
+        latency = run.latency
+        for i in range(hops):
+            t += latency
+            if t < prev:
+                self.violation(
+                    "monotonicity-clock",
+                    f"sim clock regressed {prev!r} -> {t!r} "
+                    f"at seq {seq + i} (kind hop)")
+            prev = t
+        if route is not None:
+            if t < prev:  # only a zero-hop run can get here
+                self.violation(
+                    "monotonicity-clock",
+                    f"sim clock regressed {prev!r} -> {t!r} "
+                    f"at seq {seq + hops} (kind route)")
+            prev = t
+            if "topology_version" in route or "topology_version" in run.context:
+                self._check_topology(run.events()[-1])
+        self._prev_t = prev
+        self._next_seq = seq + hops + (route is not None)
 
     def _check_topology(self, event: TraceEvent) -> None:
         topo = event.fields["topology_version"]
@@ -291,6 +350,12 @@ class ConservationWatcher(Watcher):
         frames = self._frames
         if frames:
             frames[-1][0] += 1
+
+    def on_hops(self, run: HopRun) -> None:
+        # A folded route event is not a kind this watcher reads.
+        frames = self._frames
+        if frames:
+            frames[-1][0] += len(run.path) - 1
 
     def _on_routing(self, event: TraceEvent) -> None:
         frames = self._frames
@@ -612,8 +677,10 @@ class WatcherHub:
     ``auditor.flag`` when an auditor is attached (strict raises, record
     survives); otherwise collected on ``self.violations``.  Only
     :class:`AuditError` (the deliberate strict-mode raise) may propagate
-    out of :meth:`on_event`; any other watcher exception is converted
-    into a ``watcher-crashed`` violation and the simulation continues.
+    out of :meth:`on_event` / :meth:`on_hops`; any other watcher
+    exception is converted into a ``watcher-crashed`` violation and the
+    simulation continues (a watcher that crashes inside a hop run misses
+    the rest of that run).
     """
 
     def __init__(self, watchers: List[Watcher],
@@ -639,6 +706,10 @@ class WatcherHub:
         # attribute lookups.
         self._entries: Dict[str, list] = {}
         self.on_event = self._make_on_event()
+        # Hop-run delivery: one fused ``on_hops`` call per interested
+        # watcher, keyed by whether the run carries a route event.
+        self._run_fused: Dict[bool, Callable[[HopRun], None]] = {}
+        self.on_hops = self._make_on_hops()
 
     # -- violation routing --------------------------------------------------
 
@@ -662,8 +733,15 @@ class WatcherHub:
         self._entries[kind] = entry
         return entry
 
-    def _fuse(self, pairs: List[Tuple[Callable[[TraceEvent], None], Watcher]]
-              ) -> Callable[[TraceEvent], None]:
+    def _build_run(self, with_route: bool) -> Callable[[HopRun], None]:
+        pairs = [(w.on_hops, w) for w in self.watchers
+                 if w.kinds is None or "hop" in w.kinds
+                 or (with_route and "route" in w.kinds)]
+        fused = self._run_fused[with_route] = self._fuse(pairs)
+        return fused
+
+    def _fuse(self, pairs: List[Tuple[Callable[[Any], None], Watcher]]
+              ) -> Callable[[Any], None]:
         """One closure calling every handler with exception isolation.
 
         Arity-specialized: the common 1-4 watcher cases get straight-
@@ -726,6 +804,27 @@ class WatcherHub:
             entry[1](event)
         return on_event
 
+    def _make_on_hops(self) -> Callable[[HopRun], None]:
+        """Build the per-run delivery closure (``self.on_hops``).
+
+        The run's events are counted into the same per-kind entries as
+        :meth:`on_event` counts them, so ``events_seen`` is what
+        per-event delivery of the run would give.
+        """
+        build = self._build_entry
+        build_run = self._build_run
+
+        def on_hops(run: HopRun, _get=self._entries.get,
+                    _fused=self._run_fused.get) -> None:
+            entry = _get("hop") or build("hop")
+            entry[0] += len(run.path) - 1
+            with_route = run.route is not None
+            if with_route:
+                entry = _get("route") or build("route")
+                entry[0] += 1
+            (_fused(with_route) or build_run(with_route))(run)
+        return on_hops
+
     def _flush(self) -> None:
         """Fold per-kind delivery counts into the event counters."""
         for entry in self._entries.values():
@@ -757,7 +856,7 @@ class WatcherHub:
 
     def attach(self, trace: Any) -> "WatcherHub":
         """Subscribe to a live :class:`EventTrace`; returns self."""
-        trace.subscribe(self.on_event)
+        trace.subscribe(self.on_event, runs=self.on_hops)
         self._trace = trace
         return self
 

@@ -13,28 +13,29 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulation kernel."""
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)`` so that simultaneous events run in
-    the order they were scheduled.  ``cancel()`` marks the event dead; the
-    scheduler skips dead events when it pops them (lazy deletion).
+    The scheduler orders events by ``(time, seq)`` so that simultaneous
+    events run in the order they were scheduled.  ``cancel()`` marks the
+    event dead; the scheduler skips dead events when it pops them (lazy
+    deletion).
     """
 
     time: float
     seq: int
-    fn: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    fn: Callable[..., Any]
+    args: tuple = ()
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Prevent this event from firing (idempotent)."""
@@ -56,7 +57,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        # ``(time, seq, event)`` entries: the heap compares the unique
+        # ``(time, seq)`` keys as tuples and never reaches the event.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = 0  # run() nesting depth
@@ -75,7 +78,7 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of queued, non-cancelled events."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
     def next_event_time(self) -> float:
         """Timestamp of the earliest pending event (``inf`` when idle).
@@ -85,9 +88,10 @@ class Simulator:
         bulk route-forwarding fast path to prove that no timer or churn
         event can interleave with a multi-hop window.
         """
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else math.inf
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else math.inf
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -101,14 +105,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time=time, seq=next(self._seq), fn=fn, args=args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -136,18 +141,19 @@ class Simulator:
         """
         self._running += 1
         executed = 0
+        queue = self._queue
         try:
-            while self._queue:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     return
-                event = self._queue[0]
+                event = queue[0][2]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heapq.heappop(queue)
                     continue
                 if until is not None and event.time > until:
                     self._now = max(self._now, until)
                     return
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 # A nested run inside the previous callback may have pushed
                 # the clock past this event's timestamp already.
                 self._now = max(self._now, event.time)

@@ -880,22 +880,36 @@ class SimNetwork:
             self.counters["routing"] += cost
         return path, cost
 
-    def _forward(self, path: List[int]) -> Tuple[bool, int]:
+    def _forward(self, path: List[int], announce: bool = False
+                 ) -> Tuple[bool, int]:
         """Send a data message along ``path``: (delivered, frames sent).
 
         ``path`` comes from `_obtain_route` or a BFS tree, just now.
-        The engine forwards it in one step when that is exact;
-        otherwise it goes hop by hop, and mobility or churn may break
-        the path mid-flight.
+        The engine forwards it in one step when that is exact, and the
+        trace gets its hops as one run; otherwise it goes hop by hop,
+        and mobility or churn may break the path mid-flight.
+        ``announce`` records the ``route`` event of a delivered message
+        (folded into the run when there is one).
         """
+        t = self.sim.now
         hops = self.access_engine.forward(self, path, self._topo_version)
         if hops is not None:
+            if self.trace.enabled:
+                route = None
+                if announce:
+                    route = {"src": path[0], "dst": path[-1], "ok": True,
+                             "hops": hops}
+                self.trace.record_hops(t, self.config.hop_latency, path,
+                                       route)
             return True, hops
         sent = 0
         for a, b in zip(path, path[1:]):
             sent += 1
             if not self.one_hop_unicast(a, b):
                 return False, sent
+        if announce:
+            self.record_event("route", src=path[0], dst=path[-1], ok=True,
+                              hops=sent)
         return True, sent
 
     def route(self, src: int, dst: int) -> RouteResult:
@@ -910,12 +924,10 @@ class SimNetwork:
             routing_messages += cost
             if path is None:
                 break
-            delivered, sent = self._forward(path)
+            delivered, sent = self._forward(path, announce=True)
             data_messages += sent
             if delivered:
                 self.counters["routing"] += routing_messages
-                self.record_event("route", src=src, dst=dst, ok=True,
-                                  hops=len(path) - 1)
                 return RouteResult(success=True, path=path,
                                    data_messages=data_messages,
                                    routing_messages=routing_messages)

@@ -224,9 +224,9 @@ def test_flood_outcome_identical_mid_heartbeat():
 
 @pytest.mark.parametrize("lookup", ["unique-path", "sampling", "random-opt"])
 def test_tracing_does_not_change_the_run(lookup):
-    # Tracing selects no code path (the bulk forwarder records its own
-    # hop events): recording events must leave statistics, counters,
-    # energy and the clock untouched.
+    # Tracing selects no code path (a bulk-forwarded path's hops are
+    # recorded as one run): recording events must leave statistics,
+    # counters, energy and the clock untouched.
     def run(trace):
         net = make_network(90, seed=11)
         if trace:

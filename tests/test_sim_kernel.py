@@ -42,6 +42,21 @@ class TestScheduling:
         sim.run()
         assert order == list(range(10))
 
+    def test_heap_orders_by_time_then_schedule_order(self):
+        # The heap keys are (time, seq) tuples: events themselves are
+        # never compared, so they define no ordering at all.
+        sim = Simulator()
+        order = []
+        times = [3.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0, 1.0]
+        for i, t in enumerate(times):
+            sim.schedule(t, order.append, i)
+        sim.schedule(1.0, order.append, "cancelled").cancel()
+        assert sim.next_event_time() == 0.5
+        sim.run()
+        assert order == sorted(range(len(times)), key=lambda i: (times[i], i))
+        with pytest.raises(TypeError):
+            sim.schedule(1.0, order.append) < sim.schedule(2.0, order.append)
+
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
         times = []
