@@ -1,24 +1,28 @@
 """Batched access engine: one pass per flood ring, route tree, path.
 
 The transmission primitives live in :mod:`repro.simnet.network` — one
-body each for a unicast hop, a broadcast, the flood ring loop, route
-discovery and path forwarding.  This module holds the *kernels* those
-bodies call, each advancing a whole batch of frames in one pass over a
-packed CSR snapshot (:mod:`repro.geometry.csr`), the neighbor table or
-its row form (:class:`repro.simnet.replication.NeighborRows`):
+body each for a unicast hop, a broadcast, the flood ring loop and a
+routed send.  This module holds the *kernels* those bodies call, each
+doing a whole batch of frames' work in one step over a packed CSR
+snapshot (:mod:`repro.geometry.csr`), the neighbor table or its row form
+(:class:`repro.simnet.replication.NeighborRows`):
 
 1. **flood ring** — the whole ring-``h`` frontier expands in one
    gather/first-occurrence pass, instead of one broadcast per node;
 2. **BFS route trees** — every route discovery reads a tree, built by
    :func:`repro.simnet.replication.bfs_tree` (the only BFS) as flat
    row-indexed lists over the network's neighbor rows, and memoized per
-   ``(topology_version, source)`` while positions are static;
-3. **bulk forwarding** — a whole path is charged and timed in one step
-   instead of one unicast per hop, and not walked at all while the
-   topology version it was validated at stands; the network records its
-   hops as one trace run.
+   ``(topology_version, source)`` while positions are static.  A path
+   comes off its tree with its bystander load, summed on the same walk,
+   so charging a routed message reads no neighbor table;
+3. **the batch window** — :meth:`AccessEngine.arrival`, the one decline
+   predicate: when ``k`` back-to-back frames from now may be sent in one
+   step, the time the last one lands.  ``SimNetwork.route`` then charges
+   a whole path at once and moves the clock across the idle window
+   without entering the scheduler; the network records its hops as one
+   trace run.  The flood ring asks the same question per ring.
 
-All three kernels are **statistic-identical** to the per-frame code.  The
+All kernels are **statistic-identical** to the per-frame code.  The
 strategy RNG streams are stdlib ``random.Random`` generators, so the
 accesses that define reported statistics never move their draws into
 numpy: the engine batches only the *deterministic* graph work.  Of the
@@ -128,17 +132,11 @@ class AccessEngine:
         window.  The CSR snapshot re-keys on the topology version every
         ring, so mid-flood churn can never be served a stale adjacency.
         """
-        if net.config.mobility != "static" or net.config.drop_prob > 0:
+        t_end = self.arrival(net, len(frontier))
+        if t_end is None:
             return None
         sim = net.sim
         latency = net.config.hop_latency
-        # Accumulate by repeated addition: the same float operations the
-        # per-broadcast advance() chain performs.
-        t_end = sim.now
-        for _ in range(len(frontier)):
-            t_end += latency
-        if sim.next_event_time() <= t_end:
-            return None
 
         alive = net._alive
         alive_frontier = [n for n in frontier if n in alive]
@@ -192,8 +190,7 @@ class AccessEngine:
             if trace is not None:
                 trace.record("broadcast", t, src=node,
                              receivers=deg, ok=True)
-        if t > sim.now:
-            sim.run(until=t)
+        sim.skip_to(t_end)
         return heard
 
     # -- kernel 2: batched BFS route trees -----------------------------------
@@ -229,44 +226,27 @@ class AccessEngine:
             self._trees.popitem(last=False)
         return tree
 
-    # -- kernel 3: bulk path forwarding --------------------------------------
+    # -- kernel 3: the batch window -----------------------------------------
 
-    def forward(self, net, path: List[int], stamp: int) -> Optional[int]:
-        """Forward along ``path`` in one step; the hop count, or None.
+    def arrival(self, net, frames: int) -> Optional[float]:
+        """When ``frames`` back-to-back frames sent from now land, if one
+        step may send them all; None when only one frame at a time is
+        exact.
 
-        Only fires when the result is *provably identical* to a
-        ``one_hop_unicast`` per hop: static positions, no random drops,
-        every hop valid, and no simulation event pending inside the
-        forwarding window.  ``stamp`` is the topology version ``path``
-        was last known valid at; its hops are walked only if the version
-        has moved since.  The target time is accumulated by repeated
-        addition — the same float operations the per-hop loop performs
-        — so clocks and latency statistics stay byte-identical.  The
-        caller records the path's hop events, as one trace run.
+        That is the case under mobility, with random drops, or when a
+        simulation event (heartbeat, churn) is due at or before the
+        last frame lands: it would run *during* the per-frame loop.  The
+        time is accumulated by repeated addition — the same float
+        operations as that loop's ``advance`` chain — so clocks and
+        latency statistics stay byte-identical.
         """
         if net.config.mobility != "static" or net.config.drop_prob > 0:
             return None
         sim = net.sim
-        hops = len(path) - 1
         latency = net.config.hop_latency
         t = sim.now
-        for _ in range(hops):
+        for _ in range(frames):
             t += latency
-        # An event at or before t (heartbeat, churn) would run *during*
-        # the per-hop loop.
         if sim.next_event_time() <= t:
             return None
-        tables = net._neighbor_tables()
-        if stamp != net.topology_version:
-            for a, b in zip(path, path[1:]):
-                if b not in tables.get(a, ()):
-                    return None
-        net.counters["network"] += hops
-        net._metric_unicasts.inc(hops)
-        # Each sender's neighbors, bar the next hop, decode the header.
-        degrees = sum(map(len, map(tables.__getitem__, path)))
-        net.energy.charge_path(
-            path, degrees - len(tables[path[-1]]) - hops)
-        if t > sim.now:
-            sim.run(until=t)
-        return hops
+        return t

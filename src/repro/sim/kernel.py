@@ -85,13 +85,28 @@ class Simulator:
 
         Cancelled events at the head of the heap are drained lazily, so
         the answer reflects events that will actually fire.  Used by the
-        bulk route-forwarding fast path to prove that no timer or churn
-        event can interleave with a multi-hop window.
+        batched access kernels to prove that no timer or churn event can
+        interleave with a multi-frame window.
         """
         queue = self._queue
         while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else math.inf
+
+    def skip_to(self, time: float) -> None:
+        """Move the clock to ``time`` across idle time.
+
+        This is what ``run(until=time)`` does when no event is due at or
+        before ``time``, without entering the scheduler loop; an event
+        that is due raises :class:`SimulationError` instead of being
+        skipped.
+        """
+        if self.next_event_time() <= time:
+            raise SimulationError(
+                f"cannot skip to t={time}: an event is due at "
+                f"t={self.next_event_time()}")
+        if time > self._now:
+            self._now = time
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""

@@ -85,7 +85,7 @@ class EnergyLedger:
 
         ``bystanders`` sums the header decodes over the hops: the one
         part of the charge that depends on the topology, so the caller
-        takes it from the table now.  The path is kept by reference
+        brings it with the path.  The path is kept by reference
         (never mutate it afterwards) and counted at the next read.
         """
         self._overheard += bystanders

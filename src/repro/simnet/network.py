@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.geometry import space
 from repro.geometry.kernel import NeighborKernel, SlackIndex, slack_window
-from repro.geometry.rgg import GeometricGraph
 from repro.geometry.space import Point, area_side_for_density
 from repro.obs.audit import auditor_from_env
 from repro.obs.metrics import MetricsRegistry
@@ -75,7 +74,7 @@ class NetworkConfig:
         return area_side_for_density(self.n, self.radio_range, self.avg_degree)
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteResult:
     """Outcome of a multi-hop routed send."""
 
@@ -213,8 +212,10 @@ class SimNetwork:
         # touch geometry, so known-view caches key on
         # (topology_version, known_version).
         self._known_version = 0
-        # (src, dst) -> (path, topology version it was last valid at).
-        self._route_cache: Dict[Tuple[int, int], Tuple[List[int], int]] = {}
+        # (src, dst) -> (path, topology version it was last valid at,
+        # the path's bystander load at that version).
+        self._route_cache: Dict[Tuple[int, int],
+                                Tuple[List[int], int, int]] = {}
         self._drop_rng = self.rngs.stream("drops")
         self.energy = EnergyLedger()
         # Identifies the current topology: bumped on every geometry
@@ -666,25 +667,6 @@ class SimNetwork:
             }
             self._known_stamp = self._topo_version
 
-    def snapshot_graph(self) -> GeometricGraph:
-        """Current ground-truth connectivity graph (ids compacted are NOT
-        applied; dead nodes appear with empty adjacency)."""
-        n_total = self._next_id
-        positions: List[Point] = []
-        for node_id in range(n_total):
-            if node_id in self.mobility:
-                positions.append(self.position(node_id))
-            else:
-                positions.append((-1e9, -1e9))
-        adjacency: List[List[int]] = [[] for _ in range(n_total)]
-        for node_id in self._alive:
-            adjacency[node_id] = self.true_neighbors(node_id)
-        return GeometricGraph(positions=positions,
-                              radius=self.config.radio_range,
-                              side=self.config.side,
-                              torus=self.config.torus,
-                              adjacency=adjacency)
-
     def is_connected(self) -> bool:
         alive = list(self._alive)
         if not alive:
@@ -808,61 +790,69 @@ class SimNetwork:
                 return False
         return True
 
-    def _discover_route(self, src: int, dst: int) -> Tuple[Optional[List[int]], int]:
-        """Expanding-ring discovery; returns (path, control message count).
+    def _discover(self, src: int, dst: int, ttl: Optional[int] = None
+                  ) -> Tuple[Optional[List[int]], int, int]:
+        """One route request from ``src``'s BFS tree, metered and traced:
+        ``(path, control messages, the path's bystander load)``.
 
-        The control cost models AODV: every node inside the ring that found
-        the destination rebroadcasts the RREQ once, and the RREP travels
-        back along the path.
+        Without ``ttl`` it models AODV's expanding ring: every node
+        inside the ring that found ``dst`` rebroadcasts the RREQ once
+        and the RREP retraces the path, and a search that fails floods
+        the whole component.  With ``ttl`` the flood is confined to
+        that many hops and costs every node it reaches.
         """
-        with PROFILER.phase("routing.discover"):
-            tree = self.access_engine.tree(self, src)
-            path = tree.path_to(dst)
-            if path is None:
-                # Full-network flood that failed: everybody reachable
-                # rebroadcast.
-                cost = tree.reachable
-            else:
-                # Each node inside the ring broadcasts the RREQ once;
-                # the RREP retraces the path.
-                needed_ttl = len(path) - 1
-                cost = tree.count_within(needed_ttl) + needed_ttl
-            self._account_routing(src, dst, cost, found=path is not None)
-            return path, cost
-
-    def _account_routing(self, src: int, dst: int, cost: int,
-                         found: bool) -> None:
-        """Trace + meter one routing-control expenditure."""
-        if cost <= 0:
-            return
-        self._metric_routing.inc(cost)
-        if self.trace.enabled:
-            self.trace.record("routing", self.sim.now, src=src, dst=dst,
-                              count=cost, found=found)
+        tree = self.access_engine.tree(self, src)
+        path, load = tree.route(dst)
+        if ttl is not None:
+            cost = tree.count_within(ttl)
+            if path is not None and len(path) - 1 > ttl:
+                path = None
+        elif path is None:
+            cost = tree.reachable
+        else:
+            hops = len(path) - 1
+            cost = tree.count_within(hops) + hops
+        if cost > 0:
+            self._metric_routing.inc(cost)
+            if self.trace.enabled:
+                self.trace.record("routing", self.sim.now, src=src, dst=dst,
+                                  count=cost, found=path is not None)
+        return path, cost, load
 
     def _obtain_route(self, src: int, dst: int
-                      ) -> Tuple[Optional[List[int]], int]:
-        """A valid path from the cache or a discovery: (path, control cost).
+                      ) -> Tuple[Optional[List[int]], int, int]:
+        """A valid path from the cache or a discovery: ``(path, control
+        messages, bystander load)``.
 
-        Cache entries carry the topology version they were last valid
-        at.  Every alive-set or geometry mutation bumps it, so on a
-        static network a path read from a BFS tree at version v, or one
-        that passed `_route_valid` at v, is not walked again until the
-        version moves.  Under mobility every use re-validates.
+        A cache entry carries the topology version it was last valid at.
+        Every alive-set or geometry mutation bumps it, so on a static
+        network a path read from a BFS tree at version v, or one that
+        passed `_route_valid` at v, is not walked again until the
+        version moves; the walk re-stamps it with its load recounted
+        from the table.  Under mobility every use re-validates, and the
+        load, which only a batched send reads, is left as discovered.
         """
         key = (src, dst)
-        path, stamp = self._route_cache.get(key, (None, -1))
-        if (path is not None and stamp == self._topo_version
-                and self.config.mobility == "static"):
-            return path, 0
-        cost = 0
-        if path is None or not self._route_valid(path):
-            path, cost = self._discover_route(src, dst)
+        entry = self._route_cache.get(key)
+        if entry is not None:
+            path, stamp, load = entry
+            static = self.config.mobility == "static"
+            if static and stamp == self._topo_version:
+                return path, 0, load
+            if self._route_valid(path):
+                if static:
+                    tables = self._neighbor_tables()
+                    load = sum(map(len, map(tables.__getitem__, path[:-1]))
+                               ) - (len(path) - 1)
+                self._route_cache[key] = (path, self._topo_version, load)
+                return path, 0, load
+        with PROFILER.phase("routing.discover"):
+            path, cost, load = self._discover(src, dst)
         if path is None:
             self._route_cache.pop(key, None)
         else:
-            self._route_cache[key] = (path, self._topo_version)
-        return path, cost
+            self._route_cache[key] = (path, self._topo_version, load)
+        return path, cost, load
 
     def discover_path(self, src: int, dst: int) -> Tuple[Optional[List[int]], int]:
         """Obtain a route (cache hit or discovery) WITHOUT sending data.
@@ -875,93 +865,86 @@ class SimNetwork:
             return None, 0
         if src == dst:
             return [src], 0
-        path, cost = self._obtain_route(src, dst)
+        path, cost, _ = self._obtain_route(src, dst)
         if cost:
             self.counters["routing"] += cost
         return path, cost
 
-    def _forward(self, path: List[int], announce: bool = False
-                 ) -> Tuple[bool, int]:
-        """Send a data message along ``path``: (delivered, frames sent).
-
-        ``path`` comes from `_obtain_route` or a BFS tree, just now.
-        The engine forwards it in one step when that is exact, and the
-        trace gets its hops as one run; otherwise it goes hop by hop,
-        and mobility or churn may break the path mid-flight.
-        ``announce`` records the ``route`` event of a delivered message
-        (folded into the run when there is one).
-        """
-        t = self.sim.now
-        hops = self.access_engine.forward(self, path, self._topo_version)
-        if hops is not None:
-            if self.trace.enabled:
-                route = None
-                if announce:
-                    route = {"src": path[0], "dst": path[-1], "ok": True,
-                             "hops": hops}
-                self.trace.record_hops(t, self.config.hop_latency, path,
-                                       route)
-            return True, hops
-        sent = 0
-        for a, b in zip(path, path[1:]):
-            sent += 1
-            if not self.one_hop_unicast(a, b):
-                return False, sent
-        if announce:
-            self.record_event("route", src=path[0], dst=path[-1], ok=True,
-                              hops=sent)
-        return True, sent
-
     def route(self, src: int, dst: int) -> RouteResult:
-        """Send an application message via (cached) multi-hop routing."""
-        if not self.is_alive(src):
-            return RouteResult(success=False)
+        """Send an application message via (cached) multi-hop routing.
+
+        The one routed-send body.  When the engine's batch window says
+        one step is exact (:meth:`AccessEngine.arrival`), the whole path
+        is charged at once — its bystanders are the load the route came
+        with — the clock moves across the idle window, and the trace
+        gets the hops and the ``route`` event as one run.  Otherwise the
+        message goes hop by hop, and mobility or churn may break the
+        path mid-flight; a broken route is dropped and obtained once
+        more.
+        """
+        if src not in self._alive:
+            return RouteResult(False)
         if src == dst:
-            return RouteResult(success=True, path=[src])
+            return RouteResult(True, [src])
         routing_messages = data_messages = 0
         for _ in range(2):
-            path, cost = self._obtain_route(src, dst)
+            path, cost, load = self._obtain_route(src, dst)
             routing_messages += cost
             if path is None:
                 break
-            delivered, sent = self._forward(path, announce=True)
-            data_messages += sent
-            if delivered:
-                self.counters["routing"] += routing_messages
-                return RouteResult(success=True, path=path,
-                                   data_messages=data_messages,
-                                   routing_messages=routing_messages)
-            self._route_cache.pop((src, dst), None)
+            hops = len(path) - 1
+            start = self.sim.now
+            end = self.access_engine.arrival(self, hops)
+            if end is not None:
+                self.counters["network"] += hops
+                self._metric_unicasts.inc(hops)
+                self.energy.charge_path(path, load)
+                self.sim.skip_to(end)
+                data_messages += hops
+                if self.trace.enabled:
+                    self.trace.record_hops(
+                        start, self.config.hop_latency, path,
+                        {"src": src, "dst": dst, "ok": True, "hops": hops})
+            else:
+                delivered = True
+                for a, b in zip(path, path[1:]):
+                    data_messages += 1
+                    if not self.one_hop_unicast(a, b):
+                        delivered = False
+                        break
+                if not delivered:
+                    self._route_cache.pop((src, dst), None)
+                    continue
+                self.record_event("route", src=src, dst=dst, ok=True,
+                                  hops=hops)
+            self.counters["routing"] += routing_messages
+            return RouteResult(True, path, data_messages, routing_messages)
         self.counters["routing"] += routing_messages
         self.record_event("route", src=src, dst=dst, ok=False)
-        return RouteResult(success=False, data_messages=data_messages,
-                           routing_messages=routing_messages)
+        return RouteResult(False, [], data_messages, routing_messages)
 
     def scoped_route(self, src: int, dst: int, max_hops: int) -> RouteResult:
         """Route with a TTL-limited discovery (Section 6.2 local repair).
 
         The RREQ flood is confined to ``max_hops`` hops around ``src``; its
         cost is the number of nodes reached.  Fails fast if the destination
-        is farther than ``max_hops``.
+        is farther than ``max_hops``.  A repair follows a MAC failure,
+        so its message goes hop by hop.
         """
         if not self.is_alive(src):
-            return RouteResult(success=False)
+            return RouteResult(False)
         if src == dst:
-            return RouteResult(success=True, path=[src])
-        tree = self.access_engine.tree(self, src)
-        routing_messages = tree.count_within(max_hops)
-        hops = tree.hops(dst)
-        found = hops is not None and hops <= max_hops
+            return RouteResult(True, [src])
+        path, routing_messages, _ = self._discover(src, dst, max_hops)
         self.counters["routing"] += routing_messages
-        self._account_routing(src, dst, routing_messages, found=found)
-        if not found:
-            return RouteResult(success=False,
-                               routing_messages=routing_messages)
-        path = tree.path_to(dst)
-        delivered, sent = self._forward(path)
-        return RouteResult(success=delivered, path=path if delivered else [],
-                           data_messages=sent,
-                           routing_messages=routing_messages)
+        if path is None:
+            return RouteResult(False, [], 0, routing_messages)
+        sent = 0
+        for a, b in zip(path, path[1:]):
+            sent += 1
+            if not self.one_hop_unicast(a, b):
+                return RouteResult(False, [], sent, routing_messages)
+        return RouteResult(True, path, sent, routing_messages)
 
     def invalidate_routes(self) -> None:
         """Drop all cached routes (e.g. after heavy churn)."""

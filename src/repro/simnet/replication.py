@@ -30,7 +30,7 @@ routing messages, energy, and trace events from them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class NeighborRows:
@@ -65,12 +65,14 @@ class BfsTree:
     (a dead node) reaches only itself.
     """
 
-    __slots__ = ("source", "_ids", "_index", "_pred", "_depth", "_cum")
+    __slots__ = ("source", "_ids", "_index", "_adj", "_pred", "_depth",
+                 "_cum")
 
     def __init__(self, rows: NeighborRows, source: int) -> None:
         self.source = source
         self._ids = rows.ids
         self._index = index = rows.index
+        self._adj = adj = rows.adj
         n = len(rows.ids)
         self._pred = pred = [-1] * n
         self._depth = depth = [-1] * n
@@ -78,7 +80,6 @@ class BfsTree:
         root = index.get(source)
         if root is None:
             return
-        adj = rows.adj
         pred[root] = root
         depth[root] = 0
         frontier = [root]
@@ -108,27 +109,28 @@ class BfsTree:
         cum = self._cum
         return cum[hops] if hops < len(cum) else cum[-1]
 
-    def hops(self, dst: int) -> Optional[int]:
-        """Hop distance source -> dst, or None if unreachable."""
+    def route(self, dst: int) -> Tuple[Optional[List[int]], int]:
+        """Shortest path source -> dst (a fresh list) and its bystander
+        load; ``(None, 0)`` when ``dst`` is unreachable.
+
+        The load is Σ(degree − 1) over the path's senders: the header
+        decodes by in-range non-addressees that the energy ledger
+        charges for a delivered message, summed on the walk that
+        extracts the path.
+        """
         row = self._index.get(dst)
         hops = -1 if row is None else self._depth[row]
         if hops < 0:
-            return 0 if dst == self.source else None
-        return hops
-
-    def path_to(self, dst: int) -> Optional[List[int]]:
-        """Shortest path source -> dst (a fresh list), or None."""
-        hops = self.hops(dst)
-        if hops is None:
-            return None
-        ids, pred = self._ids, self._pred
-        row = self._index.get(dst)
+            return ([dst], 0) if dst == self.source else (None, 0)
+        ids, pred, adj = self._ids, self._pred, self._adj
+        degrees = 0
         path = [dst]
         for _ in range(hops):
             row = pred[row]
             path.append(ids[row])
+            degrees += len(adj[row])
         path.reverse()
-        return path
+        return path, degrees - hops
 
 
 def bfs_tree(net, src: int) -> BfsTree:

@@ -2,8 +2,9 @@
 
 :class:`DecliningEngine` answers "not applicable" from every *batched*
 kernel of :class:`repro.core.access_engine.AccessEngine` — the flood
-ring and bulk path forwarding — so a network carrying it sends every
-frame through ``one_hop_broadcast`` / ``one_hop_unicast``,
+ring and the batch window that a routed send asks for — so a network
+carrying it sends every frame through ``one_hop_broadcast`` /
+``one_hop_unicast``,
 the code those kernels decline to under mobility, random drops, or a
 simulation event inside the window.  Route discovery still needs a BFS
 tree; the stand-in builds one in plain Python on every call, with no
@@ -26,7 +27,7 @@ class DecliningEngine:
     def flood_ring(self, net, frontier, previous):
         return None
 
-    def forward(self, net, path, stamp):
+    def arrival(self, net, frames):
         return None
 
     def tree(self, net, src):
@@ -75,7 +76,8 @@ def ring_size(tables, src, cap):
 
 
 def check_tree(tree, tables, src, dsts):
-    """Assert a route tree from ``src`` answers like the two oracles.
+    """Assert a route tree from ``src`` answers like the two oracles,
+    with each path's bystander load counted from ``tables``.
 
     ``dsts`` must include every node of ``tables``; ids outside it (dead
     or never-joined nodes) are unreachable destinations.
@@ -83,8 +85,10 @@ def check_tree(tree, tables, src, dsts):
     depth = reached = 0
     for dst in dsts:
         path = bfs_path(tables, src, dst)
-        assert tree.path_to(dst) == path
-        assert tree.hops(dst) == (None if path is None else len(path) - 1)
+        # The load: every sender's neighbors but the next hop overhear.
+        load = 0 if path is None else sum(
+            len(tables[v]) - 1 for v in path[:-1])
+        assert tree.route(dst) == (path, load)
         if path is not None:
             depth = max(depth, len(path) - 1)
             reached += dst in tables

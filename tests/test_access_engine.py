@@ -38,6 +38,7 @@ from repro.experiments.common import (
 import repro.geometry.kernel as kernel_module
 import repro.simnet.network as network_module
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
+from repro.sim.kernel import Simulator
 from repro.simnet.energy import EnergyLedger
 from repro.simnet.network import NetworkConfig, SimNetwork
 from repro.simnet.replication import (
@@ -285,31 +286,45 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 def test_static_routed_access_does_no_per_hop_work(monkeypatch):
     # Count gate.  While the topology version stands, a routed message
-    # costs no per-hop range test (routes carry a version stamp) and no
-    # per-hop energy charge (one path charge); after one churn event
-    # each cached route is validated hop by hop exactly once.
+    # costs no per-hop range test (routes carry a version stamp), no
+    # per-hop energy charge (one path charge), no walk over the
+    # neighbor table (the bystanders come with the route) and no entry
+    # into the scheduler (the clock skips the idle window); after one
+    # churn event each cached route is validated hop by hop exactly
+    # once.  The route, discovery, tree and cache counts are pinned:
+    # a change that moves one must say so.
     calls = collections.Counter()
     _count_calls(monkeypatch, SimNetwork, "in_range", calls)
     _count_calls(monkeypatch, SimNetwork, "_route_valid", calls)
     _count_calls(monkeypatch, SimNetwork, "route", calls)
+    _count_calls(monkeypatch, SimNetwork, "_discover", calls)
+    _count_calls(monkeypatch, SimNetwork, "_neighbor_tables", calls)
+    _count_calls(monkeypatch, Simulator, "run", calls)
     _count_calls(monkeypatch, EnergyLedger, "charge_unicast", calls)
     _count_calls(monkeypatch, EnergyLedger, "charge_path", calls)
 
     net = SimNetwork(NetworkConfig(n=120, seed=3))
     strategy = RandomStrategy(make_membership(net, "random"))
+    calls.clear()
     stored = set()
     for origin in (0, 7, 19, 0, 7):
         strategy.advertise(net, origin, stored.add, 14)
     for origin in (3, 0, 7, 3, 19, 0):
         strategy.lookup(net, origin,
                         lambda v: v if v in stored else None, 11)
-    assert calls["route"] > len(net._route_cache) > 20  # some were hits
+    engine = net.access_engine
+    assert (calls["route"], calls["_discover"]) == (181, 107)
+    assert (engine.tree_misses, engine.tree_hits) == (35, 72)
+    assert len(net._route_cache) == 107  # 74 routes were hits
     assert net.counters["network"] > 4 * calls["route"]  # multi-hop
     assert calls["in_range"] == calls["_route_valid"] == 0
     assert calls["charge_unicast"] == 0
     assert calls["charge_path"] == calls["route"]
+    assert calls["_neighbor_tables"] == 1  # the one row build
+    assert calls["run"] == 0
 
-    relays = {v for path, _ in net._route_cache.values() for v in path[1:-1]}
+    relays = {v for path, _, _ in net._route_cache.values()
+              for v in path[1:-1]}
     relays -= {v for key in net._route_cache for v in key}
     for victim in sorted(relays):  # a relay only, and no cut vertex
         net.fail_node(victim, commit=False)
@@ -318,7 +333,8 @@ def test_static_routed_access_does_no_per_hop_work(monkeypatch):
         net.revive_node(victim)
     assert not net.is_alive(victim)
     broken = 0
-    for (src, dst), (path, _) in list(net._route_cache.items()):
+    calls["run"] = 0
+    for (src, dst), (path, _, _) in list(net._route_cache.items()):
         broken += victim in path
         for expected in (1, 0):  # first use validates, the next does not
             calls["_route_valid"] = 0
@@ -326,19 +342,24 @@ def test_static_routed_access_does_no_per_hop_work(monkeypatch):
             assert calls["_route_valid"] == expected
     assert broken > 0
     assert calls["charge_unicast"] == 0
+    assert calls["run"] == 0
 
 
-def test_forward_checks_the_hops_of_a_stale_stamp():
+def test_a_restamped_route_carries_the_load_of_the_table():
+    # A path re-validated after churn has its bystander load recounted
+    # from the table; it must equal what a fresh tree's walk sums.
     net = SimNetwork(NetworkConfig(n=120, seed=3))
     path = net.route(0, 77).path
-    engine, version = net.access_engine, net.topology_version
-    frames = net.counters["network"]
-    assert engine.forward(net, path, version) == len(path) - 1
-    net.fail_node(path[2])
-    assert engine.forward(net, path, version) is None  # walked, declined
-    assert net.counters["network"] == frames + len(path) - 1
-    detour = net.route(0, 77).path
-    assert engine.forward(net, detour, version) == len(detour) - 1  # walked, ok
+    bystander = next(v for v in net.alive_nodes()
+                     if v not in path and path[1] in net.true_neighbors(v))
+    net.fail_node(bystander)
+    again = net.route(0, 77)
+    assert again.path == path and again.routing_messages == 0
+    _, stamp, load = net._route_cache[(0, 77)]
+    assert stamp == net.topology_version
+    assert (path, load) == bfs_tree(net, 0).route(77)
+    tables = net._neighbor_tables()
+    assert load == sum(len(tables[v]) - 1 for v in path[:-1])
 
 
 # -- no selection knob -------------------------------------------------------
@@ -465,7 +486,7 @@ def test_bfs_tree_oracle_after_churn_with_a_dead_source():
         check_tree(tree, tables, src, everyone)
     for dead in failed:
         tree = bfs_tree(net, dead)
-        assert tree.path_to(dead) == [dead]
+        assert tree.route(dead) == ([dead], 0)
         check_tree(tree, tables, dead, everyone)
 
 
@@ -477,7 +498,7 @@ def test_bfs_tree_oracle_on_a_partitioned_graph():
     for src in (0, 75, 149):
         tree = bfs_tree(net, src)
         check_tree(tree, tables, src, net.alive_nodes())
-        unreached += sum(tree.path_to(d) is None for d in tables)
+        unreached += sum(tree.route(d)[0] is None for d in tables)
     assert unreached  # the deployment really is partitioned
 
 

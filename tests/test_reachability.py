@@ -43,6 +43,9 @@ KEEP: Dict[str, str] = {
         "connectivity theory behind the §6.3 estimator; ROADMAP item 2(a)",
     "repro.analysis.empirical":
         "empirical validation of Theorems 4.1 and 5.5",
+    "repro.geometry.rgg":
+        "the random geometric graph model that repro.analysis.empirical "
+        "validates against",
 }
 
 
