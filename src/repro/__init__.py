@@ -64,7 +64,6 @@ from repro.obs import (
     TraceEvent,
 )
 from repro.services import (
-    CheckedRegister,
     LocationService,
     ProbabilisticRegister,
     RefreshDaemon,
@@ -121,7 +120,6 @@ __all__ = [
     "MetricsRegistry",
     "TraceEvent",
     # services
-    "CheckedRegister",
     "LocationService",
     "ProbabilisticRegister",
     "RefreshDaemon",

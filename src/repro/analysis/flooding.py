@@ -64,15 +64,3 @@ def ttl_for_coverage(n: int, avg_degree: float, target: int,
         if ttl > 10_000:
             raise RuntimeError("TTL search did not converge")
     return ttl
-
-
-def flood_message_cost(covered: int) -> int:
-    """Transmissions in a flood covering ``covered`` nodes.
-
-    Every covered node rebroadcasts once except the last ring; we use the
-    paper's accounting where the flood cost is on the order of the covered
-    set (each non-leaf node transmits once).
-    """
-    if covered < 1:
-        raise ValueError("covered must be >= 1")
-    return covered

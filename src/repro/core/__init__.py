@@ -7,7 +7,8 @@ from repro.core.biquorum import (
 )
 from repro.core.gossip import GossipFloodStrategy
 from repro.core.leases import LeasedEntry, LeaseTable
-from repro.core.masking import MaskingStrategy, parse_masking_name
+from repro.core.masking import MaskingStrategy
+from repro.obs.watch import parse_masking_name
 from repro.core.strategies import (
     AccessPolicy,
     AccessResult,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.intersection import (
     asymmetric_quorum_sizes,
@@ -165,14 +165,14 @@ class ProbabilisticBiquorum:
         self.sizing = self._plan(self.net.n_alive)
         return self.sizing
 
-    def resize(self, n: Optional[int] = None) -> QuorumSizing:
-        """Re-derive sizes for the current (or given) network size.
+    def resize(self) -> QuorumSizing:
+        """Re-derive sizes for the current network size.
 
         Called automatically before each access when
         ``adjust_to_network_size`` is set — the paper's 'adjusted |Ql|'
         maintenance mode (Section 6.1).
         """
-        self.sizing = self._plan(n if n is not None else self.net.n_alive)
+        self.sizing = self._plan(self.net.n_alive)
         return self.sizing
 
     def _record(self, result: AccessResult) -> AccessResult:
@@ -218,28 +218,3 @@ class ProbabilisticBiquorum:
             self.net, origin, probe_fn, self.sizing.lookup_size)
         self._check_latency(result, self.net.now - started)
         return self._record(result)
-
-    # -- quality metrics (Section 3) -------------------------------------
-
-    def load_distribution(self) -> Dict[int, int]:
-        """Per-node access counts observed so far (the 'load' metric)."""
-        return dict(self.load)
-
-    def load_balance_ratio(self) -> float:
-        """max/mean of per-node load over nodes touched at least once."""
-        if not self.load:
-            return 1.0
-        values = list(self.load.values())
-        return max(values) / (sum(values) / len(values))
-
-    def empirical_hit_ratio(self) -> float:
-        """Fraction of lookups that found data (intersection estimate)."""
-        lookups = [r for r in self.accesses if r.kind == "lookup"]
-        if not lookups:
-            return 0.0
-        return sum(1 for r in lookups if r.found) / len(lookups)
-
-    def message_totals(self) -> Tuple[int, int]:
-        """(network messages, routing messages) across all accesses."""
-        return (sum(r.messages for r in self.accesses),
-                sum(r.routing_messages for r in self.accesses))

@@ -18,12 +18,15 @@ strategy on the frequent side of an asymmetric biquorum.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.core.strategies import AccessResult, AccessStrategy, ProbeFn, StoreFn
 from repro.obs.trace import record_event
 from repro.randomwalk.reply import send_reply
 from repro.simnet.network import SimNetwork
+
+
+#: A TTL past any network's hop diameter: the flood reaches everyone.
+MAX_TTL = 64
 
 
 class GossipFloodStrategy(AccessStrategy):
@@ -32,16 +35,11 @@ class GossipFloodStrategy(AccessStrategy):
     name = "GOSSIP-FLOOD"
     uniform_random = True
 
-    def __init__(self, rng: Optional[random.Random] = None,
-                 max_ttl: int = 64) -> None:
-        self.rng = rng
-        self.max_ttl = max_ttl
-
     def _rng(self, net: SimNetwork) -> random.Random:
-        return self.rng or net.rngs.stream("gossip-strategy")
+        return net.rngs.stream("gossip-strategy")
 
     def _flood_everywhere(self, net: SimNetwork, origin: int):
-        return net.flood(origin, ttl=self.max_ttl)
+        return net.flood(origin, ttl=MAX_TTL)
 
     def _select_members(self, net: SimNetwork, covered, target_size: int,
                         rng: random.Random):

@@ -15,7 +15,7 @@ owns one and builds annotated probe/store callbacks over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional
 
 if TYPE_CHECKING:  # annotation-only; a runtime import would be circular
     from repro.services.register import Timestamp
@@ -89,8 +89,3 @@ class LeaseTable:
         if not self.net.is_alive(node):
             return None
         return entry
-
-    def holders_of(self, key: Hashable) -> List[int]:
-        """Alive nodes currently able to answer for ``key`` (tests/metrics)."""
-        return sorted(node for node in list(self._tables)
-                      if self.visible(node, key) is not None)

@@ -32,8 +32,7 @@ confirmed candidates.  Sizing lives in
 
 from __future__ import annotations
 
-import re
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List
 
 from repro.analysis.intersection import masking_vote_threshold
 from repro.core.strategies import (
@@ -43,39 +42,22 @@ from repro.core.strategies import (
     _reply_version,
 )
 
-#: Strategy-name shape emitted by :class:`MaskingStrategy`; the
-#: quorum-intersection watcher parses ``b`` and the inner strategy out
-#: of it to pick the masking success floor (``Pr[|Qa ∩ Ql| >= 2b+1]``).
-MASKING_NAME_RE = re.compile(r"^MASKING\[b=(?P<b>\d+),(?P<inner>[^\]]+)\]$")
-
-
-def parse_masking_name(name: str) -> Optional[Tuple[int, str]]:
-    """``(b, inner_strategy_name)`` for a MaskingStrategy name, else None."""
-    match = MASKING_NAME_RE.match(name or "")
-    if match is None:
-        return None
-    return int(match.group("b")), match.group("inner")
-
 
 class MaskingStrategy(AccessStrategy):
     """Vote-threshold (b-masking) filter over an inner access strategy.
 
     Advertises delegate untouched; lookups collect every probe reply and
-    only accept a value corroborated by ``threshold`` (default ``b+1``)
-    distinct replicas.  The filter only observes the probe callback,
+    only accept a value corroborated by ``b+1`` distinct replicas.  The
+    filter only observes the probe callback,
     which the batched kernels and the per-event code drive identically.
     """
 
-    def __init__(self, inner: AccessStrategy, b: int,
-                 threshold: Optional[int] = None) -> None:
+    def __init__(self, inner: AccessStrategy, b: int) -> None:
         if b < 0:
             raise ValueError("b must be non-negative")
         self.inner = inner
         self.b = b
-        self.threshold = (masking_vote_threshold(b) if threshold is None
-                          else threshold)
-        if self.threshold < 1:
-            raise ValueError("vote threshold must be >= 1")
+        self.threshold = masking_vote_threshold(b)
         self.name = f"MASKING[b={b},{inner.name}]"
         self.uniform_random = inner.uniform_random
 

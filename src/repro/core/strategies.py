@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Set
 
-from repro.analysis.flooding import DEFAULT_KAPPA, ttl_for_coverage
+from repro.analysis.flooding import ttl_for_coverage
 from repro.obs.profile import PROFILER
 from repro.obs.trace import record_event
 from repro.randomwalk.reply import reverse_path_of, send_reply
@@ -552,15 +552,11 @@ class RandomSamplingStrategy(AccessStrategy):
     name = "RANDOM-SAMPLING"
     uniform_random = True
 
-    def __init__(self, walk_length: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
-                 max_extra_walks: int = 8) -> None:
-        self.walk_length = walk_length
-        self.rng = rng
-        self.max_extra_walks = max_extra_walks
+    #: Walks beyond ``k`` an access may spend on collisions and drops.
+    max_extra_walks = 8
 
-    def _rng(self, net: SimNetwork) -> random.Random:
-        return self.rng or net.rngs.stream("sampling-strategy")
+    def __init__(self, walk_length: Optional[int] = None) -> None:
+        self.walk_length = walk_length
 
     def _collect(self, net: SimNetwork, origin: int, k: int,
                  result: AccessResult,
@@ -569,7 +565,7 @@ class RandomSamplingStrategy(AccessStrategy):
 
         ``on_member(node, walk_path)`` returns True to halt the access.
         """
-        rng = self._rng(net)
+        rng = net.rngs.stream("sampling-strategy")
         members: Set[int] = set()
         budget = k + self.max_extra_walks
         walks = 0
@@ -780,18 +776,15 @@ class FloodingStrategy(AccessStrategy):
     name = "FLOODING"
     uniform_random = False
 
-    def __init__(self, ttl: Optional[int] = None, expanding_ring: bool = False,
-                 kappa: float = DEFAULT_KAPPA,
-                 count_acks: bool = True) -> None:
+    def __init__(self, ttl: Optional[int] = None,
+                 expanding_ring: bool = False) -> None:
         self.ttl = ttl
         self.expanding_ring = expanding_ring
-        self.kappa = kappa
-        self.count_acks = count_acks
 
     def _analytic_ttl(self, net: SimNetwork, target_size: int) -> int:
         target = min(target_size, net.n_alive)
         return max(1, ttl_for_coverage(net.n_alive, net.config.avg_degree,
-                                       target, self.kappa))
+                                       target))
 
     def _flood_to_target(self, net: SimNetwork, origin: int, target_size: int,
                          result: AccessResult):
@@ -820,8 +813,6 @@ class FloodingStrategy(AccessStrategy):
     def _count_acks(self, net: SimNetwork, result: AccessResult,
                     outcome) -> None:
         """Charge the per-covered-node ack messages (modeled, not sent)."""
-        if not self.count_acks:
-            return
         acks = max(0, outcome.coverage - 1)
         if acks:
             result.messages += acks
@@ -895,14 +886,13 @@ class RandomOptStrategy(AccessStrategy):
     name = "RANDOM-OPT"
     uniform_random = False
 
-    def __init__(self, membership: Any, initiations: Optional[int] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, membership: Any,
+                 initiations: Optional[int] = None) -> None:
         self.membership = membership
         self.initiations = initiations
-        self.rng = rng
 
     def _rng(self, net: SimNetwork) -> random.Random:
-        return self.rng or net.rngs.stream("random-opt-strategy")
+        return net.rngs.stream("random-opt-strategy")
 
     def default_initiations(self, net: SimNetwork) -> int:
         """The paper's finding: ~ln(n) initiations give 0.9 intersection."""

@@ -63,7 +63,6 @@ from repro.experiments.workload import (
     SizingRecommendation,
     TauEstimator,
     WorkloadSpec,
-    ZipfKeySampler,
     generate_operations,
     run_workload_batched,
     run_workload_sequential,
@@ -103,5 +102,5 @@ __all__ = [
     "FIGURES", "FigureRow", "FigureSpec", "figure_table", "run_figure",
     "render_series",
     "SweepResult", "derive_task_seed", "merge_scenario_stats", "run_sweep",
-    "SizingRecommendation", "TauEstimator", "ZipfKeySampler",
+    "SizingRecommendation", "TauEstimator", 
 ]

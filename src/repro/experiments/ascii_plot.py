@@ -10,11 +10,12 @@ from typing import Dict, List, Sequence, Tuple
 
 Point = Tuple[float, float]
 
+#: Canvas size in characters.
+WIDTH, HEIGHT = 60, 16
+
 
 def render_series(
     series: Dict[str, Sequence[Point]],
-    width: int = 60,
-    height: int = 16,
     x_label: str = "x",
     y_label: str = "y",
 ) -> str:
@@ -33,7 +34,7 @@ def render_series(
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * WIDTH for _ in range(HEIGHT)]
     markers = "*+xo#@%&"
     legend: List[str] = []
     for idx, (name, pts) in enumerate(series.items()):
@@ -42,19 +43,19 @@ def render_series(
             marker = markers[idx % 8]
         legend.append(f"  {marker} = {name}")
         for x, y in pts:
-            col = int(round((x - x_min) / x_span * (width - 1)))
-            row = int(round((y - y_min) / y_span * (height - 1)))
-            canvas[height - 1 - row][col] = marker
+            col = int(round((x - x_min) / x_span * (WIDTH - 1)))
+            row = int(round((y - y_min) / y_span * (HEIGHT - 1)))
+            canvas[HEIGHT - 1 - row][col] = marker
 
     top = f"{y_max:g}".rjust(10)
     bottom = f"{y_min:g}".rjust(10)
     out = []
     for i, line in enumerate(canvas):
-        prefix = top if i == 0 else (bottom if i == height - 1
+        prefix = top if i == 0 else (bottom if i == HEIGHT - 1
                                      else " " * 10)
         out.append(f"{prefix} |{''.join(line)}|")
-    x_axis = f"{'':10} +{'-' * width}+"
-    x_ticks = f"{'':10}  {f'{x_min:g}':<{width // 2}}{f'{x_max:g}':>{width // 2}}"
+    x_axis = f"{'':10} +{'-' * WIDTH}+"
+    x_ticks = f"{'':10}  {f'{x_min:g}':<{WIDTH // 2}}{f'{x_max:g}':>{WIDTH // 2}}"
     out.append(x_axis)
     out.append(x_ticks)
     out.append(f"{'':10}  {x_label} vs {y_label}")

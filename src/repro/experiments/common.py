@@ -119,15 +119,12 @@ class ScenarioStats:
 def make_network(
     n: int,
     avg_degree: float = 10.0,
-    mobility: str = "static",
-    max_speed: float = 2.0,
     seed: int = 0,
     **overrides,
 ) -> SimNetwork:
-    """Deployment with the paper's defaults (speed range 0.5..max m/s)."""
+    """A static deployment with the paper's defaults."""
     return SimNetwork(scenario_config(
-        n, avg_degree=avg_degree, mobility=mobility, max_speed=max_speed,
-        seed=seed, **overrides))
+        n, avg_degree=avg_degree, seed=seed, **overrides))
 
 
 def scenario_config(
@@ -159,6 +156,12 @@ def make_membership(net: SimNetwork, kind: str = "random"):
     raise ValueError(f"unknown membership kind {kind!r}")
 
 
+#: Lookups come from this many distinct random nodes.
+N_LOOKERS = 25
+#: Simulated seconds of heartbeats before the first advertisement.
+WARMUP = 1.0
+
+
 @profiled("scenario.run")
 def run_scenario(
     net: SimNetwork,
@@ -168,9 +171,7 @@ def run_scenario(
     lookup_size: int,
     n_keys: int = 20,
     n_lookups: int = 100,
-    n_lookers: int = 25,
     miss_fraction: float = 0.0,
-    warmup: float = 1.0,
     seed: int = 1,
     service: Optional[LocationService] = None,
 ) -> ScenarioStats:
@@ -180,7 +181,7 @@ def run_scenario(
     (to measure the cost of a miss, Figure 16).  Returns aggregated stats.
     """
     rng = random.Random(seed)
-    net.run_until(net.now + warmup)
+    net.run_until(net.now + WARMUP)
 
     if service is None:
         biquorum = ProbabilisticBiquorum(
@@ -205,7 +206,7 @@ def run_scenario(
 
     # Part 2: lookups by a fixed pool of random nodes.
     alive = net.alive_nodes()
-    lookers = rng.sample(alive, min(n_lookers, len(alive)))
+    lookers = rng.sample(alive, min(N_LOOKERS, len(alive)))
     n_misses = int(round(miss_fraction * n_lookups))
     for i in range(n_lookups):
         looker = rng.choice(lookers)

@@ -66,10 +66,8 @@ def measure_pct(
 
 def pct_by_network_size(
     sizes: Sequence[int] = (50, 100, 200, 400),
-    avg_degree: float = 10.0,
     coverage_fractions: Sequence[float] = (0.5, 1.0, 2.0),
     walks: int = 10,
-    seed: int = 0,
 ) -> List[PctPoint]:
     """Figure 4(a)/(c): steps-per-unique vs covered count, per network size.
 
@@ -77,15 +75,15 @@ def pct_by_network_size(
     """
     points: List[PctPoint] = []
     for n in sizes:
-        net = make_network(n, avg_degree=avg_degree, seed=seed)
+        net = make_network(n, avg_degree=10.0, seed=0)
         for frac in coverage_fractions:
             target = max(2, int(round(frac * (n ** 0.5))))
             target = min(target, n - 1)
             for self_avoiding in (False, True):
                 steps, per_unique = measure_pct(
-                    net, target, self_avoiding, walks=walks, seed=seed + 1)
+                    net, target, self_avoiding, walks=walks, seed=1)
                 points.append(PctPoint(
-                    n=n, avg_degree=avg_degree, unique_target=target,
+                    n=n, avg_degree=10.0, unique_target=target,
                     unique=self_avoiding, steps_per_unique=per_unique,
                     mean_steps=steps, walks=walks))
     return points
@@ -94,18 +92,16 @@ def pct_by_network_size(
 def pct_by_density(
     densities: Sequence[float] = (7, 10, 15, 20, 25),
     n: int = 200,
-    coverage_fraction: float = 1.0,
     walks: int = 10,
-    seed: int = 0,
 ) -> List[PctPoint]:
     """Figure 4(b): density influence on the partial cover time."""
     points: List[PctPoint] = []
-    target = max(2, int(round(coverage_fraction * (n ** 0.5))))
+    target = max(2, int(round(n ** 0.5)))
     for d in densities:
-        net = make_network(n, avg_degree=d, seed=seed)
+        net = make_network(n, avg_degree=d, seed=0)
         for self_avoiding in (False, True):
             steps, per_unique = measure_pct(
-                net, target, self_avoiding, walks=walks, seed=seed + 1)
+                net, target, self_avoiding, walks=walks, seed=1)
             points.append(PctPoint(
                 n=n, avg_degree=d, unique_target=target,
                 unique=self_avoiding, steps_per_unique=per_unique,

@@ -60,18 +60,16 @@ def flooding_coverage(
 
 def flooding_by_size(
     sizes: Sequence[int] = (50, 100, 200, 400),
-    avg_degree: float = 10.0,
     ttls: Sequence[int] = (1, 2, 3, 4, 5),
     floods_per_ttl: int = 6,
-    seed: int = 0,
 ) -> List[FloodPoint]:
     """Figure 5(a)/(c): coverage vs TTL across network sizes."""
     points: List[FloodPoint] = []
     for n in sizes:
-        points.extend(flooding_coverage(n=n, avg_degree=avg_degree,
+        points.extend(flooding_coverage(n=n, avg_degree=10.0,
                                         ttls=ttls,
                                         floods_per_ttl=floods_per_ttl,
-                                        seed=seed))
+                                        seed=0))
     return points
 
 
@@ -80,12 +78,11 @@ def flooding_by_density(
     n: int = 200,
     ttls: Sequence[int] = (1, 2, 3, 4, 5),
     floods_per_ttl: int = 6,
-    seed: int = 0,
 ) -> List[FloodPoint]:
     """Figure 5(b)/(d): coverage vs TTL across densities."""
     points: List[FloodPoint] = []
     for d in densities:
         points.extend(flooding_coverage(n=n, avg_degree=d, ttls=ttls,
                                         floods_per_ttl=floods_per_ttl,
-                                        seed=seed))
+                                        seed=0))
     return points

@@ -81,14 +81,13 @@ def degradation_curves(
     n: int = 400,
     trials: int = 300,
     modes: Sequence[str] = CHURN_MODES,
-    seed: int = 0,
 ) -> List[DegradationPoint]:
     """Analytic + Monte-Carlo intersection probability vs churn fraction.
 
     Quorums are sized symmetrically for the initial epsilon; churn then
     fails/joins a fraction ``f`` of the network.
     """
-    rng = random.Random(seed)
+    rng = random.Random(0)
     q0 = int(math.ceil(math.sqrt(n * math.log(1.0 / epsilon))))
     points: List[DegradationPoint] = []
     for mode in modes:

@@ -180,9 +180,12 @@ def _run_leg(mode: str, n: int, seed: int, fraction: float, b: Optional[int],
         per_node_load=load, predicted_load=min(size, n) / n)
 
 
+#: Both legs of every fraction run one deployment seed.
+SEED = 7
+
+
 def byzantine_sweep(
     n: int = 100,
-    seed: int = 7,
     fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.1),
     b: Optional[int] = None,
     epsilon: float = 0.05,
@@ -201,8 +204,8 @@ def byzantine_sweep(
         b = max(1, math.ceil(max(fractions) * n))
     points: List[ByzPoint] = []
     for fraction in fractions:
-        points.append(_run_leg("undefended", n, seed, fraction, None,
+        points.append(_run_leg("undefended", n, SEED, fraction, None,
                                epsilon, n_keys, n_lookups))
-        points.append(_run_leg("masked", n, seed, fraction, b,
+        points.append(_run_leg("masked", n, SEED, fraction, b,
                                epsilon, n_keys, n_lookups))
     return points

@@ -208,7 +208,6 @@ def kv_sweep(
     zipf_s: float = 0.99,
     churn_rate: float = 0.01,
     epsilon: float = 0.05,
-    min_survival: float = 0.9,
     reps: int = 3,
     jobs: Optional[int] = None,
     seed: int = 7,
@@ -224,7 +223,7 @@ def kv_sweep(
             ops=ops, n=n, n_keys=n_keys, read_fraction=read_fraction,
             cas_fraction=cas_fraction, zipf_s=zipf_s,
             churn_rate=churn_rate, epsilon=epsilon,
-            min_survival=min_survival)
+            min_survival=0.9)
         for strategy in strategies
         for ttl in ttls
         for rate in rates

@@ -66,16 +66,22 @@ def expected_intersection(service: LocationService, net: SimNetwork,
     return 1.0 - sum(misses) / len(misses)
 
 
+#: The experiment's fixed setup: one deployment seed for both legs, the
+#: join-surge campaign run SETTLE seconds past its end, an adaptive
+#: refresh starting at REFRESH_INTERVAL against a MIN_INTERSECTION
+#: floor, and SAMPLES evenly spaced readings.
+SEED = 7
+CAMPAIGN = "join-surge"
+SETTLE = 5.0
+REFRESH_INTERVAL = 15.0
+MIN_INTERSECTION = 0.9
+SAMPLES = 12
+
+
 def maintenance_curves(
     n: int = 100,
-    seed: int = 7,
     epsilon: float = 0.05,
-    min_intersection: float = 0.9,
-    campaign: str = "join-surge",
     n_keys: int = 8,
-    samples: int = 12,
-    refresh_interval: float = 15.0,
-    settle: float = 5.0,
 ) -> List[MaintenancePoint]:
     """Degradation curves with refresh off vs. adaptive refresh on.
 
@@ -84,7 +90,7 @@ def maintenance_curves(
     """
     points: List[MaintenancePoint] = []
     for refresh_mode in ("off", "on"):
-        net = SimNetwork(NetworkConfig(n=n, seed=seed))
+        net = SimNetwork(NetworkConfig(n=n, seed=SEED))
         membership = RandomMembership(net)
         size = max(1, int(round(math.sqrt(n * math.log(1.0 / epsilon)))))
         biquorum = ProbabilisticBiquorum(
@@ -97,21 +103,21 @@ def maintenance_curves(
         daemon: Optional[RefreshDaemon] = None
         if refresh_mode == "on":
             daemon = RefreshDaemon(
-                service, interval=refresh_interval, epsilon=epsilon,
-                min_intersection=min_intersection, adaptive=True)
+                service, interval=REFRESH_INTERVAL, epsilon=epsilon,
+                min_intersection=MIN_INTERSECTION, adaptive=True)
 
         wrng = net.rngs.stream("workload")
         for i in range(n_keys):
             origin = net.random_alive_node(wrng)
             service.advertise(origin, f"key-{i}", f"value-{i}")
 
-        plan = load_campaign(campaign)
+        plan = load_campaign(CAMPAIGN)
         runner = CampaignRunner(net, plan,
                                 memberships=(membership,)).start()
-        duration = plan.duration + settle
+        duration = plan.duration + SETTLE
         start = net.now
-        for s in range(samples + 1):
-            net.run_until(start + duration * s / samples)
+        for s in range(SAMPLES + 1):
+            net.run_until(start + duration * s / SAMPLES)
             points.append(MaintenancePoint(
                 refresh=refresh_mode,
                 t=net.now,

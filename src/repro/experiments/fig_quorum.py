@@ -45,6 +45,9 @@ _NAN = float("nan")
 #: of node comparisons by construction.
 LOAD_TOLERANCE = 0.05
 
+#: Confidence of the replicated means and of the per-node load CIs.
+CONFIDENCE = 0.95
+
 
 @dataclass
 class QuorumLoadPoint:
@@ -90,7 +93,6 @@ def quorum_load_point(
     ops: int = 80,
     seed: int = 0,
     faulty: Optional[Set[int]] = None,
-    confidence: float = 0.95,
 ) -> QuorumLoadPoint:
     """Run one (system, read_fraction) point; see module docstring."""
     config = scenario_config(n, seed=seed)
@@ -132,7 +134,7 @@ def quorum_load_point(
         return stats
 
     outcome = run_replicated(config, run, base_seed=seed, reps=reps,
-                             confidence=confidence)
+                             confidence=CONFIDENCE)
     point.reps = outcome.reps
     if n_lookups and n_keys:
         point.hit_ratio = outcome.mean("hit_ratio")
@@ -150,10 +152,10 @@ def quorum_load_point(
             acc.update(sample.get(node, 0.0))
     worst_gap = 0.0
     max_mean, max_mean_hw = -math.inf, _NAN
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2.0)
     samples = max(1, point.reps * ops)
     for node, acc in accumulators.items():
-        hw = acc.halfwidth(confidence)
+        hw = acc.halfwidth(CONFIDENCE)
         point.node_loads_simulated[node] = (acc.mean, hw)
         if acc.mean > max_mean:
             max_mean, max_mean_hw = acc.mean, hw
@@ -192,8 +194,6 @@ def quorum_load_sweep(
     optimize: str = "load",
     reps: int = 8,
     ops: int = 80,
-    seed: int = 0,
-    faulty: Optional[Set[int]] = None,
 ) -> List[QuorumLoadPoint]:
     """The ``repro quorum`` figure: read-fraction sweep per system."""
     points = []
@@ -205,6 +205,5 @@ def quorum_load_sweep(
         for fr in read_fractions:
             points.append(quorum_load_point(
                 system_name, fr, n=n, m=size, optimize=optimize,
-                reps=reps, ops=ops, seed=seed,
-                faulty=faulty))
+                reps=reps, ops=ops, seed=0))
     return points

@@ -36,7 +36,7 @@ workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -215,16 +215,6 @@ class ReplicationOutcome:
         est = self.estimates.get(metric)
         return est.halfwidth if est is not None else _NAN
 
-    def ci_dict(self, metrics: Sequence[str] = SCENARIO_METRICS
-                ) -> Dict[str, float]:
-        """``{metric: half-width}`` for the metrics with a defined CI."""
-        out = {}
-        for metric in metrics:
-            hw = self.halfwidth(metric)
-            if hw == hw:  # skip nan
-                out[metric] = hw
-        return out
-
     @property
     def merged(self) -> Optional[ScenarioStats]:
         """Pooled ScenarioStats over all replicas (None with zero)."""
@@ -372,9 +362,7 @@ class _ReplicaNetworkBuilder:
 def run_replicated(
     config: NetworkConfig,
     run_replica: Callable[[SimNetwork, int], ScenarioStats],
-    plan: Optional[ReplicationPlan] = None,
     base_seed: int = 0,
-    seeds: Optional[Sequence[int]] = None,
     **plan_overrides,
 ) -> ReplicationOutcome:
     """Run ``run_replica(net, seed)`` over R replicas of one deployment.
@@ -384,15 +372,11 @@ def run_replicated(
     ``run_replica`` receives a freshly built network plus that replica's
     scenario seed and returns a :class:`ScenarioStats`.
 
-    ``seeds`` overrides the derived scenario seed list (both backends
-    always consume the same seeds — the batched/sequential switch cannot
-    change a single reported statistic).  Extra keyword arguments are
-    :class:`ReplicationPlan` fields.
+    Both backends consume the same scenario seeds, so the
+    batched/sequential switch cannot change a single reported statistic.
+    Extra keyword arguments are :class:`ReplicationPlan` fields.
     """
-    if plan is None:
-        plan = ReplicationPlan(**plan_overrides)
-    elif plan_overrides:
-        plan = replace(plan, **plan_overrides)
+    plan = ReplicationPlan(**plan_overrides)
     if plan.reps < 0:
         raise ValueError("reps must be non-negative")
     if plan.on_error not in ("raise", "skip"):
@@ -400,11 +384,7 @@ def run_replicated(
     if plan.backend not in ("batched", "sequential"):
         raise ValueError(f"unknown replication backend {plan.backend!r}")
     budget = plan.replica_budget()
-    if seeds is not None:
-        seed_list = [int(s) for s in seeds]
-        budget = min(budget, len(seed_list))
-    else:
-        seed_list = scenario_seed_list(base_seed, budget)
+    seed_list = scenario_seed_list(base_seed, budget)
 
     builder = _ReplicaNetworkBuilder(config, plan)
     stats: List[ScenarioStats] = []

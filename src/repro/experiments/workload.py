@@ -20,14 +20,11 @@ sequence is bit-identical across ``--jobs`` settings and backends:
   completes in seconds, with per-read marginals exactly matching
   :func:`repro.analysis.leases.stale_read_probability_exact`.
 
-The paper's own workload pieces sit at the end of the module: the
+The paper's own workload piece sits at the end of the module: the
 sliding-window **tau estimator** of Section 5.4 (the lookup:advertise
 ratio that drives the cost-optimal asymmetric sizing of Lemma 5.6 — a
 wrong or drifting estimate never affects correctness, only the message
-bill) and a P2P-style advertise/lookup schedule over **Zipf-popular
-keys** (Sections 5.4, 7.1: the regime in which bystander caching makes
-"lookup requests for popular data items terminate much faster").  They
-share :func:`zipf_pmf` with the kv generator.
+bill).
 
 Both backends return :class:`KVRunStats` — tail latency (p50/p99/p999),
 stale-read fraction, availability, the analytic stale prediction, and a
@@ -37,12 +34,10 @@ workload run doubles as a correctness oracle.
 
 from __future__ import annotations
 
-import bisect
 import math
-import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Hashable, List, Optional, Sequence
+from typing import Any, Deque, List, Optional
 
 import numpy as np
 
@@ -182,12 +177,11 @@ class KVRunStats:
 # Sequential backend: the real service on a live network
 # ---------------------------------------------------------------------------
 
-def run_workload_sequential(store: Any, spec: WorkloadSpec,
-                            time_scale: float = 1.0) -> KVRunStats:
+def run_workload_sequential(store: Any, spec: WorkloadSpec) -> KVRunStats:
     """Execute the generated stream against a live :class:`QuorumKVStore`.
 
     Arrivals drive the simulated clock (open loop): the network runs
-    until each op's arrival time (times scaled by ``time_scale``) before
+    until each op's arrival time before
     the op is issued.  The store's checker (when present) records every
     op; cas ops target the latest committed value (the client read its
     own oracle), so honest runs keep cas mostly succeeding.
@@ -199,7 +193,7 @@ def run_workload_sequential(store: Any, spec: WorkloadSpec,
     reads = writes = cas_attempts = cas_successes = 0
     found = missed = not_newest = 0
     for i in range(len(ops)):
-        target = start + float(ops.times[i]) * time_scale
+        target = start + float(ops.times[i])
         if target > net.now:
             net.run_until(target)
         alive = net.alive_nodes()
@@ -558,30 +552,6 @@ def run_workload_batched(spec: WorkloadSpec,
 
 
 # -- usage-pattern estimation and P2P-style schedules (Section 5.4) ----------
-
-
-class ZipfKeySampler:
-    """Keys with Zipf(s) popularity (rank-r probability ∝ 1/r^s)."""
-
-    def __init__(self, keys: Sequence[Hashable], exponent: float = 1.0,
-                 *, rng: random.Random) -> None:
-        if not keys:
-            raise ValueError("need at least one key")
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        self.keys = list(keys)
-        self.exponent = exponent
-        self.rng = rng
-        self._pmf = zipf_pmf(len(self.keys), exponent)
-        self._cumulative: List[float] = np.cumsum(self._pmf).tolist()
-
-    def sample(self) -> Hashable:
-        """Draw one key by popularity."""
-        rank = bisect.bisect_left(self._cumulative, self.rng.random())
-        return self.keys[min(rank, len(self.keys) - 1)]
-
-    def probability_of(self, key: Hashable) -> float:
-        return float(self._pmf[self.keys.index(key)])
 
 
 @dataclass

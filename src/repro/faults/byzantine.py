@@ -202,7 +202,7 @@ class ByzantineBehavior:
     """Campaign injection: turn a fraction of replicas adversarial.
 
     For ``lie``/``stale``/``drop`` the victims are drawn once at
-    ``begin`` from the alive non-protected nodes (``faults`` RNG
+    ``begin`` from the alive nodes (``faults`` RNG
     stream); for ``capture`` the corruption is drawn lazily per
     advertise-set member (see :class:`CaptureSpec`).  ``duration = 0``
     means the behavior persists until ``CampaignRunner.stop()`` unwinds
@@ -232,7 +232,7 @@ class ByzantineBehavior:
                                     phase="attach", behavior=self.behavior,
                                     nodes=[])
             return
-        eligible = sorted(set(runner.net.alive_nodes()) - runner.protected)
+        eligible = sorted(runner.net.alive_nodes())
         count = min(len(eligible), max(1, round(self.fraction * len(eligible))))
         victims = sorted(runner.rng.sample(eligible, count)) if count else []
         registry.attach(victims, self.behavior)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.byzantine import ByzantineBehavior
 from repro.simnet.churn import apply_churn
@@ -71,8 +71,7 @@ class FailureWave:
 
     def begin(self, runner: "CampaignRunner") -> None:
         apply_churn(runner.net, fail_fraction=self.fraction,
-                    rng=runner.rng, keep_connected=self.keep_connected,
-                    protected=runner.protected)
+                    rng=runner.rng, keep_connected=self.keep_connected)
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class JoinWave:
 
     def begin(self, runner: "CampaignRunner") -> None:
         apply_churn(runner.net, join_fraction=self.fraction,
-                    rng=runner.rng, protected=runner.protected)
+                    rng=runner.rng)
 
 
 @dataclass(frozen=True)
@@ -105,19 +104,17 @@ class Partition:
     width: Optional[float] = None
     type: str = "partition"
 
-    def band_nodes(self, net: SimNetwork,
-                   protected: Iterable[int]) -> List[int]:
+    def band_nodes(self, net: SimNetwork) -> List[int]:
         side = net.config.side
         width = self.width if self.width is not None else net.config.radio_range
         center = self.position * side
         lo, hi = center - width / 2.0, center + width / 2.0
         coord = 0 if self.axis == "x" else 1
-        skip = set(protected)
         return [node for node in net.alive_nodes()
-                if node not in skip and lo <= net.position(node)[coord] <= hi]
+                if lo <= net.position(node)[coord] <= hi]
 
     def begin(self, runner: "CampaignRunner") -> None:
-        victims = self.band_nodes(runner.net, runner.protected)
+        victims = self.band_nodes(runner.net)
         for node in victims:
             runner.net.fail_node(node)
         runner.net.invalidate_routes()
@@ -276,12 +273,10 @@ class CampaignRunner:
     """
 
     def __init__(self, net: SimNetwork, campaign: FaultCampaign,
-                 memberships: Sequence[Any] = (),
-                 protected: Optional[Iterable[int]] = None) -> None:
+                 memberships: Sequence[Any] = ()) -> None:
         self.net = net
         self.campaign = campaign
         self.memberships = tuple(memberships)
-        self.protected = set(protected or ())
         self.rng = net.rngs.stream("faults")
         self.baseline_drop_prob = net.config.drop_prob
         self.partition_victims: Dict[int, List[int]] = {}

@@ -24,6 +24,23 @@ from repro.services.maintenance import RefreshDaemon
 from repro.simnet.network import NetworkConfig, SimNetwork
 
 
+#: The campaign deployment: the paper's density (§8) and miss budget.
+AVG_DEGREE = 10.0
+EPSILON = 0.05
+#: Simulated seconds the workload runs past the campaign's last injection.
+SETTLE = 10.0
+#: Every access gets a 5 s deadline and two retries.
+POLICY = AccessPolicy(deadline=5.0, max_retries=2)
+#: ``run_fault_campaign``'s refresh daemon.
+REFRESH_INTERVAL = 20.0
+MIN_INTERSECTION = 0.9
+#: ``run_kv_fault_campaign``'s store and op mix.
+MIN_SURVIVAL = 0.9
+READ_FRACTION = 0.8
+CAS_FRACTION = 0.1
+ZIPF_S = 0.99
+
+
 @dataclass
 class CampaignReport:
     """What a fault-campaign run did and how the service held up."""
@@ -95,14 +112,7 @@ def run_fault_campaign(
     seed: int = 7,
     n_keys: int = 10,
     n_lookups: int = 60,
-    avg_degree: float = 10.0,
-    duration: Optional[float] = None,
     refresh: str = "adaptive",          # "adaptive" | "static" | "off"
-    refresh_interval: float = 20.0,
-    epsilon: float = 0.05,
-    min_intersection: float = 0.9,
-    policy: Optional[AccessPolicy] = AccessPolicy(
-        deadline=5.0, max_retries=2),
     watch: bool = False,
     slo_specs: Optional[list] = None,
     masking_b: Optional[int] = None,
@@ -125,10 +135,9 @@ def run_fault_campaign(
         campaign = load_campaign(campaign)
     if refresh not in ("adaptive", "static", "off"):
         raise ValueError("refresh must be adaptive, static, or off")
-    if duration is None:
-        duration = campaign.duration + 10.0
+    duration = campaign.duration + SETTLE
 
-    net = SimNetwork(NetworkConfig(n=n, avg_degree=avg_degree, seed=seed))
+    net = SimNetwork(NetworkConfig(n=n, avg_degree=AVG_DEGREE, seed=seed))
     hub = None
     if watch or slo_specs:
         from repro.obs.watch import attach_watchers, builtin_watchers
@@ -137,19 +146,19 @@ def run_fault_campaign(
     if masking_b is not None:
         from repro.analysis.intersection import masking_quorum_size
         from repro.core.masking import MaskingStrategy
-        size = masking_quorum_size(n, epsilon, masking_b)
+        size = masking_quorum_size(n, EPSILON, masking_b)
         # Masking quorums outgrow the paper's 2*sqrt(n) partial views;
         # widen the membership view so quorums are not silently capped.
         view = max(size, int(round(2.0 * math.sqrt(n))))
         membership = RandomMembership(net, view_size=view)
-        advertise = RandomStrategy(membership).set_policy(policy)
+        advertise = RandomStrategy(membership).set_policy(POLICY)
         lookup = MaskingStrategy(
-            RandomStrategy(membership), masking_b).set_policy(policy)
+            RandomStrategy(membership), masking_b).set_policy(POLICY)
     else:
-        size = max(1, int(round(math.sqrt(n * math.log(1.0 / epsilon)))))
+        size = max(1, int(round(math.sqrt(n * math.log(1.0 / EPSILON)))))
         membership = RandomMembership(net)
-        advertise = RandomStrategy(membership).set_policy(policy)
-        lookup = UniquePathStrategy().set_policy(policy)
+        advertise = RandomStrategy(membership).set_policy(POLICY)
+        lookup = UniquePathStrategy().set_policy(POLICY)
     biquorum = ProbabilisticBiquorum(
         net, advertise=advertise, lookup=lookup,
         advertise_size=size, lookup_size=size,
@@ -159,8 +168,8 @@ def run_fault_campaign(
     daemon: Optional[RefreshDaemon] = None
     if refresh != "off":
         daemon = RefreshDaemon(
-            service, interval=refresh_interval,
-            epsilon=epsilon, min_intersection=min_intersection,
+            service, interval=REFRESH_INTERVAL,
+            epsilon=EPSILON, min_intersection=MIN_INTERSECTION,
             adaptive=(refresh == "adaptive"))
 
     wrng = net.rngs.stream("workload")
@@ -298,16 +307,8 @@ def run_kv_fault_campaign(
     seed: int = 7,
     n_keys: int = 10,
     n_ops: int = 200,
-    avg_degree: float = 10.0,
-    duration: Optional[float] = None,
     lease_ttl: Optional[float] = None,
-    min_survival: float = 0.9,
-    read_fraction: float = 0.8,
-    cas_fraction: float = 0.1,
-    zipf_s: float = 0.99,
-    epsilon: float = 0.05,
-    policy: Optional[AccessPolicy] = AccessPolicy(
-        deadline=5.0, max_retries=2),
+    policy: Optional[AccessPolicy] = POLICY,
     watch: bool = False,
     slo_specs: Optional[list] = None,
     masking_b: Optional[int] = None,
@@ -331,10 +332,9 @@ def run_kv_fault_campaign(
 
     if isinstance(campaign, str):
         campaign = load_campaign(campaign)
-    if duration is None:
-        duration = campaign.duration + 10.0
+    duration = campaign.duration + SETTLE
 
-    net = SimNetwork(NetworkConfig(n=n, avg_degree=avg_degree, seed=seed))
+    net = SimNetwork(NetworkConfig(n=n, avg_degree=AVG_DEGREE, seed=seed))
     hub = None
     if watch or slo_specs:
         from repro.obs.watch import attach_watchers, builtin_watchers
@@ -349,14 +349,14 @@ def run_kv_fault_campaign(
     if masking_b is not None:
         from repro.analysis.intersection import masking_quorum_size
         from repro.core.masking import MaskingStrategy
-        size = masking_quorum_size(n, epsilon, masking_b)
+        size = masking_quorum_size(n, EPSILON, masking_b)
         view = max(size, int(round(2.0 * math.sqrt(n))))
         membership = RandomMembership(net, view_size=view)
         advertise = RandomStrategy(membership).set_policy(policy)
         lookup = MaskingStrategy(
             RandomStrategy(membership), masking_b).set_policy(policy)
     else:
-        size = max(1, int(round(math.sqrt(n * math.log(1.0 / epsilon)))))
+        size = max(1, int(round(math.sqrt(n * math.log(1.0 / EPSILON)))))
         membership = RandomMembership(net)
         advertise = RandomStrategy(membership).set_policy(policy)
         lookup = RandomStrategy(membership).set_policy(policy)
@@ -365,15 +365,15 @@ def run_kv_fault_campaign(
         advertise_size=size, lookup_size=size,
         adjust_to_network_size=False)
     store = QuorumKVStore(
-        biquorum, lease_ttl=lease_ttl, min_survival=min_survival,
+        biquorum, lease_ttl=lease_ttl, min_survival=MIN_SURVIVAL,
         adaptive=(lease_ttl is None), checker=KVHistoryChecker())
 
     runner = CampaignRunner(net, campaign,
                             memberships=(membership,)).start()
 
     spec = WorkloadSpec(
-        ops=n_ops, n_keys=n_keys, read_fraction=read_fraction,
-        cas_fraction=cas_fraction, zipf_s=zipf_s,
+        ops=n_ops, n_keys=n_keys, read_fraction=READ_FRACTION,
+        cas_fraction=CAS_FRACTION, zipf_s=ZIPF_S,
         arrival_rate=max(n_ops / duration, 1e-9), seed=seed)
     start = net.now
     stats = run_workload_sequential(store, spec)

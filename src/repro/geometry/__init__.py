@@ -20,7 +20,6 @@ from repro.geometry.space import (
     critical_range_for_connectivity,
     distance,
     distances,
-    expected_degree,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "critical_range_for_connectivity",
     "distance",
     "distances",
-    "expected_degree",
 ]

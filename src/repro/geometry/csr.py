@@ -111,17 +111,15 @@ def build_true_csr(net) -> CsrSnapshot:
     return snap
 
 
-def build_known_csr(net, prune_missing: bool = True) -> CsrSnapshot:
+def build_known_csr(net) -> CsrSnapshot:
     """Known-view (heartbeat) snapshot, preserving stored row order.
 
     Known tables may reference departed nodes until the next heartbeat;
-    ``prune_missing`` drops entries that are not themselves rows, leaving
-    the *reachable* stale view.  ``prune_missing=False`` keeps the raw
-    stored lists, ids and all.
+    entries that are not themselves rows are dropped, leaving the
+    *reachable* stale view.
     """
     key = (net.topology_version, net.known_version)
-    return _pack(key, dict(net._known_neighbors),
-                 prune_missing=prune_missing)
+    return _pack(key, dict(net._known_neighbors), prune_missing=True)
 
 
 class CsrCache:

@@ -269,30 +269,24 @@ class NeighborKernel:
             found = found[found != exclude]
         return sorted(found.tolist())
 
-    def neighbors_of(self, node_id: int, radius: Optional[float] = None) -> List[int]:
-        """Sorted ids within ``radius`` of ``node_id``, excluding itself."""
-        r = self.radius if radius is None else radius
-        return self.within(self.position(node_id), r, exclude=node_id)
+    def neighbors_of(self, node_id: int) -> List[int]:
+        """Sorted ids within the radius of ``node_id``, excluding itself."""
+        return self.within(self.position(node_id), self.radius,
+                           exclude=node_id)
 
     # -- the batched all-pairs pass -----------------------------------------
 
     @profiled("kernel.batch_pass")
-    def neighbor_tables(self, radius: Optional[float] = None) -> Dict[int, List[int]]:
+    def neighbor_tables(self) -> Dict[int, List[int]]:
         """All-pairs-within-radius adjacency, computed in one batched pass.
 
         Returns ``{node_id: sorted neighbor ids}`` for every node currently
-        in the kernel.  ``radius`` defaults to the kernel's bin radius and
-        must not exceed the cell size (one ring of cells is searched)
-        unless the grid is a single cell.
+        in the kernel.  The cell size is at least the radius, so one ring
+        of cells is searched.
         """
-        r = self.radius if radius is None else radius
-        if (self.cells_per_axis > 1 and len(self._row) > 1
-                and r > self.cell_size * (1 + 1e-12)):
-            raise ValueError(
-                f"query radius {r} exceeds cell size {self.cell_size}")
         ids, pos = self._active()
-        return _binned_tables(ids, pos[np.newaxis], self.side, r, self.torus,
-                              self.cells_per_axis)[0]
+        return _binned_tables(ids, pos[np.newaxis], self.side, self.radius,
+                              self.torus, self.cells_per_axis)[0]
 
 
 #: Relative slack for the rounding of a computed distance itself: each

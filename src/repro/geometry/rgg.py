@@ -13,10 +13,15 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.geometry.kernel import batched_neighbor_tables
 from repro.geometry.space import Point, area_side_for_density
+
+#: The paper's ideal reception range, meters (Figure 2).
+RADIO_RANGE = 200.0
+#: Samples ``rgg_for_density`` draws before giving up on connectivity.
+MAX_ATTEMPTS = 50
 
 
 @dataclass
@@ -39,42 +44,8 @@ class GeometricGraph:
     def degrees(self) -> List[int]:
         return [len(nbrs) for nbrs in self.adjacency]
 
-    def average_degree(self) -> float:
-        if not self.adjacency:
-            return 0.0
-        return sum(self.degrees()) / len(self.adjacency)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        return out
-
     def neighbors(self, node: int) -> List[int]:
         return self.adjacency[node]
-
-    def subgraph_without(self, removed: Set[int]) -> "GeometricGraph":
-        """Graph induced on surviving nodes, keeping original ids.
-
-        Removed nodes get empty adjacency and are excluded from neighbors of
-        survivors.  Used by the churn/failure analyses (Section 6.1): after
-        ``i`` failures the survivors form G^2(n - i, r).
-        """
-        adjacency: List[List[int]] = []
-        for u, nbrs in enumerate(self.adjacency):
-            if u in removed:
-                adjacency.append([])
-            else:
-                adjacency.append([v for v in nbrs if v not in removed])
-        return GeometricGraph(
-            positions=list(self.positions),
-            radius=self.radius,
-            side=self.side,
-            torus=self.torus,
-            adjacency=adjacency,
-        )
 
 
 def build_adjacency(
@@ -110,30 +81,29 @@ def random_geometric_graph(
 def rgg_for_density(
     n: int,
     avg_degree: float,
-    radio_range: float = 200.0,
     torus: bool = False,
     *,
     rng: random.Random,
     require_connected: bool = False,
-    max_attempts: int = 50,
 ) -> GeometricGraph:
     """Sample an RGG scaled to the paper's density rule (Section 2.4).
 
-    The area is scaled so the expected degree equals ``avg_degree`` for the
-    given ``radio_range`` (200 m by default, the paper's ideal reception
-    range).  With ``require_connected=True``, re-samples until the graph is
-    connected (the paper notes d_avg >= 7 kept all its networks connected).
+    The area is scaled so the expected degree equals ``avg_degree`` for
+    the paper's 200 m ideal reception range.  With
+    ``require_connected=True``, re-samples (up to 50 times) until the
+    graph is connected (the paper notes d_avg >= 7 kept all its networks
+    connected).
     """
-    side = area_side_for_density(n, radio_range, avg_degree)
-    for _ in range(max_attempts):
+    side = area_side_for_density(n, RADIO_RANGE, avg_degree)
+    for _ in range(MAX_ATTEMPTS):
         graph = random_geometric_graph(
-            n, radius=radio_range, side=side, torus=torus, rng=rng
+            n, radius=RADIO_RANGE, side=side, torus=torus, rng=rng
         )
         if not require_connected or is_connected(graph):
             return graph
     raise RuntimeError(
         f"could not sample a connected RGG (n={n}, d_avg={avg_degree}) "
-        f"in {max_attempts} attempts"
+        f"in {MAX_ATTEMPTS} attempts"
     )
 
 
@@ -209,13 +179,12 @@ def shortest_path(graph: GeometricGraph, source: int, target: int) -> Optional[L
     return None
 
 
-def diameter(graph: GeometricGraph, exact: bool = False,
-             samples: int = 8, rng: Optional[random.Random] = None) -> int:
+def diameter(graph: GeometricGraph, exact: bool = False) -> int:
     """Hop diameter.
 
     ``exact=True`` runs BFS from every node (O(n*m)); otherwise uses the
-    standard double-sweep lower bound from a few random starts, which is
-    exact on most RGGs and always a lower bound.
+    standard double-sweep lower bound from eight seeded random starts,
+    which is exact on most RGGs and always a lower bound.
     """
     if graph.n == 0:
         return 0
@@ -225,9 +194,9 @@ def diameter(graph: GeometricGraph, exact: bool = False,
             dist = bfs_distances(graph, u)
             best = max(best, max(dist.values(), default=0))
         return best
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     best = 0
-    for _ in range(samples):
+    for _ in range(8):
         start = rng.randrange(graph.n)
         dist = bfs_distances(graph, start)
         far, d = max(dist.items(), key=lambda kv: kv[1])

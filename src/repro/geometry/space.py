@@ -67,17 +67,12 @@ def area_side_for_density(n: int, radio_range: float, avg_degree: float) -> floa
     return math.sqrt(math.pi * radio_range * radio_range * n / avg_degree)
 
 
-def critical_range_for_connectivity(n: int, constant: float = 1.0) -> float:
+def critical_range_for_connectivity(n: int) -> float:
     """Gupta–Kumar critical transmission range on the unit square.
 
-    ``r = sqrt(C * ln(n) / (pi * n))``; connectivity w.h.p. requires C > 1
-    (Section 6.1).
+    ``r = sqrt(ln(n) / (pi * n))``; connectivity w.h.p. needs a range
+    above it (Section 6.1).
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    return math.sqrt(constant * math.log(n) / (math.pi * n))
-
-
-def expected_degree(n: int, radio_range: float, side: float) -> float:
-    """Expected number of neighbors for uniform placement (paper's formula)."""
-    return math.pi * radio_range * radio_range * n / (side * side)
+    return math.sqrt(math.log(n) / (math.pi * n))

@@ -82,7 +82,6 @@ class MacLayer:
         channel: Any,
         node_id: int,
         deliver: Callable[[Any, int], None],
-        params: Optional[MacParams] = None,
         *,
         rng: random.Random,
     ) -> None:
@@ -90,7 +89,7 @@ class MacLayer:
         self.channel = channel
         self.node_id = node_id
         self.deliver = deliver
-        self.params = params or MacParams()
+        self.params = MacParams()
         self.rng = rng
         self.promiscuous = False
         self.on_overhear: Optional[Callable[[Any, int, int], None]] = None

@@ -6,14 +6,12 @@ from repro.membership.service import (
     FullMembership,
     MembershipFreezeMixin,
     RandomMembership,
-    uniform_sample,
 )
 
 __all__ = [
     "FullMembership",
     "MembershipFreezeMixin",
     "RandomMembership",
-    "uniform_sample",
     "NetworkSizeEstimator",
     "SizeEstimate",
 ]

@@ -37,19 +37,16 @@ class NetworkSizeEstimator:
     """Estimates ``n`` by max-degree random-walk sampling from one node."""
 
     def __init__(self, net: SimNetwork, origin: int,
-                 upper_bound: Optional[int] = None,
                  safety_factor: float = 1.25,
                  rng: Optional[random.Random] = None) -> None:
         if safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1")
         self.net = net
         self.origin = origin
-        self.upper_bound = upper_bound
         self.safety_factor = safety_factor
         self.rng = rng or net.rngs.stream("size-estimation")
 
-    def estimate(self, target_collisions: int = 12,
-                 walk_length: Optional[int] = None) -> SizeEstimate:
+    def estimate(self, target_collisions: int = 12) -> SizeEstimate:
         """One estimation round.
 
         Draws enough walk samples that ``target_collisions`` birthday
@@ -58,12 +55,11 @@ class NetworkSizeEstimator:
         time of the *bound* (not the unknown true n) — again erring
         upward, which preserves uniformity.
         """
-        bound = self.upper_bound or self.net.n_alive
+        bound = self.net.n_alive
         k = samples_for_size_estimate(bound, target_collisions)
-        if walk_length is None:
-            # Twice the RGG mixing time (~n/2): all samples drawn from the
-            # same origin, so extra mixing keeps them near-independent.
-            walk_length = max(10, bound)
+        # Twice the RGG mixing time (~n/2): all samples drawn from the
+        # same origin, so extra mixing keeps them near-independent.
+        walk_length = max(10, bound)
 
         samples: List[int] = []
         messages = 0
@@ -94,13 +90,11 @@ class NetworkSizeEstimator:
                             collisions_observed=collisions,
                             messages=messages)
 
-    def quorum_size_for(self, epsilon: float,
-                        estimate: Optional[SizeEstimate] = None) -> int:
+    def quorum_size_for(self, epsilon: float) -> int:
         """Symmetric quorum size from an estimate (Corollary 5.3 applied
         to the conservative n — overestimation preserves the guarantee)."""
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if estimate is None:
-            estimate = self.estimate()
+        estimate = self.estimate()
         n_hat = max(2, estimate.conservative)
         return int(math.ceil(math.sqrt(n_hat * math.log(1.0 / epsilon))))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.sim.kernel import PeriodicTimer
 from repro.simnet.network import SimNetwork
@@ -43,10 +43,9 @@ class MembershipFreezeMixin:
     def freeze(self) -> None:
         self.frozen = True
 
-    def thaw(self, refresh: bool = True) -> None:
+    def thaw(self) -> None:
         self.frozen = False
-        if refresh:
-            self.refresh()  # type: ignore[attr-defined]
+        self.refresh()  # type: ignore[attr-defined]
 
 
 class FullMembership(MembershipFreezeMixin):
@@ -92,10 +91,11 @@ class RandomMembership(MembershipFreezeMixin):
     message count flattens at ``|Q| >= 2*sqrt(n)`` (Figure 8).
 
     A refresh starts a *view epoch*: it snapshots the alive set, fixes the
-    view size and takes one draw from ``rng`` as the epoch key.  A node's
-    view is drawn on its first read in the epoch, from a stream keyed on
-    (epoch key, node id), over the snapshot minus the node — so it is the
-    same whichever views are read, and in whatever order.
+    view size and takes one draw from the network's ``membership`` stream
+    as the epoch key.  A node's view is drawn on its first read in the
+    epoch, from a stream keyed on (epoch key, node id), over the snapshot
+    minus the node — so it is the same whichever views are read, and in
+    whatever order.
     """
 
     def __init__(
@@ -103,10 +103,9 @@ class RandomMembership(MembershipFreezeMixin):
         net: SimNetwork,
         view_size: Optional[int] = None,
         refresh_interval: float = 120.0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self.net = net
-        self.rng = rng or net.rngs.stream("membership")
+        self.rng = net.rngs.stream("membership")
         self._view_size = view_size
         self._views: dict[int, List[int]] = {}
         self._stream = random.Random(0)
@@ -169,11 +168,3 @@ class RandomMembership(MembershipFreezeMixin):
 
     def stop(self) -> None:
         self._timer.stop()
-
-
-def uniform_sample(universe: Sequence[int], k: int,
-                   rng: random.Random) -> List[int]:
-    """``k`` distinct uniform elements (the whole set if k >= len)."""
-    if k >= len(universe):
-        return list(universe)
-    return rng.sample(list(universe), k)

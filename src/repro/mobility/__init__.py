@@ -7,7 +7,6 @@ from repro.mobility.models import (
     MobilityModel,
     RandomWaypoint,
     StaticPlacement,
-    average_nodal_speed,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "MobilityModel",
     "RandomWaypoint",
     "StaticPlacement",
-    "average_nodal_speed",
 ]

@@ -247,16 +247,3 @@ class MobilityManager:
     def snapshot(self, t: float) -> Dict[int, Point]:
         """All node positions at time ``t``."""
         return {nid: self.position_at(nid, t) for nid in list(self._legs)}
-
-
-def average_nodal_speed(model: RandomWaypoint, samples: int = 10000,
-                        rng: Optional[random.Random] = None) -> float:
-    """Monte-Carlo mean speed of a waypoint leg (excluding pauses).
-
-    Useful when calibrating refresh intervals against mobility (Section 6.2).
-    """
-    rng = rng or random.Random(0)
-    total = 0.0
-    for _ in range(samples):
-        total += rng.uniform(model.min_speed, model.max_speed)
-    return total / samples

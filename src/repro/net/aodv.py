@@ -53,7 +53,6 @@ class AodvParams:
 class _BufferedPacket:
     packet: DataPacket
     queued_at: float
-    on_unroutable: Optional[Callable[[DataPacket], None]] = None
 
 
 class AodvAgent:
@@ -65,7 +64,6 @@ class AodvAgent:
         mac: MacLayer,
         node_id: int,
         deliver: Callable[[Any, DataPacket], None],
-        params: Optional[AodvParams] = None,
         *,
         rng: random.Random,
     ) -> None:
@@ -73,7 +71,7 @@ class AodvAgent:
         self.mac = mac
         self.node_id = node_id
         self.deliver = deliver
-        self.params = params or AodvParams()
+        self.params = AodvParams()
         self.rng = rng
 
         self.seq = 0
@@ -109,7 +107,6 @@ class AodvAgent:
         self,
         dst: int,
         payload: Any,
-        on_unroutable: Optional[Callable[[DataPacket], None]] = None,
     ) -> DataPacket:
         """Originate a data packet towards ``dst`` (discovering if needed)."""
         packet = DataPacket(pkt_id=next_packet_id(), src=self.node_id,
@@ -119,7 +116,7 @@ class AodvAgent:
             self.data_delivered += 1
             self.deliver(payload, packet)
             return packet
-        self._route_or_discover(packet, on_unroutable)
+        self._route_or_discover(packet)
         return packet
 
     # -- receive dispatch ----------------------------------------------------
@@ -137,17 +134,12 @@ class AodvAgent:
 
     # -- data path -----------------------------------------------------------
 
-    def _route_or_discover(
-        self,
-        packet: DataPacket,
-        on_unroutable: Optional[Callable[[DataPacket], None]] = None,
-    ) -> None:
+    def _route_or_discover(self, packet: DataPacket) -> None:
         if self.has_route(packet.dst):
             self._forward(packet)
             return
         self._buffers.setdefault(packet.dst, []).append(
-            _BufferedPacket(packet=packet, queued_at=self.sim.now,
-                            on_unroutable=on_unroutable)
+            _BufferedPacket(packet=packet, queued_at=self.sim.now)
         )
         if packet.dst not in self._discovery_state:
             self._start_discovery(packet.dst)
@@ -241,10 +233,8 @@ class AodvAgent:
         # Give up: flush buffered packets as unroutable.
         self._discovery_state.pop(dst, None)
         for buffered in self._buffers.pop(dst, []):
-            if buffered.on_unroutable is not None:
-                buffered.on_unroutable(buffered.packet)
-            elif (buffered.packet.src == self.node_id
-                  and self.on_send_failure is not None):
+            if (buffered.packet.src == self.node_id
+                    and self.on_send_failure is not None):
                 self.on_send_failure(buffered.packet)
 
     def _discovery_done(self, dst: int) -> None:

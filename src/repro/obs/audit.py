@@ -66,10 +66,9 @@ class AccountingAuditor:
         return "\n".join(lines)
 
 
-def auditor_from_env(env: Optional[dict] = None
-                     ) -> Optional[AccountingAuditor]:
+def auditor_from_env() -> Optional[AccountingAuditor]:
     """Build an auditor from ``REPRO_AUDIT`` (strict | record | unset)."""
-    mode = (env or os.environ).get("REPRO_AUDIT", "").strip().lower()
+    mode = os.environ.get("REPRO_AUDIT", "").strip().lower()
     if mode == "strict":
         return AccountingAuditor(strict=True)
     if mode == "record":

@@ -213,10 +213,6 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(name)
         return histogram
 
-    def reset(self) -> None:
-        self._counters.clear()
-        self._histograms.clear()
-
     def snapshot(self) -> Dict[str, Union[int, Dict[str, float]]]:
         """Flat dict: counters as ints, histograms as summary dicts."""
         out: Dict[str, Union[int, Dict[str, float]]] = {}

@@ -26,12 +26,12 @@ from __future__ import annotations
 import functools
 import os
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 
-def profile_enabled_from_env(env: Optional[dict] = None) -> bool:
+def profile_enabled_from_env() -> bool:
     """True when ``REPRO_PROFILE`` asks for profiling (unset/``0`` = off)."""
-    value = (env or os.environ).get("REPRO_PROFILE", "").strip()
+    value = os.environ.get("REPRO_PROFILE", "").strip()
     return value not in ("", "0")
 
 
@@ -101,13 +101,6 @@ class PhaseProfiler:
     def enable(self) -> "PhaseProfiler":
         self.enabled = True
         return self
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        self._stack.clear()
-        self._stats.clear()
 
     # -- recording ---------------------------------------------------------
 

@@ -51,16 +51,6 @@ DEFAULT_RETENTION = 262_144
 #: the quorum key-value store.
 TRACE_SCHEMA = 3
 
-#: Trace close failures absorbed during GC (see ``Trace.__del__``).  The
-#: auditor is unreachable from a finalizer, so a module counter is the
-#: ledger; it should stay 0 in any healthy run.
-_CLOSE_FAILURES = 0
-
-
-def close_failures() -> int:
-    """Trace close errors swallowed by the GC safety net so far."""
-    return _CLOSE_FAILURES
-
 
 @dataclass(slots=True)
 class TraceEvent:
@@ -172,15 +162,13 @@ class EventTrace:
     # -- lifecycle ---------------------------------------------------------
 
     def enable(self, memory: bool = True, jsonl_path: Optional[str] = None,
-               retention: int = DEFAULT_RETENTION,
-               lock: Optional[bool] = None) -> "EventTrace":
+               retention: int = DEFAULT_RETENTION) -> "EventTrace":
         """Turn the sink on (idempotent; combines with prior settings).
 
-        ``lock`` guards each JSONL write with an OS-level advisory lock
-        (``flock``), so sweep-pool workers appending to one shared
-        ``REPRO_TRACE`` file can never interleave mid-record.  It
-        defaults to on whenever a JSONL path is given (the lock is
-        uncontended — and cheap — in the single-process case).
+        Each JSONL write takes an OS-level advisory lock (``flock``), so
+        sweep-pool workers appending to one shared ``REPRO_TRACE`` file
+        can never interleave mid-record (the lock is uncontended — and
+        cheap — in the single-process case).
         """
         self.enabled = True
         if memory:
@@ -193,12 +181,8 @@ class EventTrace:
             self._writer = open(jsonl_path, "a", buffering=1)
             self._jsonl_path = jsonl_path
         if jsonl_path:
-            self._lock_writes = lock if lock is not None else True
+            self._lock_writes = True
         return self
-
-    def disable(self) -> None:
-        self.enabled = False
-        self.close()
 
     def close(self) -> None:
         if self._writer is not None:
@@ -207,16 +191,14 @@ class EventTrace:
             self._jsonl_path = None
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
-        global _CLOSE_FAILURES
         try:
             self.close()
         except (OSError, ValueError):
             # Flushing a trace during interpreter teardown can hit a
             # closed fd; that is the only failure this net is allowed to
             # absorb.  Anything else (a coding bug) propagates to the
-            # unraisable hook instead of vanishing, and absorbed ones
-            # are still counted so tests can assert none occurred.
-            _CLOSE_FAILURES += 1
+            # unraisable hook instead of vanishing.
+            pass
 
     # -- subscribers -------------------------------------------------------
 

@@ -62,13 +62,13 @@ from repro.obs.trace import MESSAGE_KINDS, ROUTING_KINDS, HopRun, TraceEvent
 #: samples — the precondition for the Lemma 5.2 structure-free bound.
 UNIFORM_ADVERTISE_STRATEGIES = frozenset({"RANDOM", "RANDOM-SAMPLING"})
 
-#: Shape of :class:`repro.core.masking.MaskingStrategy` names (kept in
-#: sync with ``MASKING_NAME_RE`` there; duplicated locally because the
-#: core package imports obs at module load, so obs cannot import back).
+#: Shape of :class:`repro.core.masking.MaskingStrategy` names.  Defined
+#: here, the lower layer (core imports obs), so the watchers, the kv store
+#: and ``repro.core``'s re-export share one parser.
 _MASKING_NAME_RE = re.compile(r"^MASKING\[b=(?P<b>\d+),(?P<inner>[^\]]+)\]$")
 
 
-def _masking_name_parts(name: str) -> Optional[Tuple[int, str]]:
+def parse_masking_name(name: str) -> Optional[Tuple[int, str]]:
     """``(b, inner_strategy)`` when ``name`` is a MaskingStrategy name."""
     match = _MASKING_NAME_RE.match(name or "")
     if match is None:
@@ -83,7 +83,7 @@ def _uniform_advertise(name: str) -> bool:
     """
     if name in UNIFORM_ADVERTISE_STRATEGIES:
         return True
-    parts = _masking_name_parts(name)
+    parts = parse_masking_name(name)
     return parts is not None and parts[1] in UNIFORM_ADVERTISE_STRATEGIES
 
 #: Violations recorded by env-attached hubs this process (newest last);
@@ -535,13 +535,12 @@ class QuorumIntersectionWatcher(Watcher):
     name = "quorum-intersection"
     kinds = frozenset({"access-start", "access-end", "store", "churn"})
 
-    def __init__(self, n: Optional[int] = None,
-                 alpha: float = 1e-4) -> None:
+    #: The sequential test's false-alarm budget over the whole run.
+    alpha = 1e-4
+
+    def __init__(self, n: Optional[int] = None) -> None:
         super().__init__()
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
         self.n = n
-        self.alpha = alpha
         self.armed = True             # disarmed on non-uniform advertise
         self.lookups_counted = 0
         self.hits = 0
@@ -627,7 +626,7 @@ class QuorumIntersectionWatcher(Watcher):
         # their success floor is the masking bound Pr[|Qa ∩ Ql| >= 2b+1]
         # (sound for any adversary of size <= b — the honest part of the
         # intersection still corroborates the true value).
-        masking = _masking_name_parts(frame.strategy)
+        masking = parse_masking_name(frame.strategy)
         b = masking[0] if masking is not None else 0
         # Lookup sizes repeat across a run; memoize the O(q_a) product.
         memo_key = (q_a, q_l, n, b)
@@ -1057,7 +1056,6 @@ def _event_from_dict(raw: Dict[str, Any]) -> TraceEvent:
 
 
 def replay_trace(source: Any,
-                 make_watchers: Optional[Callable[[], List[Watcher]]] = None,
                  n: Optional[int] = None,
                  slo_specs: Optional[List[Any]] = None) -> ReplayResult:
     """Stream a recorded trace through fresh watchers, segment-aware.
@@ -1065,13 +1063,9 @@ def replay_trace(source: Any,
     A trace file may hold several back-to-back runs (sweep points,
     Monte-Carlo replicas): every time a writer's ``seq`` restarts at 0 a
     *new simulation* began, so watcher state (stored keys, clocks,
-    ledgers) is reset per ``(replica, restart)`` segment.  Watchers are
-    built per segment from ``make_watchers`` (default: the builtin set
-    with the given ``n`` / SLO specs).
+    ledgers) is reset per ``(replica, restart)`` segment.  Each segment
+    gets a fresh builtin watcher set for the given ``n`` / SLO specs.
     """
-    if make_watchers is None:
-        def make_watchers() -> List[Watcher]:
-            return builtin_watchers(n=n, slo_specs=slo_specs)
 
     result = ReplayResult()
     hubs: Dict[Any, WatcherHub] = {}
@@ -1096,7 +1090,8 @@ def replay_trace(source: Any,
         if hub is None or event.seq == 0:
             if hub is not None:
                 close_hub(hub)
-            hub = hubs[replica] = WatcherHub(make_watchers())
+            hub = hubs[replica] = WatcherHub(
+                builtin_watchers(n=n, slo_specs=slo_specs))
             result.segments += 1
         hub.on_event(event)
     for hub in hubs.values():

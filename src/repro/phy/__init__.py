@@ -6,9 +6,8 @@ from repro.phy.channel import (
     SINRChannel,
     Transmission,
 )
-from repro.phy.params import DEFAULT_PHY, PhyParams, dbm_to_mw, mw_to_dbm
+from repro.phy.params import DEFAULT_PHY, PhyParams, dbm_to_mw
 from repro.phy.pathloss import (
-    FreeSpace,
     InversePowerLaw,
     PathLossModel,
     TwoRayGround,
@@ -23,8 +22,6 @@ __all__ = [
     "DEFAULT_PHY",
     "PhyParams",
     "dbm_to_mw",
-    "mw_to_dbm",
-    "FreeSpace",
     "InversePowerLaw",
     "PathLossModel",
     "TwoRayGround",

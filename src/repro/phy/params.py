@@ -8,7 +8,6 @@ two-ray ground model at 2.4 GHz with 1.5 m antennas — see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -17,14 +16,10 @@ def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    """Convert milliwatts to dBm."""
-    if mw <= 0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(mw)
-
-
 SPEED_OF_LIGHT = 2.998e8  # m/s
+
+#: IP + MAC + PHY header bytes carried by every frame.
+HEADER_BYTES = 58
 
 
 @dataclass(frozen=True)
@@ -64,10 +59,10 @@ class PhyParams:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.frequency_hz
 
-    def tx_duration(self, payload_bytes: int, broadcast: bool = False,
-                    overhead_bytes: int = 58) -> float:
+    def tx_duration(self, payload_bytes: int,
+                    broadcast: bool = False) -> float:
         """Airtime of a frame (payload + IP/MAC/PHY headers, Section 2.4)."""
-        bits = 8 * (payload_bytes + overhead_bytes)
+        bits = 8 * (payload_bytes + HEADER_BYTES)
         rate = self.broadcast_rate_bps if broadcast else self.unicast_rate_bps
         return bits / rate
 

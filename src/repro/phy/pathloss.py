@@ -34,34 +34,6 @@ class PathLossModel(ABC):
     def received_power_mw(self, tx_power_mw: float, distance_m: float) -> float:
         """Received power at ``distance_m`` for the given transmit power."""
 
-    def range_for_threshold(self, tx_power_mw: float, thresh_mw: float,
-                            hi: float = 1e5) -> float:
-        """Largest distance at which received power >= threshold (bisection)."""
-        lo = 1e-3
-        if self.received_power_mw(tx_power_mw, lo) < thresh_mw:
-            return 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.received_power_mw(tx_power_mw, mid) >= thresh_mw:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-@dataclass(frozen=True)
-class FreeSpace(PathLossModel):
-    """Friis free-space model: Pr = Pt * Gt * Gr * lambda^2 / (4 pi d)^2."""
-
-    wavelength_m: float
-    gain: float = 1.0
-
-    def received_power_mw(self, tx_power_mw: float, distance_m: float) -> float:
-        if distance_m <= 0:
-            return tx_power_mw
-        factor = self.wavelength_m / (4.0 * math.pi * distance_m)
-        return tx_power_mw * self.gain * factor * factor
-
 
 @dataclass(frozen=True)
 class TwoRayGround(PathLossModel):

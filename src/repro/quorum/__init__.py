@@ -41,7 +41,6 @@ from repro.quorum.strategy import (
 from repro.quorum.access import (
     AlgebraicStrategy,
     measured_node_loads,
-    placement_for,
 )
 
 __all__ = [
@@ -50,5 +49,5 @@ __all__ = [
     "chain_system", "choose", "enumerate_quorums", "grid", "grid_system",
     "majority", "majority_system",
     "OBJECTIVES", "Strategy", "solve_strategy",
-    "AlgebraicStrategy", "measured_node_loads", "placement_for",
+    "AlgebraicStrategy", "measured_node_loads", 
 ]

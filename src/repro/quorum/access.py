@@ -19,15 +19,12 @@ network's metrics registry (plus ``quorum.accesses``), so the simulated
 per-node load can be cross-checked against the optimizer's prediction
 (see :mod:`repro.experiments.fig_quorum`).
 
-The expression elements must be (or be placed onto) live simulator node
-ids: pass systems built over node ids directly, or a ``placement``
-mapping abstract elements to ids.
+The expression elements must be live simulator node ids.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.strategies import (
     AccessResult,
@@ -38,7 +35,7 @@ from repro.core.strategies import (
     routed_reply,
 )
 from repro.obs.trace import record_event
-from repro.quorum.algebra import Element, QuorumSystem
+from repro.quorum.algebra import QuorumSystem
 from repro.quorum.strategy import Strategy
 from repro.simnet.network import SimNetwork
 
@@ -47,8 +44,7 @@ class AlgebraicStrategy(AccessStrategy):
     """Quorum access driven by an algebraic system's strategy.
 
     ``strategy`` is typically the optimizer's output
-    (``system.strategy(read_fraction=..., optimize=...)``); passing
-    ``strategy=None`` solves one lazily with the given knobs.  The
+    (``system.strategy(read_fraction=..., optimize=...)``).  The
     ``target_size`` argument of ``advertise``/``lookup`` is ignored —
     the algebra, not the caller, defines the quorums — but the drawn
     quorum's size is recorded in ``AccessResult.target_size`` so audits
@@ -58,25 +54,9 @@ class AlgebraicStrategy(AccessStrategy):
     name = "ALGEBRAIC"
     uniform_random = False
 
-    def __init__(self, system: QuorumSystem,
-                 strategy: Optional[Strategy] = None,
-                 read_fraction: float = 0.5,
-                 optimize: str = "load",
-                 placement: Optional[Dict[Element, int]] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, system: QuorumSystem, strategy: Strategy) -> None:
         self.system = system
-        self.strategy = strategy or system.strategy(
-            read_fraction=read_fraction, optimize=optimize)
-        self.placement = dict(placement) if placement else None
-        self.rng = rng
-
-    def _rng(self, net: SimNetwork) -> random.Random:
-        return self.rng or net.rngs.stream("algebra-strategy")
-
-    def _place(self, members: List[Element]) -> List[int]:
-        if self.placement is None:
-            return [int(x) for x in members]
-        return [self.placement[x] for x in members]
+        self.strategy = strategy
 
     def _count_load(self, net: SimNetwork, nodes) -> None:
         metrics = getattr(net, "metrics", None)
@@ -88,12 +68,13 @@ class AlgebraicStrategy(AccessStrategy):
 
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
-        members = self.strategy.sample_write(self._rng(net))
+        members = self.strategy.sample_write(
+            net.rngs.stream("algebra-strategy"))
         result = AccessResult(strategy=self.name, kind="advertise",
                               target_size=len(members or ()))
         if members is None:  # degenerate (all-faulted) system
             return result
-        targets = self._place(members)
+        targets = [int(x) for x in members]
         reached = []
         for target in targets:
             if target == origin or routed_reach(net, origin, target, result):
@@ -108,12 +89,13 @@ class AlgebraicStrategy(AccessStrategy):
 
     def _lookup(self, net: SimNetwork, origin: int, probe_fn: ProbeFn,
                 target_size: int) -> AccessResult:
-        members = self.strategy.sample_read(self._rng(net))
+        members = self.strategy.sample_read(
+            net.rngs.stream("algebra-strategy"))
         result = AccessResult(strategy=self.name, kind="lookup",
                               target_size=len(members or ()))
         if members is None:
             return result
-        targets = self._place(members)
+        targets = [int(x) for x in members]
         reached = []
         for target in targets:
             if target != origin and not routed_reach(net, origin, target,
@@ -160,16 +142,3 @@ def measured_node_loads(net: SimNetwork) -> Dict[int, float]:
         if isinstance(value, int) and name.startswith(prefix):
             loads[int(name[len(prefix):])] = value / total
     return loads
-
-
-def placement_for(system: QuorumSystem,
-                  net: SimNetwork) -> Dict[Element, int]:
-    """Map a symbolic system's elements onto live node ids (repr-sorted
-    elements onto the lowest alive ids, deterministically)."""
-    elements = sorted(system.elements(), key=repr)
-    alive = sorted(net.alive_nodes())
-    if len(elements) > len(alive):
-        raise ValueError(
-            f"system needs {len(elements)} nodes, network has "
-            f"{len(alive)} alive")
-    return dict(zip(elements, alive))

@@ -267,9 +267,7 @@ def chain(xs: Sequence[Any]) -> Expr:
 # -- quorum systems ----------------------------------------------------------
 
 
-def enumerate_quorums(expr: Expr,
-                      limit: int = MAX_ENUMERATED_QUORUMS
-                      ) -> List[FrozenSet[Element]]:
+def enumerate_quorums(expr: Expr) -> List[FrozenSet[Element]]:
     """Deduplicated, superset-pruned, deterministically ordered quorums.
 
     Pruning strict supersets is sound for every metric we optimize: a
@@ -280,10 +278,10 @@ def enumerate_quorums(expr: Expr,
     seen: set = set()
     unique: List[FrozenSet[Element]] = []
     for i, q in enumerate(expr.quorums()):
-        if i >= limit:
+        if i >= MAX_ENUMERATED_QUORUMS:
             raise ValueError(
-                f"expression enumerates more than {limit} quorums; "
-                "simplify it or raise MAX_ENUMERATED_QUORUMS")
+                f"expression enumerates more than {MAX_ENUMERATED_QUORUMS} "
+                "quorums; simplify it or raise MAX_ENUMERATED_QUORUMS")
         if q not in seen:
             seen.add(q)
             unique.append(q)
@@ -338,39 +336,17 @@ class QuorumSystem:
     def write_quorums(self) -> List[FrozenSet[Element]]:
         return list(self._write_quorums)
 
-    def is_read_quorum(self, xs: Iterable[Element]) -> bool:
-        return self.reads.is_quorum(xs)
-
-    def is_write_quorum(self, xs: Iterable[Element]) -> bool:
-        return self.writes.is_quorum(xs)
-
     def elements(self) -> FrozenSet[Element]:
         return self.reads.elements() | self.writes.elements()
 
     def __len__(self) -> int:
         return len(self.elements())
 
-    def resilience(self) -> int:
-        """Failures every quorum side survives: the largest f such that
-        after any f-element removal both sides still have a live quorum."""
-        elements = sorted(map(repr, self.elements()))
-        by_repr = {repr(e): e for e in self.elements()}
-        n = len(elements)
-        for f in range(n + 1):
-            for dead in itertools.combinations(elements, f):
-                alive = {by_repr[r] for r in elements if r not in dead}
-                if not (self.reads.is_quorum(alive)
-                        and self.writes.is_quorum(alive)):
-                    return f - 1
-        return n
-
-    def strategy(self, read_fraction: float = 0.5,
-                 optimize: str = "load", **kwargs):
+    def strategy(self, **kwargs):
         """Solve for quorum-selection probabilities (see
         :func:`repro.quorum.strategy.solve_strategy`)."""
         from repro.quorum.strategy import solve_strategy
-        return solve_strategy(self, read_fraction=read_fraction,
-                              optimize=optimize, **kwargs)
+        return solve_strategy(self, **kwargs)
 
     def __str__(self) -> str:
         return f"QuorumSystem(reads={self.reads}, writes={self.writes})"
@@ -388,15 +364,13 @@ def majority_system(ids: Sequence[Element]) -> QuorumSystem:
     return QuorumSystem(reads=majority(ids))
 
 
-def grid_system(ids: Sequence[Element],
-                rows: Optional[int] = None) -> QuorumSystem:
+def grid_system(ids: Sequence[Element]) -> QuorumSystem:
     """Row-reads / row-transversal-writes grid over ``ids``.
 
-    ``ids`` is reshaped into ``rows`` rows (default: the squarest grid).
+    ``ids`` is reshaped into the squarest grid.
     """
     n = len(ids)
-    if rows is None:
-        rows = max(1, int(round(n ** 0.5)))
+    rows = max(1, int(round(n ** 0.5)))
     if n % rows != 0:
         raise ValueError(f"cannot reshape {n} ids into {rows} rows")
     cols = n // rows

@@ -94,17 +94,11 @@ class Strategy:
         loads = self.node_loads(read_fraction)
         return max(loads.values()) if loads else _NAN
 
-    def capacity(self, read_fraction: Optional[float] = None) -> float:
-        """Throughput at unit node capacity: ``1 / load``."""
-        load = self.load(read_fraction)
-        return 1.0 / load if load == load and load > 0 else _NAN
-
-    def network_load(self, read_fraction: Optional[float] = None) -> float:
+    def network_load(self) -> float:
         """Expected accessed-quorum size (≈ messages per access)."""
         if not self.feasible:
             return _NAN
-        fr = self.read_fraction if read_fraction is None else read_fraction
-        _check_fraction(fr)
+        fr = self.read_fraction
         exp_r = sum(len(q) * p
                     for q, p in zip(self.read_quorums, self.read_probs))
         exp_w = sum(len(q) * p
@@ -123,25 +117,11 @@ class Strategy:
         return sum(len(q) * p
                    for q, p in zip(self.write_quorums, self.write_probs))
 
-    def latency(self, latencies: Optional[Dict[Element, float]] = None,
-                read_fraction: Optional[float] = None) -> float:
-        """Expected quorum latency (max member latency per access)."""
-        if not self.feasible:
-            return _NAN
-        fr = self.read_fraction if read_fraction is None else read_fraction
-        _check_fraction(fr)
-        lat_r = sum(_quorum_latency(q, latencies) * p
-                    for q, p in zip(self.read_quorums, self.read_probs))
-        lat_w = sum(_quorum_latency(q, latencies) * p
-                    for q, p in zip(self.write_quorums, self.write_probs))
-        return fr * lat_r + (1.0 - fr) * lat_w
-
-    def load_lower_bound(self,
-                         read_fraction: Optional[float] = None) -> float:
+    def load_lower_bound(self) -> float:
         """Analytic floor: ``E[|Q|] / n`` — the sum of node loads equals
         the expected quorum size, so the max is at least the average."""
         n = len(self.system.elements())
-        network = self.network_load(read_fraction)
+        network = self.network_load()
         return network / n if n else _NAN
 
     # -- sampling ---------------------------------------------------------
@@ -198,15 +178,14 @@ def solve_strategy(
     optimize: str = "load",
     faulty: Optional[Set[Element]] = None,
     latencies: Optional[Dict[Element, float]] = None,
-    solver: str = "auto",
 ) -> Strategy:
     """Quorum-selection probabilities optimizing one objective.
 
     ``faulty`` removes every quorum containing a faulted element before
     solving; a side left without quorums yields an all-NaN strategy
-    (never raises — the degenerate-input convention).  ``solver`` is
-    ``auto`` (scipy if importable, else pure numpy), ``scipy`` or
-    ``numpy``.
+    (never raises — the degenerate-input convention).  The load LP runs
+    on scipy when it imports, else on the pure-numpy solver;
+    ``Strategy.solver`` records which one ran.
     """
     _check_fraction(read_fraction)
     if optimize not in OBJECTIVES:
@@ -224,7 +203,7 @@ def solve_strategy(
 
     if optimize == "load":
         pr, pw, used = _solve_load(system, read_quorums, write_quorums,
-                                   read_fraction, solver)
+                                   read_fraction)
     elif optimize == "network":
         pr = _cheapest(read_quorums, [len(q) for q in read_quorums])
         pw = _cheapest(write_quorums, [len(q) for q in write_quorums])
@@ -266,21 +245,15 @@ def _membership_matrix(elements: Sequence[Element],
 def _solve_load(system: QuorumSystem,
                 read_quorums: List[FrozenSet[Element]],
                 write_quorums: List[FrozenSet[Element]],
-                read_fraction: float,
-                solver: str) -> Tuple[np.ndarray, np.ndarray, str]:
+                read_fraction: float) -> Tuple[np.ndarray, np.ndarray, str]:
     """Minimize the max per-node load over both probability simplices."""
     elements = sorted(system.elements(), key=repr)
     ar = read_fraction * _membership_matrix(elements, read_quorums)
     aw = (1.0 - read_fraction) * _membership_matrix(elements, write_quorums)
-    if solver not in ("auto", "scipy", "numpy"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if solver in ("auto", "scipy"):
-        try:
-            return (*_linprog_scipy(ar, aw), "scipy")
-        except ImportError:
-            if solver == "scipy":
-                raise
-    return (*_minimax_mw(ar, aw), "numpy-mw")
+    try:
+        return (*_linprog_scipy(ar, aw), "scipy")
+    except ImportError:
+        return (*_minimax_mw(ar, aw), "numpy-mw")
 
 
 def _linprog_scipy(ar: np.ndarray, aw: np.ndarray

@@ -57,7 +57,6 @@ def random_walk(
     visit: Optional[Callable[[int], None]] = None,
     max_steps: Optional[int] = None,
     rng: Optional[random.Random] = None,
-    use_stale_neighbors: bool = True,
 ) -> WalkResult:
     """Run one (self-avoiding) random walk until it has visited
     ``target_unique`` distinct nodes.
@@ -69,7 +68,7 @@ def random_walk(
     ``20 * target_unique + 50``).
 
     Next hops are chosen from the node's heartbeat neighbor table (stale
-    under mobility) unless ``use_stale_neighbors=False``; a failed one-hop
+    under mobility); a failed one-hop
     forward triggers salvation retries when enabled, otherwise drops the
     walk.
     """
@@ -97,8 +96,7 @@ def random_walk(
 
     current = start
     while len(visited_set) < target_unique and steps < max_steps:
-        neighbors = (net.known_neighbors(current) if use_stale_neighbors
-                     else net.true_neighbors(current))
+        neighbors = net.known_neighbors(current)
         if not neighbors:
             return WalkResult(visited=visited, path=path, steps=steps,
                               messages=messages, completed=False, dropped=True)

@@ -3,12 +3,9 @@ read/write register, key-value store with timed-quorum leases, and the
 refresh daemon."""
 
 from repro.services.consistency import (
-    CheckedRegister,
-    ConsistencyReport,
     KVConsistencyReport,
     KVHistoryChecker,
     KVOpRecord,
-    OpRecord,
     check_kv_batch,
 )
 from repro.services.kvstore import KVOpResult, QuorumKVStore
@@ -27,13 +24,10 @@ from repro.services.register import (
 )
 
 __all__ = [
-    "CheckedRegister",
-    "ConsistencyReport",
     "KVConsistencyReport",
     "KVHistoryChecker",
     "KVOpRecord",
     "KVOpResult",
-    "OpRecord",
     "QuorumKVStore",
     "check_kv_batch",
     "AdvertiseReceipt",

@@ -1,23 +1,10 @@
-"""Probabilistic linearizability checking (Section 10) and the kv
-history checker.
+"""The kv history checker (the serving-workload correctness oracle).
 
-With probabilistic quorums the ABD register construction implements
-*probabilistic linearizability*: each operation pair misses the
-linearization order with probability at most epsilon.  This module
-records a register's operation history and checks it against the
-sequential specification of a read/write register, reporting the
-empirical violation rate so it can be compared with the epsilon the
-quorum sizing promised.
-
-Operations in this simulator execute one at a time (the simulated clock
-advances inside each), so the history is sequential and the check is
-exact: a read is consistent iff it returns the value of the latest
-preceding write (or the initial value if none).
-
-:class:`KVHistoryChecker` extends the same idea to the replicated
-key-value service (:mod:`repro.services.kvstore`): it records every
-``put``/``get``/``cas`` and verifies reads against the per-key
-sequential spec.  Two failure classes are kept strictly apart:
+:class:`KVHistoryChecker` records every ``put``/``get``/``cas`` of the
+replicated key-value service (:mod:`repro.services.kvstore`) and
+verifies reads against the per-key sequential spec; :func:`check_kv_batch`
+checks the batch kernel's whole history at once.  Two failure classes
+are kept strictly apart:
 
 * **stale reads / stale cas** — a quorum pair that missed its
   intersection returns an out-of-date (but once-committed) version.
@@ -38,113 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-
-from repro.services.register import ProbabilisticRegister, RegisterOpResult
-
-
-@dataclass
-class OpRecord:
-    """One completed register operation."""
-
-    index: int
-    kind: str            # "read" | "write"
-    origin: int
-    value: Any
-    timestamp: Any
-    messages: int
-
-
-@dataclass
-class ConsistencyReport:
-    """Outcome of checking a recorded history."""
-
-    reads: int
-    stale_reads: int     # reads that returned an out-of-date value
-    writes: int
-
-    @property
-    def stale_fraction(self) -> float:
-        """Stale reads per read; NaN with no reads (the repo's degenerate
-        -input convention — an empty history carries no evidence either
-        way, which 0.0 would misreport as "perfectly consistent")."""
-        if self.reads == 0:
-            return math.nan
-        return self.stale_reads / self.reads
-
-    @property
-    def violation_rate(self) -> float:
-        """Alias of :attr:`stale_fraction` (historical name)."""
-        return self.stale_fraction
-
-    def within_epsilon(self, epsilon: float, slack: float = 0.0) -> bool:
-        """Whether the empirical violation rate honours the quorum bound.
-
-        Vacuously true with no reads: an empty history cannot violate.
-        """
-        if self.reads == 0:
-            return True
-        return self.stale_fraction <= epsilon + slack
-
-
-class CheckedRegister:
-    """A :class:`ProbabilisticRegister` wrapper that records its history."""
-
-    def __init__(self, register: ProbabilisticRegister) -> None:
-        self.register = register
-        self.history: List[OpRecord] = []
-
-    def write(self, origin: int, value: Any) -> RegisterOpResult:
-        result = self.register.write(origin, value)
-        self.history.append(OpRecord(
-            index=len(self.history), kind="write", origin=origin,
-            value=value, timestamp=result.timestamp,
-            messages=result.messages))
-        return result
-
-    def read(self, origin: int) -> RegisterOpResult:
-        result = self.register.read(origin)
-        self.history.append(OpRecord(
-            index=len(self.history), kind="read", origin=origin,
-            value=result.value, timestamp=result.timestamp,
-            messages=result.messages))
-        return result
-
-    def check(self, initial_value: Any = None) -> ConsistencyReport:
-        """Validate every read against the latest *committed* write.
-
-        Sequential histories only (which is what this simulator
-        produces).  A read is stale iff the version it returned is
-        strictly older than the version of the latest write committed
-        before the read started — comparing *versions*, not values, so
-        a read that races a write's delivery window but still returns
-        the new (or a newer helper-propagated) timestamp is not
-        miscounted as stale.  Records without timestamps (forged
-        histories, pre-version traces) fall back to value equality.
-        """
-        latest_value = initial_value
-        latest_ts = None
-        reads = stale = writes = 0
-        for op in self.history:
-            if op.kind == "write":
-                writes += 1
-                latest_value = op.value
-                if op.timestamp is not None and (
-                        latest_ts is None or latest_ts < op.timestamp):
-                    latest_ts = op.timestamp
-            else:
-                reads += 1
-                if op.timestamp is not None and latest_ts is not None:
-                    if op.timestamp < latest_ts:
-                        stale += 1
-                elif op.value != latest_value:
-                    stale += 1
-        return ConsistencyReport(reads=reads, stale_reads=stale,
-                                 writes=writes)
-
-
-# ---------------------------------------------------------------------------
-# KV history checking (the serving-workload correctness oracle)
-# ---------------------------------------------------------------------------
 
 #: The hard violation classes (see the module docstring).
 KV_VIOLATION_KINDS = (
@@ -202,8 +82,9 @@ class KVConsistencyReport:
 
     @property
     def stale_fraction(self) -> float:
-        """Stale reads per read; NaN with no reads (same degenerate-input
-        convention as :class:`ConsistencyReport`)."""
+        """Stale reads per read; NaN with no reads (an empty history
+        carries no evidence either way, which 0.0 would misreport as
+        "perfectly consistent")."""
         if self.reads == 0:
             return math.nan
         return self.stale_reads / self.reads
@@ -223,15 +104,6 @@ class KVConsistencyReport:
         # a method so array- and record-built reports agree.
         return max(0, self.reads - self.missed_reads
                    - self._found_reads)
-
-    def within_epsilon(self, epsilon: float, slack: float = 0.0) -> bool:
-        """Whether the stale-read rate honours the lease/quorum bound.
-
-        Vacuously true with no reads.
-        """
-        if self.reads == 0:
-            return True
-        return self.stale_fraction <= epsilon + slack
 
     def lines(self) -> List[str]:
         out = [
@@ -257,8 +129,7 @@ class KVHistoryChecker:
     version recorded before the current call.
     """
 
-    def __init__(self, keep_history: bool = True) -> None:
-        self.keep_history = keep_history
+    def __init__(self) -> None:
         self.history: List[KVOpRecord] = []
         self._ops = 0
         # key -> {version: value} of committed writes, and the latest.
@@ -271,8 +142,7 @@ class KVHistoryChecker:
     def _record(self, record: KVOpRecord) -> None:
         self._ops += 1
         self.report_state.ops = self._ops
-        if self.keep_history:
-            self.history.append(record)
+        self.history.append(record)
 
     def _violate(self, kind: str, record: KVOpRecord, detail: str) -> None:
         report = self.report_state
@@ -385,9 +255,6 @@ def check_kv_batch(
     writes: int = 0,
     cas_attempts: int = 0,
     cas_successes: int = 0,
-    stale_cas: int = 0,
-    duplicate_versions: int = 0,
-    cas_lost: int = 0,
 ) -> KVConsistencyReport:
     """Vectorized spec check over a batched workload's read arrays.
 
@@ -399,9 +266,12 @@ def check_kv_batch(
     expiry of the returned entry (``+inf`` when absent).  Counters come
     from the kernel's committed-write ledger, so a returned counter
     above the latest is ``future-read`` and any committed-but-older
-    counter is a stale read.  Write-side checks (``duplicate_versions``,
-    ``cas_lost``) arrive pre-counted because the kernel detects them at
-    scatter time.
+    counter is a stale read.
+
+    The write side needs no check: in the kernel a cas commits only when
+    its view saw the key's latest version, and every commit takes
+    ``latest + 1``, per key in time order.  So stale cas, duplicate
+    versions and lost cas are zero by construction.
     """
     import numpy as np
 
@@ -425,15 +295,12 @@ def check_kv_batch(
         cas_attempts=cas_attempts,
         cas_successes=cas_successes,
         stale_reads=stale,
-        stale_cas=stale_cas,
         missed_reads=missed,
     )
     report._found_reads = int(np.count_nonzero(found))
     for kind, count in (("fabricated-read", fabricated),
                         ("future-read", future),
-                        ("expired-read", expired),
-                        ("duplicate-version", duplicate_versions),
-                        ("cas-lost", cas_lost)):
+                        ("expired-read", expired)):
         if count:
             report.violations[kind] = count
             if len(report.examples) < _MAX_EXAMPLES:

@@ -45,7 +45,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 from repro.analysis.leases import lease_ttl_for_churn
 from repro.core.biquorum import ProbabilisticBiquorum
 from repro.core.leases import LeasedEntry, LeaseTable
-from repro.core.masking import parse_masking_name
+from repro.obs.watch import parse_masking_name
 from repro.core.strategies import AccessResult
 from repro.obs.trace import record_event
 from repro.services.consistency import KVHistoryChecker
@@ -96,7 +96,6 @@ class QuorumKVStore:
         min_ttl: float = 1.0,
         max_ttl: float = 1e6,
         checker: Optional[KVHistoryChecker] = None,
-        name: str = "kv",
     ) -> None:
         """Give ``lease_ttl`` directly, or a ``churn_rate`` estimate and
         let the lease analysis derive the TTL keeping per-holder survival
@@ -112,7 +111,6 @@ class QuorumKVStore:
             raise ValueError("lease_ttl must be positive")
         self.biquorum = biquorum
         self.net = biquorum.net
-        self.name = name
         self.lease_ttl = lease_ttl
         self.churn_rate = churn_rate
         self.min_survival = min_survival
@@ -242,7 +240,7 @@ class QuorumKVStore:
     def _emit(self, result: KVOpResult) -> None:
         metrics = getattr(self.net, "metrics", None)
         if metrics is not None:
-            prefix = f"{self.name}.{result.kind}"
+            prefix = f"kv.{result.kind}"
             metrics.counter(prefix + ".count").inc()
             if result.ok:
                 metrics.counter(prefix + ".ok").inc()
@@ -353,10 +351,6 @@ class QuorumKVStore:
         return result
 
     # -- introspection -----------------------------------------------------
-
-    def holders_of(self, key: Hashable) -> List[int]:
-        """Alive replicas currently able to answer for ``key``."""
-        return self.table.holders_of(key)
 
     def latest_committed(self, key: Hashable) -> Optional[Tuple[Timestamp, Any]]:
         """Commit-oracle view of the newest committed write (accounting)."""

@@ -28,6 +28,10 @@ from repro.analysis.degradation import RefreshPlan, refresh_schedule
 from repro.services.location import LocationService
 from repro.sim.kernel import PeriodicTimer
 
+#: The Section 6.1 churn model the interval is derived for: failures and
+#: joins together.
+CHURN_MODE = "both"
+
 
 @dataclass
 class RefreshStats:
@@ -49,7 +53,6 @@ class RefreshDaemon:
         epsilon: Optional[float] = None,
         min_intersection: Optional[float] = None,
         churn_fraction_per_second: Optional[float] = None,
-        mode: str = "both",
         adaptive: bool = False,
         min_interval: float = 1.0,
         max_interval: float = 86400.0,
@@ -69,7 +72,7 @@ class RefreshDaemon:
                     "provide interval, or epsilon + min_intersection + "
                     "churn_fraction_per_second")
             plan = refresh_schedule(epsilon, min_intersection,
-                                    churn_fraction_per_second, mode)
+                                    churn_fraction_per_second, CHURN_MODE)
             interval = plan.refresh_interval_seconds
             self.plan: Optional[RefreshPlan] = plan
         else:
@@ -88,7 +91,6 @@ class RefreshDaemon:
         self.interval = interval
         self.epsilon = epsilon
         self.min_intersection = min_intersection
-        self.mode = mode
         self.adaptive = adaptive
         self.min_interval = min_interval
         self.max_interval = max_interval
@@ -102,17 +104,12 @@ class RefreshDaemon:
     # -- adaptive interval ------------------------------------------------
 
     def _churn_events(self) -> int:
-        """Committed churn events so far, per the daemon's churn mode."""
+        """Committed churn events (failures and joins) so far."""
         metrics = getattr(self.service.net, "metrics", None)
         if metrics is None:
             return 0
-        failures = metrics.counter_value("churn.failures")
-        joins = metrics.counter_value("churn.joins")
-        if self.mode in ("failures-constant", "failures-adjusted"):
-            return failures
-        if self.mode in ("joins-constant", "joins-adjusted"):
-            return joins
-        return failures + joins
+        return (metrics.counter_value("churn.failures")
+                + metrics.counter_value("churn.joins"))
 
     def observed_churn_rate(self) -> float:
         """Fraction of the network churning per second since start."""
@@ -128,7 +125,7 @@ class RefreshDaemon:
         if rate <= 0:
             return
         plan = refresh_schedule(self.epsilon, self.min_intersection,
-                                rate, self.mode)
+                                rate, CHURN_MODE)
         derived = plan.refresh_interval_seconds
         if math.isinf(derived):
             derived = self.max_interval
@@ -147,14 +144,14 @@ class RefreshDaemon:
         # snapshot time yet produced no receipt.  (The old
         # ``len(keys) - len(receipts)`` went negative whenever keys were
         # advertised between the snapshot and readvertise_all, and
-        # double-counted transient losses across refresh_now calls.)
+        # double-counted transient losses across rounds.)
         keys = set(self.service.advertised_keys())
         receipts = self.service.readvertise_all()
         self.stats.readvertised += len(receipts)
         refreshed = {receipt.key for receipt in receipts}
         lost_now = keys - refreshed
         # Count each loss once until the key recovers (back-to-back
-        # refresh_now calls must not re-count the same stuck key).
+        # rounds must not re-count the same stuck key).
         self.stats.lost += len(lost_now - self._lost_keys)
         self._lost_keys = lost_now
         if self.adaptive:
@@ -162,9 +159,3 @@ class RefreshDaemon:
 
     def stop(self) -> None:
         self._timer.stop()
-
-    def refresh_now(self) -> int:
-        """Force an immediate refresh round; returns keys readvertised."""
-        before = self.stats.readvertised
-        self._tick()
-        return self.stats.readvertised - before

@@ -57,11 +57,9 @@ class RegisterOpResult:
 class ProbabilisticRegister:
     """A single shared read/write register over a probabilistic biquorum."""
 
-    def __init__(self, biquorum: ProbabilisticBiquorum,
-                 name: str = "register") -> None:
+    def __init__(self, biquorum: ProbabilisticBiquorum) -> None:
         self.biquorum = biquorum
         self.net = biquorum.net
-        self.name = name
         # replica state: node -> (timestamp, value)
         self._replicas: Dict[int, Tuple[Timestamp, Any]] = {}
 
@@ -76,11 +74,6 @@ class ProbabilisticRegister:
         if not self.net.is_alive(node):
             return None
         return self._replicas.get(node)
-
-    def replicas_at(self, ts: Timestamp) -> List[int]:
-        """Alive nodes holding exactly version ``ts`` (for tests/metrics)."""
-        return sorted(node for node, (t, _v) in self._replicas.items()
-                      if t == ts and self.net.is_alive(node))
 
     # -- phases ------------------------------------------------------------
 

@@ -75,11 +75,6 @@ class Simulator:
         """Number of events executed so far (for instrumentation)."""
         return self._events_executed
 
-    @property
-    def pending_count(self) -> int:
-        """Number of queued, non-cancelled events."""
-        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
-
     def next_event_time(self) -> float:
         """Timestamp of the earliest pending event (``inf`` when idle).
 
@@ -180,19 +175,11 @@ class Simulator:
         finally:
             self._running -= 1
 
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self._now = 0.0
-        self._events_executed = 0
-
 
 class PeriodicTimer:
     """Fires a callback every ``interval`` seconds until stopped.
 
     Used for heartbeats, route-table expiry sweeps, readvertise refresh, etc.
-    An optional ``jitter_fn`` returning a per-tick offset desynchronises
-    timers across nodes (the paper uses 10 ms broadcast jitter, RFC 5148).
     """
 
     def __init__(
@@ -200,31 +187,21 @@ class PeriodicTimer:
         sim: Simulator,
         interval: float,
         fn: Callable[[], Any],
-        jitter_fn: Optional[Callable[[], float]] = None,
-        start_delay: Optional[float] = None,
     ) -> None:
         if interval <= 0:
             raise SimulationError("timer interval must be positive")
         self._sim = sim
         self._interval = interval
         self._fn = fn
-        self._jitter_fn = jitter_fn
-        self._event: Optional[Event] = None
         self._stopped = False
-        first = interval if start_delay is None else start_delay
-        self._event = sim.schedule(max(0.0, first + self._jitter()), self._tick)
-
-    def _jitter(self) -> float:
-        return self._jitter_fn() if self._jitter_fn is not None else 0.0
+        self._event: Optional[Event] = sim.schedule(interval, self._tick)
 
     def _tick(self) -> None:
         if self._stopped:
             return
         self._fn()
         if not self._stopped:
-            self._event = self._sim.schedule(
-                max(0.0, self._interval + self._jitter()), self._tick
-            )
+            self._event = self._sim.schedule(self._interval, self._tick)
 
     def stop(self) -> None:
         """Cancel the timer (idempotent)."""

@@ -30,8 +30,7 @@ def derive_stream_seed(master_seed: int, name: str) -> int:
     return _derive_seed(master_seed, name)
 
 
-def replica_seeds(master_seed: int, count: int,
-                  name: str = "replicas") -> List[int]:
+def replica_seeds(master_seed: int, count: int) -> List[int]:
     """``count`` independent replica seeds from one master seed.
 
     Uses a counter-based Philox generator keyed off the master seed, so
@@ -44,7 +43,7 @@ def replica_seeds(master_seed: int, count: int,
         raise ValueError("count must be non-negative")
     if count == 0:
         return []
-    key = _derive_seed(master_seed, f"philox:{name}")
+    key = _derive_seed(master_seed, "philox:replicas")
     gen = np.random.Generator(np.random.Philox(key=key))
     return [int(s) for s in
             gen.integers(0, 2**63, size=count, dtype=np.int64)]
@@ -53,15 +52,13 @@ def replica_seeds(master_seed: int, count: int,
 class RngRegistry:
     """Factory for named, independent PRNG streams.
 
-    ``stream(name)`` returns a ``random.Random``; ``numpy_stream(name)``
-    returns a ``numpy.random.Generator``.  The same (seed, name) pair always
-    yields an identically-seeded generator.
+    ``stream(name)`` returns a ``random.Random``.  The same (seed, name)
+    pair always yields an identically-seeded generator.
     """
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}
-        self._np_streams: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> random.Random:
         """Return (creating on first use) the named stdlib PRNG stream."""
@@ -70,14 +67,6 @@ class RngRegistry:
                 _derive_seed(self.master_seed, name)
             )
         return self._streams[name]
-
-    def numpy_stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the named numpy PRNG stream."""
-        if name not in self._np_streams:
-            self._np_streams[name] = np.random.default_rng(
-                _derive_seed(self.master_seed, "np:" + name)
-            )
-        return self._np_streams[name]
 
     def seed_stream(self, name: str, seed: int) -> random.Random:
         """(Re)seed the named stdlib stream explicitly.

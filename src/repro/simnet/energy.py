@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class EnergyModel:
 class EnergyLedger:
     """Per-node and aggregate energy spent, kept as frame counts."""
 
-    def __init__(self, model: Optional[EnergyModel] = None) -> None:
-        self.model = model or EnergyModel()
+    def __init__(self) -> None:
+        self.model = EnergyModel()
         self._unicast_tx: Counter = Counter()
         self._unicast_rx: Counter = Counter()
         self._broadcast_tx: Counter = Counter()
@@ -132,15 +132,3 @@ class EnergyLedger:
     @property
     def total(self) -> float:
         return sum(self.per_node.values())
-
-    def spent_by(self, node_id: int) -> float:
-        return self.per_node.get(node_id, 0.0)
-
-    def max_node_share(self) -> float:
-        """Largest single-node share of the total (hot-spot indicator)."""
-        spent = self.per_node
-        total = sum(spent.values())
-        named = [v for k, v in spent.items() if k >= 0]
-        if not named or total <= 0:
-            return 0.0
-        return max(named) / total

@@ -130,11 +130,10 @@ class SimNetwork:
     """A simulated ad hoc network at the protocol-model level."""
 
     def __init__(self, config: NetworkConfig,
-                 sim: Optional[Simulator] = None,
                  positions: Optional[List[Point]] = None,
                  defer_neighbor_init: bool = False) -> None:
         self.config = config
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
         side = self._side = config.side
 

@@ -61,6 +61,17 @@ class _FloodMark:
     origin: int
 
 
+#: HELLO beacon period, seconds (the heartbeat of Section 2.3).
+HELLO_INTERVAL = 10.0
+#: How long an acked unicast and a routed send may take, seconds.
+UNICAST_TIMEOUT = 1.0
+ROUTE_TIMEOUT = 8.0
+#: How long a flood is given to settle, seconds.
+FLOOD_SETTLE = 3.0
+#: Simulated seconds of beaconing before the first access.
+WARMUP = 0.5
+
+
 @dataclass
 class _AdapterConfig:
     """Mimics the bits of NetworkConfig that strategies read."""
@@ -74,18 +85,10 @@ class _AdapterConfig:
 class PacketQuorumNetwork:
     """SimNetwork-compatible facade over a packet-level stack."""
 
-    def __init__(self, stack: AdhocStack,
-                 hello_interval: float = 10.0,
-                 unicast_timeout: float = 1.0,
-                 route_timeout: float = 8.0,
-                 flood_settle: float = 3.0,
-                 warmup: float = 0.5) -> None:
+    def __init__(self, stack: AdhocStack) -> None:
         self.stack = stack
         self.sim = stack.sim
         self.rngs = RngRegistry(stack.config.seed ^ 0x5EED)
-        self.unicast_timeout = unicast_timeout
-        self.route_timeout = route_timeout
-        self.flood_settle = flood_settle
         self.counters: Dict[str, int] = {"network": 0, "routing": 0}
         self.config = _AdapterConfig(
             n=stack.config.n,
@@ -106,12 +109,11 @@ class PacketQuorumNetwork:
             node.app_handler = self._wrap_app(node.app_handler, node.node_id)
 
         # HELLO beaconing (the heartbeat of Section 2.3).
-        self._hello_interval = hello_interval
         for node in stack.nodes.values():
             self.sim.schedule(
                 self.rngs.stream("hello").uniform(0, 1.0),
                 self._hello_loop, node.node_id)
-        self.stack.run(warmup)
+        self.stack.run(WARMUP)
 
     # -- beaconing / raw frames ------------------------------------------------
 
@@ -120,7 +122,7 @@ class PacketQuorumNetwork:
         if node is None or not node.alive:
             return
         node.mac.send_broadcast(_Hello(sender=node_id), payload_bytes=16)
-        self.sim.schedule(self._hello_interval, self._hello_loop, node_id)
+        self.sim.schedule(HELLO_INTERVAL, self._hello_loop, node_id)
 
     def _on_raw(self, receiver: int, payload: Any, from_node: int) -> None:
         if isinstance(payload, _Hello):
@@ -216,7 +218,7 @@ class PacketQuorumNetwork:
             dst, _OneHop(token=next(self._tokens), sender=src, dst=dst),
             on_success=lambda: outcome.__setitem__(0, True),
             on_failure=lambda: outcome.__setitem__(0, False))
-        deadline = self.sim.now + self.unicast_timeout
+        deadline = self.sim.now + UNICAST_TIMEOUT
         while outcome[0] is None and self.sim.now < deadline:
             if not self.sim.step():
                 break
@@ -246,7 +248,7 @@ class PacketQuorumNetwork:
         control_before = self.stack.total_control_messages()
         self.stack.nodes[src].aodv.send_data(dst, _Probe(token=token,
                                                          origin=src))
-        deadline = self.sim.now + self.route_timeout
+        deadline = self.sim.now + ROUTE_TIMEOUT
         while token not in self._acks_seen and self.sim.now < deadline:
             if not self.sim.step():
                 break
@@ -285,7 +287,7 @@ class PacketQuorumNetwork:
         self._flood_seen[token] = {origin: 0}
         self.stack.nodes[origin].flood(_FloodMark(token=token,
                                                   origin=origin), ttl=ttl)
-        self.stack.run(self.flood_settle)
+        self.stack.run(FLOOD_SETTLE)
         covered_raw = self._flood_seen.pop(token, {origin: 0})
         messages = self.stack.total_mac_frames() - frames_before
         self.counters["network"] += messages

@@ -10,16 +10,14 @@ the substrate implementations under collisions and contention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.geometry.space import area_side_for_density
-from repro.mac.csma import MacParams
 from repro.mobility.models import (
     MobilityManager,
     RandomWaypoint,
     StaticPlacement,
 )
-from repro.net.aodv import AodvParams
 from repro.phy.channel import ProtocolChannel, SINRChannel
 from repro.phy.params import PhyParams
 from repro.sim.kernel import Simulator
@@ -51,14 +49,11 @@ class StackConfig:
 class AdhocStack:
     """A deployed packet-level network of :class:`StackNode` instances."""
 
-    def __init__(self, config: StackConfig,
-                 phy_params: Optional[PhyParams] = None,
-                 mac_params: Optional[MacParams] = None,
-                 aodv_params: Optional[AodvParams] = None) -> None:
+    def __init__(self, config: StackConfig) -> None:
         self.config = config
         self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
-        self.phy_params = phy_params or PhyParams()
+        self.phy_params = PhyParams()
         side = config.side
 
         if config.mobility == "waypoint":
@@ -89,15 +84,12 @@ class AdhocStack:
         self.nodes: Dict[int, StackNode] = {}
         self.received: List[Tuple[int, Any, int]] = []  # (dst, payload, src)
         for i in range(config.n):
-            self._add_node(i, mac_params, aodv_params)
+            self._add_node(i)
 
-    def _add_node(self, node_id: int,
-                  mac_params: Optional[MacParams],
-                  aodv_params: Optional[AodvParams]) -> StackNode:
+    def _add_node(self, node_id: int) -> StackNode:
         self.env.add_node(node_id)
         node = StackNode(
             self.sim, self.channel, node_id,
-            mac_params=mac_params, aodv_params=aodv_params,
             rng=self.rngs.stream(f"node:{node_id}"),
             app_handler=lambda payload, src, nid=node_id:
                 self.received.append((nid, payload, src)),

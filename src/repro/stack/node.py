@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Optional
 
-from repro.mac.csma import MacLayer, MacParams
-from repro.net.aodv import AodvAgent, AodvParams
+from repro.mac.csma import MacLayer
+from repro.net.aodv import AodvAgent
 from repro.net.flooding import FloodingAgent
 from repro.net.packet import (
     DataPacket,
@@ -33,8 +33,6 @@ class StackNode:
         sim: Simulator,
         channel: Any,
         node_id: int,
-        mac_params: Optional[MacParams] = None,
-        aodv_params: Optional[AodvParams] = None,
         *,
         rng: random.Random,
         app_handler: Optional[AppHandler] = None,
@@ -43,10 +41,10 @@ class StackNode:
         self.node_id = node_id
         self.app_handler = app_handler
         self.mac = MacLayer(sim, channel, node_id, deliver=self._dispatch,
-                            params=mac_params, rng=rng)
+                            rng=rng)
         self.aodv = AodvAgent(sim, self.mac, node_id,
                               deliver=self._deliver_routed,
-                              params=aodv_params, rng=rng)
+                              rng=rng)
         self.flooder = FloodingAgent(sim, self.mac, node_id,
                                      deliver=self._deliver_flooded, rng=rng)
         self.alive = True

@@ -19,6 +19,14 @@ import random
 from typing import Dict, List, Optional
 
 
+def stream_twin(net) -> random.Random:
+    """An independent copy of ``net``'s membership stream as it stands
+    now: build the oracle on it before the ``RandomMembership`` draws."""
+    twin = random.Random()
+    twin.setstate(net.rngs.stream("membership").getstate())
+    return twin
+
+
 def view_stream(key: int, node: int) -> random.Random:
     """The (epoch key, node) stream one view is drawn from."""
     return random.Random((node << 64) | key)

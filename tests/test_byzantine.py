@@ -129,8 +129,8 @@ class _ProbeAll(AccessStrategy):
         return result
 
 
-def _masked_lookup(replies, b, threshold=None):
-    strategy = MaskingStrategy(_ProbeAll(replies), b, threshold=threshold)
+def _masked_lookup(replies, b):
+    strategy = MaskingStrategy(_ProbeAll(replies), b)
 
     def probe(node):
         return replies[node]
@@ -177,15 +177,9 @@ class TestMaskingVoteFilter:
         result = _masked_lookup({1: ("v", 1)}, b=0)
         assert result.verdict == "found"
 
-    def test_custom_threshold_overrides_default(self):
-        result = _masked_lookup({1: ("v", 1), 2: ("v", 1)}, b=4, threshold=2)
-        assert result.verdict == "found"
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             MaskingStrategy(_ProbeAll({}), -1)
-        with pytest.raises(ValueError):
-            MaskingStrategy(_ProbeAll({}), 1, threshold=0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.core import (
 from reference import per_event
 
 from repro.membership import FullMembership
-from repro.simnet import EnergyLedger, EnergyModel, NetworkConfig, SimNetwork
+from repro.simnet import EnergyLedger, NetworkConfig, SimNetwork
 from repro.simnet.energy import MAX_PENDING_PATHS
 
 
@@ -27,13 +27,12 @@ class TestEnergyLedger:
     def test_unicast_charges_sender_and_receiver(self):
         ledger = EnergyLedger()
         ledger.charge_unicast(1, 2)
-        assert ledger.spent_by(1) == pytest.approx(1.0)
-        assert ledger.spent_by(2) == pytest.approx(0.8)
+        assert ledger.per_node[1] == pytest.approx(1.0)
+        assert ledger.per_node[2] == pytest.approx(0.8)
 
     def test_broadcast_costs_more_per_frame(self):
-        model = EnergyModel()
-        uni = EnergyLedger(model)
-        bro = EnergyLedger(model)
+        uni = EnergyLedger()
+        bro = EnergyLedger()
         uni.charge_unicast(0, 1)
         bro.charge_broadcast(0, receivers=1)
         assert bro.total > uni.total
@@ -41,7 +40,7 @@ class TestEnergyLedger:
     def test_failed_unicast_still_costs_tx(self):
         ledger = EnergyLedger()
         ledger.charge_failed_unicast(3)
-        assert ledger.spent_by(3) == pytest.approx(1.0)
+        assert ledger.per_node[3] == pytest.approx(1.0)
 
     def test_bystander_header_decode(self):
         ledger = EnergyLedger()
@@ -52,13 +51,13 @@ class TestEnergyLedger:
         ledger = EnergyLedger()
         for _ in range(9):
             ledger.charge_unicast(0, 1)
-        assert ledger.max_node_share() == pytest.approx(
-            9.0 / ledger.total)
+        assert ledger.per_node[0] == pytest.approx(9.0)
+        assert ledger.per_node[0] / ledger.total == pytest.approx(1 / 1.8)
 
     def test_empty_ledger(self):
         ledger = EnergyLedger()
         assert ledger.total == 0.0
-        assert ledger.max_node_share() == 0.0
+        assert ledger.per_node == {}
 
 
 def _charge_hop_by_hop(ledger, path, degrees):
@@ -110,7 +109,6 @@ class TestOrderFreeLedger:
             ledger = self._apply(shuffled)
             assert ledger.per_node == first.per_node  # ==, not approx
             assert ledger.total == first.total
-            assert ledger.max_node_share() == first.max_node_share()
 
     def test_path_charge_equals_its_hop_charges(self):
         rng = random.Random(9)
@@ -139,7 +137,7 @@ class TestOrderFreeLedger:
         for index, (name, *args) in enumerate(charges):
             getattr(peeked, name)(*args)
             if index % 7 == 0:  # folds whatever paths are pending
-                assert peeked.total >= peeked.spent_by(index % 30)
+                assert peeked.total >= peeked.per_node[index % 30]
                 assert peeked.per_node == peeked.per_node
         assert peeked.per_node == undisturbed.per_node
         assert peeked.total == undisturbed.total
@@ -162,17 +160,21 @@ class TestOrderFreeLedger:
         assert ledger._pending == []  # a read retains nothing
 
     def test_reads_multiply_counts_by_the_model(self):
-        model = EnergyModel(tx_unicast=2.0, rx_unicast=0.5, tx_broadcast=7.0,
-                            rx_broadcast=3.0, overhear_header=0.25)
-        ledger = EnergyLedger(model)
+        ledger = EnergyLedger()
+        m = ledger.model
         ledger.charge_path([1, 2, 3], 4)
         ledger.charge_unicast(3, 1, bystanders=2)
         ledger.charge_failed_unicast(2)
         ledger.charge_broadcast(1, receivers=5)
-        assert ledger.per_node == {1: 2.0 + 0.5 + 7.0, 2: 0.5 + 2.0 + 2.0,
-                                   3: 0.5 + 2.0, -1: 6 * 0.25 + 5 * 3.0}
-        assert ledger.spent_by(2) == 4.5 and ledger.spent_by(99) == 0.0
-        assert ledger.total == 4 * 2.0 + 3 * 0.5 + 7.0 + 6 * 0.25 + 5 * 3.0
+        assert ledger.per_node == {
+            1: m.tx_unicast + m.rx_unicast + m.tx_broadcast,
+            2: 2 * m.tx_unicast + m.rx_unicast,
+            3: m.tx_unicast + m.rx_unicast,
+            -1: 6 * m.overhear_header + 5 * m.rx_broadcast}
+        assert ledger.per_node[99] == 0.0
+        assert ledger.total == pytest.approx(
+            4 * m.tx_unicast + 3 * m.rx_unicast + m.tx_broadcast
+            + 6 * m.overhear_header + 5 * m.rx_broadcast)
 
 
 class TestNetworkEnergyAccounting:
@@ -201,7 +203,7 @@ class TestNetworkEnergyAccounting:
         v = net.true_neighbors(0)[0]
         net.one_hop_unicast(0, v)
         assert net.energy.total > before
-        assert net.energy.spent_by(0) >= 1.0
+        assert net.energy.per_node[0] >= 1.0
 
     def test_failed_unicast_charges_sender_only(self):
         net = make_net()
@@ -209,8 +211,8 @@ class TestNetworkEnergyAccounting:
                   key=lambda u: net.distance(net.position(0),
                                              net.position(u)))
         net.one_hop_unicast(0, far)
-        assert net.energy.spent_by(0) == pytest.approx(1.0)
-        assert net.energy.spent_by(far) == 0.0
+        assert net.energy.per_node[0] == pytest.approx(1.0)
+        assert net.energy.per_node[far] == 0.0
 
     def test_broadcast_charges_all_receivers(self):
         net = make_net()

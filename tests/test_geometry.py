@@ -14,7 +14,6 @@ from repro.geometry import (
     critical_range_for_connectivity,
     distance,
     distances,
-    expected_degree,
 )
 from repro.geometry.kernel import NeighborKernel
 
@@ -76,7 +75,8 @@ class TestDistanceForms:
 class TestDensityScaling:
     def test_area_gives_target_degree(self):
         side = area_side_for_density(n=200, radio_range=200.0, avg_degree=10.0)
-        assert expected_degree(200, 200.0, side) == pytest.approx(10.0)
+        # The paper's expected degree: pi r^2 n / side^2.
+        assert math.pi * 200.0 ** 2 * 200 / side ** 2 == pytest.approx(10.0)
 
     def test_larger_network_larger_area(self):
         small = area_side_for_density(100, 200.0, 10.0)

@@ -91,6 +91,18 @@ class TestBatchedKernel:
         assert stats.report.clean
         assert stats.report.reads == stats.reads
 
+    def test_cas_heavy_run_has_no_stale_cas(self):
+        # A cas commits only on a view of the latest version, and every
+        # commit takes latest + 1: the write side is clean by
+        # construction, which is why check_kv_batch checks reads only.
+        spec = WorkloadSpec(ops=5_000, seed=5, read_fraction=0.5,
+                            cas_fraction=0.8)
+        config = KVPointConfig(n=300, churn_rate=0.01, lease_ttl=20.0)
+        stats = run_workload_batched(spec, config)
+        assert stats.cas_successes > 0
+        assert stats.report.stale_cas == 0
+        assert stats.report.clean
+
     def test_stale_rate_tracks_lease_analysis(self):
         spec = WorkloadSpec(ops=200_000, seed=17, read_fraction=0.9)
         config = KVPointConfig(n=400, churn_rate=0.01, lease_ttl=30.0)

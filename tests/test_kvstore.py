@@ -33,6 +33,12 @@ from repro.services import (
 from repro.simnet import NetworkConfig, SimNetwork
 
 
+def _holders(store, key):
+    """Alive replicas currently able to answer for ``key``."""
+    return sorted(node for node in store.net.alive_nodes()
+                  if store.table.visible(node, key) is not None)
+
+
 def build(n=100, seed=0, epsilon=0.05, lease_ttl=1e5, masking_b=None,
           **kv_kw):
     net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=seed))
@@ -127,9 +133,9 @@ class TestLeases:
     def test_holders_empty_after_expiry(self):
         net, store = build(lease_ttl=5.0)
         store.put(0, "k", "v")
-        assert len(store.holders_of("k")) > 0
+        assert len(_holders(store, "k")) > 0
         net.run_until(net.now + 10.0)
-        assert store.holders_of("k") == []
+        assert _holders(store, "k") == []
 
     def test_fixed_ttl_reported(self):
         net, store = build(lease_ttl=42.0)
@@ -257,7 +263,7 @@ class TestRetriedWriteCommit:
         last = wrote.accesses[-1]
         assert last.attempts == 2 and last.quorum == []
         assert wrote.ok  # attempt 1's replicas hold the version
-        assert store.holders_of("k") == list(strategy.REPLICAS)
+        assert _holders(store, "k") == list(strategy.REPLICAS)
         assert store.latest_committed("k") == (wrote.version, "v")
         got = store.get(5, "k")
         assert got.ok and got.version == wrote.version and not got.stale
@@ -267,7 +273,7 @@ class TestRetriedWriteCommit:
         net, strategy, store = _fading_store()
         ensure_byzantine(net).attach(list(strategy.REPLICAS), "drop")
         put = store.put(0, "k", "v")
-        assert not put.ok and store.holders_of("k") == []
+        assert not put.ok and _holders(store, "k") == []
         assert not store.get(5, "k").ok
         assert store.checker.report().clean
 

@@ -10,18 +10,17 @@ from repro.phy import PhyParams, SINRChannel
 from repro.sim import Simulator
 
 
-def build(positions, retry_limit=7):
+def build(positions):
     sim = Simulator()
     env = fixed_env(sim, positions)
     channel = SINRChannel(sim, env)
     inboxes = {nid: [] for nid in positions}
     macs = {}
-    params = MacParams(retry_limit=retry_limit)
     for nid in positions:
         macs[nid] = MacLayer(
             sim, channel, nid,
             deliver=lambda payload, src, box=inboxes[nid]: box.append((payload, src)),
-            params=params, rng=random.Random(nid + 1))
+            rng=random.Random(nid + 1))
     return sim, env, channel, macs, inboxes
 
 
@@ -36,8 +35,7 @@ class TestUnicast:
         assert outcome == ["ok"]
 
     def test_failure_notification_when_peer_gone(self):
-        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)},
-                                            retry_limit=2)
+        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)})
         env.remove_node(1)
         outcome = []
         macs[0].send_unicast(1, "ping", on_failure=lambda: outcome.append("fail"))
@@ -47,12 +45,11 @@ class TestUnicast:
         assert macs[0].failures == 1
 
     def test_retry_count_grows_on_failure(self):
-        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)},
-                                            retry_limit=3)
+        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)})
         env.remove_node(1)
         macs[0].send_unicast(1, "ping")
         sim.run(until=2.0)
-        assert macs[0].retries == 3
+        assert macs[0].retries == MacParams().retry_limit
 
     def test_queue_serialises_frames(self):
         sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (100, 0)})
@@ -67,8 +64,7 @@ class TestUnicast:
             macs[0].send_unicast(0, "x")
 
     def test_out_of_range_peer_fails(self):
-        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (1000, 0)},
-                                            retry_limit=1)
+        sim, env, ch, macs, inboxes = build({0: (0, 0), 1: (1000, 0)})
         outcome = []
         macs[0].send_unicast(1, "ping", on_failure=lambda: outcome.append("f"))
         sim.run(until=2.0)

@@ -4,10 +4,11 @@ import random
 
 import pytest
 from reference import EagerViews
+from reference.membership import stream_twin
 
 from repro.core import ProbabilisticBiquorum, RandomStrategy
 from repro.experiments import WorkloadSpec, run_workload_sequential
-from repro.membership import FullMembership, RandomMembership, uniform_sample
+from repro.membership import FullMembership, RandomMembership
 from repro.services.kvstore import QuorumKVStore
 from repro.simnet import ChurnProcess, NetworkConfig, SimNetwork
 
@@ -146,9 +147,8 @@ class TestRandomMembership:
         for order in ("id", "reverse", "subset", "churn"):
             net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=2,
                                            require_connected=False))
-            m = RandomMembership(net, view_size=view_size,
-                                 rng=random.Random(17))
-            oracle = EagerViews(net, random.Random(17), view_size)
+            oracle = EagerViews(net, stream_twin(net), view_size)
+            m = RandomMembership(net, view_size=view_size)
             picker = random.Random(5)
             for _ in range(2):
                 ids = net.alive_nodes()
@@ -258,16 +258,6 @@ class TestMembershipEpochWork:
         assert len(drawn) == len(set(drawn)) == len(read) == 109
         assert set(drawn) == read
         assert len(read) < counts["epochs"] * n / 5
-
-
-class TestUniformSample:
-    def test_distinct_and_subset(self):
-        s = uniform_sample(list(range(50)), 10, random.Random(0))
-        assert len(set(s)) == 10
-        assert set(s) <= set(range(50))
-
-    def test_whole_universe_when_k_large(self):
-        assert sorted(uniform_sample([1, 2, 3], 10, random.Random(0))) == [1, 2, 3]
 
 
 class TestChurnProcess:

@@ -19,6 +19,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import EagerViews
+from reference.membership import stream_twin
 
 from repro.membership import RandomMembership
 from repro.simnet import NetworkConfig, SimNetwork
@@ -43,9 +44,8 @@ def _size(view_size, n_alive):
 def test_views_keep_the_staleness_contract(n, view_size, seed, actions):
     net = SimNetwork(NetworkConfig(n=n, avg_degree=10, seed=seed,
                                    require_connected=False))
-    m = RandomMembership(net, view_size=view_size, refresh_interval=1e9,
-                         rng=random.Random(seed))
-    oracle = EagerViews(net, random.Random(seed), view_size)
+    oracle = EagerViews(net, stream_twin(net), view_size)
+    m = RandomMembership(net, view_size=view_size, refresh_interval=1e9)
     snapshot, size = set(net.alive_nodes()), _size(view_size, n)
     held = {}  # first read of each node in the epoch
 

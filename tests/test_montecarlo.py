@@ -46,7 +46,7 @@ def _random_run(qa=10, ql=8, n_keys=5, n_lookups=30):
         strategy = RandomStrategy(make_membership(net, "random"))
         return run_scenario(net, strategy, strategy, advertise_size=qa,
                             lookup_size=ql, n_keys=n_keys,
-                            n_lookups=n_lookups, n_lookers=10, seed=rep_seed)
+                            n_lookups=n_lookups, seed=rep_seed)
     return run
 
 
@@ -144,7 +144,7 @@ class TestBackendEquivalence:
         strategy = RandomStrategy(make_membership(net, "random"))
         legacy = run_scenario(net, strategy, strategy, advertise_size=10,
                               lookup_size=8, n_keys=5, n_lookups=30,
-                              n_lookers=10, seed=4)
+                              seed=4)
         for backend in ("batched", "sequential"):
             outcome = run_replicated(scenario_config(60, seed=3),
                                      _random_run(), reps=1, backend=backend,
@@ -278,9 +278,11 @@ class TestBackendEquivalence:
         run = _random_run()
         auto = run_replicated(cfg, run, reps=3, backend="batched",
                               base_seed=3)
-        manual = run_replicated(cfg, run, reps=3, backend="batched",
-                                base_seed=3, seeds=auto.seeds)
-        _assert_replicas_identical(auto, manual)
+        again = run_replicated(cfg, run, reps=3, backend="sequential",
+                               base_seed=3)
+        # Both backends consume the derived scenario seeds, in order.
+        assert auto.seeds == again.seeds == scenario_seed_list(3, 3)
+        _assert_replicas_identical(auto, again)
 
 
 class TestAggregation:
@@ -294,8 +296,8 @@ class TestAggregation:
         assert est.halfwidth > 0
         low, high = outcome.wilson
         assert 0.0 <= low <= high <= 1.0
-        # ci_dict maps hit_ratio to the pooled Wilson half-width.
-        assert outcome.ci_dict()["hit_ratio"] == pytest.approx(
+        # hit_ratio's half-width is the pooled Wilson half-width.
+        assert outcome.halfwidth("hit_ratio") == pytest.approx(
             (high - low) / 2.0)
         merged = outcome.merged
         assert merged.lookups == sum(s.lookups for s in outcome.stats)
@@ -309,7 +311,6 @@ class TestAggregation:
         assert math.isnan(outcome.mean("hit_ratio"))
         assert math.isnan(outcome.halfwidth("hit_ratio"))
         assert math.isnan(outcome.wilson[0])
-        assert outcome.ci_dict() == {}
         assert outcome.merged is None
 
     def test_summarize_empty_is_all_nan(self):

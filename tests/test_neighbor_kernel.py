@@ -94,13 +94,6 @@ class TestKernelPrimitive:
                                              torus)
             assert {i: kernel.neighbors_of(i) for i in ids} == tables
 
-    def test_radius_guard(self):
-        kernel = NeighborKernel(1000.0, 100.0)
-        kernel.insert(0, (1.0, 1.0))
-        kernel.insert(1, (2.0, 2.0))
-        with pytest.raises(ValueError):
-            kernel.neighbor_tables(radius=500.0)
-
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("torus", [False, True])
@@ -577,7 +570,7 @@ class TestBatchedReplicaTables:
                                            torus) == [complete]
             kernel = NeighborKernel(side, 1.5 * side, torus=torus)
             kernel.rebuild(ids, positions)
-            assert kernel.neighbor_tables(radius=3 * side) == complete
+            assert kernel.neighbor_tables() == complete
 
 
 def straddling_pair(radius):

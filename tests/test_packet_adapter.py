@@ -118,8 +118,7 @@ class TestStrategiesOverPackets:
         # The packet facade carries no access engine and cannot expose
         # routes hop by hop: RANDOM-OPT advertise and lookup must reach
         # the adapter's typed diagnosis, not die on a missing attribute.
-        strategy = RandomOptStrategy(_OracleMembership(packet_net),
-                                     rng=random.Random(8))
+        strategy = RandomOptStrategy(_OracleMembership(packet_net))
         with pytest.raises(NotImplementedError, match="RANDOM-OPT"):
             strategy.advertise(packet_net, 0, set().add, target_size=6)
         with pytest.raises(NotImplementedError, match="RANDOM-OPT"):

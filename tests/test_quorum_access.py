@@ -29,12 +29,9 @@ from repro.obs.audit import AuditError
 from repro.obs.watch import ConservationWatcher
 from repro.quorum import (
     AlgebraicStrategy,
-    Node,
-    QuorumSystem,
     build_system,
     majority_system,
     measured_node_loads,
-    placement_for,
     solve_strategy,
 )
 from repro.simnet.network import NetworkConfig, SimNetwork
@@ -152,7 +149,7 @@ class TestDegenerateInputs:
     def test_sweep_renders_all_points(self):
         points = quorum_load_sweep(systems=("chain",),
                                    read_fractions=(0.5,), n=25, m=4,
-                                   reps=2, ops=10, seed=1)
+                                   reps=2, ops=10)
         assert len(points) == 1
         assert points[0].feasible
 
@@ -161,24 +158,6 @@ class TestPlacementAndMetrics:
     def test_measured_loads_empty_without_accesses(self):
         net = SimNetwork(NetworkConfig(n=20, seed=1))
         assert measured_node_loads(net) == {}
-
-    def test_placement_maps_symbolic_elements(self):
-        qs = QuorumSystem(reads=Node("a") * Node("b") + Node("c"))
-        net = SimNetwork(NetworkConfig(n=20, seed=1))
-        placement = placement_for(qs, net)
-        assert sorted(placement) == ["a", "b", "c"]
-        assert sorted(placement.values()) == [0, 1, 2]
-        strategy = AlgebraicStrategy(qs, placement=placement)
-        results = _drive(net, strategy, ops=4)
-        assert all(r.quorum is not None for r in results)
-
-    def test_placement_rejects_oversized_system(self):
-        from repro.quorum import Or
-
-        qs = QuorumSystem(reads=Or([Node(i) for i in range(25)]))
-        net = SimNetwork(NetworkConfig(n=20, seed=1))
-        with pytest.raises(ValueError, match="needs 25 nodes"):
-            placement_for(qs, net)
 
 
 class TestReplicaFaultRouting:
@@ -223,16 +202,14 @@ class TestReplicaFaultRouting:
 
 
 class TestTraceCloseSafetyNet:
-    def test_close_failures_are_counted_not_lost(self, monkeypatch):
+    def test_close_failure_in_gc_is_swallowed(self, monkeypatch):
         trace = trace_mod.EventTrace()
 
         def boom():
             raise OSError("fd already closed")
 
         monkeypatch.setattr(trace, "close", boom)
-        before = trace_mod.close_failures()
-        trace.__del__()
-        assert trace_mod.close_failures() == before + 1
+        trace.__del__()  # a closed fd at teardown must not raise
 
 
 class TestQuorumCli:

@@ -34,17 +34,6 @@ class TestRngRegistry:
         reg = RngRegistry(3)
         assert reg.stream("x") is reg.stream("x")
 
-    def test_numpy_stream_deterministic(self):
-        a = RngRegistry(5).numpy_stream("w").random(3)
-        b = RngRegistry(5).numpy_stream("w").random(3)
-        assert list(a) == list(b)
-
-    def test_numpy_and_stdlib_streams_independent(self):
-        reg = RngRegistry(5)
-        reg.stream("x").random()
-        first = RngRegistry(5)
-        assert reg.numpy_stream("x").random() == first.numpy_stream("x").random()
-
     def test_fork_changes_streams(self):
         reg = RngRegistry(9)
         child = reg.fork("run", 0)
@@ -103,14 +92,12 @@ def test_churn_without_rng_draws_from_named_streams():
 
 
 def test_library_generators_require_a_stream():
-    from repro.experiments.workload import ZipfKeySampler
     from repro.geometry.rgg import random_geometric_graph
     from repro.mobility import RandomWaypoint, StaticPlacement
 
     for build in (lambda: StaticPlacement(10.0),
                   lambda: RandomWaypoint(side=10.0),
-                  lambda: random_geometric_graph(5, 0.2),
-                  lambda: ZipfKeySampler(["a", "b"])):
+                  lambda: random_geometric_graph(5, 0.2)):
         with pytest.raises(TypeError):
             build()
     assert RandomWaypoint(side=10.0, rng=random.Random(1)).max_speed == 2.0

@@ -28,6 +28,20 @@ def build(n=100, seed=0, epsilon=0.05, lookup=None, **bq_kw):
     return net, bq
 
 
+
+def _refresh_round(net, daemon):
+    """Run the daemon's next refresh round; returns keys readvertised."""
+    before = daemon.stats.readvertised
+    net.advance(daemon.interval)
+    return daemon.stats.readvertised - before
+
+
+def _replicas_at(reg, ts):
+    """How many alive nodes hold exactly version ``ts``."""
+    return sum(1 for node, (held, _) in reg._replicas.items()
+               if held == ts and reg.net.is_alive(node))
+
+
 class TestLocationService:
     def test_advertise_then_lookup(self):
         net, bq = build()
@@ -181,9 +195,9 @@ class TestRegister:
     def test_read_repair_propagates(self):
         net, reg = self.make_register()
         reg.write(0, "x")
-        before = len(reg.replicas_at(Timestamp(1, 0)))
+        before = _replicas_at(reg, Timestamp(1, 0))
         reg.read(50)
-        after = len(reg.replicas_at(Timestamp(1, 0)))
+        after = _replicas_at(reg, Timestamp(1, 0))
         assert after >= before
 
     def test_concurrent_writers_ordered_by_id(self):
@@ -235,7 +249,7 @@ class TestRefreshDaemon:
         svc = LocationService(bq)
         svc.advertise(0, "k", "v")
         daemon = RefreshDaemon(svc, interval=1000.0)
-        assert daemon.refresh_now() == 1
+        assert _refresh_round(net, daemon) == 1
         daemon.stop()
 
     def test_missing_parameters_rejected(self):
@@ -273,7 +287,7 @@ class TestRefreshDaemon:
             return original()
 
         svc.readvertise_all = advertise_then_refresh
-        daemon.refresh_now()
+        _refresh_round(net, daemon)
         assert daemon.stats.lost == 0
         assert daemon.stats.readvertised == 2
         daemon.stop()
@@ -286,9 +300,9 @@ class TestRefreshDaemon:
         daemon = RefreshDaemon(svc, interval=1000.0)
         for node in {0, *receipt.quorum}:
             net.fail_node(node)
-        assert daemon.refresh_now() == 0
+        assert _refresh_round(net, daemon) == 0
         assert daemon.stats.lost == 1
-        daemon.refresh_now()
+        _refresh_round(net, daemon)
         assert daemon.stats.lost == 1
         daemon.stop()
 

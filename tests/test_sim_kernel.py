@@ -98,10 +98,10 @@ class TestScheduling:
 class TestRunControl:
     def test_run_until_stops_clock_at_bound(self):
         sim = Simulator()
-        sim.schedule(10.0, lambda: None)
+        ev = sim.schedule(10.0, lambda: None)
         sim.run(until=4.0)
         assert sim.now == 4.0
-        assert sim.pending_count == 1
+        assert ev.pending and sim.next_event_time() == 10.0
 
     def test_run_until_includes_events_at_bound(self):
         sim = Simulator()
@@ -149,15 +149,6 @@ class TestRunControl:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 5
-
-    def test_reset_clears_state(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.schedule(2.0, lambda: None)
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_count == 0
 
     def test_nested_run_advances_clock(self):
         sim = Simulator()
@@ -230,7 +221,7 @@ class TestCancellation:
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         ev.cancel()
-        assert sim.pending_count == 1
+        assert sim.next_event_time() == 2.0  # the cancelled head is drained
 
 
 class TestPeriodicTimer:
@@ -240,13 +231,6 @@ class TestPeriodicTimer:
         PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
         sim.run(until=3.5)
         assert ticks == [1.0, 2.0, 3.0]
-
-    def test_start_delay_zero_fires_immediately(self):
-        sim = Simulator()
-        ticks = []
-        PeriodicTimer(sim, 2.0, lambda: ticks.append(sim.now), start_delay=0.0)
-        sim.run(until=2.5)
-        assert ticks == [0.0, 2.0]
 
     def test_stop_halts_ticks(self):
         sim = Simulator()
@@ -264,14 +248,6 @@ class TestPeriodicTimer:
         timer = PeriodicTimer(sim, 1.0, lambda: (ticks.append(1), timer.stop()))
         sim.run(until=5.0)
         assert len(ticks) == 1
-
-    def test_jitter_applied(self):
-        sim = Simulator()
-        ticks = []
-        PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now),
-                      jitter_fn=lambda: 0.25)
-        sim.run(until=3.0)
-        assert ticks == [1.25, 2.5]
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(SimulationError):

@@ -582,7 +582,7 @@ class TestChurnOperations:
 
     def test_join_node_gets_fresh_id(self):
         net = net_static()
-        new = net.join_node()
+        new = net.join_node(position=net.position(0))
         assert new == 80
         assert net.is_alive(new)
 

@@ -263,8 +263,7 @@ class TestRandomOptStrategy:
 
     def test_lookup_hit_halts_forwarding(self):
         net = make_net()
-        strategy = RandomOptStrategy(FullMembership(net), initiations=1,
-                                     rng=random.Random(3))
+        strategy = RandomOptStrategy(FullMembership(net), initiations=1)
         everywhere = set(net.alive_nodes()) - {0}
         result = strategy.lookup(net, 0, probe_for(everywhere),
                                  target_size=10)

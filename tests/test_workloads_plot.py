@@ -4,52 +4,48 @@ the Zipf-caching interaction (Section 7.1), and ASCII chart rendering."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis import required_quorum_product
-from repro.experiments.ascii_plot import render_series
+from repro.experiments.ascii_plot import HEIGHT, render_series
 from repro.experiments.workload import (
     TauEstimator,
-    ZipfKeySampler,
+    WorkloadSpec,
+    generate_operations,
+    zipf_pmf,
 )
 
 
 class TestZipfSampler:
+    """The one Zipf key sampler: the open-loop generator's key draws."""
+
+    @staticmethod
+    def counts(n_keys, s, ops, seed=0):
+        drawn = generate_operations(WorkloadSpec(
+            ops=ops, n_keys=n_keys, zipf_s=s, seed=seed)).keys
+        return np.bincount(drawn, minlength=n_keys)
+
     def test_rank_one_most_popular(self):
-        sampler = ZipfKeySampler([f"k{i}" for i in range(20)],
-                                 exponent=1.2, rng=random.Random(0))
-        counts = {}
-        for _ in range(3000):
-            key = sampler.sample()
-            counts[key] = counts.get(key, 0) + 1
-        assert counts["k0"] == max(counts.values())
+        counts = self.counts(20, 1.2, 3000)
+        assert counts[0] == counts.max()
 
     def test_exponent_zero_is_uniform(self):
-        sampler = ZipfKeySampler(["a", "b", "c", "d"], exponent=0.0,
-                                 rng=random.Random(1))
-        counts = {}
-        for _ in range(4000):
-            key = sampler.sample()
-            counts[key] = counts.get(key, 0) + 1
-        assert max(counts.values()) < 1.35 * min(counts.values())
+        counts = self.counts(4, 0.0, 4000, seed=1)
+        assert counts.max() < 1.35 * counts.min()
 
     def test_probability_of_sums_to_one(self):
-        sampler = ZipfKeySampler(["a", "b", "c"], exponent=1.0,
-                                 rng=random.Random(0))
-        total = sum(sampler.probability_of(k) for k in ("a", "b", "c"))
-        assert total == pytest.approx(1.0)
+        assert zipf_pmf(3, 1.0).sum() == pytest.approx(1.0)
 
     def test_empirical_matches_probability(self):
-        sampler = ZipfKeySampler(["a", "b", "c"], exponent=1.0,
-                                 rng=random.Random(2))
-        hits = sum(sampler.sample() == "a" for _ in range(5000)) / 5000
-        assert hits == pytest.approx(sampler.probability_of("a"), abs=0.04)
+        hits = self.counts(3, 1.0, 5000, seed=2)[0] / 5000
+        assert hits == pytest.approx(zipf_pmf(3, 1.0)[0], abs=0.04)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ZipfKeySampler([], rng=random.Random(0))
+            zipf_pmf(0, 1.0)
         with pytest.raises(ValueError):
-            ZipfKeySampler(["a"], exponent=-1.0, rng=random.Random(0))
+            WorkloadSpec(zipf_s=-1.0).validate()
 
 
 class TestTauEstimator:
@@ -115,12 +111,12 @@ class TestZipfCachingInteraction:
             rng = random.Random(7)
             for key in keys:
                 svc.advertise(net.random_alive_node(rng), key, key)
-            sampler = ZipfKeySampler(keys, exponent=1.4,
-                                     rng=random.Random(8))
+            drawn = generate_operations(WorkloadSpec(
+                ops=60, n_keys=len(keys), zipf_s=1.4, seed=8)).keys
             lookers = rng.sample(net.alive_nodes(), 5)  # small looker pool
             messages = 0
-            for _ in range(60):
-                receipt = svc.lookup(rng.choice(lookers), sampler.sample())
+            for rank in drawn:
+                receipt = svc.lookup(rng.choice(lookers), keys[rank])
                 messages += receipt.messages
             return messages
 
@@ -147,7 +143,7 @@ class TestAsciiPlot:
         assert "s" in out
 
     def test_extremes_on_canvas(self):
-        out = render_series({"d": [(0, 0), (10, 10)]}, width=20, height=5)
+        out = render_series({"d": [(0, 0), (10, 10)]})
         lines = out.splitlines()
-        assert "d" in lines[0]              # max lands on the top row
-        assert "d" in lines[4]              # min on the bottom row
+        assert "d" in lines[0]                # max lands on the top row
+        assert "d" in lines[HEIGHT - 1]       # min on the bottom row
