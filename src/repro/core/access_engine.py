@@ -15,12 +15,15 @@ snapshot (:mod:`repro.geometry.csr`), the neighbor table or its row form
    ``(topology_version, source)`` while positions are static.  A path
    comes off its tree with its bystander load, summed on the same walk,
    so charging a routed message reads no neighbor table;
-3. **the batch window** — :meth:`AccessEngine.arrival`, the one decline
-   predicate: when ``k`` back-to-back frames from now may be sent in one
-   step, the time the last one lands.  ``SimNetwork.route`` then charges
-   a whole path at once and moves the clock across the idle window
-   without entering the scheduler; the network records its hops as one
-   trace run.  The flood ring asks the same question per ring.
+3. **the batch window** — :meth:`AccessEngine.horizon`, the one decline
+   predicate: frames sent back to back from now may go in one step
+   when the last one lands strictly before it.  A routed access reads
+   it once when it opens its route frame (``SimNetwork.route_frame``)
+   and again only after a call that can run the scheduler; a frame
+   send that lands inside it charges a whole path at once and moves
+   the clock across the idle window without entering the scheduler,
+   and the network records its hops as one trace run.  The flood ring
+   asks the same question per ring.
 
 All kernels are **statistic-identical** to the per-frame code.  The
 strategy RNG streams are stdlib ``random.Random`` generators, so the
@@ -43,6 +46,7 @@ stops reading it at its first geometry mutation past the adopted version.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -132,11 +136,13 @@ class AccessEngine:
         window.  The CSR snapshot re-keys on the topology version every
         ring, so mid-flood churn can never be served a stale adjacency.
         """
-        t_end = self.arrival(net, len(frontier))
-        if t_end is None:
-            return None
         sim = net.sim
         latency = net.config.hop_latency
+        t_end = sim.now
+        for _ in frontier:
+            t_end += latency
+        if not t_end < self.horizon(net):
+            return None
 
         alive = net._alive
         alive_frontier = [n for n in frontier if n in alive]
@@ -226,27 +232,42 @@ class AccessEngine:
             self._trees.popitem(last=False)
         return tree
 
+    def reuse(self, net, src: int, tree: BfsTree) -> None:
+        """Count one more discovery from ``tree``, which :meth:`tree`
+        served for ``src`` at the current topology version, exactly as a
+        second :meth:`tree` call would: a hit and an LRU touch, or a
+        miss that puts the tree back if the memo dropped it meanwhile.
+        A route frame holds its origin's tree across its discoveries
+        and reports each of them here.
+        """
+        oracle = self._shared
+        if oracle is not None and oracle.version == net.topology_version:
+            oracle.hits += 1
+            return
+        trees = self._trees
+        if src in trees:
+            trees.move_to_end(src)
+            self.tree_hits += 1
+            return
+        self.tree_misses += 1
+        trees[src] = tree
+        if len(trees) > _MAX_PRIVATE_TREES:
+            trees.popitem(last=False)
+
     # -- kernel 3: the batch window -----------------------------------------
 
-    def arrival(self, net, frames: int) -> Optional[float]:
-        """When ``frames`` back-to-back frames sent from now land, if one
-        step may send them all; None when only one frame at a time is
-        exact.
+    def horizon(self, net) -> float:
+        """The time before which frames sent from now may go in one step.
 
-        That is the case under mobility, with random drops, or when a
-        simulation event (heartbeat, churn) is due at or before the
-        last frame lands: it would run *during* the per-frame loop.  The
-        time is accumulated by repeated addition — the same float
-        operations as that loop's ``advance`` chain — so clocks and
+        A batch of frames is exact when the last one lands strictly
+        before it: nothing can run *during* the per-frame loop then.  It
+        is the next simulation event's time (heartbeat, churn), or
+        ``-inf`` — every batch declines — under mobility or random
+        drops, where each frame must be resolved on its own.  Callers
+        accumulate the landing time by repeated addition, the same float
+        operations as the per-frame ``advance`` chain, so clocks and
         latency statistics stay byte-identical.
         """
         if net.config.mobility != "static" or net.config.drop_prob > 0:
-            return None
-        sim = net.sim
-        latency = net.config.hop_latency
-        t = sim.now
-        for _ in range(frames):
-            t += latency
-        if sim.next_event_time() <= t:
-            return None
-        return t
+            return -math.inf
+        return net.sim.next_event_time()

@@ -372,19 +372,18 @@ class AccessStrategy(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Routed-unicast access primitives (shared by membership-based strategies
-# and the algebraic systems in repro.quorum.access)
+# Routed-access helpers (shared by membership-based strategies and the
+# algebraic systems in repro.quorum.access): forward sends go through one
+# route frame per access (``SimNetwork.route_frame``), replies through
+# ``SimNetwork.route``
 # ---------------------------------------------------------------------------
 
 
-def routed_reach(net: SimNetwork, origin: int, target: int,
-                 result: AccessResult) -> bool:
-    """Route one application message ``origin -> target``, charging the
-    data and routing cost to ``result``; True on delivery."""
-    route = net.route(origin, target)
-    result.messages += route.data_messages
-    result.routing_messages += route.routing_messages
-    return route.success
+def close_frame(frame, result: AccessResult) -> None:
+    """End an access's route frame and charge its sends to ``result``."""
+    frame.close()
+    result.messages += frame.data
+    result.routing_messages += frame.routing
 
 
 def routed_reply(net: SimNetwork, src: int, origin: int,
@@ -443,10 +442,6 @@ class RandomStrategy(AccessStrategy):
     def _pick_targets(self, net: SimNetwork, origin: int, k: int) -> List[int]:
         return self.membership.sample_for(origin, k, self._rng(net))
 
-    def _reach(self, net: SimNetwork, origin: int, target: int,
-               result: AccessResult) -> bool:
-        return routed_reach(net, origin, target, result)
-
     def _replacement(self, net: SimNetwork, origin: int, reached: Set[int],
                      rng: random.Random, draws: int = 4) -> Optional[int]:
         """Draw an adaptation replacement target (Section 6.2).
@@ -472,28 +467,49 @@ class RandomStrategy(AccessStrategy):
             metrics.counter("access.adaptation_exhausted").inc()
         return None
 
+    def _contact(self, net: SimNetwork, origin: int, result: AccessResult,
+                 visit: Callable[[int], bool]) -> Set[int]:
+        """The one contact loop: route to each drawn target through one
+        route frame, adapting on failure, and ``visit`` every member
+        reached (store, or probe and reply); ``visit`` returning True
+        ends the access.  Returns the reached set."""
+        reached: Set[int] = set()
+        targets = self._pick_targets(net, origin, result.target_size)
+        rng = self._rng(net)
+        frame = net.route_frame(origin)
+        try:
+            for target in targets:
+                attempts = 0
+                current: Optional[int] = target
+                while (current is not None
+                       and attempts <= self.adaptation_retries):
+                    if current in reached:
+                        # Duplicate target: nothing was sent, swap it out
+                        # without consuming the retry budget.
+                        current = self._replacement(net, origin, reached,
+                                                    rng)
+                        continue
+                    if frame.send(current):
+                        reached.add(current)
+                        if frame.call(visit, current):
+                            return reached
+                        break
+                    attempts += 1
+                    current = self._replacement(net, origin, reached, rng)
+            return reached
+        finally:
+            close_frame(frame, result)
+
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
         result = AccessResult(strategy=self.name, kind="advertise",
                               target_size=target_size)
-        reached: Set[int] = set()
-        targets = self._pick_targets(net, origin, target_size)
-        rng = self._rng(net)
-        for target in targets:
-            attempts = 0
-            current: Optional[int] = target
-            while current is not None and attempts <= self.adaptation_retries:
-                if current in reached:
-                    # Duplicate target: nothing was sent, swap it out
-                    # without consuming the retry budget.
-                    current = self._replacement(net, origin, reached, rng)
-                    continue
-                if self._reach(net, origin, current, result):
-                    reached.add(current)
-                    store_fn(current)
-                    break
-                attempts += 1
-                current = self._replacement(net, origin, reached, rng)
+
+        def visit(node: int) -> bool:
+            store_fn(node)
+            return False
+
+        reached = self._contact(net, origin, result, visit)
         result.quorum = sorted(reached)
         result.success = len(reached) >= min(target_size,
                                              max(1, net.n_alive - 1))
@@ -503,32 +519,21 @@ class RandomStrategy(AccessStrategy):
                 target_size: int) -> AccessResult:
         result = AccessResult(strategy=self.name, kind="lookup",
                               target_size=target_size)
-        reached: Set[int] = set()
-        targets = self._pick_targets(net, origin, target_size)
-        rng = self._rng(net)
-        for target in targets:
-            attempts = 0
-            current: Optional[int] = target
-            while current is not None and attempts <= self.adaptation_retries:
-                if current in reached:
-                    current = self._replacement(net, origin, reached, rng)
-                    continue
-                if self._reach(net, origin, current, result):
-                    reached.add(current)
-                    value = probe_fn(current)
-                    if value is not None:
-                        result.found = True
-                        if result.hit_node is None:
-                            result.hit_node = current
-                            result.hit_value = value
-                        # Hit: the storing node replies via routing.
-                        routed_reply(net, current, origin, result)
-                    break
-                attempts += 1
-                current = self._replacement(net, origin, reached, rng)
-            if (self.serial_lookup and result.found
-                    and result.reply_delivered):
-                break
+        serial = self.serial_lookup
+
+        def visit(node: int) -> bool:
+            value = probe_fn(node)
+            if value is None:
+                return False
+            result.found = True
+            if result.hit_node is None:
+                result.hit_node = node
+                result.hit_value = value
+            # Hit: the storing node replies via routing.
+            routed_reply(net, node, origin, result)
+            return serial and bool(result.reply_delivered)
+
+        reached = self._contact(net, origin, result, visit)
         result.quorum = sorted(reached)
         result.success = bool(result.found and result.reply_delivered) or (
             not result.found and len(reached) >= min(target_size,

@@ -31,7 +31,7 @@ from repro.core.strategies import (
     AccessStrategy,
     ProbeFn,
     StoreFn,
-    routed_reach,
+    close_frame,
     routed_reply,
 )
 from repro.obs.trace import record_event
@@ -76,10 +76,12 @@ class AlgebraicStrategy(AccessStrategy):
             return result
         targets = [int(x) for x in members]
         reached = []
+        frame = net.route_frame(origin)
         for target in targets:
-            if target == origin or routed_reach(net, origin, target, result):
+            if target == origin or frame.send(target):
                 reached.append(target)
-                store_fn(target)
+                frame.call(store_fn, target)
+        close_frame(frame, result)
         result.quorum = sorted(reached)
         # All-or-nothing: a partial write quorum does not intersect
         # every read quorum, so it must not count as success.
@@ -97,12 +99,12 @@ class AlgebraicStrategy(AccessStrategy):
             return result
         targets = [int(x) for x in members]
         reached = []
+        frame = net.route_frame(origin)
         for target in targets:
-            if target != origin and not routed_reach(net, origin, target,
-                                                     result):
+            if target != origin and not frame.send(target):
                 continue
             reached.append(target)
-            value = probe_fn(target)
+            value = frame.call(probe_fn, target)
             if value is None:
                 continue
             result.found = True
@@ -114,7 +116,8 @@ class AlgebraicStrategy(AccessStrategy):
                 record_event(net, "reply", src=origin, dst=origin,
                              success=True, mechanism="local")
             else:
-                routed_reply(net, target, origin, result)
+                frame.call(routed_reply, net, target, origin, result)
+        close_frame(frame, result)
         result.quorum = sorted(reached)
         if result.found:
             result.success = bool(result.reply_delivered)

@@ -94,9 +94,11 @@ class Simulator:
         This is what ``run(until=time)`` does when no event is due at or
         before ``time``, without entering the scheduler loop; an event
         that is due raises :class:`SimulationError` instead of being
-        skipped.
+        skipped.  Callers have checked the window already, so the usual
+        cost is one comparison with the head of the heap.
         """
-        if self.next_event_time() <= time:
+        queue = self._queue
+        if queue and queue[0][0] <= time and self.next_event_time() <= time:
             raise SimulationError(
                 f"cannot skip to t={time}: an event is due at "
                 f"t={self.next_event_time()}")

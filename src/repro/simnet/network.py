@@ -48,7 +48,7 @@ from repro.mobility.models import (
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.sim.rng import RngRegistry
 from repro.simnet.energy import EnergyLedger
-from repro.simnet.replication import NeighborRows
+from repro.simnet.replication import BfsTree, NeighborRows
 
 
 @dataclass
@@ -789,10 +789,11 @@ class SimNetwork:
                 return False
         return True
 
-    def _discover(self, src: int, dst: int, ttl: Optional[int] = None
+    def _discover(self, tree: BfsTree, dst: int, ttl: Optional[int] = None
                   ) -> Tuple[Optional[List[int]], int, int]:
-        """One route request from ``src``'s BFS tree, metered and traced:
-        ``(path, control messages, the path's bystander load)``.
+        """One route request answered from ``tree``, the BFS tree of its
+        source, and traced: ``(path, control messages, the path's
+        bystander load)``.  The caller meters the control messages.
 
         Without ``ttl`` it models AODV's expanding ring: every node
         inside the ring that found ``dst`` rebroadcasts the RREQ once
@@ -800,7 +801,6 @@ class SimNetwork:
         the whole component.  With ``ttl`` the flood is confined to
         that many hops and costs every node it reaches.
         """
-        tree = self.access_engine.tree(self, src)
         path, load = tree.route(dst)
         if ttl is not None:
             cost = tree.count_within(ttl)
@@ -811,47 +811,14 @@ class SimNetwork:
         else:
             hops = len(path) - 1
             cost = tree.count_within(hops) + hops
-        if cost > 0:
-            self._metric_routing.inc(cost)
-            if self.trace.enabled:
-                self.trace.record("routing", self.sim.now, src=src, dst=dst,
-                                  count=cost, found=path is not None)
+        if cost > 0 and self.trace.enabled:
+            self.trace.record("routing", self.sim.now, src=tree.source,
+                              dst=dst, count=cost, found=path is not None)
         return path, cost, load
 
-    def _obtain_route(self, src: int, dst: int
-                      ) -> Tuple[Optional[List[int]], int, int]:
-        """A valid path from the cache or a discovery: ``(path, control
-        messages, bystander load)``.
-
-        A cache entry carries the topology version it was last valid at.
-        Every alive-set or geometry mutation bumps it, so on a static
-        network a path read from a BFS tree at version v, or one that
-        passed `_route_valid` at v, is not walked again until the
-        version moves; the walk re-stamps it with its load recounted
-        from the table.  Under mobility every use re-validates, and the
-        load, which only a batched send reads, is left as discovered.
-        """
-        key = (src, dst)
-        entry = self._route_cache.get(key)
-        if entry is not None:
-            path, stamp, load = entry
-            static = self.config.mobility == "static"
-            if static and stamp == self._topo_version:
-                return path, 0, load
-            if self._route_valid(path):
-                if static:
-                    tables = self._neighbor_tables()
-                    load = sum(map(len, map(tables.__getitem__, path[:-1]))
-                               ) - (len(path) - 1)
-                self._route_cache[key] = (path, self._topo_version, load)
-                return path, 0, load
-        with PROFILER.phase("routing.discover"):
-            path, cost, load = self._discover(src, dst)
-        if path is None:
-            self._route_cache.pop(key, None)
-        else:
-            self._route_cache[key] = (path, self._topo_version, load)
-        return path, cost, load
+    def route_frame(self, origin: int) -> "RouteFrame":
+        """Open the route frame of one access from ``origin``."""
+        return RouteFrame(self, origin)
 
     def discover_path(self, src: int, dst: int) -> Tuple[Optional[List[int]], int]:
         """Obtain a route (cache hit or discovery) WITHOUT sending data.
@@ -864,63 +831,22 @@ class SimNetwork:
             return None, 0
         if src == dst:
             return [src], 0
-        path, cost, _ = self._obtain_route(src, dst)
+        path, cost, _ = RouteFrame(self, src).obtain(
+            dst, self._route_cache.get((src, dst)))
         if cost:
             self.counters["routing"] += cost
+            self._metric_routing.inc(cost)
         return path, cost
 
     def route(self, src: int, dst: int) -> RouteResult:
-        """Send an application message via (cached) multi-hop routing.
-
-        The one routed-send body.  When the engine's batch window says
-        one step is exact (:meth:`AccessEngine.arrival`), the whole path
-        is charged at once — its bystanders are the load the route came
-        with — the clock moves across the idle window, and the trace
-        gets the hops and the ``route`` event as one run.  Otherwise the
-        message goes hop by hop, and mobility or churn may break the
-        path mid-flight; a broken route is dropped and obtained once
-        more.
-        """
-        if src not in self._alive:
-            return RouteResult(False)
-        if src == dst:
-            return RouteResult(True, [src])
-        routing_messages = data_messages = 0
-        for _ in range(2):
-            path, cost, load = self._obtain_route(src, dst)
-            routing_messages += cost
-            if path is None:
-                break
-            hops = len(path) - 1
-            start = self.sim.now
-            end = self.access_engine.arrival(self, hops)
-            if end is not None:
-                self.counters["network"] += hops
-                self._metric_unicasts.inc(hops)
-                self.energy.charge_path(path, load)
-                self.sim.skip_to(end)
-                data_messages += hops
-                if self.trace.enabled:
-                    self.trace.record_hops(
-                        start, self.config.hop_latency, path,
-                        {"src": src, "dst": dst, "ok": True, "hops": hops})
-            else:
-                delivered = True
-                for a, b in zip(path, path[1:]):
-                    data_messages += 1
-                    if not self.one_hop_unicast(a, b):
-                        delivered = False
-                        break
-                if not delivered:
-                    self._route_cache.pop((src, dst), None)
-                    continue
-                self.record_event("route", src=src, dst=dst, ok=True,
-                                  hops=hops)
-            self.counters["routing"] += routing_messages
-            return RouteResult(True, path, data_messages, routing_messages)
-        self.counters["routing"] += routing_messages
-        self.record_event("route", src=src, dst=dst, ok=False)
-        return RouteResult(False, [], data_messages, routing_messages)
+        """Send an application message via (cached) multi-hop routing:
+        a route frame of one send (:meth:`RouteFrame.send`)."""
+        frame = RouteFrame(self, src)
+        path = frame.send(dst)
+        frame.close()
+        if path is None:
+            return RouteResult(False, [], frame.data, frame.routing)
+        return RouteResult(True, path, frame.data, frame.routing)
 
     def scoped_route(self, src: int, dst: int, max_hops: int) -> RouteResult:
         """Route with a TTL-limited discovery (Section 6.2 local repair).
@@ -934,8 +860,10 @@ class SimNetwork:
             return RouteResult(False)
         if src == dst:
             return RouteResult(True, [src])
-        path, routing_messages, _ = self._discover(src, dst, max_hops)
+        path, routing_messages, _ = self._discover(
+            self.access_engine.tree(self, src), dst, max_hops)
         self.counters["routing"] += routing_messages
+        self._metric_routing.inc(routing_messages)
         if path is None:
             return RouteResult(False, [], 0, routing_messages)
         sent = 0
@@ -953,3 +881,174 @@ class SimNetwork:
 
     def random_alive_node(self, rng: random.Random) -> int:
         return rng.choice(self.alive_nodes())
+
+
+class RouteFrame:
+    """The routed sends of one access from one origin.
+
+    A quorum access (RANDOM, §4.1, and the algebraic systems) reaches
+    each member by its own routed unicast from the same origin, and
+    ``SimNetwork.route`` is a frame of one send, so :meth:`send` is the
+    one routed-send body.  The frame holds what every send would look
+    up again: the origin's BFS tree (read at the first discovery, again
+    only at a new topology version; every discovery still counts as a
+    tree hit or miss) and the batch-window horizon
+    (:meth:`AccessEngine.horizon`, read when the frame opens and again
+    only after a call that can run the scheduler: a per-hop send, or
+    :meth:`call`).  A send that lands before the horizon charges its
+    whole path at once and skips the clock to the arrival, accumulated
+    by the same repeated additions as the per-hop ``advance`` chain;
+    otherwise it goes hop by hop through ``one_hop_unicast``, where
+    mobility, drops and churn mid-flight act, and a broken path is
+    dropped and obtained once more.
+
+    The one-step sends' counts — ``counters["network"/"routing"]`` and
+    the ``net.unicasts`` / ``net.routing`` metrics — accumulate here and
+    are published once, by :meth:`close`.  They are the experiment's
+    meters, read between accesses: nothing a frame calls reads them
+    (stores and probes act on replica state, watchers read trace
+    events), and they are integer sums, so the totals are those of
+    publishing every send.  Trace events are recorded as they happen.
+    ``data`` and ``routing`` total the frame's data and control
+    messages, for the access result.
+    """
+
+    __slots__ = ("net", "origin", "data", "routing", "_data", "_routing",
+                 "_horizon", "_tree", "_tree_version", "_static",
+                 "_latency")
+
+    def __init__(self, net: SimNetwork, origin: int) -> None:
+        self.net = net
+        self.origin = origin
+        self.data = self.routing = 0
+        self._data = self._routing = 0  # not yet published
+        self._tree: Optional[BfsTree] = None
+        self._tree_version = -1
+        self._static = net.config.mobility == "static"
+        self._latency = net.config.hop_latency
+        self._horizon = net.access_engine.horizon(net)
+
+    def send(self, dst: int) -> Optional[List[int]]:
+        """Route one application message ``origin -> dst``; the path it
+        took, or None when it was not delivered."""
+        net = self.net
+        src = self.origin
+        if src not in net._alive:
+            return None
+        if src == dst:
+            return [src]
+        for _ in range(2):
+            entry = net._route_cache.get((src, dst))
+            if (entry is not None and entry[1] == net._topo_version
+                    and self._static):
+                path, _, load = entry
+            else:
+                path, cost, load = self.obtain(dst, entry)
+                self.routing += cost
+                self._routing += cost
+            if path is None:
+                break
+            hops = len(path) - 1
+            sim = net.sim
+            start = end = sim.now
+            latency = self._latency
+            for _ in range(hops):
+                end += latency
+            if end < self._horizon:
+                net.energy.charge_path(path, load)
+                sim.skip_to(end)
+                self.data += hops
+                self._data += hops
+                if net.trace.enabled:
+                    net.trace.record_hops(
+                        start, latency, path,
+                        {"src": src, "dst": dst, "ok": True, "hops": hops})
+                return path
+            delivered = True
+            for a, b in zip(path, path[1:]):
+                self.data += 1
+                if not net.one_hop_unicast(a, b):
+                    delivered = False
+                    break
+            self._horizon = net.access_engine.horizon(net)
+            if delivered:
+                net.record_event("route", src=src, dst=dst, ok=True,
+                                 hops=hops)
+                return path
+            net._route_cache.pop((src, dst), None)
+        net.record_event("route", src=src, dst=dst, ok=False)
+        return None
+
+    def obtain(self, dst: int, entry: Optional[tuple]
+               ) -> Tuple[Optional[List[int]], int, int]:
+        """A valid path from the cache or a discovery: ``(path, control
+        messages, bystander load)``; ``entry`` is the cache entry of
+        ``(origin, dst)``, if any.
+
+        A cache entry carries the topology version it was last valid at.
+        Every alive-set or geometry mutation bumps it, so on a static
+        network a path read from a BFS tree at version v, or one that
+        passed `_route_valid` at v, is not walked again until the
+        version moves; the walk re-stamps it with its load recounted
+        from the table.  Under mobility every use re-validates, and the
+        load, which only a batched send reads, is left as discovered.
+        """
+        net = self.net
+        key = (self.origin, dst)
+        if entry is not None:
+            path, stamp, load = entry
+            if self._static and stamp == net._topo_version:
+                return path, 0, load
+            if net._route_valid(path):
+                if self._static:
+                    tables = net._neighbor_tables()
+                    load = sum(map(len, map(tables.__getitem__, path[:-1]))
+                               ) - (len(path) - 1)
+                net._route_cache[key] = (path, net._topo_version, load)
+                return path, 0, load
+        # The phase is three calls even while profiling is off.
+        if PROFILER.enabled:
+            with PROFILER.phase("routing.discover"):
+                path, cost, load = net._discover(self._source_tree(), dst)
+        else:
+            path, cost, load = net._discover(self._source_tree(), dst)
+        if path is None:
+            net._route_cache.pop(key, None)
+        else:
+            net._route_cache[key] = (path, net._topo_version, load)
+        return path, cost, load
+
+    def _source_tree(self) -> BfsTree:
+        """The origin's BFS tree for one discovery.  A static topology's
+        tree is read once per version and its later discoveries are
+        reported to the engine; a mobile one is a function of the clock
+        and is read every time."""
+        net = self.net
+        tree = self._tree
+        if tree is not None and self._tree_version == net._topo_version:
+            net.access_engine.reuse(net, self.origin, tree)
+            return tree
+        tree = net.access_engine.tree(net, self.origin)
+        if self._static:
+            self._tree = tree
+            self._tree_version = net._topo_version
+        return tree
+
+    def call(self, fn, *args):
+        """``fn(*args)`` — a store, a probe, a reply: anything that can
+        run the scheduler — then a fresh read of the horizon."""
+        value = fn(*args)
+        self._horizon = self.net.access_engine.horizon(self.net)
+        return value
+
+    def close(self) -> None:
+        """End the frame: publish its one-step sends' counts."""
+        net = self.net
+        if self._data:
+            net.counters["network"] += self._data
+            net._metric_unicasts.inc(self._data)
+            self._data = 0
+        if self._routing:
+            net.counters["routing"] += self._routing
+            net._metric_routing.inc(self._routing)
+            self._routing = 0

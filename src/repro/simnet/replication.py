@@ -39,14 +39,15 @@ class NeighborRows:
     ``ids[r]`` is row ``r``'s node id (ascending), ``index`` maps an id
     back to its row, and ``adj[r]`` lists row ``r``'s neighbor rows in
     the table's order, so a FIFO BFS over rows discovers the nodes in
-    the same order as one over the table.
+    the same order as one over the table.  ``deg[r]`` is ``len(adj[r])``.
     """
 
-    __slots__ = ("ids", "index", "adj")
+    __slots__ = ("ids", "index", "adj", "deg")
 
     def __init__(self, ids: List[int], index: Dict[int, int],
                  adj: List[List[int]]) -> None:
         self.ids, self.index, self.adj = ids, index, adj
+        self.deg = list(map(len, adj))
 
 
 class BfsTree:
@@ -65,14 +66,15 @@ class BfsTree:
     (a dead node) reaches only itself.
     """
 
-    __slots__ = ("source", "_ids", "_index", "_adj", "_pred", "_depth",
+    __slots__ = ("source", "_ids", "_index", "_deg", "_pred", "_depth",
                  "_cum")
 
     def __init__(self, rows: NeighborRows, source: int) -> None:
         self.source = source
         self._ids = rows.ids
         self._index = index = rows.index
-        self._adj = adj = rows.adj
+        self._deg = rows.deg
+        adj = rows.adj
         n = len(rows.ids)
         self._pred = pred = [-1] * n
         self._depth = depth = [-1] * n
@@ -122,15 +124,16 @@ class BfsTree:
         hops = -1 if row is None else self._depth[row]
         if hops < 0:
             return ([dst], 0) if dst == self.source else (None, 0)
-        ids, pred, adj = self._ids, self._pred, self._adj
-        degrees = 0
+        ids, pred, deg = self._ids, self._pred, self._deg
+        load = -hops
         path = [dst]
+        append = path.append
         for _ in range(hops):
             row = pred[row]
-            path.append(ids[row])
-            degrees += len(adj[row])
+            append(ids[row])
+            load += deg[row]
         path.reverse()
-        return path, degrees - hops
+        return path, load
 
 
 def bfs_tree(net, src: int) -> BfsTree:

@@ -263,6 +263,11 @@ class PacketQuorumNetwork:
                            data_messages=data_hops,
                            routing_messages=control)
 
+    def route_frame(self, origin: int) -> "_RouteLoop":
+        """The route frame of one access: here one :meth:`route` per
+        send, which publishes its own counts."""
+        return _RouteLoop(self, origin)
+
     def _total_data_transmissions(self) -> int:
         """Network-layer data transmissions (originations + forwards)."""
         return sum(node.aodv.data_originated + node.aodv.data_forwarded
@@ -309,3 +314,28 @@ class PacketQuorumNetwork:
 
     def invalidate_routes(self) -> None:
         """Route caches live inside AODV; nothing to do at the facade."""
+
+
+class _RouteLoop:
+    """``SimNetwork.route_frame``'s interface on the packet floor: every
+    send is a :meth:`PacketQuorumNetwork.route`, which drives the stack
+    and counts as it goes, so nothing is held between sends."""
+
+    __slots__ = ("net", "origin", "data", "routing")
+
+    def __init__(self, net: PacketQuorumNetwork, origin: int) -> None:
+        self.net = net
+        self.origin = origin
+        self.data = self.routing = 0
+
+    def send(self, dst: int) -> Optional[List[int]]:
+        route = self.net.route(self.origin, dst)
+        self.data += route.data_messages
+        self.routing += route.routing_messages
+        return route.path if route.success else None
+
+    def call(self, fn: Callable, *args: Any) -> Any:
+        return fn(*args)
+
+    def close(self) -> None:
+        pass

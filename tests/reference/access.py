@@ -2,13 +2,14 @@
 
 :class:`DecliningEngine` answers "not applicable" from every *batched*
 kernel of :class:`repro.core.access_engine.AccessEngine` — the flood
-ring and the batch window that a routed send asks for — so a network
+ring, and a batch-window horizon no frame lands before — so a network
 carrying it sends every frame through ``one_hop_broadcast`` /
 ``one_hop_unicast``,
 the code those kernels decline to under mobility, random drops, or a
 simulation event inside the window.  Route discovery still needs a BFS
 tree; the stand-in builds one in plain Python on every call, with no
-tree memo to go stale.
+tree memo to go stale (a route frame holds it for one topology version,
+as it holds the engine's).
 
 :func:`bfs_path` and :func:`ring_size` share nothing with ``BfsTree``:
 the textbook BFS that stops at the destination and a hop-capped ring
@@ -16,6 +17,7 @@ count over a plain adjacency dict — what tree-based route discovery is
 held to, every query of one tree at a time by :func:`check_tree`.
 """
 
+import math
 from collections import deque
 
 from repro.simnet.replication import bfs_tree
@@ -27,11 +29,14 @@ class DecliningEngine:
     def flood_ring(self, net, frontier, previous):
         return None
 
-    def arrival(self, net, frames):
-        return None
+    def horizon(self, net):
+        return -math.inf
 
     def tree(self, net, src):
         return bfs_tree(net, src)
+
+    def reuse(self, net, src, tree):
+        pass
 
 
 def per_event(net):

@@ -38,9 +38,10 @@ from repro.experiments.common import (
 import repro.geometry.kernel as kernel_module
 import repro.simnet.network as network_module
 from repro.geometry.csr import CsrCache, build_known_csr, build_true_csr
+from repro.quorum import AlgebraicStrategy, majority_system, solve_strategy
 from repro.sim.kernel import Simulator
 from repro.simnet.energy import EnergyLedger
-from repro.simnet.network import NetworkConfig, SimNetwork
+from repro.simnet.network import NetworkConfig, RouteFrame, SimNetwork
 from repro.simnet.replication import (
     NeighborRows,
     TopologyRouteOracle,
@@ -291,14 +292,22 @@ def test_static_routed_access_does_no_per_hop_work(monkeypatch):
     # neighbor table (the bystanders come with the route) and no entry
     # into the scheduler (the clock skips the idle window); after one
     # churn event each cached route is validated hop by hop exactly
-    # once.  The route, discovery, tree and cache counts are pinned:
-    # a change that moves one must say so.
+    # once.  An access sends through one route frame and a reply is a
+    # frame of one send (`route`); a frame reads its origin's tree at
+    # most once and the horizon once, plus once after each member's
+    # store or probe.  The send, discovery, tree, horizon and cache
+    # counts are pinned: a change that moves one must say so.
     calls = collections.Counter()
     _count_calls(monkeypatch, SimNetwork, "in_range", calls)
     _count_calls(monkeypatch, SimNetwork, "_route_valid", calls)
     _count_calls(monkeypatch, SimNetwork, "route", calls)
+    _count_calls(monkeypatch, SimNetwork, "route_frame", calls)
     _count_calls(monkeypatch, SimNetwork, "_discover", calls)
     _count_calls(monkeypatch, SimNetwork, "_neighbor_tables", calls)
+    _count_calls(monkeypatch, RouteFrame, "send", calls)
+    _count_calls(monkeypatch, RouteFrame, "call", calls)
+    _count_calls(monkeypatch, AccessEngine, "tree", calls)
+    _count_calls(monkeypatch, AccessEngine, "horizon", calls)
     _count_calls(monkeypatch, Simulator, "run", calls)
     _count_calls(monkeypatch, EnergyLedger, "charge_unicast", calls)
     _count_calls(monkeypatch, EnergyLedger, "charge_path", calls)
@@ -313,13 +322,18 @@ def test_static_routed_access_does_no_per_hop_work(monkeypatch):
         strategy.lookup(net, origin,
                         lambda v: v if v in stored else None, 11)
     engine = net.access_engine
-    assert (calls["route"], calls["_discover"]) == (181, 107)
+    frames = calls["route_frame"] + calls["route"]
+    assert (calls["route_frame"], calls["route"]) == (11, 45)  # replies
+    assert (calls["send"], calls["_discover"]) == (181, 107)
     assert (engine.tree_misses, engine.tree_hits) == (35, 72)
-    assert len(net._route_cache) == 107  # 74 routes were hits
-    assert net.counters["network"] > 4 * calls["route"]  # multi-hop
+    assert len(net._route_cache) == 107  # 74 sends were cache hits
+    assert calls["tree"] == 46 <= frames
+    assert calls["call"] == 136  # one per member reached
+    assert calls["horizon"] == frames + calls["call"] == 192
+    assert net.counters["network"] > 4 * calls["send"]  # multi-hop
     assert calls["in_range"] == calls["_route_valid"] == 0
     assert calls["charge_unicast"] == 0
-    assert calls["charge_path"] == calls["route"]
+    assert calls["charge_path"] == calls["send"]
     assert calls["_neighbor_tables"] == 1  # the one row build
     assert calls["run"] == 0
 
@@ -360,6 +374,182 @@ def test_a_restamped_route_carries_the_load_of_the_table():
     assert (path, load) == bfs_tree(net, 0).route(77)
     tables = net._neighbor_tables()
     assert load == sum(len(tables[v]) - 1 for v in path[:-1])
+
+
+# -- route frames at their boundaries -----------------------------------------
+
+
+class TestRouteFrameTwins:
+    """A routed access runs in one route frame: its origin's tree and
+    the batch-window horizon are read once, and its counts published at
+    the end.  Each case puts an edge of that frame — an event on the
+    window's boundary, churn between two sends, a dead endpoint, drops,
+    mobility, an early stop — against the per-event twin, which sends
+    every frame hop by hop: the results, counters, metrics, energy,
+    clock, route cache and JSONL bytes must be equal."""
+
+    N = 90
+
+    @staticmethod
+    def _accesses(net, strategy, origins, stored=None, size=12):
+        stored = set() if stored is None else stored
+        results = []
+        for i, origin in enumerate(origins):
+            if i % 2 == 0:
+                results.append(strategy.advertise(net, origin, stored.add,
+                                                  size))
+            else:
+                results.append(strategy.lookup(
+                    net, origin, lambda v: v if v in stored else None,
+                    size))
+        return results
+
+    def _random_script(self, origins, **strategy_kw):
+        def script(net):
+            membership = make_membership(net, "random")
+            strategy = RandomStrategy(membership, **strategy_kw)
+            return self._accesses(net, strategy, origins)
+        return script
+
+    def _twins(self, tmp_path, script, before=None, **net_kw):
+        outputs = []
+        for side, prepare in (("batched", lambda net: net),
+                              ("per_event", per_event)):
+            net = prepare(SimNetwork(NetworkConfig(
+                n=self.N, seed=5, **net_kw)))
+            jsonl = tmp_path / f"{side}.jsonl"
+            net.trace.enable(memory=False, jsonl_path=str(jsonl))
+            if before is not None:
+                before(net)
+            results = script(net)
+            net.trace.close()
+            outputs.append((
+                repr(results), dict(net.counters), net.metrics.snapshot(),
+                net.energy.per_node, net.now, dict(net._route_cache),
+                jsonl.read_bytes()))
+        assert outputs[0] == outputs[1]
+        return outputs[0]
+
+    def _arrivals(self, script, **net_kw):
+        """The delivered sends' arrival times in an undisturbed run, with
+        the hops of each: ``[(t, [(src, dst), ...]), ...]``."""
+        net = SimNetwork(NetworkConfig(n=self.N, seed=5, **net_kw))
+        net.trace.enable(memory=True)
+        script(net)
+        arrivals, hops = [], []
+        for event in net.trace.events():
+            if event.kind == "hop":
+                hops.append((event.fields["src"], event.fields["dst"]))
+            elif event.kind == "route" and event.fields.get("ok"):
+                arrivals.append((event.t, hops))
+                hops = []
+        return arrivals
+
+    def test_event_due_exactly_at_a_send_arrival(self, tmp_path):
+        script = self._random_script((4, 11, 4, 30))
+        t, hops = next(send for send in self._arrivals(script)[5:]
+                       if len(send[1]) > 1)
+        marked = []
+
+        def before(net):
+            net.sim.schedule_at(t, lambda: marked.append(net.now))
+            net.sim.schedule_at(t, net.fail_node, hops[0][1])
+
+        out = self._twins(tmp_path, script, before)
+        assert marked == [t, t]  # each twin ran the event at the arrival
+        assert b'"action":"fail"' in out[-1]
+
+    def test_event_due_at_frame_open(self, tmp_path):
+        script = self._random_script((4, 11))
+        opened = []
+
+        def before(net):
+            net.sim.schedule_at(net.now, lambda: opened.append(net.now))
+
+        self._twins(tmp_path, script, before)
+        assert opened == [0.0, 0.0]
+
+    def test_churn_between_two_sends_of_one_access(self, tmp_path):
+        script = self._random_script((4, 11, 4, 30))
+        arrivals = self._arrivals(script)
+        i = next(i for i in range(2, len(arrivals))
+                 if len(arrivals[i][1]) > 1)
+        (t0, _), (t1, hops) = arrivals[i - 1], arrivals[i]
+        relay = hops[0][1]  # a relay of the later send, not its target
+
+        def before(net):
+            net.sim.schedule_at((t0 + t1) / 2, net.fail_node, relay)
+            net.sim.schedule_at(t1 + 0.01, net.revive_node, relay)
+
+        out = self._twins(tmp_path, script, before)
+        assert out[-1].count(b'"kind":"churn"') == 2
+
+    def test_store_that_schedules_inside_the_next_send(self, tmp_path):
+        # A store may schedule an event before the next send lands: the
+        # frame must read the horizon again after it.
+        def script(net):
+            membership = make_membership(net, "random")
+            strategy = RandomStrategy(membership)
+            ran = []
+
+            def store(node):
+                net.sim.schedule(0.003, lambda: ran.append(net.now))
+
+            results = [strategy.advertise(net, origin, store, 12)
+                       for origin in (4, 11)]
+            return results, ran
+
+        out = self._twins(tmp_path, script)
+        assert "[]" not in out[0]  # the events ran
+
+    def test_random_drops(self, tmp_path):
+        self._twins(tmp_path, self._random_script((4, 11, 4, 30)),
+                    drop_prob=0.05)
+
+    def test_waypoint_mobility(self, tmp_path):
+        self._twins(tmp_path, self._random_script((4, 11, 4)),
+                    mobility="waypoint", max_speed=10.0)
+
+    def test_dead_origin(self, tmp_path):
+        script = self._random_script((4, 11, 4, 30))
+        arrivals = self._arrivals(script)
+        t, hops = arrivals[3]
+        origin = hops[0][0]
+
+        def before(net):
+            # The origin dies between two sends of its first access.
+            net.sim.schedule_at(t + 0.001, net.fail_node, origin)
+
+        out = self._twins(tmp_path, script, before)
+        assert b'"success":false' in out[-1]
+
+    def test_dead_targets_with_replacement_draws(self, tmp_path):
+        def script(net):
+            membership = make_membership(net, "random")
+            view = membership.view(4)
+            for node in view[::3]:
+                net.fail_node(node)
+            strategy = RandomStrategy(membership)
+            return self._accesses(net, strategy, (4, 4, 4, 4), size=10)
+
+        out = self._twins(tmp_path, script)
+        assert b'"kind":"route"' in out[-1] and b'"ok":false' in out[-1]
+
+    def test_serial_lookup(self, tmp_path):
+        out = self._twins(tmp_path, self._random_script(
+            (4, 11, 30, 4, 19, 11), serial_lookup=True))
+        assert "found=True" in out[0]
+
+    def test_algebraic_access(self, tmp_path):
+        qs = majority_system(range(0, 45, 5))
+        sigma = solve_strategy(qs)
+
+        def script(net):
+            strategy = AlgebraicStrategy(qs, strategy=sigma)
+            return self._accesses(net, strategy, (1, 7, 1, 20, 7, 1))
+
+        out = self._twins(tmp_path, script)
+        assert "found=True" in out[0]
 
 
 # -- no selection knob -------------------------------------------------------

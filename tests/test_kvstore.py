@@ -8,6 +8,10 @@ is caught.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from reference import per_event
@@ -377,6 +381,41 @@ class TestCheckerMutations:
         )
         assert report.clean and report.stale_reads == 1
         assert report.ops == 5
+
+
+_SCIPY_FREE_RUN = """
+import sys
+from repro.core import ProbabilisticBiquorum, RandomStrategy
+from repro.experiments.workload import WorkloadSpec, run_workload_sequential
+from repro.membership import RandomMembership
+from repro.services import KVHistoryChecker, QuorumKVStore
+from repro.simnet import NetworkConfig, SimNetwork
+net = SimNetwork(NetworkConfig(n=60, seed=2))
+membership = RandomMembership(net)
+bq = ProbabilisticBiquorum(net, advertise=RandomStrategy(membership),
+                           lookup=RandomStrategy(membership), epsilon=0.05)
+store = QuorumKVStore(bq, lease_ttl=60.0, checker=KVHistoryChecker())
+stats = run_workload_sequential(store, WorkloadSpec(
+    ops=40, n_keys=8, read_fraction=0.7, cas_fraction=0.2, zipf_s=0.99,
+    arrival_rate=0.25, seed=2))
+assert stats.ops == 40 and net.counters["network"] > 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_live_kv_run_imports_no_scipy():
+    # Importing scipy costs a fraction of a second, more than a whole
+    # kv pass: routes are answered from the repo's own BFS trees, and
+    # only the quorum-algebra optimizer may load it, on demand.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN], cwd=root,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 class TestRouteIdentity:
