@@ -1,26 +1,57 @@
 """Timed-quorum lease tables (PAPERS.md: "Timed Quorum Systems").
 
-Every replica-held kv entry carries a lease: a TTL stamped at store
-time.  An expired entry no longer answers probes — it is excluded from
-votes (so lease filtering composes with
-:class:`repro.core.masking.MaskingStrategy`, which only tallies replies
-the probe function actually returns) — and is reclaimed *lazily*: the
-next probe or store touching the replica's table drops it, there is no
-background sweeper.
+The one per-node replica store of the services: the kv store, the §10
+register (a one-key kv store) and the location service's owners all
+keep their versioned values here.  Every entry carries a lease: a TTL
+stamped at store time (``math.inf`` for the register and the location
+owners, whose entries never expire).  An expired entry no longer
+answers probes — it is excluded from votes (so lease filtering composes
+with :class:`repro.core.masking.MaskingStrategy`, which only tallies
+replies the probe function actually returns) — and is reclaimed
+*lazily*: the next probe or store touching the replica's table drops
+it, there is no background sweeper.
 
-The table is strategy-agnostic: :class:`repro.services.kvstore.QuorumKVStore`
-owns one and builds annotated probe/store callbacks over it.
+The table is strategy-agnostic: each service owns one and builds
+annotated probe/store callbacks over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
-if TYPE_CHECKING:  # annotation-only; a runtime import would be circular
-    from repro.services.register import Timestamp
+__all__ = ["LeasedEntry", "LeaseTable", "Timestamp", "ZERO_TS",
+           "reply_value", "reply_version"]
 
-__all__ = ["LeasedEntry", "LeaseTable"]
+
+@dataclass(frozen=True)
+class Timestamp:
+    """Lamport-style version: (counter, writer id) with lexicographic order."""
+
+    counter: int
+    writer: int
+
+    def __lt__(self, other: "Timestamp") -> bool:
+        return (self.counter, self.writer) < (other.counter, other.writer)
+
+
+ZERO_TS = Timestamp(counter=0, writer=-1)
+
+
+def reply_version(reply: tuple) -> Any:
+    """Version of a ``(value, version, ...)`` probe reply.
+
+    The kv store's ``(counter, writer)`` tuple orders like the Timestamp
+    it mirrors and serializes to a JSON array, so offline trace replay
+    compares versions correctly (lists order lexicographically too).
+    """
+    return reply[1]
+
+
+def reply_value(reply: tuple) -> Any:
+    """Vote identity of a reply: the value (versions order candidates,
+    so refresh-skewed honest replicas still agree)."""
+    return reply[0]
 
 
 @dataclass
@@ -89,3 +120,10 @@ class LeaseTable:
         if not self.net.is_alive(node):
             return None
         return entry
+
+    def holders(self, key: Hashable) -> List[int]:
+        """Alive nodes holding an unexpired ``key`` entry, ascending."""
+        now = self.net.now
+        return sorted(node for node, table in self._tables.items()
+                      if key in table and not table[key].expired(now)
+                      and self.net.is_alive(node))

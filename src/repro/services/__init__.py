@@ -2,6 +2,7 @@
 read/write register, key-value store with timed-quorum leases, and the
 refresh daemon."""
 
+from repro.core.leases import ZERO_TS, Timestamp
 from repro.services.consistency import (
     KVConsistencyReport,
     KVHistoryChecker,
@@ -13,15 +14,9 @@ from repro.services.location import (
     AdvertiseReceipt,
     LocationService,
     LookupReceipt,
-    StoredEntry,
 )
 from repro.services.maintenance import RefreshDaemon, RefreshStats
-from repro.services.register import (
-    ProbabilisticRegister,
-    RegisterOpResult,
-    Timestamp,
-    ZERO_TS,
-)
+from repro.services.register import ProbabilisticRegister, RegisterOpResult
 
 __all__ = [
     "KVConsistencyReport",
@@ -33,7 +28,6 @@ __all__ = [
     "AdvertiseReceipt",
     "LocationService",
     "LookupReceipt",
-    "StoredEntry",
     "RefreshDaemon",
     "RefreshStats",
     "ProbabilisticRegister",

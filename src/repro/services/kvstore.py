@@ -2,8 +2,8 @@
 
 The ROADMAP's serving-system layer: a :class:`QuorumKVStore` exposes
 ``put`` / ``get`` / ``cas`` over a probabilistic biquorum, with per-key
-versioning (the :class:`~repro.services.register.Timestamp` lattice of
-the ABD register) and *timed-quorum leases* ("Timed Quorum Systems for
+versioning (the :class:`~repro.core.leases.Timestamp` lattice of the
+ABD register) and *timed-quorum leases* ("Timed Quorum Systems for
 Large-Scale and Dynamic Environments", PAPERS.md): every stored entry
 carries a TTL stamped at store time, expired entries are excluded from
 probe replies (and votes — lease filtering composes with
@@ -44,27 +44,13 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.analysis.leases import lease_ttl_for_churn
 from repro.core.biquorum import ProbabilisticBiquorum
-from repro.core.leases import LeasedEntry, LeaseTable
+from repro.core.leases import (LeasedEntry, LeaseTable, Timestamp,
+                               reply_value, reply_version)
 from repro.obs.watch import parse_masking_name
 from repro.core.strategies import AccessResult
 from repro.obs.trace import record_event
 from repro.services.consistency import KVHistoryChecker
-from repro.services.register import Timestamp
-
-
-def _kv_reply_version(reply: Tuple[Any, Tuple[int, int], float]) -> Tuple[int, int]:
-    """Version of a ``(value, (counter, writer), expires_at)`` reply.
-
-    The ``(counter, writer)`` tuple orders like the Timestamp it mirrors
-    and serializes to a JSON array, so offline trace replay compares
-    versions correctly (lists order lexicographically too).
-    """
-    return reply[1]
-
-
-def _kv_reply_value(reply: Tuple[Any, Tuple[int, int], float]) -> Any:
-    """Vote identity of a reply: the value (versions order candidates)."""
-    return reply[0]
+from repro.simnet.churn import ChurnMeter
 
 
 @dataclass
@@ -126,25 +112,9 @@ class QuorumKVStore:
         # Commit oracle: key -> (ts, value) of the newest committed
         # write, used for staleness accounting (not by the protocol).
         self._commits: Dict[Hashable, Tuple[Timestamp, Any]] = {}
-        self._churn_baseline = self._churn_events()
-        self._started_at = self.net.now
+        self.churn = ChurnMeter(self.net)
 
     # -- adaptive lease sizing --------------------------------------------
-
-    def _churn_events(self) -> int:
-        metrics = getattr(self.net, "metrics", None)
-        if metrics is None:
-            return 0
-        return (metrics.counter_value("churn.failures")
-                + metrics.counter_value("churn.joins"))
-
-    def observed_churn_rate(self) -> float:
-        """Committed churn events per node-second since construction."""
-        elapsed = self.net.now - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        events = self._churn_events() - self._churn_baseline
-        return events / elapsed / max(1, self.net.n_alive)
 
     def current_ttl(self) -> float:
         """The lease TTL stores stamp *now*.
@@ -154,7 +124,7 @@ class QuorumKVStore:
         back to the construction-time estimate before any churn)."""
         if self.lease_ttl is not None and not self.adaptive:
             return self.lease_ttl
-        rate = self.observed_churn_rate() if self.adaptive else 0.0
+        rate = self.churn.rate() if self.adaptive else 0.0
         if rate <= 0.0:
             rate = self.churn_rate or 0.0
         if rate <= 0.0 and self.lease_ttl is not None:
@@ -188,8 +158,8 @@ class QuorumKVStore:
             return reply
 
         probe_fn.access_key = key
-        probe_fn.access_version_of = _kv_reply_version
-        probe_fn.access_vote_key = _kv_reply_value
+        probe_fn.access_version_of = reply_version
+        probe_fn.access_vote_key = reply_value
 
         access = self.biquorum.read(origin, probe_fn)
         delivered = (access.reply_delivered is None
@@ -223,6 +193,14 @@ class QuorumKVStore:
         store_fn.access_version = (ts.counter, ts.writer)
         access = self.biquorum.write(origin, store_fn)
         return access, stored[0] > 0
+
+    def write_back(self, origin: int, key: Hashable, value: Any,
+                   version: Timestamp) -> AccessResult:
+        """Re-store a version a ``get`` returned to an advertise quorum:
+        the ABD read repair of the §10 register's read."""
+        access, _ = self._propagate_phase(origin, key, value, version,
+                                          self.current_ttl())
+        return access
 
     def _next_version(self, origin: int, key: Hashable,
                       seen: Optional[Tuple[int, int]]) -> Timestamp:

@@ -13,38 +13,25 @@ Implements the location-service-specific optimizations of Section 7.1:
 * **caching**: nodes distinguish *owners* (advertise quorum members, which
   must retain the entry) from *bystanders* (nodes that merely saw the reply
   pass by, which cache it in a bounded LRU and may forget it any time).
+
+Owners keep their entries in the services' one replica store, a
+:class:`~repro.core.leases.LeaseTable` whose leases never expire; an
+entry's timestamp is ``(version, origin)`` with versions from one
+counter, so the newest advertise wins.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.biquorum import ProbabilisticBiquorum
+from repro.core.leases import (LeasedEntry, LeaseTable, Timestamp,
+                               reply_value, reply_version)
 from repro.core.strategies import AccessResult
-
-
-def _reply_version(reply: Tuple[Any, int]) -> int:
-    """Version component of a (value, version) probe reply."""
-    return reply[1]
-
-
-def _reply_value(reply: Tuple[Any, int]) -> Any:
-    """Value component of a (value, version) probe reply."""
-    return reply[0]
-
-
-@dataclass
-class StoredEntry:
-    """One advertised mapping held by an owner node."""
-
-    key: Hashable
-    value: Any
-    version: int
-    origin: int
-    stored_at: float
 
 
 @dataclass
@@ -95,8 +82,7 @@ class LocationService:
         register = getattr(self.net, "add_failure_listener", None)
         if register is not None:
             register(self.evict_bystander_state)
-        # owner stores: node -> key -> entry
-        self._stores: Dict[int, Dict[Hashable, StoredEntry]] = {}
+        self.table = LeaseTable(self.net)
         # bystander caches: node -> LRU of key -> (value, version)
         self._caches: Dict[int, OrderedDict] = {}
         self._versions = itertools.count(1)
@@ -105,18 +91,8 @@ class LocationService:
 
     # -- node-local storage ------------------------------------------------
 
-    def store_at(self, node: int, entry: StoredEntry) -> None:
-        """Make ``node`` an owner of the entry (newer versions win)."""
-        table = self._stores.setdefault(node, {})
-        existing = table.get(entry.key)
-        if existing is None or entry.version >= existing.version:
-            table[entry.key] = entry
-
-    def owner_lookup(self, node: int, key: Hashable) -> Optional[StoredEntry]:
-        entry = self._stores.get(node, {}).get(key)
-        if entry is not None and not self.net.is_alive(node):
-            return None
-        return entry
+    def owner_lookup(self, node: int, key: Hashable) -> Optional[LeasedEntry]:
+        return self.table.visible(node, key)
 
     def cache_at(self, node: int, key: Hashable, value: Any,
                  version: int) -> None:
@@ -144,19 +120,19 @@ class LocationService:
 
     def owners_of(self, key: Hashable) -> List[int]:
         """Alive nodes currently owning the mapping (debug/metrics)."""
-        return sorted(node for node, table in self._stores.items()
-                      if key in table and self.net.is_alive(node))
+        return self.table.holders(key)
 
     # -- the service API --------------------------------------------------
 
     def advertise(self, origin: int, key: Hashable, value: Any) -> AdvertiseReceipt:
         """Publish ``key -> value`` to an advertise quorum."""
         version = next(self._versions)
+        ts = Timestamp(version, origin)
 
         def store_fn(node: int) -> None:
-            self.store_at(node, StoredEntry(
-                key=key, value=value, version=version, origin=origin,
-                stored_at=self.net.now))
+            self.table.store(node, LeasedEntry(
+                key=key, value=value, ts=ts, stored_at=self.net.now,
+                ttl=math.inf))
 
         # Key/version context for trace events (read by the invariant
         # watchers, which cross-check replies against prior stores).
@@ -173,7 +149,7 @@ class LocationService:
         local = self.owner_lookup(origin, key)
         if local is not None:
             return LookupReceipt(key=key, found=True, value=local.value,
-                                 version=local.version, from_cache=False,
+                                 version=local.ts.counter, from_cache=False,
                                  access=None)
         cached = self.cache_lookup(origin, key)
         if cached is not None:
@@ -184,7 +160,7 @@ class LocationService:
         def probe_fn(node: int) -> Optional[Any]:
             entry = self.owner_lookup(node, key)
             if entry is not None:
-                return (entry.value, entry.version)
+                return (entry.value, entry.ts.counter)
             hit = self.cache_lookup(node, key)
             if hit is not None:
                 return hit
@@ -195,8 +171,8 @@ class LocationService:
         # to extract the version, and the masking filter which component
         # identifies a candidate (votes aggregate across versions of the
         # same value, so refresh-skewed honest replicas still agree).
-        probe_fn.access_version_of = _reply_version
-        probe_fn.access_vote_key = _reply_value
+        probe_fn.access_version_of = reply_version
+        probe_fn.access_vote_key = reply_value
 
         access = self.biquorum.read(origin, probe_fn)
         found = bool(access.found and (access.reply_delivered

@@ -27,6 +27,7 @@ from typing import Optional
 from repro.analysis.degradation import RefreshPlan, refresh_schedule
 from repro.services.location import LocationService
 from repro.sim.kernel import PeriodicTimer
+from repro.simnet.churn import ChurnMeter
 
 #: The Section 6.1 churn model the interval is derived for: failures and
 #: joins together.
@@ -96,32 +97,13 @@ class RefreshDaemon:
         self.max_interval = max_interval
         self.stats = RefreshStats()
         self._lost_keys: set = set()
-        net = service.net
-        self._churn_baseline = self._churn_events()
-        self._started_at = net.now
-        self._timer = PeriodicTimer(net.sim, interval, self._tick)
+        self.churn = ChurnMeter(service.net)
+        self._timer = PeriodicTimer(service.net.sim, interval, self._tick)
 
     # -- adaptive interval ------------------------------------------------
 
-    def _churn_events(self) -> int:
-        """Committed churn events (failures and joins) so far."""
-        metrics = getattr(self.service.net, "metrics", None)
-        if metrics is None:
-            return 0
-        return (metrics.counter_value("churn.failures")
-                + metrics.counter_value("churn.joins"))
-
-    def observed_churn_rate(self) -> float:
-        """Fraction of the network churning per second since start."""
-        net = self.service.net
-        elapsed = net.now - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        events = self._churn_events() - self._churn_baseline
-        return events / elapsed / max(1, net.n_alive)
-
     def _adapt_interval(self) -> None:
-        rate = self.observed_churn_rate()
+        rate = self.churn.rate()
         if rate <= 0:
             return
         plan = refresh_schedule(self.epsilon, self.min_intersection,

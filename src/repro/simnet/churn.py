@@ -8,6 +8,10 @@ Two interfaces are provided:
   to stay connected.
 * :class:`ChurnProcess` — a continuous Poisson churn process for long-running
   scenarios.
+
+:class:`ChurnMeter` measures the churn a network actually committed, the
+rate the adaptive refresh interval (§6.1) and the adaptive lease TTL are
+re-derived from.
 """
 
 from __future__ import annotations
@@ -81,6 +85,31 @@ def apply_churn(
 
     net.invalidate_routes()
     return outcome
+
+
+class ChurnMeter:
+    """Committed churn events (failures plus joins) per node-second since
+    construction, read off the network's ``churn.*`` counters (a
+    connectivity-probe rollback is never counted)."""
+
+    def __init__(self, net: SimNetwork) -> None:
+        self.net = net
+        self._baseline = self._events()
+        self._started_at = net.now
+
+    def _events(self) -> int:
+        metrics = getattr(self.net, "metrics", None)
+        if metrics is None:
+            return 0
+        return (metrics.counter_value("churn.failures")
+                + metrics.counter_value("churn.joins"))
+
+    def rate(self) -> float:
+        elapsed = self.net.now - self._started_at
+        if elapsed <= 0:
+            return 0.0
+        events = self._events() - self._baseline
+        return events / elapsed / max(1, self.net.n_alive)
 
 
 class ChurnProcess:

@@ -158,7 +158,7 @@ class TestLeases:
         for victim in range(10):
             net.fail_node(victim)
         net.run_until(net.now + 50.0)
-        assert store.observed_churn_rate() > 0
+        assert store.churn.rate() > 0
         assert store.current_ttl() < quiet
 
 

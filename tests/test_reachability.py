@@ -50,6 +50,9 @@ KEEP: Dict[str, str] = {
     "repro.geometry.rgg":
         "paper §2.3: the random geometric graph model that "
         "repro.analysis.empirical validates against",
+    "repro.services.register":
+        "paper §10: the probabilistically linearizable ABD register, a "
+        "one-key kv store (ROADMAP 16); examples/shared_objects.py runs it",
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import ProbabilisticBiquorum, RandomStrategy, UniquePathStrategy
 from repro.membership import FullMembership
+from repro.obs import attach_watchers
 from repro.services import (
     LocationService,
     ProbabilisticRegister,
@@ -38,8 +39,9 @@ def _refresh_round(net, daemon):
 
 def _replicas_at(reg, ts):
     """How many alive nodes hold exactly version ``ts``."""
-    return sum(1 for node, (held, _) in reg._replicas.items()
-               if held == ts and reg.net.is_alive(node))
+    table = reg.kv.table
+    return sum(1 for node in table.holders(reg.KEY)
+               if table.visible(node, reg.KEY).ts == ts)
 
 
 class TestLocationService:
@@ -210,6 +212,51 @@ class TestRegister:
         result = reg.write(0, "x")
         assert result.messages > 0
         assert len(result.phases) == 2
+
+    def test_watched_register_is_clean_and_annotated(self, monkeypatch):
+        # Under strict audit and every builtin watcher, the register's
+        # accesses carry the kv store's key/version annotations, so the
+        # fabrication and intersection watchers check them too.
+        monkeypatch.setenv("REPRO_AUDIT", "strict")
+        net, reg = self.make_register(seed=2)
+        hub = attach_watchers(net)
+        events = []
+        net.trace.subscribe(events.append)
+        reg.write(0, "a")
+        reg.read(50)
+        reg.write(7, "b")
+        reg.read(90)
+        hub.finish()
+        assert hub.clean, hub.report()
+        assert net.auditor.clean, net.auditor.report()
+        stores = [e.fields for e in events if e.kind == "store"]
+        assert stores and all(f["key"] == reg.KEY for f in stores)
+        assert {tuple(f["version"]) for f in stores} == {(1, 0), (2, 7)}
+        hits = [e.fields for e in events
+                if e.kind == "probe" and e.fields["hit"]]
+        assert hits and all(f["key"] == reg.KEY and "version" in f
+                            for f in hits)
+        assert [e.fields["op"] for e in events if e.kind == "kv-op"] == [
+            "put", "get", "put", "get"]
+
+    def test_read_query_pays_for_its_reply(self):
+        # The query probe answers with the version it holds: the read
+        # learns it from a delivered reply, and its messages are the
+        # walk's steps plus that reply's hops.
+        net, reg = self.make_register()
+        reg.write(0, "x")
+        net.trace.enable(memory=True)
+        query = reg.read(50).phases[0]
+        assert query.found and query.reply_delivered
+        span = []
+        for event in net.trace.events():
+            if event.kind == "access-end":
+                break
+            span.append(event)
+        steps = sum(1 for e in span if e.kind == "walk-step")
+        [reply] = [e.fields for e in span if e.kind == "reply"]
+        assert reply["success"] and reply["hops"] > 0
+        assert query.messages == steps + reply["hops"]
 
     def test_survives_partial_failures(self):
         net, reg = self.make_register(seed=5)
