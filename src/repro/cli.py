@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List
 
+from repro.config import ENV_VARS, WATCH_ALL, RunConfig, current_run, run_scope
 from repro.experiments.figures import FIGURES, render_figure
 from repro.quorum import BUILTIN_SYSTEMS, OBJECTIVES
 
@@ -54,15 +55,15 @@ FLAGS: Dict[str, dict] = {
                     "to 8x) until the hit-ratio CI half-width drops below "
                     "DELTA"),
     "trace": dict(metavar="PATH", default=None,
-                  help="stream simulation events as JSONL to PATH (with "
-                       "--jobs > 1, pool workers append to the same file; "
-                       "writes are flock-serialized)"),
+                  help="stream simulation events as JSONL to PATH (sweep "
+                       "pool workers append to the same file; writes are "
+                       "flock-serialized)"),
     "manifest": dict(metavar="PATH", default=None,
                      help="write a provenance manifest to PATH (default: "
                           "<trace>.manifest.json when --trace is given)"),
     "watch": dict(action="store_true",
                   help="attach the live invariant watchers to every network "
-                       "the figure builds (REPRO_WATCH=1)"),
+                       "the command builds"),
     "slo": dict(metavar="FILE", default=None,
                 help="JSON SLO spec file evaluated live by the watchers "
                      "(REPRO_SLO)"),
@@ -141,17 +142,6 @@ def collect_report(results_dir: str) -> str:
     return header + "\n\n".join(sections) + "\n"
 
 
-ENV_VARS = {
-    "REPRO_TRACE": "stream simulation events as JSONL to this path",
-    "REPRO_AUDIT": "accounting audit mode: strict (raise) or record",
-    "REPRO_WATCH": "1 attaches every live invariant watcher; a comma "
-                   "list (e.g. conservation,slo) selects a subset",
-    "REPRO_SLO": "JSON SLO spec file evaluated live by the watchers",
-    "REPRO_PROFILE": "1 enables the phase profiler (table on stderr)",
-    "REPRO_JOBS": "default parallel sweep workers",
-    "REPRO_MANIFEST_DIR": "directory for per-sweep provenance manifests",
-}
-
 OBS_COMMANDS = {
     "summarize": "per-access-kind counts and latency percentiles",
     "timeline": "ordered events of one access (--access N)",
@@ -217,12 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     frun = faults_sub.add_parser("run", help=FAULTS_COMMANDS["run"])
     frun.add_argument("--campaign", default="smoke",
                       help="builtin campaign name or JSON schema path")
-    frun.add_argument("--n", type=int, default=100, help="network size")
-    frun.add_argument("--seed", type=int, default=7, help="master seed")
-    frun.add_argument("--keys", type=int, default=10,
-                      help="number of advertisements")
-    frun.add_argument("--lookups", type=int, default=60,
-                      help="number of lookups spread over the campaign")
+    frun.add_argument("--n", **dict(FLAGS["n"], default=100,
+                                    help="network size (default 100)"))
+    _add_flags(frun, ("seed", "keys", "lookups"))
     frun.add_argument("--workload", choices=("location", "kv"),
                       default="location",
                       help="service under test: the location service "
@@ -243,15 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(vote-filtered lookups sized for the "
                            "hypergeometric masking bound) — the defended "
                            "mode for campaigns with byzantine injections")
-    frun.add_argument("--trace", metavar="PATH", default=None,
-                      help="stream simulation events as JSONL to PATH")
-    frun.add_argument("--watch", action="store_true",
-                      help="run every live invariant watcher on the "
-                           "campaign's trace stream")
-    frun.add_argument("--slo", metavar="FILE", default=None,
-                      help="JSON SLO spec file evaluated live")
-    frun.add_argument("--fail-on-violation", action="store_true",
-                      help="exit 1 when a watcher reports a violation")
+    _add_flags(frun, ("trace", "watch", "slo", "fail_on_violation"))
     faults_sub.add_parser("list", help=FAULTS_COMMANDS["list"])
     fshow = faults_sub.add_parser("show", help=FAULTS_COMMANDS["show"])
     fshow.add_argument("campaign", help="builtin name or JSON schema path")
@@ -261,10 +240,33 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", default=None,
                         help="write to a file instead of stdout")
     for name, description in COMMANDS.items():
-        p = sub.add_parser(name, help=description)
-        for flag in COMMON_FLAGS + FIGURES[name].flags:
-            p.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+        _add_flags(sub.add_parser(name, help=description),
+                   COMMON_FLAGS + FIGURES[name].flags)
     return parser
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    """Add the :data:`FLAGS` entries ``names`` to ``parser``."""
+    for flag in names:
+        parser.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+
+
+def _run_config(args) -> RunConfig:
+    """``RunConfig.from_env()`` with the command's flags on top (only
+    ``--trace`` for ``faults run``: its campaign attaches its own hub)."""
+    overlay: dict = {}
+    figure = args.command in COMMANDS
+    if figure or getattr(args, "faults_command", None) == "run":
+        if args.trace:
+            overlay["trace"] = args.trace
+    if figure:
+        if getattr(args, "jobs", None) is not None:
+            overlay["jobs"] = max(1, args.jobs)
+        if args.watch or args.slo:
+            overlay["watch"] = WATCH_ALL
+        if args.slo:
+            overlay["slo"] = args.slo
+    return replace(RunConfig.from_env(), **overlay)
 
 
 def _run_obs_watch(args) -> int:
@@ -276,13 +278,11 @@ def _run_obs_watch(args) -> int:
     n = args.n
     if n is None and args.trace != "-":
         n = resolve_trace_n(args.trace)
-    slo_specs = None
-    if args.slo:
-        try:
-            slo_specs = load_slo_specs(args.slo)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
+    try:
+        slo_specs = load_slo_specs(args.slo) if args.slo else None
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
+        return 2
     try:
         result = replay_trace(args.trace, n=n, slo_specs=slo_specs)
     except OSError as exc:
@@ -362,16 +362,12 @@ def _run_faults(args) -> int:
         print(json.dumps(campaign.to_dict(), indent=2))
         return 0
     # run
-    if args.trace:
-        os.environ["REPRO_TRACE"] = args.trace
-    slo_specs = None
-    if args.slo:
-        from repro.obs.slo import load_slo_specs
-        try:
-            slo_specs = load_slo_specs(args.slo)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
+    from repro.obs.slo import load_slo_specs
+    try:
+        slo_specs = load_slo_specs(args.slo) if args.slo else None
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        print(f"error: bad SLO spec {args.slo}: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.workload == "kv":
             from repro.faults import run_kv_fault_campaign
@@ -432,7 +428,8 @@ def _write_figure_manifest(args, wall_time_s: float) -> str:
         params=params,
         seed=None,
         jobs=getattr(args, "jobs", None),
-        trace_path=getattr(args, "trace", None),
+        trace_path=args.trace,
+        config=current_run(),
     )
     manifest.wall_time_s = round(wall_time_s, 6)
     manifest.write(path)
@@ -440,8 +437,12 @@ def _write_figure_manifest(args, wall_time_s: float) -> str:
 
 
 def main(argv: List[str] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    with run_scope(_run_config(args)) as ledger:
+        return _run_command(args, ledger)
+
+
+def _run_command(args, ledger: list) -> int:
     if args.command in (None, "list"):
         print("available figures:")
         for name, desc in COMMANDS.items():
@@ -470,68 +471,55 @@ def main(argv: List[str] = None) -> int:
         else:
             print(text)
         return 0
-    if getattr(args, "trace", None):
-        # Picked up by every SimNetwork built from here on — including
-        # the ones constructed inside sweep pool workers, which inherit
-        # the environment and append to the same flock-serialized file.
-        os.environ["REPRO_TRACE"] = args.trace
-    watching = getattr(args, "watch", False) or getattr(args, "slo", None)
-    if watching:
-        # Same mechanism: every network (pool workers included) attaches
-        # the watchers from the environment.
-        os.environ["REPRO_WATCH"] = "1"
-        if getattr(args, "slo", None):
-            os.environ["REPRO_SLO"] = args.slo
+    # A figure command: every network it builds (sweep pool workers
+    # included, which append to the same flock-serialized trace) reads
+    # the installed config.
     started = time.perf_counter()
     print(render_figure(args.command, args))
     wall = time.perf_counter() - started
-    if getattr(args, "trace", None):
+    if args.trace:
         print(f"\n[trace] events written to {args.trace}", file=sys.stderr)
-    if getattr(args, "manifest", None) or getattr(args, "trace", None):
+    if args.manifest or args.trace:
         path = _write_figure_manifest(args, wall)
         print(f"[manifest] run provenance written to {path}",
               file=sys.stderr)
     rc = 0
-    if watching:
-        rc = _report_live_watch(args)
+    if args.watch or args.slo:
+        rc = _report_live_watch(args, ledger)
     from repro.obs.profile import PROFILER
     if PROFILER.enabled:
         print(f"\n{PROFILER.render()}", file=sys.stderr)
     return rc
 
 
-def _report_live_watch(args) -> int:
+def _report_live_watch(args, ledger: list) -> int:
     """Post-run verdict for a figure run under ``--watch``/``--slo``.
 
-    In-process violations land on the session ledger; with ``--trace``
+    In-process violations land on the command's ledger; with ``--trace``
     the recorded file is additionally replayed through fresh watchers —
     the cross-process collector for pool workers — and the verdict is
     written beside the manifest.
     """
-    from repro.obs.watch import SESSION_VIOLATIONS
-
-    violations = [str(v) for v in SESSION_VIOLATIONS]
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
+    violations = [str(v) for v in ledger]
+    if args.trace:
         from repro.obs.slo import load_slo_specs, verdict_path_for, write_verdict_report
         from repro.obs.watch import replay_trace, resolve_trace_n
 
-        slo_specs = (load_slo_specs(args.slo)
-                     if getattr(args, "slo", None) else None)
-        result = replay_trace(trace_path, n=resolve_trace_n(trace_path),
+        slo_specs = load_slo_specs(args.slo) if args.slo else None
+        result = replay_trace(args.trace, n=resolve_trace_n(args.trace),
                               slo_specs=slo_specs)
         payload = result.to_jsonable()
         payload["live_violations"] = violations
         violations = violations + [v for v in payload["violations"]
                                    if v not in violations]
-        path = verdict_path_for(trace_path)
+        path = verdict_path_for(args.trace)
         write_verdict_report(path, payload)
         print(f"[verdict] report written to {path}", file=sys.stderr)
     if violations:
         print(f"[watch] {len(violations)} violation(s):", file=sys.stderr)
         for line in violations:
             print(f"  {line}", file=sys.stderr)
-        if getattr(args, "fail_on_violation", False):
+        if args.fail_on_violation:
             return 1
     else:
         print("[watch] clean", file=sys.stderr)

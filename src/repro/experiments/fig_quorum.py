@@ -33,9 +33,10 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.config import current_run
 from repro.experiments.common import run_scenario, scenario_config
 from repro.experiments.montecarlo import Welford, run_replicated
-from repro.obs.audit import auditor_from_env
+from repro.obs.audit import AccountingAuditor
 from repro.quorum import AlgebraicStrategy, build_system, solve_strategy
 
 _NAN = float("nan")
@@ -175,9 +176,9 @@ def quorum_load_point(
     point.max_gap = worst_gap
 
     if not point.within_ci:
-        auditor = auditor_from_env()
-        if auditor is not None:
-            auditor.flag(
+        audit = current_run().audit
+        if audit is not None:
+            AccountingAuditor(strict=audit == "strict").flag(
                 "quorum-load-mismatch",
                 f"{system_name} fr={read_fraction}: simulated node load "
                 f"deviates from the optimizer prediction by "

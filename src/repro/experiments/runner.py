@@ -20,29 +20,13 @@ so they parallelize perfectly across a process pool.
 
 from __future__ import annotations
 
-import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.obs.manifest import RunManifest, collect_manifest
+from repro.config import current_run, install
 from repro.obs.profile import PROFILER
 from repro.sim.rng import RngRegistry
-
-#: Provenance of the most recent :func:`run_sweep` batch in this process
-#: (also written to ``$REPRO_MANIFEST_DIR`` when that is set).
-last_sweep_manifest: Optional[RunManifest] = None
-
-_manifest_counter = 0
-
-
-def default_jobs() -> int:
-    """Job count from ``REPRO_JOBS`` (default 1); a non-integer raises."""
-    try:
-        return max(1, int(raw := os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        raise ValueError(f"REPRO_JOBS={raw!r} is not an integer") from None
 
 
 def derive_task_seed(base_seed: int, index: int, replication: int) -> int:
@@ -90,36 +74,6 @@ def _evaluate_profiled(fn: Callable[[Any, int], Any], point: Any,
     return result, delta
 
 
-def _sweep_manifest(n_points: int, replications: int, jobs: int,
-                    base_seed: int, fn: Callable,
-                    wall_time_s: float) -> RunManifest:
-    """Record (and optionally persist) one sweep batch's provenance."""
-    global last_sweep_manifest, _manifest_counter
-    target = getattr(fn, "func", fn)  # unwrap functools.partial
-    manifest = collect_manifest(
-        command="sweep",
-        params={
-            "fn": f"{getattr(target, '__module__', '?')}."
-                  f"{getattr(target, '__qualname__', repr(target))}",
-            "points": n_points,
-            "replications": replications,
-        },
-        seed=base_seed,
-        jobs=jobs,
-        trace_path=os.environ.get("REPRO_TRACE"),
-    )
-    manifest.wall_time_s = round(wall_time_s, 6)
-    last_sweep_manifest = manifest
-    out_dir = os.environ.get("REPRO_MANIFEST_DIR")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _manifest_counter += 1
-        manifest.write(os.path.join(
-            out_dir, f"sweep-{os.getpid()}-{_manifest_counter}"
-                     f".manifest.json"))
-    return manifest
-
-
 def run_sweep(
     points: Sequence[Any],
     fn: Callable[[Any, int], Any],
@@ -130,13 +84,13 @@ def run_sweep(
     """Evaluate ``fn(point, seed)`` for every point x replication.
 
     Returns one :class:`SweepResult` per point, in point order.  ``jobs`` > 1
-    fans tasks out over a process pool; ``jobs=None`` reads the
-    ``REPRO_JOBS`` environment variable.
+    fans tasks out over a process pool whose workers run under this run's
+    config; ``jobs=None`` takes the config's ``jobs`` (``REPRO_JOBS``).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    started = time.perf_counter()
+    run = current_run()
+    jobs = run.jobs if jobs is None else max(1, int(jobs))
     tasks = [
         (index, rep, derive_task_seed(base_seed, index, rep))
         for index in range(len(points))
@@ -151,7 +105,8 @@ def run_sweep(
         # the parent's table covers the whole fan-out.
         trampoline = (_evaluate_profiled if PROFILER.enabled
                       else _evaluate)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=install,
+                                 initargs=(run,)) as pool:
             futures = {
                 (index, rep): pool.submit(trampoline, fn, points[index],
                                           seed)
@@ -163,8 +118,6 @@ def run_sweep(
                     value, profile_delta = value
                     PROFILER.merge(profile_delta)
                 outputs[key] = value
-    _sweep_manifest(len(points), replications, jobs, base_seed, fn,
-                    time.perf_counter() - started)
     return [
         SweepResult(point=point,
                     results=[outputs[(i, r)] for r in range(replications)])

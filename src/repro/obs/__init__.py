@@ -10,7 +10,6 @@ from repro.obs.audit import (
     AccountingAuditor,
     AuditError,
     AuditViolation,
-    auditor_from_env,
 )
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -21,7 +20,6 @@ from repro.obs.metrics import Counter, Histogram, MetricsRegistry, P2Quantile
 from repro.obs.profile import (
     PROFILER,
     PhaseProfiler,
-    profile_enabled_from_env,
     profiled,
 )
 from repro.obs.query import (
@@ -95,14 +93,12 @@ __all__ = [
     "WatcherHub",
     "access_timeline",
     "attach_watchers",
-    "auditor_from_env",
     "builtin_watchers",
     "check_trace_schema",
     "collect_manifest",
     "diff_summaries",
     "iter_trace",
     "load_slo_specs",
-    "profile_enabled_from_env",
     "profiled",
     "record_event",
     "render_diff",

@@ -16,9 +16,8 @@ violations without raising.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 class AuditError(RuntimeError):
@@ -64,13 +63,3 @@ class AccountingAuditor:
         lines = [f"audit: {len(self.violations)} violations"]
         lines.extend(str(v) for v in self.violations)
         return "\n".join(lines)
-
-
-def auditor_from_env() -> Optional[AccountingAuditor]:
-    """Build an auditor from ``REPRO_AUDIT`` (strict | record | unset)."""
-    mode = os.environ.get("REPRO_AUDIT", "").strip().lower()
-    if mode == "strict":
-        return AccountingAuditor(strict=True)
-    if mode == "record":
-        return AccountingAuditor(strict=False)
-    return None

@@ -1,21 +1,18 @@
-"""Run manifests: provenance for every figure run, sweep, and bench.
+"""Run manifests: provenance for every figure run and bench.
 
 A :class:`RunManifest` records *which* code, configuration, and seed
 produced a result — git revision (+ dirty flag), interpreter and numpy
 versions, host/platform, the experiment parameters, the job count,
-and the wall time — so a number in ``BENCH_simnet.json`` or a trace on
-disk can always be tied back to the exact run that produced it.  The
-schema is documented in DESIGN.md (Observability layer).
+the run's :class:`~repro.config.RunConfig` and the wall time — so a
+number in ``BENCH_simnet.json`` or a trace on disk can always be tied
+back to the exact run that produced it.  The schema is documented in
+DESIGN.md (Observability layer).
 
 Producers:
 
 * the CLI writes ``<trace>.manifest.json`` next to every ``--trace``
   output (or wherever ``--manifest PATH`` points);
-* :func:`repro.experiments.runner.run_sweep` records one manifest per
-  sweep batch (written to ``$REPRO_MANIFEST_DIR`` when set, and always
-  kept in ``runner.last_sweep_manifest``);
-* the benchmark harness attaches a ``manifest`` block to each run key
-  of ``BENCH_simnet.json``.
+* the benchmark harnesses attach a ``manifest`` block to their results.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.config import RunConfig
 from repro.obs.trace import TRACE_SCHEMA
 
 #: Bumped when the manifest layout changes incompatibly.
@@ -73,13 +71,14 @@ def _numpy_version() -> Optional[str]:
 
 @dataclass
 class RunManifest:
-    """Provenance record for one run (figure, sweep batch, or bench)."""
+    """Provenance record for one run (a figure command or a bench)."""
 
-    command: str                              # "fig8", "sweep", "bench", ...
+    command: str                              # "fig8", "bench", ...
     params: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     jobs: Optional[int] = None
     trace_path: Optional[str] = None
+    config: Dict[str, Any] = field(default_factory=dict)  # RunConfig
     git_rev: str = "unknown"
     git_dirty: Optional[bool] = None
     python_version: str = ""
@@ -114,6 +113,7 @@ def collect_manifest(
     seed: Optional[int] = None,
     jobs: Optional[int] = None,
     trace_path: Optional[str] = None,
+    config: Optional[RunConfig] = None,
 ) -> RunManifest:
     """Snapshot the environment into a :class:`RunManifest`.
 
@@ -128,6 +128,7 @@ def collect_manifest(
         seed=seed,
         jobs=jobs,
         trace_path=trace_path,
+        config=asdict(config) if config is not None else {},
         git_rev=git["rev"],
         git_dirty=git["dirty"],
         python_version=sys.version.split()[0],

@@ -11,9 +11,9 @@ and *self* (cumulative minus time spent in nested phases).
 Profiling is **off by default** and near-zero cost when disabled: call
 sites either get the shared no-op context manager back (one attribute
 check + one call) or, via the :func:`profiled` decorator, skip straight
-to the wrapped function after a single ``enabled`` check.  Enable it
-with ``REPRO_PROFILE=1`` (any value other than ``0``/empty) or
-:meth:`PhaseProfiler.enable`.
+to the wrapped function after a single ``enabled`` check.  It starts
+as the run's config says (``REPRO_PROFILE=1``, any value other than
+``0``/empty); set ``PROFILER.enabled`` to switch it in-process.
 
 The profiler is process-local.  The sweep runner
 (:func:`repro.experiments.runner.run_sweep`) ships each pool worker's
@@ -24,15 +24,10 @@ still produce one complete table.
 from __future__ import annotations
 
 import functools
-import os
 from time import perf_counter
 from typing import Callable, Dict, List
 
-
-def profile_enabled_from_env() -> bool:
-    """True when ``REPRO_PROFILE`` asks for profiling (unset/``0`` = off)."""
-    value = os.environ.get("REPRO_PROFILE", "").strip()
-    return value not in ("", "0")
+from repro.config import current_run
 
 
 class _NullSpan:
@@ -96,12 +91,6 @@ class PhaseProfiler:
         # name -> [calls, cumulative_seconds, self_seconds]
         self._stats: Dict[str, List[float]] = {}
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def enable(self) -> "PhaseProfiler":
-        self.enabled = True
-        return self
-
     # -- recording ---------------------------------------------------------
 
     def phase(self, name: str):
@@ -147,7 +136,7 @@ class PhaseProfiler:
 
 
 #: The process-wide profiler every call site shares.
-PROFILER = PhaseProfiler(enabled=profile_enabled_from_env())
+PROFILER = PhaseProfiler(enabled=current_run().profile)
 
 
 def profiled(name: str) -> Callable:

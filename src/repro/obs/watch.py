@@ -54,6 +54,7 @@ from repro.analysis.intersection import (
     masking_miss_probability_exact,
     miss_probability_exact,
 )
+from repro.config import WATCH_ALL, RunConfig, run_ledger
 from repro.obs.audit import AuditError, AuditViolation
 from repro.obs.query import iter_trace
 from repro.obs.trace import MESSAGE_KINDS, ROUTING_KINDS, HopRun, TraceEvent
@@ -85,10 +86,6 @@ def _uniform_advertise(name: str) -> bool:
         return True
     parts = parse_masking_name(name)
     return parts is not None and parts[1] in UNIFORM_ADVERTISE_STRATEGIES
-
-#: Violations recorded by env-attached hubs this process (newest last);
-#: the CLI drains it to report live-watch results after a figure run.
-SESSION_VIOLATIONS: List[AuditViolation] = []
 
 
 def _noop(event: TraceEvent) -> None:
@@ -898,7 +895,7 @@ class WatcherHub:
 
 
 # ---------------------------------------------------------------------------
-# Builtin sets, live attachment, env hook
+# Builtin sets, live attachment, the run config's hook
 # ---------------------------------------------------------------------------
 
 
@@ -968,37 +965,25 @@ def attach_watchers(net: Any,
     return hub
 
 
-def attach_env_watchers(net: Any) -> Optional[WatcherHub]:
-    """The ``REPRO_AUDIT`` / ``REPRO_WATCH`` hook of ``SimNetwork.__init__``.
+def attach_run_watchers(net: Any, config: RunConfig) -> WatcherHub:
+    """The run config's hook of ``SimNetwork.__init__``.
 
-    A network with an auditor (``REPRO_AUDIT``) gets the conservation
-    watcher, its violations on the auditor.  ``REPRO_WATCH=1`` attaches
-    every builtin watcher; a comma list
-    (``REPRO_WATCH=conservation,monotonicity``) selects a subset.
-    ``REPRO_SLO=<path>`` additionally loads SLO specs into a live
-    monitor.  Watched violations also land on the module-level
-    :data:`SESSION_VIOLATIONS` ledger so the CLI can report them after
-    the run (same-process workers only; the post-run trace replay is
-    the cross-process collector).
+    An audited network gets the conservation watcher.  ``config.watch``
+    adds every builtin or the named subset, and the ``config.slo``
+    monitor when all or ``"slo"`` is named; violations also land on the
+    run's ledger, which the CLI reports after a watched command.
     """
-    spec = os.environ.get("REPRO_WATCH", "").strip()
-    if not spec:
-        if getattr(net, "auditor", None) is None:
-            return None
-        return attach_watchers(net, watchers=[])
-    names = None
-    if spec not in ("1", "true", "all", "builtin"):
-        names = [x.strip() for x in spec.split(",") if x.strip()]
+    watchers: List[Watcher] = []
     slo_specs = None
-    slo_path = os.environ.get("REPRO_SLO", "").strip()
-    want_slo = slo_path and (names is None or "slo" in names)
-    if want_slo:
-        from repro.obs.slo import load_slo_specs
-        slo_specs = load_slo_specs(slo_path)
-    watchers = builtin_watchers(n=getattr(net, "n_alive", None) or None,
-                                names=names)
+    if config.watch:
+        names = None if config.watch == WATCH_ALL else list(config.watch)
+        if config.slo and (names is None or "slo" in names):
+            from repro.obs.slo import load_slo_specs
+            slo_specs = load_slo_specs(config.slo)
+        watchers = builtin_watchers(
+            n=getattr(net, "n_alive", None) or None, names=names)
     return attach_watchers(net, watchers=watchers, slo_specs=slo_specs,
-                           session_ledger=SESSION_VIOLATIONS)
+                           session_ledger=run_ledger())
 
 
 # ---------------------------------------------------------------------------

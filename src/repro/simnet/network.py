@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -31,10 +30,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.config import current_run
 from repro.geometry import space
 from repro.geometry.kernel import NeighborKernel, SlackIndex, slack_window
 from repro.geometry.space import Point, area_side_for_density
-from repro.obs.audit import auditor_from_env
+from repro.obs.audit import AccountingAuditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILER
 from repro.obs.trace import EventTrace
@@ -138,15 +138,15 @@ class SimNetwork:
         side = self._side = config.side
 
         # Observability: typed event trace, metrics registry, accounting
-        # auditor.  Tracing is off unless enabled explicitly, via the
-        # REPRO_TRACE env var (JSONL path), or by the watcher hub that
-        # REPRO_AUDIT / REPRO_WATCH attach below.
+        # auditor.  Tracing is off unless enabled explicitly, by the run
+        # config's JSONL path, or by the watcher hub it attaches below.
+        run = current_run()
         self.trace = EventTrace()
         self.metrics = MetricsRegistry()
-        self.auditor = auditor_from_env()
-        trace_path = os.environ.get("REPRO_TRACE")
-        if trace_path:
-            self.trace.enable(memory=False, jsonl_path=trace_path)
+        self.auditor = (AccountingAuditor(strict=run.audit == "strict")
+                        if run.audit else None)
+        if run.trace:
+            self.trace.enable(memory=False, jsonl_path=run.trace)
         self._metric_unicasts = self.metrics.counter("net.unicasts")
         self._metric_unicast_failures = self.metrics.counter(
             "net.unicast_failures")
@@ -241,15 +241,13 @@ class SimNetwork:
         # honest networks so the access path pays one attribute check.
         self.byzantine = None
 
-        # Live invariant watchers: the accounting audit (REPRO_AUDIT)
-        # and REPRO_WATCH share one hub.  Attached last so the hub sees
-        # the finished topology (n_alive for the intersection bound).
-        # Lazy import: the common path pays one env lookup only.
+        # Live invariant watchers: the accounting audit and the config's
+        # watchers share one hub.  Attached last so the hub sees the
+        # finished topology (n_alive for the intersection bound).
         self.watch_hub = None
-        if self.auditor is not None or os.environ.get(
-                "REPRO_WATCH", "").strip():
-            from repro.obs.watch import attach_env_watchers
-            attach_env_watchers(self)
+        if self.auditor is not None or run.watch:
+            from repro.obs.watch import attach_run_watchers
+            attach_run_watchers(self, run)
 
     # -- construction helpers ----------------------------------------------
 

@@ -399,18 +399,18 @@ class TestSweepRunner:
 
     @pytest.mark.parametrize("raw,jobs", [("3", 3), ("0", 1), (" 2 ", 2)])
     def test_repro_jobs_sets_the_default(self, monkeypatch, raw, jobs):
-        from repro.experiments.runner import default_jobs
+        from repro.config import RunConfig
 
         monkeypatch.setenv("REPRO_JOBS", raw)
-        assert default_jobs() == jobs
+        assert RunConfig.from_env().jobs == jobs
 
     @pytest.mark.parametrize("raw", ["two", "2.5", ""])
     def test_malformed_repro_jobs_raises(self, monkeypatch, raw):
-        from repro.experiments.runner import default_jobs
+        from repro.config import RunConfig
 
         monkeypatch.setenv("REPRO_JOBS", raw)
         with pytest.raises(ValueError, match="REPRO_JOBS") as info:
-            default_jobs()
+            RunConfig.from_env()
         assert repr(raw) in str(info.value)
 
 

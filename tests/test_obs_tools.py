@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core import RandomStrategy
 from repro.membership import FullMembership
 from repro.obs import (
@@ -25,7 +26,6 @@ from repro.obs import (
     access_timeline,
     collect_manifest,
     diff_summaries,
-    profile_enabled_from_env,
     render_diff,
     render_summary,
     render_timeline,
@@ -101,28 +101,6 @@ class TestManifest:
         assert loaded == manifest.to_dict()
         assert RunManifest(**loaded).seed == 1
 
-    def test_run_sweep_records_manifest(self, tmp_path, monkeypatch):
-        import repro.experiments.runner as runner
-
-        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
-        results = runner.run_sweep([10, 20], _double, replications=2,
-                                   jobs=1, base_seed=5)
-        assert [r.results for r in results] == [[20, 20], [40, 40]]
-        manifest = runner.last_sweep_manifest
-        assert manifest is not None
-        assert manifest.command == "sweep"
-        assert manifest.seed == 5
-        assert manifest.params["points"] == 2
-        assert manifest.params["replications"] == 2
-        assert manifest.wall_time_s >= 0
-        written = list(tmp_path.glob("sweep-*.manifest.json"))
-        assert written
-        assert json.loads(written[-1].read_text())["command"] == "sweep"
-
-
-def _double(point, seed):  # module-level for pool picklability
-    return point * 2
-
 
 # ---------------------------------------------------------------------------
 # PhaseProfiler
@@ -138,11 +116,11 @@ class TestPhaseProfiler:
 
     def test_env_gate(self, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not profile_enabled_from_env()
+        assert not RunConfig.from_env().profile
         for value, enabled in (("0", False), ("", False), ("1", True),
                                ("yes", True)):
             monkeypatch.setenv("REPRO_PROFILE", value)
-            assert profile_enabled_from_env() == enabled
+            assert RunConfig.from_env().profile == enabled
 
     def test_nested_self_attribution(self):
         profiler = PhaseProfiler(enabled=True)
