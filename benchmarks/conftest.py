@@ -76,14 +76,17 @@ def pytest_runtest_call(item):
 def _session_manifest(total_seconds: float) -> dict:
     # By session finish the bench modules have imported repro already,
     # so this resolves through the same sys.path the benches used.
+    from repro.config import current_run
     from repro.obs.manifest import collect_manifest
 
+    run = current_run()
     manifest = collect_manifest(
         command="bench",
         params={"n_default": N_DEFAULT, "n_keys": N_KEYS,
                 "n_lookups": N_LOOKUPS, "full_scale": FULL_SCALE},
         jobs=JOBS,
-        trace_path=os.environ.get("REPRO_TRACE"),
+        trace_path=run.trace,
+        config=run,
     )
     manifest.wall_time_s = round(total_seconds, 3)
     return manifest.to_dict()

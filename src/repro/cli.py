@@ -55,9 +55,8 @@ FLAGS: Dict[str, dict] = {
                     "to 8x) until the hit-ratio CI half-width drops below "
                     "DELTA"),
     "trace": dict(metavar="PATH", default=None,
-                  help="stream simulation events as JSONL to PATH (sweep "
-                       "pool workers append to the same file; writes are "
-                       "flock-serialized)"),
+                  help="stream simulation events as JSONL to PATH (with "
+                       "--jobs N the file equals the --jobs 1 trace)"),
     "manifest": dict(metavar="PATH", default=None,
                      help="write a provenance manifest to PATH (default: "
                           "<trace>.manifest.json when --trace is given)"),
@@ -471,9 +470,9 @@ def _run_command(args, ledger: list) -> int:
         else:
             print(text)
         return 0
-    # A figure command: every network it builds (sweep pool workers
-    # included, which append to the same flock-serialized trace) reads
-    # the installed config.
+    # A figure command: every network it builds reads the installed
+    # config; run_sweep hands each pool task the same config with a
+    # private trace segment and collects segments and violations.
     started = time.perf_counter()
     print(render_figure(args.command, args))
     wall = time.perf_counter() - started
@@ -495,10 +494,9 @@ def _run_command(args, ledger: list) -> int:
 def _report_live_watch(args, ledger: list) -> int:
     """Post-run verdict for a figure run under ``--watch``/``--slo``.
 
-    In-process violations land on the command's ledger; with ``--trace``
-    the recorded file is additionally replayed through fresh watchers —
-    the cross-process collector for pool workers — and the verdict is
-    written beside the manifest.
+    Live violations, pool tasks' included, land on the command's
+    ledger; with ``--trace`` the recorded file is also replayed through
+    fresh watchers, whose verdict file is written beside the manifest.
     """
     violations = [str(v) for v in ledger]
     if args.trace:

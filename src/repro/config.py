@@ -68,18 +68,13 @@ class RunConfig:
 _installed: Optional[Tuple[RunConfig, List[Any]]] = None
 
 
-def install(config: RunConfig) -> None:
-    """Make ``config`` this process's run (also the pool initializer)."""
-    global _installed
-    _installed = (config, [])
-
-
 @contextmanager
 def run_scope(config: RunConfig) -> Iterator[List[Any]]:
-    """Install ``config`` for one command; yields its violation ledger."""
+    """Install ``config`` for one command (or one sweep pool task);
+    yields its violation ledger."""
     global _installed
     previous = _installed
-    install(config)
+    _installed = (config, [])
     try:
         yield _installed[1]
     finally:

@@ -10,7 +10,8 @@ so they parallelize perfectly across a process pool.
 * **Determinism** — each (point index, replication) task gets a seed
   derived through :class:`~repro.sim.rng.RngRegistry` from ``base_seed``
   alone, independent of worker scheduling; results are returned in point
-  order.  ``jobs=N`` is therefore bit-identical to ``jobs=1``.
+  order.  ``jobs=N`` is therefore bit-identical to ``jobs=1``: results,
+  trace file, violation ledger and phase-profile calls alike.
 * **Picklability** — with ``jobs > 1`` the worker function must be
   defined at module level (a ``functools.partial`` over one is fine);
   :func:`~repro.experiments.figures.run_point` follows this shape.
@@ -20,11 +21,14 @@ so they parallelize perfectly across a process pool.
 
 from __future__ import annotations
 
+import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, List, Optional, Sequence
+from tempfile import TemporaryDirectory
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.config import current_run, install
+from repro.config import RunConfig, current_run, run_ledger, run_scope
 from repro.obs.profile import PROFILER
 from repro.sim.rng import RngRegistry
 
@@ -50,28 +54,26 @@ class SweepResult:
         return self.results[0]
 
 
-def _evaluate(fn: Callable[[Any, int], Any], point: Any, seed: int) -> Any:
-    # Module-level trampoline so the pool pickles (fn, point, seed) only.
-    return fn(point, seed)
+def _evaluate(fn: Callable[[Any, int], Any], point: Any, seed: int,
+              config: RunConfig) -> Tuple[Any, List[Any], Optional[dict]]:
+    """Pool trampoline: one task under ``config`` in its own run scope.
 
-
-def _evaluate_profiled(fn: Callable[[Any, int], Any], point: Any,
-                       seed: int) -> Any:
-    """Pool trampoline that ships the worker's profiler delta back.
-
-    Each worker process has its own :data:`~repro.obs.profile.PROFILER`;
-    snapshotting before/after the task isolates this task's phases so
-    the parent can merge a complete per-phase table for ``jobs > 1``.
+    Returns the task's value, its violation ledger and, when profiling
+    is on, its profiler delta (each worker process has its own
+    :data:`~repro.obs.profile.PROFILER`), so the parent holds the whole
+    fan-out's ledger and phase table.
     """
-    before = PROFILER.snapshot()
-    result = fn(point, seed)
-    after = PROFILER.snapshot()
-    delta = {}
-    for name, stat in after.items():
-        prior = before.get(name, {"calls": 0, "cumulative": 0.0,
-                                  "self": 0.0})
-        delta[name] = {key: stat[key] - prior[key] for key in stat}
-    return result, delta
+    profiling = PROFILER.enabled
+    before = PROFILER.snapshot() if profiling else {}
+    with run_scope(config) as ledger:
+        value = fn(point, seed)
+    if not profiling:
+        return value, ledger, None
+    zero = {"calls": 0, "cumulative": 0.0, "self": 0.0}
+    delta = {name: {key: stat[key] - before.get(name, zero)[key]
+                    for key in stat}
+             for name, stat in PROFILER.snapshot().items()}
+    return value, ledger, delta
 
 
 def run_sweep(
@@ -84,8 +86,13 @@ def run_sweep(
     """Evaluate ``fn(point, seed)`` for every point x replication.
 
     Returns one :class:`SweepResult` per point, in point order.  ``jobs`` > 1
-    fans tasks out over a process pool whose workers run under this run's
-    config; ``jobs=None`` takes the config's ``jobs`` (``REPRO_JOBS``).
+    fans tasks out over a process pool; ``jobs=None`` takes the run
+    config's ``jobs`` (``REPRO_JOBS``).  Each pool task runs under this
+    run's config with its trace pointed at a private segment file; in
+    task order the parent appends every segment to the run's trace and
+    takes over the task's violations and profile, so the trace, ledger
+    and phase table equal the ``jobs=1`` run's and every trace file has
+    one writer at a time.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -101,23 +108,26 @@ def run_sweep(
         for index, rep, seed in tasks:
             outputs[(index, rep)] = fn(points[index], seed)
     else:
-        # With profiling on, workers return (result, profiler delta) so
-        # the parent's table covers the whole fan-out.
-        trampoline = (_evaluate_profiled if PROFILER.enabled
-                      else _evaluate)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=install,
-                                 initargs=(run,)) as pool:
-            futures = {
-                (index, rep): pool.submit(trampoline, fn, points[index],
-                                          seed)
-                for index, rep, seed in tasks
-            }
-            for key, future in futures.items():
-                value = future.result()
-                if trampoline is _evaluate_profiled:
-                    value, profile_delta = value
-                    PROFILER.merge(profile_delta)
-                outputs[key] = value
+        ledger = run_ledger()
+        with TemporaryDirectory(prefix="repro-sweep-") as segments, \
+                ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = []
+            for index, rep, seed in tasks:
+                segment = os.path.join(segments, f"{len(futures)}.jsonl")
+                config = (run if run.trace is None
+                          else replace(run, trace=segment))
+                futures.append(((index, rep), segment, pool.submit(
+                    _evaluate, fn, points[index], seed, config)))
+            for key, segment, future in futures:
+                outputs[key], violations, profile = future.result()
+                if ledger is not None:
+                    ledger.extend(violations)
+                if profile is not None:
+                    PROFILER.merge(profile)
+                if run.trace is not None and os.path.exists(segment):
+                    with open(segment, "rb") as part, \
+                            open(run.trace, "ab") as trace:
+                        shutil.copyfileobj(part, trace)
     return [
         SweepResult(point=point,
                     results=[outputs[(i, r)] for r in range(replications)])

@@ -18,9 +18,8 @@ namespace:
   block for perf/behaviour regression gating (CI runs it over two
   seeded fig8 traces and expects zero delta).
 
-Corrupt lines (a crashed worker, a truncated tail) are *counted*, never
-fatal: sweep-pool traces are append-shared across processes and the
-tooling must degrade gracefully.
+Corrupt lines (a crashed run, a truncated tail) are *counted*, never
+fatal: the tooling must degrade gracefully.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class AccessAggregate:
     routing: int = 0
     hits: int = 0
     reply_drops: int = 0
-    unmatched: int = 0               # access-ends with no paired start
+    unmatched: int = 0               # ends closing no innermost start
     latency: Histogram = field(
         default_factory=lambda: Histogram("latency"))
     quorum_size: Histogram = field(
@@ -192,15 +191,16 @@ class TraceSummary:
 def summarize_trace(source: PathOrLines) -> TraceSummary:
     """One streaming pass over a trace (path or line iterable).
 
-    Access latencies come from pairing each ``access-end`` with the most
-    recent unmatched ``access-start`` of the same (strategy, access
-    kind, origin) — LIFO per key, so nested daemon accesses pair
-    correctly, and concurrently appended sweep traces pair per worker
-    as long as keys do not collide mid-flight.
+    A trace has one writer, so accesses nest: each ``access-end``
+    pairs with the innermost open ``access-start`` (a span stack, as in
+    :func:`access_timeline`).  An end whose (strategy, access kind,
+    origin) differs from that start's — an interleaved trace — or that
+    finds no open start is counted ``unmatched`` and leaves the stack
+    as it is.
     """
     summary = TraceSummary()
-    # (strategy, kind, origin) -> stack of access-start timestamps
-    open_starts: Dict[Tuple[Any, Any, Any], List[float]] = {}
+    # Open accesses, innermost last: ((strategy, kind, origin), start t).
+    open_starts: List[Tuple[Tuple[Any, Any, Any], float]] = []
 
     for event in iter_trace(source):
         if event is None:
@@ -244,10 +244,9 @@ def summarize_trace(source: PathOrLines) -> TraceSummary:
             if "latency" in event:
                 agg_kv.latency.observe(float(event["latency"]))
         elif kind == "access-start":
-            key = (event.get("strategy"), event.get("access"),
-                   event.get("origin"))
-            open_starts.setdefault(key, []).append(
-                float(event.get("t", 0.0)))
+            open_starts.append(((event.get("strategy"),
+                                 event.get("access"), event.get("origin")),
+                                float(event.get("t", 0.0))))
         elif kind == "access-end":
             access_kind = event.get("access", "?")
             agg = summary.access.get(access_kind)
@@ -264,14 +263,12 @@ def summarize_trace(source: PathOrLines) -> TraceSummary:
                 agg.quorum_size.observe(float(event["quorum"]))
             key = (event.get("strategy"), event.get("access"),
                    event.get("origin"))
-            stack = open_starts.get(key)
-            if stack:
-                agg.latency.observe(float(event.get("t", 0.0)) - stack.pop())
-                if not stack:
-                    del open_starts[key]
+            if open_starts and open_starts[-1][0] == key:
+                agg.latency.observe(float(event.get("t", 0.0))
+                                    - open_starts.pop()[1])
             else:
                 agg.unmatched += 1
-    summary.open_accesses = sum(len(s) for s in open_starts.values())
+    summary.open_accesses = len(open_starts)
     return summary
 
 

@@ -264,9 +264,9 @@ class SloMonitor(Watcher):
         self._by_metric: Dict[str, List[_SloSeries]] = {}
         for series in self.series:
             self._by_metric.setdefault(series.spec.metric, []).append(series)
-        # (strategy, access, origin) -> stack of start timestamps
-        # (LIFO per key: the summarizer's nesting-safe pairing).
-        self._open: Dict[Tuple[Any, Any, Any], List[float]] = {}
+        # Open accesses, innermost last: ((strategy, access, origin),
+        # start t) — the summarizer's span-stack pairing.
+        self._open: List[Tuple[Tuple[Any, Any, Any], float]] = []
 
     # -- event consumption --------------------------------------------------
 
@@ -288,18 +288,17 @@ class SloMonitor(Watcher):
 
     def _on_start(self, event: TraceEvent) -> None:
         f = event.fields
-        key = (f.get("strategy"), f.get("access"), f.get("origin"))
-        self._open.setdefault(key, []).append(event.t)
+        self._open.append(
+            ((f.get("strategy"), f.get("access"), f.get("origin")), event.t))
 
     def _on_end(self, event: TraceEvent) -> None:
         f = event.fields
         key = (f.get("strategy"), f.get("access"), f.get("origin"))
         kind = str(f.get("access", "?"))
-        stack = self._open.get(key)
-        if stack:
-            self._feed(f"{kind}.latency", event.t - stack.pop())
-            if not stack:
-                del self._open[key]
+        # An end that does not close the innermost start (interleaved
+        # trace) feeds no latency and leaves the stack as it is.
+        if self._open and self._open[-1][0] == key:
+            self._feed(f"{kind}.latency", event.t - self._open.pop()[1])
         for field_name, template in _ACCESS_FIELD_METRICS:
             if field_name in f:
                 self._feed(template.format(kind=kind),

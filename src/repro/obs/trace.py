@@ -23,11 +23,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, IO, List, Optional
 
-try:  # POSIX-only; Windows falls back to unlocked appends.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 #: Event kinds whose ``count`` field (default 1) is a network-layer
 #: message claimable by an access's ``AccessResult.messages``.
 #: ``virtual-msg`` covers modeled-but-not-transmitted messages (flood
@@ -140,7 +135,6 @@ class EventTrace:
         self._events: Deque[TraceEvent] = deque()
         self._writer: Optional[IO[str]] = None
         self._jsonl_path: Optional[str] = None
-        self._lock_writes = False
         #: Live subscribers: each registered callable receives every
         #: recorded :class:`TraceEvent`, synchronously, after it has been
         #: retained/written.  This is the watcher delivery path (see
@@ -165,10 +159,9 @@ class EventTrace:
                retention: int = DEFAULT_RETENTION) -> "EventTrace":
         """Turn the sink on (idempotent; combines with prior settings).
 
-        Each JSONL write takes an OS-level advisory lock (``flock``), so
-        sweep-pool workers appending to one shared ``REPRO_TRACE`` file
-        can never interleave mid-record (the lock is uncontended — and
-        cheap — in the single-process case).
+        A JSONL path has one writing process at a time: the sweep runner
+        gives each pool task its own segment file and appends the
+        segments to the run's trace itself.
         """
         self.enabled = True
         if memory:
@@ -176,12 +169,11 @@ class EventTrace:
             self._events = deque(self._events, maxlen=retention)
         if jsonl_path and jsonl_path != self._jsonl_path:
             self.close()
-            # O_APPEND + one write()+flush per event: each JSON line
-            # lands in the file atomically relative to other writers.
+            # Appending and line-buffered: networks built one after
+            # another share a path, and each event's line is in the file
+            # as soon as it is recorded.
             self._writer = open(jsonl_path, "a", buffering=1)
             self._jsonl_path = jsonl_path
-        if jsonl_path:
-            self._lock_writes = True
         return self
 
     def close(self) -> None:
@@ -249,14 +241,11 @@ class EventTrace:
         if self._memory:
             self._events.append(event)
         if self._writer is not None:
-            self._write_line(event.to_json() + "\n")
+            self._writer.write(event.to_json() + "\n")
         if self._subscribers:
             for subscriber in self._subscribers:
                 subscriber(event)
         return seq
-
-    #: Alias: ``emit`` is the subscriber-facing name for :meth:`record`.
-    emit = record
 
     def record_hops(self, t: float, latency: float, path: List[int],
                     route: Optional[Dict[str, Any]] = None) -> int:
@@ -277,27 +266,13 @@ class EventTrace:
                 if self._memory:
                     self._events.append(event)
                 if self._writer is not None:
-                    self._write_line(event.to_json() + "\n")
+                    self._writer.write(event.to_json() + "\n")
                 for subscriber in self._per_event:
                     subscriber(event)
         if self._run_handlers:
             for handler in self._run_handlers.values():
                 handler(run)
         return seq
-
-    def _write_line(self, line: str) -> None:
-        """One whole JSONL record, written atomically w.r.t. co-writers."""
-        writer = self._writer
-        if self._lock_writes and fcntl is not None:
-            fcntl.flock(writer.fileno(), fcntl.LOCK_EX)
-            try:
-                writer.write(line)
-                writer.flush()
-            finally:
-                fcntl.flock(writer.fileno(), fcntl.LOCK_UN)
-        else:
-            writer.write(line)
-            writer.flush()
 
     # -- querying ----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Live invariant watchers on the trace stream.
 
 Watchers are **streaming**: a :class:`WatcherHub` subscribes to
-:meth:`EventTrace.emit <repro.obs.trace.EventTrace.record>` and delivers
+:meth:`~repro.obs.trace.EventTrace.record` and delivers
 every :class:`~repro.obs.trace.TraceEvent` to its registered
 :class:`Watcher` objects the moment it is recorded — so a safety
 invariant broken halfway through a fault campaign stops the run *there*,
@@ -1045,15 +1045,15 @@ def replay_trace(source: Any,
                  slo_specs: Optional[List[Any]] = None) -> ReplayResult:
     """Stream a recorded trace through fresh watchers, segment-aware.
 
-    A trace file may hold several back-to-back runs (sweep points,
-    Monte-Carlo replicas): every time a writer's ``seq`` restarts at 0 a
+    A trace file holds back-to-back runs (sweep points, Monte-Carlo
+    replicas), one writer at a time: every time ``seq`` restarts at 0 a
     *new simulation* began, so watcher state (stored keys, clocks,
-    ledgers) is reset per ``(replica, restart)`` segment.  Each segment
-    gets a fresh builtin watcher set for the given ``n`` / SLO specs.
+    ledgers) is reset per segment.  Each segment gets a fresh builtin
+    watcher set for the given ``n`` / SLO specs.
     """
 
     result = ReplayResult()
-    hubs: Dict[Any, WatcherHub] = {}
+    hub: Optional[WatcherHub] = None
 
     def close_hub(hub: WatcherHub) -> None:
         hub.finish()
@@ -1070,16 +1070,13 @@ def replay_trace(source: Any,
             continue
         result.events += 1
         event = _event_from_dict(raw)
-        replica = raw.get("replica")
-        hub = hubs.get(replica)
         if hub is None or event.seq == 0:
             if hub is not None:
                 close_hub(hub)
-            hub = hubs[replica] = WatcherHub(
-                builtin_watchers(n=n, slo_specs=slo_specs))
+            hub = WatcherHub(builtin_watchers(n=n, slo_specs=slo_specs))
             result.segments += 1
         hub.on_event(event)
-    for hub in hubs.values():
+    if hub is not None:
         close_hub(hub)
     return result
 

@@ -4,7 +4,6 @@ process environment."""
 
 import json
 import os
-from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -109,14 +108,16 @@ class TestScope:
 
     def test_pool_workers_run_under_the_parent_config(self, clean_env,
                                                       tmp_path):
-        lines = {}
+        traces = {}
         for jobs in (1, 2):
             path = tmp_path / f"jobs{jobs}.jsonl"
             with run_scope(RunConfig(trace=str(path))):
                 run_sweep([30, 40], _flood_point, replications=2, jobs=jobs,
                           base_seed=5)
-            lines[jobs] = Counter(path.read_text().splitlines())
-        assert lines[1] and lines[1] == lines[2]
+            traces[jobs] = path.read_bytes()
+        # Segments are appended in task order: the same bytes, not only
+        # the same lines.
+        assert traces[1] and traces[1] == traces[2]
 
 
 def _flood_point(n, seed):  # module-level for pool picklability
@@ -160,3 +161,33 @@ class TestCliLeavesNoTrace:
         assert manifest["config"] == {
             "trace": trace, "audit": "record", "watch": list(WATCH_ALL),
             "slo": None, "profile": False, "jobs": 1}
+
+
+class TestPoolSweeps:
+    """A ``--jobs N`` figure run reports what its ``--jobs 1`` run does."""
+
+    FIG8 = ["fig8", "--n", "25", "--keys", "2", "--lookups", "8"]
+
+    def test_pool_violations_reach_the_command(self, clean_env, tmp_path,
+                                               capsys):
+        spec = tmp_path / "slo.json"
+        spec.write_text(json.dumps(
+            [{"metric": "lookup.latency", "max": 0.0, "window": 2}]))
+        reports = {}
+        for jobs in ("1", "2"):
+            assert main(self.FIG8 + ["--slo", str(spec), "--jobs", jobs,
+                                     "--fail-on-violation"]) == 1
+            reports[jobs] = capsys.readouterr().err
+        assert "slo-violation" in reports["1"]
+        assert reports["1"] == reports["2"]
+
+    def test_pool_trace_replays_clean(self, clean_env, tmp_path, capsys):
+        traces = {}
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(self.FIG8 + ["--watch", "--fail-on-violation",
+                                     "--jobs", jobs,
+                                     "--trace", str(path)]) == 0
+            assert "[watch] clean" in capsys.readouterr().err
+            traces[jobs] = path.read_bytes()
+        assert traces["1"] == traces["2"]

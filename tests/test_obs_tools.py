@@ -2,20 +2,20 @@
 
 Covers the provenance manifest schema, the nested phase profiler
 (including pool-worker merging), the streaming ``repro obs`` queries
-(summarize / timeline / diff), the flock-serialized multi-process JSONL
-sink.
+(summarize / timeline / diff), and a pool sweep's trace assembled from
+its tasks' segments.
 """
 
 import json
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.config import RunConfig
+from repro.config import RunConfig, current_run, run_scope
 from repro.core import RandomStrategy
+from repro.experiments.runner import run_sweep
 from repro.membership import FullMembership
 from repro.obs import (
     MANIFEST_SCHEMA,
@@ -190,8 +190,6 @@ class TestPhaseProfiler:
         assert "neighbor.rebuild" in snap
 
     def test_run_sweep_merges_worker_profiles(self, monkeypatch):
-        from repro.experiments.runner import run_sweep
-
         monkeypatch.setattr(PROFILER, "enabled", True)
         monkeypatch.setattr(PROFILER, "_stats", {})
         monkeypatch.setattr(PROFILER, "_stack", [])
@@ -322,6 +320,28 @@ class TestSummarize:
         # The unpaired end produced no latency sample: stats are null.
         assert payload["metrics"]["access.lookup.latency"]["mean"] is None
 
+    def test_interleaved_end_is_unmatched(self):
+        # Two writers' accesses interleaved: the advertise's end does not
+        # close the innermost open start (the lookup), so it pairs with
+        # nothing and its start stays open.
+        lines = [
+            '{"kind":"access-start","seq":0,"t":1.0,"strategy":"R",'
+            '"access":"advertise","origin":3}',
+            '{"kind":"access-start","seq":1,"t":2.0,"strategy":"R",'
+            '"access":"lookup","origin":5}',
+            '{"kind":"access-end","seq":2,"t":3.0,"strategy":"R",'
+            '"access":"advertise","origin":3,"messages":1,"routing":0}',
+            '{"kind":"access-end","seq":3,"t":4.5,"strategy":"R",'
+            '"access":"lookup","origin":5,"messages":2,"routing":0}',
+        ]
+        summary = summarize_trace(lines)
+        advertise, lookup = (summary.access["advertise"],
+                             summary.access["lookup"])
+        assert (advertise.unmatched, advertise.latency.count) == (1, 0)
+        assert (lookup.unmatched, lookup.latency.count) == (0, 1)
+        assert lookup.latency.max == 2.5
+        assert summary.open_accesses == 1
+
 
 # ---------------------------------------------------------------------------
 # timeline
@@ -411,33 +431,40 @@ class TestDiff:
 
 
 # ---------------------------------------------------------------------------
-# flock-serialized multi-process JSONL appends (satellite)
+# One writer per trace: pool tasks write segments, the sweep appends them
 # ---------------------------------------------------------------------------
 
 
-def _append_events(path, worker, count):
-    trace = EventTrace().enable(memory=False, jsonl_path=path)
+def _append_events(worker, seed, count=200):
+    # A sweep task (module-level for pool picklability) tracing to the
+    # path its run config names.
+    trace = EventTrace().enable(memory=False,
+                                jsonl_path=current_run().trace)
     for i in range(count):
-        # A fat payload makes torn writes likely if unserialized.
-        trace.record("hop", float(i), src=worker, dst=i,
-                     blob="x" * 512)
+        # A fat payload makes torn or interleaved lines likely if two
+        # processes wrote one file.
+        trace.record("hop", float(i), src=worker, dst=i, blob="x" * 512)
     trace.close()
-    return count
+    return worker
 
 
-class TestConcurrentTraceAppends:
-    def test_parallel_writers_never_interleave(self, tmp_path):
-        path = str(tmp_path / "shared.jsonl")
+class TestSweepTraceSegments:
+    def test_pool_segments_land_whole_in_task_order(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
         workers, per_worker = 4, 200
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_append_events, path, w, per_worker)
-                       for w in range(workers)]
-            assert sum(f.result() for f in futures) == workers * per_worker
+        with run_scope(RunConfig(trace=path)):
+            results = run_sweep(list(range(workers)), _append_events,
+                                jobs=2)
+        assert [r.value for r in results] == list(range(workers))
         summary = summarize_trace(path)
         assert summary.corrupt_lines == 0
         assert summary.events == workers * per_worker
-        assert summary.kind_counts["hop"] == workers * per_worker
-
+        # Each task's segment whole, the segments in task order.
+        with open(path) as handle:
+            order = [(json.loads(line)["src"], json.loads(line)["seq"])
+                     for line in handle]
+        assert order == [(w, i) for w in range(workers)
+                         for i in range(per_worker)]
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestSubscriberApi:
         seen = []
         trace.subscribe(seen.append)
         trace.record("hop", 1.0, src=0, dst=1)
-        trace.emit("broadcast", 2.0, src=1)
+        trace.record("broadcast", 2.0, src=1)
         assert [e.kind for e in seen] == ["hop", "broadcast"]
         assert seen[0].fields["src"] == 0
 
@@ -546,6 +546,29 @@ class TestSloMonitor:
         # messages=4 > 3 fires; quorum=5 <= 10 passes.
         assert len(mon.violations) == 1
         assert "lookup.messages" in mon.violations[0].message
+
+    def test_interleaved_end_feeds_no_latency(self):
+        mon = SloMonitor([SloSpec(metric="advertise.latency", max=0.0,
+                                  window=1),
+                          SloSpec(metric="lookup.latency", max=10.0,
+                                  window=1)])
+        for e in _stream([
+                ("access-start", dict(strategy="R", access="advertise",
+                                      origin=3)),
+                ("access-start", dict(strategy="R", access="lookup",
+                                      origin=5)),
+                ("access-end", dict(strategy="R", access="advertise",
+                                    origin=3)),
+                ("access-end", dict(strategy="R", access="lookup",
+                                    origin=5))]):
+            mon.on_event(e)
+        # The advertise's end does not close the innermost start: no
+        # latency, so its impossible bound is never measured.
+        assert not mon.violations
+        advertise, lookup = mon.slo_report()["slos"]
+        assert advertise["observations"] == 0
+        assert lookup["observations"] == 1
+        assert lookup["worst"] == 2.0
 
 
 # ---------------------------------------------------------------------------
