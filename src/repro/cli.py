@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.config import ENV_VARS, WATCH_ALL, RunConfig, current_run, run_scope
 from repro.experiments.figures import FIGURES, render_figure
@@ -250,14 +250,22 @@ def _add_flags(parser: argparse.ArgumentParser, names) -> None:
         parser.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
 
 
+def _trace_output(args) -> Optional[str]:
+    """The ``--trace`` path the command writes: a figure's or ``faults
+    run``'s (an ``obs`` command's trace is its input)."""
+    if (args.command in COMMANDS
+            or getattr(args, "faults_command", None) == "run"):
+        return args.trace
+    return None
+
+
 def _run_config(args) -> RunConfig:
     """``RunConfig.from_env()`` with the command's flags on top (only
     ``--trace`` for ``faults run``: its campaign attaches its own hub)."""
     overlay: dict = {}
     figure = args.command in COMMANDS
-    if figure or getattr(args, "faults_command", None) == "run":
-        if args.trace:
-            overlay["trace"] = args.trace
+    if _trace_output(args):
+        overlay["trace"] = args.trace
     if figure:
         if getattr(args, "jobs", None) is not None:
             overlay["jobs"] = max(1, args.jobs)
@@ -437,6 +445,11 @@ def _write_figure_manifest(args, wall_time_s: float) -> str:
 
 def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
+    trace = _trace_output(args)
+    if trace:
+        # One command, one trace: every network and sweep segment of
+        # the command appends to the file this empties.
+        open(trace, "w").close()
     with run_scope(_run_config(args)) as ledger:
         return _run_command(args, ledger)
 

@@ -33,9 +33,12 @@ side effects, counters, metrics and energy are integer counts (one bulk
 update equals the per-frame updates in any order), trace events keep
 per-frame order and per-frame timestamps, and the clock is
 advanced by the same repeated float additions.  A batch declines, before
-touching anything, only on what a batch cannot reproduce — mobility,
-random drops, a simulation event inside its window — and the caller
-then sends the frames one by one; tracing selects no path.
+touching anything, only on what a batch cannot reproduce — mobility, a
+simulation event inside its window, and for the flood ring random
+drops — and the caller then sends the frames one by one; tracing
+selects no path.  A routed send under random drops stays one step: it
+draws each hop's loss in path order, the per-frame draws, and charges
+the delivered prefix and the lost frame.
 
 Cross-replica sharing: :meth:`AccessEngine.adopt_shared` is the one
 hook through which the Monte-Carlo builder serves one
@@ -136,6 +139,8 @@ class AccessEngine:
         window.  The CSR snapshot re-keys on the topology version every
         ring, so mid-flood churn can never be served a stale adjacency.
         """
+        if net.config.drop_prob > 0:
+            return None
         sim = net.sim
         latency = net.config.hop_latency
         t_end = sim.now
@@ -261,13 +266,17 @@ class AccessEngine:
 
         A batch of frames is exact when the last one lands strictly
         before it: nothing can run *during* the per-frame loop then.  It
-        is the next simulation event's time (heartbeat, churn), or
-        ``-inf`` — every batch declines — under mobility or random
-        drops, where each frame must be resolved on its own.  Callers
-        accumulate the landing time by repeated addition, the same float
-        operations as the per-frame ``advance`` chain, so clocks and
-        latency statistics stay byte-identical.
+        is the next simulation event's time (heartbeat, churn, a drop
+        burst's edge), or ``-inf`` — every batch declines — under
+        mobility, where each frame must be resolved on its own.  Random
+        drops do not close the window: nothing else draws from the drops
+        stream inside it, so a batched send draws each hop's loss in
+        path order as the per-frame loop would (the flood ring, whose
+        per-receiver draws it does not replay, declines on its own).
+        Callers accumulate the landing time by repeated addition, the
+        same float operations as the per-frame ``advance`` chain, so
+        clocks and latency statistics stay byte-identical.
         """
-        if net.config.mobility != "static" or net.config.drop_prob > 0:
+        if net.config.mobility != "static":
             return -math.inf
         return net.sim.next_event_time()

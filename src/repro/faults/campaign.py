@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.byzantine import ByzantineBehavior
 from repro.simnet.churn import apply_churn
-from repro.simnet.network import SimNetwork
+from repro.simnet.network import SimNetwork, check_drop_prob
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class DropBurst:
     duration: float
     drop_prob: float
     type: str = "drop-burst"
+
+    def __post_init__(self) -> None:
+        check_drop_prob(self.drop_prob)
 
     def begin(self, runner: "CampaignRunner") -> None:
         runner.drop_stack.append((id(self), self.drop_prob))

@@ -157,9 +157,16 @@ class RandomMembership(MembershipFreezeMixin):
         held = self._views.get(node_id)
         if held is None:
             held = self._draw(node_id)
-        pool = [v for v in held if v != exclude]
+        # A node's own view never holds it, so ``sample_for`` copies
+        # nothing here.  The memoised view itself is never handed out.
+        pool = held if exclude not in held else [
+            v for v in held if v != exclude]
         if k >= len(pool):
-            return pool
+            return list(pool)
+        if k == 1:
+            # random.sample(pool, 1) draws one _randbelow(len(pool)) and
+            # takes that index: choice is the same draw, without the copy.
+            return [rng.choice(pool)]
         return rng.sample(pool, k)
 
     def sample_for(self, node_id: int, k: int, rng: random.Random) -> List[int]:

@@ -70,35 +70,50 @@ class TraceEvent:
 
 
 class HopRun:
-    """A bulk-forwarded path as one trace record.
+    """A routed send's forwarded path as one trace record.
 
-    It stands for the ``len(path) - 1`` ``hop`` events that a per-hop
-    loop from time ``t`` would record, one ``latency`` apart (each time
-    by repeated addition), and, when ``route`` holds its payload, the
-    ``route`` event that followed them at the last hop's time.  The
-    events carry the seqs from ``seq`` on.  :meth:`events` materialises
-    exactly the :class:`TraceEvent` objects that
+    It stands for the events a per-hop send from time ``t`` would
+    record, in order: the ``routing`` event of the discovery that
+    obtained the path, when ``routing`` holds its payload (at ``t``);
+    one ``hop`` event per hop of ``path``, ``latency`` apart (each time
+    by repeated addition), the last one ``ok=False`` when ``lost``; and,
+    when ``route`` holds its payload, the ``route`` event that followed
+    them at the last hop's time, which the run carries as ``end``.  A
+    one-node path stands for a failed discovery and its failed send.
+    The events carry the seqs from ``seq`` on.  :meth:`events`
+    materialises exactly the :class:`TraceEvent` objects that
     :meth:`EventTrace.record` would have built.  A run is only valid
     while it is being delivered: it reads the trace's live ``context``.
     """
 
     __slots__ = ("seq", "t", "latency", "path", "route", "context",
-                 "_events")
+                 "routing", "lost", "end", "_events")
 
     def __init__(self, seq: int, t: float, latency: float, path: List[int],
                  route: Optional[Dict[str, Any]],
-                 context: Dict[str, Any]) -> None:
+                 context: Dict[str, Any],
+                 routing: Optional[Dict[str, Any]] = None,
+                 lost: bool = False, end: Optional[float] = None) -> None:
         self.seq = seq
         self.t = t
         self.latency = latency
         self.path = path
         self.route = route
         self.context = context
+        self.routing = routing
+        self.lost = lost
+        if end is None:
+            end = t
+            for _ in range(len(path) - 1):
+                end += latency
+        self.end = end
         self._events: Optional[List[TraceEvent]] = None
 
     def __len__(self) -> int:
-        """Events in the run: the hops, plus the route event if folded."""
-        return len(self.path) - (self.route is None)
+        """Events in the run: the hops, plus the folded routing and
+        route events."""
+        return (len(self.path) - (self.route is None)
+                + (self.routing is not None))
 
     def events(self) -> List[TraceEvent]:
         """The per-event form of the run, oldest first."""
@@ -107,6 +122,12 @@ class HopRun:
             context = self.context
             seq, t, latency = self.seq, self.t, self.latency
             events = []
+            if self.routing is not None:
+                fields = self.routing
+                if context:
+                    fields = {**context, **fields}
+                events.append(TraceEvent(seq, t, "routing", fields))
+                seq += 1
             path = self.path
             for a, b in zip(path, path[1:]):
                 t += latency
@@ -115,6 +136,8 @@ class HopRun:
                     fields = {**context, **fields}
                 events.append(TraceEvent(seq, t, "hop", fields))
                 seq += 1
+            if self.lost:
+                events[-1].fields["ok"] = False
             if self.route is not None:
                 fields = self.route
                 if context:
@@ -248,19 +271,26 @@ class EventTrace:
         return seq
 
     def record_hops(self, t: float, latency: float, path: List[int],
-                    route: Optional[Dict[str, Any]] = None) -> int:
-        """Record a forwarded path as one :class:`HopRun`; its first seq.
+                    route: Optional[Dict[str, Any]] = None,
+                    routing: Optional[Dict[str, Any]] = None,
+                    lost: bool = False, end: Optional[float] = None) -> int:
+        """Record a routed send as one :class:`HopRun`; its first seq.
 
-        Equivalent to one ``record("hop", ...)`` per hop of ``path``
-        from time ``t`` (``src``/``dst``/``ok=True``, ``latency`` apart)
-        followed, when ``route`` is given, by ``record("route", ...)``
-        with that payload at the last hop's time.  Retention, the JSONL
-        writer and subscribers without a run handler get exactly those
-        events; run handlers get the run once, after them.
+        Equivalent to ``record("routing", t, ...)`` with the ``routing``
+        payload, when given, then one ``record("hop", ...)`` per hop of
+        ``path`` from time ``t`` (``src``/``dst``/``ok``, ``latency``
+        apart; ``ok=False`` on the last hop when ``lost``) followed,
+        when ``route`` is given, by ``record("route", ...)`` with that
+        payload at the last hop's time, ``end`` (computed when not
+        given).  Retention, the JSONL writer and subscribers without a
+        run handler get exactly those events; run handlers get the run
+        once, after them.
         """
         seq = self._seq
-        run = HopRun(seq, t, latency, path, route, self.context)
-        self._seq = seq + len(path) - (route is None)
+        run = HopRun(seq, t, latency, path, route, self.context, routing,
+                     lost, end)
+        self._seq = (seq + len(path) - (route is None)
+                     + (routing is not None))
         if self._memory or self._writer is not None or self._per_event:
             for event in run.events():
                 if self._memory:

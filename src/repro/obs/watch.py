@@ -224,42 +224,26 @@ class MonotonicityWatcher(Watcher):
             self._check_topology(event)
 
     def on_hops(self, run: HopRun) -> None:
-        # The checks _on_bulk/_on_fast make per event, over the run's
-        # arithmetic: its seqs are contiguous by construction, so only
-        # the first can jump, and the folded route event shares the last
-        # hop's time.
-        hops = len(run.path) - 1
-        route = run.route
-        if not hops and route is None:
-            return
-        seq, t, prev = run.seq, run.t, self._prev_t
+        # O(1) when nothing can be flagged: a run's seqs are contiguous
+        # by construction, its folded routing event is at its start and
+        # its route event at its end, and hops a non-negative latency
+        # apart never go back in time.  Anything else (a seq gap, a
+        # regression, a negative latency, a topology stamp) replays the
+        # run's events through the per-event checks.
         next_seq = self._next_seq
-        if seq != next_seq and next_seq >= 0:
-            self.violation(
-                "monotonicity-seq",
-                f"seq went {next_seq - 1} -> {seq} "
-                f"(kind {'hop' if hops else 'route'}); "
-                f"sequence numbers must be contiguous")
-        latency = run.latency
-        for i in range(hops):
-            t += latency
-            if t < prev:
-                self.violation(
-                    "monotonicity-clock",
-                    f"sim clock regressed {prev!r} -> {t!r} "
-                    f"at seq {seq + i} (kind hop)")
-            prev = t
-        if route is not None:
-            if t < prev:  # only a zero-hop run can get here
-                self.violation(
-                    "monotonicity-clock",
-                    f"sim clock regressed {prev!r} -> {t!r} "
-                    f"at seq {seq + hops} (kind route)")
-            prev = t
-            if "topology_version" in route or "topology_version" in run.context:
-                self._check_topology(run.events()[-1])
-        self._prev_t = prev
-        self._next_seq = seq + hops + (route is not None)
+        route = run.route
+        if (run.t >= self._prev_t and run.latency >= 0
+                and (run.seq == next_seq or next_seq < 0)
+                and "topology_version" not in run.context
+                and (route is None or "topology_version" not in route)):
+            count = (len(run.path) - (route is None)
+                     + (run.routing is not None))
+            if count:
+                self._prev_t = run.end
+                self._next_seq = run.seq + count
+            return
+        for event in run.events():
+            self.handler_for(event.kind)(event)
 
     def _check_topology(self, event: TraceEvent) -> None:
         topo = event.fields["topology_version"]
@@ -352,7 +336,10 @@ class ConservationWatcher(Watcher):
         # A folded route event is not a kind this watcher reads.
         frames = self._frames
         if frames:
-            frames[-1][0] += len(run.path) - 1
+            frame = frames[-1]
+            frame[0] += len(run.path) - 1
+            if run.routing is not None:
+                frame[1] += int(run.routing["count"])
 
     def _on_routing(self, event: TraceEvent) -> None:
         frames = self._frames
@@ -702,9 +689,12 @@ class WatcherHub:
         # attribute lookups.
         self._entries: Dict[str, list] = {}
         self.on_event = self._make_on_event()
-        # Hop-run delivery: one fused ``on_hops`` call per interested
-        # watcher, keyed by whether the run carries a route event.
-        self._run_fused: Dict[bool, Callable[[HopRun], None]] = {}
+        # Hop-run delivery entries ``[runs, hops, fused]`` per run shape
+        # (whether the run folds a routing and a route event): one fused
+        # ``on_hops`` call per interested watcher, and the counts of the
+        # events the shape's runs stand for, folded into the per-kind
+        # entries by :meth:`_flush`.
+        self._runs: Dict[Tuple[bool, bool], list] = {}
         self.on_hops = self._make_on_hops()
 
     # -- violation routing --------------------------------------------------
@@ -729,12 +719,16 @@ class WatcherHub:
         self._entries[kind] = entry
         return entry
 
-    def _build_run(self, with_route: bool) -> Callable[[HopRun], None]:
+    def _build_run(self, shape: Tuple[bool, bool]) -> list:
+        """The delivery entry of runs of one ``shape``: whether they fold
+        a routing event and a route event."""
+        wanted = ["hop"] + [kind for kind, held in
+                            zip(("routing", "route"), shape) if held]
         pairs = [(w.on_hops, w) for w in self.watchers
-                 if w.kinds is None or "hop" in w.kinds
-                 or (with_route and "route" in w.kinds)]
-        fused = self._run_fused[with_route] = self._fuse(pairs)
-        return fused
+                 if w.kinds is None
+                 or any(kind in w.kinds for kind in wanted)]
+        entry = self._runs[shape] = [0, 0, self._fuse(pairs)]
+        return entry
 
     def _fuse(self, pairs: List[Tuple[Callable[[Any], None], Watcher]]
               ) -> Callable[[Any], None]:
@@ -803,26 +797,33 @@ class WatcherHub:
     def _make_on_hops(self) -> Callable[[HopRun], None]:
         """Build the per-run delivery closure (``self.on_hops``).
 
-        The run's events are counted into the same per-kind entries as
-        :meth:`on_event` counts them, so ``events_seen`` is what
-        per-event delivery of the run would give.
+        A run counts into its shape's entry; :meth:`_flush` folds those
+        counts into the same per-kind entries as :meth:`on_event` counts
+        into, so ``events_seen`` is what per-event delivery of the run
+        would give.
         """
-        build = self._build_entry
         build_run = self._build_run
 
-        def on_hops(run: HopRun, _get=self._entries.get,
-                    _fused=self._run_fused.get) -> None:
-            entry = _get("hop") or build("hop")
-            entry[0] += len(run.path) - 1
-            with_route = run.route is not None
-            if with_route:
-                entry = _get("route") or build("route")
-                entry[0] += 1
-            (_fused(with_route) or build_run(with_route))(run)
+        def on_hops(run: HopRun, _get=self._runs.get) -> None:
+            shape = (run.routing is not None, run.route is not None)
+            entry = _get(shape) or build_run(shape)
+            entry[0] += 1
+            entry[1] += len(run.path) - 1
+            entry[2](run)
         return on_hops
 
     def _flush(self) -> None:
-        """Fold per-kind delivery counts into the event counters."""
+        """Fold run and per-kind delivery counts into the event counters."""
+        for (with_routing, with_route), entry in self._runs.items():
+            runs, hops = entry[0], entry[1]
+            entry[0] = entry[1] = 0
+            for kind, count in (("hop", hops),
+                                ("routing", runs if with_routing else 0),
+                                ("route", runs if with_route else 0)):
+                if count:
+                    kind_entry = (self._entries.get(kind)
+                                  or self._build_entry(kind))
+                    kind_entry[0] += count
         for entry in self._entries.values():
             count = entry[0]
             if count:

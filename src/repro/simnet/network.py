@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -48,7 +48,13 @@ from repro.mobility.models import (
 from repro.sim.kernel import PeriodicTimer, Simulator
 from repro.sim.rng import RngRegistry
 from repro.simnet.energy import EnergyLedger
-from repro.simnet.replication import BfsTree, NeighborRows
+from repro.simnet.replication import BfsTree, NeighborRows, bfs_tree
+
+
+def check_drop_prob(drop_prob: float) -> None:
+    """Reject a per-hop drop probability outside [0, 1] (NaN included)."""
+    if not 0.0 <= drop_prob <= 1.0:
+        raise ValueError(f"drop_prob must lie in [0, 1], got {drop_prob!r}")
 
 
 @dataclass
@@ -68,6 +74,9 @@ class NetworkConfig:
     torus: bool = False
     require_connected: bool = True
     drop_prob: float = 0.0  # extra random per-hop loss (interference proxy)
+
+    def __post_init__(self) -> None:
+        check_drop_prob(self.drop_prob)
 
     @property
     def side(self) -> float:
@@ -665,19 +674,12 @@ class SimNetwork:
             self._known_stamp = self._topo_version
 
     def is_connected(self) -> bool:
-        alive = list(self._alive)
+        """Whether every alive node reaches every other: one BFS tree,
+        built outside the route memo (no tree hit or miss counts)."""
+        alive = self._alive
         if not alive:
             return True
-        tables = self._neighbor_tables()
-        seen = {alive[0]}
-        queue = deque([alive[0]])
-        while queue:
-            u = queue.popleft()
-            for v in tables.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(alive)
+        return bfs_tree(self, next(iter(alive))).reachable == len(alive)
 
     # -- one-hop messaging ------------------------------------------------------
 
@@ -790,8 +792,9 @@ class SimNetwork:
     def _discover(self, tree: BfsTree, dst: int, ttl: Optional[int] = None
                   ) -> Tuple[Optional[List[int]], int, int]:
         """One route request answered from ``tree``, the BFS tree of its
-        source, and traced: ``(path, control messages, the path's
-        bystander load)``.  The caller meters the control messages.
+        source: ``(path, control messages, the path's bystander load)``.
+        The caller meters the control messages and records the
+        ``routing`` event (:meth:`_trace_routing`).
 
         Without ``ttl`` it models AODV's expanding ring: every node
         inside the ring that found ``dst`` rebroadcasts the RREQ once
@@ -809,10 +812,14 @@ class SimNetwork:
         else:
             hops = len(path) - 1
             cost = tree.count_within(hops) + hops
-        if cost > 0 and self.trace.enabled:
-            self.trace.record("routing", self.sim.now, src=tree.source,
-                              dst=dst, count=cost, found=path is not None)
         return path, cost, load
+
+    def _trace_routing(self, src: int, dst: int, cost: int,
+                       found: bool) -> None:
+        """Record a discovery's ``routing`` event, if it cost anything."""
+        if cost > 0 and self.trace.enabled:
+            self.trace.record("routing", self.sim.now, src=src, dst=dst,
+                              count=cost, found=found)
 
     def route_frame(self, origin: int) -> "RouteFrame":
         """Open the route frame of one access from ``origin``."""
@@ -831,6 +838,7 @@ class SimNetwork:
             return [src], 0
         path, cost, _ = RouteFrame(self, src).obtain(
             dst, self._route_cache.get((src, dst)))
+        self._trace_routing(src, dst, cost, path is not None)
         if cost:
             self.counters["routing"] += cost
             self._metric_routing.inc(cost)
@@ -860,6 +868,7 @@ class SimNetwork:
             return RouteResult(True, [src])
         path, routing_messages, _ = self._discover(
             self.access_engine.tree(self, src), dst, max_hops)
+        self._trace_routing(src, dst, routing_messages, path is not None)
         self.counters["routing"] += routing_messages
         self._metric_routing.inc(routing_messages)
         if path is None:
@@ -895,10 +904,14 @@ class RouteFrame:
     only after a call that can run the scheduler: a per-hop send, or
     :meth:`call`).  A send that lands before the horizon charges its
     whole path at once and skips the clock to the arrival, accumulated
-    by the same repeated additions as the per-hop ``advance`` chain;
-    otherwise it goes hop by hop through ``one_hop_unicast``, where
-    mobility, drops and churn mid-flight act, and a broken path is
-    dropped and obtained once more.
+    by the same repeated additions as the per-hop ``advance`` chain.
+    Under random drops it first draws each hop's loss in path order up
+    to the first one, the per-hop sends' draws; a lost hop charges the
+    delivered prefix and the lost frame, skips the clock to that hop,
+    and the path is dropped and obtained once more, as a per-hop loss
+    is.  Otherwise the send goes hop by hop through
+    ``one_hop_unicast``, where mobility and churn mid-flight act, and a
+    broken path is dropped and obtained once more.
 
     The one-step sends' counts — ``counters["network"/"routing"]`` and
     the ``net.unicasts`` / ``net.routing`` metrics — accumulate here and
@@ -906,7 +919,10 @@ class RouteFrame:
     meters, read between accesses: nothing a frame calls reads them
     (stores and probes act on replica state, watchers read trace
     events), and they are integer sums, so the totals are those of
-    publishing every send.  Trace events are recorded as they happen.
+    publishing every send.  Trace events are recorded as they happen;
+    a one-step send is one :class:`~repro.obs.trace.HopRun` that also
+    holds its discovery's ``routing`` event, and a failed discovery is
+    one zero-hop run with its failed ``route`` event.
     ``data`` and ``routing`` total the frame's data and control
     messages, for the access result.
     """
@@ -935,15 +951,21 @@ class RouteFrame:
             return None
         if src == dst:
             return [src]
-        for _ in range(2):
+        trace = net.trace
+        routing = None  # a traced discovery, recorded with what follows it
+        for last in (False, True):
             entry = net._route_cache.get((src, dst))
             if (entry is not None and entry[1] == net._topo_version
                     and self._static):
                 path, _, load = entry
             else:
                 path, cost, load = self.obtain(dst, entry)
-                self.routing += cost
-                self._routing += cost
+                if cost:
+                    self.routing += cost
+                    self._routing += cost
+                    if trace.enabled:
+                        routing = {"src": src, "dst": dst, "count": cost,
+                                   "found": path is not None}
             if path is None:
                 break
             hops = len(path) - 1
@@ -953,15 +975,47 @@ class RouteFrame:
             for _ in range(hops):
                 end += latency
             if end < self._horizon:
-                net.energy.charge_path(path, load)
+                good = (self._delivered(hops) if net.config.drop_prob > 0
+                        else hops)
+                if good == hops:
+                    net.energy.charge_path(path, load)
+                    sim.skip_to(end)
+                    self.data += hops
+                    self._data += hops
+                    if trace.enabled:
+                        trace.record_hops(
+                            start, latency, path,
+                            {"src": src, "dst": dst, "ok": True,
+                             "hops": hops}, routing=routing, end=end)
+                    return path
+                # Hop ``good`` is lost: the hops before it are delivered
+                # and the lost frame still costs its sender the airtime.
+                end = start
+                for _ in range(good + 1):
+                    end += latency
+                if good:
+                    tables = net._neighbor_tables()
+                    prefix = path[:good + 1]
+                    net.energy.charge_path(prefix, sum(
+                        map(len, map(tables.__getitem__, prefix[:-1]))) - good)
+                net.energy.charge_failed_unicast(path[good])
+                net._metric_unicast_failures.inc()
                 sim.skip_to(end)
-                self.data += hops
-                self._data += hops
-                if net.trace.enabled:
-                    net.trace.record_hops(
-                        start, latency, path,
-                        {"src": src, "dst": dst, "ok": True, "hops": hops})
-                return path
+                self.data += good + 1
+                self._data += good + 1
+                if trace.enabled:
+                    trace.record_hops(
+                        start, latency, path[:good + 2],
+                        {"src": src, "dst": dst, "ok": False} if last
+                        else None, routing=routing, lost=True, end=end)
+                    routing = None
+                net._route_cache.pop((src, dst), None)
+                if last:
+                    return None
+                continue
+            if routing is not None:
+                trace.record("routing", start, **routing)
+                routing = None
             delivered = True
             for a, b in zip(path, path[1:]):
                 self.data += 1
@@ -974,8 +1028,29 @@ class RouteFrame:
                                  hops=hops)
                 return path
             net._route_cache.pop((src, dst), None)
-        net.record_event("route", src=src, dst=dst, ok=False)
+            if last:
+                net.record_event("route", src=src, dst=dst, ok=False)
+                return None
+        # No path: the failed discovery and the failed send, one record.
+        if routing is not None:
+            trace.record_hops(net.sim.now, self._latency, [src],
+                              {"src": src, "dst": dst, "ok": False},
+                              routing=routing)
+        else:
+            net.record_event("route", src=src, dst=dst, ok=False)
         return None
+
+    def _delivered(self, hops: int) -> int:
+        """How many hops of a one-step send get through random drops: one
+        draw of the drops stream per hop in path order, up to the first
+        loss — the per-hop sends' draws, since nothing else runs in the
+        window."""
+        drop_prob = self.net.config.drop_prob
+        draw = self.net._drop_rng.random
+        for i in range(hops):
+            if draw() < drop_prob:
+                return i
+        return hops
 
     def obtain(self, dst: int, entry: Optional[tuple]
                ) -> Tuple[Optional[List[int]], int, int]:

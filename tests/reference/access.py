@@ -5,8 +5,8 @@ kernel of :class:`repro.core.access_engine.AccessEngine` — the flood
 ring, and a batch-window horizon no frame lands before — so a network
 carrying it sends every frame through ``one_hop_broadcast`` /
 ``one_hop_unicast``,
-the code those kernels decline to under mobility, random drops, or a
-simulation event inside the window.  Route discovery still needs a BFS
+the code those kernels decline to under mobility, a simulation event
+inside the window, or (the flood ring) random drops.  Route discovery still needs a BFS
 tree; the stand-in builds one in plain Python on every call, with no
 tree memo to go stale (a route frame holds it for one topology version,
 as it holds the engine's).

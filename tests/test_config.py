@@ -163,6 +163,42 @@ class TestCliLeavesNoTrace:
             "slo": None, "profile": False, "jobs": 1}
 
 
+class TestTraceTruncation:
+    """A command empties its ``--trace`` path once, at its start."""
+
+    FIG8 = ["fig8", "--n", "25", "--keys", "2", "--lookups", "8"]
+
+    def test_a_second_run_replaces_the_trace(self, clean_env, tmp_path,
+                                             capsys):
+        path = tmp_path / "t.jsonl"
+        runs = []
+        for jobs in ("1", "1", "2"):
+            assert main(self.FIG8 + ["--jobs", jobs,
+                                     "--trace", str(path)]) == 0
+            runs.append(path.read_bytes())
+        # The pool's segments still append within the one command.
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].count(b"\n") == 2336
+
+    def test_faults_run_replaces_its_trace(self, clean_env, tmp_path,
+                                           capsys):
+        path = tmp_path / "c.jsonl"
+        runs = []
+        for _ in range(2):
+            assert main(["faults", "run", "--campaign", "smoke", "--n",
+                         "40", "--lookups", "5", "--trace", str(path)]) == 0
+            runs.append(path.read_bytes())
+        assert runs[0] == runs[1] and runs[0]
+
+    def test_an_obs_command_reads_its_trace_untouched(self, clean_env,
+                                                      tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        assert main(self.FIG8 + ["--trace", str(path)]) == 0
+        recorded = path.read_bytes()
+        assert main(["obs", "summarize", str(path)]) == 0
+        assert path.read_bytes() == recorded
+
+
 class TestPoolSweeps:
     """A ``--jobs N`` figure run reports what its ``--jobs 1`` run does."""
 

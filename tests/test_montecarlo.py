@@ -257,7 +257,7 @@ class TestBackendEquivalence:
         _assert_replicas_identical(seq, bat)
 
     def test_identical_with_lossy_links(self):
-        # drop_prob > 0 disables the bulk-forward fast path; results must
+        # drop_prob > 0: one-step sends draw their losses; results must
         # still match exactly (drops draw from the per-replica stream).
         cfg = scenario_config(50, seed=4, drop_prob=0.05)
         run = _random_run(qa=12, ql=9, n_lookups=25)

@@ -925,7 +925,9 @@ class TestHopRuns:
     def test_pinned_campaign_hub_work(self, monkeypatch):
         # Deterministic work vector: the hub judges exactly the events
         # per-event delivery gave (7 487, as before hop runs), in fewer
-        # calls — 898 of them runs that each stand for a routed path.
+        # calls — 1 091 of them runs that each stand for a routed send,
+        # its discovery's routing event included (4 049 calls when only
+        # the hops and the route event were folded).
         calls = {}
         attach = WatcherHub.attach
 
@@ -949,7 +951,7 @@ class TestHopRuns:
         assert report.watch["events"] == 7487
         assert [w["events"] for w in report.watch["watchers"]] == [
             7487, 5083, 1318, 1187]
-        assert calls == {"on_event": 3151, "on_hops": 898}
+        assert calls == {"on_event": 2302, "on_hops": 1091}
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_run_path_verdict_equals_a_replay_of_the_retained_stream(
