@@ -75,8 +75,12 @@ class NetworkConfig:
     require_connected: bool = True
     drop_prob: float = 0.0  # extra random per-hop loss (interference proxy)
 
-    def __post_init__(self) -> None:
-        check_drop_prob(self.drop_prob)
+    def __setattr__(self, name: str, value) -> None:
+        # Checked on every assignment, construction included: a drop
+        # burst sets it on a live network.
+        if name == "drop_prob":
+            check_drop_prob(value)
+        object.__setattr__(self, name, value)
 
     @property
     def side(self) -> float:
@@ -199,7 +203,8 @@ class SimNetwork:
         # index per validity window (`_snapshot`), filtered exactly at
         # every query; `_legs_until` is the earliest end of the alive
         # nodes' current legs, as of the last draw step.  `_rows` is the
-        # table in row space, for the BFS route trees.
+        # table in row space, for the BFS route trees; static rows are
+        # patched on churn like the tables.
         self._kernel: Optional[NeighborKernel] = None
         self._tables: Optional[Dict[int, List[int]]] = None
         self._slack: Optional[SlackIndex] = None
@@ -348,6 +353,7 @@ class SimNetwork:
             table = self._tables.get(other)
             if table is not None and node_id not in table:
                 bisect.insort(table, node_id)
+        self._relink_rows(node_id, neighbors)
 
     def _evict_from_geometry(self, node_id: int) -> None:
         """Drop a node — static tables need no full rebuild for one churn
@@ -364,6 +370,16 @@ class SimNetwork:
             table = self._tables.get(other)
             if table is not None and node_id in table:
                 table.remove(node_id)
+        self._relink_rows(node_id, None)
+
+    def _relink_rows(self, node_id: int, links: Optional[List[int]]) -> None:
+        """Patch static rows that were current before this churn event,
+        copy on write (``NeighborRows.relinked``), so a connectivity
+        check after a tentative failure builds no table."""
+        if self._rows_key == (self._topo_version - 1, None):
+            self._rows = self._rows.relinked(node_id, links)
+            if self._rows is not None:
+                self._rows_key = (self._topo_version, None)
 
     # -- cache keys ----------------------------------------------------------
 
@@ -593,9 +609,10 @@ class SimNetwork:
     def _neighbor_rows(self) -> NeighborRows:
         """The neighbor table in row space, for the BFS route trees.
 
-        Built once per topology version from the static table, and under
-        mobility once per timestamp, straight from the filtered
-        candidate rows of the current index.
+        Built from the static table and then patched, copy on write, at
+        every churn event (``_relink_rows``), and under mobility once per
+        timestamp, straight from the filtered candidate rows of the
+        current index.
         """
         mobile = self.config.mobility != "static"
         key = (self._topo_version, self.sim.now if mobile else None)

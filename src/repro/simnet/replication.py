@@ -8,7 +8,8 @@ be memoized ONCE and served to every replica.
 
 This module also holds that BFS, the only one: :class:`NeighborRows` is
 the neighbor table in row space (``SimNetwork._neighbor_rows`` builds it
-once per topology version, or per timestamp under mobility), and a
+once and patches it on churn, or builds it per timestamp under
+mobility), and a
 :class:`BfsTree` is a FIFO BFS over it kept as flat lists by row —
 predecessor, depth and cumulative ring counts, ≈7 KiB at n = 400 — so a
 memo of hundreds of trees stays small.
@@ -30,6 +31,7 @@ routing messages, energy, and trace events from them.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Tuple
 
 
@@ -40,6 +42,8 @@ class NeighborRows:
     back to its row, and ``adj[r]`` lists row ``r``'s neighbor rows in
     the table's order, so a FIFO BFS over rows discovers the nodes in
     the same order as one over the table.  ``deg[r]`` is ``len(adj[r])``.
+    After churn (:meth:`relinked`) ``ids`` may also hold failed nodes'
+    rows: unlinked, and absent from ``index``.
     """
 
     __slots__ = ("ids", "index", "adj", "deg")
@@ -48,6 +52,42 @@ class NeighborRows:
                  adj: List[List[int]]) -> None:
         self.ids, self.index, self.adj = ids, index, adj
         self.deg = list(map(len, adj))
+
+    def relinked(self, node: int,
+                 links: Optional[List[int]]) -> Optional["NeighborRows"]:
+        """A copy in which ``node`` links to exactly the ids ``links``
+        (its table row), or has left the table (``links`` is None, for a
+        node in ``index``), with the links mirrored; None when ``node``
+        has no row to take.
+
+        Copy on write: ``self`` and every tree built over it stay valid.
+        A node that leaves keeps its row, unlinked and out of ``index``,
+        so no other row is renumbered and a tree from it reaches only
+        itself.  Rows stay in id order: a node comes back to its own
+        row, and a new one can only take a row past the last (a join:
+        ids only grow).
+        """
+        ids, index, adj = self.ids, dict(self.index), list(self.adj)
+        row = bisect.bisect_left(ids, node)
+        if row == len(ids):
+            ids = ids + [node]
+            adj.append([])
+        elif ids[row] != node:
+            return None
+        if links is None:
+            del index[node]
+            new = []
+        else:
+            index[node] = row
+            new = list(map(index.__getitem__, links))
+        old = set(adj[row])
+        for v in old.difference(new):
+            adj[v] = [u for u in adj[v] if u != row]
+        for v in new:
+            if v not in old:
+                adj[v] = sorted(adj[v] + [row])
+        adj[row] = new
+        return NeighborRows(ids, index, adj)
 
 
 class BfsTree:

@@ -9,6 +9,10 @@ independent implementations those are held to live here, outside
 * :mod:`reference.neighbors` — a brute-force O(n²) neighbor oracle over
   ``net.position()``, and a :class:`SimNetwork` whose every neighbor
   query is answered by it;
+* :mod:`reference.binning` — the binning pass of
+  ``repro.geometry.kernel`` in its earlier spelling (``searchsorted``
+  cell bounds, fancy-index gathers, ``lexsort`` pair order), and a
+  scalar O(n²) pair list; imported as ``reference.binning``;
 * :mod:`reference.access` — an ``AccessEngine`` stand-in whose batched
   kernels (flood ring, bulk forwarding) all decline and
   whose BFS trees are rebuilt in Python on every call, so a network

@@ -189,6 +189,15 @@ class TestDropProbabilities:
         with pytest.raises(ValueError, match="drop_prob"):
             load_campaign(str(path))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+    def test_assignment_on_a_live_network_rejects(self, bad):
+        net = SimNetwork(NetworkConfig(n=30, seed=1))
+        with pytest.raises(ValueError, match="drop_prob"):
+            net.config.drop_prob = bad
+        assert net.config.drop_prob == 0.0
+        net.config.drop_prob = 0.4
+        assert net.config.drop_prob == 0.4
+
     @pytest.mark.parametrize("edge", [0.0, 1.0])
     def test_the_edges_are_probabilities(self, edge):
         assert NetworkConfig(drop_prob=edge).drop_prob == edge

@@ -4,7 +4,10 @@ One seeded n = 200 waypoint run — RANDOM advertises (routed, so route
 discoveries) and UNIQUE-PATH lookups (walks, so hops) — with every unit
 of neighbor work counted by wrapping it from outside:
 
-* candidate-index builds (one per validity window, plus churn);
+* candidate-index builds (one per validity window, plus churn), and
+  the candidate pairs each one lists;
+* the candidate pairs each mobile row table (one per discovery
+  timestamp) filters at ``r``;
 * radius-r full-table passes and O(n) kernel range queries: none — no
   mobile path reaches ``_binned_tables``, ``NeighborKernel.
   neighbor_tables`` or ``NeighborKernel.within``;
@@ -73,6 +76,13 @@ def work(monkeypatch):
         def __init__(self, *args):
             count["index_builds"] += 1
             super().__init__(*args)
+            pairs["candidates"].append(len(self.rows))
+
+        def adjacency(self, positions, as_ids=False):
+            if not as_ids:  # a row table, not the whole-graph table
+                pairs["filtered"].append(len(self.rows))
+            return super().adjacency(positions, as_ids)
+    pairs = {"candidates": [], "filtered": []}
     monkeypatch.setattr(network_module, "SlackIndex", CountingIndex)
 
     real_rows = network_module.NeighborRows
@@ -101,19 +111,22 @@ def work(monkeypatch):
         hops.append(moved)
         return ok
     monkeypatch.setattr(SimNetwork, "one_hop_unicast", counting_hop)
-    return count, hops, expansions
+    return count, hops, expansions, pairs
 
 
 def test_mobile_run_work_vector(work):
-    count, hops, expansions = work
+    count, hops, expansions, pairs = work
     net = SimNetwork(scenario_config(200, mobility="waypoint", max_speed=10.0,
                                      hop_latency=0.05, seed=7))
     membership = make_membership(net, "random")
     count.clear()
+    pairs["candidates"].clear()
+    pairs["filtered"].clear()
     run_scenario(net, RandomStrategy(membership),
                  UniquePathStrategy(salvation=True), advertise_size=28,
                  lookup_size=16, n_keys=2, n_lookups=12, seed=2)
     membership.stop()
+    candidates, filtered = list(pairs["candidates"]), list(pairs["filtered"])
 
     tables = net._neighbor_tables()
     mean_degree = sum(map(len, tables.values())) / len(tables)
@@ -131,3 +144,9 @@ def test_mobile_run_work_vector(work):
     # The exact vector of this seeded run.
     assert (count["index_builds"], len(hops), len(steady), sum(steady),
             len(expansions), sum(expansions)) == (7, 371, 363, 6180, 56, 11200)
+    # The binning pass's exact work: the candidate pairs of each index
+    # build (they move with the window Δ and the slack radius) and the
+    # pairs each discovery's row table filters.  No node leaves its
+    # first leg, a pause, so every window lists the same pairs.
+    assert candidates == [2842] * 7
+    assert filtered == [2842] * 56
