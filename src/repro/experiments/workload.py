@@ -57,6 +57,9 @@ OP_GET, OP_PUT, OP_CAS = 0, 1, 2
 GENERATOR_STREAM = "kv-workload-ops"
 KERNEL_STREAM = "kv-workload-kernel"
 
+#: Rows per cache-sized block of the kernel's per-read passes.
+_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -252,6 +255,13 @@ class KVPointConfig:
     rtt: float = 0.02             # per-contact latency scale (max-of-k model)
     rtt_base: float = 0.005
 
+    def __post_init__(self) -> None:
+        for name in ("quorum_a", "quorum_l"):
+            size = getattr(self, name)
+            if not 0 <= size <= self.n:
+                raise ValueError(
+                    f"{name}={size} must be in [0, n={self.n}]")
+
     def sizes(self) -> tuple:
         if self.quorum_a > 0 and self.quorum_l > 0:
             return self.quorum_a, self.quorum_l
@@ -284,17 +294,22 @@ def _first_churn_after(nodes: np.ndarray, t: np.ndarray, churn_comp: np.ndarray,
 
     ``churn_comp`` is the composite-key array ``node * span + time``
     sorted ascending, so one global searchsorted answers every node's
-    query at once.  Nodes with no later event get ``+inf``.
+    query at once.  The queries are put in node order first (a stable
+    sort, so time order within a node is kept): sorted queries let the
+    search start where the last one ended.  Nodes with no later event
+    get ``+inf``.
     """
-    idx = np.searchsorted(churn_comp, nodes * span + t, side="right")
-    out = np.full(len(nodes), np.inf)
-    valid = idx < len(churn_comp)
-    if np.any(valid):
-        comp = churn_comp[idx[valid]]
-        same_node = comp < (nodes[valid] + 1) * span
-        times = comp - nodes[valid] * span
-        out_valid = np.where(same_node, times, np.inf)
-        out[valid] = out_valid
+    by_node = np.argsort(nodes, kind="stable")
+    nodes = nodes[by_node]
+    base = nodes * span
+    idx = np.searchsorted(churn_comp, base + t[by_node], side="right")
+    comp = np.append(churn_comp, np.inf)[idx]   # past the end: no event
+    del idx
+    same_node = comp < (nodes + 1) * span
+    comp -= base
+    comp[~same_node] = np.inf
+    out = np.empty(len(comp))
+    out[by_node] = comp
     return out
 
 
@@ -304,12 +319,15 @@ def _predicted_stale(ages: np.ndarray, expired: np.ndarray, qa: int,
 
     Log-space binomial mixture of the hypergeometric miss table — the
     vectorized twin of
-    :func:`repro.analysis.leases.stale_read_probability_exact`.
+    :func:`repro.analysis.leases.stale_read_probability_exact`.  The
+    mixture runs in place over cache-sized blocks of reads; each read's
+    value takes the same float operations in the same order as over the
+    whole array at once.
     """
     if len(ages) == 0:
         return math.nan
     p = np.where(expired, 0.0, np.exp(-churn_rate * ages))
-    m = miss[:qa + 1].copy()
+    m = miss[:qa + 1]
 
     def mixture(prob: np.ndarray, mvals: np.ndarray) -> np.ndarray:
         # Binomial(qa, prob) mixture of mvals via the pmf recurrence;
@@ -319,17 +337,131 @@ def _predicted_stale(ages: np.ndarray, expired: np.ndarray, qa: int,
         acc = pmf * mvals[0]
         ratio = np.divide(prob, comp, out=np.zeros_like(prob),
                           where=comp > 0.0)
+        term = np.empty_like(prob)
         for k in range(1, qa + 1):
-            pmf = pmf * ratio * ((qa - k + 1) / k)
-            acc = acc + pmf * mvals[k]
+            pmf *= ratio
+            pmf *= (qa - k + 1) / k
+            acc += np.multiply(pmf, mvals[k], out=term)
         return acc
 
     total = np.empty(len(p))
-    lo = p <= 0.5
-    # Small p: sum over survivor counts; large p: over failure counts.
-    total[lo] = mixture(p[lo], m)
-    total[~lo] = mixture(1.0 - p[~lo], m[::-1])
+    for lo in range(0, len(p), _BLOCK):
+        block, out = p[lo:lo + _BLOCK], total[lo:lo + _BLOCK]
+        low = block <= 0.5
+        # Small p: sum over survivor counts; large p: over failure counts.
+        out[low] = mixture(block[low], m)
+        out[~low] = mixture(1.0 - block[~low], m[::-1])
     return float(total.mean())
+
+
+def _draw_quorums(rng: np.random.Generator, count: int, n: int, qa: int,
+                  chunk: int) -> np.ndarray:
+    """``count`` uniform ``qa``-subsets of ``n`` nodes, one row each.
+
+    Rows are drawn ``chunk`` at a time as the ``qa`` smallest of ``n``
+    uniform scores.  Node ids are kept in the smallest dtype that fits
+    ``n``: the slot tables stay small, and the stable sorts by node run
+    as radix sorts.
+    """
+    quorums = np.empty((count, qa), dtype=np.min_scalar_type(n))
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        scores = rng.random((hi - lo, n))
+        quorums[lo:hi] = np.argpartition(scores, qa - 1, axis=1)[:, :qa]
+    return quorums
+
+
+def _commit_cas(committed: np.ndarray, first: np.ndarray, rows: np.ndarray,
+                times: np.ndarray, u: np.ndarray, deaths: np.ndarray,
+                miss: np.ndarray) -> int:
+    """Decide every cas of a key-major write list, in place.
+
+    ``committed`` is true at the puts on entry; ``first[i]`` is the list
+    position of the first write of ``i``'s key, ``rows`` maps positions
+    to rows of ``deaths``.  A cas commits when its key has no commit
+    yet, or when its uniform clears ``miss[c]``, ``c`` the latest
+    commit's slots still alive at the cas's time: the depth-0 first hit
+    of the read rule, so the cas's view is the latest version.  Only the
+    walk to each cas's latest commit is sequential, because a cas
+    commit can be the next cas's latest.  Returns the cas commits.
+    """
+    last_put = np.maximum.accumulate(
+        np.where(committed, np.arange(len(committed)), -1))
+    cas = np.flatnonzero(~committed)
+    last_ok, successes = -1, 0
+    for i, put, start, t, draw in zip(
+            cas.tolist(), last_put[cas].tolist(), first[cas].tolist(),
+            times[cas].tolist(), u[cas].tolist()):
+        latest = max(put, last_ok)
+        if latest >= start and draw < miss[
+                np.count_nonzero(deaths[rows[latest]] > t)]:
+            continue  # the view missed the latest version: the cas fails
+        committed[i] = True
+        last_ok = i
+        successes += 1
+    return successes
+
+
+def _slot_ends(slots: np.ndarray, deaths: np.ndarray, keys: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    """End time of every slot of a key-major ledger of committed writes.
+
+    A slot ends at its death (``deaths``, updated in place and returned),
+    or earlier at the time of the next commit of the same key that
+    re-stores the node (newest wins per replica).  One stable sort of
+    the slots by node keeps each node's slots in ledger order, so a
+    slot's successor in that order is its overwrite whenever both rows
+    belong to one key.
+    """
+    qa = slots.shape[1]
+    flat = slots.reshape(-1)
+    by_node = np.argsort(flat, kind="stable")
+    sorted_nodes = flat[by_node]
+    taken = np.flatnonzero(sorted_nodes[1:] == sorted_nodes[:-1])
+    del sorted_nodes
+    slot, later = by_node[taken], by_node[1:][taken]
+    del by_node, taken
+    later //= qa
+    keep = keys[slot // qa] == keys[later]
+    slot, later = slot[keep], later[keep]
+    ends = deaths.reshape(-1)
+    ends[slot] = np.minimum(ends[slot], times[later])
+    return deaths
+
+
+def _depth_walk(newest: np.ndarray, first: np.ndarray, t: np.ndarray,
+                u: np.ndarray, times: np.ndarray, ends: np.ndarray,
+                ttl: float, miss: np.ndarray, block: int) -> np.ndarray:
+    """Ledger position of the version each read returns (``-1``: none).
+
+    Reads advance newest-to-oldest through their key's ledger rows,
+    each accumulating surviving slot counts until its uniform decides
+    the hypergeometric first hit, it runs out of versions, or everything
+    deeper is past its TTL.  Reads are independent, so they walk in
+    blocks of ``block`` whose ``block x qa`` survival table bounds the
+    pass's memory.
+    """
+    n = len(miss) - 1
+    got = np.full(len(newest), -1, dtype=np.int64)
+    for lo in range(0, len(newest), block):
+        rem = np.arange(lo, min(lo + block, len(newest)))
+        cum = np.zeros(len(rem), dtype=np.int64)
+        depth = 0
+        while len(rem):
+            v = newest[rem] - depth
+            keep = v >= first[rem]
+            rem, v = rem[keep], v[keep]
+            tr = t[rem]
+            in_window = times[v] + ttl > tr
+            rem, v, tr = rem[in_window], v[in_window], tr[in_window]
+            c = cum[rem - lo] + np.count_nonzero(ends[v] > tr[:, None],
+                                                 axis=1)
+            cum[rem - lo] = c
+            hit = u[rem] >= miss[np.minimum(c, n)]
+            got[rem[hit]] = v[hit]
+            rem = rem[~hit]
+            depth += 1
+    return got
 
 
 def run_workload_batched(spec: WorkloadSpec,
@@ -342,6 +474,14 @@ def run_workload_batched(spec: WorkloadSpec,
     key's surviving version compartments (see the module docstring).
     All randomness is pre-drawn from one Philox stream keyed off the
     spec seed, so the run is bit-reproducible.
+
+    The passes run over the whole op stream at once: the writes, sorted
+    key-major, are committed by one cas rule (:func:`_commit_cas`); the
+    committed writes form one key-major ledger, which every read finds
+    its newest version in with one ``searchsorted`` on the exact integer
+    key ``key * (ops + 1) + op``; the slots' overwrite times come from
+    one sort by node (:func:`_slot_ends`); and all keys' reads walk the
+    ledger together, in bounded blocks (:func:`_depth_walk`).
     """
     config = config or KVPointConfig()
     ops = generate_operations(spec)
@@ -363,154 +503,76 @@ def run_workload_batched(spec: WorkloadSpec,
     event_times = rng.random(total_events) * horizon
     churn_comp = np.sort(event_nodes * span + event_times)
 
-    # Pre-drawn randomness (op-indexed, so the per-key sweep order
-    # cannot perturb the stream): write quorums, read outcomes, latency.
+    # Pre-drawn randomness (op-indexed, so no pass order can perturb
+    # the stream): write quorums, read outcomes, latency.
     is_write = ops.kinds != OP_GET
-    write_ordinal = np.cumsum(is_write) - 1
-    n_write_ops = int(is_write.sum())
-    write_quorums = np.empty((n_write_ops, qa), dtype=np.int64)
+    write_ops = np.flatnonzero(is_write)
+    n_write_ops = len(write_ops)
     chunk = max(1, min(n_write_ops, 4_000_000 // max(n, 1)))
-    for lo in range(0, n_write_ops, chunk):
-        hi = min(lo + chunk, n_write_ops)
-        scores = rng.random((hi - lo, n))
-        write_quorums[lo:hi] = np.argpartition(scores, qa - 1,
-                                               axis=1)[:, :qa]
+    write_quorums = _draw_quorums(rng, n_write_ops, n, qa, chunk)
     outcome_u = rng.random(len(ops))
     lat_query_u = rng.random(len(ops))
     lat_store_u = rng.random(len(ops))
 
     miss = _miss_table(n, ql)
 
-    # Global per-read outputs (indexed by op id).
-    read_version = np.full(len(ops), -1, dtype=np.int64)
-    read_latest = np.full(len(ops), -1, dtype=np.int64)
-    read_expiry = np.full(len(ops), np.inf)
-    pred_age = np.full(len(ops), np.nan)
-    pred_expired = np.zeros(len(ops), dtype=bool)
-    stored = np.zeros(len(ops), dtype=bool)   # write/cas committed a version
-
-    cas_attempts = cas_successes = 0
-
     # Death time of every potential slot — min(first churn after the
-    # store, store + TTL) — precomputed for all write/cas ops at once.
-    write_ops = np.flatnonzero(is_write)
+    # store, store + TTL) — for all write/cas ops at once.
     w_times = np.repeat(ops.times[write_ops], qa)
-    flat_nodes = write_quorums.reshape(-1)
     all_deaths = np.minimum(
-        _first_churn_after(flat_nodes, w_times, churn_comp, span),
+        _first_churn_after(write_quorums.reshape(-1), w_times, churn_comp,
+                           span),
         w_times + ttl).reshape(n_write_ops, qa)
+    del w_times
 
-    def decide_single(op: int, latest_counter: int,
-                      node_version: np.ndarray,
-                      node_death: np.ndarray) -> int:
-        """Pass-1 single-read decision (a cas's view) on slot state."""
-        if latest_counter < 0:
-            return -1
-        t = float(ops.times[op])
-        slot_order = np.argsort(-node_version, kind="stable")
-        versions = node_version[slot_order]
-        valid = int(np.count_nonzero(versions >= 0))
-        if valid == 0:
-            return -1
-        versions = versions[:valid]
-        cum = np.cumsum(node_death[slot_order[:valid]] > t)
-        bounds = np.append(np.flatnonzero(np.diff(versions)), valid - 1)
-        hit = np.flatnonzero(outcome_u[op] >= miss[cum[bounds]])
-        return int(versions[bounds[hit[0]]]) if len(hit) else -1
+    # Writes key-major (time order within a key); puts always commit.
+    w_keys = ops.keys[write_ops]
+    by_key = np.argsort(w_keys, kind="stable")
+    w_keys = w_keys[by_key]
+    w_ops = write_ops[by_key]
+    committed = ops.kinds[w_ops] == OP_PUT
+    writes = int(np.count_nonzero(committed))
+    cas_attempts = n_write_ops - writes
+    cas_successes = _commit_cas(
+        committed, np.searchsorted(w_keys, w_keys), by_key,
+        ops.times[w_ops], outcome_u[w_ops], all_deaths, miss)
+    stored = np.zeros(len(ops), dtype=bool)   # write/cas committed a version
+    stored[w_ops[committed]] = True
 
-    order = np.argsort(ops.keys, kind="stable")  # per-key, time-ordered
-    sorted_keys = ops.keys[order]
-    group_bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
+    # The ledger: committed writes, key-major; a key's versions are its
+    # rows counted from the key's first row.
+    ledger = by_key[committed]
+    l_keys, l_ops = w_keys[committed], w_ops[committed]
+    l_times = ops.times[l_ops]
+    # Only the ledger's rows go on: the per-write arrays are freed before
+    # the overwrite pass, which sets the pass's peak after the draws.
+    slots, deaths = write_quorums[ledger], all_deaths[ledger]
+    del by_key, w_keys, w_ops, committed, ledger, write_quorums, all_deaths
+    ends = _slot_ends(slots, deaths, l_keys, l_times)
+    del slots, deaths
+    key_first = np.searchsorted(l_keys, np.arange(spec.n_keys))
 
-    for group in np.split(order, group_bounds):
-        group_kinds = ops.kinds[group]
-        wpos = np.flatnonzero(group_kinds != OP_GET)
-        wops = group[wpos]
+    reads = np.flatnonzero(~is_write)
+    r_keys = ops.keys[reads]
+    stride = len(ops) + 1
+    pos = np.searchsorted(l_keys * stride + l_ops, r_keys * stride + reads)
+    first = key_first[r_keys]
+    eligible = pos > first
+    elig = np.flatnonzero(eligible)
+    newest, first = pos[elig] - 1, first[elig]
+    tr = ops.times[reads[elig]]
+    read_latest = np.full(len(reads), -1, dtype=np.int64)
+    read_latest[elig] = newest - first
+    pred_age = tr - l_times[newest]
+    pred_expired = tr >= l_times[newest] + ttl
 
-        # Pass 1 — commit writes.  A cas needs its own read decision
-        # against the live slot state, so keys with cas ops walk their
-        # write events sequentially; put-only keys commit in bulk.
-        if np.any(group_kinds[wpos] == OP_CAS):
-            node_version = np.full(n, -1, dtype=np.int64)
-            node_death = np.full(n, -np.inf)
-            committed: List[int] = []
-            latest = -1
-            for op in wops:
-                op = int(op)
-                w = int(write_ordinal[op])
-                if ops.kinds[op] == OP_CAS:
-                    cas_attempts += 1
-                    seen = decide_single(op, latest, node_version,
-                                         node_death)
-                    if seen != latest:
-                        continue  # stale or empty view: cas fails
-                    cas_successes += 1
-                committed.append(w)
-                latest += 1
-                node_version[write_quorums[w]] = latest
-                node_death[write_quorums[w]] = all_deaths[w]
-                stored[op] = True
-            cw = np.asarray(committed, dtype=np.int64)
-            cw_tw = ops.times[write_ops[cw]] if len(cw) else np.empty(0)
-        else:
-            cw = write_ordinal[wops]
-            cw_tw = ops.times[wops]
-            stored[wops] = True
-
-        ridx = group[group_kinds == OP_GET]
-        n_writes_k = len(cw)
-        if len(ridx) == 0 or n_writes_k == 0:
-            continue
-        tr = ops.times[ridx]
-        s = np.searchsorted(cw_tw, tr, side="right")
-        elig = np.flatnonzero(s >= 1)
-        newest = s[elig] - 1
-        read_latest[ridx[elig]] = newest
-        pred_age[ridx[elig]] = tr[elig] - cw_tw[newest]
-        pred_expired[ridx[elig]] = tr[elig] >= cw_tw[newest] + ttl
-
-        # Slot end times: death curtailed by the next committed write
-        # that re-stores the same node (newest-wins per replica).
-        quorums_k = write_quorums[cw]
-        flat = quorums_k.reshape(-1)
-        fw = np.repeat(np.arange(n_writes_k), qa)
-        by_node = np.lexsort((fw, flat))
-        sf, sw = flat[by_node], fw[by_node]
-        overwrite_sorted = np.full(n_writes_k * qa, np.inf)
-        taken = np.flatnonzero(sf[1:] == sf[:-1])
-        overwrite_sorted[taken] = cw_tw[sw[taken + 1]]
-        overwrite = np.empty(n_writes_k * qa)
-        overwrite[by_node] = overwrite_sorted
-        ends = np.minimum(all_deaths[cw], overwrite.reshape(-1, qa))
-
-        # Pass 2 — the depth walk: all of the key's reads advance
-        # newest-to-oldest together, each accumulating surviving vote
-        # counts until its pre-drawn uniform decides the hypergeometric
-        # first-hit, it runs out of versions, or everything deeper is
-        # past its TTL.
-        u = outcome_u[ridx]
-        cum = np.zeros(len(ridx))
-        rem = elig
-        depth = 1
-        while len(rem):
-            v = s[rem] - depth
-            keep = v >= 0
-            rem, v = rem[keep], v[keep]
-            if len(rem) == 0:
-                break
-            in_window = cw_tw[v] + ttl > tr[rem]
-            rem, v = rem[in_window], v[in_window]
-            if len(rem) == 0:
-                break
-            cum[rem] += (ends[v] > tr[rem][:, None]).sum(axis=1)
-            hit = u[rem] >= miss[np.minimum(
-                cum[rem].astype(np.int64), n)]
-            if hit.any():
-                rows = rem[hit]
-                read_version[ridx[rows]] = v[hit]
-                read_expiry[ridx[rows]] = cw_tw[v[hit]] + ttl
-                rem = rem[~hit]
-            depth += 1
+    got = _depth_walk(newest, first, tr, outcome_u[reads[elig]], l_times,
+                      ends, ttl, miss, max(1, min(_BLOCK, chunk * n // qa)))
+    hit = got >= 0
+    read_version = np.full(len(reads), -1, dtype=np.int64)
+    read_version[elig[hit]] = got[hit] - first[hit]
+    read_expiry = np.full(len(reads), np.inf)
+    read_expiry[elig[hit]] = l_times[got[hit]] + ttl
 
     # Latency: query phase = max of ql per-contact RTTs, store phase
     # (writes and successful cas) adds a max of qa; inverse-CDF of the
@@ -523,27 +585,20 @@ def run_workload_batched(spec: WorkloadSpec,
     latency = latency + np.where(
         stored, config.rtt_base + config.rtt * max_exp(lat_store_u, qa), 0.0)
 
-    reads_mask = ops.kinds == OP_GET
-    ridx = np.flatnonzero(reads_mask)
-    r_version = read_version[ridx]
-    r_latest = read_latest[ridx]
-    found = r_version >= 0
-    eligible = r_latest >= 0
+    found = read_version >= 0
     missed = int(np.count_nonzero(~found & eligible))
-    not_newest = int(np.count_nonzero(found & (r_version < r_latest)))
-    predicted = _predicted_stale(pred_age[ridx][eligible],
-                                 pred_expired[ridx][eligible],
-                                 qa, config.churn_rate, miss)
+    not_newest = int(np.count_nonzero(found & (read_version < read_latest)))
+    predicted = _predicted_stale(pred_age, pred_expired, qa,
+                                 config.churn_rate, miss)
 
     report = check_kv_batch(
-        ops.times[ridx], r_version, r_latest, read_expiry[ridx],
-        writes=int(np.count_nonzero(ops.kinds == OP_PUT)),
-        cas_attempts=cas_attempts, cas_successes=cas_successes)
+        ops.times[reads], read_version, read_latest, read_expiry,
+        writes=writes, cas_attempts=cas_attempts,
+        cas_successes=cas_successes)
 
     p50, p99, p999 = np.percentile(latency, (50.0, 99.0, 99.9))
     return KVRunStats(
-        backend="batched", ops=len(ops), reads=int(reads_mask.sum()),
-        writes=int(np.count_nonzero(ops.kinds == OP_PUT)),
+        backend="batched", ops=len(ops), reads=len(reads), writes=writes,
         cas_attempts=cas_attempts, cas_successes=cas_successes,
         found_reads=int(np.count_nonzero(found)), missed_reads=missed,
         stale_or_missed=not_newest + missed,

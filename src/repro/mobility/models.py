@@ -73,6 +73,9 @@ class MobilityModel(ABC):
     def next_leg(self, node_id: int, t: float, pos: Point) -> Leg:
         """The leg beginning at time ``t`` from position ``pos``."""
 
+    def forget(self, node_id: int) -> None:
+        """Drop any per-node state, so a node added again starts afresh."""
+
 
 class StaticPlacement(MobilityModel):
     """Uniform random placement; nodes never move."""
@@ -148,6 +151,9 @@ class RandomWaypoint(MobilityModel):
         self._pausing[node_id] = True
         return Leg(t0=t, p0=pos, t1=t + duration, p1=dest)
 
+    def forget(self, node_id: int) -> None:
+        self._pausing.pop(node_id, None)
+
 
 class MobilityManager:
     """Tracks every node's current leg and answers position queries.
@@ -193,6 +199,7 @@ class MobilityManager:
 
     def remove_node(self, node_id: int) -> None:
         self._legs.pop(node_id, None)
+        self.model.forget(node_id)
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._legs

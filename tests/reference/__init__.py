@@ -33,6 +33,11 @@ independent implementations those are held to live here, outside
   ``RandomMembership``: every alive node's view drawn at the refresh,
   from its own (epoch key, node) stream over a filtered pool, what the
   lazily drawn views are held to.
+* :mod:`reference.kv_kernel` — the batched kv kernel in its per-key
+  spelling (writes committed one at a time, each cas decided by a full
+  single-read decision, per-key overwrite sorts and depth walks), what
+  the whole-stream passes of ``run_workload_batched`` are held to field
+  for field; imported as ``reference.kv_kernel``.
 """
 
 from reference.access import (

@@ -145,6 +145,21 @@ class TestBatchedKernel:
         assert stats.stale_or_missed == 0
         assert stats.availability == 1.0
 
+    @pytest.mark.parametrize("field, sizes", [
+        ("quorum_a", dict(quorum_a=20, quorum_l=20)),
+        ("quorum_a", dict(quorum_a=-1)),
+        ("quorum_l", dict(quorum_l=11)),
+        ("quorum_l", dict(quorum_a=4, quorum_l=-3)),
+    ])
+    def test_explicit_sizes_outside_population_rejected(self, field, sizes):
+        with pytest.raises(ValueError, match=field):
+            KVPointConfig(n=10, **sizes)
+
+    def test_explicit_sizes_at_the_bounds_accepted(self):
+        assert KVPointConfig(n=10, quorum_a=10, quorum_l=10).sizes() \
+            == (10, 10)
+        assert KVPointConfig(n=10, quorum_a=0, quorum_l=3).sizes()[1] == 3
+
 
 class TestBackendParity:
     def test_same_op_stream_both_backends(self):

@@ -143,10 +143,12 @@ def test_mobile_run_work_vector(work):
     assert all(0 < e <= net.n_alive for e in expansions)
     # The exact vector of this seeded run.
     assert (count["index_builds"], len(hops), len(steady), sum(steady),
-            len(expansions), sum(expansions)) == (7, 371, 363, 6180, 56, 11200)
+            len(expansions), sum(expansions)) == (8, 386, 371, 6752, 56, 11181)
     # The binning pass's exact work: the candidate pairs of each index
     # build (they move with the window Δ and the slack radius) and the
-    # pairs each discovery's row table filters.  No node leaves its
-    # first leg, a pause, so every window lists the same pairs.
-    assert candidates == [2842] * 7
-    assert filtered == [2842] * 56
+    # pairs each discovery's row table filters.  Every node starts on a
+    # move leg, so each window lists its own pairs, and each discovery
+    # filters the pairs of the window it falls in.
+    assert candidates == [2922, 3004, 3036, 3126, 3212, 3258, 3296, 3326]
+    assert filtered == ([2842] * 6 + [2922] * 11 + [3004] * 9 + [3036] * 10
+                        + [3126] * 9 + [3212] * 8 + [3258] * 3)

@@ -161,6 +161,28 @@ class TestMobilityManager:
         mgr.add_node(7)
         assert sorted(mgr.node_ids()) == [3, 7]
 
+    def test_removed_node_starts_afresh_on_a_move_leg(self):
+        model = RandomWaypoint(side=100.0, rng=random.Random(2))
+        mgr = MobilityManager(model)
+        mgr.add_node(0, position=(5.0, 5.0))
+        mgr.remove_node(0)
+        mgr.add_node(0, position=(5.0, 5.0))
+        leg = mgr._legs[0]
+        assert leg.p1 != leg.p0
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_redrawn_waypoint_placement_starts_moving(self, seed):
+        # A placement that is not connected is redrawn node by node
+        # (remove, then add); every node must still start on a move leg,
+        # not on the pause the discarded placement queued.
+        from repro.experiments.common import scenario_config
+        from repro.simnet.network import SimNetwork
+        net = SimNetwork(scenario_config(200, mobility="waypoint",
+                                         max_speed=10.0, seed=seed))
+        legs = net.mobility._legs
+        assert len(legs) == 200
+        assert all(leg.p1 != leg.p0 for leg in legs.values())
+
 
 class _ScriptedLegs(RandomWaypoint):
     """Waypoint model whose first leg per node is handed in."""
