@@ -20,12 +20,43 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Optional, Tuple
 from collections import deque
 
 from repro.sim.kernel import Event, Simulator
 
 BROADCAST = -1
+
+#: Size past which a :class:`RecentKeys` table first forgets old keys.
+PRUNE_AT = 8192
+
+
+class RecentKeys(dict):
+    """A dedupe table: key -> the simulated time it was first seen.
+
+    :meth:`note` records a key.  Once the table holds more than
+    ``limit`` keys it forgets those older than ``window`` seconds, and the
+    next limit is twice what is left (never below :data:`PRUNE_AT`), so
+    pruning costs O(1) amortised per key even when every key is recent.
+    A key younger than ``window`` is never forgotten.
+    """
+
+    __slots__ = ("window", "limit")
+
+    def __init__(self, window: float) -> None:
+        super().__init__()
+        self.window = window
+        self.limit = PRUNE_AT
+
+    def note(self, key: Any, now: float) -> None:
+        """Record ``key`` as seen at ``now``."""
+        self[key] = now
+        if len(self) > self.limit:
+            horizon = now - self.window
+            kept = [(k, t) for k, t in self.items() if t >= horizon]
+            self.clear()
+            self.update(kept)
+            self.limit = max(PRUNE_AT, 2 * len(kept))
 
 
 @dataclass(frozen=True)
@@ -43,7 +74,7 @@ class MacParams:
     ack_timeout_guard: float = 100e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class MacFrame:
     """A frame on the air: DATA or ACK."""
 
@@ -55,7 +86,7 @@ class MacFrame:
     retry: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _OutgoingJob:
     dst: int
     payload: Any
@@ -99,7 +130,7 @@ class MacLayer:
         self._seq = itertools.count()
         self._pending_ack: Optional[Tuple[int, Event]] = None  # (seq, timeout)
         self._attempt_event: Optional[Event] = None
-        self._seen_data: Dict[Tuple[int, int], float] = {}  # dedupe (src, seq)
+        self._seen_data = RecentKeys(30.0)  # dedupe (src, seq)
         self.alive = True
 
         # Statistics
@@ -124,18 +155,15 @@ class MacLayer:
         """Queue a unicast frame; exactly one of the callbacks fires later."""
         if dst == self.node_id:
             raise ValueError("cannot unicast to self")
-        job = _OutgoingJob(dst=dst, payload=payload, payload_bytes=payload_bytes,
-                           on_success=on_success, on_failure=on_failure,
-                           seq=next(self._seq))
+        job = _OutgoingJob(dst, payload, payload_bytes, on_success,
+                           on_failure, next(self._seq))
         self._queue.append(job)
         self._kick()
 
     def send_broadcast(self, payload: Any, payload_bytes: int = 512) -> None:
         """Queue a broadcast frame (fire and forget, jittered)."""
-        job = _OutgoingJob(dst=BROADCAST, payload=payload,
-                           payload_bytes=payload_bytes,
-                           on_success=None, on_failure=None,
-                           seq=next(self._seq))
+        job = _OutgoingJob(BROADCAST, payload, payload_bytes, None, None,
+                           next(self._seq))
         self._queue.append(job)
         self._kick()
 
@@ -180,8 +208,8 @@ class MacLayer:
             # Medium busy: back off again (simplified DCF freeze).
             self._schedule_attempt()
             return
-        frame = MacFrame(kind="data", src=self.node_id, dst=job.dst,
-                         seq=job.seq, payload=job.payload, retry=job.retry)
+        frame = MacFrame("data", self.node_id, job.dst, job.seq,
+                         job.payload, job.retry)
         broadcast = job.dst == BROADCAST
         duration = self.channel.params.tx_duration(job.payload_bytes,
                                                    broadcast=broadcast)
@@ -217,48 +245,40 @@ class MacLayer:
     # -- receive path ----------------------------------------------------
 
     def _on_frame(self, _rx_id: int, frame: MacFrame, _rx_power: float) -> None:
+        # Every decodable frame at every attached node comes through
+        # here: one pass over kind and destination, then the dedupe.
         if not self.alive:
             return
+        dst = frame.dst
         if frame.kind == "ack":
-            self._handle_ack(frame)
+            if dst == self.node_id:
+                self._handle_ack(frame)
             return
-        if frame.dst == self.node_id:
+        if dst == self.node_id:
             self._send_ack(frame)
-            if not self._is_duplicate(frame):
-                self.delivered_up += 1
-                self.deliver(frame.payload, frame.src)
-        elif frame.dst == BROADCAST:
-            if not self._is_duplicate(frame):
-                self.delivered_up += 1
-                self.deliver(frame.payload, frame.src)
-        elif self.promiscuous and self.on_overhear is not None:
-            self.on_overhear(frame.payload, frame.src, frame.dst)
-
-    def _is_duplicate(self, frame: MacFrame) -> bool:
+        elif dst != BROADCAST:
+            if self.promiscuous and self.on_overhear is not None:
+                self.on_overhear(frame.payload, frame.src, dst)
+            return
         key = (frame.src, frame.seq)
-        if key in self._seen_data:
-            return True
-        self._seen_data[key] = self.sim.now
-        if len(self._seen_data) > 8192:
-            horizon = self.sim.now - 30.0
-            self._seen_data = {
-                k: v for k, v in self._seen_data.items() if v >= horizon
-            }
-        return False
+        seen = self._seen_data
+        if key in seen:
+            return
+        seen.note(key, self.sim.now)
+        self.delivered_up += 1
+        self.deliver(frame.payload, frame.src)
 
     def _send_ack(self, frame: MacFrame) -> None:
-        ack = MacFrame(kind="ack", src=self.node_id, dst=frame.src,
-                       seq=frame.seq)
+        ack = MacFrame("ack", self.node_id, frame.src, frame.seq)
         duration = self.channel.params.tx_duration(self.params.ack_bytes)
-        self.sim.schedule(
-            self.params.sifs,
-            lambda: self.alive and self.channel.transmit(self.node_id, ack, duration),
-        )
+        self.sim.schedule(self.params.sifs, self._transmit_ack, ack, duration)
         self.acks_sent += 1
 
+    def _transmit_ack(self, ack: MacFrame, duration: float) -> None:
+        if self.alive:
+            self.channel.transmit(self.node_id, ack, duration)
+
     def _handle_ack(self, frame: MacFrame) -> None:
-        if frame.dst != self.node_id:
-            return
         job = self._current
         if job is None or self._pending_ack is None:
             return

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.mac.csma import MacLayer
+from repro.mac.csma import MacLayer, RecentKeys
 from repro.net.packet import (
     DataPacket,
     RouteError,
@@ -55,6 +55,19 @@ class _BufferedPacket:
     queued_at: float
 
 
+class AodvTotals:
+    """Running sums of transmission counters over every agent that
+    shares this object: ``control`` (RREQ + RREP + RERR) and ``data``
+    (originations + forwards).  A stack reads them in O(1) per send
+    instead of summing every node."""
+
+    __slots__ = ("control", "data")
+
+    def __init__(self) -> None:
+        self.control = 0
+        self.data = 0
+
+
 class AodvAgent:
     """AODV routing state machine for one node."""
 
@@ -66,6 +79,7 @@ class AodvAgent:
         deliver: Callable[[Any, DataPacket], None],
         *,
         rng: random.Random,
+        totals: AodvTotals,
     ) -> None:
         self.sim = sim
         self.mac = mac
@@ -73,11 +87,13 @@ class AodvAgent:
         self.deliver = deliver
         self.params = AodvParams()
         self.rng = rng
+        #: Shared running sums this agent's counters also add to.
+        self.totals = totals
 
         self.seq = 0
         self._rreq_id = itertools.count(1)
         self.routes: Dict[int, RouteEntry] = {}
-        self._seen_rreqs: Dict[Tuple[int, int], float] = {}
+        self._seen_rreqs = RecentKeys(30.0)  # (origin, rreq_id)
         self._buffers: Dict[int, List[_BufferedPacket]] = {}
         self._discovery_state: Dict[int, Tuple[int, int]] = {}  # dst -> (attempt, ttl)
 
@@ -93,11 +109,16 @@ class AodvAgent:
         self.data_originated = 0
         self.data_delivered = 0
 
-    # -- public API --------------------------------------------------------
+        #: Receive dispatch, for the stack node: exact payload type ->
+        #: handler (a subclass of a packet type is not a routing payload).
+        self.handlers: Dict[type, Callable[[Any, int], None]] = {
+            RouteRequest: self._handle_rreq,
+            RouteReply: self._handle_rrep,
+            RouteError: self._handle_rerr,
+            DataPacket: self._handle_data,
+        }
 
-    def control_messages(self) -> int:
-        """Total routing-layer control transmissions by this node."""
-        return self.rreq_sent + self.rrep_sent + self.rerr_sent
+    # -- public API --------------------------------------------------------
 
     def has_route(self, dst: int) -> bool:
         entry = self.routes.get(dst)
@@ -112,25 +133,13 @@ class AodvAgent:
         packet = DataPacket(pkt_id=next_packet_id(), src=self.node_id,
                             dst=dst, payload=payload)
         self.data_originated += 1
+        self.totals.data += 1
         if dst == self.node_id:
             self.data_delivered += 1
             self.deliver(payload, packet)
             return packet
         self._route_or_discover(packet)
         return packet
-
-    # -- receive dispatch ----------------------------------------------------
-
-    def on_payload(self, payload: Any, from_node: int) -> None:
-        """Entry point for every network payload handed up by the MAC."""
-        if isinstance(payload, RouteRequest):
-            self._handle_rreq(payload, from_node)
-        elif isinstance(payload, RouteReply):
-            self._handle_rrep(payload, from_node)
-        elif isinstance(payload, RouteError):
-            self._handle_rerr(payload, from_node)
-        elif isinstance(payload, DataPacket):
-            self._handle_data(payload, from_node)
 
     # -- data path -----------------------------------------------------------
 
@@ -157,6 +166,7 @@ class AodvAgent:
             return
         if packet.src != self.node_id:
             self.data_forwarded += 1
+            self.totals.data += 1
         self.mac.send_unicast(
             entry.next_hop,
             packet,
@@ -174,6 +184,7 @@ class AodvAgent:
             self.routes[dst].valid = False
         if broken:
             self.rerr_sent += 1
+            self.totals.control += 1
             self.mac.send_broadcast(RouteError(unreachable=broken),
                                     payload_bytes=32)
         self._on_forward_failure(packet)
@@ -208,8 +219,9 @@ class AodvAgent:
             hop_count=0,
             ttl=ttl,
         )
-        self._seen_rreqs[(self.node_id, rreq.rreq_id)] = self.sim.now
+        self._seen_rreqs.note((self.node_id, rreq.rreq_id), self.sim.now)
         self.rreq_sent += 1
+        self.totals.control += 1
         self.mac.send_broadcast(rreq, payload_bytes=32)
         wait = max(2 * ttl, 2) * self.params.ring_traversal_time_per_ttl
         self.sim.schedule(wait, self._check_discovery, dst, rreq.rreq_id)
@@ -270,12 +282,7 @@ class AodvAgent:
         key = (rreq.origin, rreq.rreq_id)
         if key in self._seen_rreqs:
             return
-        self._seen_rreqs[key] = self.sim.now
-        if len(self._seen_rreqs) > 8192:
-            horizon = self.sim.now - 30.0
-            self._seen_rreqs = {
-                k: v for k, v in self._seen_rreqs.items() if v >= horizon
-            }
+        self._seen_rreqs.note(key, self.sim.now)
         hops_here = rreq.hop_count + 1
         self._update_route(rreq.origin, from_node, hops_here, rreq.origin_seq)
         # Also learn the one-hop route to the forwarder.
@@ -300,6 +307,7 @@ class AodvAgent:
                 dst_seq=rreq.dst_seq, hop_count=hops_here, ttl=rreq.ttl - 1,
             )
             self.rreq_sent += 1
+            self.totals.control += 1
             self.mac.send_broadcast(fwd, payload_bytes=32)
 
     def _send_rrep_towards(self, origin: int, dst: int, dst_seq: int,
@@ -311,6 +319,7 @@ class AodvAgent:
                           hop_count=hop_count,
                           lifetime=self.params.active_route_timeout)
         self.rrep_sent += 1
+        self.totals.control += 1
         self.mac.send_unicast(entry.next_hop, rrep, payload_bytes=24)
 
     def _handle_rrep(self, rrep: RouteReply, from_node: int) -> None:
@@ -326,6 +335,7 @@ class AodvAgent:
                          dst_seq=rrep.dst_seq, hop_count=hops_here,
                          lifetime=rrep.lifetime)
         self.rrep_sent += 1
+        self.totals.control += 1
         self.mac.send_unicast(entry.next_hop, fwd, payload_bytes=24)
 
     def _handle_rerr(self, rerr: RouteError, from_node: int) -> None:
@@ -337,5 +347,6 @@ class AodvAgent:
                 invalidated.append((dst, max(entry.dst_seq, dst_seq)))
         if invalidated:
             self.rerr_sent += 1
+            self.totals.control += 1
             self.mac.send_broadcast(RouteError(unreachable=invalidated),
                                     payload_bytes=32)

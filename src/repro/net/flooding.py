@@ -10,9 +10,9 @@ interface.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict
+from typing import Any, Callable
 
-from repro.mac.csma import MacLayer
+from repro.mac.csma import MacLayer, RecentKeys
 from repro.net.packet import FloodPacket, next_packet_id
 from repro.sim.kernel import Simulator
 
@@ -34,7 +34,7 @@ class FloodingAgent:
         self.node_id = node_id
         self.deliver = deliver
         self.rng = rng
-        self._seen: Dict[int, float] = {}
+        self._seen = RecentKeys(60.0)  # pkt_id
         self.floods_originated = 0
         self.rebroadcasts = 0
 
@@ -44,7 +44,7 @@ class FloodingAgent:
             raise ValueError("flood TTL must be >= 1")
         packet = FloodPacket(pkt_id=next_packet_id(), origin=self.node_id,
                              payload=payload, ttl=ttl)
-        self._seen[packet.pkt_id] = self.sim.now
+        self._seen.note(packet.pkt_id, self.sim.now)
         self.floods_originated += 1
         self.deliver(payload, packet)
         self.mac.send_broadcast(packet)
@@ -57,8 +57,7 @@ class FloodingAgent:
         packet = payload
         if packet.pkt_id in self._seen:
             return
-        self._seen[packet.pkt_id] = self.sim.now
-        self._gc()
+        self._seen.note(packet.pkt_id, self.sim.now)
         self.deliver(packet.payload, packet)
         if packet.ttl - 1 > 0:
             fwd = FloodPacket(pkt_id=packet.pkt_id, origin=packet.origin,
@@ -66,8 +65,3 @@ class FloodingAgent:
                               hop_count=packet.hop_count + 1)
             self.rebroadcasts += 1
             self.mac.send_broadcast(fwd)
-
-    def _gc(self) -> None:
-        if len(self._seen) > 8192:
-            horizon = self.sim.now - 60.0
-            self._seen = {k: v for k, v in self._seen.items() if v >= horizon}

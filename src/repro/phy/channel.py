@@ -70,7 +70,7 @@ class NodeEnvironment(Protocol):
         ...
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """An in-flight (or recently completed) frame on the air."""
 
@@ -108,28 +108,26 @@ class _Channel:
     def attach(self, node_id: int, on_frame: FrameCallback) -> None:
         """Register a node's receive callback."""
         self._receivers[node_id] = on_frame
+        self._rows_version = None  # rows list attached nodes
 
     def detach(self, node_id: int) -> None:
         self._receivers.pop(node_id, None)
+        self._rows_version = None
 
     def is_transmitting(self, node_id: int) -> bool:
         now = self.sim.now
-        return any(tx.sender == node_id and tx.end > now
-                   for tx in self._on_air)
+        for tx in self._on_air:
+            if tx.sender == node_id and tx.end > now:
+                return True
+        return False
 
     def transmit(self, sender: int, frame: Any, duration: float) -> Transmission:
         """Put a frame on the air; reception resolves after ``duration``."""
         now = self.sim.now
         self._prune(now)
-        tx = Transmission(
-            tx_id=self._next_tx_id,
-            sender=sender,
-            sender_pos=self.env.position_of(sender),
-            start=now,
-            end=now + duration,
-            power_mw=self.params.tx_power_mw,
-            frame=frame,
-        )
+        tx = Transmission(self._next_tx_id, sender,
+                          self.env.position_of(sender), now, now + duration,
+                          self.params.tx_power_mw, frame)
         self._next_tx_id += 1
         self._on_air.append(tx)
         self.frames_sent += 1
@@ -144,21 +142,33 @@ class _Channel:
         start still waiting to resolve.  A frame ending right ``now``
         may not have resolved yet and counts as waiting, so the kept set
         is always a superset of what the overlap predicate can select.
+        The clock never runs backwards, so starts do not decrease along
+        the ledger and the first waiting entry has the earliest start.
         """
-        horizon = min((t.start for t in self._on_air if t.end >= now),
-                      default=now)
-        self._on_air = [t for t in self._on_air if t.end > horizon]
+        on_air = self._on_air
+        horizon = now
+        for t in on_air:
+            if t.end >= now:
+                horizon = t.start
+                break
+        for t in on_air:
+            if t.end <= horizon:
+                self._on_air = [t for t in on_air if t.end > horizon]
+                return
 
     def _resolve(self, tx: Transmission) -> None:
         """Hand the frame and what overlapped it to the reception model."""
         self._prune(self.sim.now)
-        self._receive(tx, [
-            other
-            for other in self._on_air
-            if other.tx_id != tx.tx_id
-            and other.start < tx.end
-            and other.end > tx.start
-        ])
+        # Starts do not decrease along the ledger: past the first entry
+        # that starts at or after this frame's end, none can overlap it.
+        start, end, tx_id = tx.start, tx.end, tx.tx_id
+        overlapping = []
+        for other in self._on_air:
+            if other.start >= end:
+                break
+            if other.end > start and other.tx_id != tx_id:
+                overlapping.append(other)
+        self._receive(tx, overlapping)
 
     def _row(self, sender_pos: Point, power_mw: float) -> Any:
         """The link row of a transmitter at ``sender_pos``, built at most
@@ -188,7 +198,8 @@ class _Channel:
 class _GainRow:
     """SINR link row: received power at each snapshot index; the
     ``(index, node)`` pairs within hearing range that clear RXThresh,
-    ascending id; and the nodes within hearing range that do not."""
+    ascending id; and the attached nodes within hearing range that do
+    not (rows are dropped when a node attaches or detaches)."""
 
     power_mw: List[float]
     strong: List[Tuple[int, int]]
@@ -226,18 +237,24 @@ class SINRChannel(_Channel):
         """True if cumulative on-air power at the node clears CSThresh."""
         now = self.sim.now
         self._prune(now)
+        on_air = self._on_air
         # Asking for a position advances waypoint legs (one shared RNG
         # stream), so it is asked only while something is on the air.
-        if not any(tx.end > now for tx in self._on_air):
+        for tx in on_air:
+            if tx.end > now:
+                break
+        else:
             return False
         pos = self.env.position_of(node_id)
+        distance = self.env.distance
+        received = self.pathloss.received_power_mw
+        cs_thresh = self.params.cs_thresh_mw
         total = 0.0
-        for tx in self._on_air:
+        for tx in on_air:
             if tx.end <= now or tx.sender == node_id:
                 continue
-            dist = self.env.distance(tx.sender_pos, pos)
-            total += self.pathloss.received_power_mw(tx.power_mw, dist)
-            if total >= self.params.cs_thresh_mw:
+            total += received(tx.power_mw, distance(tx.sender_pos, pos))
+            if total >= cs_thresh:
                 return True
         return False
 
@@ -250,7 +267,8 @@ class SINRChannel(_Channel):
         return _GainRow(
             power_mw=power.tolist(),
             strong=list(zip(strong.tolist(), ids[strong].tolist())),
-            weak=set(ids[heard & ~clears].tolist()))
+            weak=set(ids[heard & ~clears].tolist()).intersection(
+                self._receivers))
 
     def _receive(self, tx: Transmission,
                  interferers: List[Transmission]) -> None:
@@ -261,13 +279,16 @@ class SINRChannel(_Channel):
         noise_rows = [self._row(o.sender_pos, o.power_mw).power_mw
                       for o in interferers]
         # Half duplex: a node transmitting during the frame misses it.
-        busy_senders = {o.sender for o in interferers} | {tx.sender}
+        busy_senders = {o.sender for o in interferers}
+        busy_senders.add(tx.sender)
+        weak = row.weak
+        self.frames_lost_weak += len(weak) - len(weak.intersection(busy_senders))
         receivers = self._receivers
-        self.frames_lost_weak += len(
-            row.weak.difference(busy_senders).intersection(receivers))
-        noise = self.params.noise_mw
-        sinr_thresh = self.params.sinr_thresh
+        params = self.params
+        noise = params.noise_mw
+        sinr_thresh = params.sinr_thresh
         power = row.power_mw
+        frame = tx.frame
         for i, rx in row.strong:
             if rx in busy_senders or rx not in receivers:
                 continue
@@ -279,7 +300,7 @@ class SINRChannel(_Channel):
                 self.frames_lost_collision += 1
                 continue
             self.frames_delivered += 1
-            receivers[rx](rx, tx.frame, signal)
+            receivers[rx](rx, frame, signal)
 
 
 class ProtocolChannel(_Channel):

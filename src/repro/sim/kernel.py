@@ -21,7 +21,7 @@ class SimulationError(RuntimeError):
     """Raised for invalid interactions with the simulation kernel."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
@@ -61,19 +61,13 @@ class Simulator:
         # ``(time, seq)`` keys as tuples and never reaches the event.
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time (seconds).  A plain attribute: protocol
+        #: code reads it on every frame.  Only the kernel moves it, and
+        #: never backwards (every queued event is due at or after it).
+        self.now = 0.0
         self._running = 0  # run() nesting depth
-        self._events_executed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far (for instrumentation)."""
-        return self._events_executed
+        #: Number of events executed so far (for instrumentation).
+        self.events_executed = 0
 
     def next_event_time(self) -> float:
         """Timestamp of the earliest pending event (``inf`` when idle).
@@ -102,37 +96,72 @@ class Simulator:
             raise SimulationError(
                 f"cannot skip to t={time}: an event is due at "
                 f"t={self.next_event_time()}")
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
+
+        The same as ``schedule_at(now + delay, ...)``, spelled out: this
+        is the packet floor's per-frame call.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, fn, args)
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         seq = next(self._seq)
         event = Event(time, seq, fn, args)
         heapq.heappush(self._queue, (time, seq, event))
         return event
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
-                continue
-            self._now = event.time
-            self._events_executed += 1
+    def step(self, done: Optional[Callable[[], bool]] = None,
+             deadline: float = math.inf) -> bool:
+        """Execute the next pending event.  Returns False if queue is empty.
+
+        With ``done``, keep stepping: the loop is exactly ::
+
+            while not done() and sim.now < deadline:
+                if not sim.step():
+                    break
+
+        in one call, so a caller that drives the kernel until an outcome
+        resolves pays one call, not one per event.  The last event run
+        may be due after ``deadline`` (the clock is checked before each
+        step, not against the event).  Returns False if the queue ran dry.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        if done is None:
+            while queue:
+                event = pop(queue)[2]
+                if event.cancelled:
+                    continue
+                self.now = event.time
+                self.events_executed += 1
+                event.fn(*event.args)
+                return True
+            return False
+        while not done() and self.now < deadline:
+            while queue:
+                event = pop(queue)[2]
+                if not event.cancelled:
+                    break
+            else:
+                return False
+            self.now = event.time
+            self.events_executed += 1
             event.fn(*event.args)
-            return True
-        return False
+        return True
 
     def run(
         self,
@@ -163,17 +192,17 @@ class Simulator:
                     heapq.heappop(queue)
                     continue
                 if until is not None and event.time > until:
-                    self._now = max(self._now, until)
+                    self.now = max(self.now, until)
                     return
                 heapq.heappop(queue)
                 # A nested run inside the previous callback may have pushed
                 # the clock past this event's timestamp already.
-                self._now = max(self._now, event.time)
-                self._events_executed += 1
+                self.now = max(self.now, event.time)
+                self.events_executed += 1
                 executed += 1
                 event.fn(*event.args)
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running -= 1
 

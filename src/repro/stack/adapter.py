@@ -167,7 +167,7 @@ class PacketQuorumNetwork:
 
     @property
     def n_alive(self) -> int:
-        return len(self.stack.env.alive_nodes())
+        return self.stack.env.n_alive
 
     def is_alive(self, node_id: int) -> bool:
         return self.stack.env.is_alive(node_id)
@@ -218,10 +218,8 @@ class PacketQuorumNetwork:
             dst, _OneHop(token=next(self._tokens), sender=src, dst=dst),
             on_success=lambda: outcome.__setitem__(0, True),
             on_failure=lambda: outcome.__setitem__(0, False))
-        deadline = self.sim.now + UNICAST_TIMEOUT
-        while outcome[0] is None and self.sim.now < deadline:
-            if not self.sim.step():
-                break
+        self.sim.step(lambda: outcome[0] is not None,
+                      self.sim.now + UNICAST_TIMEOUT)
         return bool(outcome[0])
 
     def one_hop_broadcast(self, src: int) -> List[int]:
@@ -244,18 +242,16 @@ class PacketQuorumNetwork:
         if src == dst:
             return RouteResult(success=True, path=[src])
         token = next(self._tokens)
-        data_before = self._total_data_transmissions()
-        control_before = self.stack.total_control_messages()
+        totals = self.stack.aodv_totals
+        data_before, control_before = totals.data, totals.control
         self.stack.nodes[src].aodv.send_data(dst, _Probe(token=token,
                                                          origin=src))
-        deadline = self.sim.now + ROUTE_TIMEOUT
-        while token not in self._acks_seen and self.sim.now < deadline:
-            if not self.sim.step():
-                break
-        arrived = -token in self._acks_seen
-        acked = token in self._acks_seen
-        control = self.stack.total_control_messages() - control_before
-        data_hops = self._total_data_transmissions() - data_before
+        acks = self._acks_seen
+        self.sim.step(lambda: token in acks, self.sim.now + ROUTE_TIMEOUT)
+        arrived = -token in acks
+        acked = token in acks
+        control = totals.control - control_before
+        data_hops = totals.data - data_before
         self.counters["network"] += data_hops
         self.counters["routing"] += control
         return RouteResult(success=arrived or acked,
@@ -267,11 +263,6 @@ class PacketQuorumNetwork:
         """The route frame of one access: here one :meth:`route` per
         send, which publishes its own counts."""
         return _RouteLoop(self, origin)
-
-    def _total_data_transmissions(self) -> int:
-        """Network-layer data transmissions (originations + forwards)."""
-        return sum(node.aodv.data_originated + node.aodv.data_forwarded
-                   for node in self.stack.nodes.values())
 
     def scoped_route(self, src: int, dst: int, max_hops: int) -> RouteResult:
         """Packet level has no TTL-scoped discovery; fall back to a full

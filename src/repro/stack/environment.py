@@ -53,6 +53,7 @@ class StackEnvironment:
         self.torus = torus
         self.max_speed = max_speed
         self._alive: Set[int] = set()
+        self._alive_sorted: Optional[List[int]] = None
         self._snapshot: Optional[PositionSnapshot] = None
         self._snapshot_time = -math.inf
         self._version = 0
@@ -62,18 +63,26 @@ class StackEnvironment:
     def add_node(self, node_id: int, position: Optional[Point] = None) -> Point:
         pos = self.mobility.add_node(node_id, t=self.sim.now, position=position)
         self._alive.add(node_id)
-        self._snapshot = None
+        self._snapshot = self._alive_sorted = None
         return pos
 
     def remove_node(self, node_id: int) -> None:
         self._alive.discard(node_id)
-        self._snapshot = None
+        self._snapshot = self._alive_sorted = None
 
     def is_alive(self, node_id: int) -> bool:
         return node_id in self._alive
 
+    @property
+    def n_alive(self) -> int:
+        return len(self._alive)
+
     def alive_nodes(self) -> List[int]:
-        return sorted(self._alive)
+        """The alive ids, ascending: a fresh list, sorted once per
+        change of the alive set."""
+        if self._alive_sorted is None:
+            self._alive_sorted = sorted(self._alive)
+        return list(self._alive_sorted)
 
     # -- geometry ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.mobility.models import (
     RandomWaypoint,
     StaticPlacement,
 )
+from repro.net.aodv import AodvTotals
 from repro.phy.channel import ProtocolChannel, SINRChannel
 from repro.phy.params import PhyParams
 from repro.sim.kernel import Simulator
@@ -82,6 +83,9 @@ class AdhocStack:
             raise ValueError(f"unknown channel model {config.channel!r}")
 
         self.nodes: Dict[int, StackNode] = {}
+        #: Every node's AODV transmissions, summed as they happen (nodes
+        #: are never dropped from ``nodes``, so this is the sum over it).
+        self.aodv_totals = AodvTotals()
         self.received: List[Tuple[int, Any, int]] = []  # (dst, payload, src)
         for i in range(config.n):
             self._add_node(i)
@@ -91,6 +95,7 @@ class AdhocStack:
         node = StackNode(
             self.sim, self.channel, node_id,
             rng=self.rngs.stream(f"node:{node_id}"),
+            aodv_totals=self.aodv_totals,
             app_handler=lambda payload, src, nid=node_id:
                 self.received.append((nid, payload, src)),
         )
@@ -121,7 +126,7 @@ class AdhocStack:
         return [(p, s) for (d, p, s) in self.received if d == node_id]
 
     def total_control_messages(self) -> int:
-        return sum(node.aodv.control_messages() for node in self.nodes.values())
+        return self.aodv_totals.control
 
     def total_mac_frames(self) -> int:
         return self.channel.frames_sent

@@ -6,15 +6,9 @@ import random
 from typing import Any, Callable, Optional
 
 from repro.mac.csma import MacLayer
-from repro.net.aodv import AodvAgent
+from repro.net.aodv import AodvAgent, AodvTotals
 from repro.net.flooding import FloodingAgent
-from repro.net.packet import (
-    DataPacket,
-    FloodPacket,
-    RouteError,
-    RouteReply,
-    RouteRequest,
-)
+from repro.net.packet import DataPacket, FloodPacket
 from repro.sim.kernel import Simulator
 
 AppHandler = Callable[[Any, int], None]  # (payload, src_node)
@@ -25,7 +19,8 @@ class StackNode:
 
     Dispatches MAC deliveries to AODV (routing control + routed data) and
     the flooding agent; routed/flooded application payloads reach the
-    ``app_handler``.
+    ``app_handler``.  ``aodv_totals`` is the stack-wide sum this node's
+    AODV counters add to.
     """
 
     def __init__(
@@ -35,6 +30,7 @@ class StackNode:
         node_id: int,
         *,
         rng: random.Random,
+        aodv_totals: AodvTotals,
         app_handler: Optional[AppHandler] = None,
     ) -> None:
         self.sim = sim
@@ -44,7 +40,7 @@ class StackNode:
                             rng=rng)
         self.aodv = AodvAgent(sim, self.mac, node_id,
                               deliver=self._deliver_routed,
-                              rng=rng)
+                              rng=rng, totals=aodv_totals)
         self.flooder = FloodingAgent(sim, self.mac, node_id,
                                      deliver=self._deliver_flooded, rng=rng)
         self.alive = True
@@ -52,18 +48,19 @@ class StackNode:
         #: data nor floods (e.g. HELLO beacons, one-hop protocol frames).
         #: Signature: (payload, from_node) -> None.
         self.raw_handler: Optional[Callable[[Any, int], None]] = None
+        # Exact payload type -> handler: one lookup per delivered frame
+        # reaches the AODV or flooding handler itself.
+        self._handlers = dict(self.aodv.handlers)
+        self._handlers[FloodPacket] = self.flooder.on_payload
 
     # -- dispatch ----------------------------------------------------------
-
-    _ROUTING_TYPES = (DataPacket, RouteRequest, RouteReply, RouteError)
 
     def _dispatch(self, payload: Any, from_node: int) -> None:
         if not self.alive:
             return
-        if isinstance(payload, FloodPacket):
-            self.flooder.on_payload(payload, from_node)
-        elif isinstance(payload, self._ROUTING_TYPES):
-            self.aodv.on_payload(payload, from_node)
+        handler = self._handlers.get(type(payload))
+        if handler is not None:
+            handler(payload, from_node)
         elif self.raw_handler is not None:
             self.raw_handler(payload, from_node)
 

@@ -1,13 +1,15 @@
 """Unit tests for the network-layer pieces not covered end-to-end:
 flooding agent dedup/TTL mechanics, packet id allocation, stack node
-dispatch including the raw-payload hook."""
+dispatch including the raw-payload hook, the duplicate tables."""
 
 import random
+import time
 
 import pytest
 from reference.phy import fixed_env
 
 from repro.mac import MacLayer, MacParams
+from repro.mac.csma import BROADCAST, PRUNE_AT, MacFrame, RecentKeys
 from repro.net import FloodPacket, next_packet_id
 from repro.net.flooding import FloodingAgent
 from repro.phy import SINRChannel
@@ -125,3 +127,55 @@ class TestStackNodeDispatch:
         stack.nodes[0].mac.send_broadcast("after-crash")
         stack.run(1.0)
         assert got == []
+
+
+class TestRecentKeys:
+    """The MAC's ``(src, seq)``, AODV's ``(origin, rreq_id)`` and the
+    flooder's packet-id tables: prune cost is amortised, so a table of
+    keys that are all recent does not rebuild itself on every insert."""
+
+    def test_stack_tables_are_recent_keys(self):
+        stack = AdhocStack(StackConfig(n=3, avg_degree=10, seed=1))
+        node = stack.nodes[0]
+        assert isinstance(node.mac._seen_data, RecentKeys)
+        assert isinstance(node.aodv._seen_rreqs, RecentKeys)
+        assert isinstance(node.flooder._seen, RecentKeys)
+
+    def test_16000_recent_keys_are_fast(self):
+        # At one sim time nothing is old enough to forget: the old
+        # rule rebuilt the whole table on each insert past 8 192 keys
+        # (seconds here); amortised, it is a few milliseconds.
+        table = RecentKeys(30.0)
+        start = time.perf_counter()
+        for k in range(16_000):
+            if (k, 0) not in table:
+                table.note((k, 0), 5.0)
+        assert time.perf_counter() - start < 0.1
+        assert len(table) == 16_000
+
+    def test_never_forgets_a_recent_key(self):
+        table = RecentKeys(30.0)
+        for k in range(3 * PRUNE_AT):
+            table.note(k, k / 1000.0)  # keys span 24.6 s: none is old
+        assert len(table) == 3 * PRUNE_AT
+        assert all(k in table for k in range(3 * PRUNE_AT))
+
+    def test_forgets_old_keys_once_past_the_limit(self):
+        table = RecentKeys(30.0)
+        for k in range(PRUNE_AT):
+            table.note(("old", k), 0.0)
+        assert len(table) == PRUNE_AT
+        table.note(("new", 0), 40.0)  # past the limit: the old ones go
+        assert list(table) == [("new", 0)]
+        assert table.limit == PRUNE_AT
+
+    def test_mac_dedupes_through_the_table(self):
+        sim = Simulator()
+        channel = SINRChannel(sim, fixed_env(sim, {0: (0, 0), 1: (50, 0)}))
+        got = []
+        mac = MacLayer(sim, channel, 1, deliver=lambda p, s: got.append(p),
+                       rng=random.Random(0))
+        for seq in (0, 1, 0, 2, 1):
+            mac._on_frame(1, MacFrame("data", 0, BROADCAST, seq, seq), 1.0)
+        assert got == [0, 1, 2]
+        assert mac.delivered_up == 3

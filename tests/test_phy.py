@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from reference.phy import (
+    ScalarProtocolChannel,
+    ScalarSINRChannel,
     UnprunedProtocolChannel,
     UnprunedSINRChannel,
     fixed_env,
@@ -14,6 +16,7 @@ from repro.mobility.models import FixedPlacement, MobilityManager
 
 from repro.phy import (
     DEFAULT_PHY,
+    Transmission,
     InversePowerLaw,
     PhyParams,
     ProtocolChannel,
@@ -288,6 +291,83 @@ class TestProtocolChannel:
             ProtocolChannel(Simulator(), fixed_env(Simulator(), {}), range_m=0.0)
         with pytest.raises(ValueError):
             ProtocolChannel(Simulator(), fixed_env(Simulator(), {}), range_m=1.0, delta=-0.1)
+
+
+class TestReceiveAgainstScalarOracle:
+    """``_receive`` from link rows against the per-candidate scalar
+    oracle, called directly on one hand-built frame: the same receivers
+    in the same order with the same powers, and the same counters."""
+
+    # 0 sends; 1 and 2 hear it clearly; 3 is alive but detached; 4 is in
+    # hearing range but too weak; 5 is out of hearing range; 6, 7 and 8
+    # interfere (7 also sits where 0's frame reaches it clearly).
+    POSITIONS = {0: (0.0, 0.0), 1: (60.0, 0.0), 2: (-40.0, 90.0),
+                 3: (20.0, 20.0), 4: (320.0, 0.0), 5: (900.0, 0.0),
+                 6: (260.0, 40.0), 7: (120.0, -60.0), 8: (-350.0, -10.0)}
+    MODELS = {
+        "sinr": (SINRChannel, ScalarSINRChannel, {}),
+        "protocol": (ProtocolChannel, ScalarProtocolChannel,
+                     {"range_m": 200.0, "delta": 0.5}),
+    }
+
+    def resolve(self, cls, kwargs, interferer_ids, detached=(3,),
+                dead=()):
+        sim = Simulator()
+        env = fixed_env(sim, self.POSITIONS)
+        ch = cls(sim, env, **kwargs)
+        got = []
+        for node in self.POSITIONS:
+            if node not in detached:
+                ch.attach(node, lambda rx, frame, power: got.append(
+                    (rx, frame, power)))
+        for node in dead:
+            env.remove_node(node)
+        power = ch.params.tx_power_mw
+
+        def tx(k, sender):
+            return Transmission(k, sender, env.position_of(sender), 0.0,
+                                0.001, power, ("frame", sender))
+
+        ch._receive(tx(0, 0), [tx(k + 1, s)
+                               for k, s in enumerate(interferer_ids)])
+        counters = (ch.frames_delivered, ch.frames_lost_collision,
+                    ch.frames_lost_weak)
+        return got, counters
+
+    @pytest.mark.parametrize("model", ["sinr", "protocol"])
+    @pytest.mark.parametrize("interferers", [
+        (), (6,), (8,), (7,), (6, 8), (8, 6), (6, 7, 8)])
+    def test_rows_equal_scalar(self, model, interferers):
+        real, scalar, kwargs = self.MODELS[model]
+        got = self.resolve(real, kwargs, interferers)
+        assert got == self.resolve(scalar, kwargs, interferers)
+        delivered = [rx for rx, _, _ in got[0]]
+        assert delivered == sorted(delivered)
+        # The sender sits in its own row at distance 0 and the detached
+        # node is in range: neither hears the frame.
+        assert 0 not in delivered and 3 not in delivered
+        # A busy interferer misses the frame (half duplex).
+        assert not set(interferers) & set(delivered)
+
+    def test_cases_reach_every_branch(self):
+        real, _, kwargs = self.MODELS["sinr"]
+        clean, (delivered, collided, weak) = self.resolve(real, kwargs, ())
+        assert [rx for rx, _, _ in clean] == [1, 2, 7]
+        assert (delivered, collided) == (3, 0) and weak >= 1
+        _, (_, collided, _) = self.resolve(real, kwargs, (6, 7, 8))
+        assert collided >= 1
+        # 6 is weak at 0's frame but transmits: it is not counted weak.
+        _, (_, _, weak_6) = self.resolve(real, kwargs, (6,))
+        assert weak_6 == weak - 1
+
+    @pytest.mark.parametrize("model", ["sinr", "protocol"])
+    def test_dead_receiver_in_row_snapshot(self, model):
+        real, scalar, kwargs = self.MODELS[model]
+        for interferers in ((), (6,)):
+            got = self.resolve(real, kwargs, interferers, dead=(1, 4))
+            assert got == self.resolve(scalar, kwargs, interferers,
+                                       dead=(1, 4))
+            assert 1 not in [rx for rx, _, _ in got[0]]
 
 
 class TestOnAirLedger:

@@ -224,6 +224,122 @@ class TestCancellation:
         assert sim.next_event_time() == 2.0  # the cancelled head is drained
 
 
+class TestDrivenStep:
+    """``step(done, deadline)``: the adapter's "run until the outcome
+    resolves or the deadline passes" loop in one call."""
+
+    @staticmethod
+    def script(sim, log):
+        for t in (0.5, 1.0, 1.0, 2.5, 4.0):
+            sim.schedule_at(t, log.append, t)
+        sim.schedule_at(1.0, log.append, "cancelled").cancel()
+
+    @staticmethod
+    def stepped(sim, done, deadline):
+        # The loop the driven step stands for, one step() per event.
+        while not done() and sim.now < deadline:
+            if not sim.step():
+                return False
+        return True
+
+    @pytest.mark.parametrize("deadline, stop_after", [
+        (2.0, None), (0.7, None), (10.0, None), (10.0, 2), (0.0, None),
+        (math.inf, 1)])
+    def test_equals_the_step_loop(self, deadline, stop_after):
+        runs = []
+        for driven in (True, False):
+            sim, log = Simulator(), []
+            self.script(sim, log)
+
+            def done():
+                return stop_after is not None and len(log) >= stop_after
+
+            ran = (sim.step(done, deadline) if driven
+                   else self.stepped(sim, done, deadline))
+            runs.append((ran, log, sim.now, sim.events_executed,
+                         sim.next_event_time()))
+        assert runs[0] == runs[1]
+
+    def test_last_event_may_land_past_the_deadline(self):
+        sim, log = Simulator(), []
+        self.script(sim, log)
+        assert sim.step(lambda: False, 2.0)
+        # The clock is checked before each step: 2.5 still runs.
+        assert log == [0.5, 1.0, 1.0, 2.5]
+        assert sim.now == 2.5
+
+    def test_returns_false_when_the_queue_runs_dry(self):
+        sim, log = Simulator(), []
+        self.script(sim, log)
+        assert not sim.step(lambda: False, math.inf)
+        assert log == [0.5, 1.0, 1.0, 2.5, 4.0]
+        assert sim.events_executed == 5
+
+    def test_done_before_any_event_runs_none(self):
+        sim, log = Simulator(), []
+        self.script(sim, log)
+        assert sim.step(lambda: True, math.inf)
+        assert log == [] and sim.events_executed == 0
+
+
+class TestClockAndOrder:
+    def test_schedule_and_schedule_at_share_one_sequence(self):
+        # Same-time events run in the order they were scheduled, whichever
+        # call scheduled them: the heap key is (time, seq).
+        sim = Simulator()
+        order = []
+        sim.schedule_at(1.0, order.append, "at-0")
+        sim.schedule(1.0, order.append, "in-1")
+        sim.schedule_at(1.0, order.append, "at-2")
+        sim.run(until=0.5)
+        sim.schedule(0.5, order.append, "in-3")
+        sim.schedule_at(1.0, order.append, "at-4")
+        sim.run()
+        assert order == ["at-0", "in-1", "at-2", "in-3", "at-4"]
+
+    def test_cancelled_heads_are_skipped_by_run_and_step(self):
+        for mode in ("run", "step", "driven"):
+            sim = Simulator()
+            fired = []
+            for t in (1.0, 1.0, 2.0):
+                sim.schedule_at(t, fired.append, t).cancel()
+            sim.schedule_at(3.0, fired.append, 3.0)
+            if mode == "run":
+                sim.run()
+            elif mode == "step":
+                assert sim.step()
+            else:
+                assert sim.step(lambda: bool(fired), math.inf)
+            assert fired == [3.0] and sim.now == 3.0
+            assert sim.events_executed == 1
+
+    def test_now_is_a_plain_attribute(self):
+        sim = Simulator()
+        assert "now" in vars(sim)
+        sim.schedule(2.0, lambda: None)
+        sim.step()
+        assert vars(sim)["now"] == sim.now == 2.0
+
+    def test_skip_to_moves_the_clock_over_idle_time(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(5.0, lambda: seen.append(sim.now))
+        sim.skip_to(3.0)
+        assert sim.now == 3.0
+        sim.skip_to(1.0)  # never backwards
+        assert sim.now == 3.0
+        # A cancelled head does not count as due.
+        sim.schedule(0.5, seen.append, "cancelled").cancel()
+        sim.skip_to(4.0)
+        assert sim.now == 4.0
+        with pytest.raises(SimulationError):
+            sim.skip_to(6.0)
+        assert sim.now == 4.0
+        sim.schedule(0.0, seen.append, "now")
+        sim.run()
+        assert seen == ["now", 5.0]
+
+
 class TestPeriodicTimer:
     def test_fires_every_interval(self):
         sim = Simulator()
