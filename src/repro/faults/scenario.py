@@ -13,10 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core.biquorum import ProbabilisticBiquorum
-from repro.core.strategies import AccessPolicy, RandomStrategy, UniquePathStrategy
+from repro.core.strategies import (
+    AccessPolicy,
+    AccessStrategy,
+    RandomStrategy,
+    UniquePathStrategy,
+)
 from repro.faults.campaign import CampaignRunner, FaultCampaign, load_campaign
 from repro.membership.service import RandomMembership
 from repro.services.location import LocationService
@@ -106,6 +111,56 @@ class CampaignReport:
         ])
 
 
+def _deploy(n: int, seed: int, watch: bool, slo_specs: Optional[list],
+            watcher_names: Optional[List[str]], masking_b: Optional[int],
+            policy: Optional[AccessPolicy],
+            plain_lookup: Callable[[RandomMembership], AccessStrategy]
+            ) -> tuple:
+    """The campaign deployment, ``(net, hub, membership, biquorum)``:
+    RANDOM advertises, lookups by ``plain_lookup(membership)`` or, when
+    ``masking_b`` is set, masking over RANDOM with both sides sized by
+    the masking bound."""
+    net = SimNetwork(NetworkConfig(n=n, avg_degree=AVG_DEGREE, seed=seed))
+    hub = None
+    if watch or slo_specs:
+        from repro.obs.watch import attach_watchers, builtin_watchers
+        watchers = (builtin_watchers(n=net.n_alive, names=watcher_names)
+                    if watch else [])
+        hub = attach_watchers(net, watchers=watchers, slo_specs=slo_specs)
+    if masking_b is not None:
+        from repro.analysis.intersection import masking_quorum_size
+        from repro.core.masking import MaskingStrategy
+        size = masking_quorum_size(n, EPSILON, masking_b)
+        # Masking quorums outgrow the paper's 2*sqrt(n) partial views;
+        # widen the membership view so quorums are not silently capped.
+        view = max(size, int(round(2.0 * math.sqrt(n))))
+        membership = RandomMembership(net, view_size=view)
+        advertise = RandomStrategy(membership).set_policy(policy)
+        lookup = MaskingStrategy(
+            RandomStrategy(membership), masking_b).set_policy(policy)
+    else:
+        size = max(1, int(round(math.sqrt(n * math.log(1.0 / EPSILON)))))
+        membership = RandomMembership(net)
+        advertise = RandomStrategy(membership).set_policy(policy)
+        lookup = plain_lookup(membership).set_policy(policy)
+    biquorum = ProbabilisticBiquorum(
+        net, advertise=advertise, lookup=lookup,
+        advertise_size=size, lookup_size=size,
+        adjust_to_network_size=False)
+    return net, hub, membership, biquorum
+
+
+def _finish(hub: Any, membership: RandomMembership) -> tuple:
+    """Stop the membership refresh and close the watcher hub: its result
+    and violations (None and [] when nothing was watched)."""
+    membership.stop()
+    if hub is None:
+        return None, []
+    hub.finish()
+    hub.detach()
+    return hub.result(), list(hub.violations)
+
+
 def run_fault_campaign(
     campaign: "FaultCampaign | str" = "smoke",
     n: int = 100,
@@ -137,32 +192,10 @@ def run_fault_campaign(
         raise ValueError("refresh must be adaptive, static, or off")
     duration = campaign.duration + SETTLE
 
-    net = SimNetwork(NetworkConfig(n=n, avg_degree=AVG_DEGREE, seed=seed))
-    hub = None
-    if watch or slo_specs:
-        from repro.obs.watch import attach_watchers, builtin_watchers
-        watchers = builtin_watchers(n=net.n_alive) if watch else []
-        hub = attach_watchers(net, watchers=watchers, slo_specs=slo_specs)
-    if masking_b is not None:
-        from repro.analysis.intersection import masking_quorum_size
-        from repro.core.masking import MaskingStrategy
-        size = masking_quorum_size(n, EPSILON, masking_b)
-        # Masking quorums outgrow the paper's 2*sqrt(n) partial views;
-        # widen the membership view so quorums are not silently capped.
-        view = max(size, int(round(2.0 * math.sqrt(n))))
-        membership = RandomMembership(net, view_size=view)
-        advertise = RandomStrategy(membership).set_policy(POLICY)
-        lookup = MaskingStrategy(
-            RandomStrategy(membership), masking_b).set_policy(POLICY)
-    else:
-        size = max(1, int(round(math.sqrt(n * math.log(1.0 / EPSILON)))))
-        membership = RandomMembership(net)
-        advertise = RandomStrategy(membership).set_policy(POLICY)
-        lookup = UniquePathStrategy().set_policy(POLICY)
-    biquorum = ProbabilisticBiquorum(
-        net, advertise=advertise, lookup=lookup,
-        advertise_size=size, lookup_size=size,
-        adjust_to_network_size=False)
+    net, hub, membership, biquorum = _deploy(
+        n, seed, watch=watch, slo_specs=slo_specs, watcher_names=None,
+        masking_b=masking_b, policy=POLICY,
+        plain_lookup=lambda membership: UniquePathStrategy())
     service = LocationService(biquorum, enable_caching=True)
 
     daemon: Optional[RefreshDaemon] = None
@@ -204,14 +237,7 @@ def run_fault_campaign(
     runner.stop()
     if daemon is not None:
         daemon.stop()
-    membership.stop()
-    watch_result = None
-    watch_violations: List[Any] = []
-    if hub is not None:
-        hub.finish()
-        hub.detach()
-        watch_result = hub.result()
-        watch_violations = list(hub.violations)
+    watch_result, watch_violations = _finish(hub, membership)
 
     metrics = net.metrics
     return CampaignReport(
@@ -334,36 +360,13 @@ def run_kv_fault_campaign(
         campaign = load_campaign(campaign)
     duration = campaign.duration + SETTLE
 
-    net = SimNetwork(NetworkConfig(n=n, avg_degree=AVG_DEGREE, seed=seed))
-    hub = None
-    if watch or slo_specs:
-        from repro.obs.watch import attach_watchers, builtin_watchers
-        # The quorum-intersection watcher's hit floor assumes stored
-        # entries answer forever; timed leases expire them on purpose,
-        # so that invariant does not apply to the kv workload.
-        watchers = (builtin_watchers(
-            n=net.n_alive,
-            names=["monotonicity", "conservation", "no-fabricated-value"])
-            if watch else [])
-        hub = attach_watchers(net, watchers=watchers, slo_specs=slo_specs)
-    if masking_b is not None:
-        from repro.analysis.intersection import masking_quorum_size
-        from repro.core.masking import MaskingStrategy
-        size = masking_quorum_size(n, EPSILON, masking_b)
-        view = max(size, int(round(2.0 * math.sqrt(n))))
-        membership = RandomMembership(net, view_size=view)
-        advertise = RandomStrategy(membership).set_policy(policy)
-        lookup = MaskingStrategy(
-            RandomStrategy(membership), masking_b).set_policy(policy)
-    else:
-        size = max(1, int(round(math.sqrt(n * math.log(1.0 / EPSILON)))))
-        membership = RandomMembership(net)
-        advertise = RandomStrategy(membership).set_policy(policy)
-        lookup = RandomStrategy(membership).set_policy(policy)
-    biquorum = ProbabilisticBiquorum(
-        net, advertise=advertise, lookup=lookup,
-        advertise_size=size, lookup_size=size,
-        adjust_to_network_size=False)
+    # The quorum-intersection watcher's hit floor assumes stored entries
+    # answer forever; timed leases expire them on purpose, so that
+    # invariant does not apply to the kv workload.
+    net, hub, membership, biquorum = _deploy(
+        n, seed, watch=watch, slo_specs=slo_specs,
+        watcher_names=["monotonicity", "conservation", "no-fabricated-value"],
+        masking_b=masking_b, policy=policy, plain_lookup=RandomStrategy)
     store = QuorumKVStore(
         biquorum, lease_ttl=lease_ttl, min_survival=MIN_SURVIVAL,
         adaptive=(lease_ttl is None), checker=KVHistoryChecker())
@@ -380,14 +383,7 @@ def run_kv_fault_campaign(
     net.run_until(start + duration)
 
     runner.stop()
-    membership.stop()
-    watch_result = None
-    watch_violations: List[Any] = []
-    if hub is not None:
-        hub.finish()
-        hub.detach()
-        watch_result = hub.result()
-        watch_violations = list(hub.violations)
+    watch_result, watch_violations = _finish(hub, membership)
 
     metrics = net.metrics
     return KVCampaignReport(
