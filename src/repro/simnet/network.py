@@ -196,6 +196,7 @@ class SimNetwork:
 
         self.mobility = MobilityManager(self._model)
         self._alive: Set[int] = set()
+        self._alive_sorted: Optional[List[int]] = None  # reset on change
         self._next_id = 0
         self.counters: Counter = Counter()
         # Static networks: contiguous-array kernel + full neighbor table,
@@ -270,6 +271,7 @@ class SimNetwork:
         self._next_id += 1
         self.mobility.add_node(node_id, t=self.sim.now, position=position)
         self._alive.add(node_id)
+        self._alive_sorted = None
         self._admit_to_geometry(node_id)
         return node_id
 
@@ -418,7 +420,11 @@ class SimNetwork:
     # -- membership of the deployment ----------------------------------------
 
     def alive_nodes(self) -> List[int]:
-        return sorted(self._alive)
+        """The alive ids, ascending: a fresh list, sorted once per
+        change of the alive set."""
+        if self._alive_sorted is None:
+            self._alive_sorted = sorted(self._alive)
+        return list(self._alive_sorted)
 
     @property
     def n_alive(self) -> int:
@@ -455,6 +461,7 @@ class SimNetwork:
             return
         with PROFILER.phase("churn.update"):
             self._alive.discard(node_id)
+            self._alive_sorted = None
             self._evict_from_geometry(node_id)
             self._known_neighbors.pop(node_id, None)
             self._known_version += 1
@@ -490,6 +497,7 @@ class SimNetwork:
             if node_id not in self.mobility:
                 self.mobility.add_node(node_id, t=self.sim.now)
             self._alive.add(node_id)
+            self._alive_sorted = None
             self._admit_to_geometry(node_id)
         if tentative:
             self._tentative_failures.discard(node_id)

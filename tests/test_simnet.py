@@ -24,6 +24,34 @@ class TestDeployment:
         assert net.n_alive == 80
         assert net.alive_nodes() == list(range(80))
 
+    def test_alive_nodes_follow_every_change_of_the_alive_set(self):
+        # The sorted order is cached per change of the alive set: fail,
+        # a tentative fail and its rollback, a committed tentative fail,
+        # revive and join each drop it, and every call hands out a
+        # fresh list.
+        net = net_static(n=40)
+        steps = [
+            lambda: net.fail_node(7),
+            lambda: net.fail_node(3, commit=False),
+            lambda: net.revive_node(3),
+            lambda: net.fail_node(12, commit=False),
+            lambda: net.commit_failure(12),
+            lambda: net.revive_node(7),
+            lambda: net.join_node(),
+            lambda: net.fail_node(0),
+            lambda: net.fail_node(0),  # already dead: no change
+            lambda: net.revive_node(25),  # already alive: no change
+            lambda: net.join_node(),
+        ]
+        assert net.alive_nodes() == sorted(net._alive)
+        for step in steps:
+            step()
+            first = net.alive_nodes()
+            assert first == sorted(net._alive)
+            first.append(-1)  # a caller's edit never reaches the network
+            assert net.alive_nodes() == sorted(net._alive)
+        assert 12 not in net.alive_nodes() and 41 in net.alive_nodes()
+
     def test_connected_by_default(self):
         assert net_static().is_connected()
 
