@@ -13,20 +13,25 @@ dissemination with a random responder subset).
 Cost profile: a full-network flood (n transmissions) per access — robust
 and membership-free, but expensive; cheapest when paired with a cheap
 strategy on the frequent side of an asymmetric biquorum.
+
+Only the law lives here — a TTL past the diameter
+(:data:`~repro.core.strategies.MAX_TTL`), the independent |Q|/|covered|
+member draw and the success rule; a lookup's probes and reverse-tree
+replies are FLOODING's, :func:`~repro.core.strategies.flood_replies`.
 """
 
 from __future__ import annotations
 
-import random
-
-from repro.core.strategies import AccessResult, AccessStrategy, ProbeFn, StoreFn
-from repro.obs.trace import record_event
-from repro.randomwalk.reply import send_reply
+from repro.core.strategies import (
+    MAX_TTL,
+    AccessResult,
+    AccessStrategy,
+    ProbeFn,
+    StoreFn,
+    flood_replies,
+    settle_lookup,
+)
 from repro.simnet.network import SimNetwork
-
-
-#: A TTL past any network's hop diameter: the flood reaches everyone.
-MAX_TTL = 64
 
 
 class GossipFloodStrategy(AccessStrategy):
@@ -35,31 +40,28 @@ class GossipFloodStrategy(AccessStrategy):
     name = "GOSSIP-FLOOD"
     uniform_random = True
 
-    def _rng(self, net: SimNetwork) -> random.Random:
-        return net.rngs.stream("gossip-strategy")
-
-    def _flood_everywhere(self, net: SimNetwork, origin: int):
-        return net.flood(origin, ttl=MAX_TTL)
-
-    def _select_members(self, net: SimNetwork, covered, target_size: int,
-                        rng: random.Random):
-        """Each covered node joins independently with p = target/|covered|."""
+    def _flood(self, net: SimNetwork, origin: int, target_size: int,
+               result: AccessResult):
+        """Flood everyone; each covered node joins the quorum
+        independently with p = target/|covered|.  The flood's outcome
+        and the members."""
+        outcome = net.flood(origin, ttl=MAX_TTL)
+        result.messages += outcome.messages
+        covered = outcome.covered
         if not covered:
-            return []
+            return outcome, []
+        rng = net.rngs.stream("gossip-strategy")
         p = min(1.0, target_size / len(covered))
         members = [node for node in covered if rng.random() < p]
         if not members:  # never return an empty quorum
             members = [rng.choice(list(covered))]
-        return members
+        return outcome, members
 
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
         result = AccessResult(strategy=self.name, kind="advertise",
                               target_size=target_size)
-        outcome = self._flood_everywhere(net, origin)
-        result.messages += outcome.messages
-        members = self._select_members(net, outcome.covered, target_size,
-                                       self._rng(net))
+        outcome, members = self._flood(net, origin, target_size, result)
         for node in members:
             store_fn(node)
         result.quorum = sorted(members)
@@ -73,33 +75,8 @@ class GossipFloodStrategy(AccessStrategy):
         and replies over the reverse flood tree."""
         result = AccessResult(strategy=self.name, kind="lookup",
                               target_size=target_size)
-        outcome = self._flood_everywhere(net, origin)
-        result.messages += outcome.messages
-        members = self._select_members(net, outcome.covered, target_size,
-                                       self._rng(net))
+        outcome, members = self._flood(net, origin, target_size, result)
         result.quorum = sorted(members)
-        delivered_any = False
-        for node in members:
-            value = probe_fn(node)
-            if value is None:
-                continue
-            result.found = True
-            if result.hit_node is None:
-                result.hit_node = node
-                result.hit_value = value
-            if node == origin:
-                delivered_any = True
-                record_event(net, "reply", src=origin, dst=origin,
-                             success=True, mechanism="local")
-                continue
-            reply = send_reply(net, outcome.reverse_path(node),
-                               reduction=True)
-            result.messages += reply.messages
-            result.routing_messages += reply.routing_messages
-            delivered_any = delivered_any or reply.success
-        if result.found:
-            result.reply_delivered = delivered_any
-            result.success = delivered_any
-        else:
-            result.success = len(members) >= 1
+        flood_replies(net, origin, outcome, members, probe_fn, result)
+        settle_lookup(result, len(members) >= 1)
         return result

@@ -23,7 +23,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Collection, Dict, List, Optional, Set
 
 from repro.analysis.flooding import ttl_for_coverage
 from repro.obs.profile import PROFILER
@@ -372,38 +372,131 @@ class AccessStrategy(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Routed-access helpers (shared by membership-based strategies and the
-# algebraic systems in repro.quorum.access): forward sends go through one
-# route frame per access (``SimNetwork.route_frame``), replies through
-# ``SimNetwork.route``
+# Access transports.  A strategy is a law over quorums (which nodes, and
+# when the access succeeded) riding one transport: routed contact (RANDOM,
+# the algebraic systems in repro.quorum.access), a flood whose hits reply
+# over the reverse flood tree (FLOODING, GOSSIP-FLOOD in repro.core.gossip),
+# or RANDOM-OPT's en-route send.  Routed sends of one access share one
+# route frame (``SimNetwork.route_frame``); routed replies go through
+# ``SimNetwork.route``.
 # ---------------------------------------------------------------------------
 
+#: A TTL past any network's hop diameter: the flood reaches everyone.
+MAX_TTL = 64
 
-def close_frame(frame, result: AccessResult) -> None:
-    """End an access's route frame and charge its sends to ``result``."""
-    frame.close()
-    result.messages += frame.data
-    result.routing_messages += frame.routing
+
+def record_hit(result: AccessResult, node: int, value: Any) -> None:
+    """A probe hit.  The first hit is the one the lookup returns: a
+    later hit whose reply fails must not clobber a datum the originator
+    already received."""
+    result.found = True
+    if result.hit_node is None:
+        result.hit_node = node
+        result.hit_value = value
+
+
+def _delivered(result: AccessResult, success: bool) -> None:
+    # Sticky: a later failed reply never clears an earlier delivery.
+    if success:
+        result.reply_delivered = True
+    elif result.reply_delivered is None:
+        result.reply_delivered = False
+
+
+def local_reply(net: SimNetwork, origin: int, result: AccessResult) -> None:
+    """The originator holds the datum itself: delivered, no message."""
+    result.reply_delivered = True
+    record_event(net, "reply", src=origin, dst=origin, success=True,
+                 mechanism="local")
 
 
 def routed_reply(net: SimNetwork, src: int, origin: int,
-                 result: AccessResult) -> bool:
-    """A storing node replies to the originator via routing.
-
-    Charges the reply cost, records the ``reply`` trace event, and
-    updates ``result.reply_delivered`` with sticky-success semantics (a
-    later failed reply never clears an earlier delivery).
-    """
+                 result: AccessResult) -> None:
+    """A storing node replies to the originator via routing: charges the
+    reply and records its ``reply`` trace event."""
     reply = net.route(src, origin)
     result.messages += reply.data_messages
     result.routing_messages += reply.routing_messages
     record_event(net, "reply", src=src, dst=origin,
                  success=reply.success, mechanism="routed")
-    if reply.success:
-        result.reply_delivered = True
-    elif result.reply_delivered is None:
-        result.reply_delivered = False
-    return reply.success
+    _delivered(result, reply.success)
+
+
+def _path_reply(net: SimNetwork, path: List[int], result: AccessResult,
+                **options: Any) -> None:
+    """A hit replies along ``path`` (a reverse walk or flood-tree path,
+    hit first) through :func:`send_reply` with ``options``."""
+    reply = send_reply(net, path, **options)
+    result.messages += reply.messages
+    result.routing_messages += reply.routing_messages
+    _delivered(result, reply.success)
+
+
+def _quorum_met(net: SimNetwork, reached: int, target_size: int) -> bool:
+    """A member-by-member access reached its quorum: the target size, or
+    every other alive node when fewer remain."""
+    return reached >= min(target_size, max(1, net.n_alive - 1))
+
+
+def settle_lookup(result: AccessResult, complete: bool) -> None:
+    """A lookup that found the datum succeeds when a reply reached the
+    originator; a miss succeeds when the access itself ``complete``-d."""
+    result.success = bool(result.reply_delivered) if result.found else complete
+
+
+def routed_contact(net: SimNetwork, origin: int, targets: List[int],
+                   result: AccessResult, visit: Callable[[int], Any],
+                   replace: Optional[Callable] = None,
+                   retries: int = 0) -> Dict[int, None]:
+    """The routed-contact transport: route to each target through one
+    route frame and ``visit`` every member reached (the origin without a
+    send); ``visit`` returning true ends the access.
+
+    A target that was not reached, or was reached already, is swapped
+    for ``replace(reached)`` (adaptation, Section 6.2) while the retry
+    budget of ``retries`` failed sends lasts; a duplicate costs no send
+    and no retry.  Without ``replace`` the target is skipped.  Returns
+    the members in the order reached; the frame's sends are charged to
+    ``result``.
+    """
+    reached: Dict[int, None] = {}
+    frame = net.route_frame(origin)
+    try:
+        for target in targets:
+            attempts = 0
+            current: Optional[int] = target
+            while current is not None and attempts <= retries:
+                if current in reached:
+                    current = replace(reached) if replace else None
+                    continue
+                if current == origin or frame.send(current):
+                    reached[current] = None
+                    if frame.call(visit, current):
+                        return reached
+                    break
+                attempts += 1
+                current = replace(reached) if replace else None
+        return reached
+    finally:
+        frame.close()
+        result.messages += frame.data
+        result.routing_messages += frame.routing
+
+
+def flood_replies(net: SimNetwork, origin: int, outcome, members,
+                  probe_fn: ProbeFn, result: AccessResult) -> None:
+    """The flood transport's reply side: probe each flood-covered member;
+    every hit replies along the reverse flood tree (a flood sends
+    redundant replies, Section 4.4)."""
+    for node in members:
+        value = probe_fn(node)
+        if value is None:
+            continue
+        record_hit(result, node, value)
+        if node == origin:
+            local_reply(net, origin, result)
+        else:
+            _path_reply(net, outcome.reverse_path(node), result)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +524,8 @@ class RandomStrategy(AccessStrategy):
     def __init__(self, membership: Any, rng: Optional[random.Random] = None,
                  serial_lookup: bool = False,
                  adaptation_retries: int = 2) -> None:
+        if adaptation_retries < 0:
+            raise ValueError("adaptation_retries must be >= 0")
         self.membership = membership
         self.rng = rng
         self.serial_lookup = serial_lookup
@@ -439,10 +534,8 @@ class RandomStrategy(AccessStrategy):
     def _rng(self, net: SimNetwork) -> random.Random:
         return self.rng or net.rngs.stream("random-strategy")
 
-    def _pick_targets(self, net: SimNetwork, origin: int, k: int) -> List[int]:
-        return self.membership.sample_for(origin, k, self._rng(net))
-
-    def _replacement(self, net: SimNetwork, origin: int, reached: Set[int],
+    def _replacement(self, net: SimNetwork, origin: int,
+                     reached: Collection[int],
                      rng: random.Random, draws: int = 4) -> Optional[int]:
         """Draw an adaptation replacement target (Section 6.2).
 
@@ -468,37 +561,15 @@ class RandomStrategy(AccessStrategy):
         return None
 
     def _contact(self, net: SimNetwork, origin: int, result: AccessResult,
-                 visit: Callable[[int], bool]) -> Set[int]:
-        """The one contact loop: route to each drawn target through one
-        route frame, adapting on failure, and ``visit`` every member
-        reached (store, or probe and reply); ``visit`` returning True
-        ends the access.  Returns the reached set."""
-        reached: Set[int] = set()
-        targets = self._pick_targets(net, origin, result.target_size)
+                 visit: Callable[[int], bool]) -> Dict[int, None]:
+        """Routed contact with ``|Q|`` targets drawn from the origin's
+        view, adapting on failure."""
         rng = self._rng(net)
-        frame = net.route_frame(origin)
-        try:
-            for target in targets:
-                attempts = 0
-                current: Optional[int] = target
-                while (current is not None
-                       and attempts <= self.adaptation_retries):
-                    if current in reached:
-                        # Duplicate target: nothing was sent, swap it out
-                        # without consuming the retry budget.
-                        current = self._replacement(net, origin, reached,
-                                                    rng)
-                        continue
-                    if frame.send(current):
-                        reached.add(current)
-                        if frame.call(visit, current):
-                            return reached
-                        break
-                    attempts += 1
-                    current = self._replacement(net, origin, reached, rng)
-            return reached
-        finally:
-            close_frame(frame, result)
+        targets = self.membership.sample_for(origin, result.target_size, rng)
+        return routed_contact(
+            net, origin, targets, result, visit,
+            lambda reached: self._replacement(net, origin, reached, rng),
+            self.adaptation_retries)
 
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
@@ -511,8 +582,7 @@ class RandomStrategy(AccessStrategy):
 
         reached = self._contact(net, origin, result, visit)
         result.quorum = sorted(reached)
-        result.success = len(reached) >= min(target_size,
-                                             max(1, net.n_alive - 1))
+        result.success = _quorum_met(net, len(reached), target_size)
         return result
 
     def _lookup(self, net: SimNetwork, origin: int, probe_fn: ProbeFn,
@@ -525,19 +595,14 @@ class RandomStrategy(AccessStrategy):
             value = probe_fn(node)
             if value is None:
                 return False
-            result.found = True
-            if result.hit_node is None:
-                result.hit_node = node
-                result.hit_value = value
+            record_hit(result, node, value)
             # Hit: the storing node replies via routing.
             routed_reply(net, node, origin, result)
             return serial and bool(result.reply_delivered)
 
         reached = self._contact(net, origin, result, visit)
         result.quorum = sorted(reached)
-        result.success = bool(result.found and result.reply_delivered) or (
-            not result.found and len(reached) >= min(target_size,
-                                                     max(1, net.n_alive - 1)))
+        settle_lookup(result, _quorum_met(net, len(reached), target_size))
         return result
 
 
@@ -596,8 +661,7 @@ class RandomSamplingStrategy(AccessStrategy):
             return False
 
         self._collect(net, origin, target_size, result, on_member)
-        result.success = len(result.quorum) >= min(target_size,
-                                                   max(1, net.n_alive - 1))
+        result.success = _quorum_met(net, len(result.quorum), target_size)
         return result
 
     def _lookup(self, net: SimNetwork, origin: int, probe_fn: ProbeFn,
@@ -607,29 +671,14 @@ class RandomSamplingStrategy(AccessStrategy):
 
         def on_member(node: int, path: List[int]) -> bool:
             value = probe_fn(node)
-            if value is None:
-                return False
-            result.found = True
-            if result.hit_node is None:
-                # Keep the first hit: a later hit whose reply fails must
-                # not clobber a datum the originator already received
-                # (same semantics as RandomStrategy).
-                result.hit_node = node
-                result.hit_value = value
-            reply = send_reply(net, reverse_path_of(path), reduction=True)
-            result.messages += reply.messages
-            result.routing_messages += reply.routing_messages
-            if reply.success:
-                result.reply_delivered = True
-            elif result.reply_delivered is None:
-                result.reply_delivered = False
+            if value is not None:
+                record_hit(result, node, value)
+                _path_reply(net, reverse_path_of(path), result)
             return False  # paper's parallel semantics: no early halt
 
         self._collect(net, origin, target_size, result, on_member)
-        result.success = bool(result.found and result.reply_delivered) or (
-            not result.found
-            and len(result.quorum) >= min(target_size,
-                                          max(1, net.n_alive - 1)))
+        settle_lookup(result, _quorum_met(net, len(result.quorum),
+                                          target_size))
         return result
 
 
@@ -695,6 +744,8 @@ class PathStrategy(AccessStrategy):
                               target_size=target_size)
 
         def stop(node: int) -> bool:
+            # Not record_hit: without early halting the walk's *last*
+            # hit is the node the reply leaves from.
             value = probe_fn(node)
             if value is not None:
                 result.found = True
@@ -723,29 +774,18 @@ class PathStrategy(AccessStrategy):
                            stop_predicate=stop, rng=self._rng(net))
         result.quorum = sorted(walk.visited)
         result.messages += walk.messages
-        if result.found:
-            hit = result.hit_node
-            assert hit is not None
-            if hit == origin:
-                result.reply_delivered = True
-                record_event(net, "reply", src=origin, dst=origin,
-                             success=True, mechanism="local")
-            else:
-                # Reply travels the reverse walk path (no routing).
-                cut = walk.path.index(hit) if hit in walk.path else len(walk.path) - 1
-                reply = send_reply(
-                    net, reverse_path_of(walk.path[:cut + 1]),
-                    reduction=self.reply_reduction,
-                    local_repair=self.local_repair,
-                    repair_ttl=self.repair_ttl,
-                    allow_global_repair=self.allow_global_repair,
-                )
-                result.messages += reply.messages
-                result.routing_messages += reply.routing_messages
-                result.reply_delivered = reply.success
-            result.success = bool(result.reply_delivered)
-        else:
-            result.success = walk.completed
+        hit = result.hit_node
+        if hit == origin:
+            local_reply(net, origin, result)
+        elif result.found:
+            # Reply travels the reverse walk path (no routing).
+            cut = walk.path.index(hit) if hit in walk.path else len(walk.path) - 1
+            _path_reply(net, reverse_path_of(walk.path[:cut + 1]), result,
+                        reduction=self.reply_reduction,
+                        local_repair=self.local_repair,
+                        repair_ttl=self.repair_ttl,
+                        allow_global_repair=self.allow_global_repair)
+        settle_lookup(result, walk.completed)
         return result
 
 
@@ -783,6 +823,8 @@ class FloodingStrategy(AccessStrategy):
 
     def __init__(self, ttl: Optional[int] = None,
                  expanding_ring: bool = False) -> None:
+        if ttl is not None and ttl < 1:
+            raise ValueError("ttl must be >= 1")
         self.ttl = ttl
         self.expanding_ring = expanding_ring
 
@@ -793,35 +835,29 @@ class FloodingStrategy(AccessStrategy):
 
     def _flood_to_target(self, net: SimNetwork, origin: int, target_size: int,
                          result: AccessResult):
-        if self.ttl is not None:
-            outcome = net.flood(origin, self.ttl)
-            result.messages += outcome.messages
-            return outcome
-        if not self.expanding_ring:
-            outcome = net.flood(origin, self._analytic_ttl(net, target_size))
-            result.messages += outcome.messages
-            return outcome
-        # Expanding ring: grow the TTL until coverage suffices.  Covered
-        # nodes acknowledge so the originator can count them; acks are
-        # combined along the reverse tree (one message per covered node).
-        ttl = 1
-        outcome = net.flood(origin, ttl)
-        result.messages += outcome.messages
-        self._count_acks(net, result, outcome)
-        while outcome.coverage < min(target_size, net.n_alive) and ttl < 64:
-            ttl += 1
+        """Flood at the fixed or the analytic TTL.  An expanding ring
+        floods at TTL 1, 2, ... until coverage suffices; covered nodes
+        acknowledge so the originator can count them, acks combined
+        along the reverse tree (one modeled message per covered node)."""
+        ttl = self.ttl
+        if ttl is None and not self.expanding_ring:
+            ttl = self._analytic_ttl(net, target_size)
+        ring = ttl is None
+        ttl = ttl or 1
+        while True:
             outcome = net.flood(origin, ttl)
             result.messages += outcome.messages
-            self._count_acks(net, result, outcome)
-        return outcome
-
-    def _count_acks(self, net: SimNetwork, result: AccessResult,
-                    outcome) -> None:
-        """Charge the per-covered-node ack messages (modeled, not sent)."""
-        acks = max(0, outcome.coverage - 1)
-        if acks:
-            result.messages += acks
-            record_event(net, "virtual-msg", reason="flood-ack", count=acks)
+            if not ring:
+                return outcome
+            acks = max(0, outcome.coverage - 1)
+            if acks:
+                result.messages += acks
+                record_event(net, "virtual-msg", reason="flood-ack",
+                             count=acks)
+            if (outcome.coverage >= min(target_size, net.n_alive)
+                    or ttl >= MAX_TTL):
+                return outcome
+            ttl += 1
 
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
@@ -840,33 +876,9 @@ class FloodingStrategy(AccessStrategy):
                               target_size=target_size)
         outcome = self._flood_to_target(net, origin, target_size, result)
         result.quorum = sorted(outcome.covered)
-        delivered_any = False
-        for node in outcome.covered:
-            value = probe_fn(node)
-            if value is None:
-                continue
-            result.found = True
-            if result.hit_node is None:
-                result.hit_node = node
-                result.hit_value = value
-            # Every hit node replies along the reverse flood tree
-            # (FLOODING sends multiple redundant replies, Section 4.4).
-            if node == origin:
-                delivered_any = True
-                record_event(net, "reply", src=origin, dst=origin,
-                             success=True, mechanism="local")
-                continue
-            reply = send_reply(net, outcome.reverse_path(node),
-                               reduction=True)
-            result.messages += reply.messages
-            result.routing_messages += reply.routing_messages
-            delivered_any = delivered_any or reply.success
-        if result.found:
-            result.reply_delivered = delivered_any
-            result.success = delivered_any
-        else:
-            result.success = outcome.coverage >= min(target_size,
-                                                     net.n_alive)
+        flood_replies(net, origin, outcome, outcome.covered, probe_fn, result)
+        settle_lookup(result, outcome.coverage >= min(target_size,
+                                                      net.n_alive))
         return result
 
 
@@ -893,6 +905,8 @@ class RandomOptStrategy(AccessStrategy):
 
     def __init__(self, membership: Any,
                  initiations: Optional[int] = None) -> None:
+        if initiations is not None and initiations < 1:
+            raise ValueError("initiations must be >= 1 (None: ~ln n)")
         self.membership = membership
         self.initiations = initiations
 
@@ -903,6 +917,26 @@ class RandomOptStrategy(AccessStrategy):
         """The paper's finding: ~ln(n) initiations give 0.9 intersection."""
         return max(1, int(round(math.log(max(2, net.n_alive)))))
 
+    def _send(self, net: SimNetwork, origin: int, rng: random.Random,
+              result: AccessResult,
+              visit: Callable[[int], bool]) -> Optional[bool]:
+        """One initiation, the en-route send: route towards a random view
+        member hop by hop, ``visit``-ing every node the message reaches
+        until one returns true.  None when the view is empty, else
+        whether a route was found."""
+        targets = self.membership.sample_for(origin, 1, rng)
+        if not targets:
+            return None
+        path, routing_cost = net.discover_path(origin, targets[0])
+        result.routing_messages += routing_cost
+        if path is None:
+            return False
+        for a, b in zip(path, path[1:]):
+            result.messages += 1
+            if not net.one_hop_unicast(a, b) or visit(b):
+                break
+        return True
+
     def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
                    target_size: int) -> AccessResult:
         result = AccessResult(strategy=self.name, kind="advertise",
@@ -910,31 +944,24 @@ class RandomOptStrategy(AccessStrategy):
         rng = self._rng(net)
         stored: Set[int] = set()
         initiations = self.initiations or self.default_initiations(net)
+
+        def visit(node: int) -> bool:
+            if node not in stored:
+                stored.add(node)
+                store_fn(node)
+            return False
+
         sent = 0
         # Keep initiating routed sends until both the initiation budget is
         # used AND the en-route quorum reached the target size.
         while sent < initiations or len(stored) < target_size:
-            targets = self.membership.sample_for(origin, 1, rng)
-            if not targets:
+            routed = self._send(net, origin, rng, result, visit)
+            if routed is None:
                 break
-            target = targets[0]
             sent += 1
-            path, routing_cost = net.discover_path(origin, target)
-            result.routing_messages += routing_cost
-            if path is None:
-                continue
-            for a, b in zip(path, path[1:]):
-                result.messages += 1
-                if not net.one_hop_unicast(a, b):
-                    break
-                if b not in stored:
-                    stored.add(b)
-                    store_fn(b)
-            if sent > initiations + 4 * target_size:
+            if routed and sent > initiations + 4 * target_size:
                 break  # safety: degenerate topologies
-        if origin not in stored:
-            stored.add(origin)
-            store_fn(origin)
+        visit(origin)
         result.quorum = sorted(stored)
         result.success = len(stored) >= min(target_size, net.n_alive)
         return result
@@ -955,49 +982,24 @@ class RandomOptStrategy(AccessStrategy):
             probed.add(node)
             return probe_fn(node)
 
+        def visit(node: int) -> bool:
+            value = probe(node)
+            if value is None:
+                return False
+            record_hit(result, node, value)
+            # The hit node replies via routing and instructs its network
+            # layer to stop forwarding the lookup.
+            routed_reply(net, node, origin, result)
+            return True
+
         # The originator itself is part of the lookup quorum.
         value = probe(origin)
         if value is not None:
-            result.found = True
-            result.hit_node = origin
-            result.hit_value = value
-            result.reply_delivered = True
-            record_event(net, "reply", src=origin, dst=origin,
-                         success=True, mechanism="local")
-
-        delivered_any = bool(result.found)
+            record_hit(result, origin, value)
+            local_reply(net, origin, result)
         for _ in range(initiations):
-            targets = self.membership.sample_for(origin, 1, rng)
-            if not targets:
+            if self._send(net, origin, rng, result, visit) is None:
                 break
-            target = targets[0]
-            path, routing_cost = net.discover_path(origin, target)
-            result.routing_messages += routing_cost
-            if path is None:
-                continue
-            for a, b in zip(path, path[1:]):
-                result.messages += 1
-                if not net.one_hop_unicast(a, b):
-                    break
-                value = probe(b)
-                if value is not None:
-                    result.found = True
-                    if result.hit_node is None:
-                        result.hit_node = b
-                        result.hit_value = value
-                    # The hit node replies via routing and instructs its
-                    # network layer to stop forwarding the lookup.
-                    reply = net.route(b, origin)
-                    result.messages += reply.data_messages
-                    result.routing_messages += reply.routing_messages
-                    record_event(net, "reply", src=b, dst=origin,
-                                 success=reply.success, mechanism="routed")
-                    delivered_any = delivered_any or reply.success
-                    break
         result.quorum = sorted(probed)
-        if result.found:
-            result.reply_delivered = delivered_any
-            result.success = delivered_any
-        else:
-            result.success = True  # access completed (miss is a valid outcome)
+        settle_lookup(result, True)  # a miss is a valid outcome
         return result

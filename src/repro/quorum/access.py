@@ -7,12 +7,15 @@ grid / chained systems run under the batched access engine, the strict
 accounting audit, fault campaigns, and Monte-Carlo replication exactly
 like the paper's probabilistic strategies:
 
-* ``advertise`` draws a **write** quorum from the strategy distribution
-  and contacts every member through multi-hop routing (the RANDOM
-  transport); the access succeeds only if *all* members were reached —
-  algebraic quorums are all-or-nothing, unlike probabilistic targets;
-* ``lookup`` draws a **read** quorum, probes every member, and a hit is
-  shipped back to the originator via a routed reply.
+* ``advertise`` draws a **write** quorum from the strategy distribution,
+  ``lookup`` a **read** quorum; both reach the members through RANDOM's
+  transport, :func:`~repro.core.strategies.routed_contact`, without
+  adaptation, and a lookup hit replies locally or by a routed reply;
+* the access counts only if *all* members were reached — algebraic
+  quorums are all-or-nothing, unlike probabilistic targets.
+
+Only that law lives here: the draw from the ``algebra-strategy`` stream,
+the all-or-nothing rule and the load counters.
 
 Each touched member bumps the ``quorum.node_load.<id>`` counter in the
 network's metrics registry (plus ``quorum.accesses``), so the simulated
@@ -31,10 +34,12 @@ from repro.core.strategies import (
     AccessStrategy,
     ProbeFn,
     StoreFn,
-    close_frame,
+    local_reply,
+    record_hit,
+    routed_contact,
     routed_reply,
+    settle_lookup,
 )
-from repro.obs.trace import record_event
 from repro.quorum.algebra import QuorumSystem
 from repro.quorum.strategy import Strategy
 from repro.simnet.network import SimNetwork
@@ -66,65 +71,51 @@ class AlgebraicStrategy(AccessStrategy):
         for node in nodes:
             metrics.counter(f"quorum.node_load.{node}").inc()
 
-    def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
-                   target_size: int) -> AccessResult:
-        members = self.strategy.sample_write(
-            net.rngs.stream("algebra-strategy"))
-        result = AccessResult(strategy=self.name, kind="advertise",
+    def _contact(self, net: SimNetwork, origin: int, kind: str,
+                 visit) -> AccessResult:
+        """Draw a ``kind`` quorum from σ and reach it by routed contact;
+        the quorum counts only when every member was reached."""
+        rng = net.rngs.stream("algebra-strategy")
+        members = (self.strategy.sample_write(rng) if kind == "advertise"
+                   else self.strategy.sample_read(rng))
+        result = AccessResult(strategy=self.name, kind=kind,
                               target_size=len(members or ()))
         if members is None:  # degenerate (all-faulted) system
             return result
-        targets = [int(x) for x in members]
-        reached = []
-        frame = net.route_frame(origin)
-        for target in targets:
-            if target == origin or frame.send(target):
-                reached.append(target)
-                frame.call(store_fn, target)
-        close_frame(frame, result)
+        reached = routed_contact(net, origin, [int(x) for x in members],
+                                 result, lambda node: visit(result, node))
         result.quorum = sorted(reached)
-        # All-or-nothing: a partial write quorum does not intersect
-        # every read quorum, so it must not count as success.
-        result.success = len(reached) == len(targets)
+        # All-or-nothing: a partial quorum does not intersect every
+        # quorum of the other kind, so it must not count as complete.
+        complete = len(reached) == len(members)
+        if kind == "advertise":
+            result.success = complete
+        else:
+            settle_lookup(result, complete)
         self._count_load(net, reached)
         return result
 
+    def _advertise(self, net: SimNetwork, origin: int, store_fn: StoreFn,
+                   target_size: int) -> AccessResult:
+        def visit(result: AccessResult, node: int) -> bool:
+            store_fn(node)
+            return False
+
+        return self._contact(net, origin, "advertise", visit)
+
     def _lookup(self, net: SimNetwork, origin: int, probe_fn: ProbeFn,
                 target_size: int) -> AccessResult:
-        members = self.strategy.sample_read(
-            net.rngs.stream("algebra-strategy"))
-        result = AccessResult(strategy=self.name, kind="lookup",
-                              target_size=len(members or ()))
-        if members is None:
-            return result
-        targets = [int(x) for x in members]
-        reached = []
-        frame = net.route_frame(origin)
-        for target in targets:
-            if target != origin and not frame.send(target):
-                continue
-            reached.append(target)
-            value = frame.call(probe_fn, target)
-            if value is None:
-                continue
-            result.found = True
-            if result.hit_node is None:
-                result.hit_node = target
-                result.hit_value = value
-            if target == origin:
-                result.reply_delivered = True
-                record_event(net, "reply", src=origin, dst=origin,
-                             success=True, mechanism="local")
-            else:
-                frame.call(routed_reply, net, target, origin, result)
-        close_frame(frame, result)
-        result.quorum = sorted(reached)
-        if result.found:
-            result.success = bool(result.reply_delivered)
-        else:
-            result.success = len(reached) == len(targets)
-        self._count_load(net, reached)
-        return result
+        def visit(result: AccessResult, node: int) -> bool:
+            value = probe_fn(node)
+            if value is not None:
+                record_hit(result, node, value)
+                if node == origin:
+                    local_reply(net, origin, result)
+                else:
+                    routed_reply(net, node, origin, result)
+            return False
+
+        return self._contact(net, origin, "lookup", visit)
 
 
 def measured_node_loads(net: SimNetwork) -> Dict[int, float]:

@@ -293,3 +293,30 @@ class TestRandomOptStrategy:
     def test_not_uniform_random(self):
         assert not RandomOptStrategy(None).uniform_random
         assert RandomStrategy(None).uniform_random
+
+
+class TestDegenerateParameters:
+    """A parameter that would make an access silently do nothing (or
+    fail only at its first access) is rejected at construction."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: RandomStrategy(None, adaptation_retries=-1),
+        lambda: RandomOptStrategy(None, initiations=0),
+        lambda: RandomOptStrategy(None, initiations=-2),
+        lambda: FloodingStrategy(ttl=0),
+        lambda: FloodingStrategy(ttl=-1),
+    ])
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_boundaries_accepted(self):
+        RandomStrategy(None, adaptation_retries=0)
+        RandomOptStrategy(None, initiations=1)
+        FloodingStrategy(ttl=1)
+
+    def test_default_initiations_kept(self):
+        net = make_net(n=100)
+        strategy = RandomOptStrategy(FullMembership(net), initiations=None)
+        result = strategy.lookup(net, 0, probe_for([]), target_size=10)
+        assert result.success and result.quorum_size > 1
