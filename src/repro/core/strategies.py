@@ -959,8 +959,8 @@ class RandomOptStrategy(AccessStrategy):
             if routed is None:
                 break
             sent += 1
-            if routed and sent > initiations + 4 * target_size:
-                break  # safety: degenerate topologies
+            if sent > initiations + 4 * target_size:
+                break  # safety: degenerate or partitioned topologies
         visit(origin)
         result.quorum = sorted(stored)
         result.success = len(stored) >= min(target_size, net.n_alive)

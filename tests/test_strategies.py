@@ -294,6 +294,27 @@ class TestRandomOptStrategy:
         assert not RandomOptStrategy(None).uniform_random
         assert RandomStrategy(None).uniform_random
 
+    def test_advertise_from_a_cut_off_origin_stops(self):
+        # With every neighbor of the origin failed no initiation finds a
+        # route, so the quorum never fills; the safety stop counts every
+        # initiation, routed or not, and ends the advertise.
+        net = SimNetwork(NetworkConfig(n=60, seed=3))
+        for node in net.true_neighbors(5):
+            net.fail_node(node)
+        strategy = RandomOptStrategy(RandomMembership(net))
+        calls = []
+        discover = net.discover_path
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return discover(*args, **kwargs)
+
+        net.discover_path = counted
+        stored, store = store_recorder()
+        result = strategy.advertise(net, 5, store, 8)
+        assert not result.success and result.quorum == [5]
+        assert 0 < len(calls) <= strategy.default_initiations(net) + 4 * 8 + 1
+
 
 class TestDegenerateParameters:
     """A parameter that would make an access silently do nothing (or
