@@ -59,6 +59,8 @@ KERNEL_STREAM = "kv-workload-kernel"
 
 #: Rows per cache-sized block of the kernel's per-read passes.
 _BLOCK = 1 << 15
+#: Rows per block of the write-quorum draw's ``rows x n`` held-node table.
+_FLOYD_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,11 @@ def _predicted_stale(ages: np.ndarray, expired: np.ndarray, qa: int,
 
     def mixture(prob: np.ndarray, mvals: np.ndarray) -> np.ndarray:
         # Binomial(qa, prob) mixture of mvals via the pmf recurrence;
-        # stable because callers keep prob <= 0.5.
+        # stable because callers keep prob <= 0.5, so comp >= 0.5.
         comp = 1.0 - prob
         pmf = comp ** qa
         acc = pmf * mvals[0]
-        ratio = np.divide(prob, comp, out=np.zeros_like(prob),
-                          where=comp > 0.0)
+        ratio = prob / comp
         term = np.empty_like(prob)
         for k in range(1, qa + 1):
             pmf *= ratio
@@ -354,20 +355,30 @@ def _predicted_stale(ages: np.ndarray, expired: np.ndarray, qa: int,
     return float(total.mean())
 
 
-def _draw_quorums(rng: np.random.Generator, count: int, n: int, qa: int,
-                  chunk: int) -> np.ndarray:
+def _draw_quorums(rng: np.random.Generator, count: int, n: int,
+                  qa: int) -> np.ndarray:
     """``count`` uniform ``qa``-subsets of ``n`` nodes, one row each.
 
-    Rows are drawn ``chunk`` at a time as the ``qa`` smallest of ``n``
-    uniform scores.  Node ids are kept in the smallest dtype that fits
-    ``n``: the slot tables stay small, and the stable sorts by node run
-    as radix sorts.
+    Floyd's subset algorithm (Bentley & Floyd, CACM 1987), all rows at
+    once: step ``i`` keeps ``t``, uniform on ``[0, n - qa + i]`` and
+    pre-drawn in one call, or ``n - qa + i`` when the row already holds
+    ``t``.  What each row holds is marked in a ``_FLOYD_ROWS x n``
+    boolean table, reused block by block.  Every row is a uniform set;
+    the order of its slots is not, and no consumer reads it.  Node ids
+    are kept in the smallest dtype that fits ``n``: the slot tables stay
+    small, and the stable sorts by node run as radix sorts.
     """
-    quorums = np.empty((count, qa), dtype=np.min_scalar_type(n))
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        scores = rng.random((hi - lo, n))
-        quorums[lo:hi] = np.argpartition(scores, qa - 1, axis=1)[:, :qa]
+    quorums = rng.integers(0, np.arange(n - qa + 1, n + 1), size=(count, qa),
+                           dtype=np.min_scalar_type(n))
+    taken = np.zeros(min(count, _FLOYD_ROWS) * n, dtype=bool)
+    for lo in range(0, count, _FLOYD_ROWS):
+        rows = quorums[lo:lo + _FLOYD_ROWS]
+        base = np.arange(len(rows)) * n
+        for i in range(qa):
+            slot = rows[:, i]
+            slot[taken[base + slot]] = n - qa + i
+            taken[base + slot] = True
+        taken[:] = False
     return quorums
 
 
@@ -431,20 +442,21 @@ def _slot_ends(slots: np.ndarray, deaths: np.ndarray, keys: np.ndarray,
 
 def _depth_walk(newest: np.ndarray, first: np.ndarray, t: np.ndarray,
                 u: np.ndarray, times: np.ndarray, ends: np.ndarray,
-                ttl: float, miss: np.ndarray, block: int) -> np.ndarray:
+                ttl: float, miss: np.ndarray) -> np.ndarray:
     """Ledger position of the version each read returns (``-1``: none).
 
     Reads advance newest-to-oldest through their key's ledger rows,
     each accumulating surviving slot counts until its uniform decides
     the hypergeometric first hit, it runs out of versions, or everything
-    deeper is past its TTL.  Reads are independent, so they walk in
-    blocks of ``block`` whose ``block x qa`` survival table bounds the
-    pass's memory.
+    deeper is past its TTL.  The counted slots sit on distinct nodes (an
+    overwritten slot ends at its overwrite), so a count never passes
+    ``n`` and always indexes ``miss``.  Reads are independent, so they
+    walk in blocks of ``_BLOCK`` whose ``_BLOCK x qa`` survival table
+    bounds the pass's memory.
     """
-    n = len(miss) - 1
     got = np.full(len(newest), -1, dtype=np.int64)
-    for lo in range(0, len(newest), block):
-        rem = np.arange(lo, min(lo + block, len(newest)))
+    for lo in range(0, len(newest), _BLOCK):
+        rem = np.arange(lo, min(lo + _BLOCK, len(newest)))
         cum = np.zeros(len(rem), dtype=np.int64)
         depth = 0
         while len(rem):
@@ -457,7 +469,7 @@ def _depth_walk(newest: np.ndarray, first: np.ndarray, t: np.ndarray,
             c = cum[rem - lo] + np.count_nonzero(ends[v] > tr[:, None],
                                                  axis=1)
             cum[rem - lo] = c
-            hit = u[rem] >= miss[np.minimum(c, n)]
+            hit = u[rem] >= miss[c]
             got[rem[hit]] = v[hit]
             rem = rem[~hit]
             depth += 1
@@ -508,8 +520,7 @@ def run_workload_batched(spec: WorkloadSpec,
     is_write = ops.kinds != OP_GET
     write_ops = np.flatnonzero(is_write)
     n_write_ops = len(write_ops)
-    chunk = max(1, min(n_write_ops, 4_000_000 // max(n, 1)))
-    write_quorums = _draw_quorums(rng, n_write_ops, n, qa, chunk)
+    write_quorums = _draw_quorums(rng, n_write_ops, n, qa)
     outcome_u = rng.random(len(ops))
     lat_query_u = rng.random(len(ops))
     lat_store_u = rng.random(len(ops))
@@ -555,7 +566,13 @@ def run_workload_batched(spec: WorkloadSpec,
     reads = np.flatnonzero(~is_write)
     r_keys = ops.keys[reads]
     stride = len(ops) + 1
-    pos = np.searchsorted(l_keys * stride + l_ops, r_keys * stride + reads)
+    # Queries in key order (a stable sort keeps op order within a key),
+    # so the search sweeps the ledger once; scattered back after.
+    read_order = np.argsort(r_keys, kind="stable")
+    pos = np.empty(len(reads), dtype=np.int64)
+    pos[read_order] = np.searchsorted(
+        l_keys * stride + l_ops, (r_keys * stride + reads)[read_order])
+    del read_order
     first = key_first[r_keys]
     eligible = pos > first
     elig = np.flatnonzero(eligible)
@@ -567,7 +584,7 @@ def run_workload_batched(spec: WorkloadSpec,
     pred_expired = tr >= l_times[newest] + ttl
 
     got = _depth_walk(newest, first, tr, outcome_u[reads[elig]], l_times,
-                      ends, ttl, miss, max(1, min(_BLOCK, chunk * n // qa)))
+                      ends, ttl, miss)
     hit = got >= 0
     read_version = np.full(len(reads), -1, dtype=np.int64)
     read_version[elig[hit]] = got[hit] - first[hit]

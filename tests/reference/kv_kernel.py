@@ -14,10 +14,16 @@ stream in the same order, so they must agree field for field
 included).  The churn deaths and the analytic prediction keep their
 earlier forms here too (one global ``searchsorted`` over composite
 keys; the mixture over whole arrays).
+
+The write quorums come from the kernel's own ``_draw_quorums`` unless
+``draw=`` passes another recipe.  :func:`draw_quorums_by_scores` is the
+draw Floyd's replaced; with it, this kernel reproduces the earlier
+kernel's outputs, and ``tests/equivalence.py`` runs it as the old side
+of the two-sample comparison.
 """
 
 import math
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from repro.experiments.workload import (
     KVPointConfig,
     KVRunStats,
     WorkloadSpec,
+    _draw_quorums,
     _miss_table,
     generate_operations,
 )
@@ -77,9 +84,29 @@ def predicted_stale(ages: np.ndarray, expired: np.ndarray, qa: int,
     return float(total.mean())
 
 
+def draw_quorums_by_scores(rng: np.random.Generator, count: int, n: int,
+                          qa: int) -> np.ndarray:
+    """The write-quorum draw the kernel used before Floyd's: each row
+    keeps the ``qa`` smallest of ``n`` uniform scores, drawn in chunks
+    of at most 4M scores.  The same law as ``_draw_quorums`` on another
+    stretch of the stream, for the two-sample harness."""
+    quorums = np.empty((count, qa), dtype=np.min_scalar_type(n))
+    chunk = max(1, min(count, 4_000_000 // max(n, 1)))
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        scores = rng.random((hi - lo, n))
+        quorums[lo:hi] = np.argpartition(scores, qa - 1, axis=1)[:, :qa]
+    return quorums
+
+
 def run_workload_batched(spec: WorkloadSpec,
-                         config: Optional[KVPointConfig] = None) -> KVRunStats:
-    """The per-key kernel: the same draws, decided one key at a time."""
+                         config: Optional[KVPointConfig] = None,
+                         draw: Callable[..., np.ndarray] = _draw_quorums,
+                         ) -> KVRunStats:
+    """The per-key kernel: the same draws, decided one key at a time.
+
+    ``draw(rng, count, n, qa)`` picks the write quorums, the kernel's own
+    draw unless a test passes another recipe."""
     config = config or KVPointConfig()
     ops = generate_operations(spec)
     n = config.n
@@ -101,13 +128,7 @@ def run_workload_batched(spec: WorkloadSpec,
     is_write = ops.kinds != OP_GET
     write_ordinal = np.cumsum(is_write) - 1
     n_write_ops = int(is_write.sum())
-    write_quorums = np.empty((n_write_ops, qa), dtype=np.int64)
-    chunk = max(1, min(n_write_ops, 4_000_000 // max(n, 1)))
-    for lo in range(0, n_write_ops, chunk):
-        hi = min(lo + chunk, n_write_ops)
-        scores = rng.random((hi - lo, n))
-        write_quorums[lo:hi] = np.argpartition(scores, qa - 1,
-                                               axis=1)[:, :qa]
+    write_quorums = draw(rng, n_write_ops, n, qa).astype(np.int64)
     outcome_u = rng.random(len(ops))
     lat_query_u = rng.random(len(ops))
     lat_store_u = rng.random(len(ops))

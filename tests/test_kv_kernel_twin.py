@@ -5,19 +5,25 @@ all keys' committed writes in one ledger and walks all reads together in
 bounded blocks; ``reference.kv_kernel`` commits each key's writes one at
 a time and decides a cas with a full single-read decision.  Both draw
 the same stream, so every :class:`KVRunStats` field — the consistency
-report included — must be equal, not close.
+report included — must be equal, not close.  With the score draw the
+kernel used before Floyd's (``draw=reference.draw_quorums_by_scores``),
+the reference reproduces that earlier kernel, pinned by its digests.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from reference import kv_kernel as reference
 from repro.experiments.workload import (
     KVPointConfig,
     WorkloadSpec,
+    _draw_quorums,
     run_workload_batched,
 )
 
@@ -58,11 +64,35 @@ CASES = {
 }
 
 
+#: sha256 of the earlier (score-draw) kernel's ``KVRunStats`` on two
+#: cases, computed by that kernel.
+SCORE_DRAW_DIGESTS = {
+    "bench-seed7":
+        "dbbd4f1c955e6544b331be9a27009634a392ac395ab8cf2b82f0eef34130dcb0",
+    "cas-heavy-seed1":
+        "95ab8d8ff3f4152f357b8a3f896d5bcd4fa0610fb9ad5bddc6751701cde8ff00",
+}
+
+
 def _fields(stats):
     """Every field, with NaN made comparable."""
     return {name: ("nan" if isinstance(value, float) and math.isnan(value)
                    else value)
             for name, value in dataclasses.asdict(stats).items()}
+
+
+def _digest(stats):
+    return hashlib.sha256(
+        json.dumps(_fields(stats), sort_keys=True).encode()).hexdigest()
+
+
+def _rows_permuted(rng, count, n, qa):
+    """The kernel's draw with each row's slots shuffled (on a stream of
+    their own, so the kernel's stream does not move)."""
+    quorums = _draw_quorums(rng, count, n, qa)
+    order = np.random.default_rng(0).permuted(
+        np.tile(np.arange(qa), (count, 1)), axis=1)
+    return np.take_along_axis(quorums, order, axis=1)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -71,6 +101,23 @@ def test_kernel_equals_per_key_reference(case):
     got = run_workload_batched(spec, config)
     want = reference.run_workload_batched(spec, config)
     assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("case", sorted(SCORE_DRAW_DIGESTS))
+def test_score_draw_reproduces_the_earlier_kernel(case):
+    got = reference.run_workload_batched(
+        *CASES[case], draw=reference.draw_quorums_by_scores)
+    assert _digest(got) == SCORE_DRAW_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["bench-seed7", "cas-heavy-seed1",
+                                  "one-key", "full-quorums"])
+def test_slot_order_within_a_row_reaches_no_output(case):
+    # Floyd's rows are uniform sets but not uniformly ordered; every
+    # consumer treats a row as a set, so any order gives the same run.
+    spec, config = CASES[case]
+    got = reference.run_workload_batched(spec, config, draw=_rows_permuted)
+    assert _fields(got) == _fields(run_workload_batched(spec, config))
 
 
 def test_cases_reach_every_branch():
@@ -88,11 +135,13 @@ def test_cases_reach_every_branch():
 
 
 def test_full_spec_peak_memory_is_bounded():
-    # The reads walk in blocks whose survival table stays below the
-    # write-quorum score chunk (4M scores), so the draw pass sets the
-    # peak (~71 MiB traced here).  One unblocked walk over all 322k
-    # reads of this spec builds a 322k x 35 float table and peaks at
-    # ~161 MiB; the per-key kernel it replaced peaked at ~116 MiB.
+    # The write quorums are drawn as 4 096-row Floyd blocks, so the peak
+    # (65.0 MiB traced here) is set after the depth walk, where the
+    # per-read outcome arrays and the latency draws are live at once.
+    # The bound is that plus 5 MiB: the score draw it replaced peaked
+    # at 71 MiB inside the draw, one unblocked walk over all 322k reads
+    # of this spec (a 322k x 35 float table) at ~161 MiB, and the
+    # per-key kernel before that at ~116 MiB.
     spec = WorkloadSpec(ops=350_000, seed=7, **BENCH_SPEC)
     tracemalloc.start()
     try:
@@ -100,4 +149,4 @@ def test_full_spec_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * 2 ** 20
+    assert peak < 70 * 2 ** 20
